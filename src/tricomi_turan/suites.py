@@ -202,7 +202,7 @@ def _task_derivative(args):
 def _task_moment(args):
     suite, claim, idx, a, c, power, tol = args
     d = measure_mod.WeightDensity(a, c)
-    mv = measure_mod.phi_moment(d, power, tol=1e-9)
+    mv = measure_mod.phi_moment(d, power)
     closed = measure_mod.MOMENT_IDENTITIES[power].closed_form(a, c)
     allowance = tol + mv.abs_error
     margin = allowance - abs(mv.value - closed)

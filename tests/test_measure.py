@@ -1,15 +1,21 @@
 """Weight density, moment identities, and Stieltjes-type representations."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tricomi_turan.kernel import ParameterPoint, RegionError
-from tricomi_turan.measure import (MOMENT_IDENTITIES, WeightDensity, phi,
-                                   phi_moment, stieltjes_first_shift,
-                                   stieltjes_ratio)
+from tricomi_turan import suites
+from tricomi_turan.kernel import (EPS, EvaluationError, ParameterPoint,
+                                  RegionError, psi_connection)
+from tricomi_turan.measure import (MOMENT_IDENTITIES, WeightDensity,
+                                   _neg_axis_core, phi, phi_moment,
+                                   stieltjes_first_shift, stieltjes_ratio)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
+
+RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
 
 
 class TestWeightDensity:
@@ -35,6 +41,25 @@ class TestWeightDensity:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(RegionError):
             phi(WeightDensity(2.0, -2.5), 0.0)
+
+    @pytest.mark.parametrize("a,c", [(0.25, 0.75), (2.0, -2.5), (5.0, -4.5)])
+    def test_core_matches_complex_connection_formula(self, a, c):
+        # e^-t |psi(a, c, t e^(i pi))|^-2 from the real-arithmetic core and
+        # from the kernel's complex connection formula
+        ts = np.logspace(-6, 2.2, 60)
+        core, rel = _neg_axis_core(WeightDensity(a, c), ts)
+        for t, value, r in zip(ts, core, rel):
+            fv = psi_connection(a, c, complex(-t, 0.0))
+            mod = abs(fv.value)
+            ref = math.exp(-t) / (mod * mod)
+            ref_err = ref * (2.0 * fv.abs_error / mod + 4.0 * EPS)
+            assert abs(value - ref) <= value * r + ref_err
+
+    def test_scalar_density_uses_core(self):
+        d = WeightDensity(2.0, -2.5)
+        core, _ = _neg_axis_core(d, np.array([0.7]))
+        expected = d.prefactor * 0.7 ** 2.5 * core[0]
+        assert phi(d, 0.7).value == pytest.approx(expected, rel=1e-14)
 
 
 class TestMoments:
@@ -79,6 +104,59 @@ class TestMoments:
                 fv = phi_moment(d, power)
                 closed = MOMENT_IDENTITIES[power].closed_form(a, c)
                 assert fv.value == pytest.approx(closed, abs=1e-6 + fv.abs_error)
+
+
+class TestEdgeCases:
+    """Points where the endpoint power, the peak width or QUADPACK round-off
+    once made the integrals delicate; each value must lie within its
+    abs_error, and abs_error within 1e-8 of the value."""
+
+    @pytest.mark.parametrize("a,c,power", [
+        (1.0, 0.95, 0),     # beta = 0.05: the head carries most of the mass
+        (2.0, -1.05, -2),   # beta = 0.05 again, for the second inverse moment
+        (1e-3, -0.5, 0),
+        (12.0, -0.5, 1),    # narrow peak near t = 2a + beta
+    ])
+    def test_moment_against_closed_form(self, a, c, power):
+        fv = phi_moment(WeightDensity(a, c), power)
+        ref = MOMENT_IDENTITIES[power].closed_form(a, c)
+        assert abs(fv.value - ref) <= fv.abs_error
+        assert fv.abs_error <= 1e-8 * abs(ref)
+
+    # 1 - U(a-1,c',x) U(a+1,c'',x) / U(a,c,x)^2 with mpmath.hyperu at 40 digits
+    @pytest.mark.parametrize("kind,a,c,x,ref", [
+        ("first", 1.0, 0.95, 0.5, 0.540310411182050753051551497515),
+        ("both", 5.0, -4.5, 200.0, -0.000224995749340067928588359485506),
+        ("first", 2.0, -4.5, 0.01, 0.133332128624460426884051216223),
+        ("first", 5.0, -4.5, 0.01, 0.0952368504396099552034144559508),
+    ])
+    def test_ratio_against_pinned_reference(self, kind, a, c, x, ref):
+        rep = stieltjes_ratio if kind == "both" else stieltjes_first_shift
+        fv = rep(WeightDensity(a, c), x)
+        assert abs(fv.value - ref) <= fv.abs_error
+        assert fv.abs_error <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("c", [-1.9999, -2.0001])
+    def test_near_integer_c_budget_covers_gamma_rounding(self, c):
+        # Gamma(c-1) sits 1e-4 from a pole, so the rounding of c-1 moves B by
+        # ~1e-12, and the two connection terms cancel by ~3e3 on top
+        fv = phi_moment(WeightDensity(2.0, c), 1)
+        assert abs(fv.value - (3.0 - c)) <= fv.abs_error
+
+    def test_out_of_range_raises_typed_errors(self):
+        with pytest.raises(EvaluationError):
+            phi_moment(WeightDensity(400.0, -0.5), 0)   # Gamma ratios underflow
+        with pytest.raises(EvaluationError):
+            phi(WeightDensity(2.0, -2.0), 1.0)         # integer c
+
+
+class TestDefaultGrid:
+    def test_verdicts_as_recorded(self):
+        recorded = json.loads(RECORDED.read_text())["default-run"]["counts"]
+        summary, rows = suites.run(suites.RunConfig(suites=("moments", "stieltjes")))
+        for suite in ("moments", "stieltjes"):
+            assert summary.counts[suite] == {"pass": recorded[suite]["pass"],
+                                             "fail": 0, "inconclusive": 0}
 
 
 class TestStieltjesRepresentations:
