@@ -10,17 +10,40 @@ and, for a > 0 and x > 0, equals the Laplace-type integral
 
 This module evaluates psi by three genuinely independent routes:
 
-* ``psi_quadrature``   -- adaptive quadrature of the integral above
-                          (validity a > 0; the accuracy anchor),
+* ``psi_quadrature``   -- the trapezoid rule for the integral above in
+                          w = log(x t) (validity a > 0; the accuracy
+                          anchor),
 * ``psi_connection``   -- Gamma-weighted combination of two Kummer-M
                           series (works for a <= 0 and for complex
-                          arguments, requires non-integer c),
+                          arguments, requires non-integer c; a negative
+                          integer a gives a terminating polynomial),
 * ``psi_asymptotic``   -- the large-x expansion
                           psi ~ x^-a (1 + alpha1/x + alpha2/x^2 + ...).
 
-Every result is a :class:`FunctionValue` carrying a heuristic absolute
-error estimate; downstream strict-inequality checks compare margins
-against these budgets instead of trusting raw floating point.
+The quadrature route.  With s = x t = e^w the integral becomes
+
+    psi = x^-a / Gamma(a) * int f(w) dw over the real line,
+    f(w) = exp(a w - e^w + (c-a-1) log1p(e^w/x)).
+
+f is analytic in a strip about the real axis and decays like e^(aw) to
+the left and like exp(-e^w) to the right, so the trapezoid sum
+T_h = h sum_k f(w0 + k h) converges exponentially as h shrinks
+(Trefethen & Weideman, SIAM Review 56(3), 2014).  The nodes are one numpy
+array anchored at w0 ~ log min(x, 1) that ends past a cutoff S.  Far to
+the left f = e^(aw) G(w) with G -> 1: those nodes contribute
+e^(aw) expm1(log G), which decays like e^((a+1)w) and is truncated, and
+the sum of their e^(aw) parts is the geometric series
+h e^(a(ws-h)) / (-expm1(-a h)), which is exact.  So there is no endpoint
+singularity and small a costs no more than large a.  The error budget is
+|T_h - T_2h| (T_2h from the even nodes) plus the left truncation bound,
+the tail bound past S, the rounding of every node's exponent and the
+rounding of the prefactor, which includes |lnGamma(a)| (about 18 at
+a = 1e-8).  h is halved until the budget meets ``tol``; a budget that
+cannot is returned as it is, flagged ``"tolerance_not_met"``.
+
+Every result is a :class:`FunctionValue` carrying an absolute error
+estimate; downstream strict-inequality checks compare margins against
+these budgets instead of trusting raw floating point.
 """
 
 from __future__ import annotations
@@ -30,8 +53,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn
+import numpy as np
+from scipy.special import digamma, gammaln, gammasgn
 
 EPS = 2.2204460492503131e-16
 
@@ -45,13 +68,11 @@ QUADRATURE = "quadrature"
 CONNECTION = "connection_series"
 ASYMPTOTIC = "asymptotic_large_x"
 
-
-def _quad(f, lo, hi, epsrel, points=None):
-    """Adaptive panel integration; full_output keeps QUADPACK quiet when it
-    bottoms out on roundoff and still reports its error estimate."""
-    out = quad(f, lo, hi, epsabs=1e-300, epsrel=epsrel, limit=200,
-               points=points, full_output=1)
-    return out[0], out[1]
+# trapezoid rule of psi_quadrature: first and smallest step in w = log s,
+# and the e-folds of the truncated left sum below the geometric part
+_STEP = 2.0 ** -3
+_STEP_MIN = 2.0 ** -7
+_LEFT_DEPTH = 40.0
 
 
 class EvaluationError(RuntimeError):
@@ -142,13 +163,39 @@ def log_gamma(z: float) -> tuple[float, float]:
     return float(gammaln(z)), float(gammasgn(z))
 
 
-def _gamma_ratio(num: float, den: float) -> float:
-    """Gamma(num)/Gamma(den); a pole in the denominator gives exactly 0."""
-    if den <= 0.0 and den == math.floor(den):
-        return 0.0
-    lg_num, sg_num = log_gamma(num)
-    lg_den, sg_den = log_gamma(den)
-    return sg_num * sg_den * math.exp(lg_num - lg_den)
+def _connection_coefficients(a: float, c: float):
+    """A = Gamma(1-c)/Gamma(a-c+1) and B = Gamma(c-1)/Gamma(a) off integer c,
+    each as (value, relative error); a pole of the denominator gives
+    exactly (0, 0).  The error counts the rounding of the log-Gamma values
+    and of the arguments 1-c, a-c+1 and c-1, which the digamma function
+    amplifies near a pole."""
+    if abs(c - round(c)) < INTEGER_C_GUARD:
+        raise EvaluationError(
+            f"connection formula degenerates for integer c (c={c})")
+    out = []
+    for num, den in ((1.0 - c, a - c + 1.0), (c - 1.0, a)):
+        if den <= 0.0 and den == math.floor(den):
+            out.append((0.0, 0.0))
+            continue
+        lg_num, sg_num = log_gamma(num)
+        lg_den, sg_den = log_gamma(den)
+        value = sg_num * sg_den * math.exp(lg_num - lg_den)
+        if value == 0.0:
+            raise EvaluationError(
+                f"Gamma({num})/Gamma({den}) is outside the double range")
+        rel = EPS * (2.0 + abs(lg_num) + abs(lg_den)
+                     + abs(num * _digamma(num)) + abs(den * _digamma(den)))
+        out.append((value, rel))
+    return out
+
+
+def _digamma(z: float) -> float:
+    """digamma(z) off the poles; z < 0 goes through the reflection
+    psi(z) = psi(1-z) - pi cot(pi z), which scipy evaluates some 30 times
+    faster than digamma on (-1, 0)."""
+    if z < 0.0:
+        return float(digamma(1.0 - z)) - math.pi / math.tan(math.pi * z)
+    return float(digamma(z))
 
 
 def _pochhammer(c: float, m: int) -> float:
@@ -156,6 +203,19 @@ def _pochhammer(c: float, m: int) -> float:
     for k in range(m):
         out *= c + k
     return out
+
+
+def _terminating(m: int, c: float, z: float | complex) -> FunctionValue:
+    """psi(-m, c, z) = (-1)^m sum_s C(m,s) (c+s)_(m-s) (-z)^s (DLMF 13.2.7),
+    a degree-m polynomial with no division, valid for every c.  The budget
+    allows 3m + 4 roundings per term, the summation included."""
+    total = gross = 0.0
+    for s in range(m + 1):
+        term = math.comb(m, s) * _pochhammer(c + s, m - s) * (-z) ** s
+        total += term
+        gross += abs(term)
+    sign = -1.0 if m % 2 else 1.0
+    return FunctionValue(sign * total, (3 * m + 4) * EPS * gross, CONNECTION)
 
 
 # ---------------------------------------------------------------------------
@@ -207,55 +267,106 @@ def kummer_m(a: float, c: float, z: float | complex, tol: float = 1e-15,
 # quadrature route
 # ---------------------------------------------------------------------------
 
+def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
+               h: float) -> tuple[float, float, float]:
+    """The step-h trapezoid sum of f(w) = exp(a w - e^w + pw log1p(e^w/x))
+    over the nodes w0 + k h, all k, scaled by e^-m with m the largest
+    exponent on the grid.  Returns (T_h, its error bound, m), both scaled.
+    """
+    # left of the split node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there
+    q = 1.0 + abs(pw) / x
+    j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
+    depth = max(0.0, _LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
+    kl = j + 2 * math.ceil(0.5 * depth / h)
+    nl = kl - j                       # nodes summed as e^(aw) expm1(log G)
+    k = np.arange(-kl, math.ceil((w_max - w0) / h) + 2)
+    w = w0 + h * k                    # exact: h and w0 are short binary fractions
+    ew = np.exp(w)
+    pl = pw * np.log1p(ew / x)
+    lg = pl - ew
+    aw = a * w
+    arg = aw + lg
+    m = float(arg.max())
+    f = np.exp(arg - m)
+    e_left = np.exp(aw[:nl] - m)
+    f[:nl] = e_left * np.expm1(lg[:nl])
+
+    # the ones of the left terms, summed exactly: h sum_{i>=1} e^(a(ws - i h))
+    ws = w0 - j * h
+    geo_h = h * math.exp(a * (ws - h) - m) / -math.expm1(-a * h)
+    geo_2h = 2.0 * h * math.exp(a * (ws - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
+    t_h = h * float(f.sum()) + geo_h
+    t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h   # kl is even: k = 0 mod 2
+
+    # left rest beyond the last node: |expm1(lg)| <= 1.65 q e^w there, so a
+    # geometric series in e^((a+1)w); counted for both sums
+    w_end = w0 - (kl + 1) * h
+    rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
+    # node rounding: the exponent of each node (and m) is rounded
+    u = f.copy()
+    u[:nl] = e_left + np.abs(f[:nl])
+    rounding = (4.0 * EPS * h * float(u @ (16.0 + abs(m) + abs(pw) + np.abs(aw) + ew
+                                           + np.abs(pl)))
+                + 4.0 * EPS * geo_h * (4.0 + abs(a * (ws - h) - m)))
+    return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
+
+
 def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
-    """Evaluate psi(a,c,x), a > 0, by adaptive quadrature of the integral
-    representation.
+    """Evaluate psi(a,c,x), a > 0, by the trapezoid rule in w = log s.
 
-    Written in the Laplace-scaled variable s = x t,
+    Written in the Laplace-scaled variable s = x t = e^w,
 
-        psi = x^-a / Gamma(a) * int_0^inf e^-s s^(a-1) (1 + s/x)^(c-a-1) ds,
+        psi = x^-a / Gamma(a) * int_-inf^inf f(w) dw,
+        f(w) = exp(a w - e^w + (c-a-1) log1p(e^w/x)),
 
-    which keeps the exponential cutoff at s = O(1) for every x.  The piece
-    on [0, b], b = min(x, 1), absorbs the s^(a-1) endpoint via the exact
-    substitution u = (s/b)^a; the remainder is integrated in w = log s up
-    to a cutoff S with analytic tail bound below tol/10.
+    by the trapezoid sum T_h = h sum_k f(w0 + k h) over all k (see the
+    module docstring).  The anchor w0 is log min(x, 1) rounded to a
+    multiple of 2^-20, so that every node is exact; the nodes end past the
+    cutoff S.  Write f = e^(aw) G(w).  Left of the split node ws, where
+    |log G| <= 1/2, a node contributes e^(aw) expm1(log G), which decays
+    like e^((a+1)w) and is truncated with a bound, and the e^(aw) parts
+    sum exactly to h e^(a(ws-h)) / (-expm1(-a h)).
+
+    abs_error adds |T_h - T_2h| (the even nodes), the left truncation
+    bound, the tail bound 2 f(log S) at the cutoff, the rounding of every
+    node's exponent and the rounding of the prefactor
+    exp(m - a log x - lnGamma(a)).  h starts at 1/8 and is halved until
+    abs_error <= tol |value|; if that fails at h = 1/128 the honest budget
+    is returned with the flag ``"tolerance_not_met"``.
     """
     a, c, x = p.a, p.c, p.x
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
-    b = min(x, 1.0)
+    log_b = math.log(min(x, 1.0))
+    w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
 
-    def head(u):
-        # s = b u^(1/a); the factor s^(a-1) ds collapses to (b^a / a) du
-        s = b * u ** (1.0 / a)
-        return math.exp(-s + pw * math.log1p(s / x))
+    def log_integrand(s):
+        return -s + a * math.log(s) + pw * math.log1p(s / x)
 
-    def body_log(w):
-        s = math.exp(w)
-        return math.exp(-s + a * w + pw * math.log1p(s / x))
-
-    def integrand(s):
-        return math.exp(-s + a * math.log(s) + pw * math.log1p(s / x))
-
-    i1, e1 = _quad(head, 0.0, 1.0, tol)
-    head_scale = b ** a / a
-    i1 *= head_scale
-    e1 *= head_scale
-
-    # cutoff: beyond S0 the integrand decays at least like e^(-s/2)
+    # cutoff: beyond S the integrand decays at least like e^(-s/2); the
+    # integral is at least e^-1 min(1, 2^pw) b^a / a
     S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
-    floor = abs(i1) + 1e-300
-    while integrand(S) * 2.0 > 0.1 * tol * floor and S < 700.0:
+    log_floor = a * log_b - math.log(a) - 1.0 + min(pw, 0.0) * math.log(2.0)
+    while log_integrand(S) + math.log(20.0) > math.log(tol) + log_floor and S < 700.0:
         S *= 1.5
-    pts = [math.log(x)] if b < x < 0.9 * S else None
-    i2, e2 = _quad(body_log, math.log(b), math.log(S), tol, points=pts)
-    tail = 2.0 * integrand(S)
+    log_x = math.log(x)
+    lg_a = float(gammaln(a))
 
-    scale = math.exp(-a * math.log(x) - gammaln(a))
-    value = scale * (i1 + i2)
-    err = scale * (e1 + e2 + tail) + EPS * abs(value)
-    return FunctionValue(value, err, QUADRATURE)
+    h = _STEP
+    while True:
+        total, err, m = _trapezoid(a, pw, x, w0, math.log(S), h)
+        # 2 f(log S) is S times a bound on either sum past the cutoff
+        err += 2.0 * math.exp(log_integrand(S) - m)
+        rel_scale = EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x) + abs(lg_a)))
+        met = err <= (tol - rel_scale) * abs(total)
+        if met or h <= _STEP_MIN:
+            break
+        h *= 0.5
+    scale = math.exp(m - a * log_x - lg_a)
+    value = scale * total
+    return FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
+                         () if met else ("tolerance_not_met",))
 
 
 # ---------------------------------------------------------------------------
@@ -274,33 +385,20 @@ def psi_connection(a: float, c: float, z: float | complex,
     e^(i pi (1-c)) exactly.
 
     Special cases: a = 0 returns exactly 1; a a negative integer -m
-    returns the terminating series (-1)^m (c)_m M(-m, c, z).  Otherwise
-    c within ``INTEGER_C_GUARD`` of an integer is rejected, since the
-    formula degenerates there.  The estimate includes the cancellation
-    of the two terms; when they cancel beyond 10^6 * EPS the result is
+    returns the terminating polynomial of DLMF 13.2.7, for every c.
+    Otherwise c within ``INTEGER_C_GUARD`` of an integer is rejected,
+    since the formula degenerates there.  The estimate includes the
+    cancellation of the two terms and the rounding of the Gamma arguments
+    and of z^(1-c); when the terms cancel beyond 10^6 * EPS the result is
     flagged ``"cancellation"``.
     """
     cplx = isinstance(z, complex)
     if a == 0.0:
         return FunctionValue(1.0 + 0.0j if cplx else 1.0, 0.0, CONNECTION)
     if a < 0.0 and a == math.floor(a):
-        # psi(-m, c, z) = (-1)^m (c)_m M(-m, c, z), a degree-m polynomial;
-        # sum the series directly (no Kummer transform, it must terminate)
-        m = int(-a)
-        for k in range(m):
-            if abs(c + k) < INTEGER_C_GUARD:
-                raise EvaluationError(
-                    f"terminating series for a={a} undefined near c={-k}")
-        s, err, _ = _m_series(a, c, z, tol, max_terms=m + 2)
-        sign = -1.0 if m % 2 else 1.0
-        coeff = sign * _pochhammer(c, m)
-        return FunctionValue(coeff * s, abs(coeff) * err, CONNECTION)
-    if abs(c - round(c)) < INTEGER_C_GUARD:
-        raise EvaluationError(
-            f"connection formula degenerates for integer c (c={c})")
+        return _terminating(int(-a), c, z)
 
-    c1 = _gamma_ratio(1.0 - c, a - c + 1.0)
-    c2 = _gamma_ratio(c - 1.0, a)
+    (c1, rel1), (c2, rel2) = _connection_coefficients(a, c)
     zero = 0.0j if cplx else 0.0
     t1 = t2 = zero
     err = 0.0
@@ -309,16 +407,16 @@ def psi_connection(a: float, c: float, z: float | complex,
         t1 = c1 * m1.value
         err += abs(c1) * m1.abs_error
     if c2 != 0.0:
-        zp = cmath.exp((1.0 - c) * cmath.log(z)) if cplx \
-            else math.exp((1.0 - c) * math.log(z))
+        log_zp = (1.0 - c) * (cmath.log(z) if cplx else math.log(z))
+        zp = cmath.exp(log_zp) if cplx else math.exp(log_zp)
         m2 = kummer_m(a - c + 1.0, 2.0 - c, z, tol)
         t2 = c2 * zp * m2.value
-        err += abs(c2) * abs(zp) * m2.abs_error
+        err += abs(c2) * abs(zp) * m2.abs_error + abs(t2) * EPS * 2.0 * abs(log_zp)
     value = t1 + t2
     if not math.isfinite(abs(value)):
         raise EvaluationError(f"connection formula overflow at a={a}, c={c}, z={z}")
     gross = abs(t1) + abs(t2)
-    err += 4.0 * EPS * gross
+    err += 4.0 * EPS * gross + abs(t1) * rel1 + abs(t2) * rel2
     flags = ()
     if abs(value) > 0.0 and gross / abs(value) > 1e6:
         flags = ("cancellation",)

@@ -71,10 +71,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln, roots_legendre
+from scipy.special import gammaln, roots_legendre
 
-from .kernel import (EPS, INTEGER_C_GUARD, EvaluationError, FunctionValue,
-                     RegionError, _gamma_ratio)
+from .kernel import (EPS, EvaluationError, FunctionValue, RegionError,
+                     _connection_coefficients)
 
 _INTEGRAL = "quadrature"
 
@@ -176,25 +176,6 @@ def _kummer_sums(alpha: np.ndarray, gamma: np.ndarray, t: np.ndarray):
             settled = small
     raise EvaluationError(f"Kummer series did not converge within {_MAX_TERMS} "
                           f"terms up to t={t.max()}")
-
-
-def _connection_coefficients(a: float, c: float):
-    """A = Gamma(1-c)/Gamma(a-c+1) and B = Gamma(c-1)/Gamma(a) off integer c,
-    each as (value, relative error).  The error counts the rounding of the
-    log-Gamma values and of the arguments 1-c, a-c+1 and c-1, which the
-    digamma function amplifies near a pole."""
-    if abs(c - round(c)) < INTEGER_C_GUARD:
-        raise EvaluationError(
-            f"connection formula degenerates for integer c (c={c})")
-    out = []
-    for num, den in ((1.0 - c, a - c + 1.0), (c - 1.0, a)):
-        value = _gamma_ratio(num, den)
-        if value == 0.0 or not math.isfinite(value):
-            raise EvaluationError(
-                f"Gamma({num})/Gamma({den}) is outside the double range")
-        rel = EPS * (2.0 + sum(abs(x * digamma(x)) + abs(gammaln(x)) for x in (num, den)))
-        out.append((value, rel))
-    return out
 
 
 def _neg_axis_core(d: WeightDensity, t: np.ndarray):

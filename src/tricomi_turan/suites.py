@@ -141,14 +141,6 @@ class RunSummary:
 PASS, FAIL, INCONCLUSIVE = bounds_mod.PASS, bounds_mod.FAIL, bounds_mod.INCONCLUSIVE
 
 
-def _margin_status(margin: float, budget: float) -> str:
-    if margin > budget:
-        return PASS
-    if margin < -budget:
-        return FAIL
-    return INCONCLUSIVE
-
-
 # ---------------------------------------------------------------------------
 # task evaluators (module-level so a process pool can pickle them)
 # ---------------------------------------------------------------------------
@@ -260,7 +252,7 @@ def _task_sharpness(args):
         if not scan.eventually_decreasing:
             margin = -abs(margin) - 1.0
         return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
-                         margin, last.budget, _margin_status(margin, last.budget),
+                         margin, last.budget, bounds_mod._status(margin, last.budget),
                          "x^2-scaled both-shift ratio approaches c-a-1", idx)
     if direction_tag == "zero":
         lim = SharpnessLimit.closed_form(kind, Direction.X_TO_ZERO,
@@ -270,7 +262,7 @@ def _task_sharpness(args):
         allowance = frac * abs(lim.limit_value)
         margin = allowance - last.deviation
         return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
-                         margin, last.budget, _margin_status(margin, last.budget),
+                         margin, last.budget, bounds_mod._status(margin, last.budget),
                          "plain ratio approaches its x->0 closed form", idx)
     # direction_tag == "vanish": plain ratios tend to 0 at infinity
     lim = SharpnessLimit.closed_form(kind, Direction.X_TO_INFINITY,
@@ -281,7 +273,7 @@ def _task_sharpness(args):
     budget = 2.0 * max(q.budget for q in scan.points)
     margin = -worst
     return ReportRow(suite, claim, a, c, scan.points[-1].x, devs[-1], devs[0],
-                     margin, budget, _margin_status(margin, budget),
+                     margin, budget, bounds_mod._status(margin, budget),
                      "plain ratio deviations from 0 decrease toward infinity", idx)
 
 
@@ -295,7 +287,7 @@ def _task_monotonicity(args):
     budget = lo.abs_error + hi.abs_error
     direction = "increasing" if sign > 0 else "decreasing"
     return ReportRow(suite, claim, a, c, x_hi, lo.value, hi.value, margin,
-                     budget, _margin_status(margin, budget),
+                     budget, bounds_mod._status(margin, budget),
                      f"auxiliary log-ratio {which} is {direction}", idx)
 
 

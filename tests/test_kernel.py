@@ -10,19 +10,22 @@ Oracles used here:
   * upper incomplete gamma via scipy.special.gammaincc:
                    psi(1, b, x) = e^x x^(1-b) Gamma(b-1, x)
   * frozen 50-digit reference values for generic parameter points
-  * cross-method agreement between the quadrature and connection routes.
+  * cross-method agreement between the quadrature and connection routes
+  * mpmath.hyperu at 40 digits, as |value - ref| <= abs_error.
 """
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 from scipy.special import gammaincc, gammaln
 
 from tricomi_turan.kernel import (AsymptoticSeries, EvaluationError,
-                                  ParameterPoint, RegionError, kummer_m,
-                                  log_gamma, psi, psi_asymptotic,
-                                  psi_connection, psi_quadrature)
+                                  ParameterPoint, RegionError,
+                                  asymptotic_threshold, kummer_m, log_gamma,
+                                  psi, psi_asymptotic, psi_connection,
+                                  psi_quadrature)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,6 +42,16 @@ PSI_NEG_AXIS_REFS = {
     (1.5, -0.5, 2.0): complex(-0.41978220188821506579, -0.537430667646613927),
     (2.0, -2.5, 4.0): complex(-0.2267621513564570295, -0.070355029994613514136),
 }
+
+
+def hyperu40(a, c, z):
+    """U(a, c, z) by mpmath at 40 digits, on the principal branch for
+    complex z; the float arguments enter exactly."""
+    import mpmath
+    with mpmath.workdps(40):
+        zz = mpmath.mpc(z.real, z.imag) if isinstance(z, complex) else mpmath.mpf(z)
+        ref = mpmath.hyperu(mpmath.mpf(a), mpmath.mpf(c), zz)
+        return complex(ref) if isinstance(z, complex) else float(ref)
 
 
 class TestLogGamma:
@@ -153,6 +166,28 @@ class TestPsiQuadrature:
         with pytest.raises(RegionError):
             psi_quadrature(ParameterPoint(-0.5, 0.5, 1.0))
 
+    def test_unmet_tolerance_is_flagged_with_honest_budget(self):
+        # the prefactor alone rounds by more than 1e-16 relative
+        fv = psi_quadrature(ParameterPoint(2.0, -2.5, 3.0), 1e-16)
+        assert fv.flags == ("tolerance_not_met",)
+        assert abs(fv.value - PSI_REFS[(2.0, -2.5, 3.0)]) <= fv.abs_error
+
+    def test_oracle_sample(self):
+        # a log-uniform in [1e-8, 1e-3] (the endpoint factor s^(a-1) is at
+        # its sharpest), uniform in [1e-3, 6], and a = 20, 30; c uniform in
+        # [-5, 2]; x log-uniform in [1e-2, asymptotic_threshold]
+        rng = np.random.default_rng(20261018)
+        a_values = ([float(10.0 ** rng.uniform(-8, -3)) for _ in range(40)]
+                    + [float(rng.uniform(1e-3, 6.0)) for _ in range(100)]
+                    + [20.0, 30.0] * 5)
+        for a in a_values:
+            c = float(rng.uniform(-5.0, 2.0))
+            x = float(math.exp(rng.uniform(math.log(1e-2),
+                                           math.log(asymptotic_threshold(a, c)))))
+            fv = psi_quadrature(ParameterPoint(a, c, x))
+            ref = hyperu40(a, c, x)
+            assert abs(fv.value - ref) <= fv.abs_error <= 1e-12 * abs(ref), (a, c, x)
+
     def test_rejects_nonpositive_x(self):
         with pytest.raises(RegionError):
             ParameterPoint(1.0, 0.5, 0.0)
@@ -174,6 +209,25 @@ class TestPsiConnection:
         expected = x * x - 2.0 * (c + 1.0) * x + c * (c + 1.0)
         fv = psi_connection(-2.0, c, x)
         assert fv.value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("a,c,x", [
+        (-2.0, -3.0, 32.02),   # the series of M(-2, -3, z) meets 0/0 past degree 2
+        (-1.0, 0.0, 6.32),     # psi(-1, 0, x) = x, where (c)_m M(-m, c, x) is 0 * inf
+        (-3.0, -2.0, 0.0409),
+    ])
+    def test_negative_integer_a_any_c(self, a, c, x):
+        fv = psi_connection(a, c, x)
+        assert abs(fv.value - hyperu40(a, c, x)) <= fv.abs_error
+
+    @pytest.mark.parametrize("a,c,z", [
+        (2.0, -1.9999, complex(-1.0, 0.0)),
+        (-0.5, -1.9999, 1.0),
+    ])
+    def test_budget_covers_gamma_argument_rounding(self, a, c, z):
+        # c - 1 sits 1e-4 from the pole of Gamma at -3, so its rounding moves
+        # Gamma(c-1) by ~1e-12 relative before the two terms cancel
+        fv = psi_connection(a, c, z)
+        assert abs(fv.value - hyperu40(a, c, z)) <= fv.abs_error
 
     def test_cross_method_spec_point(self):
         q = psi_quadrature(ParameterPoint(1.0, 1.5, 4.0))
@@ -271,7 +325,6 @@ class TestPsiDispatcher:
         assert fv.value == pytest.approx(500.0 ** -0.25, rel=1e-3)
 
     def test_positivity_on_random_samples(self):
-        import numpy as np
         rng = np.random.default_rng(20240817)
         for _ in range(200):
             a = float(rng.uniform(0.05, 6.0))
