@@ -41,9 +41,18 @@ variant S2H are therefore advisory (``gating=False``): their failures
 are reported but do not gate a verification run.  P4U is gating on
 a > 1 only; the 0 < a <= 1 probe is a separate advisory entry.
 
+Each ratio bound is one row of ``_RATIO_BOUNDS`` that states its closed
+form ``bound_fn(a, c, x)`` once, with the side it sits on.  Both sides of
+its :class:`BoundSpec` are derived from that row when the catalog is
+built: a ``lower`` bound checks bound_fn < R of the target's kind, an
+``upper`` bound checks R < bound_fn.
+
 The eight dominance claims D1..D8 state where one closed-form bound is
-tighter than its competitor; ``check_dominance`` compares the two bound
-values at points satisfying the claimed threshold.
+tighter than its competitor; ``check_dominance`` compares the closed-form
+sides that ``check_bound`` checks, at points satisfying the claimed
+threshold.  The auxiliary log-ratios f, g and h behind the I-family are
+``AUXILIARY`` records, each with its region, its two weights and the sign
+of its monotonicity.
 """
 
 from __future__ import annotations
@@ -74,6 +83,10 @@ class BoundSpec:
     anchor: str
     gating: bool = True
     bound_fn: Callable[[float, float, float], float] | None = None
+
+    def closed_form(self, p: ParameterPoint) -> FunctionValue:
+        """The closed-form side of a ratio bound at p."""
+        return (self.lhs if self.side == "lower" else self.rhs)(p, 0.0)
 
 
 @dataclass(frozen=True)
@@ -181,102 +194,77 @@ def _i2_rhs(p: ParameterPoint, tol: float) -> FunctionValue:
 BOTH, FIRST, SECOND = (TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT,
                        TuranianKind.SECOND_SHIFT)
 
-CATALOG: dict[str, BoundSpec] = {}
+_TARGET_KIND = {"ratio_both": BOTH, "ratio_first": FIRST, "ratio_second": SECOND}
+
+# one row per ratio bound: (id, target, side, region, region_text, bound_fn,
+# anchor[, gating=True]); see the module docstring for the derived sides
+_RATIO_BOUNDS = (
+    ("T1L", "ratio_both", "lower", lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
+     lambda a, c, x: (c - a - 1.0) / (x * x),
+     "both-shift lower bound (c-a-1)/x^2, sharp as x->inf"),
+    ("T1U", "ratio_both", "upper", lambda a, c: a > 1.0 and c < -1.0, "a>1, c<-1, x>0",
+     lambda a, c, x: 1.0 / c + 2.0 * x * (c - a) / (c * c * (c + 1.0)),
+     "both-shift upper bound 1/c + 2x(c-a)/(c^2(c+1)), sharp as x->0"),
+    ("T2L", "ratio_both", "lower", lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
+     lambda a, c, x: -0.5 / x,
+     "both-shift lower bound -1/(2x), sharp as x->inf"),
+    ("P1L", "ratio_both", "lower", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
+     lambda a, c, x: 1.0 / c,
+     "both-shift prior lower bound 1/c"),
+    ("P1U", "ratio_both", "upper", lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
+     lambda a, c, x: 0.0,
+     "both-shift prior upper bound 0 (negativity)"),
+    ("T3L", "ratio_first", "lower", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
+     lambda a, c, x: (1.0 + 0.5 * x / c) / (1.0 + a - c),
+     "first-shift lower bound (1 + x/(2c))/(1+a-c), sharp as x->0"),
+    ("T3U", "ratio_first", "upper", lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
+     lambda a, c, x: 2.0 / x,
+     "first-shift upper bound 2/x, sharp as x->inf"),
+    ("T5L", "ratio_first", "lower", lambda a, c: a > 1.0 and c < -1.0, "a>1, c<-1, x>0",
+     lambda a, c, x: (1.0 - (c - a) * x * x / (c * c * (c + 1.0))) / (1.0 + a - c),
+     "first-shift quadratic lower bound, sharp as x->0"),
+    ("P2L", "ratio_first", "lower", lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
+     lambda a, c, x: 0.0,
+     "first-shift prior lower bound 0 (positivity)"),
+    ("P2U", "ratio_first", "upper", lambda a, c: a > 1.0 and c < 1.0, "a>1>c, x>0",
+     lambda a, c, x: 1.0 / (1.0 + a - c),
+     "first-shift prior upper bound 1/(1+a-c)"),
+    ("T6L", "ratio_second", "lower", lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
+     lambda a, c, x: -a / (x * x),
+     "second-shift lower bound -a/x^2, sharp as x->inf"),
+    ("T6U", "ratio_second", "upper", lambda a, c: a > 1.0 and c < -1.0, "a>1, c<-1, x>0",
+     lambda a, c, x: a / (c * (1.0 + a - c)) * (1.0 + 2.0 * x * (c - a) / (c * (c + 1.0))),
+     "second-shift upper bound with linear correction, sharp as x->0"),
+    ("P3L", "ratio_second", "lower", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
+     lambda a, c, x: a / (c * (1.0 + a - c)),
+     "second-shift prior lower bound a/(c(1+a-c))"),
+    ("P3U", "ratio_second", "upper", lambda a, c: a > 0.0, "a>0, any c, x>0",
+     lambda a, c, x: 0.0,
+     "second-shift prior upper bound 0 (negativity)"),
+    ("P4U", "ratio_both", "upper", lambda a, c: a > 1.0, "a>1, any c, x>0",
+     lambda a, c, x: 1.0 / a,
+     "both-shift upper bound 1/a"),
+    ("P4U_probe", "ratio_both", "upper", lambda a, c: 0.0 < a <= 1.0, "0<a<=1, any c, x>0",
+     lambda a, c, x: 1.0 / a,
+     "both-shift upper bound 1/a probed outside its proven region", False),
+)
+
+
+def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
+                 gating=True) -> BoundSpec:
+    closed, ratio = _exact(bound_fn), _ratio(_TARGET_KIND[target])
+    lhs, rhs = (closed, ratio) if side == "lower" else (ratio, closed)
+    return BoundSpec(id_, target, side, region, region_text, lhs, rhs, anchor,
+                     gating, bound_fn)
+
+
+CATALOG: dict[str, BoundSpec] = {row[0]: _ratio_bound(*row) for row in _RATIO_BOUNDS}
 
 
 def _add(spec: BoundSpec):
     CATALOG[spec.id] = spec
 
 
-_add(BoundSpec("T1L", "ratio_both", "lower",
-               lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
-               _exact(lambda a, c, x: (c - a - 1.0) / (x * x)), _ratio(BOTH),
-               "both-shift lower bound (c-a-1)/x^2, sharp as x->inf",
-               bound_fn=lambda a, c, x: (c - a - 1.0) / (x * x)))
-_add(BoundSpec("T1U", "ratio_both", "upper",
-               lambda a, c: a > 1.0 and c < -1.0, "a>1, c<-1, x>0",
-               _ratio(BOTH),
-               _exact(lambda a, c, x: 1.0 / c + 2.0 * x * (c - a) / (c * c * (c + 1.0))),
-               "both-shift upper bound 1/c + 2x(c-a)/(c^2(c+1)), sharp as x->0",
-               bound_fn=lambda a, c, x: 1.0 / c + 2.0 * x * (c - a) / (c * c * (c + 1.0))))
-_add(BoundSpec("T2L", "ratio_both", "lower",
-               lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
-               _exact(lambda a, c, x: -0.5 / x), _ratio(BOTH),
-               "both-shift lower bound -1/(2x), sharp as x->inf",
-               bound_fn=lambda a, c, x: -0.5 / x))
-_add(BoundSpec("P1L", "ratio_both", "lower",
-               lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _exact(lambda a, c, x: 1.0 / c), _ratio(BOTH),
-               "both-shift prior lower bound 1/c",
-               bound_fn=lambda a, c, x: 1.0 / c))
-_add(BoundSpec("P1U", "ratio_both", "upper",
-               lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
-               _ratio(BOTH), _exact(lambda a, c, x: 0.0),
-               "both-shift prior upper bound 0 (negativity)",
-               bound_fn=lambda a, c, x: 0.0))
-_add(BoundSpec("T3L", "ratio_first", "lower",
-               lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _exact(lambda a, c, x: (1.0 + 0.5 * x / c) / (1.0 + a - c)),
-               _ratio(FIRST),
-               "first-shift lower bound (1 + x/(2c))/(1+a-c), sharp as x->0",
-               bound_fn=lambda a, c, x: (1.0 + 0.5 * x / c) / (1.0 + a - c)))
-_add(BoundSpec("T3U", "ratio_first", "upper",
-               lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
-               _ratio(FIRST), _exact(lambda a, c, x: 2.0 / x),
-               "first-shift upper bound 2/x, sharp as x->inf",
-               bound_fn=lambda a, c, x: 2.0 / x))
-_add(BoundSpec("T5L", "ratio_first", "lower",
-               lambda a, c: a > 1.0 and c < -1.0, "a>1, c<-1, x>0",
-               _exact(lambda a, c, x:
-                      (1.0 - (c - a) * x * x / (c * c * (c + 1.0))) / (1.0 + a - c)),
-               _ratio(FIRST),
-               "first-shift quadratic lower bound, sharp as x->0",
-               bound_fn=lambda a, c, x:
-                   (1.0 - (c - a) * x * x / (c * c * (c + 1.0))) / (1.0 + a - c)))
-_add(BoundSpec("P2L", "ratio_first", "lower",
-               lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
-               _exact(lambda a, c, x: 0.0), _ratio(FIRST),
-               "first-shift prior lower bound 0 (positivity)",
-               bound_fn=lambda a, c, x: 0.0))
-_add(BoundSpec("P2U", "ratio_first", "upper",
-               lambda a, c: a > 1.0 and c < 1.0, "a>1>c, x>0",
-               _ratio(FIRST), _exact(lambda a, c, x: 1.0 / (1.0 + a - c)),
-               "first-shift prior upper bound 1/(1+a-c)",
-               bound_fn=lambda a, c, x: 1.0 / (1.0 + a - c)))
-_add(BoundSpec("T6L", "ratio_second", "lower",
-               lambda a, c: a > 0.0 and c < 1.0, "a>0, c<1, x>0",
-               _exact(lambda a, c, x: -a / (x * x)), _ratio(SECOND),
-               "second-shift lower bound -a/x^2, sharp as x->inf",
-               bound_fn=lambda a, c, x: -a / (x * x)))
-_add(BoundSpec("T6U", "ratio_second", "upper",
-               lambda a, c: a > 1.0 and c < -1.0, "a>1, c<-1, x>0",
-               _ratio(SECOND),
-               _exact(lambda a, c, x: a / (c * (1.0 + a - c))
-                      * (1.0 + 2.0 * x * (c - a) / (c * (c + 1.0)))),
-               "second-shift upper bound with linear correction, sharp as x->0",
-               bound_fn=lambda a, c, x: a / (c * (1.0 + a - c))
-                   * (1.0 + 2.0 * x * (c - a) / (c * (c + 1.0)))))
-_add(BoundSpec("P3L", "ratio_second", "lower",
-               lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _exact(lambda a, c, x: a / (c * (1.0 + a - c))), _ratio(SECOND),
-               "second-shift prior lower bound a/(c(1+a-c))",
-               bound_fn=lambda a, c, x: a / (c * (1.0 + a - c))))
-_add(BoundSpec("P3U", "ratio_second", "upper",
-               lambda a, c: a > 0.0, "a>0, any c, x>0",
-               _ratio(SECOND), _exact(lambda a, c, x: 0.0),
-               "second-shift prior upper bound 0 (negativity)",
-               bound_fn=lambda a, c, x: 0.0))
-_add(BoundSpec("P4U", "ratio_both", "upper",
-               lambda a, c: a > 1.0, "a>1, any c, x>0",
-               _ratio(BOTH), _exact(lambda a, c, x: 1.0 / a),
-               "both-shift upper bound 1/a",
-               bound_fn=lambda a, c, x: 1.0 / a))
-_add(BoundSpec("P4U_probe", "ratio_both", "upper",
-               lambda a, c: 0.0 < a <= 1.0, "0<a<=1, any c, x>0",
-               _ratio(BOTH), _exact(lambda a, c, x: 1.0 / a),
-               "both-shift upper bound 1/a probed outside its proven region",
-               gating=False,
-               bound_fn=lambda a, c, x: 1.0 / a))
 _add(BoundSpec("S1", "raw_psi_relation", "lower",
                lambda a, c: a > 0.0 and c < a + 2.0, "a>0, c<a+2, x>0",
                _s_product(((0.0, 0.0), (0.0, -1.0))), _turanian(SECOND),
@@ -343,48 +331,30 @@ class DominanceSpec:
     other: str
     threshold: Callable[[float, float, float], bool]
     threshold_text: str
-    anchor: str
+
+    @property
+    def anchor(self) -> str:
+        return f"{self.claimed} tighter than {self.other} for {self.threshold_text}"
 
 
-DOMINANCE: dict[str, DominanceSpec] = {}
-
-
-def _add_dom(spec: DominanceSpec):
-    DOMINANCE[spec.id] = spec
-
-
-_add_dom(DominanceSpec("D1", "T1L", "P1L",
-                       lambda a, c, x: x * x > c * (c - a - 1.0),
-                       "x^2 > c(c-a-1)",
-                       "T1L tighter than P1L for x^2 > c(c-a-1)"))
-_add_dom(DominanceSpec("D2", "T1U", "P1U",
-                       lambda a, c, x: x < c * (c + 1.0) / (2.0 * (a - c)),
-                       "x < c(c+1)/(2(a-c))",
-                       "T1U tighter than P1U for x < c(c+1)/(2(a-c))"))
-_add_dom(DominanceSpec("D3", "T2L", "P1L",
-                       lambda a, c, x: x > -0.5 * c,
-                       "x > -c/2",
-                       "T2L tighter than P1L for x > -c/2"))
-_add_dom(DominanceSpec("D4", "T3L", "P2L",
-                       lambda a, c, x: x < -1.5 * c,
-                       "x < -3c/2",
-                       "T3L tighter than P2L for x < -3c/2"))
-_add_dom(DominanceSpec("D5", "T3U", "P2U",
-                       lambda a, c, x: x > 2.0 * (1.0 + a - c),
-                       "x > 2(1+a-c)",
-                       "T3U tighter than P2U for x > 2(1+a-c)"))
-_add_dom(DominanceSpec("D6", "T5L", "P2L",
-                       lambda a, c, x: x * x < c * c * (c + 1.0) / (c - a),
-                       "x^2 < c^2(c+1)/(c-a)",
-                       "T5L tighter than P2L for x^2 < c^2(c+1)/(c-a)"))
-_add_dom(DominanceSpec("D7", "T6L", "P3L",
-                       lambda a, c, x: x * x > c * (c - a - 1.0),
-                       "x^2 > c(c-a-1)",
-                       "T6L tighter than P3L for x^2 > c(c-a-1)"))
-_add_dom(DominanceSpec("D8", "T6U", "P3U",
-                       lambda a, c, x: x < c * (c + 1.0) / (2.0 * (a - c)),
-                       "x < c(c+1)/(2(a-c))",
-                       "T6U tighter than P3U for x < c(c+1)/(2(a-c))"))
+DOMINANCE: dict[str, DominanceSpec] = {spec.id: spec for spec in (
+    DominanceSpec("D1", "T1L", "P1L", lambda a, c, x: x * x > c * (c - a - 1.0),
+                  "x^2 > c(c-a-1)"),
+    DominanceSpec("D2", "T1U", "P1U", lambda a, c, x: x < c * (c + 1.0) / (2.0 * (a - c)),
+                  "x < c(c+1)/(2(a-c))"),
+    DominanceSpec("D3", "T2L", "P1L", lambda a, c, x: x > -0.5 * c,
+                  "x > -c/2"),
+    DominanceSpec("D4", "T3L", "P2L", lambda a, c, x: x < -1.5 * c,
+                  "x < -3c/2"),
+    DominanceSpec("D5", "T3U", "P2U", lambda a, c, x: x > 2.0 * (1.0 + a - c),
+                  "x > 2(1+a-c)"),
+    DominanceSpec("D6", "T5L", "P2L", lambda a, c, x: x * x < c * c * (c + 1.0) / (c - a),
+                  "x^2 < c^2(c+1)/(c-a)"),
+    DominanceSpec("D7", "T6L", "P3L", lambda a, c, x: x * x > c * (c - a - 1.0),
+                  "x^2 > c(c-a-1)"),
+    DominanceSpec("D8", "T6U", "P3U", lambda a, c, x: x < c * (c + 1.0) / (2.0 * (a - c)),
+                  "x < c(c+1)/(2(a-c))"),
+)}
 
 
 def dominance_applicable(dom_id: str, p: ParameterPoint) -> bool:
@@ -398,36 +368,47 @@ def dominance_applicable(dom_id: str, p: ParameterPoint) -> bool:
 def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
     """Compare the two closed-form bound values where the claim applies.
 
-    For lower bounds the claimed one must be the larger, for upper bounds
-    the smaller.  Points outside either region or failing the threshold
-    raise :class:`RegionError`.
+    The values are those of the closed-form sides that ``check_bound``
+    checks.  For lower bounds the claimed one must be the larger, for
+    upper bounds the smaller.  Points outside either region or failing the
+    threshold raise :class:`RegionError`.
     """
     if dom_id not in DOMINANCE:
         raise KeyError(f"unknown dominance id {dom_id!r}")
     spec = DOMINANCE[dom_id]
-    claimed, other = CATALOG[spec.claimed], CATALOG[spec.other]
-    if not (claimed.region(p.a, p.c) and other.region(p.a, p.c)):
-        raise RegionError(f"point outside joint region of {dom_id}")
-    if not spec.threshold(p.a, p.c, p.x):
+    if not dominance_applicable(dom_id, p):
         raise RegionError(
-            f"threshold {spec.threshold_text} not met at "
-            f"(a={p.a}, c={p.c}, x={p.x})")
-    bc = claimed.bound_fn(p.a, p.c, p.x)
-    bo = other.bound_fn(p.a, p.c, p.x)
+            f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
+            f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
+    claimed, other = CATALOG[spec.claimed], CATALOG[spec.other]
+    fv_c, fv_o = claimed.closed_form(p), other.closed_form(p)
+    bc, bo = fv_c.value, fv_o.value
     margin = (bc - bo) if claimed.side == "lower" else (bo - bc)
     budget = 8.0 * EPS * (abs(bc) + abs(bo))
-    fv_c = FunctionValue(bc, 4.0 * EPS * abs(bc), "closed_form")
-    fv_o = FunctionValue(bo, 4.0 * EPS * abs(bo), "closed_form")
     return VerificationRecord(dom_id, p, fv_c, fv_o, margin, budget,
                               _status(margin, budget), spec.anchor)
 
 
 # --- auxiliary monotone log-ratios -----------------------------------------
 
-_AUX_REGIONS = {
-    "f": (lambda a, c: a > 0.0 > c, "a>0>c"),
-    "g": (lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1"),
-    "h": (lambda a, c: a > 0.0, "a>0"),
+@dataclass(frozen=True)
+class AuxiliaryRatio:
+    """w0 log psi(a,c,x) - wp log psi(a+1,c+1,x) on its region, with the
+    sign of its monotonicity in x (+1 increasing, -1 decreasing)."""
+
+    region: Callable[[float, float], bool]
+    region_text: str
+    weights: Callable[[float, float], tuple[float, float]]
+    sign: float
+
+
+AUXILIARY = {
+    "f": AuxiliaryRatio(lambda a, c: a > 0.0 > c, "a>0>c",
+                        lambda a, c: (1.0 / a, 1.0 / (a + 1.0)), +1.0),
+    "g": AuxiliaryRatio(lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1",
+                        lambda a, c: (c / (a * (c + 1.0)), 1.0 / (a + 1.0)), -1.0),
+    "h": AuxiliaryRatio(lambda a, c: a > 0.0, "a>0",
+                        lambda a, c: (1.0, 1.0), +1.0),
 }
 
 
@@ -439,29 +420,22 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float,
         g = (c/(a(c+1))) log psi - (1/(a+1)) log psi(a+1,c+1,.) decreasing
         h = log psi - log psi(a+1,c+1,.)                        increasing
     """
-    if which not in _AUX_REGIONS:
+    if which not in AUXILIARY:
         raise KeyError(f"unknown auxiliary function {which!r}")
-    region, text = _AUX_REGIONS[which]
-    if not region(a, c):
-        raise RegionError(f"auxiliary {which} requires {text}, got a={a}, c={c}")
+    aux = AUXILIARY[which]
+    if not aux.region(a, c):
+        raise RegionError(
+            f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
     f0 = psi(ParameterPoint(a, c, x), tol)
     fp = psi(ParameterPoint(a + 1.0, c + 1.0, x), tol)
     if f0.value <= 0.0 or fp.value <= 0.0:
         raise RegionError("psi must be positive for the log-ratios (a > 0)")
     l0, lp = math.log(f0.value), math.log(fp.value)
     e0, ep = f0.abs_error / f0.value, fp.abs_error / fp.value
-    if which == "f":
-        w0, wp = 1.0 / a, 1.0 / (a + 1.0)
-    elif which == "g":
-        w0, wp = c / (a * (c + 1.0)), 1.0 / (a + 1.0)
-    else:
-        w0, wp = 1.0, 1.0
+    w0, wp = aux.weights(a, c)
     value = w0 * l0 - wp * lp
     err = abs(w0) * e0 + abs(wp) * ep + EPS * (abs(w0 * l0) + abs(wp * lp))
     return FunctionValue(value, err, f0.method)
-
-
-AUX_MONOTONE_SIGN = {"f": +1.0, "g": -1.0, "h": +1.0}
 
 
 def catalog_document() -> list[dict]:

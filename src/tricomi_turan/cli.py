@@ -8,32 +8,33 @@ Subcommands:
 * ``sharpness``  -- print limit scans
 
 Exit codes: ``run`` returns 0 (no gating fails), 1 (at least one fail) or
-2 (configuration error).  ``eval`` returns 0 on success, 2 for parse or
-configuration problems, 3 for region violations and 4 for evaluation
-failures.
+2 (configuration or output error).  ``eval`` returns 0 on success, 2 for
+parse or configuration problems, 3 for region violations and 4 for
+evaluation failures.  ``catalog`` and ``sharpness`` return 0, or 2 when
+``--out`` cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
 from . import suites as suites_mod
 from .bounds import CATALOG, catalog_document, check_bound
-from .kernel import EvaluationError, FunctionValue, ParameterPoint, RegionError
+from .kernel import EvaluationError, ParameterPoint, RegionError, psi
 from .measure import WeightDensity, phi
 from .turanians import (Direction, Normalization, SharpnessLimit,
                         TuranianKind, sharpness_scan, turanian, turanian_ratio)
 
-_KINDS = {"both": TuranianKind.BOTH_SHIFT, "first": TuranianKind.FIRST_SHIFT,
-          "second": TuranianKind.SECOND_SHIFT}
-
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 1, 2, 3, 4
 
-
-def _tol_flag(suite: str) -> str:
-    return "--tol-" + suite.replace("_", "-")
+# suite -> the config key of its tolerance; the flag is "--" + key
+_TOL_KEYS = {name: "tol-" + name.replace("_", "-")
+             for name, suite in suites_mod.REGISTRY.items()
+             if suite.tolerance is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--grid-a", help="comma list of a values")
     p_run.add_argument("--grid-c", help="comma list of c values")
     p_run.add_argument("--grid-x", help="comma list of x values")
-    for s in suites_mod.SUITES:
-        p_run.add_argument(_tol_flag(s), dest=f"tol_{s}", type=float,
+    for s, key in _TOL_KEYS.items():
+        p_run.add_argument("--" + key, dest=f"tol_{s}", type=float,
                            help=f"tolerance for the {s} suite")
     p_run.add_argument("--out", help="report file path")
     p_run.add_argument("--format", choices=("csv", "json"), dest="fmt",
@@ -108,19 +109,32 @@ _CONFIG_KEYS = {"suites", "grid-a", "grid-c", "grid-x", "out", "format",
                 "jobs", "gate-advisory"}
 
 
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
 def _build_run_config(args) -> suites_mod.RunConfig:
     file_cfg = _read_config_file(args.config) if args.config else {}
-    known = _CONFIG_KEYS | {f"tol-{s.replace('_', '-')}" for s in suites_mod.SUITES}
-    unknown = set(file_cfg) - known
+    unknown = set(file_cfg) - _CONFIG_KEYS - set(_TOL_KEYS.values())
     if unknown:
         raise suites_mod.ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag_value, file_key, default):
+    def pick(flag_value, file_key, default, convert=str):
+        """The flag if given, else the config-file value converted, else
+        the default."""
         if flag_value is not None:
             return flag_value
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
+        if file_key not in file_cfg:
+            return default
+        try:
+            return convert(file_cfg[file_key])
+        except ValueError as exc:
+            raise suites_mod.ConfigError(f"config key {file_key}: {exc}")
 
     suites_raw = pick(args.suites, "suites", None)
     suites = (tuple(s.strip() for s in suites_raw.split(",") if s.strip())
@@ -129,27 +143,20 @@ def _build_run_config(args) -> suites_mod.RunConfig:
     grid_c = pick(args.grid_c, "grid-c", None)
     grid_x = pick(args.grid_x, "grid-x", None)
     tolerances = {}
-    for s in suites_mod.SUITES:
-        v = getattr(args, f"tol_{s}")
-        key = f"tol-{s.replace('_', '-')}"
-        if v is None and key in file_cfg:
-            v = float(file_cfg[key])
+    for s, key in _TOL_KEYS.items():
+        v = pick(getattr(args, f"tol_{s}"), key, None, float)
         if v is not None:
             tolerances[s] = v
-    jobs = pick(args.jobs, "jobs", 1)
-    gate = pick(args.gate_advisory, "gate-advisory", False)
-    if isinstance(gate, str):
-        gate = gate.lower() in ("1", "true", "yes", "on")
     return suites_mod.RunConfig(
         suites=suites,
-        grid_a=_parse_floats(grid_a) if isinstance(grid_a, str) else suites_mod.DEFAULT_GRID_A,
-        grid_c=_parse_floats(grid_c) if isinstance(grid_c, str) else suites_mod.DEFAULT_GRID_C,
-        grid_x=_parse_floats(grid_x) if isinstance(grid_x, str) else suites_mod.DEFAULT_GRID_X,
+        grid_a=_parse_floats(grid_a) if grid_a is not None else suites_mod.DEFAULT_GRID_A,
+        grid_c=_parse_floats(grid_c) if grid_c is not None else suites_mod.DEFAULT_GRID_C,
+        grid_x=_parse_floats(grid_x) if grid_x is not None else suites_mod.DEFAULT_GRID_X,
         tolerances=tolerances,
         out=pick(args.out, "out", None),
         fmt=pick(args.fmt, "format", "csv"),
-        jobs=int(jobs),
-        gate_advisory=bool(gate),
+        jobs=pick(args.jobs, "jobs", 1, int),
+        gate_advisory=pick(args.gate_advisory, "gate-advisory", False, _parse_bool),
     )
 
 
@@ -171,13 +178,14 @@ def _cmd_run(args) -> int:
 def eval_point(what: str, a: float, c: float, x: float) -> tuple[str, dict]:
     """Evaluate one target; returns (human line, machine dict)."""
     if what == "psi":
-        fv = _psi_fv(a, c, x)
+        fv = psi(ParameterPoint(a, c, x))
         label = f"psi(a={a:g}, c={c:g}, x={x:g})"
     elif what.startswith("turanian:") or what.startswith("ratio:"):
         op, _, kind_name = what.partition(":")
-        if kind_name not in _KINDS:
+        try:
+            kind = TuranianKind(kind_name)
+        except ValueError:
             raise suites_mod.ConfigError(f"unknown Turanian kind {kind_name!r}")
-        kind = _KINDS[kind_name]
         p = ParameterPoint(a, c, x)
         fv = turanian(kind, p) if op == "turanian" else turanian_ratio(kind, p)
         label = f"{op}[{kind_name}](a={a:g}, c={c:g}, x={x:g})"
@@ -204,11 +212,6 @@ def eval_point(what: str, a: float, c: float, x: float) -> tuple[str, dict]:
     return human, machine
 
 
-def _psi_fv(a: float, c: float, x: float) -> FunctionValue:
-    from .kernel import psi
-    return psi(ParameterPoint(a, c, x))
-
-
 def _cmd_eval(args) -> int:
     try:
         human, machine = eval_point(args.what, args.a, args.c, args.x)
@@ -231,21 +234,14 @@ def _cmd_catalog(args) -> int:
     if args.fmt == "json":
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
-        import csv as _csv
-        import io
         buf = io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
+        w = csv.writer(buf, lineterminator="\n")
         cols = ["id", "target", "side", "region", "anchor", "gating"]
         w.writerow(cols)
         for row in doc:
             w.writerow([row[k] for k in cols])
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 def _cmd_sharpness(args) -> int:
@@ -261,17 +257,14 @@ def _cmd_sharpness(args) -> int:
         return EXIT_CONFIG
     lines = []
     for (a, c) in pairs:
-        for kind in _KINDS.values():
-            for direction, norm, xs in (
-                    (Direction.X_TO_INFINITY, Normalization.RATIO_TIMES_X2,
-                     suites_mod.SCAN_TO_INFINITY),
-                    (Direction.X_TO_ZERO, Normalization.RATIO,
-                     suites_mod.SCAN_TO_ZERO),
-                    (Direction.X_TO_INFINITY, Normalization.RATIO,
-                     suites_mod.SCAN_TO_INFINITY)):
+        for kind in TuranianKind:
+            for direction, norm in (
+                    (Direction.X_TO_INFINITY, Normalization.RATIO_TIMES_X2),
+                    (Direction.X_TO_ZERO, Normalization.RATIO),
+                    (Direction.X_TO_INFINITY, Normalization.RATIO)):
                 try:
                     lim = SharpnessLimit.closed_form(kind, direction, norm, a, c)
-                    scan = sharpness_scan(lim, a, c, xs)
+                    scan = sharpness_scan(lim, a, c)
                 except (RegionError, EvaluationError):
                     continue
                 seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}"
@@ -280,12 +273,20 @@ def _cmd_sharpness(args) -> int:
                     f"{kind.value} {direction.value} {norm.value} "
                     f"a={a:g} c={c:g} limit={lim.limit_value:.10g} {seq} "
                     f"decreasing={scan.eventually_decreasing}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    return _emit("\n".join(lines) + "\n", args.out)
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the file out, or to stdout when out is None."""
+    if out is None:
         print(text, end="")
+        return EXIT_OK
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -57,6 +58,9 @@ import numpy as np
 from scipy.special import digamma, gammaln, gammasgn
 
 EPS = 2.2204460492503131e-16
+
+# smallest normal double; a smaller |value| has lost digits to underflow
+_TINY = sys.float_info.min
 
 # Connection-formula guard: the formula degenerates at integer c.
 INTEGER_C_GUARD = 1e-6
@@ -332,7 +336,8 @@ def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
     node's exponent and the rounding of the prefactor
     exp(m - a log x - lnGamma(a)).  h starts at 1/8 and is halved until
     abs_error <= tol |value|; if that fails at h = 1/128 the honest budget
-    is returned with the flag ``"tolerance_not_met"``.
+    is returned with the flag ``"tolerance_not_met"``.  A value below the
+    normal double range raises :class:`EvaluationError`.
     """
     a, c, x = p.a, p.c, p.x
     if a <= 0.0:
@@ -365,6 +370,7 @@ def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
         h *= 0.5
     scale = math.exp(m - a * log_x - lg_a)
     value = scale * total
+    _check_normal(value, a, c, x)
     return FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
                          () if met else ("tolerance_not_met",))
 
@@ -483,11 +489,20 @@ def asymptotic_threshold(a: float, c: float) -> float:
     return 50.0 * (1.0 + abs(a) + abs(c)) ** 2
 
 
+def _check_normal(value: float, a: float, c: float, x: float) -> None:
+    """psi > 0 for a > 0, so a value of 0 or a subnormal one has underflowed."""
+    if abs(value) < _TINY:
+        raise EvaluationError(
+            f"psi(a={a}, c={c}, x={x}) underflows the double range (got {value})")
+
+
 @lru_cache(maxsize=200_000)
 def _psi_cached(a: float, c: float, x: float, tol: float) -> FunctionValue:
     if a > 0.0:
         if x > asymptotic_threshold(a, c):
-            return _asymptotic_auto(a, c, x)
+            fv = _asymptotic_auto(a, c, x)
+            _check_normal(fv.value, a, c, x)
+            return fv
         return psi_quadrature(ParameterPoint(a, c, x), tol)
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
@@ -514,6 +529,8 @@ def psi(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
     ``asymptotic_threshold``); a = 0 and negative-integer a use their
     exact closed forms; other a <= 0 use the connection series, falling
     back to optimally-truncated asymptotics where the series budget is
-    worse.  Results are cached per (a, c, x, tol).
+    worse.  Results are cached per (a, c, x, tol).  For a > 0, where psi
+    is positive, a value that underflows to 0 or to a subnormal raises
+    :class:`EvaluationError`.
     """
     return _psi_cached(p.a, p.c, p.x, tol)

@@ -6,6 +6,15 @@ quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
 per (claim, point).  Rows are ordered by (suite, claim, grid index)
 regardless of how workers complete.
 
+Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
+(``SUITES`` is the tuple of their names).  The record lists the suite's
+claims once, each with the argument its tasks need (a catalog entry, a
+moment identity, a Turanian kind); it holds the default tolerance, or
+None for a suite that takes none; and it names the builder of the
+suite's tasks and the evaluator of one task.  A task is a plain tuple
+(suite, claim, grid index, a, c, ...) so that a process pool can send it;
+the evaluator receives the task and the argument of its claim.
+
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
 two sides, for agreement rows lhs/rhs are the two values being compared
@@ -21,16 +30,15 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
+from typing import Callable
 
 from . import bounds as bounds_mod
 from . import measure as measure_mod
-from .kernel import (EvaluationError, ParameterPoint, RegionError,
-                     psi, psi_connection, psi_quadrature)
+from .kernel import (INTEGER_C_GUARD, ParameterPoint, psi, psi_connection,
+                     psi_quadrature)
 from .turanians import (Direction, Normalization, SharpnessLimit,
                         TuranianKind, sharpness_scan, turanian_ratio)
-
-SUITES = ("kernel_crosscheck", "ode_residual", "derivative", "moments",
-          "stieltjes", "bounds", "dominance", "sharpness", "monotonicity")
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_GRID_C = (-4.5, -2.5, -1.5, -0.5, 0.25, 0.75)
@@ -50,63 +58,15 @@ ODE_MIN_X = 0.1
 SHARPNESS_PAIRS_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
 SHARPNESS_PAIRS_INF = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
 
-SCAN_TO_ZERO = (1.0, 0.1, 0.01, 0.001)
-SCAN_TO_INFINITY = (10.0, 100.0, 1000.0)
-
-DEFAULT_TOLERANCES = {
-    "kernel_crosscheck": 1e-8,   # relative agreement floor
-    "ode_residual": 1e-4,        # residual / term scale
-    "derivative": 1e-6,          # relative (plus fixed 1e-9 absolute floor)
-    "moments": 1e-6,             # absolute, on top of the quadrature budget
-    "stieltjes": 0.0,            # extra absolute slack on top of budgets
-    "bounds": 1e-12,             # psi evaluation tolerance inside checks
-    "dominance": 0.0,            # closed forms; no tolerance needed
-    "sharpness": 0.01,           # x->0 limits within this fraction of |limit|
-    "monotonicity": 1e-12,       # psi evaluation tolerance
-}
+# the x^2-scaled both-shift ratio at x = 1000 lies within this fraction of
+# its limit c-a-1; the sharpness tolerance applies to the x -> 0 limits
+ZETA_LIMIT_FRACTION = 0.05
 
 _PSI_TOL = 1e-13  # quadrature tolerance for finite-difference suites
 
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
-
-
-@dataclass
-class RunConfig:
-    suites: tuple[str, ...] = SUITES
-    grid_a: tuple[float, ...] = DEFAULT_GRID_A
-    grid_c: tuple[float, ...] = DEFAULT_GRID_C
-    grid_x: tuple[float, ...] = DEFAULT_GRID_X
-    tolerances: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "csv"
-    jobs: int = 1
-    gate_advisory: bool = False
-
-    def __post_init__(self):
-        unknown = [s for s in self.suites if s not in SUITES]
-        if unknown:
-            raise ConfigError(f"unknown suite names: {unknown}")
-        if not self.suites:
-            raise ConfigError("no suites selected")
-        for g, name in ((self.grid_a, "a"), (self.grid_c, "c"), (self.grid_x, "x")):
-            if not g:
-                raise ConfigError(f"grid for {name} is empty")
-        if any(x <= 0 for x in self.grid_x):
-            raise ConfigError("grid x values must be positive")
-        for k, v in self.tolerances.items():
-            if k not in SUITES:
-                raise ConfigError(f"tolerance for unknown suite {k!r}")
-            if not v > 0.0 and k not in ("stieltjes", "dominance"):
-                raise ConfigError(f"tolerance for {k} must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown report format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-
-    def tol(self, suite: str) -> float:
-        return self.tolerances.get(suite, DEFAULT_TOLERANCES[suite])
 
 
 @dataclass(frozen=True)
@@ -141,12 +101,24 @@ class RunSummary:
 PASS, FAIL, INCONCLUSIVE = bounds_mod.PASS, bounds_mod.FAIL, bounds_mod.INCONCLUSIVE
 
 
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite; see the module docstring."""
+
+    name: str
+    claims: dict                       # claim -> its argument, in report order
+    tolerance: float | None            # default; None: the suite takes none
+    tasks: Callable[[RunConfig, Suite], list]
+    evaluate: Callable[[tuple, object], ReportRow]
+    zero_tolerance: bool = False       # a tolerance of 0 is valid
+
+
 # ---------------------------------------------------------------------------
-# task evaluators (module-level so a process pool can pickle them)
+# task evaluators: (task, argument of its claim) -> ReportRow
 # ---------------------------------------------------------------------------
 
-def _task_crosscheck(args):
-    suite, claim, idx, a, c, x, tol_rel = args
+def _task_crosscheck(task, _):
+    suite, claim, idx, a, c, x, tol_rel = task
     p = ParameterPoint(a, c, x)
     q = psi_quadrature(p, 1e-12)
     k = psi_connection(a, c, x)
@@ -158,8 +130,8 @@ def _task_crosscheck(args):
                      "quadrature and connection-series values agree", idx)
 
 
-def _task_ode(args):
-    suite, claim, idx, a, c, x, tol = args
+def _task_ode(task, _):
+    suite, claim, idx, a, c, x, tol = task
     h = 1e-4 * x
     f0 = psi_quadrature(ParameterPoint(a, c, x), _PSI_TOL).value
     fp = psi_quadrature(ParameterPoint(a, c, x + h), _PSI_TOL).value
@@ -175,8 +147,8 @@ def _task_ode(args):
                      "Kummer ODE residual under central differences", idx)
 
 
-def _task_derivative(args):
-    suite, claim, idx, a, c, x, tol = args
+def _task_derivative(task, _):
+    suite, claim, idx, a, c, x, tol = task
     h = 1e-4 * max(x, 0.1)
     if x - h <= 0.0:
         h = 0.5 * x
@@ -191,30 +163,27 @@ def _task_derivative(args):
                      "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)", idx)
 
 
-def _task_moment(args):
-    suite, claim, idx, a, c, power, tol = args
+def _task_moment(task, ident):
+    suite, claim, idx, a, c, x, tol = task
     d = measure_mod.WeightDensity(a, c)
-    mv = measure_mod.phi_moment(d, power)
-    closed = measure_mod.MOMENT_IDENTITIES[power].closed_form(a, c)
+    mv = measure_mod.phi_moment(d, ident.power)
+    closed = ident.closed_form(a, c)
     allowance = tol + mv.abs_error
     margin = allowance - abs(mv.value - closed)
-    return ReportRow(suite, claim, a, c, 0.0, mv.value, closed, margin,
+    return ReportRow(suite, claim, a, c, x, mv.value, closed, margin,
                      mv.abs_error, PASS if margin >= 0.0 else FAIL,
-                     f"moment power {power} equals its closed form", idx)
+                     f"moment power {ident.power} equals its closed form", idx)
 
 
-def _task_stieltjes(args):
-    suite, claim, idx, a, c, x, slack = args
+def _task_stieltjes(task, arg):
+    suite, claim, idx, a, c, x, slack = task
+    kind, anchor = arg
     d = measure_mod.WeightDensity(a, c)
-    p = ParameterPoint(a, c, x)
-    if claim.startswith("both"):
+    if kind is TuranianKind.BOTH_SHIFT:
         rep = measure_mod.stieltjes_ratio(d, x)
-        direct = turanian_ratio(TuranianKind.BOTH_SHIFT, p)
-        anchor = "both-shift ratio equals -int t phi/(x+t)^2 dt"
     else:
         rep = measure_mod.stieltjes_first_shift(d, x)
-        direct = turanian_ratio(TuranianKind.FIRST_SHIFT, p)
-        anchor = "first-shift ratio equals (1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)"
+    direct = turanian_ratio(kind, ParameterPoint(a, c, x))
     budget = rep.abs_error + direct.abs_error
     allowance = budget + slack
     margin = allowance - abs(rep.value - direct.value)
@@ -222,52 +191,51 @@ def _task_stieltjes(args):
                      budget, PASS if margin >= 0.0 else FAIL, anchor, idx)
 
 
-def _task_bound(args):
-    suite, claim, idx, a, c, x, tol = args
+def _task_bound(task, _):
+    suite, claim, idx, a, c, x, tol = task
     rec = bounds_mod.check_bound(claim, ParameterPoint(a, c, x), tol)
     return ReportRow(suite, claim, a, c, x, float(rec.lhs.value),
                      float(rec.rhs.value), rec.margin, rec.budget, rec.status,
                      rec.anchor, idx)
 
 
-def _task_dominance(args):
-    suite, claim, idx, a, c, x = args
+def _task_dominance(task, _):
+    suite, claim, idx, a, c, x = task
     rec = bounds_mod.check_dominance(claim, ParameterPoint(a, c, x))
     return ReportRow(suite, claim, a, c, x, float(rec.lhs.value),
                      float(rec.rhs.value), rec.margin, rec.budget, rec.status,
                      rec.anchor, idx)
 
 
-def _task_sharpness(args):
-    suite, claim, idx, a, c, payload = args
-    kind_tag, direction_tag, frac = payload
-    kind = TuranianKind(kind_tag)
-    if direction_tag == "zeta":
+def _task_sharpness(task, arg):
+    suite, claim, idx, a, c, frac = task
+    kind, direction = arg
+    if direction == "zeta":
         lim = SharpnessLimit.closed_form(kind, Direction.X_TO_INFINITY,
                                          Normalization.RATIO_TIMES_X2, a, c)
-        scan = sharpness_scan(lim, a, c, SCAN_TO_INFINITY)
+        scan = sharpness_scan(lim, a, c)
         last = scan.points[-1]
-        allowance = frac * abs(lim.limit_value)
+        allowance = ZETA_LIMIT_FRACTION * abs(lim.limit_value)
         margin = allowance - last.deviation
         if not scan.eventually_decreasing:
             margin = -abs(margin) - 1.0
         return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
                          margin, last.budget, bounds_mod._status(margin, last.budget),
                          "x^2-scaled both-shift ratio approaches c-a-1", idx)
-    if direction_tag == "zero":
+    if direction == "zero":
         lim = SharpnessLimit.closed_form(kind, Direction.X_TO_ZERO,
                                          Normalization.RATIO, a, c)
-        scan = sharpness_scan(lim, a, c, SCAN_TO_ZERO)
+        scan = sharpness_scan(lim, a, c)
         last = scan.points[-1]
         allowance = frac * abs(lim.limit_value)
         margin = allowance - last.deviation
         return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
                          margin, last.budget, bounds_mod._status(margin, last.budget),
                          "plain ratio approaches its x->0 closed form", idx)
-    # direction_tag == "vanish": plain ratios tend to 0 at infinity
+    # direction == "vanish": plain ratios tend to 0 at infinity
     lim = SharpnessLimit.closed_form(kind, Direction.X_TO_INFINITY,
                                      Normalization.RATIO, a, c)
-    scan = sharpness_scan(lim, a, c, SCAN_TO_INFINITY)
+    scan = sharpness_scan(lim, a, c)
     devs = [q.deviation for q in scan.points]
     worst = max(d2 - d1 for d1, d2 in zip(devs, devs[1:]))
     budget = 2.0 * max(q.budget for q in scan.points)
@@ -277,10 +245,9 @@ def _task_sharpness(args):
                      "plain ratio deviations from 0 decrease toward infinity", idx)
 
 
-def _task_monotonicity(args):
-    suite, claim, idx, a, c, x_lo, x_hi, tol = args
-    which = claim.split("-")[0]
-    sign = bounds_mod.AUX_MONOTONE_SIGN[which]
+def _task_monotonicity(task, which):
+    suite, claim, idx, a, c, x_lo, x_hi, tol = task
+    sign = bounds_mod.AUXILIARY[which].sign
     lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo, tol)
     hi = bounds_mod.auxiliary_log_ratio(which, a, c, x_hi, tol)
     margin = sign * (hi.value - lo.value)
@@ -291,199 +258,185 @@ def _task_monotonicity(args):
                      f"auxiliary log-ratio {which} is {direction}", idx)
 
 
-_EVALUATORS = {
-    "kernel_crosscheck": _task_crosscheck,
-    "ode_residual": _task_ode,
-    "derivative": _task_derivative,
-    "moments": _task_moment,
-    "stieltjes": _task_stieltjes,
-    "bounds": _task_bound,
-    "dominance": _task_dominance,
-    "sharpness": _task_sharpness,
-    "monotonicity": _task_monotonicity,
-}
-
-
 def _eval_task(task):
-    suite = task[0]
-    return _EVALUATORS[suite](task)
+    suite = REGISTRY[task[0]]
+    return suite.evaluate(task, suite.claims[task[1]])
 
 
 # ---------------------------------------------------------------------------
-# task enumeration (order defines the report order)
+# task builders: (config, suite) -> task tuples; their order within a claim
+# defines the grid index
 # ---------------------------------------------------------------------------
 
-def _build_tasks(cfg: RunConfig):
-    tasks = []
-    for suite in SUITES:
-        if suite not in cfg.suites:
-            continue
-        builder = _BUILDERS[suite]
-        tasks.extend(builder(cfg))
-    return tasks
+def _off_integer(c: float) -> bool:
+    return abs(c - round(c)) >= INTEGER_C_GUARD
 
 
-def _tasks_crosscheck(cfg):
-    tol = cfg.tol("kernel_crosscheck")
+def _grid_tasks(cfg, suite, applies, xs):
+    """Tasks (suite, claim, idx, a, c, *x, tol): each claim at each grid
+    (a, c) where ``applies(argument, a, c)`` holds, once per tuple x of
+    ``xs``."""
+    tol = cfg.tol(suite.name)
     out = []
-    idx = 0
-    for a in cfg.grid_a:
-        for c in cfg.grid_c:
-            if not (a > 0.0 and abs(c - round(c)) >= 1e-6):
-                continue
-            for x in CROSSCHECK_X:
-                out.append(("kernel_crosscheck", "psi-two-methods", idx,
-                            a, c, x, tol))
-                idx += 1
-    return out
-
-
-def _tasks_ode(cfg):
-    tol = cfg.tol("ode_residual")
-    out = []
-    idx = 0
-    for a in cfg.grid_a:
-        for c in cfg.grid_c:
-            if a <= 0.0:
-                continue
-            for x in cfg.grid_x:
-                if x < ODE_MIN_X:
-                    continue
-                out.append(("ode_residual", "kummer-ode", idx, a, c, x, tol))
-                idx += 1
-    return out
-
-
-def _tasks_derivative(cfg):
-    tol = cfg.tol("derivative")
-    out = []
-    idx = 0
-    for a in cfg.grid_a:
-        for c in cfg.grid_c:
-            if a <= 0.0:
-                continue
-            for x in cfg.grid_x:
-                out.append(("derivative", "dpsi-dx", idx, a, c, x, tol))
-                idx += 1
-    return out
-
-
-def _tasks_moments(cfg):
-    tol = cfg.tol("moments")
-    out = []
-    for power in (1, 0, -1, -2):
-        ident = measure_mod.MOMENT_IDENTITIES[power]
+    for claim, arg in suite.claims.items():
         idx = 0
         for a in cfg.grid_a:
             for c in cfg.grid_c:
-                if not ident.region(a, c) or abs(c - round(c)) < 1e-6:
+                if not applies(arg, a, c):
                     continue
-                out.append(("moments", f"moment[{power}]", idx, a, c, power, tol))
-                idx += 1
-    return out
-
-
-def _tasks_stieltjes(cfg):
-    slack = cfg.tol("stieltjes")
-    out = []
-    for claim in ("both-shift", "first-shift"):
-        idx = 0
-        for a in cfg.grid_a:
-            for c in cfg.grid_c:
-                if not (a > 0.0 and c < 1.0) or abs(c - round(c)) < 1e-6:
-                    continue
-                for x in cfg.grid_x:
-                    out.append(("stieltjes", claim, idx, a, c, x, slack))
+                for x in xs:
+                    out.append((suite.name, claim, idx, a, c, *x, tol))
                     idx += 1
     return out
 
 
-def _tasks_bounds(cfg):
-    tol = cfg.tol("bounds")
-    out = []
-    for bid in bounds_mod.CATALOG:
-        spec = bounds_mod.CATALOG[bid]
-        idx = 0
-        for a in cfg.grid_a:
-            for c in cfg.grid_c:
-                if not spec.region(a, c):
-                    continue
-                for x in cfg.grid_x:
-                    out.append(("bounds", bid, idx, a, c, x, tol))
-                    idx += 1
-    return out
+def _tasks_crosscheck(cfg, s):
+    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0 and _off_integer(c),
+                       [(x,) for x in CROSSCHECK_X])
 
 
-def _tasks_dominance(cfg):
-    out = []
-    for did in bounds_mod.DOMINANCE:
-        idx = 0
-        for a in cfg.grid_a:
-            for c in cfg.grid_c:
-                for x in cfg.grid_x:
-                    p = ParameterPoint(a, c, x)
-                    if not bounds_mod.dominance_applicable(did, p):
-                        continue
-                    out.append(("dominance", did, idx, a, c, x))
-                    idx += 1
-    return out
+def _tasks_ode(cfg, s):
+    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0,
+                       [(x,) for x in cfg.grid_x if x >= ODE_MIN_X])
 
 
-def _tasks_sharpness(cfg):
-    frac = cfg.tol("sharpness")
-    out = []
-    idx = 0
-    for (a, c) in SHARPNESS_PAIRS_INF:
-        out.append(("sharpness", "zeta-limit", idx, a, c, ("both", "zeta", 0.05)))
-        idx += 1
-    for kind in ("both", "first", "second"):
-        idx = 0
-        for (a, c) in SHARPNESS_PAIRS_ZERO:
-            out.append(("sharpness", f"zero-limit[{kind}]", idx, a, c,
-                        (kind, "zero", frac)))
-            idx += 1
-    for kind in ("both", "first", "second"):
-        idx = 0
-        for (a, c) in SHARPNESS_PAIRS_INF:
-            out.append(("sharpness", f"vanish[{kind}]", idx, a, c,
-                        (kind, "vanish", 0.0)))
-            idx += 1
-    return out
+def _tasks_derivative(cfg, s):
+    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0,
+                       [(x,) for x in cfg.grid_x])
 
 
-def _tasks_monotonicity(cfg):
-    tol = cfg.tol("monotonicity")
-    out = []
+def _tasks_moments(cfg, s):
+    # a moment has no x; its rows report x = 0
+    return _grid_tasks(cfg, s, lambda ident, a, c: ident.region(a, c) and _off_integer(c),
+                       [(0.0,)])
+
+
+def _tasks_stieltjes(cfg, s):
+    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
+                       [(x,) for x in cfg.grid_x])
+
+
+def _tasks_bounds(cfg, s):
+    return _grid_tasks(cfg, s, lambda spec, a, c: spec.region(a, c),
+                       [(x,) for x in cfg.grid_x])
+
+
+def _tasks_monotonicity(cfg, s):
     xs = sorted(cfg.grid_x)
-    for which in ("f", "g", "h"):
-        region, _ = bounds_mod._AUX_REGIONS[which]
+    return _grid_tasks(cfg, s, lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
+                       list(zip(xs, xs[1:])))
+
+
+def _tasks_dominance(cfg, s):
+    out = []
+    for did in s.claims:
         idx = 0
         for a in cfg.grid_a:
             for c in cfg.grid_c:
-                if not region(a, c):
-                    continue
-                for x_lo, x_hi in zip(xs, xs[1:]):
-                    out.append(("monotonicity", f"{which}-monotone", idx,
-                                a, c, x_lo, x_hi, tol))
-                    idx += 1
+                for x in cfg.grid_x:
+                    if bounds_mod.dominance_applicable(did, ParameterPoint(a, c, x)):
+                        out.append((s.name, did, idx, a, c, x))
+                        idx += 1
     return out
 
 
-_BUILDERS = {
-    "kernel_crosscheck": _tasks_crosscheck,
-    "ode_residual": _tasks_ode,
-    "derivative": _tasks_derivative,
-    "moments": _tasks_moments,
-    "stieltjes": _tasks_stieltjes,
-    "bounds": _tasks_bounds,
-    "dominance": _tasks_dominance,
-    "sharpness": _tasks_sharpness,
-    "monotonicity": _tasks_monotonicity,
-}
+def _tasks_sharpness(cfg, s):
+    tol = cfg.tol(s.name)
+    out = []
+    for claim, (_, direction) in s.claims.items():
+        pairs = SHARPNESS_PAIRS_ZERO if direction == "zero" else SHARPNESS_PAIRS_INF
+        out.extend((s.name, claim, idx, a, c, tol) for idx, (a, c) in enumerate(pairs))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the suites, in report order
+# ---------------------------------------------------------------------------
+
+_BOTH, _FIRST = TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT
+
+REGISTRY: dict[str, Suite] = {s.name: s for s in (
+    # tolerance: relative agreement floor
+    Suite("kernel_crosscheck", {"psi-two-methods": None}, 1e-8,
+          _tasks_crosscheck, _task_crosscheck),
+    # tolerance: residual / term scale
+    Suite("ode_residual", {"kummer-ode": None}, 1e-4, _tasks_ode, _task_ode),
+    # tolerance: relative (plus fixed 1e-9 absolute floor)
+    Suite("derivative", {"dpsi-dx": None}, 1e-6, _tasks_derivative,
+          _task_derivative),
+    # tolerance: absolute, on top of the quadrature budget
+    Suite("moments", {f"moment[{power}]": ident for power, ident
+                      in measure_mod.MOMENT_IDENTITIES.items()},
+          1e-6, _tasks_moments, _task_moment),
+    # tolerance: extra absolute slack on top of the budgets
+    Suite("stieltjes", {
+        "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
+        "first-shift": (_FIRST, "first-shift ratio equals "
+                                "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
+          0.0, _tasks_stieltjes, _task_stieltjes, zero_tolerance=True),
+    # tolerance: psi evaluation tolerance inside the checks
+    Suite("bounds", bounds_mod.CATALOG, 1e-12, _tasks_bounds, _task_bound),
+    # closed forms: no tolerance
+    Suite("dominance", bounds_mod.DOMINANCE, None, _tasks_dominance,
+          _task_dominance),
+    # tolerance: x -> 0 limits within this fraction of |limit|
+    Suite("sharpness", {"zeta-limit": (_BOTH, "zeta")}
+          | {f"zero-limit[{k.value}]": (k, "zero") for k in TuranianKind}
+          | {f"vanish[{k.value}]": (k, "vanish") for k in TuranianKind},
+          0.01, _tasks_sharpness, _task_sharpness),
+    # tolerance: psi evaluation tolerance
+    Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
+          1e-12, _tasks_monotonicity, _task_monotonicity),
+)}
+
+SUITES = tuple(REGISTRY)
 
 # claims whose failures are reported but never gate a run
 ADVISORY_CLAIMS = frozenset(
     bid for bid, spec in bounds_mod.CATALOG.items() if not spec.gating)
+
+
+@dataclass
+class RunConfig:
+    suites: tuple[str, ...] = SUITES
+    grid_a: tuple[float, ...] = DEFAULT_GRID_A
+    grid_c: tuple[float, ...] = DEFAULT_GRID_C
+    grid_x: tuple[float, ...] = DEFAULT_GRID_X
+    tolerances: dict = field(default_factory=dict)
+    out: str | None = None
+    fmt: str = "csv"
+    jobs: int = 1
+    gate_advisory: bool = False
+
+    def __post_init__(self):
+        unknown = [s for s in self.suites if s not in REGISTRY]
+        if unknown:
+            raise ConfigError(f"unknown suite names: {unknown}")
+        if not self.suites:
+            raise ConfigError("no suites selected")
+        for g, name in ((self.grid_a, "a"), (self.grid_c, "c"), (self.grid_x, "x")):
+            if not g:
+                raise ConfigError(f"grid for {name} is empty")
+            if not all(math.isfinite(v) for v in g):
+                raise ConfigError(f"grid {name} values must be finite, got {g}")
+        if any(x <= 0 for x in self.grid_x):
+            raise ConfigError("grid x values must be positive")
+        for k, v in self.tolerances.items():
+            if k not in REGISTRY:
+                raise ConfigError(f"tolerance for unknown suite {k!r}")
+            suite = REGISTRY[k]
+            if suite.tolerance is None:
+                raise ConfigError(f"the {k} suite takes no tolerance")
+            if not (math.isfinite(v) and (v > 0.0 or v == 0.0 and suite.zero_tolerance)):
+                need = "nonnegative" if suite.zero_tolerance else "positive"
+                raise ConfigError(f"tolerance for {k} must be finite and {need}, got {v}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError(f"unknown report format {self.fmt!r}")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+
+    def tol(self, suite: str) -> float:
+        return self.tolerances.get(suite, REGISTRY[suite].tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +445,8 @@ ADVISORY_CLAIMS = frozenset(
 
 def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     """Execute the configured suites; deterministic for a fixed config."""
-    tasks = _build_tasks(cfg)
+    tasks = [t for s in REGISTRY.values() if s.name in cfg.suites
+             for t in s.tasks(cfg, s)]
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_eval_task, tasks, chunksize=16))
@@ -516,7 +470,7 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
 
     empty = []
     for suite in cfg.suites:
-        for claim in _expected_claims(suite, cfg):
+        for claim in REGISTRY[suite].claims:
             if (suite, claim) not in seen_claims:
                 empty.append(f"{suite}/{claim}: no grid point lies in its region")
 
@@ -526,31 +480,9 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     return summary, rows
 
 
-def _expected_claims(suite: str, cfg: RunConfig):
-    if suite == "bounds":
-        return list(bounds_mod.CATALOG)
-    if suite == "dominance":
-        return list(bounds_mod.DOMINANCE)
-    if suite == "moments":
-        return [f"moment[{p}]" for p in (1, 0, -1, -2)]
-    if suite == "stieltjes":
-        return ["both-shift", "first-shift"]
-    if suite == "monotonicity":
-        return [f"{w}-monotone" for w in ("f", "g", "h")]
-    if suite == "sharpness":
-        return (["zeta-limit"] + [f"zero-limit[{k}]" for k in ("both", "first", "second")]
-                + [f"vanish[{k}]" for k in ("both", "first", "second")])
-    if suite == "kernel_crosscheck":
-        return ["psi-two-methods"]
-    if suite == "ode_residual":
-        return ["kummer-ode"]
-    if suite == "derivative":
-        return ["dpsi-dx"]
-    return []
-
-
 _CSV_COLUMNS = ("suite", "claim", "a", "c", "x", "lhs", "rhs", "margin",
                 "budget", "status", "anchor")
+_row_values = attrgetter(*_CSV_COLUMNS)
 
 
 def _fmt(v: float) -> str:
@@ -574,12 +506,7 @@ def rows_to_csv(rows, summary: RunSummary, timestamp: bool = True) -> str:
 
 def rows_to_json(rows, summary: RunSummary) -> str:
     doc = {
-        "rows": [
-            {"suite": r.suite, "claim": r.claim, "a": r.a, "c": r.c, "x": r.x,
-             "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "budget": r.budget,
-             "status": r.status, "anchor": r.anchor}
-            for r in rows
-        ],
+        "rows": [dict(zip(_CSV_COLUMNS, _row_values(r))) for r in rows],
         "summary": {
             "counts": summary.counts,
             "gating_fails": summary.gating_fails,

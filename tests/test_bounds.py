@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from tricomi_turan.bounds import (CATALOG, DOMINANCE, AUX_MONOTONE_SIGN,
+from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
                                   auxiliary_log_ratio, catalog_document,
                                   check_bound, check_dominance,
                                   dominance_applicable)
 from tricomi_turan.kernel import ParameterPoint, RegionError
+from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
 
 class TestCatalogIntegrity:
@@ -33,6 +34,34 @@ class TestCatalogIntegrity:
 
     def test_dominance_ids(self):
         assert set(DOMINANCE) == {f"D{i}" for i in range(1, 9)}
+
+    def test_ratio_bounds_derive_both_sides_from_bound_fn(self):
+        # lower: bound_fn < R of the target's kind; upper: R < bound_fn
+        kinds = {"ratio_both": "both", "ratio_first": "first",
+                 "ratio_second": "second"}
+        ratio_specs = [s for s in CATALOG.values() if s.bound_fn is not None]
+        assert len(ratio_specs) == 16
+        for spec in ratio_specs:
+            a, c = next((a, c) for a, c in ((1.5, -2.5), (0.5, -0.5))
+                        if spec.region(a, c))
+            p = ParameterPoint(a, c, 0.7)
+            rec = check_bound(spec.id, p)
+            closed, ratio = ((rec.lhs, rec.rhs) if spec.side == "lower"
+                             else (rec.rhs, rec.lhs))
+            assert closed.value == spec.bound_fn(a, c, 0.7), spec.id
+            assert closed.method == "closed_form"
+            assert ratio.value == turanian_ratio(TuranianKind(kinds[spec.target]),
+                                                 p).value
+            assert spec.closed_form(p) == closed
+
+    def test_dominance_compares_the_checked_closed_forms(self):
+        for did, dom in DOMINANCE.items():
+            p = next(ParameterPoint(a, c, x) for a, c in ((1.5, -2.5), (3.0, -1.5))
+                     for x in (0.05, 0.5, 2.0, 20.0)
+                     if dominance_applicable(did, ParameterPoint(a, c, x)))
+            rec = check_dominance(did, p)
+            assert rec.lhs == CATALOG[dom.claimed].closed_form(p)
+            assert rec.rhs == CATALOG[dom.other].closed_form(p)
 
 
 class TestCheckBound:
@@ -185,7 +214,8 @@ class TestAuxiliaryLogRatios:
             auxiliary_log_ratio("q", 1.0, -1.0, 1.0)
 
     def test_monotone_signs_table(self):
-        assert AUX_MONOTONE_SIGN == {"f": 1.0, "g": -1.0, "h": 1.0}
+        assert {k: aux.sign for k, aux in AUXILIARY.items()} == \
+            {"f": 1.0, "g": -1.0, "h": 1.0}
 
     def test_i1_limit_consistency(self):
         # both sides of I1 converge to each other as x -> 0; deviations shrink

@@ -1,0 +1,88 @@
+"""The command-line driver: outputs, exit codes and error paths."""
+
+import json
+
+import pytest
+
+from tricomi_turan import cli
+from tricomi_turan.bounds import CATALOG
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestCatalog:
+    def test_json_lists_every_entry_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "catalog")
+        assert code == 0
+        ids = [entry["id"] for entry in json.loads(out)]
+        assert len(ids) == 23 and ids == list(CATALOG)
+
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "catalog", "--out",
+                               str(tmp_path / "missing" / "catalog.json"))
+        assert code == 2 and "output error" in err
+
+
+class TestSharpness:
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sharpness", "--grid-a", "2",
+                               "--grid-c", "-2.5", "--out",
+                               str(tmp_path / "missing" / "scans.txt"))
+        assert code == 2 and "output error" in err
+
+
+class TestEval:
+    def test_psi(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "psi", "1", "2", "2")
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["value"] == pytest.approx(0.5)
+
+    def test_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "bound:T1L", "1", "0", "1")
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["status"] == "pass"
+
+    @pytest.mark.parametrize("what", ["nope", "ratio:sideways", "bound:T9"])
+    def test_bad_target(self, capsys, what):
+        assert run_cli(capsys, "eval", what, "1", "-1", "1")[0] == 2
+
+    def test_region_violation(self, capsys):
+        assert run_cli(capsys, "eval", "bound:T1U", "0.5", "-2.5", "1")[0] == 3
+
+    def test_evaluation_failure(self, capsys):
+        # psi(200, 0.5, 1) underflows the double range
+        assert run_cli(capsys, "eval", "psi", "200", "0.5", "1")[0] == 4
+
+
+class TestRun:
+    def test_small_run_from_a_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suites=dominance,sharpness\ngrid-a=2\ngrid-c=-2.5\n"
+                       "grid-x=0.1,1\njobs=1\ngate-advisory=yes\n"
+                       "tol-sharpness=0.02\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("dominance: pass=")
+
+    @pytest.mark.parametrize("line", ["jobs=abc", "tol-bounds=oops",
+                                      "gate-advisory=maybe", "tol-dominance=0"])
+    def test_bad_config_value_is_a_config_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and "config error" in err
+
+    @pytest.mark.parametrize("flags", [["--grid-x", "nan,1"], ["--grid-a", "inf"],
+                                       ["--tol-stieltjes", "-1"]])
+    def test_bad_values_are_config_errors(self, capsys, flags):
+        code, _, err = run_cli(capsys, "run", *flags)
+        assert code == 2 and "config error" in err
+
+    def test_tol_dominance_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--tol-dominance", "0"])
+        assert exc.value.code == 2

@@ -192,6 +192,12 @@ class TestPsiQuadrature:
         with pytest.raises(RegionError):
             ParameterPoint(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("a", [200.0, 1000.0])
+    def test_underflow_raises(self, a):
+        # psi(200, 0.5, 1) = 2.8e-386 is positive but below the double range
+        with pytest.raises(EvaluationError, match="underflows"):
+            psi_quadrature(ParameterPoint(a, 0.5, 1.0))
+
 
 class TestPsiConnection:
     def test_a_zero_exact(self):
@@ -323,6 +329,11 @@ class TestPsiDispatcher:
         fv = psi(ParameterPoint(0.25, 0.5, 500.0))  # threshold 50*(1.75)^2 = 153
         assert fv.method == "asymptotic_large_x"
         assert fv.value == pytest.approx(500.0 ** -0.25, rel=1e-3)
+
+    def test_asymptotic_underflow_raises(self):
+        # psi(200, 0.5, 1e7) ~ 1e7^-200 = 1e-1400, beyond asymptotic_threshold
+        with pytest.raises(EvaluationError, match="underflows"):
+            psi(ParameterPoint(200.0, 0.5, 1e7))
 
     def test_positivity_on_random_samples(self):
         rng = np.random.default_rng(20240817)

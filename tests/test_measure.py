@@ -152,11 +152,16 @@ class TestEdgeCases:
 
 class TestDefaultGrid:
     def test_verdicts_as_recorded(self):
-        recorded = json.loads(RECORDED.read_text())["default-run"]["counts"]
-        summary, rows = suites.run(suites.RunConfig(suites=("moments", "stieltjes")))
-        for suite in ("moments", "stieltjes"):
-            assert summary.counts[suite] == {"pass": recorded[suite]["pass"],
-                                             "fail": 0, "inconclusive": 0}
+        recorded = json.loads(RECORDED.read_text())["default-run"]
+        summary, rows = suites.run(suites.RunConfig())
+        assert summary.n_rows == len(rows) == recorded["rows"]
+        assert list(summary.counts) == list(suites.SUITES)
+        for suite, counts in recorded["counts"].items():
+            assert summary.counts[suite] == {"pass": 0, "fail": 0,
+                                             "inconclusive": 0, **counts}
+        assert summary.gating_fails == recorded["gating_fails"]
+        assert summary.advisory_fails == recorded["advisory_fails"]
+        assert summary.empty_regions == []
 
 
 class TestStieltjesRepresentations:
