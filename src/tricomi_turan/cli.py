@@ -7,11 +7,13 @@ Subcommands:
 * ``catalog``    -- dump the bound catalog
 * ``sharpness``  -- print limit scans
 
-Exit codes: ``run`` returns 0 (no gating fails), 1 (at least one fail) or
-2 (configuration or output error).  ``eval`` returns 0 on success, 2 for
-parse or configuration problems, 3 for region violations and 4 for
-evaluation failures.  ``catalog`` and ``sharpness`` return 0, or 2 when
-``--out`` cannot be written.
+Exit codes: ``run`` returns 0 (no gating fails), 1 (at least one fail),
+2 (configuration or output error) or 4 (a point that psi cannot evaluate,
+which aborts the run).  ``eval`` returns 0 on success, 2 for parse or
+configuration problems, 3 for region violations and 4 for evaluation
+failures.  ``catalog`` returns 0, or 2 when ``--out`` cannot be written;
+``sharpness`` returns 0, or 2 when ``--out`` cannot be written or only one
+of ``--grid-a`` and ``--grid-c`` is given.
 """
 
 from __future__ import annotations
@@ -170,6 +172,9 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EvaluationError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
     for line in suites_mod.summary_lines(summary):
         print(line)
     return EXIT_FAIL if summary.gating_fails else EXIT_OK
@@ -207,8 +212,11 @@ def eval_point(what: str, a: float, c: float, x: float) -> tuple[str, dict]:
     else:
         raise suites_mod.ConfigError(f"unknown eval target {what!r}")
     human = f"{label} = {fv.value:.17g} +/- {fv.abs_error:.3g} [{fv.method}]"
+    if fv.flags:
+        human += " flags=" + ",".join(fv.flags)
     machine = {"what": what, "a": a, "c": c, "x": x, "value": fv.value,
-               "abs_error": fv.abs_error, "method": fv.method}
+               "abs_error": fv.abs_error, "method": fv.method,
+               "flags": list(fv.flags)}
     return human, machine
 
 
@@ -246,7 +254,10 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     try:
-        if args.grid_a and args.grid_c:
+        if (args.grid_a is None) != (args.grid_c is None):
+            raise suites_mod.ConfigError(
+                "--grid-a and --grid-c must be given together")
+        if args.grid_a is not None:
             pairs = [(a, c) for a in _parse_floats(args.grid_a)
                      for c in _parse_floats(args.grid_c)]
         else:

@@ -508,15 +508,22 @@ def _psi_cached(a: float, c: float, x: float, tol: float) -> FunctionValue:
         return psi_connection(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,
     # while optimal truncation of the divergent expansion gains with x.
-    # Take whichever route reports the smaller error.
+    # Take whichever route reports the smaller error.  The series budget
+    # holds 4 EPS (|t1| + |t2|) >= 4 EPS |its value|, so it cannot come in
+    # under an expansion at the rounding floor (<= 2 EPS |value|) unless its
+    # value is below half of psi while it claims an error near EPS psi:
+    # the expansion goes first, and the series is summed only if it can win.
+    expansion = _asymptotic_auto(a, c, x) if x > 1.0 else None
+    if expansion is not None and expansion.abs_error <= 2.0 * EPS * abs(expansion.value):
+        return expansion
     candidates = []
     if x <= _CONNECTION_X_MAX:
         try:
             candidates.append(psi_connection(a, c, x))
         except EvaluationError:
             pass
-    if x > 1.0:
-        candidates.append(_asymptotic_auto(a, c, x))
+    if expansion is not None:
+        candidates.append(expansion)
     if not candidates:
         raise EvaluationError(f"no usable evaluation route for a={a}, c={c}, x={x}")
     return min(candidates, key=lambda fv: fv.abs_error)
@@ -527,10 +534,13 @@ def psi(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
 
     a > 0 uses the quadrature route (or the asymptotic expansion beyond
     ``asymptotic_threshold``); a = 0 and negative-integer a use their
-    exact closed forms; other a <= 0 use the connection series, falling
-    back to optimally-truncated asymptotics where the series budget is
-    worse.  Results are cached per (a, c, x, tol).  For a > 0, where psi
-    is positive, a value that underflows to 0 or to a subnormal raises
-    :class:`EvaluationError`.
+    exact closed forms.  Other a < 0 try the optimally truncated expansion
+    first (for x > 1): when its budget is at the rounding floor,
+    2 EPS |value|, it is returned, because the connection series, whose
+    budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
+    connection series is summed too (for x <= 600) and the route with the
+    smaller budget is returned.  Results are cached per (a, c, x, tol).
+    For a > 0, where psi is positive, a value that underflows to 0 or to a
+    subnormal raises :class:`EvaluationError`.
     """
     return _psi_cached(p.a, p.c, p.x, tol)

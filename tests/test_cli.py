@@ -34,12 +34,31 @@ class TestSharpness:
                                str(tmp_path / "missing" / "scans.txt"))
         assert code == 2 and "output error" in err
 
+    @pytest.mark.parametrize("flag", ["--grid-a", "--grid-c"])
+    def test_one_grid_alone_is_a_config_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "sharpness", flag, "7")
+        assert code == 2 and "config error" in err and out == ""
+
 
 class TestEval:
     def test_psi(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "psi", "1", "2", "2")
         assert code == 0
         assert json.loads(out.splitlines()[-1])["value"] == pytest.approx(0.5)
+
+    def test_flags_are_reported(self, capsys):
+        # the connection series cancels at this point
+        code, out, _ = run_cli(capsys, "eval", "psi", "-1.6", "-3.002", "10")
+        human, machine = out.splitlines()
+        assert code == 0
+        assert human.endswith("[connection_series] flags=cancellation")
+        assert json.loads(machine)["flags"] == ["cancellation"]
+
+    def test_no_flags_is_an_empty_list(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "psi", "1", "2", "2")
+        human, machine = out.splitlines()
+        assert code == 0 and "flags" not in human
+        assert json.loads(machine)["flags"] == []
 
     def test_bound(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "bound:T1L", "1", "0", "1")
@@ -81,6 +100,15 @@ class TestRun:
     def test_bad_values_are_config_errors(self, capsys, flags):
         code, _, err = run_cli(capsys, "run", *flags)
         assert code == 2 and "config error" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_evaluation_failure_is_exit_4(self, capsys, jobs):
+        # the shifted Turanian needs psi(-0.5, -2, 0.03): no route at integer c
+        code, out, err = run_cli(capsys, "run", "--suites", "bounds",
+                                 "--grid-a", "0.5,1", "--grid-c", "-1",
+                                 "--grid-x", "0.03,1", "--jobs", jobs)
+        assert code == 4 and out == ""
+        assert err.startswith("evaluation error: no usable evaluation route")
 
     def test_tol_dominance_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

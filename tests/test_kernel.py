@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc, gammaln
 
+from tricomi_turan import kernel
 from tricomi_turan.kernel import (AsymptoticSeries, EvaluationError,
                                   ParameterPoint, RegionError,
                                   asymptotic_threshold, kummer_m, log_gamma,
@@ -334,6 +335,41 @@ class TestPsiDispatcher:
         # psi(200, 0.5, 1e7) ~ 1e7^-200 = 1e-1400, beyond asymptotic_threshold
         with pytest.raises(EvaluationError, match="underflows"):
             psi(ParameterPoint(200.0, 0.5, 1e7))
+
+    def test_negative_a_matches_eager_pick(self):
+        # psi tries the expansion first and sums the connection series only
+        # when it can win; the result must equal summing both and taking
+        # the smaller budget, bit for bit.
+        def eager(a, c, x):
+            candidates = []
+            if x <= kernel._CONNECTION_X_MAX:
+                try:
+                    candidates.append(psi_connection(a, c, x))
+                except EvaluationError:
+                    pass
+            candidates.append(kernel._asymptotic_auto(a, c, x))
+            return min(candidates, key=lambda fv: fv.abs_error)
+
+        rng = np.random.default_rng(20261018)
+        n = 0
+        while n < 2000:
+            a = float(rng.uniform(-4.0, 0.0))
+            c = float(rng.uniform(-5.0, 2.0))
+            x = float(math.exp(rng.uniform(0.0, math.log(600.0))))
+            if a == math.floor(a) or abs(c - round(c)) < 1e-3 or x <= 1.0:
+                continue
+            n += 1
+            assert psi(ParameterPoint(a, c, x)) == eager(a, c, x), (a, c, x)
+
+    def test_expansion_at_rounding_floor_skips_connection(self, monkeypatch):
+        def summed(*args, **kwargs):
+            raise AssertionError("connection series summed")
+
+        kernel._psi_cached.cache_clear()
+        monkeypatch.setattr(kernel, "psi_connection", summed)
+        fv = psi(ParameterPoint(-1.3, -2.7, 300.0))
+        assert fv.method == "asymptotic_large_x"
+        assert fv.abs_error <= 2.0 * kernel.EPS * abs(fv.value)
 
     def test_positivity_on_random_samples(self):
         rng = np.random.default_rng(20240817)
