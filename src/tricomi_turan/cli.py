@@ -205,7 +205,7 @@ def eval_point(what: str, a: float, c: float, x: float) -> tuple[str, dict]:
         human = (f"bound {bid} at (a={a:g}, c={c:g}, x={x:g}): {rec.status} "
                  f"margin={rec.margin:.6g} budget={rec.budget:.6g}")
         machine = {"what": what, "a": a, "c": c, "x": x, "status": rec.status,
-                   "lhs": float(rec.lhs.value), "rhs": float(rec.rhs.value),
+                   "lhs": rec.lhs.value, "rhs": rec.rhs.value,
                    "margin": rec.margin, "budget": rec.budget,
                    "anchor": rec.anchor}
         return human, machine

@@ -8,17 +8,19 @@ and, for a > 0 and x > 0, equals the Laplace-type integral
 
     psi(a, c, x) = 1/Gamma(a) * int_0^inf e^(-x t) t^(a-1) (1+t)^(c-a-1) dt.
 
-This module evaluates psi by three genuinely independent routes:
+Three routes evaluate psi on the real axis:
 
 * ``psi_quadrature``   -- the trapezoid rule for the integral above in
                           w = log(x t) (validity a > 0; the accuracy
                           anchor),
 * ``psi_connection``   -- Gamma-weighted combination of two Kummer-M
-                          series (works for a <= 0 and for complex
-                          arguments, requires non-integer c; a negative
-                          integer a gives a terminating polynomial),
-* ``psi_asymptotic``   -- the large-x expansion
-                          psi ~ x^-a (1 + alpha1/x + alpha2/x^2 + ...).
+                          series (the route for a <= 0 and the
+                          independent cross-check for a > 0; requires
+                          non-integer c, while a negative integer a gives
+                          a terminating polynomial),
+* ``_asymptotic_auto`` -- the large-x expansion
+                          psi ~ x^-a (1 + alpha1/x + alpha2/x^2 + ...),
+                          summed to its smallest term.
 
 The quadrature route.  With s = x t = e^w the integral becomes
 
@@ -48,10 +50,9 @@ these budgets instead of trusting raw floating point.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,8 +66,9 @@ _TINY = sys.float_info.min
 # Connection-formula guard: the formula degenerates at integer c.
 INTEGER_C_GUARD = 1e-6
 
-# math.exp overflows near 709; the Kummer-transformed series needs e^|z|.
+# M(a, c, x) grows like e^x, and math.exp overflows near 709
 _CONNECTION_X_MAX = 600.0
+_M_MAX_TERMS = 10_000
 
 QUADRATURE = "quadrature"
 CONNECTION = "connection_series"
@@ -106,7 +108,7 @@ class ParameterPoint:
 class FunctionValue:
     """A computed scalar with an absolute-error estimate and a method tag."""
 
-    value: float | complex
+    value: float
     abs_error: float
     method: str
     flags: tuple[str, ...] = ()
@@ -119,41 +121,6 @@ class FunctionValue:
     def rel_error(self) -> float:
         v = abs(self.value)
         return self.abs_error / v if v else math.inf
-
-
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """Coefficients of the large-x expansion psi ~ x^-a sum_n alpha_n x^-n.
-
-    alpha1 and alpha2 are stored in their closed forms
-    alpha1 = a(c-a-1) and alpha2 = a(a+1)(a+1-c)(a+2-c)/2; construction
-    cross-checks them against the term recurrence.
-    """
-
-    a: float
-    c: float
-    alpha1: float
-    alpha2: float
-    order: int
-    coefficients: tuple[float, ...] = field(repr=False, default=())
-
-    @classmethod
-    def for_parameters(cls, a: float, c: float, order: int) -> "AsymptoticSeries":
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        m = a + 1.0 - c
-        coeffs = [1.0]
-        term = 1.0
-        for n in range(order):
-            term *= (a + n) * (m + n) / (-(n + 1.0))
-            coeffs.append(term)
-        alpha1 = a * (c - a - 1.0)
-        alpha2 = 0.5 * a * (a + 1.0) * (a + 1.0 - c) * (a + 2.0 - c)
-        for n, closed in ((1, alpha1), (2, alpha2)):
-            if n <= order and abs(coeffs[n] - closed) > 1e-12 * (1.0 + abs(closed)):
-                raise AssertionError("asymptotic coefficient recurrence mismatch")
-        return cls(a=a, c=c, alpha1=alpha1, alpha2=alpha2, order=order,
-                   coefficients=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -209,62 +176,17 @@ def _pochhammer(c: float, m: int) -> float:
     return out
 
 
-def _terminating(m: int, c: float, z: float | complex) -> FunctionValue:
-    """psi(-m, c, z) = (-1)^m sum_s C(m,s) (c+s)_(m-s) (-z)^s (DLMF 13.2.7),
+def _terminating(m: int, c: float, x: float) -> FunctionValue:
+    """psi(-m, c, x) = (-1)^m sum_s C(m,s) (c+s)_(m-s) (-x)^s (DLMF 13.2.7),
     a degree-m polynomial with no division, valid for every c.  The budget
     allows 3m + 4 roundings per term, the summation included."""
     total = gross = 0.0
     for s in range(m + 1):
-        term = math.comb(m, s) * _pochhammer(c + s, m - s) * (-z) ** s
+        term = math.comb(m, s) * _pochhammer(c + s, m - s) * (-x) ** s
         total += term
         gross += abs(term)
     sign = -1.0 if m % 2 else 1.0
     return FunctionValue(sign * total, (3 * m + 4) * EPS * gross, CONNECTION)
-
-
-# ---------------------------------------------------------------------------
-# Kummer M (first-kind confluent function)
-# ---------------------------------------------------------------------------
-
-def _m_series(a, c, z, tol, max_terms):
-    """Direct Taylor series of M(a,c,z); returns (sum, abs error, peak |S|)."""
-    term = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    s = term
-    peak = abs(s)
-    prev_small = False
-    for n in range(max_terms):
-        term = term * (a + n) * z / ((c + n) * (n + 1.0))
-        s += term
-        mag = abs(s)
-        if not math.isfinite(mag):
-            raise EvaluationError(f"Kummer series overflow at a={a}, c={c}, z={z}")
-        peak = max(peak, mag)
-        # floor by EPS*peak so a sum that cancels to ~0 can still terminate
-        small = abs(term) <= tol * mag + EPS * peak
-        if small and prev_small:
-            return s, 2.0 * abs(term) + EPS * peak, peak
-        prev_small = small
-    raise EvaluationError(f"Kummer series did not converge within {max_terms} terms "
-                          f"(a={a}, c={c}, z={z})")
-
-
-def kummer_m(a: float, c: float, z: float | complex, tol: float = 1e-15,
-             max_terms: int = 10_000) -> FunctionValue:
-    """Kummer function M(a, c, z) by direct series summation.
-
-    For Re z < 0 the series is summed through the Kummer transformation
-    M(a,c,z) = e^z M(c-a, c, -z), which keeps all large terms of one sign
-    and avoids catastrophic cancellation.
-    """
-    if c <= 0.0 and abs(c - round(c)) == 0.0:
-        raise EvaluationError(f"M(a,c,z) pole at c={c}")
-    re = z.real if isinstance(z, complex) else z
-    if re < 0.0:
-        s, err, _ = _m_series(c - a, c, -z, tol, max_terms)
-        ez = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
-        return FunctionValue(ez * s, abs(ez) * err, CONNECTION)
-    s, err, _ = _m_series(a, c, z, tol, max_terms)
-    return FunctionValue(s, err, CONNECTION)
 
 
 # ---------------------------------------------------------------------------
@@ -379,48 +301,72 @@ def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
 # connection-formula route
 # ---------------------------------------------------------------------------
 
-def psi_connection(a: float, c: float, z: float | complex,
+def _m_series(a: float, c: float, x: float, tol: float) -> tuple[float, float]:
+    """Taylor series of M(a, c, x) for real x; returns (sum, abs error).
+
+    Term n is a running product that carries about 4n roundings, so the
+    error adds EPS sum_n (4n + 5) |term_n| to twice the last term; that
+    sum is at least the largest partial sum |S|, the floor of the
+    stopping rule."""
+    term = s = peak = 1.0
+    gross = 5.0
+    prev_small = False
+    for n in range(_M_MAX_TERMS):
+        term = term * (a + n) * x / ((c + n) * (n + 1.0))
+        s += term
+        mag = abs(s)
+        if not math.isfinite(mag):
+            raise EvaluationError(f"Kummer series overflow at a={a}, c={c}, x={x}")
+        peak = max(peak, mag)
+        gross += (4 * n + 9) * abs(term)        # this is term n + 1
+        # floor by EPS*peak so a sum that cancels to ~0 can still terminate
+        small = abs(term) <= tol * mag + EPS * peak
+        if small and prev_small:
+            return s, 2.0 * abs(term) + EPS * gross
+        prev_small = small
+    raise EvaluationError(f"Kummer series did not converge within {_M_MAX_TERMS} terms "
+                          f"(a={a}, c={c}, x={x})")
+
+
+def psi_connection(a: float, c: float, x: float,
                    tol: float = 1e-15) -> FunctionValue:
-    """Evaluate psi(a,c,z) from the two-term Kummer-M connection formula
+    """Evaluate psi(a,c,x), x > 0, from the two-term Kummer-M connection
+    formula
 
-        psi = Gamma(1-c)/Gamma(a-c+1) M(a,c,z)
-            + Gamma(c-1)/Gamma(a) z^(1-c) M(a-c+1, 2-c, z),
+        psi = Gamma(1-c)/Gamma(a-c+1) M(a,c,x)
+            + Gamma(c-1)/Gamma(a) x^(1-c) M(a-c+1, 2-c, x).
 
-    with z^(1-c) = exp((1-c) Log z) on the principal branch, so that
-    z = t e^(i pi) (entered as complex(-t, +0.0)) picks up the phase
-    e^(i pi (1-c)) exactly.
+    This is the route for a <= 0 and the independent check of
+    ``psi_quadrature`` for a > 0.
 
     Special cases: a = 0 returns exactly 1; a a negative integer -m
     returns the terminating polynomial of DLMF 13.2.7, for every c.
     Otherwise c within ``INTEGER_C_GUARD`` of an integer is rejected,
     since the formula degenerates there.  The estimate includes the
-    cancellation of the two terms and the rounding of the Gamma arguments
-    and of z^(1-c); when the terms cancel beyond 10^6 * EPS the result is
-    flagged ``"cancellation"``.
+    rounding of both series, the cancellation of the two terms and the
+    rounding of the Gamma arguments and of x^(1-c); when the terms cancel
+    beyond 10^6 * EPS the result is flagged ``"cancellation"``.
     """
-    cplx = isinstance(z, complex)
     if a == 0.0:
-        return FunctionValue(1.0 + 0.0j if cplx else 1.0, 0.0, CONNECTION)
+        return FunctionValue(1.0, 0.0, CONNECTION)
     if a < 0.0 and a == math.floor(a):
-        return _terminating(int(-a), c, z)
+        return _terminating(int(-a), c, x)
 
     (c1, rel1), (c2, rel2) = _connection_coefficients(a, c)
-    zero = 0.0j if cplx else 0.0
-    t1 = t2 = zero
-    err = 0.0
+    t1 = t2 = err = 0.0
     if c1 != 0.0:
-        m1 = kummer_m(a, c, z, tol)
-        t1 = c1 * m1.value
-        err += abs(c1) * m1.abs_error
+        m1, e1 = _m_series(a, c, x, tol)
+        t1 = c1 * m1
+        err += abs(c1) * e1
     if c2 != 0.0:
-        log_zp = (1.0 - c) * (cmath.log(z) if cplx else math.log(z))
-        zp = cmath.exp(log_zp) if cplx else math.exp(log_zp)
-        m2 = kummer_m(a - c + 1.0, 2.0 - c, z, tol)
-        t2 = c2 * zp * m2.value
-        err += abs(c2) * abs(zp) * m2.abs_error + abs(t2) * EPS * 2.0 * abs(log_zp)
+        log_xp = (1.0 - c) * math.log(x)
+        xp = math.exp(log_xp)
+        m2, e2 = _m_series(a - c + 1.0, 2.0 - c, x, tol)
+        t2 = c2 * xp * m2
+        err += abs(c2) * xp * e2 + abs(t2) * EPS * 2.0 * abs(log_xp)
     value = t1 + t2
-    if not math.isfinite(abs(value)):
-        raise EvaluationError(f"connection formula overflow at a={a}, c={c}, z={z}")
+    if not math.isfinite(value):
+        raise EvaluationError(f"connection formula overflow at a={a}, c={c}, x={x}")
     gross = abs(t1) + abs(t2)
     err += 4.0 * EPS * gross + abs(t1) * rel1 + abs(t2) * rel2
     flags = ()
@@ -432,32 +378,6 @@ def psi_connection(a: float, c: float, z: float | complex,
 # ---------------------------------------------------------------------------
 # asymptotic route
 # ---------------------------------------------------------------------------
-
-def psi_asymptotic(p: ParameterPoint, order: int = 2) -> FunctionValue:
-    """Truncated large-x expansion psi ~ x^-a (1 + alpha1/x + ... ).
-
-    The remainder estimate is the magnitude of the first omitted term.
-    Raises :class:`EvaluationError` if the terms grow before the
-    requested truncation order (the expansion is divergent, so growth
-    means x is too small for this order).
-    """
-    series = AsymptoticSeries.for_parameters(p.a, p.c, order)
-    x = p.x
-    s = 0.0
-    prev = math.inf
-    for n, coeff in enumerate(series.coefficients):
-        t = coeff * x ** (-n)
-        if abs(t) > prev and n >= 1:
-            raise EvaluationError(
-                f"asymptotic terms grow before order {order} at x={x}")
-        prev = abs(t)
-        s += t
-    m = p.a + 1.0 - p.c
-    omitted = abs(series.coefficients[-1] * (p.a + order) * (m + order)
-                  / (order + 1.0)) * x ** (-(order + 1))
-    pref = x ** (-p.a)
-    return FunctionValue(pref * s, pref * omitted + EPS * abs(pref * s), ASYMPTOTIC)
-
 
 def _asymptotic_auto(a: float, c: float, x: float,
                      max_order: int = 60) -> FunctionValue:

@@ -67,6 +67,7 @@ tail bound and the rounding of the sum.  No rule is adaptive per call.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -112,39 +113,32 @@ class MomentIdentity:
     """Closed form of int t^power phi dt together with its region."""
 
     power: int
+    region: Callable[[float, float], bool]
     region_text: str
+    form: Callable[[float, float], float]
 
-    def region(self, a: float, c: float) -> bool:
-        return _MOMENT_REGIONS[self.power](a, c)
-
-    def closed_form(self, a: float, c: float) -> float:
+    def require(self, a: float, c: float) -> None:
+        """Raise :class:`RegionError` outside the identity's region."""
         if not self.region(a, c):
             raise RegionError(
                 f"moment power {self.power} needs {self.region_text}, "
                 f"got a={a}, c={c}")
-        return _MOMENT_FORMS[self.power](a, c)
+
+    def closed_form(self, a: float, c: float) -> float:
+        self.require(a, c)
+        return self.form(a, c)
 
 
-_MOMENT_REGIONS = {
-    1: lambda a, c: a > 0.0 and c < 1.0,
-    0: lambda a, c: a > 0.0 and c < 1.0,
-    -1: lambda a, c: a > 0.0 > c,
-    -2: lambda a, c: a > 1.0 and c < -1.0,
-}
-
-_MOMENT_FORMS = {
-    1: lambda a, c: 1.0 + a - c,
-    0: lambda a, c: 1.0,
-    -1: lambda a, c: -1.0 / c,
-    -2: lambda a, c: (c - a) / (c * c * (c + 1.0)),
-}
-
-MOMENT_IDENTITIES = {
-    1: MomentIdentity(1, "a > 0, c < 1"),
-    0: MomentIdentity(0, "a > 0, c < 1"),
-    -1: MomentIdentity(-1, "a > 0 > c"),
-    -2: MomentIdentity(-2, "a > 1, c < -1"),
-}
+MOMENT_IDENTITIES = {m.power: m for m in (
+    MomentIdentity(1, lambda a, c: a > 0.0 and c < 1.0, "a > 0, c < 1",
+                   lambda a, c: 1.0 + a - c),
+    MomentIdentity(0, lambda a, c: a > 0.0 and c < 1.0, "a > 0, c < 1",
+                   lambda a, c: 1.0),
+    MomentIdentity(-1, lambda a, c: a > 0.0 > c, "a > 0 > c",
+                   lambda a, c: -1.0 / c),
+    MomentIdentity(-2, lambda a, c: a > 1.0 and c < -1.0, "a > 1, c < -1",
+                   lambda a, c: (c - a) / (c * c * (c + 1.0))),
+)}
 
 
 def _kummer_sums(alpha: np.ndarray, gamma: np.ndarray, t: np.ndarray):
@@ -352,11 +346,7 @@ def phi_moment(d: WeightDensity, power: int) -> FunctionValue:
     """
     if power not in MOMENT_IDENTITIES:
         raise RegionError(f"unsupported moment power {power}")
-    ident = MOMENT_IDENTITIES[power]
-    if not ident.region(d.a, d.c):
-        raise RegionError(
-            f"moment power {power} needs {ident.region_text}, "
-            f"got a={d.a}, c={d.c}")
+    MOMENT_IDENTITIES[power].require(d.a, d.c)
     value, err = _phi_table(d).integral(power + 1.0 - d.c)
     return FunctionValue(value, err, _INTEGRAL)
 

@@ -125,7 +125,7 @@ def _task_crosscheck(task, _):
     diff = abs(q.value - k.value)
     allowance = max(tol_rel * abs(q.value), q.abs_error + k.abs_error)
     margin = allowance - diff
-    return ReportRow(suite, claim, a, c, x, q.value, float(k.value), margin,
+    return ReportRow(suite, claim, a, c, x, q.value, k.value, margin,
                      allowance, PASS if margin >= 0.0 else FAIL,
                      "quadrature and connection-series values agree", idx)
 
@@ -194,16 +194,16 @@ def _task_stieltjes(task, arg):
 def _task_bound(task, _):
     suite, claim, idx, a, c, x, tol = task
     rec = bounds_mod.check_bound(claim, ParameterPoint(a, c, x), tol)
-    return ReportRow(suite, claim, a, c, x, float(rec.lhs.value),
-                     float(rec.rhs.value), rec.margin, rec.budget, rec.status,
+    return ReportRow(suite, claim, a, c, x, rec.lhs.value,
+                     rec.rhs.value, rec.margin, rec.budget, rec.status,
                      rec.anchor, idx)
 
 
 def _task_dominance(task, _):
     suite, claim, idx, a, c, x = task
     rec = bounds_mod.check_dominance(claim, ParameterPoint(a, c, x))
-    return ReportRow(suite, claim, a, c, x, float(rec.lhs.value),
-                     float(rec.rhs.value), rec.margin, rec.budget, rec.status,
+    return ReportRow(suite, claim, a, c, x, rec.lhs.value,
+                     rec.rhs.value, rec.margin, rec.budget, rec.status,
                      rec.anchor, idx)
 
 

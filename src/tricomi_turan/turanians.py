@@ -80,8 +80,9 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint,
             f"psi^2 indistinguishable from 0 at (a={p.a}, c={p.c}, x={p.x})")
     num = turanian(kind, p, tol)
     value = num.value / den
+    # d(num/psi^2) = -2 num/psi^3 d psi, written so that psi is never cubed
     err = (num.abs_error / abs(den)
-           + 2.0 * abs(num.value) * f0.abs_error / abs(f0.value) ** 3)
+           + 2.0 * abs(value) * f0.abs_error / abs(f0.value))
     return FunctionValue(value, err, num.method)
 
 

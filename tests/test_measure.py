@@ -8,14 +8,27 @@ import numpy as np
 import pytest
 
 from tricomi_turan import suites
-from tricomi_turan.kernel import (EPS, EvaluationError, ParameterPoint,
-                                  RegionError, psi_connection)
+from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
 from tricomi_turan.measure import (MOMENT_IDENTITIES, WeightDensity,
                                    _neg_axis_core, phi, phi_moment,
                                    stieltjes_first_shift, stieltjes_ratio)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
 RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
+
+# psi(a, c, t e^(i pi)) on the principal branch, 50-digit connection formula
+PSI_NEG_AXIS_REFS = {
+    (1.5, -0.5, 2.0): complex(-0.41978220188821506579, -0.537430667646613927),
+    (2.0, -2.5, 4.0): complex(-0.2267621513564570295, -0.070355029994613514136),
+}
+
+
+def neg_axis_core40(a, c, t):
+    """e^-t |U(a, c, t e^(i pi))|^-2 by mpmath at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        u = mpmath.hyperu(mpmath.mpf(a), mpmath.mpf(c), mpmath.mpc(-t, 0))
+        return float(mpmath.exp(-mpmath.mpf(t)) / abs(u) ** 2)
 
 
 class TestWeightDensity:
@@ -43,17 +56,20 @@ class TestWeightDensity:
             phi(WeightDensity(2.0, -2.5), 0.0)
 
     @pytest.mark.parametrize("a,c", [(0.25, 0.75), (2.0, -2.5), (5.0, -4.5)])
-    def test_core_matches_complex_connection_formula(self, a, c):
+    def test_core_matches_hyperu(self, a, c):
         # e^-t |psi(a, c, t e^(i pi))|^-2 from the real-arithmetic core and
-        # from the kernel's complex connection formula
+        # from mpmath.hyperu at 40 digits
         ts = np.logspace(-6, 2.2, 60)
         core, rel = _neg_axis_core(WeightDensity(a, c), ts)
         for t, value, r in zip(ts, core, rel):
-            fv = psi_connection(a, c, complex(-t, 0.0))
-            mod = abs(fv.value)
-            ref = math.exp(-t) / (mod * mod)
-            ref_err = ref * (2.0 * fv.abs_error / mod + 4.0 * EPS)
-            assert abs(value - ref) <= value * r + ref_err
+            assert abs(value - neg_axis_core40(a, c, float(t))) <= value * r, t
+
+    @pytest.mark.parametrize("key,expected", sorted(PSI_NEG_AXIS_REFS.items()))
+    def test_core_at_negative_axis_reference(self, key, expected):
+        a, c, t = key
+        core, rel = _neg_axis_core(WeightDensity(a, c), np.array([t]))
+        ref = math.exp(-t) / abs(expected) ** 2
+        assert abs(core[0] - ref) <= core[0] * rel[0] <= 1e-12 * ref
 
     def test_scalar_density_uses_core(self):
         d = WeightDensity(2.0, -2.5)

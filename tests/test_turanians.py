@@ -54,6 +54,17 @@ class TestTuranian:
         assert abs(direct.value - recon) <= direct.abs_error + \
             via_ratio.abs_error * ps * ps
 
+    # 1 - U(a-da,c-dc,x) U(a+da,c+dc,x) / U(a,c,x)^2 with mpmath.hyperu at 40
+    # digits, at (50, -0.5, 100), where psi = 1.2e-108 and psi^3 underflows
+    @pytest.mark.parametrize("kind,ref", [
+        (BOTH, -0.001567315242275835017611163),
+        (FIRST, 0.008351014454130273022541844),
+        (SECOND, -0.001521665283762946619039964),
+    ])
+    def test_ratio_where_psi_cubed_underflows(self, kind, ref):
+        fv = turanian_ratio(kind, ParameterPoint(50.0, -0.5, 100.0))
+        assert abs(fv.value - ref) <= fv.abs_error <= 1e-8 * abs(ref)
+
 
 class TestRatioLimits:
     def test_both_shift_small_x(self):
