@@ -61,9 +61,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import gammaln
-
-from .kernel import (EPS, FunctionValue, ParameterPoint, RegionError, psi)
+from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
+                     RegionError, log_gamma, log_gamma_error, psi)
 from .turanians import TuranianKind, turanian, turanian_ratio
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -144,21 +143,26 @@ def _scaled_psi(scale_fn, da: float = 0.0, dc: float = 0.0):
     return ev
 
 
-def _lg_ratio(u: float, v: float) -> float:
-    # log of Gamma(u)/Gamma(v); all I-family arguments are positive in-region
-    return float(gammaln(u) - gammaln(v))
+def _lg_ratio(u: float, v: float) -> tuple[float, float]:
+    # log of Gamma(u)/Gamma(v) and its error; I-family arguments are positive
+    (lu, _), (lv, _) = log_gamma(u), log_gamma(v)
+    return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
 
 
 def _gamma_power(shift: int, which: str, expo_fn):
     """(Gamma(a-c+1)/Gamma(k-c) * psi(a+shift, c+shift, x))^expo with
-    which = '1-c' (k=1) or '-c' (k=0)."""
+    which = '1-c' (k=1) or '-c' (k=0).  In-region the base lies in (0, 1) and
+    expo > 0, so a power can only underflow: that raises, as psi does."""
     def ev(p: ParameterPoint, tol: float) -> FunctionValue:
         f = psi(ParameterPoint(p.a + shift, p.c + shift, p.x), tol)
         base = p.a - p.c + 1.0
-        lg = _lg_ratio(base, (1.0 - p.c) if which == "1-c" else (-p.c))
+        lg, lg_err = _lg_ratio(base, (1.0 - p.c) if which == "1-c" else (-p.c))
         expo = expo_fn(p.a, p.c)
         val = math.exp(expo * (lg + math.log(f.value)))
-        err = abs(val * expo) * (f.abs_error / abs(f.value)) + 4.0 * EPS * abs(val)
+        if val < _TINY:
+            raise EvaluationError(f"Gamma-normalised power underflows at "
+                                  f"(a={p.a}, c={p.c}, x={p.x}): {val}")
+        err = abs(val * expo) * (f.abs_error / abs(f.value) + lg_err) + 4.0 * EPS * abs(val)
         return FunctionValue(val, err, f.method)
     return ev
 

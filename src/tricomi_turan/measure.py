@@ -47,13 +47,13 @@ one fixed rule, built on first use and cached (``_phi_table``):
   (r = B/A, U_n Chebyshev of the second kind) integrates exactly against
   t^(beta-1).  t0 keeps |r| s <= 1/2 and the neglected O(t) terms below
   1e-17 relative.
-* body: composite 16-point Gauss-Legendre in w = log t, where
-  t^(beta-1) dt = e^(beta w) dw has no endpoint singularity and the
-  extras are analytic within pi of the real w axis.  Panels start 2
-  wide and are halved, at build time only, while the 8-point
-  Gauss-Legendre companion on the same panel differs by more than 1e-15
-  of the integral, or by more than the psi noise, at the smallest and
-  largest beta the density is used with.
+* body: composite 16-point Gauss-Legendre in w = log t (nodes and weights
+  from ``numpy.polynomial.legendre.leggauss``), where t^(beta-1) dt =
+  e^(beta w) dw has no endpoint singularity and the extras are analytic
+  within pi of the real w axis.  Panels start 2 wide and are halved, at
+  build time only, while the 8-point Gauss-Legendre companion on the same
+  panel differs by more than 1e-15 of the integral, or by more than the
+  psi noise, at the smallest and largest beta the density is used with.
 * tail, t > T: core decays like t^(2a) e^-t, T is where
   t^(beta-1+2a) e^-t has fallen below 1e-19 of its integral, and the
   tail is bounded by 2 T^beta phi_0(T) extra(T).
@@ -72,10 +72,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .kernel import (EPS, EvaluationError, FunctionValue, RegionError,
-                     _connection_coefficients)
+                     _connection_coefficients, log_gamma, log_gamma_error)
 
 _INTEGRAL = "quadrature"
 
@@ -90,18 +90,21 @@ _MAX_TERMS = 10_000
 
 @dataclass(frozen=True)
 class WeightDensity:
-    """Parameters (a > 0, c < 1) with the log of 1/(Gamma(a+1)Gamma(a-c+1))."""
+    """Parameters (a > 0, c < 1), the log of 1/(Gamma(a+1)Gamma(a-c+1)) and its error."""
 
     a: float
     c: float
     log_prefactor: float = field(init=False)
+    log_prefactor_error: float = field(init=False)
 
     def __post_init__(self):
         if not (self.a > 0.0 and self.c < 1.0):
             raise RegionError(
                 f"weight density requires a > 0 and c < 1, got a={self.a}, c={self.c}")
-        lp = -(gammaln(self.a + 1.0) + gammaln(self.a - self.c + 1.0))
-        object.__setattr__(self, "log_prefactor", float(lp))
+        zs = (self.a + 1.0, self.a - self.c + 1.0)
+        lgs = [log_gamma(z)[0] for z in zs]
+        object.__setattr__(self, "log_prefactor", -sum(lgs))
+        object.__setattr__(self, "log_prefactor_error", sum(map(log_gamma_error, zs, lgs)))
 
     @property
     def prefactor(self) -> float:
@@ -205,7 +208,7 @@ def phi(d: WeightDensity, t: float) -> FunctionValue:
     core, rel = _neg_axis_core(d, np.array([float(t)]))
     log_scale = d.log_prefactor - d.c * math.log(t)
     value = math.exp(log_scale) * float(core[0])
-    rel_scale = EPS * (4.0 + abs(log_scale))
+    rel_scale = EPS * (4.0 + abs(log_scale)) + d.log_prefactor_error
     return FunctionValue(value, value * (float(rel[0]) + rel_scale), _INTEGRAL)
 
 
@@ -268,7 +271,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     its 8-point companion with negated weights, so that a panel's row sum
     is G16 - G8.  Computed on first use: the eigenvalue solve behind them
     costs memory that programs never building a table need not pay."""
-    (x, w), (xc, wc) = roots_legendre(_GAUSS), roots_legendre(_GAUSS // 2)
+    (x, w), (xc, wc) = leggauss(_GAUSS), leggauss(_GAUSS // 2)
     return np.concatenate([x, xc]), np.concatenate([w, -wc])
 
 
@@ -278,7 +281,7 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
     a, c = d.a, d.c
     (coef_a, _), (coef_b, _) = _connection_coefficients(a, c)
     pref = d.prefactor
-    rel_pref = EPS * (4.0 + abs(d.log_prefactor))
+    rel_pref = EPS * (4.0 + abs(d.log_prefactor)) + d.log_prefactor_error
     p = 1.0 - c
     betas = np.array([p + min(k for k, m in MOMENT_IDENTITIES.items() if m.region(a, c)),
                       p + 1.0])
@@ -303,7 +306,7 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
     # tail: t^k e^-t, k = beta - 1 + 2a, below _TAIL_TOL of Gamma(k + 1)
     k = betas[1] - 1.0 + 2.0 * a
     tail_t = max(2.0 * k, 40.0)
-    while k * math.log(tail_t) - tail_t > gammaln(k + 1.0) + math.log(_TAIL_TOL):
+    while k * math.log(tail_t) - tail_t > log_gamma(k + 1.0)[0] + math.log(_TAIL_TOL):
         tail_t *= 1.1
 
     # body: halve the panels whose companion disagrees, at both betas

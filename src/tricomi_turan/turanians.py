@@ -72,18 +72,22 @@ def turanian(kind: TuranianKind, p: ParameterPoint,
 
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint,
                    tol: float = 1e-12) -> FunctionValue:
-    """Turanian normalized by psi^2."""
+    """Turanian normalized by psi^2 as 1 - (psi_-/psi)(psi_+/psi), with a
+    first-order budget of relative errors: psi is never squared."""
+    da, dc = kind.shifts
     f0 = psi(p, tol)
-    den = f0.value * f0.value
-    if abs(den) <= 2.0 * abs(f0.value) * f0.abs_error:
+    if f0.abs_error >= abs(f0.value) / 2.0:
         raise EvaluationError(
-            f"psi^2 indistinguishable from 0 at (a={p.a}, c={p.c}, x={p.x})")
-    num = turanian(kind, p, tol)
-    value = num.value / den
-    # d(num/psi^2) = -2 num/psi^3 d psi, written so that psi is never cubed
-    err = (num.abs_error / abs(den)
-           + 2.0 * abs(value) * f0.abs_error / abs(f0.value))
-    return FunctionValue(value, err, num.method)
+            f"psi indistinguishable from 0 at (a={p.a}, c={p.c}, x={p.x})")
+    fm = psi(ParameterPoint(p.a - da, p.c - dc, p.x), tol)
+    fp = psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
+    qm, qp = fm.value / f0.value, fp.value / f0.value
+    value = 1.0 - qm * qp
+    # one rounding per quotient and for the product, one for the difference
+    err = ((abs(qp) * fm.abs_error + abs(qm) * fp.abs_error) / abs(f0.value)
+           + abs(qm * qp) * (2.0 * f0.abs_error / abs(f0.value) + 3.0 * EPS)
+           + EPS * abs(value))
+    return FunctionValue(value, err, f0.method)
 
 
 @dataclass(frozen=True)

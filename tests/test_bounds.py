@@ -8,7 +8,7 @@ from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
                                   auxiliary_log_ratio, catalog_document,
                                   check_bound, check_dominance,
                                   dominance_applicable)
-from tricomi_turan.kernel import ParameterPoint, RegionError
+from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
 
@@ -87,6 +87,11 @@ class TestCheckBound:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             check_bound("nope", ParameterPoint(1.0, 0.0, 1.0))
+
+    def test_gamma_power_underflow_raises(self):
+        # the exponent c/(a(c+1)) is 250 here, and the power is about 1e-2227
+        with pytest.raises(EvaluationError, match="underflows"):
+            check_bound("I3", ParameterPoint(10.0, -1.0004, 34.0))
 
     @pytest.mark.parametrize("bid", ["T1L", "T2L", "P1L", "P1U", "T3L", "T3U",
                                      "P2L", "P2U", "T6L", "P3L", "P3U", "P4U",

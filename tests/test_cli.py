@@ -1,9 +1,14 @@
 """The command-line driver: outputs, exit codes and error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tricomi_turan
 from tricomi_turan import cli
 from tricomi_turan.bounds import CATALOG
 
@@ -114,3 +119,22 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--tol-dominance", "0"])
         assert exc.value.code == 2
+
+
+class TestDependencies:
+    def test_numpy_is_the_only_numerical_dependency(self):
+        code = (
+            "import json, sys\n"
+            "import tricomi_turan.cli\n"
+            "from tricomi_turan import (ParameterPoint, RunConfig, WeightDensity,\n"
+            "                           phi, psi, run)\n"
+            "psi(ParameterPoint(1.5, -0.5, 2.0))\n"
+            "phi(WeightDensity(1.5, -0.5), 2.0)\n"
+            "run(RunConfig(grid_a=(2.0,), grid_c=(-2.5,), grid_x=(0.5, 1.0)))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+        src = str(Path(tricomi_turan.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert json.loads(out.splitlines()[-1]) == []

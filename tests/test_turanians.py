@@ -65,6 +65,20 @@ class TestTuranian:
         fv = turanian_ratio(kind, ParameterPoint(50.0, -0.5, 100.0))
         assert abs(fv.value - ref) <= fv.abs_error <= 1e-8 * abs(ref)
 
+    # the same references at a = 100 and 150, x = 1, where psi = 6.5e-167
+    # and 1.2e-273, so psi^2 underflows
+    @pytest.mark.parametrize("a,kind,ref", [
+        (100.0, BOTH, -0.04514240611895195844676521279),
+        (100.0, FIRST, 0.009405407319371894556260443985),
+        (100.0, SECOND, -0.04447527696448468812489183526),
+        (150.0, BOTH, -0.03756738379061855991030586954),
+        (150.0, FIRST, 0.006351914656179817103309861459),
+        (150.0, SECOND, -0.03719542949566194050525333618),
+    ])
+    def test_ratio_where_psi_squared_underflows(self, a, kind, ref):
+        fv = turanian_ratio(kind, ParameterPoint(a, -0.5, 1.0))
+        assert abs(fv.value - ref) <= fv.abs_error <= 1e-8 * abs(ref)
+
 
 class TestRatioLimits:
     def test_both_shift_small_x(self):
