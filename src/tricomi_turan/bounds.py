@@ -168,17 +168,20 @@ def _gamma_power(shift: int, which: str, expo_fn):
 
 
 def _s_product(shifts, x_power: float = -1.0):
-    """-(1/x) * product of psi at the given (da, dc) shifts."""
+    """-(1/x) * product of psi at the given (da, dc) shifts.  A product of
+    nonzero psi values that underflows raises, as psi does."""
     def ev(p: ParameterPoint, tol: float) -> FunctionValue:
         vals = [psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
                 for (da, dc) in shifts]
         prod = 1.0
         for f in vals:
             prod *= f.value
+        value = -p.x ** x_power * prod
+        if abs(value) < _TINY and all(f.value for f in vals):
+            raise EvaluationError(f"psi product underflows at "
+                                  f"(a={p.a}, c={p.c}, x={p.x}): {value}")
         rel = sum(f.abs_error / abs(f.value) for f in vals)
-        scale = -p.x ** x_power
-        return FunctionValue(scale * prod, abs(scale * prod) * (rel + 4.0 * EPS),
-                             vals[0].method)
+        return FunctionValue(value, abs(value) * (rel + 4.0 * EPS), vals[0].method)
     return ev
 
 

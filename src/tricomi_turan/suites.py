@@ -3,8 +3,13 @@
 A :class:`RunConfig` selects suites, grids, tolerances and output; ``run``
 executes every selected suite deterministically (fixed grid order, fixed
 quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
-per (claim, point).  Rows are ordered by (suite, claim, grid index)
-regardless of how workers complete.
+per (claim, point).  With ``jobs > 1`` a process pool gets one block of
+tasks per (a, c) grid pair, so that the worker holding a pair computes
+each shifted psi value and each phi table of that pair once; at most one
+worker per pair is started, and a single pair runs in-process.  Rows are
+sorted afterwards by (suite, claim, grid index), and a failing run
+raises the error of its first failing task in that order, so neither the
+report nor the error depends on ``jobs``.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
@@ -263,6 +268,18 @@ def _eval_task(task):
     return suite.evaluate(task, suite.claims[task[1]])
 
 
+def _eval_block(tasks):
+    """Rows of a block of tasks, and the first task that fails with its
+    error, or None."""
+    rows = []
+    for task in tasks:
+        try:
+            rows.append(_eval_task(task))
+        except Exception as exc:
+            return rows, (task, exc)
+    return rows, None
+
+
 # ---------------------------------------------------------------------------
 # task builders: (config, suite) -> task tuples; their order within a claim
 # defines the grid index
@@ -447,9 +464,22 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     """Execute the configured suites; deterministic for a fixed config."""
     tasks = [t for s in REGISTRY.values() if s.name in cfg.suites
              for t in s.tasks(cfg, s)]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_eval_task, tasks, chunksize=16))
+    # a task holds its grid pair (a, c) at positions 3 and 4
+    blocks: dict = {}
+    if cfg.jobs > 1:
+        for t in tasks:
+            blocks.setdefault((t[3], t[4]), []).append(t)
+    workers = min(cfg.jobs, len(blocks))
+    if workers > 1:
+        rows, failed = [], []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for block_rows, failure in pool.map(_eval_block, blocks.values()):
+                rows += block_rows
+                if failure:
+                    failed.append(failure)
+        if failed:
+            # raise what jobs=1 would: the error of the first failing task
+            raise min(failed, key=lambda f: tasks.index(f[0]))[1]
     else:
         rows = [_eval_task(t) for t in tasks]
     rows.sort(key=lambda r: (SUITES.index(r.suite), r.claim, r.idx))

@@ -23,8 +23,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kernel import (EPS, EvaluationError, FunctionValue, ParameterPoint,
-                     RegionError, psi)
+from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
+                     ParameterPoint, RegionError, psi)
 
 
 class TuranianKind(enum.Enum):
@@ -58,15 +58,21 @@ class Normalization(enum.Enum):
 
 def turanian(kind: TuranianKind, p: ParameterPoint,
              tol: float = 1e-12) -> FunctionValue:
-    """psi^2 - psi(shifted down) * psi(shifted up), with first-order error."""
+    """psi^2 - psi(shifted down) * psi(shifted up), with first-order error.
+    A product of nonzero psi values that underflows raises, as psi does."""
     da, dc = kind.shifts
     f0 = psi(p, tol)
     fm = psi(ParameterPoint(p.a - da, p.c - dc, p.x), tol)
     fp = psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
-    value = f0.value * f0.value - fm.value * fp.value
+    square, cross = f0.value * f0.value, fm.value * fp.value
+    if ((f0.value and abs(square) < _TINY)
+            or (fm.value and fp.value and abs(cross) < _TINY)):
+        raise EvaluationError(f"psi products underflow at "
+                              f"(a={p.a}, c={p.c}, x={p.x})")
+    value = square - cross
     err = (2.0 * abs(f0.value) * f0.abs_error
            + abs(fm.value) * fp.abs_error + abs(fp.value) * fm.abs_error
-           + EPS * (abs(f0.value) ** 2 + abs(fm.value * fp.value)))
+           + EPS * (abs(f0.value) ** 2 + abs(cross)))
     return FunctionValue(value, err, f0.method)
 
 

@@ -93,6 +93,13 @@ class TestCheckBound:
         with pytest.raises(EvaluationError, match="underflows"):
             check_bound("I3", ParameterPoint(10.0, -1.0004, 34.0))
 
+    @pytest.mark.parametrize("bid", ["S1", "S2", "S2H"])
+    def test_s_family_product_underflow_raises(self, bid):
+        # psi(100, -0.5, 1) = 6.5e-167, so a product of two psi values
+        # underflows; it used to read as an inconclusive 0.0 +- 0.0
+        with pytest.raises(EvaluationError, match="underflow"):
+            check_bound(bid, ParameterPoint(100.0, -0.5, 1.0))
+
     @pytest.mark.parametrize("bid", ["T1L", "T2L", "P1L", "P1U", "T3L", "T3U",
                                      "P2L", "P2U", "T6L", "P3L", "P3U", "P4U",
                                      "S1", "I1", "I2", "I4"])

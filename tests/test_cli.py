@@ -81,6 +81,11 @@ class TestEval:
         # psi(200, 0.5, 1) underflows the double range
         assert run_cli(capsys, "eval", "psi", "200", "0.5", "1")[0] == 4
 
+    def test_underflowing_turanian_is_an_evaluation_failure(self, capsys):
+        # psi(100, -0.5, 1) = 6.5e-167: the products of two psi values underflow
+        code, out, err = run_cli(capsys, "eval", "turanian:second", "100", "-0.5", "1")
+        assert code == 4 and out == "" and "underflow" in err
+
 
 class TestRun:
     def test_small_run_from_a_config_file(self, capsys, tmp_path):
@@ -114,6 +119,18 @@ class TestRun:
                                  "--grid-x", "0.03,1", "--jobs", jobs)
         assert code == 4 and out == ""
         assert err.startswith("evaluation error: no usable evaluation route")
+
+    @pytest.mark.parametrize("a", ["70", "100"])
+    def test_underflowing_s_family_aborts_the_run(self, capsys, tmp_path, a):
+        # the S2 product of three psi values underflows from about a = 70 at
+        # x = 1; the run stops with exit 4 and writes no report, as it does
+        # for any evaluation error
+        out = tmp_path / "report.csv"
+        code, stdout, err = run_cli(capsys, "run", "--suites", "bounds",
+                                    "--grid-a", a, "--grid-c=-0.5", "--grid-x", "1",
+                                    "--out", str(out))
+        assert code == 4 and stdout == "" and "underflow" in err
+        assert not out.exists()
 
     def test_tol_dominance_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

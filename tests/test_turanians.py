@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from tricomi_turan.kernel import ParameterPoint, RegionError
+from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
 from tricomi_turan.turanians import (Direction, Normalization, SharpnessLimit,
                                      TuranianKind, sharpness_scan, turanian,
                                      turanian_ratio)
@@ -78,6 +78,12 @@ class TestTuranian:
     def test_ratio_where_psi_squared_underflows(self, a, kind, ref):
         fv = turanian_ratio(kind, ParameterPoint(a, -0.5, 1.0))
         assert abs(fv.value - ref) <= fv.abs_error <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("kind", list(TuranianKind))
+    def test_turanian_where_psi_squared_underflows_raises(self, kind):
+        # the raw difference of products would read 0.0 +- 0.0 here
+        with pytest.raises(EvaluationError, match="underflow"):
+            turanian(kind, ParameterPoint(100.0, -0.5, 1.0))
 
 
 class TestRatioLimits:
