@@ -189,7 +189,7 @@ def _i2_rhs(p: ParameterPoint, tol: float) -> FunctionValue:
     f0 = psi(p, tol)
     fp = psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x), tol)
     q = f0.value / fp.value
-    eq = f0.abs_error / abs(fp.value) + abs(f0.value) * fp.abs_error / fp.value ** 2
+    eq = (f0.abs_error + abs(q) * fp.abs_error) / abs(fp.value)
     pw = _gamma_power(0, "1-c", lambda a, c: 1.0 / a)(p, tol)
     val = q - pw.value / p.c
     return FunctionValue(val, eq + pw.abs_error / abs(p.c) + 4.0 * EPS * abs(val),

@@ -29,9 +29,14 @@ the phase of z^(1-c):
     A = Gamma(1-c)/Gamma(a-c+1),  B = Gamma(c-1)/Gamma(a),
 
 so |psi|^2 is a sum of two real squares.  ``_neg_axis_core`` sums both
-Kummer series over an array of t at once and returns core(t) =
-e^-t |psi|^-2 with its relative error: each series' last term and
-rounding (2 EPS per unit of its absolute sum), the rounding of A and B
+Kummer series over an array of t at once, in blocks of terms, and every
+sum retires on its own at the first check (every fourth term) where its
+term has stayed below EPS/4 of its absolute sum for two checks: a node
+near t = 0 stops after 8 terms while one at t = 70 takes about 150, and a
+node's value does not depend on the nodes it is summed with.  It returns
+core(t) = e^-t |psi|^-2 with its relative error: each series' last term
+and the rounding of its terms, EPS sum_n (4n + 5) |term_n| since term n
+is a running product of about 4n roundings, the rounding of A and B
 (that of their arguments grows near a pole of Gamma), and the rounding
 of the combination and of the phase.  Non-integer c is required, as for
 the kernel's connection formula.  phi(t) = t^-c core(t) / (Gamma(a+1)
@@ -50,10 +55,12 @@ one fixed rule, built on first use and cached (``_phi_table``):
 * body: composite 16-point Gauss-Legendre in w = log t (nodes and weights
   from ``numpy.polynomial.legendre.leggauss``), where t^(beta-1) dt =
   e^(beta w) dw has no endpoint singularity and the extras are analytic
-  within pi of the real w axis.  Panels start 2 wide and are halved, at
-  build time only, while the 8-point Gauss-Legendre companion on the same
-  panel differs by more than 1e-15 of the integral, or by more than the
-  psi noise, at the smallest and largest beta the density is used with.
+  within pi of the real w axis.  Panels start 2 wide below t = 1 and 1/2
+  wide above, near the widths the halving ends at, so that a table takes
+  about two passes over its nodes.  They are halved, at build time only,
+  while the 8-point Gauss-Legendre companion on the same panel differs by
+  more than 1e-15 of the integral, or by more than the psi noise, at the
+  smallest and largest beta the density is used with.
 * tail, t > T: core decays like t^(2a) e^-t, T is where
   t^(beta-1+2a) e^-t has fallen below 1e-19 of its integral, and the
   tail is bounded by 2 T^beta phi_0(T) extra(T).
@@ -66,6 +73,7 @@ tail bound and the rounding of the sum.  No rule is adaptive per call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -80,12 +88,13 @@ from .kernel import (EPS, EvaluationError, FunctionValue, RegionError,
 _INTEGRAL = "quadrature"
 
 _GAUSS = 16                 # points of the panel rule; the companion has half
-_PANEL_START = 2.0          # initial panel width in w = log t
+_PANEL_START = (2.0, 0.5)   # initial panel widths in w = log t, below and above t = 1
 _PANEL_MIN = 2.0 ** -6      # panels are not halved below this width
 _PANEL_TOL = 1e-15          # companion difference per panel / integral
 _HEAD_TOL = 1e-17           # neglected O(t) terms of the head, relative
 _TAIL_TOL = 1e-19           # tail mass at T relative to the integral
 _MAX_TERMS = 10_000
+_BLOCKS = (8, 16, 32, 64)   # terms per block of the Kummer sums, the last repeating
 
 
 @dataclass(frozen=True)
@@ -147,30 +156,61 @@ MOMENT_IDENTITIES = {m.power: m for m in (
 def _kummer_sums(alpha: np.ndarray, gamma: np.ndarray, t: np.ndarray):
     """M(alpha[k], gamma[k], t) for every row k and every t >= 0 at once.
 
-    Returns the sums and their absolute errors: twice the last term plus
-    2 EPS per unit of the absolute sum of the terms.  Convergence is
-    tested every fourth term and must hold at two tests in a row."""
-    n = np.arange(_MAX_TERMS)
-    ratio = (alpha[:, None] + n) / ((gamma[:, None] + n) * (n + 1.0))
-    term = np.ones((alpha.size, t.size))
-    total = term.copy()
-    gross = term.copy()
-    mag = np.empty_like(term)
-    settled = np.zeros(term.shape, dtype=bool)
-    for k in range(_MAX_TERMS):
-        term *= t
-        term *= ratio[:, k:k + 1]
-        total += term
-        np.abs(term, out=mag)
-        gross += mag
-        if k % 4 == 3:
-            small = mag <= 0.25 * EPS * gross
-            if (small & settled).all():
-                if not np.isfinite(total).all():
-                    raise EvaluationError("Kummer series overflow on the negative "
-                                          f"axis up to t={t.max()}")
-                return total, 2.0 * mag + 2.0 * EPS * gross
-            settled = small
+    Every (row, t) sum runs on its own, in blocks of ``_BLOCKS`` terms:
+    the terms are a running product down the block, the running sums are
+    taken at every fourth term, and there a sum stops once its term has
+    been below EPS/4 of the absolute sum of the terms at two checks in a
+    row.  A sum thus depends only on (alpha, gamma, t), never on the other
+    sums of the call.  Term n carries about 4n roundings, so the error is
+    twice the last term plus EPS sum_n (4n + 5) |term_n|, as in
+    ``kernel._m_series``."""
+    shape = (alpha.size, t.size)
+    row = np.repeat(np.arange(alpha.size), t.size)
+    x = np.tile(t, alpha.size)
+    live = np.arange(row.size)
+    term = np.ones(row.size)
+    # running sums of the terms, of |term| and of (4n + 5) |term|
+    carry = np.repeat([[1.0], [1.0], [5.0]], row.size, axis=1)
+    prev_small = np.zeros(row.size, dtype=bool)
+    sums, errs = np.empty(row.size), np.empty(row.size)
+    n0 = 0
+    for size in itertools.chain(_BLOCKS, itertools.repeat(_BLOCKS[-1])):
+        if n0 >= _MAX_TERMS:
+            break
+        # term n + 1 = term n * ratio_n down axis 0, one column per live sum
+        n = n0 + np.arange(size, dtype=float)
+        ratio = ((alpha[:, None] + n) / ((gamma[:, None] + n) * (n + 1.0))).T
+        buf = np.empty((3, size, live.size))
+        terms = buf[0]
+        np.multiply(np.take(ratio, row[live], axis=1), x[live], out=terms)
+        terms[0] *= term
+        np.cumprod(terms, axis=0, out=terms)
+        np.abs(terms, out=buf[1])
+        np.multiply(buf[1], (4.0 * n + 9.0)[:, None], out=buf[2])
+        # the three running sums at every fourth term, where the checks are
+        runs = buf.reshape(3, size // 4, 4, live.size).sum(axis=2)
+        runs[:, 0] += carry
+        for j in range(1, size // 4):
+            runs[:, j] += runs[:, j - 1]
+        mag = buf[1, 3::4]
+        small = mag <= 0.25 * EPS * runs[1]
+        stop = small & np.concatenate([prev_small[None], small[:-1]])
+        done = stop.any(axis=0)
+        if done.any():
+            i = np.flatnonzero(done)
+            at = np.argmax(stop[:, i], axis=0)
+            k = live[i]
+            sums[k] = runs[0, at, i]
+            errs[k] = 2.0 * mag[at, i] + EPS * runs[2, at, i]
+            if not np.isfinite(sums[k]).all():
+                raise EvaluationError("Kummer series overflow on the negative "
+                                      f"axis up to t={t.max()}")
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return sums.reshape(shape), errs.reshape(shape)
+        term, carry, prev_small = terms[-1, keep], runs[:, -1, keep], small[-1, keep]
+        n0 += size
     raise EvaluationError(f"Kummer series did not converge within {_MAX_TERMS} "
                           f"terms up to t={t.max()}")
 
@@ -313,17 +353,20 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
     nodes, weights = _panel_rule()
     heads = np.array([head.integral(b)[0] for b in betas])
     w0, w1 = math.log(t0), math.log(tail_t)
-    edges = np.linspace(w0, w1, 1 + math.ceil((w1 - w0) / _PANEL_START))
+    # t0 < 1 < T; the panels start near the widths the halving ends at
+    edges = np.concatenate([np.linspace(w0, 0.0, 1 + math.ceil(-w0 / _PANEL_START[0])),
+                            np.linspace(0.0, w1, 1 + math.ceil(w1 / _PANEL_START[1]))[1:]])
     lo, hi = edges[:-1], edges[1:]
-    done, settled = [], np.zeros(2)
+    done, settled, tail_phi0 = [], np.zeros(2), None
     while lo.size:
         half = 0.5 * (hi - lo)
         t = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * nodes)
-        # T rides along: every round reaches t near T anyway
-        core, rel = _neg_axis_core(d, np.append(t, tail_t))
-        tail_phi0 = pref * float(core[-1])
-        v = half[:, None] * weights * t * (pref * core[:-1].reshape(t.shape))
-        e = np.abs(v[:, :_GAUSS]) * (rel[:-1].reshape(t.shape)[:, :_GAUSS] + rel_pref)
+        # T rides along with the first round
+        core, rel = _neg_axis_core(d, np.append(t, [tail_t] if tail_phi0 is None else []))
+        if tail_phi0 is None:
+            tail_phi0 = pref * float(core[-1])
+        v = half[:, None] * weights * t * (pref * core[:t.size].reshape(t.shape))
+        e = np.abs(v[:, :_GAUSS]) * (rel[:t.size].reshape(t.shape)[:, :_GAUSS] + rel_pref)
         g = t ** (betas[:, None, None] - 1.0)
         vg = v * g
         value = vg[..., :_GAUSS].sum(axis=-1)

@@ -35,6 +35,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable
 
@@ -135,12 +136,20 @@ def _task_crosscheck(task, _):
                      "quadrature and connection-series values agree", idx)
 
 
+@lru_cache(maxsize=8192)
+def _difference_node(a: float, c: float, x: float) -> float:
+    """psi_quadrature at a node of the central differences.  Cached, since
+    for x >= ODE_MIN_X the ode_residual and derivative suites both step
+    h = 1e-4 x and so evaluate the same nodes x +- h."""
+    return psi_quadrature(ParameterPoint(a, c, x), _PSI_TOL).value
+
+
 def _task_ode(task, _):
     suite, claim, idx, a, c, x, tol = task
     h = 1e-4 * x
-    f0 = psi_quadrature(ParameterPoint(a, c, x), _PSI_TOL).value
-    fp = psi_quadrature(ParameterPoint(a, c, x + h), _PSI_TOL).value
-    fm = psi_quadrature(ParameterPoint(a, c, x - h), _PSI_TOL).value
+    f0 = _difference_node(a, c, x)
+    fp = _difference_node(a, c, x + h)
+    fm = _difference_node(a, c, x - h)
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     resid = x * d2 + (c - x) * d1 - a * f0
@@ -157,8 +166,8 @@ def _task_derivative(task, _):
     h = 1e-4 * max(x, 0.1)
     if x - h <= 0.0:
         h = 0.5 * x
-    fp = psi_quadrature(ParameterPoint(a, c, x + h), _PSI_TOL).value
-    fm = psi_quadrature(ParameterPoint(a, c, x - h), _PSI_TOL).value
+    fp = _difference_node(a, c, x + h)
+    fm = _difference_node(a, c, x - h)
     fd = (fp - fm) / (2.0 * h)
     target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x), _PSI_TOL).value
     allowance = tol * abs(target) + 1e-9

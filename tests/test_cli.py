@@ -81,6 +81,15 @@ class TestEval:
         # psi(200, 0.5, 1) underflows the double range
         assert run_cli(capsys, "eval", "psi", "200", "0.5", "1")[0] == 4
 
+    def test_i2_where_psi_squared_underflows(self, capsys):
+        # psi(101, 0.5, 1) < 1.5e-154, so its square underflows to 0
+        code, out, err = run_cli(capsys, "eval", "bound:I2", "100", "-0.5", "1")
+        if code == 4:
+            assert out == "" and "evaluation error" in err
+        else:
+            assert json.loads(out.splitlines()[-1])["status"] in (
+                "pass", "fail", "inconclusive")
+
     def test_underflowing_turanian_is_an_evaluation_failure(self, capsys):
         # psi(100, -0.5, 1) = 6.5e-167: the products of two psi values underflow
         code, out, err = run_cli(capsys, "eval", "turanian:second", "100", "-0.5", "1")

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tricomi_turan import suites
-from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
+from tricomi_turan import measure, suites
+from tricomi_turan.kernel import (EvaluationError, ParameterPoint, RegionError,
+                                  _m_series)
 from tricomi_turan.measure import (MOMENT_IDENTITIES, WeightDensity,
-                                   _neg_axis_core, phi, phi_moment,
-                                   stieltjes_first_shift, stieltjes_ratio)
+                                   _kummer_sums, _neg_axis_core, phi,
+                                   phi_moment, stieltjes_first_shift,
+                                   stieltjes_ratio)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
 RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
@@ -21,6 +23,22 @@ PSI_NEG_AXIS_REFS = {
     (1.5, -0.5, 2.0): complex(-0.41978220188821506579, -0.537430667646613927),
     (2.0, -2.5, 4.0): complex(-0.2267621513564570295, -0.070355029994613514136),
 }
+
+
+def seeded_pairs(seed, n):
+    """n pairs (a, c), a in [0.1, 6], c in [-5, 0.95] at least 0.05 off an integer."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        a, c = rng.uniform(0.1, 6.0), rng.uniform(-5.0, 0.95)
+        if abs(c - round(c)) >= 0.05:
+            pairs.append((round(a, 4), round(c, 4)))
+    return pairs
+
+
+# seed 9 includes points where a Kummer budget of 2 EPS per unit of the
+# absolute sum of the terms falls short of the rounding of the terms
+SEEDED_PAIRS = seeded_pairs(9, 20)
 
 
 def neg_axis_core40(a, c, t):
@@ -55,11 +73,15 @@ class TestWeightDensity:
         with pytest.raises(RegionError):
             phi(WeightDensity(2.0, -2.5), 0.0)
 
-    @pytest.mark.parametrize("a,c", [(0.25, 0.75), (2.0, -2.5), (5.0, -4.5)])
+    @pytest.mark.parametrize("a,c", [(0.25, 0.75), (2.0, -2.5), (5.0, -4.5)]
+                             + SEEDED_PAIRS)
     def test_core_matches_hyperu(self, a, c):
         # e^-t |psi(a, c, t e^(i pi))|^-2 from the real-arithmetic core and
         # from mpmath.hyperu at 40 digits
-        ts = np.logspace(-6, 2.2, 60)
+        if (a, c) in SEEDED_PAIRS:
+            ts = np.geomspace(1e-6, 150.0, 24)
+        else:
+            ts = np.logspace(-6, 2.2, 60)
         core, rel = _neg_axis_core(WeightDensity(a, c), ts)
         for t, value, r in zip(ts, core, rel):
             assert abs(value - neg_axis_core40(a, c, float(t))) <= value * r, t
@@ -70,6 +92,27 @@ class TestWeightDensity:
         core, rel = _neg_axis_core(WeightDensity(a, c), np.array([t]))
         ref = math.exp(-t) / abs(expected) ** 2
         assert abs(core[0] - ref) <= core[0] * rel[0] <= 1e-12 * ref
+
+    def test_core_at_a_node_does_not_depend_on_its_call(self):
+        # every Kummer sum stops on its own, so a node's value is the same
+        # bits alone and beside nodes that need 8 and about 150 terms
+        d = WeightDensity(2.0, -2.5)
+        ts = np.array([1e-12, 0.3, 7.0, 60.0])
+        core, rel = _neg_axis_core(d, ts)
+        for i in range(ts.size):
+            alone, alone_rel = _neg_axis_core(d, ts[i:i + 1])
+            assert alone[0] == core[i] and alone_rel[0] == rel[i]
+
+    @pytest.mark.parametrize("alpha,gamma", [(-4.5, -2.5), (-1.0, 4.5),
+                                             (-2.75, 0.25), (1.5, 2.5)])
+    def test_kummer_sums_match_the_scalar_series(self, alpha, gamma):
+        # the blocked summer against kernel._m_series, a term-by-term loop,
+        # within the sum of their two budgets
+        ts = np.geomspace(1e-8, 150.0, 40)
+        sums, errs = _kummer_sums(np.array([alpha]), np.array([gamma]), ts)
+        for t, value, err in zip(ts, sums[0], errs[0]):
+            ref, ref_err = _m_series(alpha, gamma, float(t), 1e-16)
+            assert abs(value - ref) <= err + ref_err, t
 
     def test_scalar_density_uses_core(self):
         d = WeightDensity(2.0, -2.5)
@@ -167,6 +210,28 @@ class TestEdgeCases:
 
 
 class TestDefaultGrid:
+    def test_tables_take_few_core_calls(self, monkeypatch):
+        # panels start near their final width, so a table takes one pass
+        # over its nodes and about one more over the panels it halves
+        calls = []
+        core = measure._neg_axis_core
+
+        def counted(d, t):
+            calls.append(t.size)
+            return core(d, t)
+
+        monkeypatch.setattr(measure, "_neg_axis_core", counted)
+        densities = [WeightDensity(a, c) for a in suites.DEFAULT_GRID_A
+                     for c in suites.DEFAULT_GRID_C]
+        measure._phi_table.cache_clear()
+        try:
+            for d in densities:
+                measure._phi_table(d)
+        finally:
+            measure._phi_table.cache_clear()
+        assert len(densities) == 42
+        assert len(calls) <= 2.5 * len(densities)
+
     def test_verdicts_as_recorded(self):
         recorded = json.loads(RECORDED.read_text())["default-run"]
         summary, rows = suites.run(suites.RunConfig())
