@@ -10,8 +10,8 @@ limits and bound-dominance claims over configurable parameter grids.
 from .kernel import (EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, psi, psi_connection,
                      psi_quadrature)
-from .turanians import (Direction, Normalization, ScanResult, SharpnessLimit,
-                        TuranianKind, sharpness_scan, turanian, turanian_ratio)
+from .turanians import (LIMITS, ScanResult, SharpnessLimit, TuranianKind,
+                        sharpness_scan, turanian, turanian_ratio)
 from .measure import (MOMENT_IDENTITIES, MomentIdentity, WeightDensity, phi,
                       phi_moment, stieltjes_first_shift, stieltjes_ratio)
 from .bounds import (CATALOG, DOMINANCE, BoundSpec, DominanceSpec,
@@ -24,9 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundSpec", "CATALOG", "DEFAULT_GRID_A",
-    "DEFAULT_GRID_C", "DEFAULT_GRID_X", "DOMINANCE", "Direction",
-    "DominanceSpec", "EvaluationError", "FunctionValue", "MOMENT_IDENTITIES",
-    "MomentIdentity", "Normalization", "ParameterPoint", "RegionError",
+    "DEFAULT_GRID_C", "DEFAULT_GRID_X", "DOMINANCE", "DominanceSpec",
+    "EvaluationError", "FunctionValue", "LIMITS", "MOMENT_IDENTITIES",
+    "MomentIdentity", "ParameterPoint", "RegionError",
     "ReportRow", "RunConfig", "RunSummary", "ScanResult", "SharpnessLimit",
     "TuranianKind", "VerificationRecord", "WeightDensity",
     "auxiliary_log_ratio", "catalog_document", "check_bound",

@@ -5,15 +5,21 @@ Subcommands:
 * ``run``        -- execute verification suites over grids, write a report
 * ``eval``       -- single-point evaluation for debugging
 * ``catalog``    -- dump the bound catalog
-* ``sharpness``  -- print limit scans
+* ``sharpness``  -- print limit scans: one line per (a, c) pair and row of
+  ``turanians.LIMITS`` whose region holds at the pair, in table order
+
+``run`` builds its :class:`RunConfig` from the values given by a flag or
+by the ``--config`` file (a flag wins); a setting given by neither keeps
+the RunConfig default, so only a missing ``suites`` means all suites.
 
 Exit codes: ``run`` returns 0 (no gating fails), 1 (at least one fail),
 2 (configuration or output error) or 4 (a point that psi cannot evaluate,
 which aborts the run).  ``eval`` returns 0 on success, 2 for parse or
 configuration problems, 3 for region violations and 4 for evaluation
 failures.  ``catalog`` returns 0, or 2 when ``--out`` cannot be written;
-``sharpness`` returns 0, or 2 when ``--out`` cannot be written or only one
-of ``--grid-a`` and ``--grid-c`` is given.
+``sharpness`` returns 0, or 2 when ``--out`` cannot be written, only one
+of ``--grid-a`` and ``--grid-c`` is given, or a grid is empty or not
+finite.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from . import suites as suites_mod
 from .bounds import CATALOG, catalog_document, check_bound
 from .kernel import EvaluationError, ParameterPoint, RegionError, psi
 from .measure import WeightDensity, phi
-from .turanians import (Direction, Normalization, SharpnessLimit,
-                        TuranianKind, sharpness_scan, turanian, turanian_ratio)
+from .turanians import (LIMITS, TuranianKind, sharpness_scan, turanian,
+                        turanian_ratio)
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 1, 2, 3, 4
 
@@ -124,46 +130,45 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _build_run_config(args) -> suites_mod.RunConfig:
+    """A RunConfig of the values given by a flag or the config file; the
+    fields of RunConfig hold the defaults."""
     file_cfg = _read_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - _CONFIG_KEYS - set(_TOL_KEYS.values())
     if unknown:
         raise suites_mod.ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag_value, file_key, default, convert=str):
-        """The flag if given, else the config-file value converted, else
-        the default."""
-        if flag_value is not None:
-            return flag_value
-        if file_key not in file_cfg:
-            return default
+    def pick(flag_value, file_key, convert=str):
+        """The flag if given, else the config-file value, else None; text
+        (from either) is converted."""
+        value = flag_value if flag_value is not None else file_cfg.get(file_key)
+        if not isinstance(value, str):
+            return value
         try:
-            return convert(file_cfg[file_key])
+            return convert(value)
+        except suites_mod.ConfigError:
+            raise
         except ValueError as exc:
             raise suites_mod.ConfigError(f"config key {file_key}: {exc}")
 
-    suites_raw = pick(args.suites, "suites", None)
-    suites = (tuple(s.strip() for s in suites_raw.split(",") if s.strip())
-              if suites_raw else suites_mod.SUITES)
-    grid_a = pick(args.grid_a, "grid-a", None)
-    grid_c = pick(args.grid_c, "grid-c", None)
-    grid_x = pick(args.grid_x, "grid-x", None)
-    tolerances = {}
-    for s, key in _TOL_KEYS.items():
-        v = pick(getattr(args, f"tol_{s}"), key, None, float)
-        if v is not None:
-            tolerances[s] = v
-    return suites_mod.RunConfig(
-        suites=suites,
-        grid_a=_parse_floats(grid_a) if grid_a is not None else suites_mod.DEFAULT_GRID_A,
-        grid_c=_parse_floats(grid_c) if grid_c is not None else suites_mod.DEFAULT_GRID_C,
-        grid_x=_parse_floats(grid_x) if grid_x is not None else suites_mod.DEFAULT_GRID_X,
-        tolerances=tolerances,
-        out=pick(args.out, "out", None),
-        fmt=pick(args.fmt, "format", "csv"),
-        jobs=pick(args.jobs, "jobs", 1, int),
-        gate_advisory=pick(args.gate_advisory, "gate-advisory", False, _parse_bool),
-    )
+    tolerances = {s: v for s, key in _TOL_KEYS.items()
+                  if (v := pick(getattr(args, f"tol_{s}"), key, float)) is not None}
+    given = {
+        "suites": pick(args.suites, "suites", _parse_names),
+        "grid_a": pick(args.grid_a, "grid-a", _parse_floats),
+        "grid_c": pick(args.grid_c, "grid-c", _parse_floats),
+        "grid_x": pick(args.grid_x, "grid-x", _parse_floats),
+        "tolerances": tolerances,
+        "out": pick(args.out, "out"),
+        "fmt": pick(args.fmt, "format"),
+        "jobs": pick(args.jobs, "jobs", int),
+        "gate_advisory": pick(args.gate_advisory, "gate-advisory", _parse_bool),
+    }
+    return suites_mod.RunConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args) -> int:
@@ -262,8 +267,10 @@ def _cmd_sharpness(args) -> int:
             raise suites_mod.ConfigError(
                 "--grid-a and --grid-c must be given together")
         if args.grid_a is not None:
-            pairs = [(a, c) for a in _parse_floats(args.grid_a)
-                     for c in _parse_floats(args.grid_c)]
+            grid_a, grid_c = _parse_floats(args.grid_a), _parse_floats(args.grid_c)
+            suites_mod.check_grid(grid_a, "a")
+            suites_mod.check_grid(grid_c, "c")
+            pairs = [(a, c) for a in grid_a for c in grid_c]
         else:
             pairs = list(dict.fromkeys(suites_mod.SHARPNESS_PAIRS_INF
                                        + suites_mod.SHARPNESS_PAIRS_ZERO))
@@ -272,22 +279,19 @@ def _cmd_sharpness(args) -> int:
         return EXIT_CONFIG
     lines = []
     for (a, c) in pairs:
-        for kind in TuranianKind:
-            for direction, norm in (
-                    (Direction.X_TO_INFINITY, Normalization.RATIO_TIMES_X2),
-                    (Direction.X_TO_ZERO, Normalization.RATIO),
-                    (Direction.X_TO_INFINITY, Normalization.RATIO)):
-                try:
-                    lim = SharpnessLimit.closed_form(kind, direction, norm, a, c)
-                    scan = sharpness_scan(lim, a, c)
-                except (RegionError, EvaluationError):
-                    continue
-                seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}"
-                               for q in scan.points)
-                lines.append(
-                    f"{kind.value} {direction.value} {norm.value} "
-                    f"a={a:g} c={c:g} limit={lim.limit_value:.10g} {seq} "
-                    f"decreasing={scan.eventually_decreasing}")
+        for lim in LIMITS.values():
+            try:
+                scan = sharpness_scan(lim, a, c)
+            except (RegionError, EvaluationError):
+                continue
+            direction = "x_to_zero" if lim.toward_zero else "x_to_infinity"
+            norm = "ratio_times_x2" if lim.x2_scaled else "ratio"
+            seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}"
+                           for q in scan.points)
+            lines.append(
+                f"{lim.kind.value} {direction} {norm} "
+                f"a={a:g} c={c:g} limit={lim.value(a, c):.10g} {seq} "
+                f"decreasing={scan.eventually_decreasing}")
     return _emit("\n".join(lines) + "\n", args.out)
 
 

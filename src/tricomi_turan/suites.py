@@ -14,7 +14,8 @@ report nor the error depends on ``jobs``.
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
 claims once, each with the argument its tasks need (a catalog entry, a
-moment identity, a Turanian kind); it holds the default tolerance, or
+moment identity, a Turanian kind); the sharpness suite's claims are the
+rows of ``turanians.LIMITS``.  A record holds the default tolerance, or
 None for a suite that takes none; and it names the builder of the
 suite's tasks and the evaluator of one task.  A task is a plain tuple
 (suite, claim, grid index, a, c, ...) so that a process pool can send it;
@@ -43,8 +44,7 @@ from . import bounds as bounds_mod
 from . import measure as measure_mod
 from .kernel import (INTEGER_C_GUARD, ParameterPoint, psi, psi_connection,
                      psi_quadrature)
-from .turanians import (Direction, Normalization, SharpnessLimit,
-                        TuranianKind, sharpness_scan, turanian_ratio)
+from .turanians import LIMITS, TuranianKind, sharpness_scan, turanian_ratio
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_GRID_C = (-4.5, -2.5, -1.5, -0.5, 0.25, 0.75)
@@ -125,8 +125,9 @@ class Suite:
 
 def _task_crosscheck(task, _):
     suite, claim, idx, a, c, x, tol_rel = task
-    p = ParameterPoint(a, c, x)
-    q = psi_quadrature(p, 1e-12)
+    # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
+    # the quadrature route, and caches it for the Turanians of this point
+    q = psi(ParameterPoint(a, c, x), 1e-12)
     k = psi_connection(a, c, x)
     diff = abs(q.value - k.value)
     allowance = max(tol_rel * abs(q.value), q.abs_error + k.abs_error)
@@ -221,42 +222,28 @@ def _task_dominance(task, _):
                      rec.anchor, idx)
 
 
-def _task_sharpness(task, arg):
+def _task_sharpness(task, lim):
     suite, claim, idx, a, c, frac = task
-    kind, direction = arg
-    if direction == "zeta":
-        lim = SharpnessLimit.closed_form(kind, Direction.X_TO_INFINITY,
-                                         Normalization.RATIO_TIMES_X2, a, c)
-        scan = sharpness_scan(lim, a, c)
-        last = scan.points[-1]
-        allowance = ZETA_LIMIT_FRACTION * abs(lim.limit_value)
+    scan = sharpness_scan(lim, a, c)
+    last = scan.points[-1]
+    if lim.toward_zero or lim.x2_scaled:
+        # the endpoint lies within a fraction of |limit|; the zeta limit
+        # has its own fraction and needs decreasing deviations too
+        fraction = ZETA_LIMIT_FRACTION if lim.x2_scaled else frac
+        allowance = fraction * abs(lim.value(a, c))
         margin = allowance - last.deviation
-        if not scan.eventually_decreasing:
+        if lim.x2_scaled and not scan.eventually_decreasing:
             margin = -abs(margin) - 1.0
         return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
                          margin, last.budget, bounds_mod._status(margin, last.budget),
-                         "x^2-scaled both-shift ratio approaches c-a-1", idx)
-    if direction == "zero":
-        lim = SharpnessLimit.closed_form(kind, Direction.X_TO_ZERO,
-                                         Normalization.RATIO, a, c)
-        scan = sharpness_scan(lim, a, c)
-        last = scan.points[-1]
-        allowance = frac * abs(lim.limit_value)
-        margin = allowance - last.deviation
-        return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
-                         margin, last.budget, bounds_mod._status(margin, last.budget),
-                         "plain ratio approaches its x->0 closed form", idx)
-    # direction == "vanish": plain ratios tend to 0 at infinity
-    lim = SharpnessLimit.closed_form(kind, Direction.X_TO_INFINITY,
-                                     Normalization.RATIO, a, c)
-    scan = sharpness_scan(lim, a, c)
+                         lim.anchor, idx)
+    # plain ratios at infinity: the deviations decrease
     devs = [q.deviation for q in scan.points]
     worst = max(d2 - d1 for d1, d2 in zip(devs, devs[1:]))
     budget = 2.0 * max(q.budget for q in scan.points)
     margin = -worst
-    return ReportRow(suite, claim, a, c, scan.points[-1].x, devs[-1], devs[0],
-                     margin, budget, bounds_mod._status(margin, budget),
-                     "plain ratio deviations from 0 decrease toward infinity", idx)
+    return ReportRow(suite, claim, a, c, last.x, devs[-1], devs[0], margin,
+                     budget, bounds_mod._status(margin, budget), lim.anchor, idx)
 
 
 def _task_monotonicity(task, which):
@@ -369,8 +356,8 @@ def _tasks_dominance(cfg, s):
 def _tasks_sharpness(cfg, s):
     tol = cfg.tol(s.name)
     out = []
-    for claim, (_, direction) in s.claims.items():
-        pairs = SHARPNESS_PAIRS_ZERO if direction == "zero" else SHARPNESS_PAIRS_INF
+    for claim, lim in s.claims.items():
+        pairs = SHARPNESS_PAIRS_ZERO if lim.toward_zero else SHARPNESS_PAIRS_INF
         out.extend((s.name, claim, idx, a, c, tol) for idx, (a, c) in enumerate(pairs))
     return out
 
@@ -406,10 +393,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
     Suite("dominance", bounds_mod.DOMINANCE, None, _tasks_dominance,
           _task_dominance),
     # tolerance: x -> 0 limits within this fraction of |limit|
-    Suite("sharpness", {"zeta-limit": (_BOTH, "zeta")}
-          | {f"zero-limit[{k.value}]": (k, "zero") for k in TuranianKind}
-          | {f"vanish[{k.value}]": (k, "vanish") for k in TuranianKind},
-          0.01, _tasks_sharpness, _task_sharpness),
+    Suite("sharpness", LIMITS, 0.01, _tasks_sharpness, _task_sharpness),
     # tolerance: psi evaluation tolerance
     Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
           1e-12, _tasks_monotonicity, _task_monotonicity),
@@ -420,6 +404,15 @@ SUITES = tuple(REGISTRY)
 # claims whose failures are reported but never gate a run
 ADVISORY_CLAIMS = frozenset(
     bid for bid, spec in bounds_mod.CATALOG.items() if not spec.gating)
+
+
+def check_grid(grid: tuple[float, ...], name: str) -> None:
+    """Raise :class:`ConfigError` unless the grid of ``name`` is nonempty
+    and finite."""
+    if not grid:
+        raise ConfigError(f"grid for {name} is empty")
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError(f"grid {name} values must be finite, got {grid}")
 
 
 @dataclass
@@ -441,10 +434,7 @@ class RunConfig:
         if not self.suites:
             raise ConfigError("no suites selected")
         for g, name in ((self.grid_a, "a"), (self.grid_c, "c"), (self.grid_x, "x")):
-            if not g:
-                raise ConfigError(f"grid for {name} is empty")
-            if not all(math.isfinite(v) for v in g):
-                raise ConfigError(f"grid {name} values must be finite, got {g}")
+            check_grid(g, name)
         if any(x <= 0 for x in self.grid_x):
             raise ConfigError("grid x values must be positive")
         for k, v in self.tolerances.items():

@@ -1,4 +1,4 @@
-"""Turanians of psi and the limit constants attached to them.
+"""Turanians of psi and the limits that make their bounds sharp.
 
 Three determinant-like differences are tracked, one per parameter shift:
 
@@ -7,21 +7,20 @@ Three determinant-like differences are tracked, one per parameter shift:
     second only   D_c(x)  = psi(a,c,x)^2 - psi(a,c-1,x)   psi(a,c+1,x)
 
 normalized throughout by psi(a,c,x)^2.  The catalogued bounds on these
-ratios become equalities in a limit direction; :class:`SharpnessLimit`
-stores those limiting constants in closed form:
-
-    x^2 D_ac/psi^2 -> c-a-1          as x -> inf   (a>0, c<1)
-    D_ac/psi^2     -> 1/c            as x -> 0     (a>0>c)
-    D_a/psi^2      -> 1/(1+a-c)      as x -> 0     (a>0, c<1)
-    D_c/psi^2      -> a/(c(1+a-c))   as x -> 0     (a>0>c)
-    all plain ratios -> 0            as x -> inf.
+ratios become equalities as x -> 0 or x -> inf.  ``LIMITS`` states each
+of those seven limits once, as a :class:`SharpnessLimit` row keyed by its
+claim name: the Turanian kind, the scan sequence toward 0 or toward
+infinity, whether the ratio is scaled by x^2, the (a, c) region, the
+closed-form limit and the anchor text of its report rows.
+``sharpness_scan`` measures the deviations from a row's limit along that
+row's own sequence.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
                      ParameterPoint, RegionError, psi)
@@ -44,16 +43,6 @@ _SHIFTS = {
     TuranianKind.FIRST_SHIFT: (1, 0),
     TuranianKind.SECOND_SHIFT: (0, 1),
 }
-
-
-class Direction(enum.Enum):
-    X_TO_ZERO = "x_to_zero"
-    X_TO_INFINITY = "x_to_infinity"
-
-
-class Normalization(enum.Enum):
-    RATIO = "ratio"
-    RATIO_TIMES_X2 = "ratio_times_x2"
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint,
@@ -96,46 +85,56 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint,
     return FunctionValue(value, err, f0.method)
 
 
+# scan sequences: toward 0 and toward infinity
+SCAN_TO_ZERO = (1.0, 0.1, 0.01, 0.001)
+SCAN_TO_INFINITY = (10.0, 100.0, 1000.0)
+
+
 @dataclass(frozen=True)
 class SharpnessLimit:
-    """A limit constant of a (possibly x^2-scaled) Turanian ratio."""
+    """One sharpness claim: where ``region(a, c)`` holds, the ratio of
+    ``kind``, times x^2 if ``x2_scaled``, tends to ``value(a, c)`` along
+    ``xs``."""
 
+    name: str
     kind: TuranianKind
-    direction: Direction
-    normalization: Normalization
-    limit_value: float
+    xs: tuple[float, ...]                   # SCAN_TO_ZERO or SCAN_TO_INFINITY
+    x2_scaled: bool
+    region: Callable[[float, float], bool]
+    value: Callable[[float, float], float]
+    anchor: str
 
-    @classmethod
-    def closed_form(cls, kind: TuranianKind, direction: Direction,
-                    normalization: Normalization, a: float,
-                    c: float) -> "SharpnessLimit":
-        """Build the limit with its closed-form value for parameters (a, c)."""
-        if direction is Direction.X_TO_INFINITY:
-            if normalization is Normalization.RATIO:
-                value = 0.0
-            elif kind is TuranianKind.BOTH_SHIFT:
-                if not (a > 0.0 and c < 1.0):
-                    raise RegionError("x^2-scaled limit requires a > 0, c < 1")
-                value = c - a - 1.0
-            else:
-                raise RegionError(
-                    "x^2 normalization at infinity applies to the both-shift kind")
-        else:
-            if normalization is not Normalization.RATIO:
-                raise RegionError("x -> 0 limits are stated for the plain ratio")
-            if kind is TuranianKind.BOTH_SHIFT:
-                if not (a > 0.0 > c):
-                    raise RegionError("1/c limit requires a > 0 > c")
-                value = 1.0 / c
-            elif kind is TuranianKind.FIRST_SHIFT:
-                if not (a > 0.0 and c < 1.0):
-                    raise RegionError("1/(1+a-c) limit requires a > 0, c < 1")
-                value = 1.0 / (1.0 + a - c)
-            else:
-                if not (a > 0.0 > c):
-                    raise RegionError("a/(c(1+a-c)) limit requires a > 0 > c")
-                value = a / (c * (1.0 + a - c))
-        return cls(kind, direction, normalization, value)
+    @property
+    def toward_zero(self) -> bool:
+        return self.xs[-1] < self.xs[0]
+
+
+_ZERO_ANCHOR = "plain ratio approaches its x->0 closed form"
+
+
+def _vanishes(kind: TuranianKind) -> SharpnessLimit:
+    return SharpnessLimit(f"vanish[{kind.value}]", kind, SCAN_TO_INFINITY, False,
+                          lambda a, c: True, lambda a, c: 0.0,
+                          "plain ratio deviations from 0 decrease toward infinity")
+
+
+# claim name -> limit, in the output order of ``tricomi-turan sharpness``
+LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
+    SharpnessLimit("zeta-limit", TuranianKind.BOTH_SHIFT, SCAN_TO_INFINITY, True,
+                   lambda a, c: a > 0.0 and c < 1.0, lambda a, c: c - a - 1.0,
+                   "x^2-scaled both-shift ratio approaches c-a-1"),
+    SharpnessLimit("zero-limit[both]", TuranianKind.BOTH_SHIFT, SCAN_TO_ZERO, False,
+                   lambda a, c: a > 0.0 > c, lambda a, c: 1.0 / c, _ZERO_ANCHOR),
+    _vanishes(TuranianKind.BOTH_SHIFT),
+    SharpnessLimit("zero-limit[first]", TuranianKind.FIRST_SHIFT, SCAN_TO_ZERO, False,
+                   lambda a, c: a > 0.0 and c < 1.0,
+                   lambda a, c: 1.0 / (1.0 + a - c), _ZERO_ANCHOR),
+    _vanishes(TuranianKind.FIRST_SHIFT),
+    SharpnessLimit("zero-limit[second]", TuranianKind.SECOND_SHIFT, SCAN_TO_ZERO, False,
+                   lambda a, c: a > 0.0 > c,
+                   lambda a, c: a / (c * (1.0 + a - c)), _ZERO_ANCHOR),
+    _vanishes(TuranianKind.SECOND_SHIFT),
+)}
 
 
 @dataclass(frozen=True)
@@ -148,44 +147,24 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    limit: SharpnessLimit
-    a: float
-    c: float
     points: tuple[ScanPoint, ...]
     eventually_decreasing: bool
-    inconclusive: bool  # error budget exceeds a deviation somewhere
-
-
-# default scan sequences: toward 0 and toward infinity
-SCAN_TO_ZERO = (1.0, 0.1, 0.01, 0.001)
-SCAN_TO_INFINITY = (10.0, 100.0, 1000.0)
 
 
 def sharpness_scan(limit: SharpnessLimit, a: float, c: float,
-                   xs: tuple[float, ...] | None = None,
                    tol: float = 1e-12) -> ScanResult:
-    """Deviations of the normalized ratio from its limit along an x-sequence.
-
-    The sequence must run monotonically toward the limit direction; the
-    result reports whether deviations are eventually decreasing and
-    whether any deviation sits inside its own error budget.
-    """
-    if xs is None:
-        xs = SCAN_TO_ZERO if limit.direction is Direction.X_TO_ZERO \
-            else SCAN_TO_INFINITY
-    seq = list(xs)
-    toward_zero = limit.direction is Direction.X_TO_ZERO
-    ordered = all(b < a_ for a_, b in zip(seq, seq[1:])) if toward_zero \
-        else all(b > a_ for a_, b in zip(seq, seq[1:]))
-    if not ordered:
-        raise RegionError("x sequence must be monotone toward the limit direction")
+    """Deviations of the (x^2-scaled) ratio from its limit along the
+    limit's own scan sequence, and whether they decrease throughout.
+    Raises :class:`RegionError` where the limit's region does not hold."""
+    if not limit.region(a, c):
+        raise RegionError(f"{limit.name} is not stated at (a={a}, c={c})")
+    value = limit.value(a, c)
     points = []
-    for x in seq:
+    for x in limit.xs:
         r = turanian_ratio(limit.kind, ParameterPoint(a, c, x), tol)
-        scale = x * x if limit.normalization is Normalization.RATIO_TIMES_X2 else 1.0
-        dev = abs(scale * r.value - limit.limit_value)
+        scale = x * x if limit.x2_scaled else 1.0
+        dev = abs(scale * r.value - value)
         points.append(ScanPoint(x, scale * r.value, dev, scale * r.abs_error))
     devs = [q.deviation for q in points]
     decreasing = all(b < a_ for a_, b in zip(devs, devs[1:]))
-    inconclusive = any(q.budget > q.deviation for q in points)
-    return ScanResult(limit, a, c, tuple(points), decreasing, inconclusive)
+    return ScanResult(tuple(points), decreasing)

@@ -33,6 +33,15 @@ class TestCatalog:
 
 
 class TestSharpness:
+    def test_default_pairs_print_one_line_per_limit_in_region(self, capsys):
+        code, out, _ = run_cli(capsys, "sharpness")
+        assert code == 0 and len(out.splitlines()) == 40
+
+    def test_empty_grid_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "sharpness", "--grid-a", "", "--grid-c", "")
+        assert code == 2 and out == ""
+        assert err == "config error: grid for a is empty\n"
+
     def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sharpness", "--grid-a", "2",
                                "--grid-c", "-2.5", "--out",
@@ -106,6 +115,18 @@ class TestRun:
         assert code == 0
         assert out.startswith("dominance: pass=")
 
+    def test_empty_suites_flag_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--suites", "")
+        assert code == 2 and out == ""
+        assert err == "config error: no suites selected\n"
+
+    def test_empty_suites_key_is_a_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suites=\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "config error: no suites selected\n"
+
     @pytest.mark.parametrize("line", ["jobs=abc", "tol-bounds=oops",
                                       "gate-advisory=maybe", "tol-dominance=0"])
     def test_bad_config_value_is_a_config_error(self, capsys, tmp_path, line):
@@ -148,6 +169,10 @@ class TestRun:
 
 
 class TestDependencies:
+    def test_every_exported_name_resolves(self):
+        missing = [n for n in tricomi_turan.__all__ if not hasattr(tricomi_turan, n)]
+        assert missing == []
+
     def test_numpy_is_the_only_numerical_dependency(self):
         code = (
             "import json, sys\n"

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from tricomi_turan import suites
-from tricomi_turan.kernel import EvaluationError
+from tricomi_turan.kernel import EvaluationError, asymptotic_threshold
 from tricomi_turan.suites import ConfigError, RunConfig
 
 SMALL_GRID = {"grid_a": (0.5, 2.0), "grid_c": (-2.5, 0.25),
@@ -34,6 +34,10 @@ class TestRunConfig:
         assert suites.REGISTRY["dominance"].tolerance is None
         with pytest.raises(ConfigError):
             RunConfig(tolerances={"dominance": 1e-3})
+
+
+def test_crosscheck_points_take_the_quadrature_route_of_psi():
+    assert max(suites.CROSSCHECK_X) < asymptotic_threshold(0.0, 0.0)
 
 
 class RecordingPool:

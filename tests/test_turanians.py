@@ -5,7 +5,7 @@ import math
 import pytest
 
 from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
-from tricomi_turan.turanians import (Direction, Normalization, SharpnessLimit,
+from tricomi_turan.turanians import (LIMITS, SCAN_TO_INFINITY, SCAN_TO_ZERO,
                                      TuranianKind, sharpness_scan, turanian,
                                      turanian_ratio)
 
@@ -110,60 +110,51 @@ class TestRatioLimits:
 
 
 class TestSharpnessLimit:
+    """The rows of LIMITS."""
+
+    def test_rows_in_output_order(self):
+        assert list(LIMITS) == [
+            "zeta-limit", "zero-limit[both]", "vanish[both]",
+            "zero-limit[first]", "vanish[first]",
+            "zero-limit[second]", "vanish[second]"]
+        assert all(lim.name == name for name, lim in LIMITS.items())
+
+    def test_each_row_scans_its_own_sequence(self):
+        for lim in LIMITS.values():
+            assert lim.xs == (SCAN_TO_ZERO if lim.toward_zero else SCAN_TO_INFINITY)
+        assert [n for n, lim in LIMITS.items() if lim.x2_scaled] == ["zeta-limit"]
+
     def test_zeta_closed_form(self):
-        lim = SharpnessLimit.closed_form(BOTH, Direction.X_TO_INFINITY,
-                                         Normalization.RATIO_TIMES_X2, 1.0, 0.0)
-        assert lim.limit_value == -2.0
+        assert LIMITS["zeta-limit"].value(1.0, 0.0) == -2.0
 
     def test_zero_limits_closed_forms(self):
         a, c = 2.0, -2.0
-        lim = SharpnessLimit.closed_form(BOTH, Direction.X_TO_ZERO,
-                                         Normalization.RATIO, a, c)
-        assert lim.limit_value == pytest.approx(1.0 / c)
-        lim = SharpnessLimit.closed_form(FIRST, Direction.X_TO_ZERO,
-                                         Normalization.RATIO, a, c)
-        assert lim.limit_value == pytest.approx(0.2)
-        lim = SharpnessLimit.closed_form(SECOND, Direction.X_TO_ZERO,
-                                         Normalization.RATIO, a, c)
-        assert lim.limit_value == pytest.approx(-0.2)
+        assert LIMITS["zero-limit[both]"].value(a, c) == pytest.approx(1.0 / c)
+        assert LIMITS["zero-limit[first]"].value(a, c) == pytest.approx(0.2)
+        assert LIMITS["zero-limit[second]"].value(a, c) == pytest.approx(-0.2)
 
     def test_plain_ratio_vanishes_at_infinity(self):
-        lim = SharpnessLimit.closed_form(SECOND, Direction.X_TO_INFINITY,
-                                         Normalization.RATIO, 2.0, -2.0)
-        assert lim.limit_value == 0.0
+        assert LIMITS["vanish[second]"].value(2.0, -2.0) == 0.0
 
     def test_region_validation(self):
+        assert not LIMITS["zero-limit[both]"].region(2.0, 0.5)
         with pytest.raises(RegionError):
-            SharpnessLimit.closed_form(BOTH, Direction.X_TO_ZERO,
-                                       Normalization.RATIO, 2.0, 0.5)
-        with pytest.raises(RegionError):
-            SharpnessLimit.closed_form(FIRST, Direction.X_TO_INFINITY,
-                                       Normalization.RATIO_TIMES_X2, 2.0, -2.0)
+            sharpness_scan(LIMITS["zero-limit[both]"], 2.0, 0.5)
 
 
 class TestSharpnessScan:
     def test_zeta_scan_decreasing(self):
-        lim = SharpnessLimit.closed_form(BOTH, Direction.X_TO_INFINITY,
-                                         Normalization.RATIO_TIMES_X2, 1.0, 0.0)
-        scan = sharpness_scan(lim, 1.0, 0.0, (10.0, 100.0, 1000.0))
+        scan = sharpness_scan(LIMITS["zeta-limit"], 1.0, 0.0)
+        assert [q.x for q in scan.points] == list(SCAN_TO_INFINITY)
         assert scan.eventually_decreasing
         assert scan.points[-1].deviation < 0.05 * 2.0
 
     def test_both_ratio_scan_to_zero(self):
-        lim = SharpnessLimit.closed_form(BOTH, Direction.X_TO_ZERO,
-                                         Normalization.RATIO, 2.0, -2.0)
-        scan = sharpness_scan(lim, 2.0, -2.0, (0.1, 0.01, 0.001))
+        scan = sharpness_scan(LIMITS["zero-limit[both]"], 2.0, -2.0)
+        assert [q.x for q in scan.points] == list(SCAN_TO_ZERO)
         assert scan.eventually_decreasing
         assert scan.points[-1].deviation < 0.01 * 0.5
 
     def test_plain_ratio_scan_to_infinity(self):
-        lim = SharpnessLimit.closed_form(BOTH, Direction.X_TO_INFINITY,
-                                         Normalization.RATIO, 2.0, -2.0)
-        scan = sharpness_scan(lim, 2.0, -2.0)
+        scan = sharpness_scan(LIMITS["vanish[both]"], 2.0, -2.0)
         assert scan.eventually_decreasing
-
-    def test_rejects_wrongly_ordered_sequence(self):
-        lim = SharpnessLimit.closed_form(BOTH, Direction.X_TO_ZERO,
-                                         Normalization.RATIO, 2.0, -2.0)
-        with pytest.raises(RegionError):
-            sharpness_scan(lim, 2.0, -2.0, (0.001, 0.01, 0.1))
