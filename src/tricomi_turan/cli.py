@@ -17,9 +17,10 @@ Exit codes: ``run`` returns 0 (no gating fails), 1 (at least one fail),
 which aborts the run).  ``eval`` returns 0 on success, 2 for parse or
 configuration problems, 3 for region violations and 4 for evaluation
 failures.  ``catalog`` returns 0, or 2 when ``--out`` cannot be written;
-``sharpness`` returns 0, or 2 when ``--out`` cannot be written, only one
-of ``--grid-a`` and ``--grid-c`` is given, or a grid is empty or not
-finite.
+``sharpness`` returns 0, 2 when ``--out`` cannot be written, only one of
+``--grid-a`` and ``--grid-c`` is given, or a grid is empty or not finite,
+or 4 when a scan meets a point that psi cannot evaluate, which aborts it
+with nothing written (pairs outside a limit's region are skipped).
 """
 
 from __future__ import annotations
@@ -282,8 +283,11 @@ def _cmd_sharpness(args) -> int:
         for lim in LIMITS.values():
             try:
                 scan = sharpness_scan(lim, a, c)
-            except (RegionError, EvaluationError):
+            except RegionError:
                 continue
+            except EvaluationError as exc:
+                print(f"evaluation error: {exc}", file=sys.stderr)
+                return EXIT_EVAL
             direction = "x_to_zero" if lim.toward_zero else "x_to_infinity"
             norm = "ratio_times_x2" if lim.x2_scaled else "ratio"
             seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}"

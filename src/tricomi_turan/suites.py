@@ -3,7 +3,9 @@
 A :class:`RunConfig` selects suites, grids, tolerances and output; ``run``
 executes every selected suite deterministically (fixed grid order, fixed
 quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
-per (claim, point).  With ``jobs > 1`` a process pool gets one block of
+per (claim, point).  A row is a named tuple, cheap to build and to send
+back from a worker; its fields are the report columns, in order, then
+the grid index.  With ``jobs > 1`` a process pool gets one block of
 tasks per (a, c) grid pair, so that the worker holding a pair computes
 each shifted psi value and each phi table of that pair once; at most one
 worker per pair is started, and a single pair runs in-process.  Rows are
@@ -37,8 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
-from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bounds as bounds_mod
 from . import measure as measure_mod
@@ -75,8 +76,7 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     suite: str
     claim: str
     a: float
@@ -511,7 +511,6 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
 
 _CSV_COLUMNS = ("suite", "claim", "a", "c", "x", "lhs", "rhs", "margin",
                 "budget", "status", "anchor")
-_row_values = attrgetter(*_CSV_COLUMNS)
 
 
 def _fmt(v: float) -> str:
@@ -535,7 +534,9 @@ def rows_to_csv(rows, summary: RunSummary, timestamp: bool = True) -> str:
 
 def rows_to_json(rows, summary: RunSummary) -> str:
     doc = {
-        "rows": [dict(zip(_CSV_COLUMNS, _row_values(r))) for r in rows],
+        # a row's fields are the CSV columns, in order, then idx, which
+        # zip leaves out
+        "rows": [dict(zip(_CSV_COLUMNS, r)) for r in rows],
         "summary": {
             "counts": summary.counts,
             "gating_fails": summary.gating_fails,

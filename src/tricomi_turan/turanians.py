@@ -14,12 +14,19 @@ infinity, whether the ratio is scaled by x^2, the (a, c) region, the
 closed-form limit and the anchor text of its report rows.
 ``sharpness_scan`` measures the deviations from a row's limit along that
 row's own sequence.
+
+``turanian_ratio`` and ``turanian`` are cached per (kind, a, c, x, tol),
+as ``kernel.psi`` is per (a, c, x, tol): one target is checked by up to
+six catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U all read
+the both-shift ratio, S1, S2 and S2H the raw second-shift Turanian), and
+the stieltjes suite and the sharpness scans read the same values.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
@@ -48,16 +55,23 @@ _SHIFTS = {
 def turanian(kind: TuranianKind, p: ParameterPoint,
              tol: float = 1e-12) -> FunctionValue:
     """psi^2 - psi(shifted down) * psi(shifted up), with first-order error.
-    A product of nonzero psi values that underflows raises, as psi does."""
+    A product of nonzero psi values that underflows raises, as psi does,
+    on every call.  Cached per (kind, a, c, x, tol)."""
+    return _turanian_cached(kind, p.a, p.c, p.x, tol)
+
+
+@lru_cache(maxsize=65_536)
+def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float,
+                     tol: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = psi(p, tol)
-    fm = psi(ParameterPoint(p.a - da, p.c - dc, p.x), tol)
-    fp = psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
+    f0 = psi(ParameterPoint(a, c, x), tol)
+    fm = psi(ParameterPoint(a - da, c - dc, x), tol)
+    fp = psi(ParameterPoint(a + da, c + dc, x), tol)
     square, cross = f0.value * f0.value, fm.value * fp.value
     if ((f0.value and abs(square) < _TINY)
             or (fm.value and fp.value and abs(cross) < _TINY)):
         raise EvaluationError(f"psi products underflow at "
-                              f"(a={p.a}, c={p.c}, x={p.x})")
+                              f"(a={a}, c={c}, x={x})")
     value = square - cross
     err = (2.0 * abs(f0.value) * f0.abs_error
            + abs(fm.value) * fp.abs_error + abs(fp.value) * fm.abs_error
@@ -68,14 +82,24 @@ def turanian(kind: TuranianKind, p: ParameterPoint,
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint,
                    tol: float = 1e-12) -> FunctionValue:
     """Turanian normalized by psi^2 as 1 - (psi_-/psi)(psi_+/psi), with a
-    first-order budget of relative errors: psi is never squared."""
+    first-order budget of relative errors: psi is never squared.
+
+    Cached per (kind, a, c, x, tol), since one ratio is checked by up to
+    six catalog bounds at a point; an omitted tol and tol = 1e-12 share
+    an entry.  A point that raises raises again on the next call."""
+    return _ratio_cached(kind, p.a, p.c, p.x, tol)
+
+
+@lru_cache(maxsize=65_536)
+def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float,
+                  tol: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = psi(p, tol)
+    f0 = psi(ParameterPoint(a, c, x), tol)
     if f0.abs_error >= abs(f0.value) / 2.0:
         raise EvaluationError(
-            f"psi indistinguishable from 0 at (a={p.a}, c={p.c}, x={p.x})")
-    fm = psi(ParameterPoint(p.a - da, p.c - dc, p.x), tol)
-    fp = psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
+            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
+    fm = psi(ParameterPoint(a - da, c - dc, x), tol)
+    fp = psi(ParameterPoint(a + da, c + dc, x), tol)
     qm, qp = fm.value / f0.value, fp.value / f0.value
     value = 1.0 - qm * qp
     # one rounding per quotient and for the product, one for the difference

@@ -53,6 +53,16 @@ class TestSharpness:
         code, out, err = run_cli(capsys, "sharpness", flag, "7")
         assert code == 2 and "config error" in err and out == ""
 
+    # at a = 200 every psi underflows; at (0.5, -1) the zero limits need
+    # psi(-0.5, -2, 1), which has no usable evaluation route
+    @pytest.mark.parametrize("a,c,reason", [
+        ("200", "0.5", "underflows the double range"),
+        ("0.5", "-1", "no usable evaluation route")])
+    def test_evaluation_failure_is_exit_4(self, capsys, a, c, reason):
+        code, out, err = run_cli(capsys, "sharpness", "--grid-a", a, f"--grid-c={c}")
+        assert code == 4 and out == ""
+        assert err.startswith("evaluation error: ") and reason in err
+
 
 class TestEval:
     def test_psi(self, capsys):

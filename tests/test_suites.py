@@ -1,12 +1,14 @@
 """Suite records, run-configuration checks and the process-pool runner."""
 
+import json
 import math
+import pickle
 
 import pytest
 
-from tricomi_turan import suites
+from tricomi_turan import bounds, kernel, suites, turanians
 from tricomi_turan.kernel import EvaluationError, asymptotic_threshold
-from tricomi_turan.suites import ConfigError, RunConfig
+from tricomi_turan.suites import ConfigError, ReportRow, RunConfig
 
 SMALL_GRID = {"grid_a": (0.5, 2.0), "grid_c": (-2.5, 0.25),
               "grid_x": (0.1, 1.0, 20.0)}
@@ -100,3 +102,49 @@ class TestRun:
         assert recorded == asked
         _, one = suites.run(RunConfig(jobs=1, **cfg))
         assert eight == one
+
+
+def test_bounds_suite_computes_each_ratio_once():
+    # up to six catalog bounds read one Turanian ratio at a point; from
+    # cold caches each (kind, point) the catalog needs is computed once
+    # and every other ratio bound check is served by the cache
+    turanians._ratio_cached.cache_clear()
+    kernel._psi_cached.cache_clear()
+    _, rows = suites.run(RunConfig(suites=("bounds",), **SMALL_GRID))
+    kinds = {f"ratio_{kind.value}": kind for kind in turanians.TuranianKind}
+    needed = {(kinds[spec.target], a, c, x)
+              for spec in bounds.CATALOG.values() if spec.target in kinds
+              for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
+              if spec.region(a, c) for x in SMALL_GRID["grid_x"]}
+    checks = sum(bounds.CATALOG[r.claim].target in kinds for r in rows)
+    info = turanians._ratio_cached.cache_info()
+    assert info.misses == len(needed)
+    assert info.hits == checks - len(needed) > 0
+
+
+class TestReportRow:
+    ROW = ReportRow("bounds", "T1L", 2.0, -2.5, 0.1, -350.0, -0.19, 349.8,
+                    1e-13, "pass", "anchor text", 3)
+
+    def test_fields_are_the_csv_columns_then_idx(self):
+        assert ReportRow._fields == suites._CSV_COLUMNS + ("idx",)
+        assert ReportRow(*self.ROW[:11]).idx == 0
+
+    def test_pickle_round_trip(self):
+        assert pickle.loads(pickle.dumps(self.ROW)) == self.ROW
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.ROW.margin = 0.0
+
+    def test_repr_names_every_field(self):
+        # the dense-bounds benchmark digest hashes this form
+        assert repr(self.ROW) == (
+            "ReportRow(suite='bounds', claim='T1L', a=2.0, c=-2.5, x=0.1, "
+            "lhs=-350.0, rhs=-0.19, margin=349.8, budget=1e-13, "
+            "status='pass', anchor='anchor text', idx=3)")
+
+    def test_json_rows_hold_the_csv_columns_only(self):
+        summary = suites.RunSummary({}, 0, 0, [], 1)
+        doc = json.loads(suites.rows_to_json([self.ROW], summary))
+        assert doc["rows"] == [dict(zip(suites._CSV_COLUMNS, self.ROW[:11]))]

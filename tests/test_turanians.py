@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tricomi_turan import turanians
 from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
 from tricomi_turan.turanians import (LIMITS, SCAN_TO_INFINITY, SCAN_TO_ZERO,
                                      TuranianKind, sharpness_scan, turanian,
@@ -84,6 +85,44 @@ class TestTuranian:
         # the raw difference of products would read 0.0 +- 0.0 here
         with pytest.raises(EvaluationError, match="underflow"):
             turanian(kind, ParameterPoint(100.0, -0.5, 1.0))
+
+
+def _bits(fv):
+    return fv.value.hex(), fv.abs_error.hex(), fv.method, fv.flags
+
+
+class TestCache:
+    """turanian_ratio and turanian are cached per (kind, a, c, x, tol)."""
+
+    @pytest.mark.parametrize("kind", list(TuranianKind))
+    @pytest.mark.parametrize("public,cached", [
+        (turanian_ratio, turanians._ratio_cached),
+        (turanian, turanians._turanian_cached)])
+    def test_cached_value_equals_a_fresh_computation(self, kind, public, cached):
+        p = ParameterPoint(2.0, -2.5, 1.5)
+        cached.cache_clear()
+        first = public(kind, p)
+        assert public(kind, p) is first
+        assert cached.cache_info().hits == 1
+        fresh = cached.__wrapped__(kind, p.a, p.c, p.x, 1e-12)
+        assert _bits(fresh) == _bits(first)
+
+    def test_a_raising_point_raises_on_every_call(self):
+        turanians._turanian_cached.cache_clear()
+        p = ParameterPoint(100.0, -0.5, 1.0)
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="underflow"):
+                turanian(SECOND, p)
+        info = turanians._turanian_cached.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    @pytest.mark.parametrize("kind", list(TuranianKind))
+    def test_default_tol_shares_the_entry_of_1e_12(self, kind):
+        turanians._ratio_cached.cache_clear()
+        p = ParameterPoint(1.5, -0.5, 2.0)
+        assert turanian_ratio(kind, p) is turanian_ratio(kind, p, 1e-12)
+        info = turanians._ratio_cached.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestRatioLimits:
