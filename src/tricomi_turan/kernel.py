@@ -61,6 +61,7 @@ EPS = 2.2204460492503131e-16
 
 # smallest normal double; a smaller |value| has lost digits to underflow
 _TINY = sys.float_info.min
+_FMAX = sys.float_info.max      # largest finite double
 
 # Connection-formula guard: the formula degenerates at integer c.
 INTEGER_C_GUARD = 1e-6
@@ -174,10 +175,15 @@ def _digamma(z: float) -> float:
     psi(z) = psi(z+1) - 1/z up to z >= 6, then the asymptotic series."""
     if z < 0.0:
         return _digamma(1.0 - z) - math.pi / math.tan(math.pi * z)
-    if z < 6.0:
-        return _digamma(z + 1.0) - 1.0 / z
+    steps = []
+    while z < 6.0:
+        steps.append(z)
+        z += 1.0
     r = 1.0 / (z * z)
-    return math.log(z) - 0.5 / z - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r / 240)))
+    out = math.log(z) - 0.5 / z - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r / 240)))
+    for zk in reversed(steps):      # the recursion's order: 1/z comes off last
+        out -= 1.0 / zk
+    return out
 
 
 def _pochhammer(c: float, m: int) -> float:
@@ -209,6 +215,12 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     """The step-h trapezoid sum of f(w) = exp(a w - e^w + pw log1p(e^w/x))
     over the nodes w0 + k h, all k, scaled by e^-m with m the largest
     exponent on the grid.  Returns (T_h, its error bound, m), both scaled.
+
+    Buffers are worked in place, each element by the same expression as
+    with a fresh array per step: one array holds the nodes w, then a w; f
+    holds the exponent a w + log G, then the summands.  Once both sums are
+    taken, f becomes the node magnitudes, and the a w array, with e^w and
+    |pw log1p(e^w/x)| added in place, their rounding weights.
     """
     # left of the split node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there
     q = 1.0 + abs(pw) / x
@@ -216,17 +228,24 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     depth = max(0.0, _LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
     kl = j + 2 * math.ceil(0.5 * depth / h)
     nl = kl - j                       # nodes summed as e^(aw) expm1(log G)
-    k = np.arange(-kl, math.ceil((w_max - w0) / h) + 2)
-    w = w0 + h * k                    # exact: h and w0 are short binary fractions
-    ew = np.exp(w)
-    pl = pw * np.log1p(ew / x)
+    aw = np.arange(-kl, math.ceil((w_max - w0) / h) + 2, dtype=float)
+    aw *= h
+    aw += w0                          # w, exact: h and w0 are short binary fractions
+    ew = np.exp(aw)
+    pl = ew / x
+    np.log1p(pl, out=pl)
+    pl *= pw
     lg = pl - ew
-    aw = a * w
-    arg = aw + lg
-    m = float(arg.max())
-    f = np.exp(arg - m)
-    e_left = np.exp(aw[:nl] - m)
-    f[:nl] = e_left * np.expm1(lg[:nl])
+    aw *= a
+    f = aw + lg
+    m = float(f.max())
+    f -= m
+    np.exp(f, out=f)
+    e_left = aw[:nl] - m
+    np.exp(e_left, out=e_left)
+    left = f[:nl]
+    np.expm1(lg[:nl], out=left)
+    left *= e_left
 
     # the ones of the left terms, summed exactly: h sum_{i>=1} e^(a(ws - i h))
     ws = w0 - j * h
@@ -240,10 +259,14 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     w_end = w0 - (kl + 1) * h
     rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
     # node rounding: the exponent of each node (and m) is rounded
-    u = f.copy()
-    u[:nl] = e_left + np.abs(f[:nl])
-    rounding = (4.0 * EPS * h * float(u @ (16.0 + abs(m) + abs(pw) + np.abs(aw) + ew
-                                           + np.abs(pl)))
+    np.abs(left, out=left)
+    left += e_left
+    np.abs(aw, out=aw)
+    aw += 16.0 + abs(m) + abs(pw)
+    aw += ew
+    np.abs(pl, out=pl)
+    aw += pl
+    rounding = (4.0 * EPS * h * float(f @ aw)
                 + 4.0 * EPS * geo_h * (4.0 + abs(a * (ws - h) - m)))
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
@@ -272,7 +295,11 @@ def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
     is returned with the flag ``"tolerance_not_met"``.  A value below the
     normal double range raises :class:`EvaluationError`.
     """
-    a, c, x = p.a, p.c, p.x
+    return _quadrature(p.a, p.c, p.x, tol)
+
+
+def _quadrature(a: float, c: float, x: float, tol: float) -> FunctionValue:
+    """``psi_quadrature`` on float arguments, as the dispatcher calls it."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
@@ -327,14 +354,16 @@ def _m_series(a: float, c: float, x: float, tol: float) -> tuple[float, float]:
         term = term * (a + n) * x / ((c + n) * (n + 1.0))
         s += term
         mag = abs(s)
-        if not math.isfinite(mag):
+        if not mag <= _FMAX:                    # inf or NaN
             raise EvaluationError(f"Kummer series overflow at a={a}, c={c}, x={x}")
-        peak = max(peak, mag)
-        gross += (4 * n + 9) * abs(term)        # this is term n + 1
+        if mag > peak:
+            peak = mag
+        at = abs(term)
+        gross += (4 * n + 9) * at               # this is term n + 1
         # floor by EPS*peak so a sum that cancels to ~0 can still terminate
-        small = abs(term) <= tol * mag + EPS * peak
+        small = at <= tol * mag + EPS * peak
         if small and prev_small:
-            return s, 2.0 * abs(term) + EPS * gross
+            return s, 2.0 * at + EPS * gross
         prev_small = small
     raise EvaluationError(f"Kummer series did not converge within {_M_MAX_TERMS} terms "
                           f"(a={a}, c={c}, x={x})")
@@ -395,14 +424,15 @@ def _asymptotic_auto(a: float, c: float, x: float,
                      max_order: int = 60) -> FunctionValue:
     """Sum the expansion to its smallest term (optimal truncation)."""
     m = a + 1.0 - c
-    term = 1.0
+    term = mag = 1.0
     s = 1.0
     n = 0
     while n < max_order:
         nxt = term * (a + n) * (m + n) / (-(n + 1.0) * x)
-        if abs(nxt) >= abs(term) and n > 0:
+        mag_nxt = abs(nxt)
+        if mag_nxt >= mag and n > 0:
             break
-        term = nxt
+        term, mag = nxt, mag_nxt
         s += term
         n += 1
         if term == 0.0:  # terminating series (a or m a nonpositive integer)
@@ -435,7 +465,7 @@ def _psi_cached(a: float, c: float, x: float, tol: float) -> FunctionValue:
             fv = _asymptotic_auto(a, c, x)
             _check_normal(fv.value, a, c, x)
             return fv
-        return psi_quadrature(ParameterPoint(a, c, x), tol)
+        return _quadrature(a, c, x, tol)
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,

@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple
 
 from . import bounds as bounds_mod
 from . import measure as measure_mod
-from .kernel import (INTEGER_C_GUARD, ParameterPoint, psi, psi_connection,
-                     psi_quadrature)
+from .kernel import (INTEGER_C_GUARD, ParameterPoint, asymptotic_threshold,
+                     psi, psi_connection, psi_quadrature)
 from .turanians import LIMITS, TuranianKind, sharpness_scan, turanian_ratio
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
@@ -141,7 +141,9 @@ def _task_crosscheck(task, _):
 def _difference_node(a: float, c: float, x: float) -> float:
     """psi_quadrature at a node of the central differences.  Cached, since
     for x >= ODE_MIN_X the ode_residual and derivative suites both step
-    h = 1e-4 x and so evaluate the same nodes x +- h."""
+    h = 1e-4 x and so evaluate the same nodes x +- h, and the derivative's
+    target psi(a+1, c+1, x) is the ode_residual's centre node at the grid
+    pair (a+1, c+1)."""
     return psi_quadrature(ParameterPoint(a, c, x), _PSI_TOL).value
 
 
@@ -170,7 +172,11 @@ def _task_derivative(task, _):
     fp = _difference_node(a, c, x + h)
     fm = _difference_node(a, c, x - h)
     fd = (fp - fm) / (2.0 * h)
-    target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x), _PSI_TOL).value
+    # a > 0, so psi takes the quadrature route up to the threshold
+    if x <= asymptotic_threshold(a + 1.0, c + 1.0):
+        target = -a * _difference_node(a + 1.0, c + 1.0, x)
+    else:
+        target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x), _PSI_TOL).value
     allowance = tol * abs(target) + 1e-9
     margin = allowance - abs(fd - target)
     return ReportRow(suite, claim, a, c, x, fd, target, margin, allowance,

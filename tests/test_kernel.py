@@ -6,25 +6,28 @@ Oracles used here:
                    M(1, 2, x) = (e^x - 1)/x,  M(-1, c, x) = 1 - x/c
   * error-function forms via math.erf/erfc:
                    psi(1/2, 1/2, x) = sqrt(pi) e^x erfc(sqrt(x))
-  * upper incomplete gamma via scipy.special.gammaincc:
+  * upper incomplete gamma via mpmath.gammainc:
                    psi(1, b, x) = e^x x^(1-b) Gamma(b-1, x)
   * frozen 50-digit reference values for generic parameter points
   * cross-method agreement between the quadrature and connection routes
-  * mpmath.hyperu at 40 digits, as |value - ref| <= abs_error.
+  * mpmath.hyperu at 40 digits, as |value - ref| <= abs_error
+  * reference forms of ``_trapezoid`` and ``_digamma`` written out
+    plainly, which the kernel's in-place and looped forms must equal
+    bit for bit.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaincc, gammaln
 
 from tricomi_turan import kernel
-from tricomi_turan.kernel import (EvaluationError, ParameterPoint,
+from tricomi_turan.kernel import (EPS, EvaluationError, ParameterPoint,
                                   RegionError, _asymptotic_auto, _digamma,
-                                  _m_series, asymptotic_threshold, log_gamma,
-                                  log_gamma_error, psi, psi_connection,
-                                  psi_quadrature)
+                                  _m_series, _trapezoid, asymptotic_threshold,
+                                  log_gamma, log_gamma_error, psi,
+                                  psi_connection, psi_quadrature)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -40,13 +43,55 @@ PSI_REFS = {
 
 def hyperu40(a, c, x):
     """U(a, c, x) by mpmath at 40 digits; the float arguments enter exactly."""
-    import mpmath
     with mpmath.workdps(40):
         return float(mpmath.hyperu(mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)))
 
 
 def m_series(a, c, x):
     return _m_series(a, c, x, 1e-15)
+
+
+def digamma_recursive(z):
+    """_digamma written as the recursion psi(z) = psi(z+1) - 1/z."""
+    if z < 0.0:
+        return digamma_recursive(1.0 - z) - math.pi / math.tan(math.pi * z)
+    if z < 6.0:
+        return digamma_recursive(z + 1.0) - 1.0 / z
+    r = 1.0 / (z * z)
+    return math.log(z) - 0.5 / z - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r / 240)))
+
+
+def trapezoid_reference(a, pw, x, w0, w_max, h):
+    """_trapezoid written out with a fresh array for every step."""
+    q = 1.0 + abs(pw) / x
+    j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
+    depth = max(0.0, kernel._LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
+    kl = j + 2 * math.ceil(0.5 * depth / h)
+    nl = kl - j
+    k = np.arange(-kl, math.ceil((w_max - w0) / h) + 2)
+    w = w0 + h * k
+    ew = np.exp(w)
+    pl = pw * np.log1p(ew / x)
+    lg = pl - ew
+    aw = a * w
+    arg = aw + lg
+    m = float(arg.max())
+    f = np.exp(arg - m)
+    e_left = np.exp(aw[:nl] - m)
+    f[:nl] = e_left * np.expm1(lg[:nl])
+    ws = w0 - j * h
+    geo_h = h * math.exp(a * (ws - h) - m) / -math.expm1(-a * h)
+    geo_2h = 2.0 * h * math.exp(a * (ws - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
+    t_h = h * float(f.sum()) + geo_h
+    t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h
+    w_end = w0 - (kl + 1) * h
+    rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
+    u = f.copy()
+    u[:nl] = e_left + np.abs(f[:nl])
+    rounding = (4.0 * EPS * h * float(u @ (16.0 + abs(m) + abs(pw) + np.abs(aw) + ew
+                                           + np.abs(pl)))
+                + 4.0 * EPS * geo_h * (4.0 + abs(a * (ws - h) - m)))
+    return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
 
 class TestLogGamma:
@@ -73,7 +118,6 @@ class TestLogGamma:
         """log|Gamma| within its stated bound, the sign and digamma against
         mpmath at 40 digits: 550 seeded z of both signs, near 1 and 2, and
         1e-12 to 0.1 from the poles at 0, -1, ..., -30."""
-        import mpmath
         rng = np.random.default_rng(17)
         poles = -rng.integers(0, 31, 150).astype(float)
         zs = np.concatenate([
@@ -90,8 +134,21 @@ class TestLogGamma:
                     ref = mpmath.digamma(mpmath.mpf(z))
                     assert abs(_digamma(z) - ref) <= 1e-9 * max(1.0, abs(ref)), z
 
+    def test_digamma_matches_recursive_form(self):
+        rng = np.random.default_rng(23)
+        for z in map(float, rng.uniform(-60.0, 60.0, 2000)):
+            assert _digamma(z) == digamma_recursive(z), z
+
 
 class TestKummerM:
+    @pytest.mark.parametrize("a,c,x", [
+        (300.0, 0.5, 700.0), (-1000.5, 0.5, 700.0), (1e300, 0.5, 1e10),
+        (1e308, 1e-308, 1e308), (math.nan, 0.5, 1.0)])
+    def test_overflow_raises(self, a, c, x):
+        # an infinite or NaN partial sum raises at once, never a value
+        with pytest.raises(EvaluationError, match="Kummer series overflow"):
+            _m_series(a, c, x, 1e-15)
+
     def test_empty_sum(self):
         assert m_series(3.7, 0.4, 0.0)[0] == 1.0
 
@@ -138,8 +195,9 @@ class TestPsiQuadrature:
     @pytest.mark.parametrize("x", [0.2, 2.0, 20.0])
     def test_incomplete_gamma_oracle(self, b, x):
         # psi(1, b, x) = e^x x^(1-b) Gamma(b-1, x)
-        expected = math.exp(x + (1.0 - b) * math.log(x)
-                            + gammaln(b - 1.0)) * gammaincc(b - 1.0, x)
+        with mpmath.workdps(40):
+            expected = float(mpmath.exp(x) * mpmath.mpf(x) ** (1.0 - b)
+                             * mpmath.gammainc(b - 1.0, x))
         fv = psi_quadrature(ParameterPoint(1.0, b, x))
         assert fv.value == pytest.approx(expected, rel=1e-10)
 
@@ -196,6 +254,32 @@ class TestPsiQuadrature:
         # psi(200, 0.5, 1) = 2.8e-386 is positive but below the double range
         with pytest.raises(EvaluationError, match="underflows"):
             psi_quadrature(ParameterPoint(a, 0.5, 1.0))
+
+
+def trapezoid_cases(n=600, seed=31):
+    """Seeded _trapezoid arguments as psi_quadrature forms them: a in
+    [1e-8, 30], x in [1e-2, 1e3], h from 1/8 to 1/128; and a below e^-40,
+    where the left part (the nodes summed as e^(aw) expm1(log G)) is empty."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        a = 1e-20 * 10.0 ** (i % 3) if i % 50 == 0 else 10.0 ** rng.uniform(-8.0, math.log10(30.0))
+        c = rng.uniform(-5.0, 2.0)
+        x = 10.0 ** rng.uniform(-2.0, 3.0)
+        pw = c - a - 1.0
+        w0 = round(math.log(min(x, 1.0)) * 2.0 ** 20) * 2.0 ** -20
+        S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0) * 1.5 ** rng.integers(0, 4)
+        cases.append((a, pw, x, w0, math.log(S), 2.0 ** -int(rng.integers(3, 8))))
+    return cases
+
+
+def test_trapezoid_matches_reference():
+    cases = trapezoid_cases()
+    empty_left = 0
+    for args in cases:
+        assert _trapezoid(*args) == trapezoid_reference(*args), args
+        empty_left += args[0] < math.exp(-kernel._LEFT_DEPTH)
+    assert empty_left >= 6
 
 
 class TestPsiConnection:
@@ -384,7 +468,9 @@ class TestKernelInvariants:
     def test_small_x_monotone_convergence(self):
         # psi(a,c,x) -> Gamma(1-c)/Gamma(a-c+1), deviations shrinking
         a, c = 1.5, -0.5
-        limit = math.exp(gammaln(1.0 - c) - gammaln(a - c + 1.0))
+        with mpmath.workdps(40):
+            limit = float(mpmath.exp(mpmath.loggamma(1.0 - c)
+                                     - mpmath.loggamma(a - c + 1.0)))
         devs = [abs(psi_quadrature(ParameterPoint(a, c, x)).value - limit)
                 for x in (1e-2, 1e-4, 1e-6)]
         assert devs[0] > devs[1] > devs[2]
