@@ -7,8 +7,8 @@ catalog of Turan-type inequalities, integral moment identities, sharpness
 limits and bound-dominance claims over configurable parameter grids.
 """
 
-from .kernel import (EvaluationError, FunctionValue, ParameterPoint,
-                     RegionError, log_gamma, psi, psi_connection,
+from .kernel import (DoubleRangeError, EvaluationError, FunctionValue,
+                     ParameterPoint, RegionError, log_gamma, psi, psi_connection,
                      psi_quadrature)
 from .turanians import (LIMITS, ScanResult, SharpnessLimit, TuranianKind,
                         sharpness_scan, turanian, turanian_ratio)
@@ -25,6 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundSpec", "CATALOG", "DEFAULT_GRID_A",
     "DEFAULT_GRID_C", "DEFAULT_GRID_X", "DOMINANCE", "DominanceSpec",
+    "DoubleRangeError",
     "EvaluationError", "FunctionValue", "LIMITS", "MOMENT_IDENTITIES",
     "MomentIdentity", "ParameterPoint", "RegionError",
     "ReportRow", "RunConfig", "RunSummary", "ScanResult", "SharpnessLimit",

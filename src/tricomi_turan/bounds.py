@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, log_gamma_error, psi)
@@ -88,8 +88,9 @@ class BoundSpec:
         return (self.lhs if self.side == "lower" else self.rhs)(p, 0.0)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
+    """The verdict of one claim at one point: an immutable named tuple."""
+
     bound_id: str
     point: ParameterPoint
     lhs: FunctionValue
@@ -110,9 +111,18 @@ def _status(margin: float, budget: float) -> str:
 
 # --- evaluator factories ---------------------------------------------------
 
-def _exact(fn):
+def _exact(bound_id: str, fn):
+    """The closed form fn(a, c, x) of bound_id, which raises where it is
+    not a finite double (x^2 underflows to 0 in T1L and T6L below
+    x ~ 1.5e-162)."""
     def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        v = fn(p.a, p.c, p.x)
+        try:
+            v = fn(p.a, p.c, p.x)
+        except ZeroDivisionError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise EvaluationError(f"closed form of {bound_id} is not a finite double "
+                                  f"at (a={p.a}, c={p.c}, x={p.x})")
         return FunctionValue(v, 4.0 * EPS * abs(v), "closed_form")
     return ev
 
@@ -259,7 +269,7 @@ _RATIO_BOUNDS = (
 
 def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
                  gating=True) -> BoundSpec:
-    closed, ratio = _exact(bound_fn), _ratio(_TARGET_KIND[target])
+    closed, ratio = _exact(id_, bound_fn), _ratio(_TARGET_KIND[target])
     lhs, rhs = (closed, ratio) if side == "lower" else (ratio, closed)
     return BoundSpec(id_, target, side, region, region_text, lhs, rhs, anchor,
                      gating, bound_fn)
@@ -294,7 +304,7 @@ _add(BoundSpec("I1", "raw_psi_relation", "lower",
                "Gamma-normalized psi^(1/a) dominates the (a+1)-shifted power"))
 _add(BoundSpec("I2", "raw_psi_relation", "lower",
                lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _exact(lambda a, c, x: 2.0), _i2_rhs,
+               _exact("I2", lambda a, c, x: 2.0), _i2_rhs,
                "psi ratio minus (1/c)-scaled power exceeds 2"))
 _add(BoundSpec("I3", "raw_psi_relation", "lower",
                lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1, x>0",

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ EPS = 2.2204460492503131e-16
 # smallest normal double; a smaller |value| has lost digits to underflow
 _TINY = sys.float_info.min
 _FMAX = sys.float_info.max      # largest finite double
+_LOG_2FMAX = math.log(_FMAX) + math.log(2.0)
 
 # Connection-formula guard: the formula degenerates at integer c.
 INTEGER_C_GUARD = 1e-6
@@ -85,37 +86,53 @@ class EvaluationError(RuntimeError):
     """A numerical evaluation could not be completed to tolerance."""
 
 
+class DoubleRangeError(EvaluationError):
+    """The value lies beyond the double range, so no route can deliver it."""
+
+
 class RegionError(ValueError):
     """Arguments violate the validity region of the requested quantity."""
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
-    """A parameter triple (a, c, x) with x > 0 and finite a, c."""
-
+class _PointFields(NamedTuple):
     a: float
     c: float
     x: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.c)):
-            raise RegionError(f"parameters must be finite, got a={self.a}, c={self.c}")
-        if not (math.isfinite(self.x) and self.x > 0.0):
-            raise RegionError(f"argument must satisfy x > 0, got x={self.x}")
+
+class ParameterPoint(_PointFields):
+    """A parameter triple (a, c, x) with x > 0 and finite a, c: an immutable
+    named tuple, validated on construction (``typing.NamedTuple`` does not
+    let a class body override ``__new__``, hence the field base)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, c: float, x: float):
+        if not (math.isfinite(a) and math.isfinite(c)):
+            raise RegionError(f"parameters must be finite, got a={a}, c={c}")
+        if not (math.isfinite(x) and x > 0.0):
+            raise RegionError(f"argument must satisfy x > 0, got x={x}")
+        return tuple.__new__(cls, (a, c, x))
 
 
-@dataclass(frozen=True)
-class FunctionValue:
-    """A computed scalar with an absolute-error estimate and a method tag."""
-
+class _ValueFields(NamedTuple):
     value: float
     abs_error: float
     method: str
     flags: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.abs_error < 0.0:
+
+class FunctionValue(_ValueFields):
+    """A computed scalar with an absolute-error estimate and a method tag:
+    an immutable named tuple, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, abs_error: float, method: str,
+                flags: tuple[str, ...] = ()):
+        if abs_error < 0.0:
             raise ValueError("abs_error must be nonnegative")
+        return tuple.__new__(cls, (value, abs_error, method, flags))
 
     @property
     def rel_error(self) -> float:
@@ -198,10 +215,16 @@ def _terminating(m: int, c: float, x: float) -> FunctionValue:
     a degree-m polynomial with no division, valid for every c.  The budget
     allows 3m + 4 roundings per term, the summation included."""
     total = gross = 0.0
-    for s in range(m + 1):
-        term = math.comb(m, s) * _pochhammer(c + s, m - s) * (-x) ** s
-        total += term
-        gross += abs(term)
+    try:
+        for s in range(m + 1):
+            term = math.comb(m, s) * _pochhammer(c + s, m - s) * (-x) ** s
+            total += term
+            gross += abs(term)
+    except OverflowError:
+        gross = math.inf
+    if not gross <= _FMAX:
+        raise EvaluationError(f"terminating series overflows the double range "
+                              f"at a={-float(m)}, c={c}, x={x}")
     sign = -1.0 if m % 2 else 1.0
     return FunctionValue(sign * total, (3 * m + 4) * EPS * gross, CONNECTION)
 
@@ -293,7 +316,8 @@ def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
     exp(m - a log x - lnGamma(a)).  h starts at 1/8 and is halved until
     abs_error <= tol |value|; if that fails at h = 1/128 the honest budget
     is returned with the flag ``"tolerance_not_met"``.  A value below the
-    normal double range raises :class:`EvaluationError`.
+    normal double range raises :class:`EvaluationError`, one beyond it
+    :class:`DoubleRangeError`.
     """
     return _quadrature(p.a, p.c, p.x, tol)
 
@@ -329,7 +353,12 @@ def _quadrature(a: float, c: float, x: float, tol: float) -> FunctionValue:
         if met or h <= _STEP_MIN:
             break
         h *= 0.5
-    scale = math.exp(m - a * log_x - lg_a)
+    try:
+        scale = math.exp(m - a * log_x - lg_a)
+    except OverflowError:
+        # psi = scale T_h with T_h of order h or more: beyond the double
+        # range, or too near its top to hold
+        raise _beyond_range(a, c, x) from None
     value = scale * total
     _check_normal(value, a, c, x)
     return FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
@@ -401,8 +430,17 @@ def psi_connection(a: float, c: float, x: float,
         err += abs(c1) * e1
     if c2 != 0.0:
         log_xp = (1.0 - c) * math.log(x)
-        xp = math.exp(log_xp)
         m2, e2 = _m_series(a - c + 1.0, 2.0 - c, x, tol)
+        try:
+            xp = math.exp(log_xp)
+        except OverflowError:
+            # |t2| >= |c2| x^(1-c) (|m2| - e2); past 2 FMAX, psi = t1 + t2
+            # is beyond the double range whatever the finite t1
+            low = abs(c2) * (abs(m2) - e2)
+            if low > 0.0 and math.isfinite(t1) and log_xp + math.log(low) > _LOG_2FMAX:
+                raise _beyond_range(a, c, x) from None
+            raise EvaluationError(
+                f"connection formula overflow at a={a}, c={c}, x={x}") from None
         t2 = c2 * xp * m2
         err += abs(c2) * xp * e2 + abs(t2) * EPS * 2.0 * abs(log_xp)
     value = t1 + t2
@@ -438,8 +476,15 @@ def _asymptotic_auto(a: float, c: float, x: float,
         if term == 0.0:  # terminating series (a or m a nonpositive integer)
             break
     omitted = abs(term * (a + n) * (m + n) / ((n + 1.0) * x))
-    pref = x ** (-a)
-    return FunctionValue(pref * s, pref * (omitted + EPS * abs(s)), ASYMPTOTIC)
+    try:
+        pref = x ** (-a)
+    except OverflowError:
+        pref = math.inf
+    value = pref * s
+    # s is near 1 where the expansion is used, so psi is as large as x^-a
+    if not abs(value) <= _FMAX:
+        raise _beyond_range(a, c, x)
+    return FunctionValue(value, pref * (omitted + EPS * abs(s)), ASYMPTOTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +496,18 @@ def asymptotic_threshold(a: float, c: float) -> float:
     return 50.0 * (1.0 + abs(a) + abs(c)) ** 2
 
 
+def _beyond_range(a: float, c: float, x: float) -> DoubleRangeError:
+    return DoubleRangeError(f"psi(a={a}, c={c}, x={x}) exceeds the double range")
+
+
 def _check_normal(value: float, a: float, c: float, x: float) -> None:
-    """psi > 0 for a > 0, so a value of 0 or a subnormal one has underflowed."""
+    """psi > 0 for a > 0, so a value of 0 or a subnormal one has underflowed,
+    and an infinite one has overflowed."""
     if abs(value) < _TINY:
         raise EvaluationError(
             f"psi(a={a}, c={c}, x={x}) underflows the double range (got {value})")
+    if abs(value) > _FMAX:
+        raise _beyond_range(a, c, x)
 
 
 @lru_cache(maxsize=200_000)
@@ -482,6 +534,8 @@ def _psi_cached(a: float, c: float, x: float, tol: float) -> FunctionValue:
     if x <= _CONNECTION_X_MAX:
         try:
             candidates.append(psi_connection(a, c, x))
+        except DoubleRangeError:
+            raise
         except EvaluationError:
             pass
     if expansion is not None:
@@ -503,6 +557,8 @@ def psi(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
     connection series is summed too (for x <= 600) and the route with the
     smaller budget is returned.  Results are cached per (a, c, x, tol).
     For a > 0, where psi is positive, a value that underflows to 0 or to a
-    subnormal raises :class:`EvaluationError`.
+    subnormal raises :class:`EvaluationError`.  A value beyond the largest
+    double raises :class:`DoubleRangeError`, and a terminating polynomial
+    whose terms overflow raises :class:`EvaluationError`.
     """
     return _psi_cached(p.a, p.c, p.x, tol)

@@ -1,14 +1,17 @@
 """Bound catalog checks, dominance claims, and auxiliary log-ratios."""
 
 import math
+import pickle
 
 import pytest
 
 from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
-                                  auxiliary_log_ratio, catalog_document,
+                                  VerificationRecord, auxiliary_log_ratio,
+                                  catalog_document,
                                   check_bound, check_dominance,
                                   dominance_applicable)
-from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
+from tricomi_turan.kernel import (EvaluationError, FunctionValue,
+                                  ParameterPoint, RegionError)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
 
@@ -156,6 +159,50 @@ class TestCheckBound:
                     bl = lo.bound_fn(a, c, x)
                     bu = up.bound_fn(a, c, x)
                     assert bl < bu, (lo_id, up_id, a, c, x)
+
+
+    @pytest.mark.parametrize("bid", ["T1L", "T6L"])
+    def test_closed_form_beyond_the_double_range_raises(self, bid):
+        # x^2 underflows to 0 below x ~ 1.5e-162
+        with pytest.raises(EvaluationError) as exc:
+            check_bound(bid, ParameterPoint(0.5, 0.5, 1e-200))
+        assert str(exc.value) == (f"closed form of {bid} is not a finite double "
+                                  "at (a=0.5, c=0.5, x=1e-200)")
+
+
+class TestVerificationRecord:
+    REC = check_bound("T1L", ParameterPoint(1.0, 0.0, 1.0))
+
+    def test_fields(self):
+        assert VerificationRecord._fields == (
+            "bound_id", "point", "lhs", "rhs", "margin", "budget", "status",
+            "anchor")
+        assert self.REC.point == ParameterPoint(1.0, 0.0, 1.0)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.REC.status = "fail"
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.REC))
+        assert back == self.REC and type(back) is VerificationRecord
+        assert type(back.point) is ParameterPoint and type(back.lhs) is FunctionValue
+
+    def test_repr(self):
+        rec = VerificationRecord(
+            "P1U", ParameterPoint(2.0, -2.5, 0.1),
+            FunctionValue(-0.5, 1e-14, "quadrature"),
+            FunctionValue(0.0, 0.0, "closed_form"), 0.5, 1e-14, "pass", "negativity")
+        assert repr(rec) == (
+            "VerificationRecord(bound_id='P1U', point=ParameterPoint(a=2.0, c=-2.5, "
+            "x=0.1), lhs=FunctionValue(value=-0.5, abs_error=1e-14, "
+            "method='quadrature', flags=()), rhs=FunctionValue(value=0.0, "
+            "abs_error=0.0, method='closed_form', flags=()), margin=0.5, "
+            "budget=1e-14, status='pass', anchor='negativity')")
+
+    def test_equal_records_hash_equal(self):
+        again = check_bound("T1L", ParameterPoint(1.0, 0.0, 1.0))
+        assert again == self.REC and hash(again) == hash(self.REC)
 
 
 class TestDominance:

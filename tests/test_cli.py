@@ -109,6 +109,15 @@ class TestEval:
             assert json.loads(out.splitlines()[-1])["status"] in (
                 "pass", "fail", "inconclusive")
 
+    @pytest.mark.parametrize("a,c,x", [("0.5", "3", "1e-200"),
+                                       ("-0.5", "2.5", "1e-250"),
+                                       ("-60.5", "0.5", "1e6")])
+    def test_psi_beyond_the_double_range_is_exit_4(self, capsys, a, c, x):
+        code, out, err = run_cli(capsys, "eval", "psi", a, c, x)
+        assert code == 4 and out == ""
+        assert err.startswith("evaluation error: ")
+        assert "exceeds the double range" in err
+
     def test_underflowing_turanian_is_an_evaluation_failure(self, capsys):
         # psi(100, -0.5, 1) = 6.5e-167: the products of two psi values underflow
         code, out, err = run_cli(capsys, "eval", "turanian:second", "100", "-0.5", "1")
@@ -159,6 +168,13 @@ class TestRun:
                                  "--grid-x", "0.03,1", "--jobs", jobs)
         assert code == 4 and out == ""
         assert err.startswith("evaluation error: no usable evaluation route")
+
+    def test_closed_form_beyond_the_double_range_is_exit_4(self, capsys):
+        # T1L's (c-a-1)/x^2 divides by an x^2 that underflows to 0
+        code, out, err = run_cli(capsys, "run", "--suites", "bounds", "--grid-a", "0.5",
+                                 "--grid-c", "0.5", "--grid-x", "1e-200")
+        assert code == 4 and out == ""
+        assert err.startswith("evaluation error: closed form of T1L")
 
     @pytest.mark.parametrize("a", ["70", "100"])
     def test_underflowing_s_family_aborts_the_run(self, capsys, tmp_path, a):

@@ -17,14 +17,16 @@ Oracles used here:
 """
 
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 
 from tricomi_turan import kernel
-from tricomi_turan.kernel import (EPS, EvaluationError, ParameterPoint,
-                                  RegionError, _asymptotic_auto, _digamma,
+from tricomi_turan.kernel import (EPS, DoubleRangeError, EvaluationError,
+                                  FunctionValue, ParameterPoint, RegionError,
+                                  _asymptotic_auto, _digamma,
                                   _m_series, _trapezoid, asymptotic_threshold,
                                   log_gamma, log_gamma_error, psi,
                                   psi_connection, psi_quadrature)
@@ -92,6 +94,73 @@ def trapezoid_reference(a, pw, x, w0, w_max, h):
                                            + np.abs(pl)))
                 + 4.0 * EPS * geo_h * (4.0 + abs(a * (ws - h) - m)))
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
+
+
+class TestParameterPoint:
+    P = ParameterPoint(1.5, -0.5, 2.0)
+
+    @pytest.mark.parametrize("a,c,x,message", [
+        (math.nan, 0.5, 1.0, "parameters must be finite, got a=nan, c=0.5"),
+        (1.0, -math.inf, 1.0, "parameters must be finite, got a=1.0, c=-inf"),
+        (1.0, 0.5, 0.0, "argument must satisfy x > 0, got x=0.0"),
+        (1.0, 0.5, -2.0, "argument must satisfy x > 0, got x=-2.0"),
+        (1.0, 0.5, math.inf, "argument must satisfy x > 0, got x=inf"),
+        (1.0, 0.5, math.nan, "argument must satisfy x > 0, got x=nan")])
+    def test_validation(self, a, c, x, message):
+        with pytest.raises(RegionError) as exc:
+            ParameterPoint(a, c, x)
+        assert str(exc.value) == message
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.P.x = 3.0
+        with pytest.raises(AttributeError):
+            self.P.extra = 3.0
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.P))
+        assert back == self.P and type(back) is ParameterPoint
+
+    def test_repr(self):
+        assert repr(self.P) == "ParameterPoint(a=1.5, c=-0.5, x=2.0)"
+
+    def test_equal_points_hash_equal(self):
+        q = ParameterPoint(1.5, -0.5, 2.0)
+        assert q == self.P and hash(q) == hash(self.P)
+        assert len({self.P, q, ParameterPoint(1.5, -0.5, 3.0)}) == 2
+
+
+class TestFunctionValue:
+    V = FunctionValue(0.25, 1e-16, "quadrature", ("tolerance_not_met",))
+
+    def test_negative_error_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            FunctionValue(1.0, -1e-300, "quadrature")
+        assert str(exc.value) == "abs_error must be nonnegative"
+
+    def test_flags_default_and_rel_error(self):
+        fv = FunctionValue(-2.0, 1e-15, "closed_form")
+        assert fv.flags == () and fv.rel_error == 5e-16
+        assert FunctionValue(0.0, 1e-15, "closed_form").rel_error == math.inf
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.V.value = 0.0
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.V))
+        assert back == self.V and type(back) is FunctionValue
+
+    def test_repr(self):
+        assert repr(self.V) == ("FunctionValue(value=0.25, abs_error=1e-16, "
+                                "method='quadrature', flags=('tolerance_not_met',))")
+        assert repr(FunctionValue(1.0, 0.0, "connection_series")) == (
+            "FunctionValue(value=1.0, abs_error=0.0, method='connection_series', "
+            "flags=())")
+
+    def test_equal_values_hash_equal(self):
+        w = FunctionValue(0.25, 1e-16, "quadrature", ("tolerance_not_met",))
+        assert w == self.V and hash(w) == hash(self.V)
 
 
 class TestLogGamma:
@@ -440,6 +509,40 @@ class TestPsiDispatcher:
             c = float(rng.uniform(-6.0, 0.99))
             x = float(10.0 ** rng.uniform(-3, 2.3))
             assert psi(ParameterPoint(a, c, x)).value > 0.0
+
+
+class TestDoubleRange:
+    """psi beyond the largest double raises a typed error on every route."""
+
+    @pytest.mark.parametrize("a,c,x,route", [
+        (0.5, 3.0, 1e-200, "quadrature scale"),
+        (0.5, 3.0, 5e-155, "quadrature scale times sum"),
+        (-0.5, 2.5, 1e-250, "connection series, x^(1-c)"),
+        (-60.5, 0.5, 1e6, "expansion, x^-a")])
+    def test_exceeds_the_double_range(self, a, c, x, route):
+        with pytest.raises(DoubleRangeError) as exc:
+            psi(ParameterPoint(a, c, x))
+        assert str(exc.value) == f"psi(a={a}, c={c}, x={x}) exceeds the double range"
+
+    def test_near_the_top_of_the_range_still_delivers(self):
+        # psi(-0.5, 2.5, x) ~ Gamma(1.5)/Gamma(-0.5) x^-1.5 = -7.9e300 here
+        fv = psi(ParameterPoint(-0.5, 2.5, 1e-201))
+        assert abs(fv.value - hyperu40(-0.5, 2.5, 1e-201)) <= fv.abs_error
+
+    def test_connection_overflow_where_the_terms_cancel_is_a_route_failure(self):
+        # x^(1-c) = 200^151.5 overflows, but its factor Gamma(c-1)/Gamma(a)
+        # is about 1e-266: the series fails as a route, and psi(-0.5, -150.5,
+        # 200), about 18.7, comes from the expansion
+        with pytest.raises(EvaluationError) as exc:
+            psi_connection(-0.5, -150.5, 200.0)
+        assert type(exc.value) is EvaluationError
+        assert psi(ParameterPoint(-0.5, -150.5, 200.0)).method == "asymptotic_large_x"
+
+    @pytest.mark.parametrize("a,x", [(-3.0, 1e103), (-200.0, 1e3)])
+    def test_terminating_series_overflow(self, a, x):
+        with pytest.raises(EvaluationError) as exc:
+            psi(ParameterPoint(a, 0.5, x))
+        assert "terminating series overflows the double range" in str(exc.value)
 
 
 class TestKernelInvariants:

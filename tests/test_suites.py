@@ -1,5 +1,7 @@
 """Suite records, run-configuration checks and the process-pool runner."""
 
+import csv
+import io
 import json
 import math
 import pickle
@@ -69,6 +71,8 @@ class TestRun:
         s2, two = suites.run(RunConfig(jobs=2, **SMALL_GRID))
         assert {r.suite for r in one} == set(suites.SUITES)
         assert two == one
+        # rows cross the pool as plain tuples, which equal rows too
+        assert all(type(r) is ReportRow for r in two)
         assert (suites.rows_to_csv(two, s2, timestamp=False)
                 == suites.rows_to_csv(one, s1, timestamp=False))
 
@@ -120,6 +124,44 @@ def test_bounds_suite_computes_each_ratio_once():
     info = turanians._ratio_cached.cache_info()
     assert info.misses == len(needed)
     assert info.hits == checks - len(needed) > 0
+
+
+def rows_to_csv_reference(rows, summary):
+    """The csv.writer form of ``rows_to_csv`` (timestamp off)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(suites._CSV_COLUMNS)
+    for r in rows:
+        w.writerow([r.suite, r.claim, *(f"{v:.17g}" for v in r[2:9]),
+                    r.status, r.anchor])
+    for note in summary.empty_regions:
+        buf.write(f"# note: {note}\n")
+    return buf.getvalue()
+
+
+class TestRowsToCsv:
+    def test_equals_csv_writer_on_a_run(self):
+        summary, rows = suites.run(RunConfig(**SMALL_GRID))
+        assert suites.rows_to_csv(rows, summary, timestamp=False) == (
+            rows_to_csv_reference(rows, summary))
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "x"', "cr\rhere", "lf\nhere",
+                                      "", '"', ",", " padded ", "é"])
+    def test_equals_csv_writer_on_awkward_strings(self, text):
+        summary = suites.RunSummary({}, 0, 0, ["x: no grid point"], 2)
+        rows = [ReportRow(text, "T1L", 0.1, -0.0, 1e-300, math.inf, -math.inf,
+                          math.nan, 5e-324, "pass", text, 0),
+                ReportRow("bounds", text, 1.0, 2.0, 3.0, 1.0 / 3.0, 2.0, 3.0,
+                          4.0, text, "anchor", 1)]
+        assert suites.rows_to_csv(rows, summary, timestamp=False) == (
+            rows_to_csv_reference(rows, summary))
+
+    def test_timestamp_line_comes_first(self):
+        summary = suites.RunSummary({}, 0, 0, [], 0)
+        text = suites.rows_to_csv([], summary)
+        first, rest = text.split("\n", 1)
+        assert first.startswith("# generated ")
+        assert rest == rows_to_csv_reference([], summary)
 
 
 class TestReportRow:
