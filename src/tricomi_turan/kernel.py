@@ -162,9 +162,10 @@ def log_gamma_error(z: float, lg: float) -> float:
 def _connection_coefficients(a: float, c: float):
     """A = Gamma(1-c)/Gamma(a-c+1) and B = Gamma(c-1)/Gamma(a) off integer c,
     each as (value, relative error); a pole of the denominator gives
-    exactly (0, 0).  The error counts the rounding of the log-Gamma values
-    and of the arguments 1-c, a-c+1 and c-1, which the digamma function
-    amplifies near a pole."""
+    exactly (0, 0), and a quotient beyond the double range either way
+    raises :class:`EvaluationError`.  The error counts the rounding of the
+    log-Gamma values and of the arguments 1-c, a-c+1 and c-1, which the
+    digamma function amplifies near a pole."""
     if abs(c - round(c)) < INTEGER_C_GUARD:
         raise EvaluationError(
             f"connection formula degenerates for integer c (c={c})")
@@ -175,8 +176,11 @@ def _connection_coefficients(a: float, c: float):
             continue
         lg_num, sg_num = log_gamma(num)
         lg_den, sg_den = log_gamma(den)
-        value = sg_num * sg_den * math.exp(lg_num - lg_den)
-        if value == 0.0:
+        try:
+            value = sg_num * sg_den * math.exp(lg_num - lg_den)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < abs(value) <= _FMAX:
             raise EvaluationError(
                 f"Gamma({num})/Gamma({den}) is outside the double range")
         rel = (log_gamma_error(num, lg_num) + log_gamma_error(den, lg_den)

@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import (EPS, EvaluationError, FunctionValue, RegionError,
+from .kernel import (_FMAX, _TINY, EPS, EvaluationError, FunctionValue, RegionError,
                      _connection_coefficients, log_gamma, log_gamma_error)
 
 _INTEGRAL = "quadrature"
@@ -248,6 +248,10 @@ def phi(d: WeightDensity, t: float) -> FunctionValue:
     core, rel = _neg_axis_core(d, np.array([float(t)]))
     log_scale = d.log_prefactor - d.c * math.log(t)
     value = math.exp(log_scale) * float(core[0])
+    # phi > 0, so a value of 0 or a subnormal one has underflowed
+    if not _TINY <= value <= _FMAX:
+        raise EvaluationError(
+            f"phi(a={d.a}, c={d.c}, t={t}) is outside the normal double range (got {value})")
     rel_scale = EPS * (4.0 + abs(log_scale)) + d.log_prefactor_error
     return FunctionValue(value, value * (float(rel[0]) + rel_scale), _INTEGRAL)
 
@@ -302,6 +306,9 @@ class _PhiTable:
                + 32.0 * EPS * float(np.abs(body).sum())
                + abs(e0) * head_err + abs(head) * abs(e_t0 - e0)
                + 2.0 * self.tail_t ** beta * self.tail_phi0 * abs(e_tail))
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise EvaluationError(f"phi integral at beta={beta} is not a finite double "
+                                  f"(got {value} +- {err})")
         return value, err
 
 
@@ -329,7 +336,12 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
     # head: |r| t0^(1-c) <= 1/2, and the O(t) terms of core below _HEAD_TOL
     r = coef_b / coef_a
     slope = abs(c - a) / abs(c) + abs(1.0 - a) / abs(2.0 - c)  # of M(., ., t) at 0
-    t0 = max(min(_HEAD_TOL / (1.0 + 6.0 * slope), (0.5 / abs(r)) ** (1.0 / p)), 1e-300)
+    try:
+        cut = (0.5 / abs(r)) ** (1.0 / p)
+    except OverflowError:
+        raise EvaluationError(f"endpoint expansion of phi: cutoff (0.5/|r|)^(1/(1-c)) "
+                              f"overflows for a={a}, c={c}") from None
+    t0 = max(min(_HEAD_TOL / (1.0 + 6.0 * slope), cut), 1e-300)
     rs = abs(r) * t0 ** p
     if rs > 0.9:
         raise EvaluationError(
@@ -348,6 +360,11 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
     tail_t = max(2.0 * k, 40.0)
     while k * math.log(tail_t) - tail_t > log_gamma(k + 1.0)[0] + math.log(_TAIL_TOL):
         tail_t *= 1.1
+    # every power t^(beta-1) the rule takes, and T^beta, lies below
+    # T^betas[1]; the tail bound doubles it
+    if not betas[1] * math.log(tail_t) < math.log(0.5 * _FMAX):
+        raise EvaluationError(f"phi table for a={a}, c={c}: t^{betas[1]} overflows "
+                              f"the double range at T={tail_t}")
 
     # body: halve the panels whose companion disagrees, at both betas
     nodes, weights = _panel_rule()
@@ -407,6 +424,8 @@ def stieltjes_ratio(d: WeightDensity, x: float) -> FunctionValue:
     """
     if x <= 0.0:
         raise RegionError(f"x > 0 required, got x={x}")
+    if not _TINY <= x * x <= _FMAX:
+        raise EvaluationError(f"x^2 in 1/(x+t)^2 is outside the normal double range at x={x}")
     value, err = _phi_table(d).integral(2.0 - d.c, lambda t: 1.0 / (x + t) ** 2)
     return FunctionValue(-value, err, _INTEGRAL)
 

@@ -97,8 +97,13 @@ class TestEval:
         assert run_cli(capsys, "eval", "bound:T1U", "0.5", "-2.5", "1")[0] == 3
 
     def test_evaluation_failure(self, capsys):
-        # psi(200, 0.5, 1) underflows the double range
-        assert run_cli(capsys, "eval", "psi", "200", "0.5", "1")[0] == 4
+        # psi(200, 0.5, 1) underflows the double range; at the second point
+        # the connection coefficient Gamma(c-1)/Gamma(a) overflows it
+        for point in (("200", "0.5", "1"),
+                      ("-37.30799822046213", "184.17402383913083",
+                       "6.851833336446353e-67")):
+            code, out, err = run_cli(capsys, "eval", "psi", *point)
+            assert code == 4 and out == "" and err.startswith("evaluation error: ")
 
     def test_i2_where_psi_squared_underflows(self, capsys):
         # psi(101, 0.5, 1) < 1.5e-154, so its square underflows to 0
@@ -194,10 +199,40 @@ class TestRun:
         assert exc.value.code == 2
 
 
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; return its last line of output."""
+    src = str(Path(tricomi_turan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return out.splitlines()[-1]
+
+
 class TestDependencies:
     def test_every_exported_name_resolves(self):
         missing = [n for n in tricomi_turan.__all__ if not hasattr(tricomi_turan, n)]
         assert missing == []
+        namespace: dict = {}
+        exec("from tricomi_turan import *", namespace)
+        assert all(namespace[n] is getattr(tricomi_turan, n)
+                   for n in tricomi_turan.__all__)
+        assert set(tricomi_turan.__all__) <= set(dir(tricomi_turan))
+        assert tricomi_turan.psi is tricomi_turan.kernel.psi
+        with pytest.raises(AttributeError, match="'tricomi_turan' has no attribute 'nope'"):
+            tricomi_turan.nope
+
+    def test_first_psi_call_loads_only_the_kernel(self):
+        code = (
+            "import json, sys\n"
+            "import tricomi_turan\n"
+            "tricomi_turan.psi(tricomi_turan.ParameterPoint(1.5, -0.5, 2.0))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('tricomi_turan.', 'multiprocessing', 'concurrent.futures',\n"
+            "     'numpy.polynomial')))\n"
+            "print(json.dumps([loaded, type(tricomi_turan.suites).__name__]))\n")
+        assert json.loads(run_python(code)) == [["tricomi_turan.kernel"], "module"]
 
     def test_numpy_is_the_only_numerical_dependency(self):
         code = (
@@ -209,9 +244,4 @@ class TestDependencies:
             "phi(WeightDensity(1.5, -0.5), 2.0)\n"
             "run(RunConfig(grid_a=(2.0,), grid_c=(-2.5,), grid_x=(0.5, 1.0)))\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
-        src = str(Path(tricomi_turan.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        assert json.loads(out.splitlines()[-1]) == []
+        assert json.loads(run_python(code)) == []

@@ -538,6 +538,17 @@ class TestDoubleRange:
         assert type(exc.value) is EvaluationError
         assert psi(ParameterPoint(-0.5, -150.5, 200.0)).method == "asymptotic_large_x"
 
+    def test_gamma_quotient_beyond_the_double_range_is_a_route_failure(self):
+        # B = Gamma(c-1)/Gamma(a) is about 1e377: the series fails as a
+        # route with a typed error, and x < 1 leaves psi no other route
+        a, c, x = -37.30799822046213, 184.17402383913083, 6.851833336446353e-67
+        with pytest.raises(EvaluationError) as exc:
+            psi_connection(a, c, x)
+        assert str(exc.value) == (f"Gamma({c - 1.0})/Gamma({a}) "
+                                  "is outside the double range")
+        with pytest.raises(EvaluationError, match="no usable evaluation route"):
+            psi(ParameterPoint(a, c, x))
+
     @pytest.mark.parametrize("a,x", [(-3.0, 1e103), (-200.0, 1e3)])
     def test_terminating_series_overflow(self, a, x):
         with pytest.raises(EvaluationError) as exc:

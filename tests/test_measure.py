@@ -208,6 +208,22 @@ class TestEdgeCases:
         with pytest.raises(EvaluationError):
             phi(WeightDensity(2.0, -2.0), 1.0)         # integer c
 
+    # each used to end in an untyped error or a silently wrong value: t^139
+    # overflows in the table (NaN), twice T^126 overflows in the tail bound
+    # (NaN), the head cutoff (0.5/|r|)^(1/(1-c)) overflows (OverflowError),
+    # x^2 underflows to 0 or overflows in 1/(x+t)^2 (ZeroDivisionError,
+    # OverflowError), and t^-c underflows (0.0 +- 0.0)
+    @pytest.mark.parametrize("fn,a,c,arg", [
+        (phi_moment, 0.0005222921326088412, -138.36647372199363, 0),
+        (stieltjes_ratio, 0.002854960844284682, -124.21858801130399, 5.996457846028542e-127),
+        (stieltjes_ratio, 0.00022352864076403424, 0.9996427830785745, 1.0),
+        (stieltjes_ratio, 12.0, 0.9997551433629278, 1.0211166805651979e-172),
+        (stieltjes_ratio, 2.013562966892444, 0.9972884479354649, 6.073162224628772e+182),
+        (phi, 0.0009544738347773529, -124.80668399016307, 1.5248017372701232e-216)])
+    def test_beyond_the_double_range_raises_typed_errors(self, fn, a, c, arg):
+        with pytest.raises(EvaluationError):
+            fn(WeightDensity(a, c), arg)
+
 
 class TestDefaultGrid:
     def test_tables_take_few_core_calls(self, monkeypatch):

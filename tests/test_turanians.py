@@ -1,11 +1,13 @@
 """Turanian values, normalized ratios, and their limit constants."""
 
+import functools
 import math
+import random
 
 import pytest
 
 from tricomi_turan import turanians
-from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError
+from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError, psi
 from tricomi_turan.turanians import (LIMITS, SCAN_TO_INFINITY, SCAN_TO_ZERO,
                                      TuranianKind, sharpness_scan, turanian,
                                      turanian_ratio)
@@ -197,3 +199,39 @@ class TestSharpnessScan:
     def test_plain_ratio_scan_to_infinity(self):
         scan = sharpness_scan(LIMITS["vanish[both]"], 2.0, -2.0)
         assert scan.eventually_decreasing
+
+
+def _wide_points(n: int):
+    """n seeded points: a in [-50, 300] and c in [-200, 200], a third of
+    each drawn from the integers, x log-uniform in [1e-300, 1e300]."""
+    rng = random.Random("wide-domain")
+
+    def draw(lo, hi):
+        return float(rng.randint(lo, hi)) if rng.random() < 1 / 3 else rng.uniform(lo, hi)
+    lo, hi = math.log(1e-300), math.log(1e300)
+    return [(draw(-50, 300), draw(-200, 200), math.exp(rng.uniform(lo, hi)))
+            for _ in range(n)]
+
+
+class TestRobustness:
+    def test_wide_domain_delivers_or_raises_a_typed_error(self):
+        # the first point used to end in an untyped OverflowError from the
+        # connection coefficient Gamma(c-1)/Gamma(a)
+        points = [(-37.30799822046213, 184.17402383913083, 6.851833336446353e-67),
+                  *_wide_points(500)]
+        bad = []
+        for a, c, x in points:
+            p = ParameterPoint(a, c, x)
+            for name, fn in [("psi", psi)] + [
+                    (kind.name, functools.partial(turanian_ratio, kind))
+                    for kind in TuranianKind]:
+                try:
+                    fv = fn(p)
+                except (EvaluationError, RegionError):
+                    continue
+                except Exception as exc:    # any other type is a failure
+                    bad.append((name, p, repr(exc)))
+                    continue
+                if not (math.isfinite(fv.value) and 0.0 <= fv.abs_error < math.inf):
+                    bad.append((name, p, fv))
+        assert bad == []
