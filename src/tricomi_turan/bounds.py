@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
@@ -67,7 +68,7 @@ from .turanians import TuranianKind, turanian, turanian_ratio
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
-Evaluator = Callable[[ParameterPoint, float], FunctionValue]
+Evaluator = Callable[[ParameterPoint], FunctionValue]
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class BoundSpec:
 
     def closed_form(self, p: ParameterPoint) -> FunctionValue:
         """The closed-form side of a ratio bound at p."""
-        return (self.lhs if self.side == "lower" else self.rhs)(p, 0.0)
+        return (self.lhs if self.side == "lower" else self.rhs)(p)
 
 
 class VerificationRecord(NamedTuple):
@@ -115,7 +116,7 @@ def _exact(bound_id: str, fn):
     """The closed form fn(a, c, x) of bound_id, which raises where it is
     not a finite double (x^2 underflows to 0 in T1L and T6L below
     x ~ 1.5e-162)."""
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
+    def ev(p: ParameterPoint) -> FunctionValue:
         try:
             v = fn(p.a, p.c, p.x)
         except ZeroDivisionError:
@@ -127,27 +128,9 @@ def _exact(bound_id: str, fn):
     return ev
 
 
-def _ratio(kind: TuranianKind):
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        return turanian_ratio(kind, p, tol)
-    return ev
-
-
-def _turanian(kind: TuranianKind):
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        return turanian(kind, p, tol)
-    return ev
-
-
-def _psi_at(da: float, dc: float):
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        return psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
-    return ev
-
-
-def _scaled_psi(scale_fn, da: float = 0.0, dc: float = 0.0):
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        f = psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
+def _scaled_psi(scale_fn):
+    def ev(p: ParameterPoint) -> FunctionValue:
+        f = psi(p)
         s = scale_fn(p.a, p.c, p.x)
         return FunctionValue(s * f.value, abs(s) * f.abs_error, f.method)
     return ev
@@ -163,8 +146,8 @@ def _gamma_power(shift: int, which: str, expo_fn):
     """(Gamma(a-c+1)/Gamma(k-c) * psi(a+shift, c+shift, x))^expo with
     which = '1-c' (k=1) or '-c' (k=0).  In-region the base lies in (0, 1) and
     expo > 0, so a power can only underflow: that raises, as psi does."""
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        f = psi(ParameterPoint(p.a + shift, p.c + shift, p.x), tol)
+    def ev(p: ParameterPoint) -> FunctionValue:
+        f = psi(ParameterPoint(p.a + shift, p.c + shift, p.x))
         base = p.a - p.c + 1.0
         lg, lg_err = _lg_ratio(base, (1.0 - p.c) if which == "1-c" else (-p.c))
         expo = expo_fn(p.a, p.c)
@@ -180,9 +163,8 @@ def _gamma_power(shift: int, which: str, expo_fn):
 def _s_product(shifts, x_power: float = -1.0):
     """-(1/x) * product of psi at the given (da, dc) shifts.  A product of
     nonzero psi values that underflows raises, as psi does."""
-    def ev(p: ParameterPoint, tol: float) -> FunctionValue:
-        vals = [psi(ParameterPoint(p.a + da, p.c + dc, p.x), tol)
-                for (da, dc) in shifts]
+    def ev(p: ParameterPoint) -> FunctionValue:
+        vals = [psi(ParameterPoint(p.a + da, p.c + dc, p.x)) for (da, dc) in shifts]
         prod = 1.0
         for f in vals:
             prod *= f.value
@@ -195,12 +177,12 @@ def _s_product(shifts, x_power: float = -1.0):
     return ev
 
 
-def _i2_rhs(p: ParameterPoint, tol: float) -> FunctionValue:
-    f0 = psi(p, tol)
-    fp = psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x), tol)
+def _i2_rhs(p: ParameterPoint) -> FunctionValue:
+    f0 = psi(p)
+    fp = psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x))
     q = f0.value / fp.value
     eq = (f0.abs_error + abs(q) * fp.abs_error) / abs(fp.value)
-    pw = _gamma_power(0, "1-c", lambda a, c: 1.0 / a)(p, tol)
+    pw = _gamma_power(0, "1-c", lambda a, c: 1.0 / a)(p)
     val = q - pw.value / p.c
     return FunctionValue(val, eq + pw.abs_error / abs(p.c) + 4.0 * EPS * abs(val),
                          f0.method)
@@ -269,7 +251,12 @@ _RATIO_BOUNDS = (
 
 def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
                  gating=True) -> BoundSpec:
-    closed, ratio = _exact(id_, bound_fn), _ratio(_TARGET_KIND[target])
+    kind, closed = _TARGET_KIND[target], _exact(id_, bound_fn)
+
+    def ratio(p: ParameterPoint) -> FunctionValue:
+        # looked up per call, as psi is: a wrapper set on this module's
+        # turanian_ratio (the layer trace) sees the catalog's calls
+        return turanian_ratio(kind, p)
     lhs, rhs = (closed, ratio) if side == "lower" else (ratio, closed)
     return BoundSpec(id_, target, side, region, region_text, lhs, rhs, anchor,
                      gating, bound_fn)
@@ -282,19 +269,22 @@ def _add(spec: BoundSpec):
     CATALOG[spec.id] = spec
 
 
+_second_turanian = partial(turanian, SECOND)   # D_c, read by the S-family
+
+
 _add(BoundSpec("S1", "raw_psi_relation", "lower",
                lambda a, c: a > 0.0 and c < a + 2.0, "a>0, c<a+2, x>0",
-               _s_product(((0.0, 0.0), (0.0, -1.0))), _turanian(SECOND),
+               _s_product(((0.0, 0.0), (0.0, -1.0))), _second_turanian,
                "second-shift Turanian >= -(1/x) psi(a,c,x) psi(a,c-1,x)"))
 _add(BoundSpec("S2", "raw_psi_relation", "lower",
                lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
-               _s_product(((0.0, 0.0), (0.0, 0.0), (1.0, 1.0))), _turanian(SECOND),
+               _s_product(((0.0, 0.0), (0.0, 0.0), (1.0, 1.0))), _second_turanian,
                "second-shift Turanian >= -(1/x) psi^2(a,c,x) psi(a+1,c+1,x), "
                "checked exactly as quoted (inhomogeneous; fails at large x)",
                gating=False))
 _add(BoundSpec("S2H", "raw_psi_relation", "lower",
                lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
-               _s_product(((0.0, 0.0), (1.0, 1.0))), _turanian(SECOND),
+               _s_product(((0.0, 0.0), (1.0, 1.0))), _second_turanian,
                "homogenized variant of S2 with a single psi(a,c,x) factor",
                gating=False))
 _add(BoundSpec("I1", "raw_psi_relation", "lower",
@@ -313,12 +303,12 @@ _add(BoundSpec("I3", "raw_psi_relation", "lower",
                "power-mean comparison with exponent c/(a(c+1))"))
 _add(BoundSpec("I4", "raw_psi_relation", "lower",
                lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _psi_at(1.0, 1.0), _scaled_psi(lambda a, c, x: -1.0 / c),
+               lambda p: psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x)),
+               _scaled_psi(lambda a, c, x: -1.0 / c),
                "psi(a+1,c+1,x) < -(1/c) psi(a,c,x)"))
 
 
-def check_bound(bound_id: str, p: ParameterPoint,
-                tol: float = 1e-12) -> VerificationRecord:
+def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
     """Verify one catalogued inequality at one point.
 
     Raises :class:`RegionError` outside the bound's region (distinct from
@@ -331,8 +321,8 @@ def check_bound(bound_id: str, p: ParameterPoint,
         raise RegionError(
             f"point (a={p.a}, c={p.c}) outside region of {bound_id} "
             f"({spec.region_text})")
-    lhs = spec.lhs(p, tol)
-    rhs = spec.rhs(p, tol)
+    lhs = spec.lhs(p)
+    rhs = spec.rhs(p)
     margin = rhs.value - lhs.value
     budget = lhs.abs_error + rhs.abs_error + EPS * (abs(lhs.value) + abs(rhs.value))
     return VerificationRecord(bound_id, p, lhs, rhs, margin, budget,
@@ -429,8 +419,7 @@ AUXILIARY = {
 }
 
 
-def auxiliary_log_ratio(which: str, a: float, c: float, x: float,
-                        tol: float = 1e-12) -> FunctionValue:
+def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
     """The log-ratio combinations whose monotonicity drives the I-family:
 
         f = (1/a) log psi - (1/(a+1)) log psi(a+1,c+1,.)        increasing
@@ -443,8 +432,8 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float,
     if not aux.region(a, c):
         raise RegionError(
             f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
-    f0 = psi(ParameterPoint(a, c, x), tol)
-    fp = psi(ParameterPoint(a + 1.0, c + 1.0, x), tol)
+    f0 = psi(ParameterPoint(a, c, x))
+    fp = psi(ParameterPoint(a + 1.0, c + 1.0, x))
     if f0.value <= 0.0 or fp.value <= 0.0:
         raise RegionError("psi must be positive for the log-ratios (a > 0)")
     l0, lp = math.log(f0.value), math.log(fp.value)

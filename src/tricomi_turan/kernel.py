@@ -40,8 +40,8 @@ singularity and small a costs no more than large a.  The error budget is
 |T_h - T_2h| (T_2h from the even nodes) plus the left truncation bound,
 the tail bound past S, the rounding of every node's exponent and the
 rounding of the prefactor, which includes |lnGamma(a)| (about 18 at
-a = 1e-8).  h is halved until the budget meets ``tol``; a budget that
-cannot is returned as it is, flagged ``"tolerance_not_met"``.
+a = 1e-8).  h is halved until the budget meets the tolerance; a budget
+that cannot is returned as it is, flagged ``"tolerance_not_met"``.
 
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
@@ -64,12 +64,17 @@ _TINY = sys.float_info.min
 _FMAX = sys.float_info.max      # largest finite double
 _LOG_2FMAX = math.log(_FMAX) + math.log(2.0)
 
+# the relative accuracy psi asks of the quadrature route; psi_quadrature takes another
+PSI_TOL = 1e-12
+
 # Connection-formula guard: the formula degenerates at integer c.
 INTEGER_C_GUARD = 1e-6
 
 # M(a, c, x) grows like e^x, and math.exp overflows near 709
 _CONNECTION_X_MAX = 600.0
 _M_MAX_TERMS = 10_000
+_M_TOL = 1e-15                  # stop once two terms are below this share of the sum
+_ASYMPTOTIC_MAX_ORDER = 60      # the expansion's terms at most
 
 QUADRATURE = "quadrature"
 CONNECTION = "connection_series"
@@ -298,7 +303,7 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
 
-def psi_quadrature(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
+def psi_quadrature(p: ParameterPoint, tol: float = PSI_TOL) -> FunctionValue:
     """Evaluate psi(a,c,x), a > 0, by the trapezoid rule in w = log s.
 
     Written in the Laplace-scaled variable s = x t = e^w,
@@ -402,8 +407,7 @@ def _m_series(a: float, c: float, x: float, tol: float) -> tuple[float, float]:
                           f"(a={a}, c={c}, x={x})")
 
 
-def psi_connection(a: float, c: float, x: float,
-                   tol: float = 1e-15) -> FunctionValue:
+def psi_connection(a: float, c: float, x: float) -> FunctionValue:
     """Evaluate psi(a,c,x), x > 0, from the two-term Kummer-M connection
     formula
 
@@ -429,12 +433,12 @@ def psi_connection(a: float, c: float, x: float,
     (c1, rel1), (c2, rel2) = _connection_coefficients(a, c)
     t1 = t2 = err = 0.0
     if c1 != 0.0:
-        m1, e1 = _m_series(a, c, x, tol)
+        m1, e1 = _m_series(a, c, x, _M_TOL)
         t1 = c1 * m1
         err += abs(c1) * e1
     if c2 != 0.0:
         log_xp = (1.0 - c) * math.log(x)
-        m2, e2 = _m_series(a - c + 1.0, 2.0 - c, x, tol)
+        m2, e2 = _m_series(a - c + 1.0, 2.0 - c, x, _M_TOL)
         try:
             xp = math.exp(log_xp)
         except OverflowError:
@@ -462,14 +466,13 @@ def psi_connection(a: float, c: float, x: float,
 # asymptotic route
 # ---------------------------------------------------------------------------
 
-def _asymptotic_auto(a: float, c: float, x: float,
-                     max_order: int = 60) -> FunctionValue:
+def _asymptotic_auto(a: float, c: float, x: float) -> FunctionValue:
     """Sum the expansion to its smallest term (optimal truncation)."""
     m = a + 1.0 - c
     term = mag = 1.0
     s = 1.0
     n = 0
-    while n < max_order:
+    while n < _ASYMPTOTIC_MAX_ORDER:
         nxt = term * (a + n) * (m + n) / (-(n + 1.0) * x)
         mag_nxt = abs(nxt)
         if mag_nxt >= mag and n > 0:
@@ -515,13 +518,13 @@ def _check_normal(value: float, a: float, c: float, x: float) -> None:
 
 
 @lru_cache(maxsize=200_000)
-def _psi_cached(a: float, c: float, x: float, tol: float) -> FunctionValue:
+def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
     if a > 0.0:
         if x > asymptotic_threshold(a, c):
             fv = _asymptotic_auto(a, c, x)
             _check_normal(fv.value, a, c, x)
             return fv
-        return _quadrature(a, c, x, tol)
+        return _quadrature(a, c, x, PSI_TOL)
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,
@@ -549,7 +552,7 @@ def _psi_cached(a: float, c: float, x: float, tol: float) -> FunctionValue:
     return min(candidates, key=lambda fv: fv.abs_error)
 
 
-def psi(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
+def psi(p: ParameterPoint) -> FunctionValue:
     """Evaluate psi(a,c,x) for x > 0, selecting a method by parameter region.
 
     a > 0 uses the quadrature route (or the asymptotic expansion beyond
@@ -559,10 +562,11 @@ def psi(p: ParameterPoint, tol: float = 1e-12) -> FunctionValue:
     2 EPS |value|, it is returned, because the connection series, whose
     budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
     connection series is summed too (for x <= 600) and the route with the
-    smaller budget is returned.  Results are cached per (a, c, x, tol).
+    smaller budget is returned, a quadrature value to ``PSI_TOL`` (call
+    ``psi_quadrature(p, tol)`` for another).  Results are cached per (a, c, x).
     For a > 0, where psi is positive, a value that underflows to 0 or to a
     subnormal raises :class:`EvaluationError`.  A value beyond the largest
     double raises :class:`DoubleRangeError`, and a terminating polynomial
     whose terms overflow raises :class:`EvaluationError`.
     """
-    return _psi_cached(p.a, p.c, p.x, tol)
+    return _psi_cached(p.a, p.c, p.x)

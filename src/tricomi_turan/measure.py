@@ -182,16 +182,18 @@ def _kummer_sums(alpha: np.ndarray, gamma: np.ndarray, t: np.ndarray):
         ratio = ((alpha[:, None] + n) / ((gamma[:, None] + n) * (n + 1.0))).T
         buf = np.empty((3, size, live.size))
         terms = buf[0]
-        np.multiply(np.take(ratio, row[live], axis=1), x[live], out=terms)
-        terms[0] *= term
-        np.cumprod(terms, axis=0, out=terms)
-        np.abs(terms, out=buf[1])
-        np.multiply(buf[1], (4.0 * n + 9.0)[:, None], out=buf[2])
-        # the three running sums at every fourth term, where the checks are
-        runs = buf.reshape(3, size // 4, 4, live.size).sum(axis=2)
-        runs[:, 0] += carry
-        for j in range(1, size // 4):
-            runs[:, j] += runs[:, j - 1]
+        # a term beyond the double range leaves a sum that fails the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(np.take(ratio, row[live], axis=1), x[live], out=terms)
+            terms[0] *= term
+            np.cumprod(terms, axis=0, out=terms)
+            np.abs(terms, out=buf[1])
+            np.multiply(buf[1], (4.0 * n + 9.0)[:, None], out=buf[2])
+            # the three running sums at every fourth term, where the checks are
+            runs = buf.reshape(3, size // 4, 4, live.size).sum(axis=2)
+            runs[:, 0] += carry
+            for j in range(1, size // 4):
+                runs[:, j] += runs[:, j - 1]
         mag = buf[1, 3::4]
         small = mag <= 0.25 * EPS * runs[1]
         stop = small & np.concatenate([prev_small[None], small[:-1]])
@@ -228,7 +230,10 @@ def _neg_axis_core(d: WeightDensity, t: np.ndarray):
     theta = math.pi * (1.0 - c)
     re = p + q * math.cos(theta)
     im = q * math.sin(theta)
-    mod2 = re * re + im * im
+    # |psi|^2 and |psi|^-2 may leave the double range: the checks below raise
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mod2 = re * re + im * im
+        core = np.exp(-t) / mod2
     mod = np.sqrt(mod2)
     err = (np.abs(scale_p) * errs[0] + np.abs(scale_q) * errs[1]
            + np.abs(p) * (rel_a + 4.0 * EPS)
@@ -237,8 +242,12 @@ def _neg_axis_core(d: WeightDensity, t: np.ndarray):
         i = int(np.argmin(mod - err))
         raise EvaluationError(
             f"|psi| indistinguishable from 0 on the negative axis at t={t[i]}")
+    if not np.isfinite(core).all():
+        i = int(np.argmin(mod2))
+        raise EvaluationError(
+            f"|psi|^-2 beyond the double range on the negative axis at t={t[i]}")
     rel = err / mod
-    return np.exp(-t) / mod2, rel * (2.0 - rel) / (1.0 - rel) ** 2  # of |psi|^-2
+    return core, rel * (2.0 - rel) / (1.0 - rel) ** 2  # of |psi|^-2
 
 
 def phi(d: WeightDensity, t: float) -> FunctionValue:
@@ -348,11 +357,15 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
             f"endpoint expansion of phi does not converge for c={c}")
     n = np.arange(2 + math.ceil(40.0 / -math.log(rs)) if rs > 0.0 else 1)
     theta = math.pi * p
+    # A^-2 may leave the double range, or pref underflow to 0 against it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coef = (pref * (-r) ** n * np.sin((n + 1) * theta)
+                / (math.sin(theta) * coef_a * coef_a))
+    if not np.isfinite(coef).all():
+        raise EvaluationError(f"endpoint expansion of phi overflows for a={a}, c={c}")
     # core = e^t / |A M1 + B e^(i theta) s M2|^2 and |A + B e^(i theta) s|
     # >= |A| (1 - rs): M = 1 + O(t) moves core by (1+rs)/(1-rs) times more
-    head = _Head(t0, pref * (-r) ** n * np.sin((n + 1) * theta)
-                 / (math.sin(theta) * coef_a * coef_a), n * p,
-                 (n.size + 1) * rs ** n.size / (1.0 - rs) ** 2,
+    head = _Head(t0, coef, n * p, (n.size + 1) * rs ** n.size / (1.0 - rs) ** 2,
                  2.0 * t0 * (1.0 + 2.0 * (1.0 + rs) / (1.0 - rs) * slope))
 
     # tail: t^k e^-t, k = beta - 1 + 2a, below _TAIL_TOL of Gamma(k + 1)

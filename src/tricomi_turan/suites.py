@@ -71,7 +71,7 @@ SHARPNESS_PAIRS_INF = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
 # its limit c-a-1; the sharpness tolerance applies to the x -> 0 limits
 ZETA_LIMIT_FRACTION = 0.05
 
-_PSI_TOL = 1e-13  # quadrature tolerance for finite-difference suites
+_DIFFERENCE_TOL = 1e-13  # quadrature tolerance for finite-difference suites
 
 
 class ConfigError(ValueError):
@@ -129,7 +129,7 @@ def _task_crosscheck(task, _):
     suite, claim, idx, a, c, x, tol_rel = task
     # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
     # the quadrature route, and caches it for the Turanians of this point
-    q = psi(ParameterPoint(a, c, x), 1e-12)
+    q = psi(ParameterPoint(a, c, x))
     k = psi_connection(a, c, x)
     diff = abs(q.value - k.value)
     allowance = max(tol_rel * abs(q.value), q.abs_error + k.abs_error)
@@ -146,7 +146,7 @@ def _difference_node(a: float, c: float, x: float) -> float:
     h = 1e-4 x and so evaluate the same nodes x +- h, and the derivative's
     target psi(a+1, c+1, x) is the ode_residual's centre node at the grid
     pair (a+1, c+1)."""
-    return psi_quadrature(ParameterPoint(a, c, x), _PSI_TOL).value
+    return psi_quadrature(ParameterPoint(a, c, x), _DIFFERENCE_TOL).value
 
 
 def _task_ode(task, _):
@@ -178,7 +178,7 @@ def _task_derivative(task, _):
     if x <= asymptotic_threshold(a + 1.0, c + 1.0):
         target = -a * _difference_node(a + 1.0, c + 1.0, x)
     else:
-        target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x), _PSI_TOL).value
+        target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x)).value
     allowance = tol * abs(target) + 1e-9
     margin = allowance - abs(fd - target)
     return ReportRow(suite, claim, a, c, x, fd, target, margin, allowance,
@@ -215,8 +215,8 @@ def _task_stieltjes(task, arg):
 
 
 def _task_bound(task, _):
-    suite, claim, idx, a, c, x, tol = task
-    rec = bounds_mod.check_bound(claim, ParameterPoint(a, c, x), tol)
+    suite, claim, idx, a, c, x = task
+    rec = bounds_mod.check_bound(claim, ParameterPoint(a, c, x))
     return ReportRow(suite, claim, a, c, x, rec.lhs.value,
                      rec.rhs.value, rec.margin, rec.budget, rec.status,
                      rec.anchor, idx)
@@ -255,10 +255,10 @@ def _task_sharpness(task, lim):
 
 
 def _task_monotonicity(task, which):
-    suite, claim, idx, a, c, x_lo, x_hi, tol = task
+    suite, claim, idx, a, c, x_lo, x_hi = task
     sign = bounds_mod.AUXILIARY[which].sign
-    lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo, tol)
-    hi = bounds_mod.auxiliary_log_ratio(which, a, c, x_hi, tol)
+    lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo)
+    hi = bounds_mod.auxiliary_log_ratio(which, a, c, x_hi)
     margin = sign * (hi.value - lo.value)
     budget = lo.abs_error + hi.abs_error
     direction = "increasing" if sign > 0 else "decreasing"
@@ -294,10 +294,10 @@ def _off_integer(c: float) -> bool:
 
 
 def _grid_tasks(cfg, suite, applies, xs):
-    """Tasks (suite, claim, idx, a, c, *x, tol): each claim at each grid
+    """Tasks (suite, claim, idx, a, c, *x[, tol]): each claim at each grid
     (a, c) where ``applies(argument, a, c)`` holds, once per tuple x of
-    ``xs``."""
-    tol = cfg.tol(suite.name)
+    ``xs``; the tolerance closes the task of a suite that takes one."""
+    tol = () if suite.tolerance is None else (cfg.tol(suite.name),)
     out = []
     for claim, arg in suite.claims.items():
         idx = 0
@@ -306,7 +306,7 @@ def _grid_tasks(cfg, suite, applies, xs):
                 if not applies(arg, a, c):
                     continue
                 for x in xs:
-                    out.append((suite.name, claim, idx, a, c, *x, tol))
+                    out.append((suite.name, claim, idx, a, c, *x, *tol))
                     idx += 1
     return out
 
@@ -395,16 +395,16 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
         "first-shift": (_FIRST, "first-shift ratio equals "
                                 "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
           0.0, _tasks_stieltjes, _task_stieltjes, zero_tolerance=True),
-    # tolerance: psi evaluation tolerance inside the checks
-    Suite("bounds", bounds_mod.CATALOG, 1e-12, _tasks_bounds, _task_bound),
+    # margins against the budgets of psi values at kernel.PSI_TOL: no tolerance
+    Suite("bounds", bounds_mod.CATALOG, None, _tasks_bounds, _task_bound),
     # closed forms: no tolerance
     Suite("dominance", bounds_mod.DOMINANCE, None, _tasks_dominance,
           _task_dominance),
     # tolerance: x -> 0 limits within this fraction of |limit|
     Suite("sharpness", LIMITS, 0.01, _tasks_sharpness, _task_sharpness),
-    # tolerance: psi evaluation tolerance
+    # margins against the budgets of psi values at kernel.PSI_TOL: no tolerance
     Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
-          1e-12, _tasks_monotonicity, _task_monotonicity),
+          None, _tasks_monotonicity, _task_monotonicity),
 )}
 
 SUITES = tuple(REGISTRY)
@@ -470,8 +470,8 @@ class RunConfig:
 
 def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     """Execute the configured suites; deterministic for a fixed config."""
-    tasks = [t for s in REGISTRY.values() if s.name in cfg.suites
-             for t in s.tasks(cfg, s)]
+    selected = [s for s in REGISTRY.values() if s.name in cfg.suites]
+    tasks = [t for s in selected for t in s.tasks(cfg, s)]
     # a task holds its grid pair (a, c) at positions 3 and 4
     blocks: dict = {}
     if cfg.jobs > 1:
@@ -506,11 +506,9 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
             else:
                 gating_fails += 1
 
-    empty = []
-    for suite in cfg.suites:
-        for claim in REGISTRY[suite].claims:
-            if (suite, claim) not in seen_claims:
-                empty.append(f"{suite}/{claim}: no grid point lies in its region")
+    empty = [f"{s.name}/{claim}: no grid point lies in its region"
+             for s in selected for claim in s.claims
+             if (s.name, claim) not in seen_claims]
 
     summary = RunSummary(counts, gating_fails, advisory_fails, empty, len(rows))
     if cfg.out:

@@ -15,8 +15,8 @@ closed-form limit and the anchor text of its report rows.
 ``sharpness_scan`` measures the deviations from a row's limit along that
 row's own sequence.
 
-``turanian_ratio`` and ``turanian`` are cached per (kind, a, c, x, tol),
-as ``kernel.psi`` is per (a, c, x, tol): one target is checked by up to
+``turanian_ratio`` and ``turanian`` are cached per (kind, a, c, x), as
+``kernel.psi`` is per (a, c, x): one target is checked by up to
 six catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U all read
 the both-shift ratio, S1, S2 and S2H the raw second-shift Turanian), and
 the stieltjes suite and the sharpness scans read the same values.
@@ -52,21 +52,19 @@ _SHIFTS = {
 }
 
 
-def turanian(kind: TuranianKind, p: ParameterPoint,
-             tol: float = 1e-12) -> FunctionValue:
+def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     """psi^2 - psi(shifted down) * psi(shifted up), with first-order error.
     A product of nonzero psi values that underflows raises, as psi does,
-    on every call.  Cached per (kind, a, c, x, tol)."""
-    return _turanian_cached(kind, p.a, p.c, p.x, tol)
+    on every call.  Cached per (kind, a, c, x)."""
+    return _turanian_cached(kind, p.a, p.c, p.x)
 
 
 @lru_cache(maxsize=65_536)
-def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float,
-                     tol: float) -> FunctionValue:
+def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = psi(ParameterPoint(a, c, x), tol)
-    fm = psi(ParameterPoint(a - da, c - dc, x), tol)
-    fp = psi(ParameterPoint(a + da, c + dc, x), tol)
+    f0 = psi(ParameterPoint(a, c, x))
+    fm = psi(ParameterPoint(a - da, c - dc, x))
+    fp = psi(ParameterPoint(a + da, c + dc, x))
     square, cross = f0.value * f0.value, fm.value * fp.value
     if ((f0.value and abs(square) < _TINY)
             or (fm.value and fp.value and abs(cross) < _TINY)):
@@ -79,27 +77,25 @@ def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float,
     return FunctionValue(value, err, f0.method)
 
 
-def turanian_ratio(kind: TuranianKind, p: ParameterPoint,
-                   tol: float = 1e-12) -> FunctionValue:
+def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     """Turanian normalized by psi^2 as 1 - (psi_-/psi)(psi_+/psi), with a
     first-order budget of relative errors: psi is never squared.
 
-    Cached per (kind, a, c, x, tol), since one ratio is checked by up to
-    six catalog bounds at a point; an omitted tol and tol = 1e-12 share
-    an entry.  A point that raises raises again on the next call."""
-    return _ratio_cached(kind, p.a, p.c, p.x, tol)
+    Cached per (kind, a, c, x), since one ratio is checked by up to six
+    catalog bounds at a point.  A point that raises raises again on the
+    next call."""
+    return _ratio_cached(kind, p.a, p.c, p.x)
 
 
 @lru_cache(maxsize=65_536)
-def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float,
-                  tol: float) -> FunctionValue:
+def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = psi(ParameterPoint(a, c, x), tol)
+    f0 = psi(ParameterPoint(a, c, x))
     if f0.abs_error >= abs(f0.value) / 2.0:
         raise EvaluationError(
             f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    fm = psi(ParameterPoint(a - da, c - dc, x), tol)
-    fp = psi(ParameterPoint(a + da, c + dc, x), tol)
+    fm = psi(ParameterPoint(a - da, c - dc, x))
+    fp = psi(ParameterPoint(a + da, c + dc, x))
     qm, qp = fm.value / f0.value, fp.value / f0.value
     value = 1.0 - qm * qp
     # one rounding per quotient and for the product, one for the difference
@@ -175,8 +171,7 @@ class ScanResult:
     eventually_decreasing: bool
 
 
-def sharpness_scan(limit: SharpnessLimit, a: float, c: float,
-                   tol: float = 1e-12) -> ScanResult:
+def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> ScanResult:
     """Deviations of the (x^2-scaled) ratio from its limit along the
     limit's own scan sequence, and whether they decrease throughout.
     Raises :class:`RegionError` where the limit's region does not hold."""
@@ -185,7 +180,7 @@ def sharpness_scan(limit: SharpnessLimit, a: float, c: float,
     value = limit.value(a, c)
     points = []
     for x in limit.xs:
-        r = turanian_ratio(limit.kind, ParameterPoint(a, c, x), tol)
+        r = turanian_ratio(limit.kind, ParameterPoint(a, c, x))
         scale = x * x if limit.x2_scaled else 1.0
         dev = abs(scale * r.value - value)
         points.append(ScanPoint(x, scale * r.value, dev, scale * r.abs_error))

@@ -151,8 +151,9 @@ class TestRun:
         assert code == 2 and out == ""
         assert err == "config error: no suites selected\n"
 
-    @pytest.mark.parametrize("line", ["jobs=abc", "tol-bounds=oops",
-                                      "gate-advisory=maybe", "tol-dominance=0"])
+    @pytest.mark.parametrize("line", ["jobs=abc", "tol-moments=oops",
+                                      "gate-advisory=maybe", "tol-dominance=0",
+                                      "tol-bounds=1e-12"])
     def test_bad_config_value_is_a_config_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -194,9 +195,13 @@ class TestRun:
         assert not out.exists()
 
     def test_tol_dominance_flag_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--tol-dominance", "0"])
-        assert exc.value.code == 2
+        # nor do the suites whose checks read psi at kernel.PSI_TOL take one
+        for flag, value in (("--tol-dominance", "0"), ("--tol-bounds", "1e-12"),
+                            ("--tol-monotonicity", "1e-12")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["run", flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def run_python(code: str) -> str:
@@ -233,6 +238,21 @@ class TestDependencies:
             "     'numpy.polynomial')))\n"
             "print(json.dumps([loaded, type(tricomi_turan.suites).__name__]))\n")
         assert json.loads(run_python(code)) == [["tricomi_turan.kernel"], "module"]
+
+    def test_eval_phi_overflow_is_exit_4_with_warnings_as_errors(self):
+        # as `python -W error -m tricomi_turan.cli eval phi ...`
+        code = (
+            "import contextlib, io, json, warnings\n"
+            "warnings.simplefilter('error')\n"
+            "from tricomi_turan import cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    status = cli.main(['eval', 'phi', '2.83945484647252',\n"
+            "                       '-7.39957633803421', '6.555282404372128e+221'])\n"
+            "print(json.dumps([status, err.getvalue()]))\n")
+        status, err = json.loads(run_python(code))
+        assert status == 4
+        assert err.startswith("evaluation error: ") and err.count("\n") == 1
 
     def test_numpy_is_the_only_numerical_dependency(self):
         code = (

@@ -219,7 +219,14 @@ class TestEdgeCases:
         (stieltjes_ratio, 0.00022352864076403424, 0.9996427830785745, 1.0),
         (stieltjes_ratio, 12.0, 0.9997551433629278, 1.0211166805651979e-172),
         (stieltjes_ratio, 2.013562966892444, 0.9972884479354649, 6.073162224628772e+182),
-        (phi, 0.0009544738347773529, -124.80668399016307, 1.5248017372701232e-216)])
+        (phi, 0.0009544738347773529, -124.80668399016307, 1.5248017372701232e-216),
+        # these four used to end in a numpy RuntimeWarning first: the Kummer
+        # terms overflow in the running product, |psi|^-2 overflows, and the
+        # head coefficients divide by an A^2 that underflows to 0
+        (phi, 2.83945484647252, -7.39957633803421, 6.555282404372128e+221),
+        (phi, 102.18764826666732, 0.9996471483625124, 5.849117304638293e-237),
+        (phi, 0.002692672350626316, 0.9998331821818549, 6.924377374620989e+37),
+        (phi_moment, 161.59543629407435, 0.908292938738712, 0)])
     def test_beyond_the_double_range_raises_typed_errors(self, fn, a, c, arg):
         with pytest.raises(EvaluationError):
             fn(WeightDensity(a, c), arg)

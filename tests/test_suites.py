@@ -31,13 +31,15 @@ class TestRunConfig:
 
     def test_zero_tolerance_only_where_the_suite_allows_it(self):
         assert RunConfig(tolerances={"stieltjes": 0.0}).tol("stieltjes") == 0.0
-        with pytest.raises(ConfigError):
-            RunConfig(tolerances={"bounds": 0.0})
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            RunConfig(tolerances={"moments": 0.0})
 
     def test_dominance_takes_no_tolerance(self):
-        assert suites.REGISTRY["dominance"].tolerance is None
-        with pytest.raises(ConfigError):
-            RunConfig(tolerances={"dominance": 1e-3})
+        # nor do bounds and monotonicity, whose checks read psi at kernel.PSI_TOL
+        for name in ("dominance", "bounds", "monotonicity"):
+            assert suites.REGISTRY[name].tolerance is None
+            with pytest.raises(ConfigError, match=f"the {name} suite takes no tolerance"):
+                RunConfig(tolerances={name: 1e-12})
 
 
 def test_crosscheck_points_take_the_quadrature_route_of_psi():
@@ -124,6 +126,15 @@ def test_bounds_suite_computes_each_ratio_once():
     info = turanians._ratio_cached.cache_info()
     assert info.misses == len(needed)
     assert info.hits == checks - len(needed) > 0
+
+
+def test_a_repeated_suite_name_lists_each_empty_region_once():
+    grid = {"grid_a": (0.5,), "grid_c": (0.5,), "grid_x": (1.0,)}
+    once, rows = suites.run(RunConfig(suites=("bounds",), **grid))
+    twice, rows_twice = suites.run(RunConfig(suites=("bounds", "bounds"), **grid))
+    assert len(once.empty_regions) == 14
+    assert twice.empty_regions == once.empty_regions
+    assert rows_twice == rows
 
 
 def rows_to_csv_reference(rows, summary):

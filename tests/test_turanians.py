@@ -94,7 +94,7 @@ def _bits(fv):
 
 
 class TestCache:
-    """turanian_ratio and turanian are cached per (kind, a, c, x, tol)."""
+    """turanian_ratio and turanian are cached per (kind, a, c, x)."""
 
     @pytest.mark.parametrize("kind", list(TuranianKind))
     @pytest.mark.parametrize("public,cached", [
@@ -106,7 +106,7 @@ class TestCache:
         first = public(kind, p)
         assert public(kind, p) is first
         assert cached.cache_info().hits == 1
-        fresh = cached.__wrapped__(kind, p.a, p.c, p.x, 1e-12)
+        fresh = cached.__wrapped__(kind, p.a, p.c, p.x)
         assert _bits(fresh) == _bits(first)
 
     def test_a_raising_point_raises_on_every_call(self):
@@ -117,14 +117,6 @@ class TestCache:
                 turanian(SECOND, p)
         info = turanians._turanian_cached.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
-
-    @pytest.mark.parametrize("kind", list(TuranianKind))
-    def test_default_tol_shares_the_entry_of_1e_12(self, kind):
-        turanians._ratio_cached.cache_clear()
-        p = ParameterPoint(1.5, -0.5, 2.0)
-        assert turanian_ratio(kind, p) is turanian_ratio(kind, p, 1e-12)
-        info = turanians._ratio_cached.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestRatioLimits:
