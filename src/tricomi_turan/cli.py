@@ -65,10 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="report format (default csv)")
     p_run.add_argument("--jobs", type=int,
-                       help="worker processes (default 1); each gets whole "
-                            "(a, c) grid pairs, and the rows are sorted "
-                            "afterwards, so neither the report nor the error "
-                            "of a failing run depends on it")
+                       help="worker processes (default 1), at most one per "
+                            "(a, c) pair and per usable CPU; each gets whole "
+                            "pairs, whose rows are merged in grid order, so "
+                            "neither the report nor the error of a failing "
+                            "run depends on it")
     p_run.add_argument("--gate-advisory", action="store_true", default=None,
                        help="count advisory-claim failures (S2 family, P4U probe) "
                             "toward the exit code")

@@ -4,26 +4,34 @@ A :class:`RunConfig` selects suites, grids, tolerances and output; ``run``
 executes every selected suite deterministically (fixed grid order, fixed
 quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
 per (claim, point).  A row is a named tuple, cheap to build; its fields
-are the report columns, in order, then the grid index.  With
-``jobs > 1`` a process pool gets one block of tasks per (a, c) grid
-pair, so that the worker holding a pair computes each shifted psi value
-and each phi table of that pair once; at most one worker per pair is
-started, and a single pair runs in-process.  Rows cross the pool as
-plain tuples, which pickle several times faster than named tuples, and
-are made rows again on arrival.  Rows are sorted afterwards by
-(suite, claim, grid index), and a failing run raises the error of its
-first failing task in that order, so neither the report nor the error
+are the report columns, in order, then the grid index.
+
+The unit of work is the (a, c) pair.  The block of a pair evaluates, in
+task order (suite, claim, x), every selected claim that holds there, at
+each of its suite's x values, so the process that holds a pair computes
+each shifted psi value and each phi table of that pair once.  With
+``jobs = 1`` the blocks run in-process; otherwise a process pool maps
+them, with at most one worker per pair and per usable CPU.  A block
+returns its rows as plain tuples without their grid index (they pickle
+several times faster than named tuples) and stops at its first failing
+task.  ``run`` merges the blocks as they arrive: it walks each claim's
+pairs in order, the grid's in (a, c) order or the sharpness suite's
+curated ones, and appends the rows of each (suite, claim) numbered on
+from its last: the grid index.  The claims, concatenated by (suite,
+claim name), make the report, so neither the report nor the error of a
+failing run, the first failure in task order (suite, claim, pair, x),
 depends on ``jobs``.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
-claims once, each with the argument its tasks need (a catalog entry, a
+claims once, each with the argument its rows need (a catalog entry, a
 moment identity, a Turanian kind); the sharpness suite's claims are the
 rows of ``turanians.LIMITS``.  A record holds the default tolerance, or
-None for a suite that takes none; and it names the builder of the
-suite's tasks and the evaluator of one task.  A task is a plain tuple
-(suite, claim, grid index, a, c, ...) so that a process pool can send it;
-the evaluator receives the task and the argument of its claim.
+None for a suite that takes none; the test of whether a claim holds at a
+pair; the points of its rows at a pair; and the evaluator of one row,
+which calls the per-point function of the claim (``check_bound``,
+``check_dominance``, ``auxiliary_log_ratio``, the measure and Turanian
+functions).
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -33,15 +41,18 @@ and the margin is the allowance minus the observed difference.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from . import measure as measure_mod
@@ -116,27 +127,30 @@ class Suite:
     name: str
     claims: dict                       # claim -> its argument, in report order
     tolerance: float | None            # default; None: the suite takes none
-    tasks: Callable[[RunConfig, Suite], list]
-    evaluate: Callable[[tuple, object], ReportRow]
+    applies: Callable[[object, float, float], bool]  # (argument, a, c)
+    points: Callable[[RunConfig, float, float], Sequence]  # (config, a, c)
+    evaluate: Callable[..., tuple | None]  # see the row evaluators below
+    pairs: Callable[[object], tuple] | None = None  # a claim's own; None: the grid's
     zero_tolerance: bool = False       # a tolerance of 0 is valid
 
 
 # ---------------------------------------------------------------------------
-# task evaluators: (task, argument of its claim) -> ReportRow
+# row evaluators: (suite, claim, argument, a, c, point, tolerance) -> the
+# fields of a row without its grid index, or None where the claim does not
+# hold at the point
 # ---------------------------------------------------------------------------
 
-def _task_crosscheck(task, _):
-    suite, claim, idx, a, c, x, tol_rel = task
+def _row_crosscheck(suite, claim, _, a, c, p, tol_rel):
     # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
     # the quadrature route, and caches it for the Turanians of this point
-    q = psi(ParameterPoint(a, c, x))
-    k = psi_connection(a, c, x)
+    q = psi(p)
+    k = psi_connection(a, c, p.x)
     diff = abs(q.value - k.value)
     allowance = max(tol_rel * abs(q.value), q.abs_error + k.abs_error)
     margin = allowance - diff
-    return ReportRow(suite, claim, a, c, x, q.value, k.value, margin,
-                     allowance, PASS if margin >= 0.0 else FAIL,
-                     "quadrature and connection-series values agree", idx)
+    return (suite, claim, a, c, p.x, q.value, k.value, margin, allowance,
+            PASS if margin >= 0.0 else FAIL,
+            "quadrature and connection-series values agree")
 
 
 @lru_cache(maxsize=8192)
@@ -149,8 +163,7 @@ def _difference_node(a: float, c: float, x: float) -> float:
     return psi_quadrature(ParameterPoint(a, c, x), _DIFFERENCE_TOL).value
 
 
-def _task_ode(task, _):
-    suite, claim, idx, a, c, x, tol = task
+def _row_ode(suite, claim, _, a, c, x, tol):
     h = 1e-4 * x
     f0 = _difference_node(a, c, x)
     fp = _difference_node(a, c, x + h)
@@ -161,13 +174,12 @@ def _task_ode(task, _):
     scale = abs(x * d2) + abs((c - x) * d1) + abs(a * f0)
     allowance = tol * scale
     margin = allowance - abs(resid)
-    return ReportRow(suite, claim, a, c, x, abs(resid), allowance, margin, 0.0,
-                     PASS if margin >= 0.0 else FAIL,
-                     "Kummer ODE residual under central differences", idx)
+    return (suite, claim, a, c, x, abs(resid), allowance, margin, 0.0,
+            PASS if margin >= 0.0 else FAIL,
+            "Kummer ODE residual under central differences")
 
 
-def _task_derivative(task, _):
-    suite, claim, idx, a, c, x, tol = task
+def _row_derivative(suite, claim, _, a, c, x, tol):
     h = 1e-4 * max(x, 0.1)
     if x - h <= 0.0:
         h = 0.5 * x
@@ -181,57 +193,52 @@ def _task_derivative(task, _):
         target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x)).value
     allowance = tol * abs(target) + 1e-9
     margin = allowance - abs(fd - target)
-    return ReportRow(suite, claim, a, c, x, fd, target, margin, allowance,
-                     PASS if margin >= 0.0 else FAIL,
-                     "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)", idx)
+    return (suite, claim, a, c, x, fd, target, margin, allowance,
+            PASS if margin >= 0.0 else FAIL,
+            "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)")
 
 
-def _task_moment(task, ident):
-    suite, claim, idx, a, c, x, tol = task
+def _row_moment(suite, claim, ident, a, c, x, tol):
     d = measure_mod.WeightDensity(a, c)
     mv = measure_mod.phi_moment(d, ident.power)
     closed = ident.closed_form(a, c)
     allowance = tol + mv.abs_error
     margin = allowance - abs(mv.value - closed)
-    return ReportRow(suite, claim, a, c, x, mv.value, closed, margin,
-                     mv.abs_error, PASS if margin >= 0.0 else FAIL,
-                     f"moment power {ident.power} equals its closed form", idx)
+    return (suite, claim, a, c, x, mv.value, closed, margin, mv.abs_error,
+            PASS if margin >= 0.0 else FAIL,
+            f"moment power {ident.power} equals its closed form")
 
 
-def _task_stieltjes(task, arg):
-    suite, claim, idx, a, c, x, slack = task
+def _row_stieltjes(suite, claim, arg, a, c, p, slack):
     kind, anchor = arg
     d = measure_mod.WeightDensity(a, c)
     if kind is TuranianKind.BOTH_SHIFT:
-        rep = measure_mod.stieltjes_ratio(d, x)
+        rep = measure_mod.stieltjes_ratio(d, p.x)
     else:
-        rep = measure_mod.stieltjes_first_shift(d, x)
-    direct = turanian_ratio(kind, ParameterPoint(a, c, x))
+        rep = measure_mod.stieltjes_first_shift(d, p.x)
+    direct = turanian_ratio(kind, p)
     budget = rep.abs_error + direct.abs_error
     allowance = budget + slack
     margin = allowance - abs(rep.value - direct.value)
-    return ReportRow(suite, claim, a, c, x, direct.value, rep.value, margin,
-                     budget, PASS if margin >= 0.0 else FAIL, anchor, idx)
+    return (suite, claim, a, c, p.x, direct.value, rep.value, margin, budget,
+            PASS if margin >= 0.0 else FAIL, anchor)
 
 
-def _task_bound(task, _):
-    suite, claim, idx, a, c, x = task
-    rec = bounds_mod.check_bound(claim, ParameterPoint(a, c, x))
-    return ReportRow(suite, claim, a, c, x, rec.lhs.value,
-                     rec.rhs.value, rec.margin, rec.budget, rec.status,
-                     rec.anchor, idx)
+def _row_bound(suite, claim, _, a, c, p, _tol):
+    rec = bounds_mod.check_bound(claim, p)
+    return (suite, claim, a, c, p.x, rec.lhs.value, rec.rhs.value, rec.margin,
+            rec.budget, rec.status, rec.anchor)
 
 
-def _task_dominance(task, _):
-    suite, claim, idx, a, c, x = task
-    rec = bounds_mod.check_dominance(claim, ParameterPoint(a, c, x))
-    return ReportRow(suite, claim, a, c, x, rec.lhs.value,
-                     rec.rhs.value, rec.margin, rec.budget, rec.status,
-                     rec.anchor, idx)
+def _row_dominance(suite, claim, _, a, c, p, _tol):
+    if not bounds_mod.dominance_applicable(claim, p):
+        return None
+    rec = bounds_mod.check_dominance(claim, p)
+    return (suite, claim, a, c, p.x, rec.lhs.value, rec.rhs.value, rec.margin,
+            rec.budget, rec.status, rec.anchor)
 
 
-def _task_sharpness(task, lim):
-    suite, claim, idx, a, c, frac = task
+def _row_sharpness(suite, claim, lim, a, c, _, frac):
     scan = sharpness_scan(lim, a, c)
     last = scan.points[-1]
     if lim.toward_zero or lim.x2_scaled:
@@ -242,132 +249,67 @@ def _task_sharpness(task, lim):
         margin = allowance - last.deviation
         if lim.x2_scaled and not scan.eventually_decreasing:
             margin = -abs(margin) - 1.0
-        return ReportRow(suite, claim, a, c, last.x, last.deviation, allowance,
-                         margin, last.budget, bounds_mod._status(margin, last.budget),
-                         lim.anchor, idx)
+        return (suite, claim, a, c, last.x, last.deviation, allowance, margin,
+                last.budget, bounds_mod._status(margin, last.budget), lim.anchor)
     # plain ratios at infinity: the deviations decrease
     devs = [q.deviation for q in scan.points]
     worst = max(d2 - d1 for d1, d2 in zip(devs, devs[1:]))
     budget = 2.0 * max(q.budget for q in scan.points)
     margin = -worst
-    return ReportRow(suite, claim, a, c, last.x, devs[-1], devs[0], margin,
-                     budget, bounds_mod._status(margin, budget), lim.anchor, idx)
+    return (suite, claim, a, c, last.x, devs[-1], devs[0], margin, budget,
+            bounds_mod._status(margin, budget), lim.anchor)
 
 
-def _task_monotonicity(task, which):
-    suite, claim, idx, a, c, x_lo, x_hi = task
+def _row_monotonicity(suite, claim, which, a, c, step, _tol):
+    x_lo, x_hi = step
     sign = bounds_mod.AUXILIARY[which].sign
     lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo)
     hi = bounds_mod.auxiliary_log_ratio(which, a, c, x_hi)
     margin = sign * (hi.value - lo.value)
     budget = lo.abs_error + hi.abs_error
     direction = "increasing" if sign > 0 else "decreasing"
-    return ReportRow(suite, claim, a, c, x_hi, lo.value, hi.value, margin,
-                     budget, bounds_mod._status(margin, budget),
-                     f"auxiliary log-ratio {which} is {direction}", idx)
-
-
-def _eval_task(task):
-    suite = REGISTRY[task[0]]
-    return suite.evaluate(task, suite.claims[task[1]])
-
-
-def _eval_block(tasks):
-    """Rows of a block of tasks, as plain tuples, and the first task that
-    fails with its error, or None."""
-    rows = []
-    for task in tasks:
-        try:
-            rows.append(tuple(_eval_task(task)))
-        except Exception as exc:
-            return rows, (task, exc)
-    return rows, None
+    return (suite, claim, a, c, x_hi, lo.value, hi.value, margin, budget,
+            bounds_mod._status(margin, budget),
+            f"auxiliary log-ratio {which} is {direction}")
 
 
 # ---------------------------------------------------------------------------
-# task builders: (config, suite) -> task tuples; their order within a claim
-# defines the grid index
+# the points of a suite's rows at one (a, c) pair: (config, a, c) -> items,
+# each given to the evaluator of every claim that holds at the pair
 # ---------------------------------------------------------------------------
+
+def _grid_points(cfg, a, c):
+    return [ParameterPoint(a, c, x) for x in cfg.grid_x]
+
+
+def _grid_xs(cfg, a, c):
+    return cfg.grid_x
+
+
+def _ode_xs(cfg, a, c):
+    return [x for x in cfg.grid_x if x >= ODE_MIN_X]
+
+
+def _crosscheck_points(cfg, a, c):
+    return [ParameterPoint(a, c, x) for x in CROSSCHECK_X]
+
+
+def _grid_steps(cfg, a, c):
+    xs = sorted(cfg.grid_x)
+    return list(zip(xs, xs[1:]))
+
+
+def _no_x(cfg, a, c):
+    # a moment and a sharpness scan take no grid x; a moment's row reports x = 0
+    return (0.0,)
+
 
 def _off_integer(c: float) -> bool:
     return abs(c - round(c)) >= INTEGER_C_GUARD
 
 
-def _grid_tasks(cfg, suite, applies, xs):
-    """Tasks (suite, claim, idx, a, c, *x[, tol]): each claim at each grid
-    (a, c) where ``applies(argument, a, c)`` holds, once per tuple x of
-    ``xs``; the tolerance closes the task of a suite that takes one."""
-    tol = () if suite.tolerance is None else (cfg.tol(suite.name),)
-    out = []
-    for claim, arg in suite.claims.items():
-        idx = 0
-        for a in cfg.grid_a:
-            for c in cfg.grid_c:
-                if not applies(arg, a, c):
-                    continue
-                for x in xs:
-                    out.append((suite.name, claim, idx, a, c, *x, *tol))
-                    idx += 1
-    return out
-
-
-def _tasks_crosscheck(cfg, s):
-    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0 and _off_integer(c),
-                       [(x,) for x in CROSSCHECK_X])
-
-
-def _tasks_ode(cfg, s):
-    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0,
-                       [(x,) for x in cfg.grid_x if x >= ODE_MIN_X])
-
-
-def _tasks_derivative(cfg, s):
-    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0,
-                       [(x,) for x in cfg.grid_x])
-
-
-def _tasks_moments(cfg, s):
-    # a moment has no x; its rows report x = 0
-    return _grid_tasks(cfg, s, lambda ident, a, c: ident.region(a, c) and _off_integer(c),
-                       [(0.0,)])
-
-
-def _tasks_stieltjes(cfg, s):
-    return _grid_tasks(cfg, s, lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
-                       [(x,) for x in cfg.grid_x])
-
-
-def _tasks_bounds(cfg, s):
-    return _grid_tasks(cfg, s, lambda spec, a, c: spec.region(a, c),
-                       [(x,) for x in cfg.grid_x])
-
-
-def _tasks_monotonicity(cfg, s):
-    xs = sorted(cfg.grid_x)
-    return _grid_tasks(cfg, s, lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
-                       list(zip(xs, xs[1:])))
-
-
-def _tasks_dominance(cfg, s):
-    out = []
-    for did in s.claims:
-        idx = 0
-        for a in cfg.grid_a:
-            for c in cfg.grid_c:
-                for x in cfg.grid_x:
-                    if bounds_mod.dominance_applicable(did, ParameterPoint(a, c, x)):
-                        out.append((s.name, did, idx, a, c, x))
-                        idx += 1
-    return out
-
-
-def _tasks_sharpness(cfg, s):
-    tol = cfg.tol(s.name)
-    out = []
-    for claim, lim in s.claims.items():
-        pairs = SHARPNESS_PAIRS_ZERO if lim.toward_zero else SHARPNESS_PAIRS_INF
-        out.extend((s.name, claim, idx, a, c, tol) for idx, (a, c) in enumerate(pairs))
-    return out
+def _sharpness_pairs(lim) -> tuple:
+    return SHARPNESS_PAIRS_ZERO if lim.toward_zero else SHARPNESS_PAIRS_INF
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +321,41 @@ _BOTH, _FIRST = TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT
 REGISTRY: dict[str, Suite] = {s.name: s for s in (
     # tolerance: relative agreement floor
     Suite("kernel_crosscheck", {"psi-two-methods": None}, 1e-8,
-          _tasks_crosscheck, _task_crosscheck),
+          lambda _, a, c: a > 0.0 and _off_integer(c), _crosscheck_points,
+          _row_crosscheck),
     # tolerance: residual / term scale
-    Suite("ode_residual", {"kummer-ode": None}, 1e-4, _tasks_ode, _task_ode),
+    Suite("ode_residual", {"kummer-ode": None}, 1e-4, lambda _, a, c: a > 0.0,
+          _ode_xs, _row_ode),
     # tolerance: relative (plus fixed 1e-9 absolute floor)
-    Suite("derivative", {"dpsi-dx": None}, 1e-6, _tasks_derivative,
-          _task_derivative),
+    Suite("derivative", {"dpsi-dx": None}, 1e-6, lambda _, a, c: a > 0.0,
+          _grid_xs, _row_derivative),
     # tolerance: absolute, on top of the quadrature budget
     Suite("moments", {f"moment[{power}]": ident for power, ident
-                      in measure_mod.MOMENT_IDENTITIES.items()},
-          1e-6, _tasks_moments, _task_moment),
+                      in measure_mod.MOMENT_IDENTITIES.items()}, 1e-6,
+          lambda ident, a, c: ident.region(a, c) and _off_integer(c),
+          _no_x, _row_moment),
     # tolerance: extra absolute slack on top of the budgets
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
-                                "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
-          0.0, _tasks_stieltjes, _task_stieltjes, zero_tolerance=True),
+                                "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")}, 0.0,
+          lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
+          _grid_points, _row_stieltjes, zero_tolerance=True),
     # margins against the budgets of psi values at kernel.PSI_TOL: no tolerance
-    Suite("bounds", bounds_mod.CATALOG, None, _tasks_bounds, _task_bound),
-    # closed forms: no tolerance
-    Suite("dominance", bounds_mod.DOMINANCE, None, _tasks_dominance,
-          _task_dominance),
-    # tolerance: x -> 0 limits within this fraction of |limit|
-    Suite("sharpness", LIMITS, 0.01, _tasks_sharpness, _task_sharpness),
+    Suite("bounds", bounds_mod.CATALOG, None,
+          lambda spec, a, c: spec.region(a, c), _grid_points, _row_bound),
+    # closed forms: no tolerance; dominance_applicable decides per point
+    Suite("dominance", bounds_mod.DOMINANCE, None, lambda *_: True,
+          _grid_points, _row_dominance),
+    # tolerance: x -> 0 limits within this fraction of |limit|; each limit
+    # is scanned at its curated pairs, not at the grid's
+    Suite("sharpness", LIMITS, 0.01,
+          lambda lim, a, c: (a, c) in _sharpness_pairs(lim), _no_x,
+          _row_sharpness, pairs=_sharpness_pairs),
     # margins against the budgets of psi values at kernel.PSI_TOL: no tolerance
     Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
-          None, _tasks_monotonicity, _task_monotonicity),
+          None, lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
+          _grid_steps, _row_monotonicity),
 )}
 
 SUITES = tuple(REGISTRY)
@@ -468,47 +419,127 @@ class RunConfig:
 # runner and report writers
 # ---------------------------------------------------------------------------
 
+def _pair_block(cfg: RunConfig, unit) -> tuple[dict, tuple | None]:
+    """Evaluate one (a, c) pair: ``unit`` is the pair and the names of the
+    selected suites with a claim there.  Returns the rows, as plain tuples
+    without their grid index, of each (suite, claim) that holds at the pair,
+    in task order, and the first failure as ((suite, claim), error), or
+    None; the block stops at its first failing task."""
+    (a, c), names = unit
+    rows: dict = {}
+    points: dict = {}   # each suite's points function -> its items here
+    for name in names:
+        s = REGISTRY[name]
+        tol = None if s.tolerance is None else cfg.tol(name)
+        if s.points not in points:
+            points[s.points] = s.points(cfg, a, c)
+        for claim, arg in s.claims.items():
+            if not s.applies(arg, a, c):
+                continue
+            out = rows[name, claim] = []
+            for p in points[s.points]:
+                try:
+                    row = s.evaluate(name, claim, arg, a, c, p, tol)
+                except Exception as exc:
+                    return rows, ((name, claim), exc)
+                if row is not None:
+                    out.append(row)
+    return rows, None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; more workers only add processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _merge(sequences: dict, results, rows: dict) -> list:
+    """Merge block results into ``rows``, the row list of each (suite,
+    claim) in task order.  ``sequences`` maps each sequence of (a, c)
+    pairs to the claims that take it; ``results`` yields (pair, block
+    result) in the order of the units.  Each sequence is walked in order,
+    reading the blocks as they arrive, and a claim's rows at a pair are
+    appended numbered on from its last row: the grid index.  Returns the
+    failures met, each as (place of its claim in task order, place of its
+    pair in the sequence, error)."""
+    order = {key: i for i, key in enumerate(rows)}
+    done: dict = {}
+    failures = []
+    make = ReportRow._make
+    for seq, keys in sequences.items():
+        last = {pair: position for position, pair in enumerate(seq)}
+        for position, pair in enumerate(seq):
+            while pair not in done:
+                arrived, result = next(results)
+                done[arrived] = result
+            got, failure = done[pair]
+            for key in keys:
+                # drop a block's rows with the last copy of its pair: kept,
+                # they cost the garbage collector time in every later pass
+                block_rows = got.pop(key, None) if last[pair] == position else got.get(key)
+                if block_rows:
+                    out = rows[key]
+                    out += [make(r + (i,)) for i, r in enumerate(block_rows, len(out))]
+            if failure and failure[0] in keys:
+                failures.append((order[failure[0]], position, failure[1]))
+    return failures
+
+
 def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     """Execute the configured suites; deterministic for a fixed config."""
     selected = [s for s in REGISTRY.values() if s.name in cfg.suites]
-    tasks = [t for s in selected for t in s.tasks(cfg, s)]
-    # a task holds its grid pair (a, c) at positions 3 and 4
-    blocks: dict = {}
-    if cfg.jobs > 1:
-        for t in tasks:
-            blocks.setdefault((t[3], t[4]), []).append(t)
-    workers = min(cfg.jobs, len(blocks))
-    if workers > 1:
-        rows, failed = [], []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block_rows, failure in pool.map(_eval_block, blocks.values()):
-                rows += map(ReportRow._make, block_rows)
-                if failure:
-                    failed.append(failure)
-        if failed:
-            # raise what jobs=1 would: the error of the first failing task
-            raise min(failed, key=lambda f: tasks.index(f[0]))[1]
-    else:
-        rows = [_eval_task(t) for t in tasks]
-    rows.sort(key=lambda r: (_SUITE_RANK[r.suite], r.claim, r.idx))
+    grid = tuple((a, c) for a in cfg.grid_a for c in cfg.grid_c)
+    # each sequence of (a, c) pairs, the grid's or a sharpness limit's own,
+    # with the claims that take it
+    sequences: dict = {}
+    for s in selected:
+        for claim, arg in s.claims.items():
+            sequences.setdefault(grid if s.pairs is None else s.pairs(arg),
+                                 []).append((s.name, claim))
+    # one unit of work per distinct pair: the suites with a claim there,
+    # in report order, since a block evaluates them in task order
+    units: dict = {}
+    for seq, keys in sequences.items():
+        names = {name for name, _ in keys}
+        for pair in seq:
+            units.setdefault(pair, set()).update(names)
+    items = [(pair, sorted(names, key=_SUITE_RANK.__getitem__))
+             for pair, names in units.items()]
 
+    rows_of = {(s.name, claim): [] for s in selected for claim in s.claims}
+    block = partial(_pair_block, cfg)
+    workers = min(cfg.jobs, len(items), _usable_cpus())
+    # the rows are merged while the pool still evaluates later blocks
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        results = zip(units, (pool.map if pool else map)(block, items))
+        failures = _merge(sequences, results, rows_of)
+    if failures:
+        # the first failure in task order (suite, claim, pair, x): the
+        # block of its pair stops at it, as nothing before it fails
+        raise min(failures, key=lambda f: f[:2])[2]
+
+    empty = [f"{name}/{claim}: no grid point lies in its region"
+             for (name, claim), out in rows_of.items() if not out]
+    rows: list = []
     counts: dict = {}
     gating_fails = advisory_fails = 0
-    seen_claims = set()
-    for r in rows:
-        suite_counts = counts.setdefault(r.suite, {PASS: 0, FAIL: 0, INCONCLUSIVE: 0})
-        suite_counts[r.status] += 1
-        seen_claims.add((r.suite, r.claim))
-        if r.status == FAIL:
-            advisory = r.claim in ADVISORY_CLAIMS and not cfg.gate_advisory
-            if advisory:
-                advisory_fails += 1
+    for s in selected:
+        for claim in sorted(s.claims):
+            out = rows_of[s.name, claim]
+            if not out:
+                continue
+            tally = Counter(r.status for r in out)
+            suite_counts = counts.setdefault(s.name, {PASS: 0, FAIL: 0, INCONCLUSIVE: 0})
+            for status, n in tally.items():
+                suite_counts[status] += n
+            if claim in ADVISORY_CLAIMS and not cfg.gate_advisory:
+                advisory_fails += tally[FAIL]
             else:
-                gating_fails += 1
-
-    empty = [f"{s.name}/{claim}: no grid point lies in its region"
-             for s in selected for claim in s.claims
-             if (s.name, claim) not in seen_claims]
+                gating_fails += tally[FAIL]
+            rows += out
 
     summary = RunSummary(counts, gating_fails, advisory_fails, empty, len(rows))
     if cfg.out:

@@ -1,15 +1,20 @@
 """Suite records, run-configuration checks and the process-pool runner."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
 import pickle
+from pathlib import Path
 
 import pytest
 
-from tricomi_turan import bounds, kernel, suites, turanians
-from tricomi_turan.kernel import EvaluationError, asymptotic_threshold
+from tricomi_turan import bounds, kernel, measure, suites, turanians
+from tricomi_turan.kernel import (EvaluationError, ParameterPoint,
+                                  asymptotic_threshold, psi, psi_connection,
+                                  psi_quadrature)
 from tricomi_turan.suites import ConfigError, ReportRow, RunConfig
 
 SMALL_GRID = {"grid_a": (0.5, 2.0), "grid_c": (-2.5, 0.25),
@@ -78,23 +83,48 @@ class TestRun:
         assert (suites.rows_to_csv(two, s2, timestamp=False)
                 == suites.rows_to_csv(one, s1, timestamp=False))
 
+    @staticmethod
+    def raise_at(monkeypatch, name, failing):
+        """Make the rows of suite ``name`` raise EvaluationError(message)
+        at the (claim, a) -> message entries of ``failing``; a claim of
+        None stands for every claim of the suite."""
+        suite = suites.REGISTRY[name]
+
+        def evaluate(s, claim, arg, a, c, p, tol):
+            message = failing.get((claim, a), failing.get((None, a)))
+            if message:
+                raise EvaluationError(message)
+            return suite.evaluate(s, claim, arg, a, c, p, tol)
+
+        monkeypatch.setitem(suites.REGISTRY, name,
+                            dataclasses.replace(suite, evaluate=evaluate))
+
+    FAILING_GRID = {"grid_a": (2.0, 3.0), "grid_c": (-2.5,), "grid_x": (0.1, 1.0)}
+
     def test_jobs_raise_the_error_of_the_first_failing_task(self, monkeypatch):
         # bounds fails at the second (a, c) pair and dominance at the first,
         # whose block the pool maps first; jobs=1 meets the bounds task first
-        evaluate = suites._eval_task
-
-        def failing(task):
-            if (task[0], task[3]) in {("bounds", 3.0), ("dominance", 2.0)}:
-                raise EvaluationError(f"{task[0]} at a={task[3]}")
-            return evaluate(task)
-
-        monkeypatch.setattr(suites, "_eval_task", failing)
+        self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"})
+        self.raise_at(monkeypatch, "dominance", {(None, 2.0): "dominance at a=2.0"})
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool([]))
-        cfg = {"suites": ("bounds", "dominance"), "grid_a": (2.0, 3.0),
-               "grid_c": (-2.5,), "grid_x": (0.1, 1.0)}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = {"suites": ("bounds", "dominance"), **self.FAILING_GRID}
         for jobs in (1, 2):
             with pytest.raises(EvaluationError, match=r"^bounds at a=3\.0$"):
                 suites.run(RunConfig(jobs=jobs, **cfg))
+
+    def test_first_failure_in_task_order_may_sit_in_a_later_pair(self, monkeypatch):
+        # the block of the first pair stops at T2L and that of the second at
+        # T1L; T1L comes first in claim order, so its failure is raised
+        self.raise_at(monkeypatch, "bounds", {("T1L", 3.0): "T1L at a=3.0",
+                                              ("T2L", 2.0): "T2L at a=2.0"})
+        recorded = []
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for jobs in (1, 2):
+            with pytest.raises(EvaluationError, match=r"^T1L at a=3\.0$"):
+                suites.run(RunConfig(jobs=jobs, suites=("bounds",), **self.FAILING_GRID))
+        assert recorded == [2]
 
     @pytest.mark.parametrize("grid_c,asked", [((-2.5, 0.25), [2]), ((-2.5,), [])])
     def test_workers_capped_by_grid_pairs(self, monkeypatch, grid_c, asked):
@@ -102,12 +132,154 @@ class TestRun:
         # single pair runs in-process
         recorded = []
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
+                            raising=False)
         cfg = {"suites": ("bounds", "dominance"), "grid_a": (2.0,),
                "grid_c": grid_c, "grid_x": (0.1, 1.0, 20.0)}
         _, eight = suites.run(RunConfig(jobs=8, **cfg))
         assert recorded == asked
         _, one = suites.run(RunConfig(jobs=1, **cfg))
         assert eight == one
+
+    @pytest.mark.parametrize("cpus,asked", [(3, [3]), (2, [2]), (1, [])])
+    def test_workers_capped_by_usable_cpus(self, monkeypatch, cpus, asked):
+        # a 1x4 grid holds 4 pairs; --jobs 8 asks for no more workers than
+        # the process may run on, and one CPU runs the pairs in-process
+        recorded = []
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        suites.run(RunConfig(jobs=8, suites=("dominance",), grid_a=(2.0,),
+                             grid_c=(-2.5, -1.5, -0.5, 0.25), grid_x=(1.0,)))
+        assert recorded == asked
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert suites._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert suites._usable_cpus() == 1
+
+
+# a duplicated a, pairs one integer step apart (the shifted psi of (1, -2.5)
+# is psi at the grid pair (2, -1.5)) and two sharpness pairs on the grid
+MIXED_GRID = {"grid_a": (1.0, 2.0, 1.0), "grid_c": (-2.5, -1.5),
+              "grid_x": (0.05, 1.0, 5.0)}
+
+
+def node(a, c, x):
+    """psi at a node of the finite-difference suites."""
+    return psi_quadrature(ParameterPoint(a, c, x), suites._DIFFERENCE_TOL).value
+
+
+def reference_fields(r: ReportRow, grid_x) -> tuple:
+    """The fields of row r that the public per-point function of its claim
+    gives at the row's point."""
+    p = ParameterPoint(r.a, r.c, r.x) if r.x > 0.0 else None
+    if r.suite in ("bounds", "dominance"):
+        check = bounds.check_bound if r.suite == "bounds" else bounds.check_dominance
+        rec = check(r.claim, p)
+        return (rec.lhs.value, rec.rhs.value, rec.margin, rec.budget,
+                rec.status, rec.anchor)
+    if r.suite == "monotonicity":
+        xs = sorted(grid_x)
+        which = r.claim.split("-")[0]
+        lo, hi = (bounds.auxiliary_log_ratio(which, r.a, r.c, x)
+                  for x in (xs[xs.index(r.x) - 1], r.x))
+        return lo.value, hi.value
+    if r.suite == "moments":
+        ident = suites.REGISTRY["moments"].claims[r.claim]
+        mv = measure.phi_moment(measure.WeightDensity(r.a, r.c), ident.power)
+        return mv.value, ident.closed_form(r.a, r.c)
+    if r.suite == "stieltjes":
+        kind, _ = suites.REGISTRY["stieltjes"].claims[r.claim]
+        d = measure.WeightDensity(r.a, r.c)
+        rep = (measure.stieltjes_ratio if kind is turanians.TuranianKind.BOTH_SHIFT
+               else measure.stieltjes_first_shift)(d, r.x)
+        return turanians.turanian_ratio(kind, p).value, rep.value
+    if r.suite == "sharpness":
+        scan = turanians.sharpness_scan(turanians.LIMITS[r.claim], r.a, r.c)
+        return scan.points[-1].x, scan.points[-1].deviation
+    if r.suite == "kernel_crosscheck":
+        return psi(p).value, psi_connection(r.a, r.c, r.x).value
+    if r.suite == "derivative":
+        h = 1e-4 * max(r.x, 0.1)
+        if r.x - h <= 0.0:
+            h = 0.5 * r.x
+        fd = (node(r.a, r.c, r.x + h) - node(r.a, r.c, r.x - h)) / (2.0 * h)
+        if r.x <= asymptotic_threshold(r.a + 1.0, r.c + 1.0):
+            return fd, -r.a * node(r.a + 1.0, r.c + 1.0, r.x)
+        return fd, -r.a * psi(ParameterPoint(r.a + 1.0, r.c + 1.0, r.x)).value
+    assert r.suite == "ode_residual"
+    h = 1e-4 * r.x
+    f0, fp, fm = (node(r.a, r.c, x) for x in (r.x, r.x + h, r.x - h))
+    d1, d2 = (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
+    return abs(r.x * d2 + (r.c - r.x) * d1 - r.a * f0),
+
+
+def row_fields(r: ReportRow) -> tuple:
+    """The fields of r that ``reference_fields`` gives."""
+    if r.suite in ("bounds", "dominance"):
+        return r.lhs, r.rhs, r.margin, r.budget, r.status, r.anchor
+    if r.suite == "sharpness":
+        # every limit reports the deviation at the end of its scan
+        return r.x, r.lhs
+    if r.suite == "ode_residual":
+        return r.lhs,
+    return r.lhs, r.rhs
+
+
+class TestPairBlocks:
+    def test_rows_match_their_per_point_functions_in_grid_order(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        runs = [suites.run(RunConfig(jobs=jobs, **MIXED_GRID))[1] for jobs in (1, 2, 3)]
+        rows = runs[0]
+        assert runs[1] == rows and runs[2] == rows
+        assert {r.suite for r in rows} == set(suites.SUITES)
+
+        by_claim: dict = {}
+        for r in rows:
+            by_claim.setdefault((r.suite, r.claim), []).append(r)
+        grid = [(a, c) for a in MIXED_GRID["grid_a"] for c in MIXED_GRID["grid_c"]]
+        for (suite, claim), claim_rows in by_claim.items():
+            assert [r.idx for r in claim_rows] == list(range(len(claim_rows)))
+            pairs = [(r.a, r.c) for r in claim_rows]
+            if suite == "sharpness":
+                # the curated pairs, in their list order
+                lim = turanians.LIMITS[claim]
+                assert pairs == list(suites.SHARPNESS_PAIRS_ZERO if lim.toward_zero
+                                     else suites.SHARPNESS_PAIRS_INF)
+            else:
+                # grid pairs, in grid order: the duplicated a comes back
+                visited = [p for i, p in enumerate(pairs) if i == 0 or pairs[i - 1] != p]
+                positions = iter(grid)
+                assert all(p in positions for p in visited)
+        # report order: (suite, claim, grid index)
+        order = [(suites.SUITES.index(r.suite), r.claim, r.idx) for r in rows]
+        assert order == sorted(order)
+        # the duplicated grid value repeats the rows of its pairs
+        t1l = by_claim["bounds", "T1L"]
+        assert [(r.a, r.c, r.x) for r in t1l] == [
+            (a, c, x) for a, c in grid for x in MIXED_GRID["grid_x"]]
+
+        for r in rows:
+            assert row_fields(r) == reference_fields(r, MIXED_GRID["grid_x"]), r
+
+
+def test_default_run_is_the_same_for_jobs_one_and_two():
+    # the figures perfbench records for the default run
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "recorded.json").read_text())["default-run"]
+    bodies = []
+    for jobs in (1, 2):
+        summary, rows = suites.run(RunConfig(jobs=jobs))
+        assert (summary.n_rows, summary.gating_fails, summary.advisory_fails) == (
+            recorded["rows"], recorded["gating_fails"], recorded["advisory_fails"])
+        assert {s: {k: n for k, n in c.items() if n}
+                for s, c in summary.counts.items()} == recorded["counts"]
+        bodies.append(suites.rows_to_csv(rows, summary, timestamp=False))
+    assert bodies[0] == bodies[1]
 
 
 def test_bounds_suite_computes_each_ratio_once():
