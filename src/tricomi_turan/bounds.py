@@ -26,6 +26,7 @@ Ratio bounds (D = Turanian, R = D/psi^2):
 Raw psi relations:
 
     S1   -(1/x) psi psi(a,c-1) <= D_c                    a>0, c<a+2
+         (psi(a,c-1) = psi - a psi(a+1,c) by DLMF 13.3.9)
     S2   -(1/x) psi^2 psi(a+1,c+1) <= D_c                a>1, c<a+1  [advisory]
     S2H  -(1/x) psi psi(a+1,c+1) <= D_c                  a>1, c<a+1  [advisory]
     I1   (G1 psi(a+1,c+1))^(1/(a+1)) < (G0 psi)^(1/a)    a>0>c
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
@@ -136,8 +137,11 @@ def _scaled_psi(scale_fn):
     return ev
 
 
+@lru_cache(maxsize=4096)
 def _lg_ratio(u: float, v: float) -> tuple[float, float]:
-    # log of Gamma(u)/Gamma(v) and its error; I-family arguments are positive
+    # log of Gamma(u)/Gamma(v) and its error; I-family arguments are positive.
+    # u and v depend on (a, c) alone, so the cache computes each once per
+    # (a, c) for I1, I2 and I3 at every x
     (lu, _), (lv, _) = log_gamma(u), log_gamma(v)
     return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
 
@@ -158,6 +162,23 @@ def _gamma_power(shift: int, which: str, expo_fn):
         err = abs(val * expo) * (f.abs_error / abs(f.value) + lg_err) + 4.0 * EPS * abs(val)
         return FunctionValue(val, err, f.method)
     return ev
+
+
+def _s1_lhs(p: ParameterPoint) -> FunctionValue:
+    """-(1/x) psi psi(a,c-1) with psi(a,c-1) = psi - a psi(a+1,c) (DLMF
+    13.3.9), so that no psi is evaluated below the point.  A product of
+    nonzero factors that underflows raises, as psi does."""
+    f0, f1 = psi(p), psi(ParameterPoint(p.a + 1.0, p.c, p.x))
+    down = f0.value - p.a * f1.value            # psi(a, c-1, x)
+    down_err = (f0.abs_error + abs(p.a) * f1.abs_error
+                + EPS * (abs(p.a * f1.value) + abs(down)))
+    value = -f0.value * down / p.x
+    if abs(value) < _TINY and f0.value and down:
+        raise EvaluationError(f"psi product underflows at "
+                              f"(a={p.a}, c={p.c}, x={p.x}): {value}")
+    err = ((abs(down) * f0.abs_error + abs(f0.value) * down_err) / p.x
+           + 2.0 * EPS * abs(value))
+    return FunctionValue(value, err, f0.method)
 
 
 def _s_product(shifts, x_power: float = -1.0):
@@ -274,7 +295,7 @@ _second_turanian = partial(turanian, SECOND)   # D_c, read by the S-family
 
 _add(BoundSpec("S1", "raw_psi_relation", "lower",
                lambda a, c: a > 0.0 and c < a + 2.0, "a>0, c<a+2, x>0",
-               _s_product(((0.0, 0.0), (0.0, -1.0))), _second_turanian,
+               _s1_lhs, _second_turanian,
                "second-shift Turanian >= -(1/x) psi(a,c,x) psi(a,c-1,x)"))
 _add(BoundSpec("S2", "raw_psi_relation", "lower",
                lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
@@ -425,7 +446,17 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
         f = (1/a) log psi - (1/(a+1)) log psi(a+1,c+1,.)        increasing
         g = (c/(a(c+1))) log psi - (1/(a+1)) log psi(a+1,c+1,.) decreasing
         h = log psi - log psi(a+1,c+1,.)                        increasing
+
+    Cached per (which, a, c, x): a monotonicity row reads both ends of its
+    step, so two rows read each interior grid x.  The rows of a claim at a
+    pair run in x order, so a small cache holds each value until its second
+    read, and adds little to a run's memory.
     """
+    return _auxiliary_cached(which, a, c, x)
+
+
+@lru_cache(maxsize=256)
+def _auxiliary_cached(which: str, a: float, c: float, x: float) -> FunctionValue:
     if which not in AUXILIARY:
         raise KeyError(f"unknown auxiliary function {which!r}")
     aux = AUXILIARY[which]

@@ -6,12 +6,31 @@ Three determinant-like differences are tracked, one per parameter shift:
     first only    D_a(x)  = psi(a,c,x)^2 - psi(a-1,c,x)   psi(a+1,c,x)
     second only   D_c(x)  = psi(a,c,x)^2 - psi(a,c-1,x)   psi(a,c+1,x)
 
-normalized throughout by psi(a,c,x)^2.  The catalogued bounds on these
-ratios become equalities as x -> 0 or x -> inf.  ``LIMITS`` states each
-of those seven limits once, as a :class:`SharpnessLimit` row keyed by its
-claim name: the Turanian kind, the scan sequence toward 0 or toward
-infinity, whether the ratio is scaled by x^2, the (a, c) region, the
-closed-form limit and the anchor text of its report rows.
+normalized throughout by psi(a,c,x)^2: R = D/psi^2 = 1 - q_- q_+ with the
+quotients q_+- = psi(a+-da, c+-dc, x)/psi(a,c,x).  Only four psi values
+enter, at (a,c), (a+1,c), (a,c+1) and (a+1,c+1): q_+ is read directly,
+and with r = psi(a+1,c,x)/psi(a,c,x) the contiguous relations give
+
+    psi(a-1,c)/psi   = (2a-c+x) - a(a-c+1) r      DLMF 13.3.7
+    psi(a,c-1)/psi   = 1 - a r                    DLMF 13.3.9
+    psi(a-1,c-1)/psi = (a-c+1+x) - a(a-c+1) r     13.3.9 at (a-1,c), then 13.3.7
+
+13.3.7 runs backward in a, the stable direction, as U is the minimal
+solution of the recurrence (Gil, Segura & Temme, *Numerical Methods for
+Special Functions*, SIAM 2007, ch. 4); and no psi is evaluated below the
+point, so a-1 <= 0 and its integer-c hole never enter.  R carries a
+first-order budget in the quotients' errors, each quotient's from its psi
+values' and the rounding of its coefficients, plus 3 EPS |q_- q_+| of
+rounding on the product and EPS |R| on the difference.  The raw Turanian
+is psi^2 R.  The derived quotients are never psi results and never enter
+psi's cache.
+
+The catalogued bounds on these ratios become equalities as x -> 0 or
+x -> inf.  ``LIMITS`` states each of those seven limits once, as a
+:class:`SharpnessLimit` row keyed by its claim name: the Turanian kind,
+the scan sequence toward 0 or toward infinity, whether the ratio is
+scaled by x^2, the (a, c) region, the closed-form limit and the anchor
+text of its report rows.
 ``sharpness_scan`` measures the deviations from a row's limit along that
 row's own sequence.
 
@@ -25,6 +44,7 @@ the stieltjes suite and the sharpness scans read the same values.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -53,33 +73,68 @@ _SHIFTS = {
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
-    """psi^2 - psi(shifted down) * psi(shifted up), with first-order error.
-    A product of nonzero psi values that underflows raises, as psi does,
-    on every call.  Cached per (kind, a, c, x)."""
+    """psi^2 - psi(shifted down) * psi(shifted up), as psi^2 R with R =
+    ``turanian_ratio``: error psi^2 err(R) + 2 |psi R| err(psi), plus one
+    EPS for the two roundings.  Where psi^2, or psi^2 R, underflows this
+    raises, as psi does, on every call.  Cached per (kind, a, c, x)."""
     return _turanian_cached(kind, p.a, p.c, p.x)
 
 
 @lru_cache(maxsize=65_536)
 def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
-    da, dc = kind.shifts
+    ratio = _ratio_cached(kind, a, c, x)
     f0 = psi(ParameterPoint(a, c, x))
-    fm = psi(ParameterPoint(a - da, c - dc, x))
-    fp = psi(ParameterPoint(a + da, c + dc, x))
-    square, cross = f0.value * f0.value, fm.value * fp.value
-    if ((f0.value and abs(square) < _TINY)
-            or (fm.value and fp.value and abs(cross) < _TINY)):
+    square = f0.value * f0.value
+    value = square * ratio.value
+    if abs(square) < _TINY or (ratio.value and abs(value) < _TINY):
         raise EvaluationError(f"psi products underflow at "
                               f"(a={a}, c={c}, x={x})")
-    value = square - cross
-    err = (2.0 * abs(f0.value) * f0.abs_error
-           + abs(fm.value) * fp.abs_error + abs(fp.value) * fm.abs_error
-           + EPS * (abs(f0.value) ** 2 + abs(cross)))
+    err = (square * ratio.abs_error + 2.0 * abs(f0.value * ratio.value) * f0.abs_error
+           + EPS * abs(value))
     return FunctionValue(value, err, f0.method)
 
 
+def _nonzero_psi(a: float, c: float, x: float) -> FunctionValue:
+    """psi(a,c,x), which quotients divide by: raises unless it is told from 0."""
+    f0 = psi(ParameterPoint(a, c, x))
+    if f0.abs_error >= abs(f0.value) / 2.0:
+        raise EvaluationError(
+            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
+    return f0
+
+
+def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:
+    """f/f0 and its first-order error, the rounding of the division included."""
+    q = f.value / f0.value
+    return q, (f.abs_error + abs(q) * f0.abs_error) / abs(f0.value) + EPS * abs(q)
+
+
+def _lower_quotient(kind: TuranianKind, a: float, c: float, x: float,
+                    f0: FunctionValue) -> tuple[float, float]:
+    """psi(a-da, c-dc, x)/psi(a, c, x) as A - B r, r = psi(a+1,c,x)/psi(a,c,x),
+    and its error: |B| err(r) plus EPS per rounding of A, B, B r and the
+    difference, each taken at the magnitudes of its terms."""
+    r, err_r = _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0)
+    if kind is TuranianKind.SECOND_SHIFT:       # DLMF 13.3.9
+        lead, coef, lead_size, coef_size = 1.0, a, 0.0, abs(a)
+    else:
+        b = a - c + 1.0
+        coef, coef_size = a * b, abs(a) * (abs(a) + abs(c) + 1.0)
+        if kind is TuranianKind.FIRST_SHIFT:    # DLMF 13.3.7
+            lead, lead_size = 2.0 * a - c + x, 2.0 * abs(a) + abs(c) + x
+        else:                                   # 13.3.9 at (a-1, c), then 13.3.7
+            lead, lead_size = b + x, abs(a) + abs(c) + 1.0 + x
+    q = lead - coef * r
+    return q, (abs(coef) * err_r
+               + EPS * (2.0 * lead_size + 2.0 * coef_size * abs(r) + abs(q)))
+
+
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
-    """Turanian normalized by psi^2 as 1 - (psi_-/psi)(psi_+/psi), with a
-    first-order budget of relative errors: psi is never squared.
+    """Turanian normalized by psi^2 as R = 1 - q_- q_+, q_+- = psi(a+-da,
+    c+-dc, x)/psi(a,c,x), with q_- from DLMF 13.3.7 and 13.3.9 (see the
+    module docstring).  The budget is first order in the quotients' errors,
+    |q_+| err(q_-) + |q_-| err(q_+), plus 3 EPS |q_- q_+| of rounding on
+    the product and EPS |R| on the difference: psi is never squared.
 
     Cached per (kind, a, c, x), since one ratio is checked by up to six
     catalog bounds at a point.  A point that raises raises again on the
@@ -90,18 +145,15 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
 @lru_cache(maxsize=65_536)
 def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = psi(ParameterPoint(a, c, x))
-    if f0.abs_error >= abs(f0.value) / 2.0:
-        raise EvaluationError(
-            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    fm = psi(ParameterPoint(a - da, c - dc, x))
-    fp = psi(ParameterPoint(a + da, c + dc, x))
-    qm, qp = fm.value / f0.value, fp.value / f0.value
+    f0 = _nonzero_psi(a, c, x)
+    qm, err_m = _lower_quotient(kind, a, c, x, f0)
+    qp, err_p = _quotient(psi(ParameterPoint(a + da, c + dc, x)), f0)
     value = 1.0 - qm * qp
-    # one rounding per quotient and for the product, one for the difference
-    err = ((abs(qp) * fm.abs_error + abs(qm) * fp.abs_error) / abs(f0.value)
-           + abs(qm * qp) * (2.0 * f0.abs_error / abs(f0.value) + 3.0 * EPS)
+    err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(qm * qp)
            + EPS * abs(value))
+    if not math.isfinite(err):
+        raise EvaluationError(f"Turanian ratio beyond the double range at "
+                              f"(a={a}, c={c}, x={x})")
     return FunctionValue(value, err, f0.method)
 
 

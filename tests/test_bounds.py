@@ -2,16 +2,19 @@
 
 import math
 import pickle
+import random
 
+import mpmath
 import pytest
 
+from tricomi_turan import bounds, turanians
 from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
                                   VerificationRecord, auxiliary_log_ratio,
                                   catalog_document,
                                   check_bound, check_dominance,
                                   dominance_applicable)
 from tricomi_turan.kernel import (EvaluationError, FunctionValue,
-                                  ParameterPoint, RegionError)
+                                  ParameterPoint, RegionError, psi)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
 
@@ -102,6 +105,44 @@ class TestCheckBound:
         # underflows; it used to read as an inconclusive 0.0 +- 0.0
         with pytest.raises(EvaluationError, match="underflow"):
             check_bound(bid, ParameterPoint(100.0, -0.5, 1.0))
+
+    @pytest.mark.parametrize("a,c,x", [(2.0, -2.5, 1.5), (0.5, -1.0, 0.03)])
+    def test_no_bound_reads_psi_below_its_point(self, monkeypatch, a, c, x):
+        # S1 reads psi(a, c-1) as psi - a psi(a+1, c) (DLMF 13.3.9), and the
+        # Turanians read their lower shifts from quotients
+        seen = []
+        for module in (bounds, turanians):
+            monkeypatch.setattr(module, "psi", lambda q: seen.append(q) or psi(q))
+        turanians._ratio_cached.cache_clear()
+        turanians._turanian_cached.cache_clear()
+        p = ParameterPoint(a, c, x)
+        checked = [bid for bid, spec in CATALOG.items() if spec.region(a, c)]
+        for bid in checked:
+            check_bound(bid, p)
+        assert len(checked) >= 15
+        assert set(seen) == {ParameterPoint(a + da, c + dc, x)
+                             for da, dc in ((0, 0), (1, 0), (0, 1), (1, 1))}
+
+    def test_s1_lhs_within_its_budget_against_mpmath(self):
+        # -(1/x) U(a,c,x) U(a,c-1,x) by mpmath.hyperu at 40 digits on 90
+        # seeded points of the region c < a + 2: a third with c > 1 and
+        # x < 1, where psi - a psi(a+1,c) cancels, a third at integer c
+        rng = random.Random("s1-oracle")
+        lo, hi = math.log(1e-2), math.log(300.0)
+        outside = []
+        with mpmath.workdps(40):
+            for i in range(90):
+                a, x = rng.uniform(0.05, 8.0), math.exp(rng.uniform(lo, hi))
+                if i % 3 == 0:
+                    c, x = rng.uniform(1.0, min(a + 2.0, 3.0)), math.exp(rng.uniform(lo, 0.0))
+                else:
+                    c = float(rng.randint(-5, 1)) if i % 3 == 1 else rng.uniform(-5.0, 1.0)
+                A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+                ref = float(-mpmath.hyperu(A, C, X) * mpmath.hyperu(A, C - 1, X) / X)
+                lhs = CATALOG["S1"].lhs(ParameterPoint(a, c, x))
+                if not abs(lhs.value - ref) <= lhs.abs_error:
+                    outside.append((a, c, x, lhs, ref))
+        assert outside == []
 
     @pytest.mark.parametrize("bid", ["T1L", "T2L", "P1L", "P1U", "T3L", "T3U",
                                      "P2L", "P2U", "T6L", "P3L", "P3U", "P4U",
@@ -261,6 +302,13 @@ class TestAuxiliaryLogRatios:
         # approach is O(x log x) here, so only ask for the right ballpark
         fv = auxiliary_log_ratio("h", 1.0, -1.0, 1e-4)
         assert abs(fv.value) < 5e-3
+
+    def test_cached_value_equals_a_fresh_computation(self):
+        bounds._auxiliary_cached.cache_clear()
+        first = auxiliary_log_ratio("g", 2.0, -2.5, 1.5)
+        assert auxiliary_log_ratio("g", 2.0, -2.5, 1.5) is first
+        assert bounds._auxiliary_cached.cache_info().hits == 1
+        assert bounds._auxiliary_cached.__wrapped__("g", 2.0, -2.5, 1.5) == first
 
     def test_regions(self):
         with pytest.raises(RegionError):

@@ -53,15 +53,21 @@ class TestSharpness:
         code, out, err = run_cli(capsys, "sharpness", flag, "7")
         assert code == 2 and "config error" in err and out == ""
 
-    # at a = 200 every psi underflows; at (0.5, -1) the zero limits need
-    # psi(-0.5, -2, 1), which has no usable evaluation route
+    # at a = 200 every psi underflows, on the first scan of the zeta limit
+    # at c = 0.5 and of the zero limits at c = -1
     @pytest.mark.parametrize("a,c,reason", [
         ("200", "0.5", "underflows the double range"),
-        ("0.5", "-1", "no usable evaluation route")])
+        ("200", "-1", "underflows the double range")])
     def test_evaluation_failure_is_exit_4(self, capsys, a, c, reason):
         code, out, err = run_cli(capsys, "sharpness", "--grid-a", a, f"--grid-c={c}")
         assert code == 4 and out == ""
         assert err.startswith("evaluation error: ") and reason in err
+
+    def test_integer_c_at_a_below_one_is_scanned(self, capsys):
+        # the ratios read psi at a and a + 1 only, so no scan meets the
+        # integer-c hole of psi at a - 1 = -0.5
+        code, out, err = run_cli(capsys, "sharpness", "--grid-a", "0.5", "--grid-c=-1")
+        assert code == 0 and err == "" and len(out.splitlines()) == 7
 
 
 class TestEval:
@@ -168,12 +174,23 @@ class TestRun:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_evaluation_failure_is_exit_4(self, capsys, jobs):
-        # the shifted Turanian needs psi(-0.5, -2, 0.03): no route at integer c
+        # psi(200, -1, 0.03) underflows; the pair (0.5, -1) evaluates, so at
+        # jobs = 2 the error comes from the block of the second pair
         code, out, err = run_cli(capsys, "run", "--suites", "bounds",
-                                 "--grid-a", "0.5,1", "--grid-c", "-1",
+                                 "--grid-a", "0.5,200", "--grid-c", "-1",
                                  "--grid-x", "0.03,1", "--jobs", jobs)
         assert code == 4 and out == ""
-        assert err.startswith("evaluation error: no usable evaluation route")
+        assert err.startswith("evaluation error: psi(a=200.0, c=-1.0, x=0.03) "
+                              "underflows the double range")
+
+    def test_integer_c_at_a_below_one_is_evaluated(self, capsys):
+        # the Turanians and S1 read psi at a and a + 1 only, so no row meets
+        # the integer-c hole of psi at a - 1 = -0.5
+        code, out, err = run_cli(capsys, "run", "--suites", "bounds",
+                                 "--grid-a", "0.5,1", "--grid-c", "-1",
+                                 "--grid-x", "0.03,1")
+        assert code == 0 and err == ""
+        assert "bounds: pass=60 fail=0 inconclusive=0" in out.splitlines()
 
     def test_closed_form_beyond_the_double_range_is_exit_4(self, capsys):
         # T1L's (c-a-1)/x^2 divides by an x^2 that underflows to 0

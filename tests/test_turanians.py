@@ -4,6 +4,7 @@ import functools
 import math
 import random
 
+import mpmath
 import pytest
 
 from tricomi_turan import turanians
@@ -117,6 +118,63 @@ class TestCache:
                 turanian(SECOND, p)
         info = turanians._turanian_cached.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
+
+
+def _oracle_points():
+    """400 seeded points: 360 with a uniform in [0.05, 8], c uniform in
+    [-5, 0.95] and x log-uniform in [1e-2, 300], then 40 with a uniform in
+    [0.05, 1] and integer c in [-5, 0], where psi at a - 1 < 0 has no route
+    for x <= 1."""
+    rng = random.Random("turanian-oracle")
+    lo, hi = math.log(1e-2), math.log(300.0)
+    return ([(rng.uniform(0.05, 8.0), rng.uniform(-5.0, 0.95),
+              math.exp(rng.uniform(lo, hi))) for _ in range(360)]
+            + [(rng.uniform(0.05, 1.0), float(rng.randint(-5, 0)),
+                math.exp(rng.uniform(lo, hi))) for _ in range(40)])
+
+
+class TestOracle:
+    """Each ratio kind and its lower quotient against mpmath.hyperu at 40
+    digits, from U at all seven shifts: |value - ref| <= abs_error."""
+
+    def test_ratios_and_lower_quotients_within_their_budgets(self):
+        outside = []
+        with mpmath.workdps(40):
+            for a, c, x in _oracle_points():
+                u = functools.lru_cache(maxsize=None)(
+                    lambda da, dc: mpmath.hyperu(mpmath.mpf(a) + da, mpmath.mpf(c) + dc,
+                                                 mpmath.mpf(x)))
+                p, f0 = ParameterPoint(a, c, x), psi(ParameterPoint(a, c, x))
+                for kind in TuranianKind:
+                    da, dc = kind.shifts
+                    q_ref = u(-da, -dc) / u(0, 0)
+                    r = turanian_ratio(kind, p)
+                    q = turanians._lower_quotient(kind, a, c, x, f0)
+                    for value, err, ref in ((r.value, r.abs_error,
+                                             1 - q_ref * u(da, dc) / u(0, 0)),
+                                            (*q, q_ref)):
+                        if not abs(value - float(ref)) <= err:
+                            outside.append((kind, p, value, err, float(ref)))
+        assert outside == []
+
+
+class TestShiftPoints:
+    """A ratio reads psi at (a, c), (a+1, c), (a, c+1) and (a+1, c+1) only."""
+
+    @pytest.mark.parametrize("kind,shifts", [
+        (BOTH, {(0, 0), (1, 0), (1, 1)}),
+        (FIRST, {(0, 0), (1, 0)}),
+        (SECOND, {(0, 0), (1, 0), (0, 1)})])
+    def test_a_ratio_reads_psi_at_its_point_and_above(self, monkeypatch, kind, shifts):
+        seen = []
+        monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
+        turanians._ratio_cached.cache_clear()
+        turanians._turanian_cached.cache_clear()
+        a, c, x = 0.5, -1.0, 0.03        # psi(-0.5, -2, 0.03) has no route
+        p = ParameterPoint(a, c, x)
+        turanian_ratio(kind, p)
+        turanian(kind, p)
+        assert set(seen) == {ParameterPoint(a + da, c + dc, x) for da, dc in shifts}
 
 
 class TestRatioLimits:
