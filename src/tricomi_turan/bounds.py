@@ -181,7 +181,7 @@ def _s1_lhs(p: ParameterPoint) -> FunctionValue:
     return FunctionValue(value, err, f0.method)
 
 
-def _s_product(shifts, x_power: float = -1.0):
+def _s_product(shifts):
     """-(1/x) * product of psi at the given (da, dc) shifts.  A product of
     nonzero psi values that underflows raises, as psi does."""
     def ev(p: ParameterPoint) -> FunctionValue:
@@ -189,7 +189,7 @@ def _s_product(shifts, x_power: float = -1.0):
         prod = 1.0
         for f in vals:
             prod *= f.value
-        value = -p.x ** x_power * prod
+        value = -p.x ** -1.0 * prod     # not 1/x, which differs in the last bit at some x
         if abs(value) < _TINY and all(f.value for f in vals):
             raise EvaluationError(f"psi product underflows at "
                                   f"(a={p.a}, c={p.c}, x={p.x}): {value}")

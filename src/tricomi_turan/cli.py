@@ -40,11 +40,6 @@ from .turanians import (LIMITS, TuranianKind, sharpness_scan, turanian,
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 1, 2, 3, 4
 
-# suite -> the config key of its tolerance; the flag is "--" + key
-_TOL_KEYS = {name: "tol-" + name.replace("_", "-")
-             for name, suite in suites_mod.REGISTRY.items()
-             if suite.tolerance is not None}
-
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tricomi-turan",
@@ -58,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--grid-a", help="comma list of a values")
     p_run.add_argument("--grid-c", help="comma list of c values")
     p_run.add_argument("--grid-x", help="comma list of x values")
-    for s, key in _TOL_KEYS.items():
-        p_run.add_argument("--" + key, dest=f"tol_{s}", type=float,
-                           help=f"tolerance for the {s} suite")
     p_run.add_argument("--out", help="report file path")
     p_run.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="report format (default csv)")
@@ -140,7 +132,7 @@ def _build_run_config(args) -> suites_mod.RunConfig:
     """A RunConfig of the values given by a flag or the config file; the
     fields of RunConfig hold the defaults."""
     file_cfg = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - _CONFIG_KEYS - set(_TOL_KEYS.values())
+    unknown = set(file_cfg) - _CONFIG_KEYS
     if unknown:
         raise suites_mod.ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -157,14 +149,11 @@ def _build_run_config(args) -> suites_mod.RunConfig:
         except ValueError as exc:
             raise suites_mod.ConfigError(f"config key {file_key}: {exc}")
 
-    tolerances = {s: v for s, key in _TOL_KEYS.items()
-                  if (v := pick(getattr(args, f"tol_{s}"), key, float)) is not None}
     given = {
         "suites": pick(args.suites, "suites", _parse_names),
         "grid_a": pick(args.grid_a, "grid-a", _parse_floats),
         "grid_c": pick(args.grid_c, "grid-c", _parse_floats),
         "grid_x": pick(args.grid_x, "grid-x", _parse_floats),
-        "tolerances": tolerances,
         "out": pick(args.out, "out"),
         "fmt": pick(args.fmt, "format"),
         "jobs": pick(args.jobs, "jobs", int),

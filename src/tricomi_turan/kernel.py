@@ -40,7 +40,7 @@ singularity and small a costs no more than large a.  The error budget is
 |T_h - T_2h| (T_2h from the even nodes) plus the left truncation bound,
 the tail bound past S, the rounding of every node's exponent and the
 rounding of the prefactor, which includes |lnGamma(a)| (about 18 at
-a = 1e-8).  h is halved until the budget meets the tolerance; a budget
+a = 1e-8).  h is halved until the budget meets ``PSI_TOL``; a budget
 that cannot is returned as it is, flagged ``"tolerance_not_met"``.
 
 Every result is a :class:`FunctionValue` carrying an absolute error
@@ -64,7 +64,7 @@ _TINY = sys.float_info.min
 _FMAX = sys.float_info.max      # largest finite double
 _LOG_2FMAX = math.log(_FMAX) + math.log(2.0)
 
-# the relative accuracy psi asks of the quadrature route; psi_quadrature takes another
+# the relative accuracy the quadrature route aims at
 PSI_TOL = 1e-12
 
 # Connection-formula guard: the formula degenerates at integer c.
@@ -303,7 +303,7 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
 
-def psi_quadrature(p: ParameterPoint, tol: float = PSI_TOL) -> FunctionValue:
+def psi_quadrature(p: ParameterPoint) -> FunctionValue:
     """Evaluate psi(a,c,x), a > 0, by the trapezoid rule in w = log s.
 
     Written in the Laplace-scaled variable s = x t = e^w,
@@ -323,15 +323,15 @@ def psi_quadrature(p: ParameterPoint, tol: float = PSI_TOL) -> FunctionValue:
     bound, the tail bound 2 f(log S) at the cutoff, the rounding of every
     node's exponent and the rounding of the prefactor
     exp(m - a log x - lnGamma(a)).  h starts at 1/8 and is halved until
-    abs_error <= tol |value|; if that fails at h = 1/128 the honest budget
-    is returned with the flag ``"tolerance_not_met"``.  A value below the
-    normal double range raises :class:`EvaluationError`, one beyond it
+    abs_error <= PSI_TOL |value|; if that fails at h = 1/128 the honest
+    budget is returned with the flag ``"tolerance_not_met"``.  A value below
+    the normal double range raises :class:`EvaluationError`, one beyond it
     :class:`DoubleRangeError`.
     """
-    return _quadrature(p.a, p.c, p.x, tol)
+    return _quadrature(p.a, p.c, p.x)
 
 
-def _quadrature(a: float, c: float, x: float, tol: float) -> FunctionValue:
+def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     """``psi_quadrature`` on float arguments, as the dispatcher calls it."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
@@ -346,7 +346,7 @@ def _quadrature(a: float, c: float, x: float, tol: float) -> FunctionValue:
     # integral is at least e^-1 min(1, 2^pw) b^a / a
     S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
     log_floor = a * log_b - math.log(a) - 1.0 + min(pw, 0.0) * math.log(2.0)
-    while log_integrand(S) + math.log(20.0) > math.log(tol) + log_floor and S < 700.0:
+    while log_integrand(S) + math.log(20.0) > math.log(PSI_TOL) + log_floor and S < 700.0:
         S *= 1.5
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
@@ -358,7 +358,7 @@ def _quadrature(a: float, c: float, x: float, tol: float) -> FunctionValue:
         err += 2.0 * math.exp(log_integrand(S) - m)
         rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
                      + log_gamma_error(a, lg_a))
-        met = err <= (tol - rel_scale) * abs(total)
+        met = err <= (PSI_TOL - rel_scale) * abs(total)
         if met or h <= _STEP_MIN:
             break
         h *= 0.5
@@ -524,7 +524,7 @@ def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
             fv = _asymptotic_auto(a, c, x)
             _check_normal(fv.value, a, c, x)
             return fv
-        return _quadrature(a, c, x, PSI_TOL)
+        return _quadrature(a, c, x)
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,
@@ -562,8 +562,8 @@ def psi(p: ParameterPoint) -> FunctionValue:
     2 EPS |value|, it is returned, because the connection series, whose
     budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
     connection series is summed too (for x <= 600) and the route with the
-    smaller budget is returned, a quadrature value to ``PSI_TOL`` (call
-    ``psi_quadrature(p, tol)`` for another).  Results are cached per (a, c, x).
+    smaller budget is returned, a quadrature value to ``PSI_TOL``, as
+    ``psi_quadrature(p)`` gives it.  Results are cached per (a, c, x).
     For a > 0, where psi is positive, a value that underflows to 0 or to a
     subnormal raises :class:`EvaluationError`.  A value beyond the largest
     double raises :class:`DoubleRangeError`, and a terminating polynomial

@@ -1,6 +1,6 @@
 """Batch verification suites over parameter grids, with report output.
 
-A :class:`RunConfig` selects suites, grids, tolerances and output; ``run``
+A :class:`RunConfig` selects suites, grids and output; ``run``
 executes every selected suite deterministically (fixed grid order, fixed
 quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
 per (claim, point).  A row is a named tuple, cheap to build; its fields
@@ -26,17 +26,19 @@ Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
 claims once, each with the argument its rows need (a catalog entry, a
 moment identity, a Turanian kind); the sharpness suite's claims are the
-rows of ``turanians.LIMITS``.  A record holds the default tolerance, or
-None for a suite that takes none; the test of whether a claim holds at a
-pair; the points of its rows at a pair; and the evaluator of one row,
-which calls the per-point function of the claim (``check_bound``,
-``check_dominance``, ``auxiliary_log_ratio``, the measure and Turanian
-functions).
+rows of ``turanians.LIMITS``.  A record holds the test of whether a claim
+holds at a pair; the points of its rows at a pair; and the evaluator of
+one row, which calls the per-point function of the claim
+(``check_bound``, ``check_dominance``, ``auxiliary_log_ratio``, the
+measure and Turanian functions).  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
 two sides, for agreement rows lhs/rhs are the two values being compared
-and the margin is the allowance minus the observed difference.
+and the margin is the budget minus the observed difference.  An
+agreement row's budget sums the error budgets of its two sides; those of
+the central differences (ode_residual, derivative) bound the Taylor
+remainder through psi^(k) = (-1)^k (a)_k psi(a+k, c+k, x), DLMF 13.3(ii).
 """
 
 from __future__ import annotations
@@ -49,15 +51,15 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from . import measure as measure_mod
-from .kernel import (INTEGER_C_GUARD, ParameterPoint, asymptotic_threshold,
-                     psi, psi_connection, psi_quadrature)
+from .kernel import (EPS, INTEGER_C_GUARD, FunctionValue, ParameterPoint, psi,
+                     psi_connection)
 from .turanians import LIMITS, TuranianKind, sharpness_scan, turanian_ratio
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
@@ -68,8 +70,9 @@ DEFAULT_GRID_X = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0)
 # positive axis, so the two-method comparison is meaningful only at small x.
 CROSSCHECK_X = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 
-# Central differences at h = 1e-4 x turn quadrature noise into ~ noise/x in
-# the residual; below x ~ 0.1 that swamps the 1e-4 allowance.
+# Central differences at h = 1e-4 x turn the error e of a psi value into
+# ~ e/h^2 in the second difference; below x ~ 0.1 that rounding part of the
+# budget dwarfs the residual, so the rows would check nothing.
 ODE_MIN_X = 0.1
 
 # Curated (a, c) pairs for the sharpness scans.  The x -> 0 limits converge
@@ -79,10 +82,10 @@ SHARPNESS_PAIRS_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
 SHARPNESS_PAIRS_INF = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
 
 # the x^2-scaled both-shift ratio at x = 1000 lies within this fraction of
-# its limit c-a-1; the sharpness tolerance applies to the x -> 0 limits
+# its limit c-a-1, and a plain ratio at x = 1e-3 within this one of its
+# x -> 0 limit
 ZETA_LIMIT_FRACTION = 0.05
-
-_DIFFERENCE_TOL = 1e-13  # quadrature tolerance for finite-difference suites
+ZERO_LIMIT_FRACTION = 0.01
 
 
 class ConfigError(ValueError):
@@ -126,90 +129,94 @@ class Suite:
 
     name: str
     claims: dict                       # claim -> its argument, in report order
-    tolerance: float | None            # default; None: the suite takes none
     applies: Callable[[object, float, float], bool]  # (argument, a, c)
     points: Callable[[RunConfig, float, float], Sequence]  # (config, a, c)
     evaluate: Callable[..., tuple | None]  # see the row evaluators below
     pairs: Callable[[object], tuple] | None = None  # a claim's own; None: the grid's
-    zero_tolerance: bool = False       # a tolerance of 0 is valid
 
 
 # ---------------------------------------------------------------------------
-# row evaluators: (suite, claim, argument, a, c, point, tolerance) -> the
-# fields of a row without its grid index, or None where the claim does not
-# hold at the point
+# row evaluators: (suite, claim, argument, a, c, point) -> the fields of a
+# row without its grid index, or None where the claim does not hold at the
+# point
 # ---------------------------------------------------------------------------
 
-def _row_crosscheck(suite, claim, _, a, c, p, tol_rel):
+def _agreement(suite, claim, a, c, x, lhs, rhs, budget, anchor):
+    margin = budget - abs(lhs - rhs)
+    return (suite, claim, a, c, x, lhs, rhs, margin, budget,
+            PASS if margin >= 0.0 else FAIL, anchor)
+
+
+def _row_crosscheck(suite, claim, _, a, c, p):
     # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
     # the quadrature route, and caches it for the Turanians of this point
     q = psi(p)
     k = psi_connection(a, c, p.x)
-    diff = abs(q.value - k.value)
-    allowance = max(tol_rel * abs(q.value), q.abs_error + k.abs_error)
-    margin = allowance - diff
-    return (suite, claim, a, c, p.x, q.value, k.value, margin, allowance,
-            PASS if margin >= 0.0 else FAIL,
-            "quadrature and connection-series values agree")
+    return _agreement(suite, claim, a, c, p.x, q.value, k.value,
+                      q.abs_error + k.abs_error,
+                      "quadrature and connection-series values agree")
 
 
-@lru_cache(maxsize=8192)
-def _difference_node(a: float, c: float, x: float) -> float:
-    """psi_quadrature at a node of the central differences.  Cached, since
-    for x >= ODE_MIN_X the ode_residual and derivative suites both step
-    h = 1e-4 x and so evaluate the same nodes x +- h, and the derivative's
-    target psi(a+1, c+1, x) is the ode_residual's centre node at the grid
-    pair (a+1, c+1)."""
-    return psi_quadrature(ParameterPoint(a, c, x), _DIFFERENCE_TOL).value
-
-
-def _row_ode(suite, claim, _, a, c, x, tol):
-    h = 1e-4 * x
-    f0 = _difference_node(a, c, x)
-    fp = _difference_node(a, c, x + h)
-    fm = _difference_node(a, c, x - h)
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    resid = x * d2 + (c - x) * d1 - a * f0
-    scale = abs(x * d2) + abs((c - x) * d1) + abs(a * f0)
-    allowance = tol * scale
-    margin = allowance - abs(resid)
-    return (suite, claim, a, c, x, abs(resid), allowance, margin, 0.0,
-            PASS if margin >= 0.0 else FAIL,
-            "Kummer ODE residual under central differences")
-
-
-def _row_derivative(suite, claim, _, a, c, x, tol):
+def _central_difference(a: float, c: float, x: float, k: int) -> FunctionValue:
+    """psi^(k)(a,c,x), k = 1 or 2 and a > 0, by the central difference of
+    psi at x - h, x + h (and x for k = 2), h about 1e-4 max(x, 0.1) and
+    rounded so that the nodes are exact; they are read through psi, so
+    they share its cache.  psi^(j) = (-1)^j (a)_j psi(a+j, c+j, x), whose
+    magnitude decreases as x grows, so the Taylor remainder is at most
+    h^2/(6k) (a)_(k+2) psi(a+k+2, c+k+2, x-h).  The budget adds the nodes'
+    errors, (e+ + e-)/(2h) for k = 1 and (e+ + 2 e0 + e-)/h^2 for k = 2,
+    and EPS-level rounding of the difference."""
     h = 1e-4 * max(x, 0.1)
     if x - h <= 0.0:
         h = 0.5 * x
-    fp = _difference_node(a, c, x + h)
-    fm = _difference_node(a, c, x - h)
-    fd = (fp - fm) / (2.0 * h)
-    # a > 0, so psi takes the quadrature route up to the threshold
-    if x <= asymptotic_threshold(a + 1.0, c + 1.0):
-        target = -a * _difference_node(a + 1.0, c + 1.0, x)
+    h = (x + h) - x
+    fm, fp = psi(ParameterPoint(a, c, x - h)), psi(ParameterPoint(a, c, x + h))
+    if k == 1:
+        value = (fp.value - fm.value) / (2.0 * h)
+        noise = (fp.abs_error + fm.abs_error
+                 + EPS * (abs(fp.value) + abs(fm.value))) / (2.0 * h)
     else:
-        target = -a * psi(ParameterPoint(a + 1.0, c + 1.0, x)).value
-    allowance = tol * abs(target) + 1e-9
-    margin = allowance - abs(fd - target)
-    return (suite, claim, a, c, x, fd, target, margin, allowance,
-            PASS if margin >= 0.0 else FAIL,
-            "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)")
+        f0 = psi(ParameterPoint(a, c, x))
+        value = (fp.value - 2.0 * f0.value + fm.value) / (h * h)
+        noise = (fp.abs_error + 2.0 * f0.abs_error + fm.abs_error + 2.0 * EPS
+                 * (abs(fp.value) + 2.0 * abs(f0.value) + abs(fm.value))) / (h * h)
+    tail = psi(ParameterPoint(a + k + 2.0, c + k + 2.0, x - h))
+    remainder = (h * h / (6.0 * k) * math.prod(a + j for j in range(k + 2))
+                 * (tail.value + tail.abs_error))
+    return FunctionValue(value, noise + 2.0 * EPS * abs(value) + remainder,
+                         "central_difference")
 
 
-def _row_moment(suite, claim, ident, a, c, x, tol):
-    d = measure_mod.WeightDensity(a, c)
-    mv = measure_mod.phi_moment(d, ident.power)
+def _row_ode(suite, claim, _, a, c, x):
+    d1, d2 = (_central_difference(a, c, x, k) for k in (1, 2))
+    f0 = psi(ParameterPoint(a, c, x))
+    resid = x * d2.value + (c - x) * d1.value - a * f0.value
+    scale = abs(x * d2.value) + abs((c - x) * d1.value) + abs(a * f0.value)
+    budget = (x * d2.abs_error + abs(c - x) * d1.abs_error + a * f0.abs_error
+              + 4.0 * EPS * scale)
+    return _agreement(suite, claim, a, c, x, abs(resid), 0.0, budget,
+                      "Kummer ODE residual under central differences")
+
+
+def _row_derivative(suite, claim, _, a, c, x):
+    d1 = _central_difference(a, c, x, 1)
+    shifted = psi(ParameterPoint(a + 1.0, c + 1.0, x))
+    target = -a * shifted.value
+    return _agreement(suite, claim, a, c, x, d1.value, target,
+                      d1.abs_error + a * shifted.abs_error + EPS * abs(target),
+                      "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)")
+
+
+def _row_moment(suite, claim, ident, a, c, x):
+    mv = measure_mod.phi_moment(measure_mod.WeightDensity(a, c), ident.power)
     closed = ident.closed_form(a, c)
-    allowance = tol + mv.abs_error
-    margin = allowance - abs(mv.value - closed)
-    return (suite, claim, a, c, x, mv.value, closed, margin, mv.abs_error,
-            PASS if margin >= 0.0 else FAIL,
-            f"moment power {ident.power} equals its closed form")
+    # the closed forms are rational in a and c: five roundings at most
+    return _agreement(suite, claim, a, c, x, mv.value, closed,
+                      mv.abs_error + 5.0 * EPS * abs(closed),
+                      f"moment power {ident.power} equals its closed form")
 
 
-def _row_stieltjes(suite, claim, arg, a, c, p, slack):
+def _row_stieltjes(suite, claim, arg, a, c, p):
     kind, anchor = arg
     d = measure_mod.WeightDensity(a, c)
     if kind is TuranianKind.BOTH_SHIFT:
@@ -217,20 +224,17 @@ def _row_stieltjes(suite, claim, arg, a, c, p, slack):
     else:
         rep = measure_mod.stieltjes_first_shift(d, p.x)
     direct = turanian_ratio(kind, p)
-    budget = rep.abs_error + direct.abs_error
-    allowance = budget + slack
-    margin = allowance - abs(rep.value - direct.value)
-    return (suite, claim, a, c, p.x, direct.value, rep.value, margin, budget,
-            PASS if margin >= 0.0 else FAIL, anchor)
+    return _agreement(suite, claim, a, c, p.x, direct.value, rep.value,
+                      rep.abs_error + direct.abs_error, anchor)
 
 
-def _row_bound(suite, claim, _, a, c, p, _tol):
+def _row_bound(suite, claim, _, a, c, p):
     rec = bounds_mod.check_bound(claim, p)
     return (suite, claim, a, c, p.x, rec.lhs.value, rec.rhs.value, rec.margin,
             rec.budget, rec.status, rec.anchor)
 
 
-def _row_dominance(suite, claim, _, a, c, p, _tol):
+def _row_dominance(suite, claim, _, a, c, p):
     if not bounds_mod.dominance_applicable(claim, p):
         return None
     rec = bounds_mod.check_dominance(claim, p)
@@ -238,13 +242,13 @@ def _row_dominance(suite, claim, _, a, c, p, _tol):
             rec.budget, rec.status, rec.anchor)
 
 
-def _row_sharpness(suite, claim, lim, a, c, _, frac):
+def _row_sharpness(suite, claim, lim, a, c, _):
     scan = sharpness_scan(lim, a, c)
     last = scan.points[-1]
     if lim.toward_zero or lim.x2_scaled:
         # the endpoint lies within a fraction of |limit|; the zeta limit
         # has its own fraction and needs decreasing deviations too
-        fraction = ZETA_LIMIT_FRACTION if lim.x2_scaled else frac
+        fraction = ZETA_LIMIT_FRACTION if lim.x2_scaled else ZERO_LIMIT_FRACTION
         allowance = fraction * abs(lim.value(a, c))
         margin = allowance - last.deviation
         if lim.x2_scaled and not scan.eventually_decreasing:
@@ -260,7 +264,7 @@ def _row_sharpness(suite, claim, lim, a, c, _, frac):
             bounds_mod._status(margin, budget), lim.anchor)
 
 
-def _row_monotonicity(suite, claim, which, a, c, step, _tol):
+def _row_monotonicity(suite, claim, which, a, c, step):
     x_lo, x_hi = step
     sign = bounds_mod.AUXILIARY[which].sign
     lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo)
@@ -319,42 +323,34 @@ def _sharpness_pairs(lim) -> tuple:
 _BOTH, _FIRST = TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT
 
 REGISTRY: dict[str, Suite] = {s.name: s for s in (
-    # tolerance: relative agreement floor
-    Suite("kernel_crosscheck", {"psi-two-methods": None}, 1e-8,
+    Suite("kernel_crosscheck", {"psi-two-methods": None},
           lambda _, a, c: a > 0.0 and _off_integer(c), _crosscheck_points,
           _row_crosscheck),
-    # tolerance: residual / term scale
-    Suite("ode_residual", {"kummer-ode": None}, 1e-4, lambda _, a, c: a > 0.0,
+    Suite("ode_residual", {"kummer-ode": None}, lambda _, a, c: a > 0.0,
           _ode_xs, _row_ode),
-    # tolerance: relative (plus fixed 1e-9 absolute floor)
-    Suite("derivative", {"dpsi-dx": None}, 1e-6, lambda _, a, c: a > 0.0,
+    Suite("derivative", {"dpsi-dx": None}, lambda _, a, c: a > 0.0,
           _grid_xs, _row_derivative),
-    # tolerance: absolute, on top of the quadrature budget
     Suite("moments", {f"moment[{power}]": ident for power, ident
-                      in measure_mod.MOMENT_IDENTITIES.items()}, 1e-6,
+                      in measure_mod.MOMENT_IDENTITIES.items()},
           lambda ident, a, c: ident.region(a, c) and _off_integer(c),
           _no_x, _row_moment),
-    # tolerance: extra absolute slack on top of the budgets
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
-                                "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")}, 0.0,
+                                "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
           lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
-          _grid_points, _row_stieltjes, zero_tolerance=True),
-    # margins against the budgets of psi values at kernel.PSI_TOL: no tolerance
-    Suite("bounds", bounds_mod.CATALOG, None,
+          _grid_points, _row_stieltjes),
+    Suite("bounds", bounds_mod.CATALOG,
           lambda spec, a, c: spec.region(a, c), _grid_points, _row_bound),
-    # closed forms: no tolerance; dominance_applicable decides per point
-    Suite("dominance", bounds_mod.DOMINANCE, None, lambda *_: True,
+    # dominance_applicable decides per point
+    Suite("dominance", bounds_mod.DOMINANCE, lambda *_: True,
           _grid_points, _row_dominance),
-    # tolerance: x -> 0 limits within this fraction of |limit|; each limit
-    # is scanned at its curated pairs, not at the grid's
-    Suite("sharpness", LIMITS, 0.01,
+    # each limit is scanned at its curated pairs, not at the grid's
+    Suite("sharpness", LIMITS,
           lambda lim, a, c: (a, c) in _sharpness_pairs(lim), _no_x,
           _row_sharpness, pairs=_sharpness_pairs),
-    # margins against the budgets of psi values at kernel.PSI_TOL: no tolerance
     Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
-          None, lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
+          lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
           _grid_steps, _row_monotonicity),
 )}
 
@@ -381,7 +377,6 @@ class RunConfig:
     grid_a: tuple[float, ...] = DEFAULT_GRID_A
     grid_c: tuple[float, ...] = DEFAULT_GRID_C
     grid_x: tuple[float, ...] = DEFAULT_GRID_X
-    tolerances: dict = field(default_factory=dict)
     out: str | None = None
     fmt: str = "csv"
     jobs: int = 1
@@ -397,22 +392,10 @@ class RunConfig:
             check_grid(g, name)
         if any(x <= 0 for x in self.grid_x):
             raise ConfigError("grid x values must be positive")
-        for k, v in self.tolerances.items():
-            if k not in REGISTRY:
-                raise ConfigError(f"tolerance for unknown suite {k!r}")
-            suite = REGISTRY[k]
-            if suite.tolerance is None:
-                raise ConfigError(f"the {k} suite takes no tolerance")
-            if not (math.isfinite(v) and (v > 0.0 or v == 0.0 and suite.zero_tolerance)):
-                need = "nonnegative" if suite.zero_tolerance else "positive"
-                raise ConfigError(f"tolerance for {k} must be finite and {need}, got {v}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-
-    def tol(self, suite: str) -> float:
-        return self.tolerances.get(suite, REGISTRY[suite].tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +413,6 @@ def _pair_block(cfg: RunConfig, unit) -> tuple[dict, tuple | None]:
     points: dict = {}   # each suite's points function -> its items here
     for name in names:
         s = REGISTRY[name]
-        tol = None if s.tolerance is None else cfg.tol(name)
         if s.points not in points:
             points[s.points] = s.points(cfg, a, c)
         for claim, arg in s.claims.items():
@@ -439,7 +421,7 @@ def _pair_block(cfg: RunConfig, unit) -> tuple[dict, tuple | None]:
             out = rows[name, claim] = []
             for p in points[s.points]:
                 try:
-                    row = s.evaluate(name, claim, arg, a, c, p, tol)
+                    row = s.evaluate(name, claim, arg, a, c, p)
                 except Exception as exc:
                     return rows, ((name, claim), exc)
                 if row is not None:

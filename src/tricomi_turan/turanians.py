@@ -22,7 +22,9 @@ point, so a-1 <= 0 and its integer-c hole never enter.  R carries a
 first-order budget in the quotients' errors, each quotient's from its psi
 values' and the rounding of its coefficients, plus 3 EPS |q_- q_+| of
 rounding on the product and EPS |R| on the difference.  The raw Turanian
-is psi^2 R.  The derived quotients are never psi results and never enter
+takes the same relations without the division, D = psi^2 - psi_+ psi_-
+with psi_- = A psi - B psi(a+1,c), so it holds where psi vanishes (only
+at a <= 0).  The derived values are never psi results and never enter
 psi's cache.
 
 The catalogued bounds on these ratios become equalities as x -> 0 or
@@ -73,24 +75,29 @@ _SHIFTS = {
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
-    """psi^2 - psi(shifted down) * psi(shifted up), as psi^2 R with R =
-    ``turanian_ratio``: error psi^2 err(R) + 2 |psi R| err(psi), plus one
-    EPS for the two roundings.  Where psi^2, or psi^2 R, underflows this
-    raises, as psi does, on every call.  Cached per (kind, a, c, x)."""
+    """psi^2 - psi_+ psi_-, psi_+- = psi(a+-da, c+-dc, x), with psi_- =
+    A psi - B psi(a+1,c,x) by ``_lower``: no division, so psi may vanish.
+    The error bounds the products' errors in full, plus EPS of rounding on
+    each product and on the difference.  Where a product of nonzero psi
+    values underflows this raises, as psi does, on every call.  Cached per
+    (kind, a, c, x)."""
     return _turanian_cached(kind, p.a, p.c, p.x)
 
 
 @lru_cache(maxsize=65_536)
 def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
-    ratio = _ratio_cached(kind, a, c, x)
-    f0 = psi(ParameterPoint(a, c, x))
-    square = f0.value * f0.value
-    value = square * ratio.value
-    if abs(square) < _TINY or (ratio.value and abs(value) < _TINY):
+    da, dc = kind.shifts
+    f0, f1 = psi(ParameterPoint(a, c, x)), psi(ParameterPoint(a + 1.0, c, x))
+    fp = psi(ParameterPoint(a + da, c + dc, x))
+    down, down_err = _lower(kind, a, c, x, f0.value, f0.abs_error, f1.value, f1.abs_error)
+    square, product = f0.value * f0.value, fp.value * down
+    if (f0.value and abs(square) < _TINY) or (fp.value and down and abs(product) < _TINY):
         raise EvaluationError(f"psi products underflow at "
                               f"(a={a}, c={c}, x={x})")
-    err = (square * ratio.abs_error + 2.0 * abs(f0.value * ratio.value) * f0.abs_error
-           + EPS * abs(value))
+    value = square - product
+    err = ((2.0 * abs(f0.value) + f0.abs_error) * f0.abs_error
+           + abs(down) * fp.abs_error + (abs(fp.value) + fp.abs_error) * down_err
+           + EPS * (square + abs(product) + abs(value)))
     return FunctionValue(value, err, f0.method)
 
 
@@ -109,12 +116,12 @@ def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:
     return q, (f.abs_error + abs(q) * f0.abs_error) / abs(f0.value) + EPS * abs(q)
 
 
-def _lower_quotient(kind: TuranianKind, a: float, c: float, x: float,
-                    f0: FunctionValue) -> tuple[float, float]:
-    """psi(a-da, c-dc, x)/psi(a, c, x) as A - B r, r = psi(a+1,c,x)/psi(a,c,x),
-    and its error: |B| err(r) plus EPS per rounding of A, B, B r and the
-    difference, each taken at the magnitudes of its terms."""
-    r, err_r = _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0)
+def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
+           err_u: float, v: float, err_v: float) -> tuple[float, float]:
+    """A u - B v, with A and B of psi(a-da, c-dc, x) = A psi(a,c,x) - B
+    psi(a+1,c,x), and its error: |A| err(u) + |B| err(v) plus EPS per
+    rounding of A, B, the products and the difference, each taken at the
+    magnitudes of its terms."""
     if kind is TuranianKind.SECOND_SHIFT:       # DLMF 13.3.9
         lead, coef, lead_size, coef_size = 1.0, a, 0.0, abs(a)
     else:
@@ -124,9 +131,18 @@ def _lower_quotient(kind: TuranianKind, a: float, c: float, x: float,
             lead, lead_size = 2.0 * a - c + x, 2.0 * abs(a) + abs(c) + x
         else:                                   # 13.3.9 at (a-1, c), then 13.3.7
             lead, lead_size = b + x, abs(a) + abs(c) + 1.0 + x
-    q = lead - coef * r
-    return q, (abs(coef) * err_r
-               + EPS * (2.0 * lead_size + 2.0 * coef_size * abs(r) + abs(q)))
+    value = lead * u - coef * v
+    return value, (abs(lead) * err_u + abs(coef) * err_v
+                   + EPS * (2.0 * lead_size * abs(u) + 2.0 * coef_size * abs(v)
+                            + abs(value)))
+
+
+def _lower_quotient(kind: TuranianKind, a: float, c: float, x: float,
+                    f0: FunctionValue) -> tuple[float, float]:
+    """psi(a-da, c-dc, x)/psi(a, c, x) as A - B r, r = psi(a+1,c,x)/psi(a,c,x),
+    and its error."""
+    return _lower(kind, a, c, x, 1.0, 0.0,
+                  *_quotient(psi(ParameterPoint(a + 1.0, c, x)), f0))
 
 
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:

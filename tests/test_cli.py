@@ -9,8 +9,12 @@ from pathlib import Path
 import pytest
 
 import tricomi_turan
-from tricomi_turan import cli
+from tricomi_turan import cli, suites
 from tricomi_turan.bounds import CATALOG
+
+# a tol-* config key per suite, the flag being "--" + key: no suite takes
+# a tolerance, so the CLI knows none of them
+TOL_KEYS = tuple("tol-" + name.replace("_", "-") for name in suites.SUITES)
 
 
 def run_cli(capsys, *argv):
@@ -139,8 +143,7 @@ class TestRun:
     def test_small_run_from_a_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("suites=dominance,sharpness\ngrid-a=2\ngrid-c=-2.5\n"
-                       "grid-x=0.1,1\njobs=1\ngate-advisory=yes\n"
-                       "tol-sharpness=0.02\n")
+                       "grid-x=0.1,1\njobs=1\ngate-advisory=yes\n")
         code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 0
         assert out.startswith("dominance: pass=")
@@ -159,15 +162,19 @@ class TestRun:
 
     @pytest.mark.parametrize("line", ["jobs=abc", "tol-moments=oops",
                                       "gate-advisory=maybe", "tol-dominance=0",
-                                      "tol-bounds=1e-12"])
+                                      "tol-bounds=1e-12",
+                                      *(key + "=0.01" for key in TOL_KEYS)])
     def test_bad_config_value_is_a_config_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2 and "config error" in err
+        key = line.partition("=")[0]
+        if key in TOL_KEYS:
+            assert err == f"config error: unknown config keys: ['{key}']\n"
 
     @pytest.mark.parametrize("flags", [["--grid-x", "nan,1"], ["--grid-a", "inf"],
-                                       ["--tol-stieltjes", "-1"]])
+                                       ["--jobs", "0"]])
     def test_bad_values_are_config_errors(self, capsys, flags):
         code, _, err = run_cli(capsys, "run", *flags)
         assert code == 2 and "config error" in err
@@ -212,11 +219,10 @@ class TestRun:
         assert not out.exists()
 
     def test_tol_dominance_flag_is_rejected(self, capsys):
-        # nor do the suites whose checks read psi at kernel.PSI_TOL take one
-        for flag, value in (("--tol-dominance", "0"), ("--tol-bounds", "1e-12"),
-                            ("--tol-monotonicity", "1e-12")):
+        # as is the --tol-* flag of every other suite
+        for flag in ("--" + key for key in TOL_KEYS):
             with pytest.raises(SystemExit) as exc:
-                cli.main(["run", flag, value])
+                cli.main(["run", flag, "0.01"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

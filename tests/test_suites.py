@@ -7,14 +7,15 @@ import json
 import math
 import os
 import pickle
+import random
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from tricomi_turan import bounds, kernel, measure, suites, turanians
 from tricomi_turan.kernel import (EvaluationError, ParameterPoint,
-                                  asymptotic_threshold, psi, psi_connection,
-                                  psi_quadrature)
+                                  asymptotic_threshold, psi, psi_connection)
 from tricomi_turan.suites import ConfigError, ReportRow, RunConfig
 
 SMALL_GRID = {"grid_a": (0.5, 2.0), "grid_c": (-2.5, 0.25),
@@ -31,20 +32,15 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_tolerance(self, tol):
-        with pytest.raises(ConfigError):
+        # as it rejects every tolerance: no suite takes one
+        with pytest.raises(TypeError, match="tolerances"):
             RunConfig(tolerances={"stieltjes": tol})
 
-    def test_zero_tolerance_only_where_the_suite_allows_it(self):
-        assert RunConfig(tolerances={"stieltjes": 0.0}).tol("stieltjes") == 0.0
-        with pytest.raises(ConfigError, match="must be finite and positive"):
-            RunConfig(tolerances={"moments": 0.0})
-
     def test_dominance_takes_no_tolerance(self):
-        # nor do bounds and monotonicity, whose checks read psi at kernel.PSI_TOL
-        for name in ("dominance", "bounds", "monotonicity"):
-            assert suites.REGISTRY[name].tolerance is None
-            with pytest.raises(ConfigError, match=f"the {name} suite takes no tolerance"):
-                RunConfig(tolerances={name: 1e-12})
+        # nor does any other suite: each row allows its own budget only
+        assert not hasattr(RunConfig(), "tol")
+        for suite in suites.REGISTRY.values():
+            assert not hasattr(suite, "tolerance")
 
 
 def test_crosscheck_points_take_the_quadrature_route_of_psi():
@@ -90,11 +86,11 @@ class TestRun:
         None stands for every claim of the suite."""
         suite = suites.REGISTRY[name]
 
-        def evaluate(s, claim, arg, a, c, p, tol):
+        def evaluate(s, claim, arg, a, c, p):
             message = failing.get((claim, a), failing.get((None, a)))
             if message:
                 raise EvaluationError(message)
-            return suite.evaluate(s, claim, arg, a, c, p, tol)
+            return suite.evaluate(s, claim, arg, a, c, p)
 
         monkeypatch.setitem(suites.REGISTRY, name,
                             dataclasses.replace(suite, evaluate=evaluate))
@@ -169,7 +165,7 @@ MIXED_GRID = {"grid_a": (1.0, 2.0, 1.0), "grid_c": (-2.5, -1.5),
 
 def node(a, c, x):
     """psi at a node of the finite-difference suites."""
-    return psi_quadrature(ParameterPoint(a, c, x), suites._DIFFERENCE_TOL).value
+    return psi(ParameterPoint(a, c, x)).value
 
 
 def reference_fields(r: ReportRow, grid_x) -> tuple:
@@ -202,18 +198,16 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
         return scan.points[-1].x, scan.points[-1].deviation
     if r.suite == "kernel_crosscheck":
         return psi(p).value, psi_connection(r.a, r.c, r.x).value
+    assert r.suite in ("derivative", "ode_residual")
+    h = 1e-4 * max(r.x, 0.1)
+    if r.x - h <= 0.0:
+        h = 0.5 * r.x
+    h = (r.x + h) - r.x           # the nodes x - h and x + h are exact
+    fm, f0, fp = (node(r.a, r.c, x) for x in (r.x - h, r.x, r.x + h))
+    d1 = (fp - fm) / (2.0 * h)
     if r.suite == "derivative":
-        h = 1e-4 * max(r.x, 0.1)
-        if r.x - h <= 0.0:
-            h = 0.5 * r.x
-        fd = (node(r.a, r.c, r.x + h) - node(r.a, r.c, r.x - h)) / (2.0 * h)
-        if r.x <= asymptotic_threshold(r.a + 1.0, r.c + 1.0):
-            return fd, -r.a * node(r.a + 1.0, r.c + 1.0, r.x)
-        return fd, -r.a * psi(ParameterPoint(r.a + 1.0, r.c + 1.0, r.x)).value
-    assert r.suite == "ode_residual"
-    h = 1e-4 * r.x
-    f0, fp, fm = (node(r.a, r.c, x) for x in (r.x, r.x + h, r.x - h))
-    d1, d2 = (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
+        return d1, -r.a * node(r.a + 1.0, r.c + 1.0, r.x)
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
     return abs(r.x * d2 + (r.c - r.x) * d1 - r.a * f0),
 
 
@@ -267,19 +261,69 @@ class TestPairBlocks:
             assert row_fields(r) == reference_fields(r, MIXED_GRID["grid_x"]), r
 
 
-def test_default_run_is_the_same_for_jobs_one_and_two():
+AGREEMENT_SUITES = ("kernel_crosscheck", "ode_residual", "derivative",
+                    "moments", "stieltjes")
+
+
+def test_agreement_rows_allow_their_budget_only():
+    # the margin is the budget less the observed difference, with no slack
+    # on top; the budget is the row's own, never 0
+    _, rows = suites.run(RunConfig(suites=AGREEMENT_SUITES, **SMALL_GRID))
+    assert {r.suite for r in rows} == set(AGREEMENT_SUITES)
+    for r in rows:
+        assert r.budget > 0.0, r
+        assert r.margin == r.budget - abs(r.lhs - r.rhs), r
+        assert r.status == ("pass" if r.margin >= 0.0 else "fail"), r
+
+
+class TestCentralDifference:
+    def test_within_its_budget_against_mpmath(self):
+        # psi' = -a U(a+1, c+1, x) and psi'' = a(a+1) U(a+2, c+2, x) by
+        # mpmath.hyperu at 40 digits, on 120 seeded points: a in (0, 6], c in
+        # (-5, 1) at least 0.01 from an integer, x log-uniform in [0.1, 200]
+        rng = random.Random("central-difference-oracle")
+        outside = []
+        with mpmath.workdps(40):
+            for _ in range(120):
+                a = 6.0 * (1.0 - rng.random())
+                c = rng.uniform(-5.0, 1.0)
+                while abs(c - round(c)) < 0.01:
+                    c = rng.uniform(-5.0, 1.0)
+                x = math.exp(rng.uniform(math.log(0.1), math.log(200.0)))
+                A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+                refs = (-A * mpmath.hyperu(A + 1, C + 1, X),
+                        A * (A + 1) * mpmath.hyperu(A + 2, C + 2, X))
+                for k, ref in enumerate(refs, 1):
+                    d = suites._central_difference(a, c, x, k)
+                    if not abs(d.value - float(ref)) <= d.abs_error:
+                        outside.append((k, a, c, x, d, float(ref)))
+        assert outside == []
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    return suites.run(RunConfig())
+
+
+def test_default_run_verdicts_are_the_recorded_ones(default_run):
     # the figures perfbench records for the default run
     recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                            / "recorded.json").read_text())["default-run"]
-    bodies = []
-    for jobs in (1, 2):
-        summary, rows = suites.run(RunConfig(jobs=jobs))
-        assert (summary.n_rows, summary.gating_fails, summary.advisory_fails) == (
-            recorded["rows"], recorded["gating_fails"], recorded["advisory_fails"])
-        assert {s: {k: n for k, n in c.items() if n}
-                for s, c in summary.counts.items()} == recorded["counts"]
-        bodies.append(suites.rows_to_csv(rows, summary, timestamp=False))
-    assert bodies[0] == bodies[1]
+    summary, rows = default_run
+    totals = (len(rows), summary.gating_fails, summary.advisory_fails)
+    assert totals == (9398, 0, 246) == (
+        recorded["rows"], recorded["gating_fails"], recorded["advisory_fails"])
+    assert summary.n_rows == len(rows)
+    assert {s: {k: n for k, n in c.items() if n}
+            for s, c in summary.counts.items()} == recorded["counts"]
+
+
+def test_default_run_is_the_same_for_jobs_one_and_two(default_run):
+    one_summary, one = default_run
+    summary, two = suites.run(RunConfig(jobs=2))
+    assert summary == one_summary
+    assert (suites.rows_to_csv(two, summary, timestamp=False)
+            == suites.rows_to_csv(one, one_summary, timestamp=False))
 
 
 def test_bounds_suite_computes_each_ratio_once():

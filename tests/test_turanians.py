@@ -83,6 +83,13 @@ class TestTuranian:
         fv = turanian_ratio(kind, ParameterPoint(a, -0.5, 1.0))
         assert abs(fv.value - ref) <= fv.abs_error <= 1e-8 * abs(ref)
 
+    @pytest.mark.parametrize("x", [0.5, 0.5000001, 0.7])
+    def test_first_shift_where_psi_vanishes(self, x):
+        # psi(-1, c, x) = x - c is 0 at x = c = 0.5, and with psi(0, c, x) = 1
+        # and psi(-2, c, x) = x^2 - 2(c+1)x + c(c+1), D_a(-1, c, x) = 2x - c
+        fv = turanian(FIRST, ParameterPoint(-1.0, 0.5, x))
+        assert abs(fv.value - (2.0 * x - 0.5)) <= fv.abs_error <= 1e-14
+
     @pytest.mark.parametrize("kind", list(TuranianKind))
     def test_turanian_where_psi_squared_underflows_raises(self, kind):
         # the raw difference of products would read 0.0 +- 0.0 here
