@@ -8,11 +8,19 @@ Subcommands:
 * ``sharpness``  -- print limit scans: one line per (a, c) pair and row of
   ``turanians.LIMITS`` whose region holds at the pair, in table order
 
-``run`` builds its :class:`RunConfig` from the values given by a flag or
-by the ``--config`` file (a flag wins); a setting given by neither keeps
-the RunConfig default, so only a missing ``suites`` means all suites.
+``run`` passes the settings given on the command line to its
+:class:`RunConfig`; a setting not given keeps the RunConfig default, so
+only a missing ``--suites`` means all suites.  Settings can come from a
+file: an argument ``@FILE`` stands for the lines of FILE, one argument
+per line (``--grid-a=0.5,1``), read in its place, and a later argument
+wins, so ``run @FILE --suites sharpness`` overrides the file's
+``--suites``.  Any argument that starts with ``@`` names such a file.  A
+line is one whole argument: ``--jobs 2`` on one line, a blank line and a
+``#`` line are each rejected as an unrecognized argument.
 
-Exit codes: ``run`` returns 0 (no gating fails), 1 (at least one fail),
+Exit codes: every subcommand exits 2 when argparse rejects its arguments
+(an unknown flag, a bad number or list, a settings file that cannot be
+read).  ``run`` returns 0 (no gating fails), 1 (at least one fail),
 2 (configuration or output error) or 4 (a point that psi cannot evaluate,
 which aborts the run).  ``eval`` returns 0 on success, 2 for parse or
 configuration problems, 3 for region violations and 4 for evaluation
@@ -38,21 +46,38 @@ from .measure import WeightDensity, phi
 from .turanians import (LIMITS, TuranianKind, sharpness_scan, turanian,
                         turanian_ratio)
 
-EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 2, 3, 4
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}: {exc}")
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tricomi-turan",
-                                  description=__doc__.splitlines()[0])
+                                  description=__doc__.splitlines()[0],
+                                  fromfile_prefix_chars="@")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run verification suites over grids")
-    p_run.add_argument("--config", help="key=value config file; flags override it")
-    p_run.add_argument("--suites", help="comma list of suites "
-                                        f"(default all: {','.join(suites_mod.SUITES)})")
-    p_run.add_argument("--grid-a", help="comma list of a values")
-    p_run.add_argument("--grid-c", help="comma list of c values")
-    p_run.add_argument("--grid-x", help="comma list of x values")
+    # a setting not given is left out of the namespace: RunConfig holds the defaults
+    p_run = sub.add_parser("run", help="run verification suites over grids",
+                           description="An argument @FILE reads FILE's lines in "
+                                       "its place, one argument per line; a "
+                                       "later argument wins.",
+                           argument_default=argparse.SUPPRESS)
+    p_run.add_argument("--suites", type=_parse_names,
+                       help="comma list of suites "
+                            f"(default all: {','.join(suites_mod.SUITES)})")
+    p_run.add_argument("--grid-a", type=_parse_floats, help="comma list of a values")
+    p_run.add_argument("--grid-c", type=_parse_floats, help="comma list of c values")
+    p_run.add_argument("--grid-x", type=_parse_floats, help="comma list of x values")
     p_run.add_argument("--out", help="report file path")
     p_run.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="report format (default csv)")
@@ -62,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "pairs, whose rows are merged in grid order, so "
                             "neither the report nor the error of a failing "
                             "run depends on it")
-    p_run.add_argument("--gate-advisory", action="store_true", default=None,
-                       help="count advisory-claim failures (S2 family, P4U probe) "
-                            "toward the exit code")
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity at one point")
     p_eval.add_argument("what", help="psi | turanian:KIND | ratio:KIND | phi | "
@@ -80,92 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--out")
 
     p_sh = sub.add_parser("sharpness", help="print sharpness limit scans")
-    p_sh.add_argument("--grid-a", help="comma list of a values (default curated pairs)")
-    p_sh.add_argument("--grid-c", help="comma list of c values")
+    p_sh.add_argument("--grid-a", type=_parse_floats,
+                      help="comma list of a values (default curated pairs)")
+    p_sh.add_argument("--grid-c", type=_parse_floats, help="comma list of c values")
     p_sh.add_argument("--out")
     return top
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise suites_mod.ConfigError(f"bad numeric list {text!r}: {exc}")
-
-
-def _read_config_file(path: str) -> dict:
-    settings = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise suites_mod.ConfigError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                settings[key.strip()] = value.strip()
-    except OSError as exc:
-        raise suites_mod.ConfigError(f"cannot read config file: {exc}")
-    return settings
-
-
-_CONFIG_KEYS = {"suites", "grid-a", "grid-c", "grid-x", "out", "format",
-                "jobs", "gate-advisory"}
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-def _build_run_config(args) -> suites_mod.RunConfig:
-    """A RunConfig of the values given by a flag or the config file; the
-    fields of RunConfig hold the defaults."""
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - _CONFIG_KEYS
-    if unknown:
-        raise suites_mod.ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag_value, file_key, convert=str):
-        """The flag if given, else the config-file value, else None; text
-        (from either) is converted."""
-        value = flag_value if flag_value is not None else file_cfg.get(file_key)
-        if not isinstance(value, str):
-            return value
-        try:
-            return convert(value)
-        except suites_mod.ConfigError:
-            raise
-        except ValueError as exc:
-            raise suites_mod.ConfigError(f"config key {file_key}: {exc}")
-
-    given = {
-        "suites": pick(args.suites, "suites", _parse_names),
-        "grid_a": pick(args.grid_a, "grid-a", _parse_floats),
-        "grid_c": pick(args.grid_c, "grid-c", _parse_floats),
-        "grid_x": pick(args.grid_x, "grid-x", _parse_floats),
-        "out": pick(args.out, "out"),
-        "fmt": pick(args.fmt, "format"),
-        "jobs": pick(args.jobs, "jobs", int),
-        "gate_advisory": pick(args.gate_advisory, "gate-advisory", _parse_bool),
-    }
-    return suites_mod.RunConfig(**{k: v for k, v in given.items() if v is not None})
-
-
 def _cmd_run(args) -> int:
     try:
-        cfg = _build_run_config(args)
-        summary, _rows = suites_mod.run(cfg)
+        given = {k: v for k, v in vars(args).items() if k != "command"}
+        summary, _rows = suites_mod.run(suites_mod.RunConfig(**given))
     except suites_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -177,7 +124,7 @@ def _cmd_run(args) -> int:
         return EXIT_EVAL
     for line in suites_mod.summary_lines(summary):
         print(line)
-    return EXIT_FAIL if summary.gating_fails else EXIT_OK
+    return summary.exit_code
 
 
 def eval_point(what: str, a: float, c: float, x: float) -> tuple[str, dict]:
@@ -258,13 +205,12 @@ def _cmd_sharpness(args) -> int:
             raise suites_mod.ConfigError(
                 "--grid-a and --grid-c must be given together")
         if args.grid_a is not None:
-            grid_a, grid_c = _parse_floats(args.grid_a), _parse_floats(args.grid_c)
-            suites_mod.check_grid(grid_a, "a")
-            suites_mod.check_grid(grid_c, "c")
-            pairs = [(a, c) for a in grid_a for c in grid_c]
+            suites_mod.check_grid(args.grid_a, "a")
+            suites_mod.check_grid(args.grid_c, "c")
+            pairs = [(a, c) for a in args.grid_a for c in args.grid_c]
         else:
-            pairs = list(dict.fromkeys(suites_mod.SHARPNESS_PAIRS_INF
-                                       + suites_mod.SHARPNESS_PAIRS_ZERO))
+            pairs = list(dict.fromkeys(pair for lim in LIMITS.values()
+                                       for pair in lim.pairs))
     except suites_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,7 @@ A :class:`RunConfig` selects suites, grids and output; ``run``
 executes every selected suite deterministically (fixed grid order, fixed
 quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
 per (claim, point).  A row is a named tuple, cheap to build; its fields
-are the report columns, in order, then the grid index.
+are the report columns, in order.
 
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim, x), every selected claim that holds there, at
@@ -12,21 +12,23 @@ each of its suite's x values, so the process that holds a pair computes
 each shifted psi value and each phi table of that pair once.  With
 ``jobs = 1`` the blocks run in-process; otherwise a process pool maps
 them, with at most one worker per pair and per usable CPU.  A block
-returns its rows as plain tuples without their grid index (they pickle
-several times faster than named tuples) and stops at its first failing
-task.  ``run`` merges the blocks as they arrive: it walks each claim's
-pairs in order, the grid's in (a, c) order or the sharpness suite's
-curated ones, and appends the rows of each (suite, claim) numbered on
-from its last: the grid index.  The claims, concatenated by (suite,
-claim name), make the report, so neither the report nor the error of a
-failing run, the first failure in task order (suite, claim, pair, x),
-depends on ``jobs``.
+returns its rows as plain tuples (they pickle several times faster than
+named tuples) and stops at its first failing task.  ``run`` merges the
+blocks as they arrive: it walks each claim's pairs in order, the grid's
+in (a, c) order or the sharpness limit's curated ones, and appends each
+block's rows to those of their (suite, claim).  The claims, concatenated
+by (suite, claim name), make the report, so neither the report nor the
+error of a failing run, the first failure in task order (suite, claim,
+pair, x), depends on ``jobs``.  Claims whose failures are advisory (the
+catalog's non-gating bounds) never gate a run; their failures are
+counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
 claims once, each with the argument its rows need (a catalog entry, a
 moment identity, a Turanian kind); the sharpness suite's claims are the
-rows of ``turanians.LIMITS``.  A record holds the test of whether a claim
+rows of ``turanians.LIMITS``, each with its own (a, c) pairs and
+endpoint allowance.  A record holds the test of whether a claim
 holds at a pair; the points of its rows at a pair; and the evaluator of
 one row, which calls the per-point function of the claim
 (``check_bound``, ``check_dominance``, ``auxiliary_log_ratio``, the
@@ -75,18 +77,6 @@ CROSSCHECK_X = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 # budget dwarfs the residual, so the rows would check nothing.
 ODE_MIN_X = 0.1
 
-# Curated (a, c) pairs for the sharpness scans.  The x -> 0 limits converge
-# like K(a,c) * x with K growing as c -> -1 and |c - a| -> inf; these pairs
-# keep the deviation at x = 1e-3 below 1% of the limit with >= 4x margin.
-SHARPNESS_PAIRS_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
-SHARPNESS_PAIRS_INF = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
-
-# the x^2-scaled both-shift ratio at x = 1000 lies within this fraction of
-# its limit c-a-1, and a plain ratio at x = 1e-3 within this one of its
-# x -> 0 limit
-ZETA_LIMIT_FRACTION = 0.05
-ZERO_LIMIT_FRACTION = 0.01
-
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
@@ -104,7 +94,6 @@ class ReportRow(NamedTuple):
     budget: float
     status: str
     anchor: str
-    idx: int = 0  # grid index within (suite, claim); not exported
 
 
 @dataclass
@@ -137,8 +126,7 @@ class Suite:
 
 # ---------------------------------------------------------------------------
 # row evaluators: (suite, claim, argument, a, c, point) -> the fields of a
-# row without its grid index, or None where the claim does not hold at the
-# point
+# row, or None where the claim does not hold at the point
 # ---------------------------------------------------------------------------
 
 def _agreement(suite, claim, a, c, x, lhs, rhs, budget, anchor):
@@ -245,11 +233,10 @@ def _row_dominance(suite, claim, _, a, c, p):
 def _row_sharpness(suite, claim, lim, a, c, _):
     scan = sharpness_scan(lim, a, c)
     last = scan.points[-1]
-    if lim.toward_zero or lim.x2_scaled:
-        # the endpoint lies within a fraction of |limit|; the zeta limit
-        # has its own fraction and needs decreasing deviations too
-        fraction = ZETA_LIMIT_FRACTION if lim.x2_scaled else ZERO_LIMIT_FRACTION
-        allowance = fraction * abs(lim.value(a, c))
+    if lim.allowance is not None:
+        # the endpoint lies within a fraction of |limit|; the x^2-scaled
+        # zeta limit needs decreasing deviations too
+        allowance = lim.allowance * abs(lim.value(a, c))
         margin = allowance - last.deviation
         if lim.x2_scaled and not scan.eventually_decreasing:
             margin = -abs(margin) - 1.0
@@ -312,10 +299,6 @@ def _off_integer(c: float) -> bool:
     return abs(c - round(c)) >= INTEGER_C_GUARD
 
 
-def _sharpness_pairs(lim) -> tuple:
-    return SHARPNESS_PAIRS_ZERO if lim.toward_zero else SHARPNESS_PAIRS_INF
-
-
 # ---------------------------------------------------------------------------
 # the suites, in report order
 # ---------------------------------------------------------------------------
@@ -346,9 +329,8 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
     Suite("dominance", bounds_mod.DOMINANCE, lambda *_: True,
           _grid_points, _row_dominance),
     # each limit is scanned at its curated pairs, not at the grid's
-    Suite("sharpness", LIMITS,
-          lambda lim, a, c: (a, c) in _sharpness_pairs(lim), _no_x,
-          _row_sharpness, pairs=_sharpness_pairs),
+    Suite("sharpness", LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
+          _row_sharpness, pairs=lambda lim: lim.pairs),
     Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
           lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
           _grid_steps, _row_monotonicity),
@@ -373,6 +355,11 @@ def check_grid(grid: tuple[float, ...], name: str) -> None:
 
 @dataclass
 class RunConfig:
+    """What ``run`` does: the suites, in any order (the report keeps
+    ``SUITES`` order), the a, c and x grids, the report file (None: no
+    report) and its format, and the worker processes.  The defaults are
+    a run of every suite over the default grids."""
+
     suites: tuple[str, ...] = SUITES
     grid_a: tuple[float, ...] = DEFAULT_GRID_A
     grid_c: tuple[float, ...] = DEFAULT_GRID_C
@@ -380,7 +367,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
     jobs: int = 1
-    gate_advisory: bool = False
 
     def __post_init__(self):
         unknown = [s for s in self.suites if s not in REGISTRY]
@@ -404,10 +390,10 @@ class RunConfig:
 
 def _pair_block(cfg: RunConfig, unit) -> tuple[dict, tuple | None]:
     """Evaluate one (a, c) pair: ``unit`` is the pair and the names of the
-    selected suites with a claim there.  Returns the rows, as plain tuples
-    without their grid index, of each (suite, claim) that holds at the pair,
-    in task order, and the first failure as ((suite, claim), error), or
-    None; the block stops at its first failing task."""
+    selected suites with a claim there.  Returns the rows, as plain tuples,
+    of each (suite, claim) that holds at the pair, in task order, and the
+    first failure as ((suite, claim), error), or None; the block stops at
+    its first failing task."""
     (a, c), names = unit
     rows: dict = {}
     points: dict = {}   # each suite's points function -> its items here
@@ -443,13 +429,12 @@ def _merge(sequences: dict, results, rows: dict) -> list:
     pairs to the claims that take it; ``results`` yields (pair, block
     result) in the order of the units.  Each sequence is walked in order,
     reading the blocks as they arrive, and a claim's rows at a pair are
-    appended numbered on from its last row: the grid index.  Returns the
-    failures met, each as (place of its claim in task order, place of its
-    pair in the sequence, error)."""
+    appended to its rows as :class:`ReportRow`.  Returns the failures met,
+    each as (place of its claim in task order, place of its pair in the
+    sequence, error)."""
     order = {key: i for i, key in enumerate(rows)}
     done: dict = {}
     failures = []
-    make = ReportRow._make
     for seq, keys in sequences.items():
         last = {pair: position for position, pair in enumerate(seq)}
         for position, pair in enumerate(seq):
@@ -462,8 +447,7 @@ def _merge(sequences: dict, results, rows: dict) -> list:
                 # they cost the garbage collector time in every later pass
                 block_rows = got.pop(key, None) if last[pair] == position else got.get(key)
                 if block_rows:
-                    out = rows[key]
-                    out += [make(r + (i,)) for i, r in enumerate(block_rows, len(out))]
+                    rows[key] += map(ReportRow._make, block_rows)
             if failure and failure[0] in keys:
                 failures.append((order[failure[0]], position, failure[1]))
     return failures
@@ -517,7 +501,7 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
             suite_counts = counts.setdefault(s.name, {PASS: 0, FAIL: 0, INCONCLUSIVE: 0})
             for status, n in tally.items():
                 suite_counts[status] += n
-            if claim in ADVISORY_CLAIMS and not cfg.gate_advisory:
+            if claim in ADVISORY_CLAIMS:
                 advisory_fails += tally[FAIL]
             else:
                 gating_fails += tally[FAIL]
@@ -529,8 +513,7 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     return summary, rows
 
 
-_CSV_COLUMNS = ("suite", "claim", "a", "c", "x", "lhs", "rhs", "margin",
-                "budget", "status", "anchor")
+_CSV_COLUMNS = ReportRow._fields
 
 
 class _CsvField(dict):
@@ -553,7 +536,7 @@ def rows_to_csv(rows, summary: RunSummary, timestamp: bool = True) -> str:
     q = _CsvField()
     # one formatted line per row; a %-template formats as fast but raised
     # the default run's peak RSS by about 0.3 MB
-    for suite, claim, a, c, x, lhs, rhs, margin, budget, status, anchor, _ in rows:
+    for suite, claim, a, c, x, lhs, rhs, margin, budget, status, anchor in rows:
         buf.write(f"{q[suite]},{q[claim]},{a:.17g},{c:.17g},{x:.17g},{lhs:.17g},"
                   f"{rhs:.17g},{margin:.17g},{budget:.17g},{q[status]},{q[anchor]}\n")
     for note in summary.empty_regions:
@@ -563,8 +546,6 @@ def rows_to_csv(rows, summary: RunSummary, timestamp: bool = True) -> str:
 
 def rows_to_json(rows, summary: RunSummary) -> str:
     doc = {
-        # a row's fields are the CSV columns, in order, then idx, which
-        # zip leaves out
         "rows": [dict(zip(_CSV_COLUMNS, r)) for r in rows],
         "summary": {
             "counts": summary.counts,

@@ -31,8 +31,9 @@ The catalogued bounds on these ratios become equalities as x -> 0 or
 x -> inf.  ``LIMITS`` states each of those seven limits once, as a
 :class:`SharpnessLimit` row keyed by its claim name: the Turanian kind,
 the scan sequence toward 0 or toward infinity, whether the ratio is
-scaled by x^2, the (a, c) region, the closed-form limit and the anchor
-text of its report rows.
+scaled by x^2, the (a, c) region, the closed-form limit, the anchor
+text of its report rows, the curated (a, c) pairs the sharpness suite
+scans and the endpoint allowance its rows are held to.
 ``sharpness_scan`` measures the deviations from a row's limit along that
 row's own sequence.
 
@@ -178,11 +179,21 @@ SCAN_TO_ZERO = (1.0, 0.1, 0.01, 0.001)
 SCAN_TO_INFINITY = (10.0, 100.0, 1000.0)
 
 
+# Curated (a, c) pairs for the sharpness scans.  The x -> 0 limits converge
+# like K(a,c) * x with K growing as c -> -1 and |c - a| -> inf; these pairs
+# keep the deviation at x = 1e-3 below 1% of the limit with >= 4x margin.
+PAIRS_TO_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
+PAIRS_TO_INFINITY = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
+
+
 @dataclass(frozen=True)
 class SharpnessLimit:
     """One sharpness claim: where ``region(a, c)`` holds, the ratio of
     ``kind``, times x^2 if ``x2_scaled``, tends to ``value(a, c)`` along
-    ``xs``."""
+    ``xs``.  The sharpness suite scans it at ``pairs``; where ``allowance``
+    is set, the deviation at the end of the scan must lie within that
+    fraction of |limit|, and where it is None the deviations must
+    decrease."""
 
     name: str
     kind: TuranianKind
@@ -191,36 +202,43 @@ class SharpnessLimit:
     region: Callable[[float, float], bool]
     value: Callable[[float, float], float]
     anchor: str
+    pairs: tuple[tuple[float, float], ...]  # PAIRS_TO_ZERO or PAIRS_TO_INFINITY
+    allowance: float | None
 
     @property
     def toward_zero(self) -> bool:
         return self.xs[-1] < self.xs[0]
 
 
-_ZERO_ANCHOR = "plain ratio approaches its x->0 closed form"
-
-
 def _vanishes(kind: TuranianKind) -> SharpnessLimit:
     return SharpnessLimit(f"vanish[{kind.value}]", kind, SCAN_TO_INFINITY, False,
                           lambda a, c: True, lambda a, c: 0.0,
-                          "plain ratio deviations from 0 decrease toward infinity")
+                          "plain ratio deviations from 0 decrease toward infinity",
+                          PAIRS_TO_INFINITY, None)
+
+
+def _to_zero(kind: TuranianKind, region, value) -> SharpnessLimit:
+    # a plain ratio at x = 1e-3 lies within 1% of its x -> 0 limit
+    return SharpnessLimit(f"zero-limit[{kind.value}]", kind, SCAN_TO_ZERO, False,
+                          region, value, "plain ratio approaches its x->0 closed form",
+                          PAIRS_TO_ZERO, 0.01)
 
 
 # claim name -> limit, in the output order of ``tricomi-turan sharpness``
 LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
+    # the x^2-scaled ratio at x = 1000 lies within 5% of its limit, and its
+    # deviations decrease as well
     SharpnessLimit("zeta-limit", TuranianKind.BOTH_SHIFT, SCAN_TO_INFINITY, True,
                    lambda a, c: a > 0.0 and c < 1.0, lambda a, c: c - a - 1.0,
-                   "x^2-scaled both-shift ratio approaches c-a-1"),
-    SharpnessLimit("zero-limit[both]", TuranianKind.BOTH_SHIFT, SCAN_TO_ZERO, False,
-                   lambda a, c: a > 0.0 > c, lambda a, c: 1.0 / c, _ZERO_ANCHOR),
+                   "x^2-scaled both-shift ratio approaches c-a-1",
+                   PAIRS_TO_INFINITY, 0.05),
+    _to_zero(TuranianKind.BOTH_SHIFT, lambda a, c: a > 0.0 > c, lambda a, c: 1.0 / c),
     _vanishes(TuranianKind.BOTH_SHIFT),
-    SharpnessLimit("zero-limit[first]", TuranianKind.FIRST_SHIFT, SCAN_TO_ZERO, False,
-                   lambda a, c: a > 0.0 and c < 1.0,
-                   lambda a, c: 1.0 / (1.0 + a - c), _ZERO_ANCHOR),
+    _to_zero(TuranianKind.FIRST_SHIFT, lambda a, c: a > 0.0 and c < 1.0,
+             lambda a, c: 1.0 / (1.0 + a - c)),
     _vanishes(TuranianKind.FIRST_SHIFT),
-    SharpnessLimit("zero-limit[second]", TuranianKind.SECOND_SHIFT, SCAN_TO_ZERO, False,
-                   lambda a, c: a > 0.0 > c,
-                   lambda a, c: a / (c * (1.0 + a - c)), _ZERO_ANCHOR),
+    _to_zero(TuranianKind.SECOND_SHIFT, lambda a, c: a > 0.0 > c,
+             lambda a, c: a / (c * (1.0 + a - c))),
     _vanishes(TuranianKind.SECOND_SHIFT),
 )}
 

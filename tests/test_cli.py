@@ -12,8 +12,8 @@ import tricomi_turan
 from tricomi_turan import cli, suites
 from tricomi_turan.bounds import CATALOG
 
-# a tol-* config key per suite, the flag being "--" + key: no suite takes
-# a tolerance, so the CLI knows none of them
+# a tol-* key per suite, the flag being "--" + key: no suite takes a
+# tolerance, so the CLI knows none of them
 TOL_KEYS = tuple("tol-" + name.replace("_", "-") for name in suites.SUITES)
 
 
@@ -139,14 +139,50 @@ class TestEval:
         assert code == 4 and out == "" and "underflow" in err
 
 
+def rejected(capsys, *argv) -> str:
+    """The stderr of an argparse rejection of argv, which exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 class TestRun:
     def test_small_run_from_a_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("suites=dominance,sharpness\ngrid-a=2\ngrid-c=-2.5\n"
-                       "grid-x=0.1,1\njobs=1\ngate-advisory=yes\n")
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--suites=dominance,sharpness\n--grid-a=2\n--grid-c=-2.5\n"
+                       "--grid-x=0.1,1\n--jobs=1\n")
+        code, out, _ = run_cli(capsys, "run", f"@{cfg}")
         assert code == 0
         assert out.startswith("dominance: pass=")
+
+    def test_flag_after_the_file_overrides_it(self, capsys, tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--suites=dominance,sharpness\n--grid-a=2\n--grid-c=-2.5\n"
+                       "--grid-x=0.1,1\n")
+        code, out, _ = run_cli(capsys, "run", f"@{cfg}", "--suites", "sharpness")
+        assert code == 0
+        assert out.startswith("sharpness: pass=") and "dominance" not in out
+        # and the file overrides a flag before it
+        code, out, _ = run_cli(capsys, "run", "--suites", "sharpness", f"@{cfg}")
+        assert code == 0 and out.startswith("dominance: pass=")
+
+    def test_missing_settings_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.args"
+        err = rejected(capsys, "run", f"@{missing}")
+        assert "No such file or directory" in err and str(missing) in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--gate-advisory"])
+    def test_retired_flags_are_rejected(self, capsys, tmp_path, flag):
+        err = rejected(capsys, "run", flag, str(tmp_path / "run.cfg"))
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", ["run", "sharpness"])
+    def test_bad_numeric_list_names_the_list(self, capsys, command):
+        err = rejected(capsys, command, "--grid-a", "abc", "--grid-c", "1")
+        assert "argument --grid-a: bad numeric list 'abc'" in err
 
     def test_empty_suites_flag_is_a_config_error(self, capsys):
         code, out, err = run_cli(capsys, "run", "--suites", "")
@@ -154,24 +190,25 @@ class TestRun:
         assert err == "config error: no suites selected\n"
 
     def test_empty_suites_key_is_a_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("suites=\n")
-        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--suites=\n")
+        code, out, err = run_cli(capsys, "run", f"@{cfg}")
         assert code == 2 and out == ""
         assert err == "config error: no suites selected\n"
 
+    # each line of the settings file is "--" + line
     @pytest.mark.parametrize("line", ["jobs=abc", "tol-moments=oops",
                                       "gate-advisory=maybe", "tol-dominance=0",
                                       "tol-bounds=1e-12",
                                       *(key + "=0.01" for key in TOL_KEYS)])
     def test_bad_config_value_is_a_config_error(self, capsys, tmp_path, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 2 and "config error" in err
-        key = line.partition("=")[0]
-        if key in TOL_KEYS:
-            assert err == f"config error: unknown config keys: ['{key}']\n"
+        cfg = tmp_path / "run.args"
+        cfg.write_text(f"--{line}\n")
+        err = rejected(capsys, "run", f"@{cfg}")
+        if line == "jobs=abc":
+            assert "argument --jobs: invalid int value: 'abc'" in err
+        else:
+            assert err.endswith(f"unrecognized arguments: --{line}\n")
 
     @pytest.mark.parametrize("flags", [["--grid-x", "nan,1"], ["--grid-a", "inf"],
                                        ["--jobs", "0"]])

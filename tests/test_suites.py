@@ -237,20 +237,18 @@ class TestPairBlocks:
             by_claim.setdefault((r.suite, r.claim), []).append(r)
         grid = [(a, c) for a in MIXED_GRID["grid_a"] for c in MIXED_GRID["grid_c"]]
         for (suite, claim), claim_rows in by_claim.items():
-            assert [r.idx for r in claim_rows] == list(range(len(claim_rows)))
             pairs = [(r.a, r.c) for r in claim_rows]
             if suite == "sharpness":
-                # the curated pairs, in their list order
-                lim = turanians.LIMITS[claim]
-                assert pairs == list(suites.SHARPNESS_PAIRS_ZERO if lim.toward_zero
-                                     else suites.SHARPNESS_PAIRS_INF)
+                # the limit's curated pairs, in their list order
+                assert pairs == list(turanians.LIMITS[claim].pairs)
             else:
                 # grid pairs, in grid order: the duplicated a comes back
                 visited = [p for i, p in enumerate(pairs) if i == 0 or pairs[i - 1] != p]
                 positions = iter(grid)
                 assert all(p in positions for p in visited)
-        # report order: (suite, claim, grid index)
-        order = [(suites.SUITES.index(r.suite), r.claim, r.idx) for r in rows]
+        # report order: (suite, claim), each claim's rows in one run and in
+        # grid order (checked above)
+        order = [(suites.SUITES.index(r.suite), r.claim) for r in rows]
         assert order == sorted(order)
         # the duplicated grid value repeats the rows of its pairs
         t1l = by_claim["bounds", "T1L"]
@@ -377,9 +375,9 @@ class TestRowsToCsv:
     def test_equals_csv_writer_on_awkward_strings(self, text):
         summary = suites.RunSummary({}, 0, 0, ["x: no grid point"], 2)
         rows = [ReportRow(text, "T1L", 0.1, -0.0, 1e-300, math.inf, -math.inf,
-                          math.nan, 5e-324, "pass", text, 0),
+                          math.nan, 5e-324, "pass", text),
                 ReportRow("bounds", text, 1.0, 2.0, 3.0, 1.0 / 3.0, 2.0, 3.0,
-                          4.0, text, "anchor", 1)]
+                          4.0, text, "anchor")]
         assert suites.rows_to_csv(rows, summary, timestamp=False) == (
             rows_to_csv_reference(rows, summary))
 
@@ -393,11 +391,14 @@ class TestRowsToCsv:
 
 class TestReportRow:
     ROW = ReportRow("bounds", "T1L", 2.0, -2.5, 0.1, -350.0, -0.19, 349.8,
-                    1e-13, "pass", "anchor text", 3)
+                    1e-13, "pass", "anchor text")
 
-    def test_fields_are_the_csv_columns_then_idx(self):
-        assert ReportRow._fields == suites._CSV_COLUMNS + ("idx",)
-        assert ReportRow(*self.ROW[:11]).idx == 0
+    def test_fields_are_the_csv_columns(self):
+        assert ReportRow._fields == suites._CSV_COLUMNS == (
+            "suite", "claim", "a", "c", "x", "lhs", "rhs", "margin", "budget",
+            "status", "anchor")
+        with pytest.raises(TypeError):
+            ReportRow(*self.ROW, 3)
 
     def test_pickle_round_trip(self):
         assert pickle.loads(pickle.dumps(self.ROW)) == self.ROW
@@ -411,9 +412,9 @@ class TestReportRow:
         assert repr(self.ROW) == (
             "ReportRow(suite='bounds', claim='T1L', a=2.0, c=-2.5, x=0.1, "
             "lhs=-350.0, rhs=-0.19, margin=349.8, budget=1e-13, "
-            "status='pass', anchor='anchor text', idx=3)")
+            "status='pass', anchor='anchor text')")
 
     def test_json_rows_hold_the_csv_columns_only(self):
         summary = suites.RunSummary({}, 0, 0, [], 1)
         doc = json.loads(suites.rows_to_json([self.ROW], summary))
-        assert doc["rows"] == [dict(zip(suites._CSV_COLUMNS, self.ROW[:11]))]
+        assert doc["rows"] == [dict(zip(suites._CSV_COLUMNS, self.ROW))]
