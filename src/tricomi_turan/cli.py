@@ -14,21 +14,25 @@ only a missing ``--suites`` means all suites.  Settings can come from a
 file: an argument ``@FILE`` stands for the lines of FILE, one argument
 per line (``--grid-a=0.5,1``), read in its place, and a later argument
 wins, so ``run @FILE --suites sharpness`` overrides the file's
-``--suites``.  Any argument that starts with ``@`` names such a file.  A
-line is one whole argument: ``--jobs 2`` on one line, a blank line and a
-``#`` line are each rejected as an unrecognized argument.
+``--suites``.  Any argument that starts with ``@`` names such a file.
+Blank lines and lines whose first non-space character is ``#`` are
+skipped; any other line is one whole argument, so ``--jobs 2`` on one
+line is rejected as an unrecognized argument.
 
 Exit codes: every subcommand exits 2 when argparse rejects its arguments
 (an unknown flag, a bad number or list, a settings file that cannot be
 read).  ``run`` returns 0 (no gating fails), 1 (at least one fail),
-2 (configuration or output error) or 4 (a point that psi cannot evaluate,
-which aborts the run).  ``eval`` returns 0 on success, 2 for parse or
-configuration problems, 3 for region violations and 4 for evaluation
-failures.  ``catalog`` returns 0, or 2 when ``--out`` cannot be written;
-``sharpness`` returns 0, 2 when ``--out`` cannot be written, only one of
-``--grid-a`` and ``--grid-c`` is given, or a grid is empty or not finite,
-or 4 when a scan meets a point that psi cannot evaluate, which aborts it
-with nothing written (pairs outside a limit's region are skipped).
+2 (configuration or output error, a grid that repeats a value among
+them) or 4 (a point that psi cannot evaluate, which aborts the run; the
+error is that of the first failing (a, c) pair, the grid's pairs in
+order before the sharpness limits' own).  ``eval`` returns 0 on
+success, 2 for parse or configuration problems, 3 for region violations
+and 4 for evaluation failures.  ``catalog`` returns 0, or 2 when
+``--out`` cannot be written; ``sharpness`` returns 0, 2 when ``--out``
+cannot be written, only one of ``--grid-a`` and ``--grid-c`` is given,
+or a grid is empty, not finite or repeats a value, or 4 when a scan
+meets a point that psi cannot evaluate, which aborts it with nothing
+written (pairs outside a limit's region are skipped).
 """
 
 from __future__ import annotations
@@ -64,13 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tricomi-turan",
                                   description=__doc__.splitlines()[0],
                                   fromfile_prefix_chars="@")
+    # a settings file's blank and comment lines give no argument
+    top.convert_arg_line_to_args = lambda line: (
+        [] if line.strip()[:1] in ("", "#") else [line])
     sub = top.add_subparsers(dest="command", required=True)
 
     # a setting not given is left out of the namespace: RunConfig holds the defaults
     p_run = sub.add_parser("run", help="run verification suites over grids",
                            description="An argument @FILE reads FILE's lines in "
-                                       "its place, one argument per line; a "
-                                       "later argument wins.",
+                                       "its place, one argument per line, "
+                                       "skipping blank and # lines; a later "
+                                       "argument wins.",
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--suites", type=_parse_names,
                        help="comma list of suites "

@@ -13,15 +13,18 @@ each shifted psi value and each phi table of that pair once.  With
 ``jobs = 1`` the blocks run in-process; otherwise a process pool maps
 them, with at most one worker per pair and per usable CPU.  A block
 returns its rows as plain tuples (they pickle several times faster than
-named tuples) and stops at its first failing task.  ``run`` merges the
-blocks as they arrive: it walks each claim's pairs in order, the grid's
-in (a, c) order or the sharpness limit's curated ones, and appends each
-block's rows to those of their (suite, claim).  The claims, concatenated
-by (suite, claim name), make the report, so neither the report nor the
-error of a failing run, the first failure in task order (suite, claim,
-pair, x), depends on ``jobs``.  Claims whose failures are advisory (the
-catalog's non-gating bounds) never gate a run; their failures are
-counted apart.
+named tuples), and its first failing task raises.  The pairs run in run
+order: the grid's in (a, c) order, then the sharpness limits' curated
+pairs off the grid; grid values are distinct, so no pair repeats.
+``run`` takes the blocks in that order as they arrive and appends each
+block's rows to those of their (suite, claim); a sharpness limit's rows
+are then put in the order of its pairs.  The claims, concatenated by
+(suite, claim name), make the report.  A failing run raises the error
+of its first failing pair in run order, the first failing task there in
+task order, and evaluates no later pair at ``jobs = 1``; neither the
+report nor that error depends on ``jobs``.  Claims whose failures are
+advisory (the catalog's non-gating bounds) never gate a run; their
+failures are counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
@@ -53,7 +56,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -345,20 +348,23 @@ ADVISORY_CLAIMS = frozenset(
 
 
 def check_grid(grid: tuple[float, ...], name: str) -> None:
-    """Raise :class:`ConfigError` unless the grid of ``name`` is nonempty
-    and finite."""
+    """Raise :class:`ConfigError` unless the grid of ``name`` is nonempty,
+    finite and repeats no value."""
     if not grid:
         raise ConfigError(f"grid for {name} is empty")
     if not all(math.isfinite(v) for v in grid):
         raise ConfigError(f"grid {name} values must be finite, got {grid}")
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"grid {name} repeats a value, got {grid}")
 
 
 @dataclass
 class RunConfig:
     """What ``run`` does: the suites, in any order (the report keeps
-    ``SUITES`` order), the a, c and x grids, the report file (None: no
-    report) and its format, and the worker processes.  The defaults are
-    a run of every suite over the default grids."""
+    ``SUITES`` order), the a, c and x grids, each of distinct values, the
+    report file (None: no report) and its format, and the worker
+    processes.  The defaults are a run of every suite over the default
+    grids."""
 
     suites: tuple[str, ...] = SUITES
     grid_a: tuple[float, ...] = DEFAULT_GRID_A
@@ -388,12 +394,11 @@ class RunConfig:
 # runner and report writers
 # ---------------------------------------------------------------------------
 
-def _pair_block(cfg: RunConfig, unit) -> tuple[dict, tuple | None]:
+def _pair_block(cfg: RunConfig, unit) -> dict:
     """Evaluate one (a, c) pair: ``unit`` is the pair and the names of the
-    selected suites with a claim there.  Returns the rows, as plain tuples,
-    of each (suite, claim) that holds at the pair, in task order, and the
-    first failure as ((suite, claim), error), or None; the block stops at
-    its first failing task."""
+    selected suites with a claim there, in report order.  Returns the
+    rows, as plain tuples, of each (suite, claim) that holds at the pair,
+    in task order; the first failing task raises its error."""
     (a, c), names = unit
     rows: dict = {}
     points: dict = {}   # each suite's points function -> its items here
@@ -402,17 +407,11 @@ def _pair_block(cfg: RunConfig, unit) -> tuple[dict, tuple | None]:
         if s.points not in points:
             points[s.points] = s.points(cfg, a, c)
         for claim, arg in s.claims.items():
-            if not s.applies(arg, a, c):
-                continue
-            out = rows[name, claim] = []
-            for p in points[s.points]:
-                try:
-                    row = s.evaluate(name, claim, arg, a, c, p)
-                except Exception as exc:
-                    return rows, ((name, claim), exc)
-                if row is not None:
-                    out.append(row)
-    return rows, None
+            if s.applies(arg, a, c):
+                rows[name, claim] = [
+                    row for p in points[s.points]
+                    if (row := s.evaluate(name, claim, arg, a, c, p)) is not None]
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -423,69 +422,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _merge(sequences: dict, results, rows: dict) -> list:
-    """Merge block results into ``rows``, the row list of each (suite,
-    claim) in task order.  ``sequences`` maps each sequence of (a, c)
-    pairs to the claims that take it; ``results`` yields (pair, block
-    result) in the order of the units.  Each sequence is walked in order,
-    reading the blocks as they arrive, and a claim's rows at a pair are
-    appended to its rows as :class:`ReportRow`.  Returns the failures met,
-    each as (place of its claim in task order, place of its pair in the
-    sequence, error)."""
-    order = {key: i for i, key in enumerate(rows)}
-    done: dict = {}
-    failures = []
-    for seq, keys in sequences.items():
-        last = {pair: position for position, pair in enumerate(seq)}
-        for position, pair in enumerate(seq):
-            while pair not in done:
-                arrived, result = next(results)
-                done[arrived] = result
-            got, failure = done[pair]
-            for key in keys:
-                # drop a block's rows with the last copy of its pair: kept,
-                # they cost the garbage collector time in every later pass
-                block_rows = got.pop(key, None) if last[pair] == position else got.get(key)
-                if block_rows:
-                    rows[key] += map(ReportRow._make, block_rows)
-            if failure and failure[0] in keys:
-                failures.append((order[failure[0]], position, failure[1]))
-    return failures
-
-
 def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
-    """Execute the configured suites; deterministic for a fixed config."""
+    """Execute the configured suites; deterministic for a fixed config.
+    Raises the error of the first failing task in run order."""
     selected = [s for s in REGISTRY.values() if s.name in cfg.suites]
-    grid = tuple((a, c) for a in cfg.grid_a for c in cfg.grid_c)
-    # each sequence of (a, c) pairs, the grid's or a sharpness limit's own,
-    # with the claims that take it
-    sequences: dict = {}
-    for s in selected:
-        for claim, arg in s.claims.items():
-            sequences.setdefault(grid if s.pairs is None else s.pairs(arg),
-                                 []).append((s.name, claim))
-    # one unit of work per distinct pair: the suites with a claim there,
-    # in report order, since a block evaluates them in task order
+    # the units of work in run order, the grid's (a, c) pairs and then the
+    # claims' own pairs off the grid, each with the suites that have a
+    # claim there, in report order, since a block evaluates them in task order
+    grid = [(a, c) for a in cfg.grid_a for c in cfg.grid_c]
     units: dict = {}
-    for seq, keys in sequences.items():
-        names = {name for name, _ in keys}
-        for pair in seq:
-            units.setdefault(pair, set()).update(names)
+    for s in sorted(selected, key=lambda s: s.pairs is not None):
+        pairs = grid if s.pairs is None else [
+            pair for arg in s.claims.values() for pair in s.pairs(arg)]
+        for pair in pairs:
+            units.setdefault(pair, set()).add(s.name)
     items = [(pair, sorted(names, key=_SUITE_RANK.__getitem__))
              for pair, names in units.items()]
 
     rows_of = {(s.name, claim): [] for s in selected for claim in s.claims}
     block = partial(_pair_block, cfg)
     workers = min(cfg.jobs, len(items), _usable_cpus())
-    # the rows are merged while the pool still evaluates later blocks
+    # each block's rows are appended as it arrives, while the pool still
+    # evaluates later blocks; map yields the blocks in run order
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        results = zip(units, (pool.map if pool else map)(block, items))
-        failures = _merge(sequences, results, rows_of)
-    if failures:
-        # the first failure in task order (suite, claim, pair, x): the
-        # block of its pair stops at it, as nothing before it fails
-        raise min(failures, key=lambda f: f[:2])[2]
+        for got in (pool.map if pool else map)(block, items):
+            for key, block_rows in got.items():
+                rows_of[key] += map(ReportRow._make, block_rows)
 
     empty = [f"{name}/{claim}: no grid point lies in its region"
              for (name, claim), out in rows_of.items() if not out]
@@ -497,6 +460,11 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
             out = rows_of[s.name, claim]
             if not out:
                 continue
+            if s.pairs is not None:
+                # run order puts a claim's own pairs on the grid first;
+                # its rows follow the order of its pairs
+                pairs = s.pairs(s.claims[claim])
+                out.sort(key=lambda r: pairs.index(r[2:4]))
             tally = Counter(r.status for r in out)
             suite_counts = counts.setdefault(s.name, {PASS: 0, FAIL: 0, INCONCLUSIVE: 0})
             for status, n in tally.items():
@@ -547,13 +515,7 @@ def rows_to_csv(rows, summary: RunSummary, timestamp: bool = True) -> str:
 def rows_to_json(rows, summary: RunSummary) -> str:
     doc = {
         "rows": [dict(zip(_CSV_COLUMNS, r)) for r in rows],
-        "summary": {
-            "counts": summary.counts,
-            "gating_fails": summary.gating_fails,
-            "advisory_fails": summary.advisory_fails,
-            "empty_regions": summary.empty_regions,
-            "n_rows": summary.n_rows,
-        },
+        "summary": asdict(summary),
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 

@@ -67,6 +67,11 @@ class TestSharpness:
         assert code == 4 and out == ""
         assert err.startswith("evaluation error: ") and reason in err
 
+    def test_repeated_grid_value_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "sharpness", "--grid-a", "1,1", "--grid-c=-2.5")
+        assert code == 2 and out == ""
+        assert err.startswith("config error: grid a repeats a value")
+
     def test_integer_c_at_a_below_one_is_scanned(self, capsys):
         # the ratios read psi at a and a + 1 only, so no scan meets the
         # integer-c hole of psi at a - 1 = -0.5
@@ -169,6 +174,14 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--suites", "sharpness", f"@{cfg}")
         assert code == 0 and out.startswith("dominance: pass=")
 
+    def test_blank_and_comment_lines_of_a_settings_file_are_skipped(self, capsys,
+                                                                     tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text("# sharpness only\n--suites=sharpness\n\n  # comment\n   \n")
+        code, out, err = run_cli(capsys, "run", f"@{cfg}")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "sharpness: pass=28 fail=0 inconclusive=0"
+
     def test_missing_settings_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing.args"
         err = rejected(capsys, "run", f"@{missing}")
@@ -215,6 +228,11 @@ class TestRun:
     def test_bad_values_are_config_errors(self, capsys, flags):
         code, _, err = run_cli(capsys, "run", *flags)
         assert code == 2 and "config error" in err
+
+    def test_repeated_grid_value_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--grid-a", "1,2,1")
+        assert code == 2 and out == ""
+        assert err.startswith("config error: grid a repeats a value")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_evaluation_failure_is_exit_4(self, capsys, jobs):

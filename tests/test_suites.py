@@ -8,6 +8,7 @@ import math
 import os
 import pickle
 import random
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -28,6 +29,13 @@ class TestRunConfig:
                                       {"grid_c": (-math.inf, 0.5)}])
     def test_rejects_non_finite_grid_values(self, grid):
         with pytest.raises(ConfigError):
+            RunConfig(**grid)
+
+    @pytest.mark.parametrize("grid", [{"grid_a": (1.0, 2.0, 1.0)},
+                                      {"grid_c": (-2.5, -2.5)},
+                                      {"grid_x": (0.1, 1.0, 0.1)}])
+    def test_rejects_a_repeated_grid_value(self, grid):
+        with pytest.raises(ConfigError, match=r"^grid [acx] repeats a value"):
             RunConfig(**grid)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
@@ -80,13 +88,16 @@ class TestRun:
                 == suites.rows_to_csv(one, s1, timestamp=False))
 
     @staticmethod
-    def raise_at(monkeypatch, name, failing):
+    def raise_at(monkeypatch, name, failing, calls=None):
         """Make the rows of suite ``name`` raise EvaluationError(message)
         at the (claim, a) -> message entries of ``failing``; a claim of
-        None stands for every claim of the suite."""
+        None stands for every claim of the suite.  Each evaluation appends
+        its (claim, a) to ``calls``, when given."""
         suite = suites.REGISTRY[name]
 
         def evaluate(s, claim, arg, a, c, p):
+            if calls is not None:
+                calls.append((claim, a))
             message = failing.get((claim, a), failing.get((None, a)))
             if message:
                 raise EvaluationError(message)
@@ -98,29 +109,44 @@ class TestRun:
     FAILING_GRID = {"grid_a": (2.0, 3.0), "grid_c": (-2.5,), "grid_x": (0.1, 1.0)}
 
     def test_jobs_raise_the_error_of_the_first_failing_task(self, monkeypatch):
-        # bounds fails at the second (a, c) pair and dominance at the first,
-        # whose block the pool maps first; jobs=1 meets the bounds task first
+        # bounds fails at the second (a, c) pair and dominance at the first:
+        # the first failing pair raises, though bounds comes first in task order
         self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"})
         self.raise_at(monkeypatch, "dominance", {(None, 2.0): "dominance at a=2.0"})
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool([]))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = {"suites": ("bounds", "dominance"), **self.FAILING_GRID}
         for jobs in (1, 2):
-            with pytest.raises(EvaluationError, match=r"^bounds at a=3\.0$"):
+            with pytest.raises(EvaluationError, match=r"^dominance at a=2\.0$"):
                 suites.run(RunConfig(jobs=jobs, **cfg))
 
-    def test_first_failure_in_task_order_may_sit_in_a_later_pair(self, monkeypatch):
-        # the block of the first pair stops at T2L and that of the second at
-        # T1L; T1L comes first in claim order, so its failure is raised
-        self.raise_at(monkeypatch, "bounds", {("T1L", 3.0): "T1L at a=3.0",
-                                              ("T2L", 2.0): "T2L at a=2.0"})
+    @pytest.mark.parametrize("failing,message", [
+        # T1L comes first in claim order but fails at the later pair
+        ({("T1L", 3.0): "T1L at a=3.0", ("T2L", 2.0): "T2L at a=2.0"},
+         r"^T2L at a=2\.0$"),
+        # at one failing pair, the claim earlier in task order raises
+        ({("T1L", 2.0): "T1L at a=2.0", ("T2L", 2.0): "T2L at a=2.0"},
+         r"^T1L at a=2\.0$")], ids=["later-pair", "same-pair"])
+    def test_the_first_failing_pair_raises(self, monkeypatch, failing, message):
+        self.raise_at(monkeypatch, "bounds", failing)
         recorded = []
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for jobs in (1, 2):
-            with pytest.raises(EvaluationError, match=r"^T1L at a=3\.0$"):
+            with pytest.raises(EvaluationError, match=message):
                 suites.run(RunConfig(jobs=jobs, suites=("bounds",), **self.FAILING_GRID))
         assert recorded == [2]
+
+    def test_no_pair_after_the_first_failing_one_is_evaluated(self, monkeypatch):
+        # at jobs=1 the blocks run one by one, and the failing one raises
+        # at its first task
+        calls = []
+        self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"}, calls)
+        with pytest.raises(EvaluationError, match=r"^bounds at a=3\.0$"):
+            suites.run(RunConfig(jobs=1, suites=("bounds",), grid_a=(2.0, 3.0, 5.0),
+                                 grid_c=(-2.5,), grid_x=(0.1, 1.0)))
+        assert calls[-1] == ("T1L", 3.0)
+        assert Counter(a for _, a in calls) == {2.0: len(calls) - 1, 3.0: 1}
 
     @pytest.mark.parametrize("grid_c,asked", [((-2.5, 0.25), [2]), ((-2.5,), [])])
     def test_workers_capped_by_grid_pairs(self, monkeypatch, grid_c, asked):
@@ -157,9 +183,9 @@ class TestRun:
         assert suites._usable_cpus() == 1
 
 
-# a duplicated a, pairs one integer step apart (the shifted psi of (1, -2.5)
-# is psi at the grid pair (2, -1.5)) and two sharpness pairs on the grid
-MIXED_GRID = {"grid_a": (1.0, 2.0, 1.0), "grid_c": (-2.5, -1.5),
+# pairs one integer step apart (the shifted psi of (1, -2.5) is psi at the
+# grid pair (2, -1.5)) and two sharpness pairs on the grid
+MIXED_GRID = {"grid_a": (1.0, 2.0), "grid_c": (-2.5, -1.5),
               "grid_x": (0.05, 1.0, 5.0)}
 
 
@@ -239,10 +265,11 @@ class TestPairBlocks:
         for (suite, claim), claim_rows in by_claim.items():
             pairs = [(r.a, r.c) for r in claim_rows]
             if suite == "sharpness":
-                # the limit's curated pairs, in their list order
+                # the limit's curated pairs, in their list order, though
+                # the blocks of those on the grid run first
                 assert pairs == list(turanians.LIMITS[claim].pairs)
             else:
-                # grid pairs, in grid order: the duplicated a comes back
+                # grid pairs, in grid order
                 visited = [p for i, p in enumerate(pairs) if i == 0 or pairs[i - 1] != p]
                 positions = iter(grid)
                 assert all(p in positions for p in visited)
@@ -250,7 +277,7 @@ class TestPairBlocks:
         # grid order (checked above)
         order = [(suites.SUITES.index(r.suite), r.claim) for r in rows]
         assert order == sorted(order)
-        # the duplicated grid value repeats the rows of its pairs
+        # T1L holds at every grid point: its rows run over the grid in order
         t1l = by_claim["bounds", "T1L"]
         assert [(r.a, r.c, r.x) for r in t1l] == [
             (a, c, x) for a, c in grid for x in MIXED_GRID["grid_x"]]
