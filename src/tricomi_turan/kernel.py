@@ -31,17 +31,18 @@ f is analytic in a strip about the real axis and decays like e^(aw) to
 the left and like exp(-e^w) to the right, so the trapezoid sum
 T_h = h sum_k f(w0 + k h) converges exponentially as h shrinks
 (Trefethen & Weideman, SIAM Review 56(3), 2014).  The nodes are one numpy
-array anchored at w0 ~ log min(x, 1) that ends past a cutoff S.  Far to
-the left f = e^(aw) G(w) with G -> 1: those nodes contribute
-e^(aw) expm1(log G), which decays like e^((a+1)w) and is truncated, and
-the sum of their e^(aw) parts is the geometric series
-h e^(a(ws-h)) / (-expm1(-a h)), which is exact.  So there is no endpoint
-singularity and small a costs no more than large a.  The error budget is
-|T_h - T_2h| (T_2h from the even nodes) plus the left truncation bound,
-the tail bound past S, the rounding of every node's exponent and the
-rounding of the prefactor, which includes |lnGamma(a)| (about 18 at
-a = 1e-8).  h is halved until the budget meets ``PSI_TOL``; a budget
-that cannot is returned as it is, flagged ``"tolerance_not_met"``.
+array anchored at w0 ~ log min(x, 1) that runs from a first node w1 far
+to the left to past a cutoff S, and each is summed once.  Left of w1,
+f = e^(aw) G(w) with G -> 1: the e^(aw) parts of those nodes sum to the
+geometric series h e^(a(w1-h)) / (-expm1(-a h)), which is exact, and the
+rest, e^(aw) expm1(log G), decays like e^((a+1)w) and is truncated.  So
+there is no endpoint singularity and small a costs no more than large a.
+The error budget is |T_h - T_2h| (T_2h from the even nodes) plus the left
+truncation bound, the tail bound past S, the rounding of every node's
+exponent and the rounding of the prefactor, which includes |lnGamma(a)|
+(about 18 at a = 1e-8).  h is halved until the budget meets ``PSI_TOL``,
+or until a halving no longer halves it; a budget that cannot meet it is
+returned as it is, flagged ``"tolerance_not_met"``.
 
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
@@ -81,10 +82,13 @@ CONNECTION = "connection_series"
 ASYMPTOTIC = "asymptotic_large_x"
 
 # trapezoid rule of psi_quadrature: first and smallest step in w = log s,
-# and the e-folds of the truncated left sum below the geometric part
+# and the e-folds of e^((a+1) w) that the nodes reach left of |log G| = 1/2
 _STEP = 2.0 ** -3
 _STEP_MIN = 2.0 ** -7
 _LEFT_DEPTH = 40.0
+# the cutoff test of psi_quadrature: 20 f(S) against PSI_TOL, in logs
+_LOG_20 = math.log(20.0)
+_LOG_PSI_TOL = math.log(PSI_TOL)
 
 
 class EvaluationError(RuntimeError):
@@ -251,18 +255,18 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     Buffers are worked in place, each element by the same expression as
     with a fresh array per step: one array holds the nodes w, then a w; f
     holds the exponent a w + log G, then the summands.  Once both sums are
-    taken, f becomes the node magnitudes, and the a w array, with e^w and
-    |pw log1p(e^w/x)| added in place, their rounding weights.
+    taken, the a w array, with e^w and |pw log1p(e^w/x)| added in place,
+    holds the nodes' rounding weights.
     """
-    # left of the split node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there
+    # left of node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there; the array
+    # starts depth e-folds of e^((a+1)w) further left, at w1 = w0 - kl h
     q = 1.0 + abs(pw) / x
     j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
     depth = max(0.0, _LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
     kl = j + 2 * math.ceil(0.5 * depth / h)
-    nl = kl - j                       # nodes summed as e^(aw) expm1(log G)
-    aw = np.arange(-kl, math.ceil((w_max - w0) / h) + 2, dtype=float)
-    aw *= h
-    aw += w0                          # w, exact: h and w0 are short binary fractions
+    w1 = w0 - kl * h
+    # w, exact: h is a power of 2 and w0 a multiple of 2^-20
+    aw = np.arange(w1, w0 + (math.ceil((w_max - w0) / h) + 1.5) * h, h)
     ew = np.exp(aw)
     pl = ew / x
     np.log1p(pl, out=pl)
@@ -273,33 +277,26 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     m = float(f.max())
     f -= m
     np.exp(f, out=f)
-    e_left = aw[:nl] - m
-    np.exp(e_left, out=e_left)
-    left = f[:nl]
-    np.expm1(lg[:nl], out=left)
-    left *= e_left
 
-    # the ones of the left terms, summed exactly: h sum_{i>=1} e^(a(ws - i h))
-    ws = w0 - j * h
-    geo_h = h * math.exp(a * (ws - h) - m) / -math.expm1(-a * h)
-    geo_2h = 2.0 * h * math.exp(a * (ws - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
-    t_h = h * float(f.sum()) + geo_h
-    t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h   # kl is even: k = 0 mod 2
+    # the nodes left of w1 as e^(aw) alone, summed exactly:
+    # h sum_{i>=1} e^(a(w1 - i h)); kl is even, so w1 is a node of T_2h too
+    geo_h = h * math.exp(a * (w1 - h) - m) / -math.expm1(-a * h)
+    geo_2h = 2.0 * h * math.exp(a * (w1 - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
+    total = float(f.sum())
+    t_h = h * total + geo_h
+    t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h
 
-    # left rest beyond the last node: |expm1(lg)| <= 1.65 q e^w there, so a
-    # geometric series in e^((a+1)w); counted for both sums
-    w_end = w0 - (kl + 1) * h
+    # what that drops, e^(aw) expm1(log G) left of w1: |expm1(lg)| <= 1.65 q
+    # e^w there, so a geometric series in e^((a+1)w); counted for both sums
+    w_end = w1 - h
     rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
     # node rounding: the exponent of each node (and m) is rounded
-    np.abs(left, out=left)
-    left += e_left
     np.abs(aw, out=aw)
-    aw += 16.0 + abs(m) + abs(pw)
     aw += ew
     np.abs(pl, out=pl)
     aw += pl
-    rounding = (4.0 * EPS * h * float(f @ aw)
-                + 4.0 * EPS * geo_h * (4.0 + abs(a * (ws - h) - m)))
+    rounding = (4.0 * EPS * h * (float(f @ aw) + (16.0 + abs(m) + abs(pw)) * total)
+                + 4.0 * EPS * geo_h * (4.0 + abs(a * (w1 - h) - m)))
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
 
@@ -314,17 +311,20 @@ def psi_quadrature(p: ParameterPoint) -> FunctionValue:
     by the trapezoid sum T_h = h sum_k f(w0 + k h) over all k (see the
     module docstring).  The anchor w0 is log min(x, 1) rounded to a
     multiple of 2^-20, so that every node is exact; the nodes end past the
-    cutoff S.  Write f = e^(aw) G(w).  Left of the split node ws, where
-    |log G| <= 1/2, a node contributes e^(aw) expm1(log G), which decays
-    like e^((a+1)w) and is truncated with a bound, and the e^(aw) parts
-    sum exactly to h e^(a(ws-h)) / (-expm1(-a h)).
+    cutoff S and start at w1, about 40 / (a+1) left of the node past
+    which |log G| <= 1/2.  Write f = e^(aw) G(w).  Every node from w1 on
+    is summed once, as it is; left of w1 the e^(aw) parts sum exactly to
+    h e^(a(w1-h)) / (-expm1(-a h)), and the rest, e^(aw) expm1(log G),
+    decays like e^((a+1)w) and is truncated with a bound.
 
     abs_error adds |T_h - T_2h| (the even nodes), the left truncation
     bound, the tail bound 2 f(log S) at the cutoff, the rounding of every
     node's exponent and the rounding of the prefactor
     exp(m - a log x - lnGamma(a)).  h starts at 1/8 and is halved until
-    abs_error <= PSI_TOL |value|; if that fails at h = 1/128 the honest
-    budget is returned with the flag ``"tolerance_not_met"``.  A value below
+    abs_error <= PSI_TOL |value|.  If that fails at h = 1/128, or once a
+    halving leaves the relative budget above half the previous one (the
+    rounding, not the step, then sets it), the honest budget is returned
+    with the flag ``"tolerance_not_met"``.  A value below
     the normal double range raises :class:`EvaluationError`, one beyond it
     :class:`DoubleRangeError`.
     """
@@ -339,28 +339,34 @@ def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     log_b = math.log(min(x, 1.0))
     w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
 
-    def log_integrand(s):
-        return -s + a * math.log(s) + pw * math.log1p(s / x)
-
     # cutoff: beyond S the integrand decays at least like e^(-s/2); the
     # integral is at least e^-1 min(1, 2^pw) b^a / a
     S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
     log_floor = a * log_b - math.log(a) - 1.0 + min(pw, 0.0) * math.log(2.0)
-    while log_integrand(S) + math.log(20.0) > math.log(PSI_TOL) + log_floor and S < 700.0:
+    while True:
+        log_f_cut = -S + a * math.log(S) + pw * math.log1p(S / x)
+        if log_f_cut + _LOG_20 <= _LOG_PSI_TOL + log_floor or S >= 700.0:
+            break
         S *= 1.5
+    w_max = math.log(S)
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
 
+    # halve h until the budget is met, down to _STEP_MIN, or until a halving
+    # no longer halves the relative error (rounding, not the step, sets it)
     h = _STEP
+    prev_rel = math.inf
     while True:
-        total, err, m = _trapezoid(a, pw, x, w0, math.log(S), h)
+        total, err, m = _trapezoid(a, pw, x, w0, w_max, h)
         # 2 f(log S) is S times a bound on either sum past the cutoff
-        err += 2.0 * math.exp(log_integrand(S) - m)
+        err += 2.0 * math.exp(log_f_cut - m)
         rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
                      + log_gamma_error(a, lg_a))
         met = err <= (PSI_TOL - rel_scale) * abs(total)
-        if met or h <= _STEP_MIN:
+        rel = err / total
+        if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
             break
+        prev_rel = rel
         h *= 0.5
     try:
         scale = math.exp(m - a * log_x - lg_a)

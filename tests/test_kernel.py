@@ -13,7 +13,10 @@ Oracles used here:
   * mpmath.hyperu at 40 digits, as |value - ref| <= abs_error
   * reference forms of ``_trapezoid`` and ``_digamma`` written out
     plainly, which the kernel's in-place and looped forms must equal
-    bit for bit.
+    bit for bit; ``_trapezoid`` sums every node once as exp(a w + log G),
+    and the earlier form, which split off the left nodes' e^(aw) parts as
+    a geometric series, is kept as a second reference that the sum must
+    agree with to within its budget.
 """
 
 import math
@@ -64,15 +67,47 @@ def digamma_recursive(z):
     return math.log(z) - 0.5 / z - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r / 240)))
 
 
-def trapezoid_reference(a, pw, x, w0, w_max, h):
-    """_trapezoid written out with a fresh array for every step."""
+def trapezoid_nodes(a, pw, x, w0, w_max, h):
+    """_trapezoid's node grid: q, the split index j, the first index -kl
+    and the nodes w0 + h k over the integers k."""
     q = 1.0 + abs(pw) / x
     j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
     depth = max(0.0, kernel._LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
     kl = j + 2 * math.ceil(0.5 * depth / h)
-    nl = kl - j
     k = np.arange(-kl, math.ceil((w_max - w0) / h) + 2)
-    w = w0 + h * k
+    return q, j, kl, w0 + h * k
+
+
+def trapezoid_reference(a, pw, x, w0, w_max, h):
+    """_trapezoid written out with a fresh array for every step."""
+    q, _, kl, w = trapezoid_nodes(a, pw, x, w0, w_max, h)
+    ew = np.exp(w)
+    pl = pw * np.log1p(ew / x)
+    lg = pl - ew
+    aw = a * w
+    arg = aw + lg
+    m = float(arg.max())
+    f = np.exp(arg - m)
+    w1 = w0 - kl * h
+    geo_h = h * math.exp(a * (w1 - h) - m) / -math.expm1(-a * h)
+    geo_2h = 2.0 * h * math.exp(a * (w1 - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
+    total = float(f.sum())
+    t_h = h * total + geo_h
+    t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h
+    w_end = w1 - h
+    rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
+    rounding = (4.0 * EPS * h * (float(f @ (np.abs(aw) + ew + np.abs(pl)))
+                                 + (16.0 + abs(m) + abs(pw)) * total)
+                + 4.0 * EPS * geo_h * (4.0 + abs(a * (w1 - h) - m)))
+    return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
+
+
+def trapezoid_split_reference(a, pw, x, w0, w_max, h):
+    """The same sum split at the node ws = w0 - j h: the array's nodes left
+    of ws enter as e^(aw) expm1(log G), and the e^(aw) parts of every node
+    left of ws as one geometric series."""
+    q, j, kl, w = trapezoid_nodes(a, pw, x, w0, w_max, h)
+    nl = kl - j
     ew = np.exp(w)
     pl = pw * np.log1p(ew / x)
     lg = pl - ew
@@ -301,6 +336,21 @@ class TestPsiQuadrature:
         assert fv.abs_error > PSI_TOL * fv.value
         assert abs(fv.value - hyperu40(100.0, -0.5, 1.0)) <= fv.abs_error
 
+    def test_halving_stops_when_rounding_sets_the_budget(self, monkeypatch):
+        # from h = 1/16 on the budget is rounding alone, so h = 1/32 does
+        # not halve it and no finer step is tried
+        passes = []
+        trapezoid = kernel._trapezoid
+
+        def counted(*args):
+            passes.append(args[-1])
+            return trapezoid(*args)
+
+        monkeypatch.setattr(kernel, "_trapezoid", counted)
+        fv = psi_quadrature(ParameterPoint(100.0, -0.5, 1.0))
+        assert len(passes) <= 3, passes
+        assert abs(fv.value - hyperu40(100.0, -0.5, 1.0)) <= fv.abs_error
+
     def test_oracle_sample(self):
         # a log-uniform in [1e-8, 1e-3] (the endpoint factor s^(a-1) is at
         # its sharpest), uniform in [1e-3, 6], and a = 20, 30; c uniform in
@@ -309,10 +359,18 @@ class TestPsiQuadrature:
         a_values = ([float(10.0 ** rng.uniform(-8, -3)) for _ in range(40)]
                     + [float(rng.uniform(1e-3, 6.0)) for _ in range(100)]
                     + [20.0, 30.0] * 5)
+        points = []
         for a in a_values:
             c = float(rng.uniform(-5.0, 2.0))
             x = float(math.exp(rng.uniform(math.log(1e-2),
                                            math.log(asymptotic_threshold(a, c)))))
+            points.append((a, c, x))
+        # the longest node arrays and the largest geometric tails: a
+        # log-uniform in [1e-8, 1e-3], c uniform in [1, 2] and x log-uniform
+        # in [1e-2, 0.1], so that q = 1 + |c-a-1|/x is large
+        points += [(float(10.0 ** rng.uniform(-8, -3)), float(rng.uniform(1.0, 2.0)),
+                    float(10.0 ** rng.uniform(-2, -1))) for _ in range(160)]
+        for a, c, x in points:
             fv = psi_quadrature(ParameterPoint(a, c, x))
             ref = hyperu40(a, c, x)
             assert abs(fv.value - ref) <= fv.abs_error <= 1e-12 * abs(ref), (a, c, x)
@@ -331,7 +389,8 @@ class TestPsiQuadrature:
 def trapezoid_cases(n=600, seed=31):
     """Seeded _trapezoid arguments as psi_quadrature forms them: a in
     [1e-8, 30], x in [1e-2, 1e3], h from 1/8 to 1/128; and a below e^-40,
-    where the left part (the nodes summed as e^(aw) expm1(log G)) is empty."""
+    where the nodes start at the split node ws, so that the split form has
+    no node summed as e^(aw) expm1(log G)."""
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(n):
@@ -352,6 +411,18 @@ def test_trapezoid_matches_reference():
         assert _trapezoid(*args) == trapezoid_reference(*args), args
         empty_left += args[0] < math.exp(-kernel._LEFT_DEPTH)
     assert empty_left >= 6
+
+
+def test_trapezoid_agrees_with_split_form():
+    # the one-pass sum and the split sum are the same sum rounded
+    # differently: the one lies within its budget of the other, and the
+    # two budgets differ in rounding alone
+    for args in trapezoid_cases():
+        t_h, err, m = _trapezoid(*args)
+        t_split, err_split, m_split = trapezoid_split_reference(*args)
+        assert m == m_split, args
+        assert abs(t_h - t_split) <= err, args
+        assert 0.5 <= err / err_split <= 2.0, args
 
 
 class TestPsiConnection:
