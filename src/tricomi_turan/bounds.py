@@ -30,11 +30,25 @@ Raw psi relations:
     S2   -(1/x) psi^2 psi(a+1,c+1) <= D_c                a>1, c<a+1  [advisory]
     S2H  -(1/x) psi psi(a+1,c+1) <= D_c                  a>1, c<a+1  [advisory]
     I1   (G1 psi(a+1,c+1))^(1/(a+1)) < (G0 psi)^(1/a)    a>0>c
+         checked as f(0+) < f(x)
     I2   2 < psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a)      a>0>c
     I3   (G0 psi)^(c/(a(c+1))) < (G1 psi(a+1,c+1))^(1/(a+1))   a>0, c<-1
+         checked as g(x) < g(0+)
     I4   psi(a+1,c+1) < -(1/c) psi                       a>0>c
+         checked as h(0+) < h(x)
 
 with G0 = Gamma(a-c+1)/Gamma(1-c) and G1 = Gamma(a-c+1)/Gamma(-c).
+
+I1, I3 and I4 are checked in log form, so their lhs and rhs are log
+values.  Each is the monotone auxiliary log-ratio f, g or h below held
+against its own x->0+ limit: psi(a,c,0) = 1/G0 for c < 1 and
+psi(a+1,c+1,0) = 1/G1 for c < 0 (DLMF 13.2(iii)), so an auxiliary with
+weights (w0, wp) has aux(0+) = wp ln G1 - w0 ln G0, and h(0+) = ln(-c).
+Each row of ``_LOG_BOUNDS`` names its auxiliary; the limit is the
+closed-form side, the ``lower`` one for an increasing auxiliary and the
+``upper`` one for a decreasing one.  No power of psi is formed, so none
+can underflow.  I2 forms (G0 psi)^(1/a), a positive addend whose
+underflow its budget carries.
 
 S2 is catalogued exactly as quoted even though it mixes psi^3 against
 psi^2 and fails systematically at large x; it and its homogenized
@@ -53,7 +67,8 @@ tighter than its competitor; ``check_dominance`` compares the closed-form
 sides that ``check_bound`` checks, at points satisfying the claimed
 threshold.  The auxiliary log-ratios f, g and h behind the I-family are
 ``AUXILIARY`` records, each with its region, its two weights and the sign
-of its monotonicity.
+of its monotonicity; the monotonicity suite checks that sign, and I1, I3
+and I4 read the same cached values.
 """
 
 from __future__ import annotations
@@ -86,7 +101,8 @@ class BoundSpec:
     bound_fn: Callable[[float, float, float], float] | None = None
 
     def closed_form(self, p: ParameterPoint) -> FunctionValue:
-        """The closed-form side of a ratio bound at p."""
+        """The closed-form side at p: a ratio bound's bound_fn, or the
+        x->0+ limit of the auxiliary behind I1, I3 or I4."""
         return (self.lhs if self.side == "lower" else self.rhs)(p)
 
 
@@ -129,39 +145,13 @@ def _exact(bound_id: str, fn):
     return ev
 
 
-def _scaled_psi(scale_fn):
-    def ev(p: ParameterPoint) -> FunctionValue:
-        f = psi(p)
-        s = scale_fn(p.a, p.c, p.x)
-        return FunctionValue(s * f.value, abs(s) * f.abs_error, f.method)
-    return ev
-
-
 @lru_cache(maxsize=4096)
 def _lg_ratio(u: float, v: float) -> tuple[float, float]:
     # log of Gamma(u)/Gamma(v) and its error; I-family arguments are positive.
     # u and v depend on (a, c) alone, so the cache computes each once per
-    # (a, c) for I1, I2 and I3 at every x
+    # (a, c) for the I-family at every x
     (lu, _), (lv, _) = log_gamma(u), log_gamma(v)
     return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
-
-
-def _gamma_power(shift: int, which: str, expo_fn):
-    """(Gamma(a-c+1)/Gamma(k-c) * psi(a+shift, c+shift, x))^expo with
-    which = '1-c' (k=1) or '-c' (k=0).  In-region the base lies in (0, 1) and
-    expo > 0, so a power can only underflow: that raises, as psi does."""
-    def ev(p: ParameterPoint) -> FunctionValue:
-        f = psi(ParameterPoint(p.a + shift, p.c + shift, p.x))
-        base = p.a - p.c + 1.0
-        lg, lg_err = _lg_ratio(base, (1.0 - p.c) if which == "1-c" else (-p.c))
-        expo = expo_fn(p.a, p.c)
-        val = math.exp(expo * (lg + math.log(f.value)))
-        if val < _TINY:
-            raise EvaluationError(f"Gamma-normalised power underflows at "
-                                  f"(a={p.a}, c={p.c}, x={p.x}): {val}")
-        err = abs(val * expo) * (f.abs_error / abs(f.value) + lg_err) + 4.0 * EPS * abs(val)
-        return FunctionValue(val, err, f.method)
-    return ev
 
 
 def _s1_lhs(p: ParameterPoint) -> FunctionValue:
@@ -199,14 +189,84 @@ def _s_product(shifts):
 
 
 def _i2_rhs(p: ParameterPoint) -> FunctionValue:
+    """psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a).  The power enters as a
+    positive addend, so one that underflows costs at most _TINY/|c|, which
+    its budget carries."""
     f0 = psi(p)
     fp = psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x))
     q = f0.value / fp.value
     eq = (f0.abs_error + abs(q) * fp.abs_error) / abs(fp.value)
-    pw = _gamma_power(0, "1-c", lambda a, c: 1.0 / a)(p)
-    val = q - pw.value / p.c
-    return FunctionValue(val, eq + pw.abs_error / abs(p.c) + 4.0 * EPS * abs(val),
-                         f0.method)
+    lg, lg_err = _lg_ratio(p.a - p.c + 1.0, 1.0 - p.c)
+    expo = 1.0 / p.a
+    pw = math.exp(expo * (lg + math.log(f0.value)))
+    pw_err = (abs(pw * expo) * (f0.abs_error / abs(f0.value) + lg_err) + 4.0 * EPS * abs(pw)
+              + (_TINY if pw < _TINY else 0.0))
+    val = q - pw / p.c
+    return FunctionValue(val, eq + pw_err / abs(p.c) + 4.0 * EPS * abs(val), f0.method)
+
+
+# --- auxiliary monotone log-ratios -----------------------------------------
+
+@dataclass(frozen=True)
+class AuxiliaryRatio:
+    """w0 log psi(a,c,x) - wp log psi(a+1,c+1,x) on its region, with the
+    sign of its monotonicity in x (+1 increasing, -1 decreasing).  A log
+    value: I1, I3 and I4 are checked as this log-ratio against its x->0+
+    limit wp ln G1 - w0 ln G0."""
+
+    region: Callable[[float, float], bool]
+    region_text: str
+    weights: Callable[[float, float], tuple[float, float]]
+    sign: float
+
+
+AUXILIARY = {
+    "f": AuxiliaryRatio(lambda a, c: a > 0.0 > c, "a>0>c",
+                        lambda a, c: (1.0 / a, 1.0 / (a + 1.0)), +1.0),
+    "g": AuxiliaryRatio(lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1",
+                        lambda a, c: (c / (a * (c + 1.0)), 1.0 / (a + 1.0)), -1.0),
+    "h": AuxiliaryRatio(lambda a, c: a > 0.0, "a>0",
+                        lambda a, c: (1.0, 1.0), +1.0),
+}
+
+
+def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
+    """The log-ratio combinations whose monotonicity drives the I-family:
+
+        f = (1/a) log psi - (1/(a+1)) log psi(a+1,c+1,.)        increasing
+        g = (c/(a(c+1))) log psi - (1/(a+1)) log psi(a+1,c+1,.) decreasing
+        h = log psi - log psi(a+1,c+1,.)                        increasing
+
+    The value is a log, as are the lhs and rhs of I1, I3 and I4, which
+    check f, g and h against their x->0+ limits.
+
+    Cached per (which, a, c, x): a monotonicity row reads both ends of its
+    step, so two rows read each interior grid x, and the I1, I3 and I4 rows
+    at that x read it too.  The rows of a claim at a pair run in x order,
+    so a small cache holds each value until its second read, and adds
+    little to a run's memory.
+    """
+    return _auxiliary_cached(which, a, c, x)
+
+
+@lru_cache(maxsize=256)
+def _auxiliary_cached(which: str, a: float, c: float, x: float) -> FunctionValue:
+    if which not in AUXILIARY:
+        raise KeyError(f"unknown auxiliary function {which!r}")
+    aux = AUXILIARY[which]
+    if not aux.region(a, c):
+        raise RegionError(
+            f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
+    f0 = psi(ParameterPoint(a, c, x))
+    fp = psi(ParameterPoint(a + 1.0, c + 1.0, x))
+    if f0.value <= 0.0 or fp.value <= 0.0:
+        raise RegionError("psi must be positive for the log-ratios (a > 0)")
+    l0, lp = math.log(f0.value), math.log(fp.value)
+    e0, ep = f0.abs_error / f0.value, fp.abs_error / fp.value
+    w0, wp = aux.weights(a, c)
+    value = w0 * l0 - wp * lp
+    err = abs(w0) * e0 + abs(wp) * ep + EPS * (abs(w0 * l0) + abs(wp * lp))
+    return FunctionValue(value, err, f0.method)
 
 
 # --- the catalog -----------------------------------------------------------
@@ -308,25 +368,43 @@ _add(BoundSpec("S2H", "raw_psi_relation", "lower",
                _s_product(((0.0, 0.0), (1.0, 1.0))), _second_turanian,
                "homogenized variant of S2 with a single psi(a,c,x) factor",
                gating=False))
-_add(BoundSpec("I1", "raw_psi_relation", "lower",
-               lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _gamma_power(1, "-c", lambda a, c: 1.0 / (a + 1.0)),
-               _gamma_power(0, "1-c", lambda a, c: 1.0 / a),
-               "Gamma-normalized psi^(1/a) dominates the (a+1)-shifted power"))
-_add(BoundSpec("I2", "raw_psi_relation", "lower",
-               lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               _exact("I2", lambda a, c, x: 2.0), _i2_rhs,
-               "psi ratio minus (1/c)-scaled power exceeds 2"))
-_add(BoundSpec("I3", "raw_psi_relation", "lower",
-               lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1, x>0",
-               _gamma_power(0, "1-c", lambda a, c: c / (a * (c + 1.0))),
-               _gamma_power(1, "-c", lambda a, c: 1.0 / (a + 1.0)),
-               "power-mean comparison with exponent c/(a(c+1))"))
-_add(BoundSpec("I4", "raw_psi_relation", "lower",
-               lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-               lambda p: psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x)),
-               _scaled_psi(lambda a, c, x: -1.0 / c),
-               "psi(a+1,c+1,x) < -(1/c) psi(a,c,x)"))
+# one row per I-family claim in log form: (id, auxiliary, region,
+# region_text, anchor); see the module docstring for the derived sides
+_LOG_BOUNDS = (
+    ("I1", "f", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
+     "Gamma-normalized psi^(1/a) dominates the (a+1)-shifted power; "
+     "checked as f(0+) < f(x)"),
+    ("I3", "g", lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1, x>0",
+     "power-mean comparison with exponent c/(a(c+1)); checked as g(x) < g(0+)"),
+    ("I4", "h", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
+     "psi(a+1,c+1,x) < -(1/c) psi(a,c,x); checked as h(0+) < h(x)"),
+)
+
+
+def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
+    aux = AUXILIARY[which]
+
+    def log_ratio(p: ParameterPoint) -> FunctionValue:
+        return auxiliary_log_ratio(which, p.a, p.c, p.x)
+
+    def limit(p: ParameterPoint) -> FunctionValue:
+        # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring
+        w0, wp = aux.weights(p.a, p.c)
+        l0, e0 = _lg_ratio(p.a - p.c + 1.0, 1.0 - p.c)
+        l1, e1 = _lg_ratio(p.a - p.c + 1.0, -p.c)
+        value = wp * l1 - w0 * l0
+        err = abs(wp) * e1 + abs(w0) * e0 + EPS * (abs(wp * l1) + abs(w0 * l0) + abs(value))
+        return FunctionValue(value, err, "closed_form")
+    side = "lower" if aux.sign > 0 else "upper"
+    lhs, rhs = (limit, log_ratio) if side == "lower" else (log_ratio, limit)
+    return BoundSpec(id_, "raw_psi_relation", side, region, region_text, lhs, rhs, anchor)
+
+
+_I2 = BoundSpec("I2", "raw_psi_relation", "lower", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
+                _exact("I2", lambda a, c, x: 2.0), _i2_rhs,
+                "psi ratio minus (1/c)-scaled power exceeds 2")
+CATALOG.update((spec.id, spec) for spec in sorted(     # in order I1, I2, I3, I4
+    (_I2, *(_log_bound(*row) for row in _LOG_BOUNDS)), key=lambda spec: spec.id))
 
 
 def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
@@ -415,64 +493,6 @@ def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
     budget = 8.0 * EPS * (abs(bc) + abs(bo))
     return VerificationRecord(dom_id, p, fv_c, fv_o, margin, budget,
                               _status(margin, budget), spec.anchor)
-
-
-# --- auxiliary monotone log-ratios -----------------------------------------
-
-@dataclass(frozen=True)
-class AuxiliaryRatio:
-    """w0 log psi(a,c,x) - wp log psi(a+1,c+1,x) on its region, with the
-    sign of its monotonicity in x (+1 increasing, -1 decreasing)."""
-
-    region: Callable[[float, float], bool]
-    region_text: str
-    weights: Callable[[float, float], tuple[float, float]]
-    sign: float
-
-
-AUXILIARY = {
-    "f": AuxiliaryRatio(lambda a, c: a > 0.0 > c, "a>0>c",
-                        lambda a, c: (1.0 / a, 1.0 / (a + 1.0)), +1.0),
-    "g": AuxiliaryRatio(lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1",
-                        lambda a, c: (c / (a * (c + 1.0)), 1.0 / (a + 1.0)), -1.0),
-    "h": AuxiliaryRatio(lambda a, c: a > 0.0, "a>0",
-                        lambda a, c: (1.0, 1.0), +1.0),
-}
-
-
-def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
-    """The log-ratio combinations whose monotonicity drives the I-family:
-
-        f = (1/a) log psi - (1/(a+1)) log psi(a+1,c+1,.)        increasing
-        g = (c/(a(c+1))) log psi - (1/(a+1)) log psi(a+1,c+1,.) decreasing
-        h = log psi - log psi(a+1,c+1,.)                        increasing
-
-    Cached per (which, a, c, x): a monotonicity row reads both ends of its
-    step, so two rows read each interior grid x.  The rows of a claim at a
-    pair run in x order, so a small cache holds each value until its second
-    read, and adds little to a run's memory.
-    """
-    return _auxiliary_cached(which, a, c, x)
-
-
-@lru_cache(maxsize=256)
-def _auxiliary_cached(which: str, a: float, c: float, x: float) -> FunctionValue:
-    if which not in AUXILIARY:
-        raise KeyError(f"unknown auxiliary function {which!r}")
-    aux = AUXILIARY[which]
-    if not aux.region(a, c):
-        raise RegionError(
-            f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
-    f0 = psi(ParameterPoint(a, c, x))
-    fp = psi(ParameterPoint(a + 1.0, c + 1.0, x))
-    if f0.value <= 0.0 or fp.value <= 0.0:
-        raise RegionError("psi must be positive for the log-ratios (a > 0)")
-    l0, lp = math.log(f0.value), math.log(fp.value)
-    e0, ep = f0.abs_error / f0.value, fp.abs_error / fp.value
-    w0, wp = aux.weights(a, c)
-    value = w0 * l0 - wp * lp
-    err = abs(w0) * e0 + abs(wp) * ep + EPS * (abs(w0 * l0) + abs(wp * lp))
-    return FunctionValue(value, err, f0.method)
 
 
 def catalog_document() -> list[dict]:

@@ -39,11 +39,12 @@ measure and Turanian functions).  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
-two sides, for agreement rows lhs/rhs are the two values being compared
-and the margin is the budget minus the observed difference.  An
-agreement row's budget sums the error budgets of its two sides; those of
-the central differences (ode_residual, derivative) bound the Taylor
-remainder through psi^(k) = (-1)^k (a)_k psi(a+k, c+k, x), DLMF 13.3(ii).
+two sides (log values for I1, I3 and I4), for agreement rows lhs/rhs are
+the two values being compared and the margin is the budget minus the
+observed difference.  An agreement row's budget sums the error budgets
+of its two sides; those of the central differences (ode_residual,
+derivative) bound the Taylor remainder through
+psi^(k) = (-1)^k (a)_k psi(a+k, c+k, x), DLMF 13.3(ii).
 """
 
 from __future__ import annotations

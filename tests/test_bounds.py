@@ -94,10 +94,17 @@ class TestCheckBound:
         with pytest.raises(KeyError):
             check_bound("nope", ParameterPoint(1.0, 0.0, 1.0))
 
-    def test_gamma_power_underflow_raises(self):
-        # the exponent c/(a(c+1)) is 250 here, and the power is about 1e-2227
-        with pytest.raises(EvaluationError, match="underflows"):
-            check_bound("I3", ParameterPoint(10.0, -1.0004, 34.0))
+    @pytest.mark.parametrize("a,c,x", [
+        pytest.param(10.0, -1.0004, 34.0, id="exponent-250"),
+        pytest.param(0.6660894000856069, -1.004609858712429, 76.10205991538348,
+                     id="exponent-327")])
+    def test_i3_holds_just_below_c_minus_one(self, a, c, x):
+        # (G0 psi)^(c/(a(c+1))) underflows here (about 1e-2227 at the first
+        # point), and forming it aborted whole runs; g(x) < g(0+) forms no
+        # power
+        rec = check_bound("I3", ParameterPoint(a, c, x))
+        assert rec.status == "pass"
+        assert rec.margin > 1e6 * rec.budget
 
     @pytest.mark.parametrize("bid", ["S1", "S2", "S2H"])
     def test_s_family_product_underflow_raises(self, bid):
@@ -324,10 +331,98 @@ class TestAuxiliaryLogRatios:
         assert {k: aux.sign for k, aux in AUXILIARY.items()} == \
             {"f": 1.0, "g": -1.0, "h": 1.0}
 
-    def test_i1_limit_consistency(self):
-        # both sides of I1 converge to each other as x -> 0; deviations shrink
+    @pytest.mark.parametrize("bid", ["I1", "I3", "I4"])
+    def test_log_bound_approaches_its_limit(self, bid):
+        # the auxiliary tends to its x -> 0+ limit, so the two sides of the
+        # bound close in as x shrinks
         devs = []
         for x in (0.1, 0.01, 0.001):
-            rec = check_bound("I1", ParameterPoint(1.5, -1.5, x))
+            rec = check_bound(bid, ParameterPoint(1.5, -1.5, x))
             devs.append(abs(rec.rhs.value - rec.lhs.value))
         assert devs[0] > devs[1] > devs[2]
+
+    def test_log_bounds_read_their_auxiliary_against_its_limit(self):
+        p = ParameterPoint(1.5, -2.5, 0.7)
+        for bid, which in (("I1", "f"), ("I3", "g"), ("I4", "h")):
+            spec, rec = CATALOG[bid], check_bound(bid, p)
+            aux, limit = ((rec.rhs, rec.lhs) if AUXILIARY[which].sign > 0
+                          else (rec.lhs, rec.rhs))
+            assert spec.side == ("lower" if AUXILIARY[which].sign > 0 else "upper")
+            assert aux == auxiliary_log_ratio(which, 1.5, -2.5, 0.7)
+            assert limit == spec.closed_form(p) and limit.method == "closed_form"
+        assert CATALOG["I4"].closed_form(p).value == pytest.approx(math.log(2.5),
+                                                                   rel=1e-14)
+
+    def test_log_ratios_and_limits_within_their_budgets_against_mpmath(self):
+        # f, g, h and their x -> 0+ limits by mpmath.hyperu and
+        # mpmath.loggamma at 40 digits on 150 seeded points, c in
+        # [-6, -0.001]; the float arguments enter exactly
+        rng = random.Random("aux-oracle")
+        outside, checked = [], 0
+        with mpmath.workdps(40):
+            for _ in range(150):
+                a = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+                c = rng.uniform(-6.0, -1e-3)
+                x = math.exp(rng.uniform(math.log(0.01), math.log(200.0)))
+                A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+                lu0 = mpmath.log(mpmath.hyperu(A, C, X))
+                lup = mpmath.log(mpmath.hyperu(A + 1, C + 1, X))
+                lg0 = mpmath.loggamma(A - C + 1) - mpmath.loggamma(1 - C)
+                lg1 = mpmath.loggamma(A - C + 1) - mpmath.loggamma(-C)
+                weights = {"f": (1 / A, 1 / (A + 1)),
+                           "g": (C / (A * (C + 1)), 1 / (A + 1)), "h": (1, 1)}
+                for which, bid in (("f", "I1"), ("g", "I3"), ("h", "I4")):
+                    if not CATALOG[bid].region(a, c):
+                        continue
+                    w0, wp = weights[which]
+                    for got, ref in (
+                            (auxiliary_log_ratio(which, a, c, x), w0 * lu0 - wp * lup),
+                            (CATALOG[bid].closed_form(ParameterPoint(a, c, x)),
+                             wp * lg1 - w0 * lg0)):
+                        checked += 1
+                        if not abs(got.value - float(ref)) <= got.abs_error:
+                            outside.append((which, a, c, x, got, float(ref)))
+        assert checked >= 800
+        assert outside == []
+
+
+class TestTotality:
+    def test_every_check_delivers_unless_psi_raises(self):
+        # 1,500 seeded points, c = k + d with integer k in [-6, 2] and |d|
+        # in [1e-3, 0.5]: every catalog claim and every auxiliary whose
+        # region holds returns its record, or raises EvaluationError only
+        # where psi itself raises at one of the four shifts it reads
+        rng = random.Random("totality")
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        def psi_raises(a, c, x):
+            for da, dc in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                try:
+                    psi(ParameterPoint(a + da, c + dc, x))
+                except EvaluationError:
+                    return True
+            return False
+
+        bad, checked = [], 0
+        for _ in range(1500):
+            d = log_uniform(1e-3, 0.5) * rng.choice((-1.0, 1.0))
+            a, c = log_uniform(0.05, 20.0), rng.randint(-6, 2) + d
+            x = log_uniform(0.01, 200.0)
+            p = ParameterPoint(a, c, x)
+            checks = [(bid, lambda bid=bid: check_bound(bid, p))
+                      for bid, spec in CATALOG.items() if spec.region(a, c)]
+            checks += [(w, lambda w=w: auxiliary_log_ratio(w, a, c, x))
+                       for w, aux in AUXILIARY.items() if aux.region(a, c)]
+            for name, check in checks:
+                checked += 1
+                try:
+                    check()
+                except EvaluationError as exc:
+                    if not psi_raises(a, c, x):
+                        bad.append((name, a, c, x, repr(exc)))
+                except Exception as exc:     # any other type is a defect
+                    bad.append((name, a, c, x, repr(exc)))
+        assert checked > 20000
+        assert bad == []
