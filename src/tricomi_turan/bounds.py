@@ -26,7 +26,7 @@ Ratio bounds (D = Turanian, R = D/psi^2):
 Raw psi relations:
 
     S1   -(1/x) psi psi(a,c-1) <= D_c                    a>0, c<a+2
-         (psi(a,c-1) = psi - a psi(a+1,c) by DLMF 13.3.9)
+         (psi(a,c-1) = psi (1 - a r) by DLMF 13.3.9)
     S2   -(1/x) psi^2 psi(a+1,c+1) <= D_c                a>1, c<a+1  [advisory]
     S2H  -(1/x) psi psi(a+1,c+1) <= D_c                  a>1, c<a+1  [advisory]
     I1   (G1 psi(a+1,c+1))^(1/(a+1)) < (G0 psi)^(1/a)    a>0>c
@@ -38,6 +38,14 @@ Raw psi relations:
          checked as h(0+) < h(x)
 
 with G0 = Gamma(a-c+1)/Gamma(1-c) and G1 = Gamma(a-c+1)/Gamma(-c).
+
+The S- and I-family read psi only through psi and its quotients r =
+psi(a+1,c)/psi and s = psi(a+1,c+1)/psi (``turanians.shift_quotient``),
+which one trapezoid pass per (a, c, x) gives in psi's quadrature region:
+S1 is -(1/x) psi^2 (1 - a r), S2 and S2H are -(1/x) psi^3 s and
+-(1/x) psi^2 s, I2's quotient is 1/s, and an auxiliary with weights
+(w0, wp) is (w0 - wp) ln psi - wp ln s, so that psi's own error enters
+it with the weight w0 - wp alone (not at all in h).
 
 I1, I3 and I4 are checked in log form, so their lhs and rhs are log
 values.  Each is the monotone auxiliary log-ratio f, g or h below held
@@ -79,8 +87,8 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
-                     RegionError, log_gamma, log_gamma_error, psi)
-from .turanians import TuranianKind, turanian, turanian_ratio
+                     RegionError, log_gamma, log_gamma_error)
+from .turanians import TuranianKind, shift_quotient, turanian, turanian_ratio
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -154,48 +162,51 @@ def _lg_ratio(u: float, v: float) -> tuple[float, float]:
     return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
 
 
+def _underflow(p: ParameterPoint, value: float) -> EvaluationError:
+    return EvaluationError(f"psi product underflows at "
+                           f"(a={p.a}, c={p.c}, x={p.x}): {value}")
+
+
 def _s1_lhs(p: ParameterPoint) -> FunctionValue:
-    """-(1/x) psi psi(a,c-1) with psi(a,c-1) = psi - a psi(a+1,c) (DLMF
-    13.3.9), so that no psi is evaluated below the point.  A product of
-    nonzero factors that underflows raises, as psi does."""
-    f0, f1 = psi(p), psi(ParameterPoint(p.a + 1.0, p.c, p.x))
-    down = f0.value - p.a * f1.value            # psi(a, c-1, x)
-    down_err = (f0.abs_error + abs(p.a) * f1.abs_error
-                + EPS * (abs(p.a * f1.value) + abs(down)))
-    value = -f0.value * down / p.x
-    if abs(value) < _TINY and f0.value and down:
-        raise EvaluationError(f"psi product underflows at "
-                              f"(a={p.a}, c={p.c}, x={p.x}): {value}")
-    err = ((abs(down) * f0.abs_error + abs(f0.value) * down_err) / p.x
-           + 2.0 * EPS * abs(value))
+    """-(1/x) psi psi(a,c-1) = -(1/x) psi^2 (1 - a r), r = psi(a+1,c)/psi
+    (DLMF 13.3.9), so that no psi is evaluated below the point.  A product
+    of nonzero factors that underflows raises, as psi does."""
+    f0, r, err_r = shift_quotient(p, 1, 0)
+    down = 1.0 - p.a * r                        # psi(a, c-1, x)/psi
+    down_err = abs(p.a) * err_r + EPS * (abs(p.a * r) + abs(down))
+    square = f0.value * f0.value
+    value = -square * down / p.x
+    if square < _TINY or (down and abs(value) < _TINY):
+        raise _underflow(p, value)
+    err = ((square * down_err + abs(down) * (2.0 * abs(f0.value) + f0.abs_error)
+            * f0.abs_error) / p.x + 3.0 * EPS * abs(value))
     return FunctionValue(value, err, f0.method)
 
 
-def _s_product(shifts):
-    """-(1/x) * product of psi at the given (da, dc) shifts.  A product of
-    nonzero psi values that underflows raises, as psi does."""
+def _s_product(power: int):
+    """-(1/x) psi^(power-1) psi(a+1,c+1,x) as -(1/x) psi^power s, s =
+    psi(a+1,c+1)/psi.  A product of nonzero factors that underflows
+    raises, as psi does."""
     def ev(p: ParameterPoint) -> FunctionValue:
-        vals = [psi(ParameterPoint(p.a + da, p.c + dc, p.x)) for (da, dc) in shifts]
-        prod = 1.0
-        for f in vals:
-            prod *= f.value
+        f0, s, err_s = shift_quotient(p, 1, 1)
+        prod = s
+        for _ in range(power):
+            prod *= f0.value
         value = -p.x ** -1.0 * prod     # not 1/x, which differs in the last bit at some x
-        if abs(value) < _TINY and all(f.value for f in vals):
-            raise EvaluationError(f"psi product underflows at "
-                                  f"(a={p.a}, c={p.c}, x={p.x}): {value}")
-        rel = sum(f.abs_error / abs(f.value) for f in vals)
-        return FunctionValue(value, abs(value) * (rel + 4.0 * EPS), vals[0].method)
+        if abs(value) < _TINY and f0.value and s:
+            raise _underflow(p, value)
+        rel = power * f0.abs_error / abs(f0.value) + err_s / abs(s)
+        return FunctionValue(value, abs(value) * (rel + (power + 2) * EPS), f0.method)
     return ev
 
 
 def _i2_rhs(p: ParameterPoint) -> FunctionValue:
-    """psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a).  The power enters as a
-    positive addend, so one that underflows costs at most _TINY/|c|, which
-    its budget carries."""
-    f0 = psi(p)
-    fp = psi(ParameterPoint(p.a + 1.0, p.c + 1.0, p.x))
-    q = f0.value / fp.value
-    eq = (f0.abs_error + abs(q) * fp.abs_error) / abs(fp.value)
+    """psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a), the quotient as 1/s, s =
+    psi(a+1,c+1)/psi.  The power enters as a positive addend, so one that
+    underflows costs at most _TINY/|c|, which its budget carries."""
+    f0, s, err_s = shift_quotient(p, 1, 1)
+    q = 1.0 / s
+    eq = q * (err_s / s + EPS)
     lg, lg_err = _lg_ratio(p.a - p.c + 1.0, 1.0 - p.c)
     expo = 1.0 / p.a
     pw = math.exp(expo * (lg + math.log(f0.value)))
@@ -257,15 +268,15 @@ def _auxiliary_cached(which: str, a: float, c: float, x: float) -> FunctionValue
     if not aux.region(a, c):
         raise RegionError(
             f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
-    f0 = psi(ParameterPoint(a, c, x))
-    fp = psi(ParameterPoint(a + 1.0, c + 1.0, x))
-    if f0.value <= 0.0 or fp.value <= 0.0:
+    f0, s, err_s = shift_quotient(ParameterPoint(a, c, x), 1, 1)
+    if f0.value <= 0.0 or s <= 0.0:
         raise RegionError("psi must be positive for the log-ratios (a > 0)")
-    l0, lp = math.log(f0.value), math.log(fp.value)
-    e0, ep = f0.abs_error / f0.value, fp.abs_error / fp.value
+    # log psi(a+1,c+1) = l0 + ls, so psi's own error enters with w0 - wp
+    l0, ls = math.log(f0.value), math.log(s)
     w0, wp = aux.weights(a, c)
-    value = w0 * l0 - wp * lp
-    err = abs(w0) * e0 + abs(wp) * ep + EPS * (abs(w0 * l0) + abs(wp * lp))
+    value = (w0 - wp) * l0 - wp * ls
+    err = (abs(w0 - wp) * f0.abs_error / f0.value + abs(wp) * err_s / s
+           + 2.0 * EPS * (abs(w0 * l0) + abs(wp * l0) + abs(wp * ls) + abs(value)))
     return FunctionValue(value, err, f0.method)
 
 
@@ -359,13 +370,13 @@ _add(BoundSpec("S1", "raw_psi_relation", "lower",
                "second-shift Turanian >= -(1/x) psi(a,c,x) psi(a,c-1,x)"))
 _add(BoundSpec("S2", "raw_psi_relation", "lower",
                lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
-               _s_product(((0.0, 0.0), (0.0, 0.0), (1.0, 1.0))), _second_turanian,
+               _s_product(3), _second_turanian,
                "second-shift Turanian >= -(1/x) psi^2(a,c,x) psi(a+1,c+1,x), "
                "checked exactly as quoted (inhomogeneous; fails at large x)",
                gating=False))
 _add(BoundSpec("S2H", "raw_psi_relation", "lower",
                lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
-               _s_product(((0.0, 0.0), (1.0, 1.0))), _second_turanian,
+               _s_product(2), _second_turanian,
                "homogenized variant of S2 with a single psi(a,c,x) factor",
                gating=False))
 # one row per I-family claim in log form: (id, auxiliary, region,

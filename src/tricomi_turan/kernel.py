@@ -44,6 +44,13 @@ exponent and the rounding of the prefactor, which includes |lnGamma(a)|
 or until a halving no longer halves it; a budget that cannot meet it is
 returned as it is, flagged ``"tolerance_not_met"``.
 
+One pass also gives the quotients psi(a+1,c,x)/psi and
+psi(a+1,c+1,x)/psi (``psi_quotients``, which the Turanians and the
+bounds read).  On psi's nodes the integrands of psi(a+1,c) and
+psi(a+1,c+1) are f e^w/(1 + e^w/x) and f e^w, and the prefactors divide
+to 1/(a x): the same nodes, run on past S for the extra e^w, and the
+last h serve both, and psi comes out bit for bit as ``psi`` gives it.
+
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
 these budgets instead of trusting raw floating point.
@@ -246,8 +253,30 @@ def _terminating(m: int, c: float, x: float) -> FunctionValue:
 # quadrature route
 # ---------------------------------------------------------------------------
 
+def _left_nodes(a: float, q: float, w0: float, h: float) -> int:
+    """kl, even: the nodes of exp(a w + log G), |log G| <= q e^w, start at
+    w0 - kl h.  Left of node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there;
+    the nodes start depth e-folds of e^((a+1)w) further left."""
+    j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
+    depth = max(0.0, _LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
+    return j + 2 * math.ceil(0.5 * depth / h)
+
+
+def _left_sums(a: float, q: float, w1: float, h: float, m: float):
+    """The nodes left of w1 of exp(a w + log G - m), |log G| <= q e^w <= 1/2
+    there: the exact geometric series of their e^(aw) parts in T_h and in
+    T_2h, h sum_{i>=1} e^(a(w1 - i h)) (w1 is a node of T_2h too), and a
+    bound on what that drops, e^(aw) expm1(log G) with |expm1(log G)| <=
+    1.65 q e^w, a geometric series in e^((a+1)w)."""
+    geo_h = h * math.exp(a * (w1 - h) - m) / -math.expm1(-a * h)
+    geo_2h = 2.0 * h * math.exp(a * (w1 - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
+    w_end = w1 - h
+    rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
+    return geo_h, geo_2h, rest
+
+
 def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
-               h: float) -> tuple[float, float, float]:
+               h: float, *extension: float) -> tuple:
     """The step-h trapezoid sum of f(w) = exp(a w - e^w + pw log1p(e^w/x))
     over the nodes w0 + k h, all k, scaled by e^-m with m the largest
     exponent on the grid.  Returns (T_h, its error bound, m), both scaled.
@@ -257,16 +286,24 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     holds the exponent a w + log G, then the summands.  Once both sums are
     taken, the a w array, with e^w and |pw log1p(e^w/x)| added in place,
     holds the nodes' rounding weights.
+
+    ``extension`` = (w_ext, q_ext), for the shifted sums of
+    ``psi_quotients``, runs the arrays on to w_ext >= w_max and starts them
+    where ``_left_nodes`` starts those of exp((a+1) w + log G'), |log G'|
+    <= q_ext e^w, if that is further left.  T_h, its bound and m stay
+    those of psi's own nodes, and a fourth item (w1, f, e^w, weights)
+    returns the arrays, w1 their first node.
     """
-    # left of node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there; the array
-    # starts depth e-folds of e^((a+1)w) further left, at w1 = w0 - kl h
     q = 1.0 + abs(pw) / x
-    j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
-    depth = max(0.0, _LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
-    kl = j + 2 * math.ceil(0.5 * depth / h)
+    kl = _left_nodes(a, q, w0, h)
     w1 = w0 - kl * h
+    # psi's own nodes, from w1 to past w_max, are those from index k0 on
+    w_ext, k0 = w_max, 0
+    if extension:
+        w_ext, q_ext = extension
+        k0 = max(0, _left_nodes(a + 1.0, q_ext, w0, h) - kl)
     # w, exact: h is a power of 2 and w0 a multiple of 2^-20
-    aw = np.arange(w1, w0 + (math.ceil((w_max - w0) / h) + 1.5) * h, h)
+    aw = np.arange(w1 - k0 * h, w0 + (math.ceil((w_ext - w0) / h) + 1.5) * h, h)
     ew = np.exp(aw)
     pl = ew / x
     np.log1p(pl, out=pl)
@@ -274,30 +311,73 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
     lg = pl - ew
     aw *= a
     f = aw + lg
-    m = float(f.max())
+    fo, awo = f, aw
+    if extension:
+        own = slice(k0, k0 + kl + math.ceil((w_max - w0) / h) + 2)
+        fo, awo = f[own], aw[own]
+    m = float(fo.max())
     f -= m
     np.exp(f, out=f)
 
-    # the nodes left of w1 as e^(aw) alone, summed exactly:
-    # h sum_{i>=1} e^(a(w1 - i h)); kl is even, so w1 is a node of T_2h too
-    geo_h = h * math.exp(a * (w1 - h) - m) / -math.expm1(-a * h)
-    geo_2h = 2.0 * h * math.exp(a * (w1 - 2.0 * h) - m) / -math.expm1(-2.0 * a * h)
-    total = float(f.sum())
+    geo_h, geo_2h, rest = _left_sums(a, q, w1, h, m)
+    total = float(fo.sum())
     t_h = h * total + geo_h
-    t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h
-
-    # what that drops, e^(aw) expm1(log G) left of w1: |expm1(lg)| <= 1.65 q
-    # e^w there, so a geometric series in e^((a+1)w); counted for both sums
-    w_end = w1 - h
-    rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
+    t_2h = 2.0 * h * float(fo[::2].sum()) + geo_2h
     # node rounding: the exponent of each node (and m) is rounded
     np.abs(aw, out=aw)
     aw += ew
     np.abs(pl, out=pl)
     aw += pl
-    rounding = (4.0 * EPS * h * (float(f @ aw) + (16.0 + abs(m) + abs(pw)) * total)
+    rounding = (4.0 * EPS * h * (float(fo @ awo) + (16.0 + abs(m) + abs(pw)) * total)
                 + 4.0 * EPS * geo_h * (4.0 + abs(a * (w1 - h) - m)))
-    return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
+    # rest, the left truncation, is counted for both sums
+    out = (t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m)
+    return (*out, (w1 - k0 * h, f, ew, aw)) if extension else out
+
+
+def _shifted_quotients(a: float, pw: float, x: float, h: float, m: float,
+                       t0: float, e0: float, nodes, w_ext: float, q_ext: float):
+    """r = psi(a+1,c,x)/psi and s = psi(a+1,c+1,x)/psi, each with its
+    error, from the arrays of psi's last trapezoid pass, whose T_h = t0
+    lies within e0, both scaled by e^-m as the nodes are.
+
+    On psi's nodes the integrand of psi(a+1,c+1) is f e^w and that of
+    psi(a+1,c) is f e^w/(1 + e^w/x); both prefactors are x^-(a+1) /
+    Gamma(a+1), so a quotient is T_h[integrand] / (a x t0).  Each shifted
+    sum is budgeted as psi's is, at exponent a+1: |T_h - T_2h|; the left
+    truncation of ``_left_sums``; past the extended cutoff, twice the
+    larger integrand, f e^w, at log S_ext; the rounding of each node,
+    psi's weight plus the product and quotient that form it; and
+    underflow, under 2^-1072 (1 + 2 S_ext) per node.  The prefactors
+    cancel, so their rounding does not enter.  A shifted sum that
+    underflows to 0 raises :class:`EvaluationError`."""
+    w1, f, ew, weights = nodes
+    ap = a + 1.0
+    geo_h, geo_2h, rest = _left_sums(ap, q_ext, w1, h, m)
+    S_ext = math.exp(w_ext)
+    fixed = (4.0 * rest + 4.0 * EPS * geo_h * (4.0 + abs(ap * (w1 - h) - m))
+             + 2.0 * math.exp(-S_ext + ap * w_ext + pw * math.log1p(S_ext / x) - m)
+             + h * len(f) * (2.0 * S_ext + 1.0) * 2.0 ** -1072)
+    # rows: f e^w / (x + e^w), which is psi(a+1,c)'s integrand over x, and
+    # f e^w, psi(a+1,c+1)'s
+    y = np.empty((2, len(f)))
+    np.multiply(f, ew, out=y[1])
+    np.add(ew, x, out=y[0])
+    np.divide(y[1], y[0], out=y[0])
+    out = []
+    rounding, denom, rel0 = 4.0 * EPS * h, a * x * t0, e0 / t0 + 3.0 * EPS
+    for total, evens, weighted, scale, pw_y in zip(
+            y.sum(axis=1).tolist(), y[:, ::2].sum(axis=1).tolist(),
+            (y @ weights).tolist(), (x, 1.0), (pw - 1.0, pw)):
+        t_h = h * scale * total + geo_h
+        if not t_h > 0.0:
+            raise EvaluationError(f"shifted trapezoid sums underflow at "
+                                  f"(a={a}, c={pw + a + 1.0}, x={x})")
+        err = (abs(t_h - 2.0 * h * scale * evens - geo_2h) + fixed + rounding * scale
+               * (weighted + (20.0 + abs(m) + abs(pw_y)) * total))
+        ratio = t_h / denom
+        out.append((ratio, ratio * (err / t_h + rel0)))
+    return tuple(out)
 
 
 def psi_quadrature(p: ParameterPoint) -> FunctionValue:
@@ -331,37 +411,53 @@ def psi_quadrature(p: ParameterPoint) -> FunctionValue:
     return _quadrature(p.a, p.c, p.x)
 
 
-def _quadrature(a: float, c: float, x: float) -> FunctionValue:
-    """``psi_quadrature`` on float arguments, as the dispatcher calls it."""
+def _cutoff(a: float, pw: float, x: float, log_b: float,
+            pw_floor: float) -> tuple[float, float]:
+    """The cutoff S of the nodes for f = exp(a w - e^w + pw log1p(e^w/x)),
+    b = min(x, 1), and log f(log S): 20 f(log S) lies below PSI_TOL times
+    e^-1 min(1, 2^pw_floor) b^a / a, a floor of the integral of f for
+    pw_floor = pw, and of f / (1 + e^w/x) for pw_floor = pw - 1.  Beyond
+    S the integrand decays at least like e^(-s/2)."""
+    S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
+    log_floor = a * log_b - math.log(a) - 1.0 + min(pw_floor, 0.0) * math.log(2.0)
+    while True:
+        log_f_cut = -S + a * math.log(S) + pw * math.log1p(S / x)
+        if log_f_cut + _LOG_20 <= _LOG_PSI_TOL + log_floor or S >= 700.0:
+            return S, log_f_cut
+        S *= 1.5
+
+
+def _quadrature(a: float, c: float, x: float, shifted: bool = False):
+    """``psi_quadrature`` on float arguments, as the dispatcher calls it.
+    With ``shifted``, returns (psi, ((r, err_r), (s, err_s))) as
+    ``psi_quotients`` needs them."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
     log_b = math.log(min(x, 1.0))
     w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
-
-    # cutoff: beyond S the integrand decays at least like e^(-s/2); the
-    # integral is at least e^-1 min(1, 2^pw) b^a / a
-    S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
-    log_floor = a * log_b - math.log(a) - 1.0 + min(pw, 0.0) * math.log(2.0)
-    while True:
-        log_f_cut = -S + a * math.log(S) + pw * math.log1p(S / x)
-        if log_f_cut + _LOG_20 <= _LOG_PSI_TOL + log_floor or S >= 700.0:
-            break
-        S *= 1.5
+    S, log_f_cut = _cutoff(a, pw, x, log_b, pw)
     w_max = math.log(S)
+    extension = ()
+    if shifted:
+        # the shifted integrands are psi's at (a+1, pw) and, below it by
+        # the factor 1/(1 + e^w/x), at (a+1, pw-1)
+        S_ext = max(S, _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0])
+        extension = (math.log(S_ext), 1.0 + max(abs(pw), abs(pw - 1.0)) / x)
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
+    lg_a_err = log_gamma_error(a, lg_a)
 
     # halve h until the budget is met, down to _STEP_MIN, or until a halving
     # no longer halves the relative error (rounding, not the step, sets it)
     h = _STEP
     prev_rel = math.inf
     while True:
-        total, err, m = _trapezoid(a, pw, x, w0, w_max, h)
+        total, err, m, *nodes = _trapezoid(a, pw, x, w0, w_max, h, *extension)
         # 2 f(log S) is S times a bound on either sum past the cutoff
         err += 2.0 * math.exp(log_f_cut - m)
         rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
-                     + log_gamma_error(a, lg_a))
+                     + lg_a_err)
         met = err <= (PSI_TOL - rel_scale) * abs(total)
         rel = err / total
         if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
@@ -376,8 +472,28 @@ def _quadrature(a: float, c: float, x: float) -> FunctionValue:
         raise _beyond_range(a, c, x) from None
     value = scale * total
     _check_normal(value, a, c, x)
-    return FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
-                         () if met else ("tolerance_not_met",))
+    fv = FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
+                       () if met else ("tolerance_not_met",))
+    if not shifted:
+        return fv
+    return fv, _shifted_quotients(a, pw, x, h, m, total, err, *nodes, *extension)
+
+
+def psi_quotients(p: ParameterPoint):
+    """psi(a,c,x) and the quotients r = psi(a+1,c,x)/psi(a,c,x) and
+    s = psi(a+1,c+1,x)/psi(a,c,x), from one pass of psi's trapezoid rule:
+    returns (psi, (r, err_r), (s, err_s)).  For a > 0; in psi's quadrature
+    region, x <= ``asymptotic_threshold(a, c)``, the first item equals
+    ``psi(p)`` bit for bit, and where psi raises this raises the same
+    error.
+
+    The nodes, h and m are psi's and its sums are taken over its own
+    nodes; the nodes run on past its cutoff to cover the shifted
+    integrands, f e^w for psi(a+1,c+1) and f e^w/(1 + e^w/x) for
+    psi(a+1,c), each summed once more at the last h (see
+    ``_shifted_quotients`` for their budgets)."""
+    fv, (r, s) = _quadrature(p.a, p.c, p.x, True)
+    return fv, r, s
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ are the report columns, in order.
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim, x), every selected claim that holds there, at
 each of its suite's x values, so the process that holds a pair computes
-each shifted psi value and each phi table of that pair once.  With
+each psi value, each phi table and each record of psi and its quotients
+of that pair once (a record is one trapezoid pass per (a, c, x), which
+the Turanians and the bounds read in place of psi at shifted points).  With
 ``jobs = 1`` the blocks run in-process; otherwise a process pool maps
 them, with at most one worker per pair and per usable CPU.  A block
 returns its rows as plain tuples (they pickle several times faster than
@@ -141,7 +143,8 @@ def _agreement(suite, claim, a, c, x, lhs, rhs, budget, anchor):
 
 def _row_crosscheck(suite, claim, _, a, c, p):
     # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
-    # the quadrature route, and caches it for the Turanians of this point
+    # the quadrature route; the Turanians of this point hold the same value
+    # in their own trapezoid pass
     q = psi(p)
     k = psi_connection(a, c, p.x)
     return _agreement(suite, claim, a, c, p.x, q.value, k.value,

@@ -7,9 +7,10 @@ Three determinant-like differences are tracked, one per parameter shift:
     second only   D_c(x)  = psi(a,c,x)^2 - psi(a,c-1,x)   psi(a,c+1,x)
 
 normalized throughout by psi(a,c,x)^2: R = D/psi^2 = 1 - q_- q_+ with the
-quotients q_+- = psi(a+-da, c+-dc, x)/psi(a,c,x).  Only four psi values
-enter, at (a,c), (a+1,c), (a,c+1) and (a+1,c+1): q_+ is read directly,
-and with r = psi(a+1,c,x)/psi(a,c,x) the contiguous relations give
+quotients q_+- = psi(a+-da, c+-dc, x)/psi(a,c,x).  Two quotients serve
+all three, r = psi(a+1,c,x)/psi and s = psi(a+1,c+1,x)/psi: q_+ is s,
+r or psi(a,c+1)/psi = 1 + a s (DLMF 13.3.9), and the contiguous
+relations give
 
     psi(a-1,c)/psi   = (2a-c+x) - a(a-c+1) r      DLMF 13.3.7
     psi(a,c-1)/psi   = 1 - a r                    DLMF 13.3.9
@@ -18,14 +19,22 @@ and with r = psi(a+1,c,x)/psi(a,c,x) the contiguous relations give
 13.3.7 runs backward in a, the stable direction, as U is the minimal
 solution of the recurrence (Gil, Segura & Temme, *Numerical Methods for
 Special Functions*, SIAM 2007, ch. 4); and no psi is evaluated below the
-point, so a-1 <= 0 and its integer-c hole never enter.  R carries a
-first-order budget in the quotients' errors, each quotient's from its psi
-values' and the rounding of its coefficients, plus 3 EPS |q_- q_+| of
-rounding on the product and EPS |R| on the difference.  The raw Turanian
-takes the same relations without the division, D = psi^2 - psi_+ psi_-
-with psi_- = A psi - B psi(a+1,c), so it holds where psi vanishes (only
-at a <= 0).  The derived values are never psi results and never enter
-psi's cache.
+point, so a-1 <= 0 and its integer-c hole never enter.
+
+In psi's quadrature region (a > 0, x <= ``asymptotic_threshold(a, c)``)
+psi, r and s come from one trapezoid pass, ``kernel.psi_quotients``,
+cached per (a, c, x) as a record that the ratios, the raw Turanians and
+the bounds' S1, S2, S2H, I2 and auxiliary log-ratios all read: no psi
+is evaluated at a shifted point there, and psi, which the record holds
+bit for bit as ``psi`` gives it, is not evaluated either.  Outside the
+region (a <= 0, or x past the threshold) the quotients are those of psi
+values at (a,c), (a+1,c), (a,c+1) and (a+1,c+1), and the raw Turanian
+takes the relations without the division, D = psi^2 - psi_+ psi_- with
+psi_- = A psi - B psi(a+1,c), so it holds where psi vanishes (only at
+a <= 0); in the region it is psi^2 R.  R carries a first-order budget
+in the quotients' errors plus 3 EPS |q_- q_+| of rounding on the product
+and EPS |R| on the difference.  The derived values are never psi
+results and never enter psi's cache.
 
 The catalogued bounds on these ratios become equalities as x -> 0 or
 x -> inf.  ``LIMITS`` states each of those seven limits once, as a
@@ -37,11 +46,11 @@ scans and the endpoint allowance its rows are held to.
 ``sharpness_scan`` measures the deviations from a row's limit along that
 row's own sequence.
 
-``turanian_ratio`` and ``turanian`` are cached per (kind, a, c, x), as
-``kernel.psi`` is per (a, c, x): one target is checked by up to
-six catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U all read
-the both-shift ratio, S1, S2 and S2H the raw second-shift Turanian), and
-the stieltjes suite and the sharpness scans read the same values.
+``turanian_ratio`` and ``turanian`` are cached per (kind, a, c, x), on
+top of the record per (a, c, x): one target is checked by up to six
+catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U all read the
+both-shift ratio, S1, S2 and S2H the raw second-shift Turanian), and the
+stieltjes suite and the sharpness scans read the same values.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
-                     ParameterPoint, RegionError, psi)
+                     ParameterPoint, RegionError, asymptotic_threshold, psi,
+                     psi_quotients)
 
 
 class TuranianKind(enum.Enum):
@@ -75,40 +85,97 @@ _SHIFTS = {
 }
 
 
+@lru_cache(maxsize=65_536)
+def _record(a: float, c: float, x: float):
+    """(psi, (r, err_r), (s, err_s)) of ``kernel.psi_quotients`` in psi's
+    quadrature region, a > 0 and x <= asymptotic_threshold(a, c), and
+    None outside it.  Where psi raises, this raises the same error, on
+    every call."""
+    if a > 0.0 and x <= asymptotic_threshold(a, c):
+        return psi_quotients(ParameterPoint(a, c, x))
+    return None
+
+
+def _base(a: float, c: float, x: float) -> FunctionValue:
+    """psi(a,c,x), the record's in psi's quadrature region, which quotients
+    divide by: raises unless it is told from 0."""
+    rec = _record(a, c, x)
+    f0 = psi(ParameterPoint(a, c, x)) if rec is None else rec[0]
+    if f0.abs_error >= abs(f0.value) / 2.0:
+        raise EvaluationError(
+            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
+    return f0
+
+
+def _up_quotient(a: float, c: float, x: float, da: int, dc: int,
+                 f0: FunctionValue) -> tuple[float, float]:
+    """psi(a+da, c+dc, x)/psi(a,c,x), (da, dc) = (1, 0), (1, 1) or (0, 1),
+    and its error; f0 = ``_base(a, c, x)``.  In psi's quadrature region
+    the record's r, s and 1 + a s (DLMF 13.3.9) serve; outside it, the
+    quotient of two psi values."""
+    rec = _record(a, c, x)
+    if rec is None:
+        return _quotient(psi(ParameterPoint(a + da, c + dc, x)), f0)
+    if dc == 0:
+        return rec[1]
+    s, err_s = rec[2]
+    if da == 1:
+        return s, err_s
+    t = 1.0 + a * s
+    return t, abs(a) * err_s + EPS * (abs(a * s) + abs(t))
+
+
+def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
+    """(psi(a,c,x), q, err(q)) with q = psi(a+da, c+dc, x)/psi(a,c,x) for
+    (da, dc) = (1, 0), (1, 1) or (0, 1): from one trapezoid pass per
+    (a, c, x) in psi's quadrature region, and as the quotient of two psi
+    values outside it.  Raises where psi(a,c,x) cannot be told from 0."""
+    f0 = _base(p.a, p.c, p.x)
+    return (f0, *_up_quotient(p.a, p.c, p.x, da, dc, f0))
+
+
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
-    """psi^2 - psi_+ psi_-, psi_+- = psi(a+-da, c+-dc, x), with psi_- =
-    A psi - B psi(a+1,c,x) by ``_lower``: no division, so psi may vanish.
-    The error bounds the products' errors in full, plus EPS of rounding on
-    each product and on the difference.  Where a product of nonzero psi
-    values underflows this raises, as psi does, on every call.  Cached per
-    (kind, a, c, x)."""
+    """psi^2 - psi_+ psi_-, psi_+- = psi(a+-da, c+-dc, x).  In psi's
+    quadrature region it is psi^2 R, R = ``turanian_ratio``, with R's
+    error scaled by psi^2 plus |R| times that of psi^2.  Outside it,
+    psi_- = A psi - B psi(a+1,c,x) by ``_lower``: no division, so psi may
+    vanish (only at a <= 0), and the error bounds the products' errors in
+    full.  Each adds EPS of rounding on each product and on the
+    difference.  Where a product of nonzero psi values underflows this
+    raises, as psi does, on every call.  Cached per (kind, a, c, x)."""
     return _turanian_cached(kind, p.a, p.c, p.x)
+
+
+def _underflow(a: float, c: float, x: float) -> EvaluationError:
+    return EvaluationError(f"psi products underflow at (a={a}, c={c}, x={x})")
 
 
 @lru_cache(maxsize=65_536)
 def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
+    rec = _record(a, c, x)
+    if rec is not None:
+        f0, ratio = rec[0], _ratio_cached(kind, a, c, x)
+        square = f0.value * f0.value
+        product = square * (1.0 - ratio.value)      # psi_+ psi_-
+        if square < _TINY or (product and abs(product) < _TINY):
+            raise _underflow(a, c, x)
+        value = square * ratio.value
+        err = (square * ratio.abs_error
+               + abs(ratio.value) * (2.0 * f0.value + f0.abs_error) * f0.abs_error
+               + 2.0 * EPS * abs(value))
+        return FunctionValue(value, err, f0.method)
     da, dc = kind.shifts
     f0, f1 = psi(ParameterPoint(a, c, x)), psi(ParameterPoint(a + 1.0, c, x))
     fp = psi(ParameterPoint(a + da, c + dc, x))
     down, down_err = _lower(kind, a, c, x, f0.value, f0.abs_error, f1.value, f1.abs_error)
     square, product = f0.value * f0.value, fp.value * down
     if (f0.value and abs(square) < _TINY) or (fp.value and down and abs(product) < _TINY):
-        raise EvaluationError(f"psi products underflow at "
-                              f"(a={a}, c={c}, x={x})")
+        raise _underflow(a, c, x)
     value = square - product
     err = ((2.0 * abs(f0.value) + f0.abs_error) * f0.abs_error
            + abs(down) * fp.abs_error + (abs(fp.value) + fp.abs_error) * down_err
            + EPS * (square + abs(product) + abs(value)))
     return FunctionValue(value, err, f0.method)
-
-
-def _nonzero_psi(a: float, c: float, x: float) -> FunctionValue:
-    """psi(a,c,x), which quotients divide by: raises unless it is told from 0."""
-    f0 = psi(ParameterPoint(a, c, x))
-    if f0.abs_error >= abs(f0.value) / 2.0:
-        raise EvaluationError(
-            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    return f0
 
 
 def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:
@@ -141,9 +208,8 @@ def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
 def _lower_quotient(kind: TuranianKind, a: float, c: float, x: float,
                     f0: FunctionValue) -> tuple[float, float]:
     """psi(a-da, c-dc, x)/psi(a, c, x) as A - B r, r = psi(a+1,c,x)/psi(a,c,x),
-    and its error."""
-    return _lower(kind, a, c, x, 1.0, 0.0,
-                  *_quotient(psi(ParameterPoint(a + 1.0, c, x)), f0))
+    and its error; f0 = ``_base(a, c, x)``."""
+    return _lower(kind, a, c, x, 1.0, 0.0, *_up_quotient(a, c, x, 1, 0, f0))
 
 
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
@@ -162,9 +228,9 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
 @lru_cache(maxsize=65_536)
 def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = _nonzero_psi(a, c, x)
+    f0 = _base(a, c, x)
     qm, err_m = _lower_quotient(kind, a, c, x, f0)
-    qp, err_p = _quotient(psi(ParameterPoint(a + da, c + dc, x)), f0)
+    qp, err_p = _up_quotient(a, c, x, da, dc, f0)
     value = 1.0 - qm * qp
     err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(qm * qp)
            + EPS * abs(value))

@@ -113,22 +113,33 @@ class TestCheckBound:
         with pytest.raises(EvaluationError, match="underflow"):
             check_bound(bid, ParameterPoint(100.0, -0.5, 1.0))
 
-    @pytest.mark.parametrize("a,c,x", [(2.0, -2.5, 1.5), (0.5, -1.0, 0.03)])
-    def test_no_bound_reads_psi_below_its_point(self, monkeypatch, a, c, x):
-        # S1 reads psi(a, c-1) as psi - a psi(a+1, c) (DLMF 13.3.9), and the
-        # Turanians read their lower shifts from quotients
+    @pytest.mark.parametrize("a,c,x,outside", [
+        pytest.param(2.0, -2.5, 1.5, False, id="2.0--2.5-1.5"),
+        pytest.param(0.5, -1.0, 0.03, False, id="0.5--1.0-0.03"),
+        # past asymptotic_threshold: 1512.5 and 312.5
+        pytest.param(2.0, -2.5, 2000.0, True, id="2.0--2.5-2000.0"),
+        pytest.param(0.5, -1.0, 400.0, True, id="0.5--1.0-400.0")])
+    def test_no_bound_reads_psi_below_its_point(self, monkeypatch, a, c, x, outside):
+        # in psi's quadrature region no bound reads psi at a shifted point,
+        # as one trapezoid pass gives psi's quotients there; outside it they
+        # read psi at the point and above it only: S1 takes psi(a, c-1) as
+        # psi (1 - a r), r = psi(a+1, c)/psi (DLMF 13.3.9), and the
+        # Turanians their lower shifts from quotients
         seen = []
-        for module in (bounds, turanians):
-            monkeypatch.setattr(module, "psi", lambda q: seen.append(q) or psi(q))
-        turanians._ratio_cached.cache_clear()
-        turanians._turanian_cached.cache_clear()
+        monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
+        for cached in (turanians._record, turanians._ratio_cached,
+                       turanians._turanian_cached, bounds._auxiliary_cached):
+            cached.cache_clear()
         p = ParameterPoint(a, c, x)
         checked = [bid for bid, spec in CATALOG.items() if spec.region(a, c)]
         for bid in checked:
             check_bound(bid, p)
         assert len(checked) >= 15
-        assert set(seen) == {ParameterPoint(a + da, c + dc, x)
-                             for da, dc in ((0, 0), (1, 0), (0, 1), (1, 1))}
+        if outside:
+            assert set(seen) == {ParameterPoint(a + da, c + dc, x)
+                                 for da, dc in ((0, 0), (1, 0), (0, 1), (1, 1))}
+        else:
+            assert set(seen) <= {p}
 
     def test_s1_lhs_within_its_budget_against_mpmath(self):
         # -(1/x) U(a,c,x) U(a,c-1,x) by mpmath.hyperu at 40 digits on 90

@@ -425,6 +425,49 @@ def test_trapezoid_agrees_with_split_form():
         assert 0.5 <= err / err_split <= 2.0, args
 
 
+class TestPsiQuotients:
+    """psi_quotients: psi and its quotients over (a+1, c) and (a+1, c+1)
+    from one trapezoid pass; their oracle is in test_turanians."""
+
+    def test_psi_equals_psi_bit_for_bit(self):
+        # 1,000 seeded points of psi's quadrature region: a log-uniform in
+        # [1e-8, 30], c uniform in [-6, 3], a tenth within 1e-3 of an
+        # integer, x log-uniform in [1e-3, asymptotic_threshold(a, c)]
+        rng = np.random.default_rng(1409)
+        differ = []
+        for i in range(1000):
+            a = float(10.0 ** rng.uniform(-8.0, math.log10(30.0)))
+            c = float(rng.uniform(-6.0, 3.0))
+            if i % 10 == 0:
+                c = round(c) + float(rng.uniform(-1e-3, 1e-3))
+            x = float(math.exp(rng.uniform(math.log(1e-3),
+                                           math.log(asymptotic_threshold(a, c)))))
+            p = ParameterPoint(a, c, x)
+            try:
+                want = psi(p)
+            except EvaluationError as exc:
+                with pytest.raises(type(exc)):
+                    kernel.psi_quotients(p)
+                continue
+            got = kernel.psi_quotients(p)[0]
+            if (got.value.hex(), got.abs_error.hex(), got.method, got.flags) != (
+                    want.value.hex(), want.abs_error.hex(), want.method, want.flags):
+                differ.append((a, c, x))
+        assert differ == []
+
+    def test_psi_alone_runs_no_extension(self, monkeypatch):
+        # psi's trapezoid passes take psi's six arguments only
+        arities = []
+        trapezoid = kernel._trapezoid
+        monkeypatch.setattr(kernel, "_trapezoid",
+                            lambda *args: arities.append(len(args)) or trapezoid(*args))
+        psi_quadrature(ParameterPoint(2.0, -2.5, 3.0))
+        assert set(arities) == {6}
+        arities.clear()
+        kernel.psi_quotients(ParameterPoint(2.0, -2.5, 3.0))
+        assert set(arities) == {8}
+
+
 class TestPsiConnection:
     def test_a_zero_exact(self):
         fv = psi_connection(0.0, -0.5, 3.0)

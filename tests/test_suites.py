@@ -369,6 +369,27 @@ def test_bounds_suite_computes_each_ratio_once():
     assert info.hits == checks - len(needed) > 0
 
 
+def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
+    # from cold caches: one trapezoid pass per (a, c, x) of the grid, all
+    # in psi's quadrature region, and no quadrature at a shifted point
+    quadratures = []
+    quadrature = kernel._quadrature
+
+    def counted(a, c, x, *shifted):
+        quadratures.append(((a, c, x), bool(shifted and shifted[0])))
+        return quadrature(a, c, x, *shifted)
+
+    monkeypatch.setattr(kernel, "_quadrature", counted)
+    for cached in (kernel._psi_cached, turanians._record, turanians._ratio_cached,
+                   turanians._turanian_cached, bounds._auxiliary_cached):
+        cached.cache_clear()
+    suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
+    grid = [(a, c, x) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
+            for x in SMALL_GRID["grid_x"]]
+    assert all(x <= asymptotic_threshold(a, c) for a, c, x in grid)
+    assert sorted(quadratures) == sorted((point, True) for point in grid)
+
+
 def test_a_repeated_suite_name_lists_each_empty_region_once():
     grid = {"grid_a": (0.5,), "grid_c": (0.5,), "grid_x": (1.0,)}
     once, rows = suites.run(RunConfig(suites=("bounds",), **grid))

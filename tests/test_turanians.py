@@ -7,7 +7,7 @@ import random
 import mpmath
 import pytest
 
-from tricomi_turan import turanians
+from tricomi_turan import kernel, turanians
 from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError, psi
 from tricomi_turan.turanians import (LIMITS, SCAN_TO_INFINITY, SCAN_TO_ZERO,
                                      TuranianKind, sharpness_scan, turanian,
@@ -166,22 +166,86 @@ class TestOracle:
 
 
 class TestShiftPoints:
-    """A ratio reads psi at (a, c), (a+1, c), (a, c+1) and (a+1, c+1) only."""
+    """In psi's quadrature region a ratio and a raw Turanian read no psi at
+    a shifted point: one trapezoid pass gives psi and its quotients.
+    Outside it they read psi at (a, c), (a+1, c), (a, c+1) and (a+1, c+1)
+    only, as their kind needs."""
+
+    @staticmethod
+    def _reads(monkeypatch, kind, p):
+        seen, passes = [], []
+        monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
+        monkeypatch.setattr(turanians, "psi_quotients",
+                            lambda q: passes.append(q) or kernel.psi_quotients(q))
+        for cached in (turanians._record, turanians._ratio_cached,
+                       turanians._turanian_cached):
+            cached.cache_clear()
+        turanian_ratio(kind, p)
+        turanian(kind, p)
+        return seen, passes
+
+    @pytest.mark.parametrize("kind", list(TuranianKind))
+    def test_in_the_region_one_pass_and_no_shifted_psi(self, monkeypatch, kind):
+        p = ParameterPoint(0.5, -1.0, 0.03)  # psi(-0.5, -2, 0.03) has no route
+        seen, passes = self._reads(monkeypatch, kind, p)
+        assert set(seen) <= {p}
+        assert passes == [p]
 
     @pytest.mark.parametrize("kind,shifts", [
         (BOTH, {(0, 0), (1, 0), (1, 1)}),
         (FIRST, {(0, 0), (1, 0)}),
         (SECOND, {(0, 0), (1, 0), (0, 1)})])
     def test_a_ratio_reads_psi_at_its_point_and_above(self, monkeypatch, kind, shifts):
-        seen = []
-        monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
-        turanians._ratio_cached.cache_clear()
-        turanians._turanian_cached.cache_clear()
-        a, c, x = 0.5, -1.0, 0.03        # psi(-0.5, -2, 0.03) has no route
-        p = ParameterPoint(a, c, x)
-        turanian_ratio(kind, p)
-        turanian(kind, p)
-        assert set(seen) == {ParameterPoint(a + da, c + dc, x) for da, dc in shifts}
+        # outside the region: x past asymptotic_threshold(0.5, -1) = 312.5,
+        # and a <= 0
+        for a, c, x in ((0.5, -1.0, 400.0), (-0.5, 0.25, 2.0)):
+            seen, passes = self._reads(monkeypatch, kind, ParameterPoint(a, c, x))
+            assert passes == []
+            assert set(seen) == {ParameterPoint(a + da, c + dc, x) for da, dc in shifts}
+
+
+def _pass_oracle_points():
+    """320 seeded points in psi's quadrature region: a log-uniform in
+    [1e-3, 8], every fifth in [1e-3, 0.05] (169 lie below 0.05), c within
+    1e-3 of an integer in [-5, 2], x log-uniform in [1e-2,
+    asymptotic_threshold(a, c)]."""
+    rng = random.Random("pass-oracle")
+    points = []
+    for i in range(320):
+        a = math.exp(rng.uniform(math.log(1e-3), math.log(0.05) if i % 5 == 0
+                                 else math.log(8.0)))
+        c = rng.randint(-5, 2) + rng.uniform(-1e-3, 1e-3)
+        x = math.exp(rng.uniform(math.log(1e-2),
+                                 math.log(kernel.asymptotic_threshold(a, c))))
+        points.append((a, c, x))
+    return points
+
+
+class TestShiftQuotients:
+    def test_quotients_within_their_budgets_against_mpmath(self):
+        # r, s and 1 + a s against mpmath.hyperu at 40 digits: |value - ref|
+        # <= err for each
+        outside = []
+        with mpmath.workdps(40):
+            for a, c, x in _pass_oracle_points():
+                A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+                u0 = mpmath.hyperu(A, C, X)
+                p = ParameterPoint(a, c, x)
+                assert turanians._record(a, c, x) is not None
+                for da, dc in ((1, 0), (1, 1), (0, 1)):
+                    _, q, err = turanians.shift_quotient(p, da, dc)
+                    ref = float(mpmath.hyperu(A + da, C + dc, X) / u0)
+                    if not abs(q - ref) <= err:
+                        outside.append((a, c, x, da, dc, q, err, ref))
+        assert outside == []
+
+    def test_a_raising_record_raises_on_every_call(self):
+        # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record
+        turanians._record.cache_clear()
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="underflows"):
+                turanians.shift_quotient(ParameterPoint(200.0, 0.5, 1.0), 1, 1)
+        assert turanians._record.cache_info().currsize == 0
 
 
 class TestRatioLimits:
