@@ -26,9 +26,11 @@ Ratio bounds (D = Turanian, R = D/psi^2):
 Raw psi relations:
 
     S1   -(1/x) psi psi(a,c-1) <= D_c                    a>0, c<a+2
-         (psi(a,c-1) = psi (1 - a r) by DLMF 13.3.9)
+         checked as -(1/x) psi(a,c-1)/psi <= R_c
     S2   -(1/x) psi^2 psi(a+1,c+1) <= D_c                a>1, c<a+1  [advisory]
+         checked as -(1/x) psi(a+1,c+1) <= R_c
     S2H  -(1/x) psi psi(a+1,c+1) <= D_c                  a>1, c<a+1  [advisory]
+         checked as -(1/x) psi(a+1,c+1)/psi <= R_c
     I1   (G1 psi(a+1,c+1))^(1/(a+1)) < (G0 psi)^(1/a)    a>0>c
          checked as f(0+) < f(x)
     I2   2 < psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a)      a>0>c
@@ -39,13 +41,19 @@ Raw psi relations:
 
 with G0 = Gamma(a-c+1)/Gamma(1-c) and G1 = Gamma(a-c+1)/Gamma(-c).
 
-The S- and I-family read psi only through psi and its quotients r =
-psi(a+1,c)/psi and s = psi(a+1,c+1)/psi (``turanians.shift_quotient``),
-which one trapezoid pass per (a, c, x) gives in psi's quadrature region:
-S1 is -(1/x) psi^2 (1 - a r), S2 and S2H are -(1/x) psi^3 s and
--(1/x) psi^2 s, I2's quotient is 1/s, and an auxiliary with weights
-(w0, wp) is (w0 - wp) ln psi - wp ln s, so that psi's own error enters
-it with the weight w0 - wp alone (not at all in h).
+All three S-family regions have a > 0, where psi > 0, so each raw
+relation lhs <= D_c = psi^2 R_c is checked divided by psi^2, against the
+same second-shift ratio R_c as T6L, T6U, P3L and P3U: no product of two
+psi values is formed, so the checks run wherever psi and R_c do, at
+large a as well.  ``_S_BOUNDS`` states each lhs once, as -(1/x)
+psi^power q with q a quotient of ``turanians.shift_quotient``: S1 takes
+psi(a,c-1)/psi = 1 - a r (DLMF 13.3.9), the Turanians' own lower
+quotient, and S2 and S2H take s = psi(a+1,c+1)/psi, S2 times psi.  The
+I-family reads psi and s as well: I2's quotient is 1/s, and an
+auxiliary with weights (w0, wp) is (w0 - wp) ln psi - wp ln s, so that
+psi's own error enters it with the weight w0 - wp alone (not at all in
+h).  In psi's quadrature region one trapezoid pass per (a, c, x) gives
+psi, r and s.
 
 I1, I3 and I4 are checked in log form, so their lhs and rhs are log
 values.  Each is the monotone auxiliary log-ratio f, g or h below held
@@ -58,11 +66,12 @@ closed-form side, the ``lower`` one for an increasing auxiliary and the
 can underflow.  I2 forms (G0 psi)^(1/a), a positive addend whose
 underflow its budget carries.
 
-S2 is catalogued exactly as quoted even though it mixes psi^3 against
-psi^2 and fails systematically at large x; it and its homogenized
-variant S2H are therefore advisory (``gating=False``): their failures
-are reported but do not gate a verification run.  P4U is gating on
-a > 1 only; the 0 < a <= 1 probe is a separate advisory entry.
+S2 keeps the quoted inhomogeneity even though it mixes psi^3 against
+psi^2 (psi against R_c once divided) and fails systematically at large
+x; it and its homogenized variant S2H are therefore advisory
+(``gating=False``): their failures are reported but do not gate a
+verification run.  P4U is gating on a > 1 only; the 0 < a <= 1 probe is
+a separate advisory entry.
 
 Each ratio bound is one row of ``_RATIO_BOUNDS`` that states its closed
 form ``bound_fn(a, c, x)`` once, with the side it sits on.  Both sides of
@@ -83,12 +92,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, log_gamma_error)
-from .turanians import TuranianKind, shift_quotient, turanian, turanian_ratio
+from .turanians import TuranianKind, shift_quotient, turanian_ratio
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -162,41 +171,17 @@ def _lg_ratio(u: float, v: float) -> tuple[float, float]:
     return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
 
 
-def _underflow(p: ParameterPoint, value: float) -> EvaluationError:
-    return EvaluationError(f"psi product underflows at "
-                           f"(a={p.a}, c={p.c}, x={p.x}): {value}")
-
-
-def _s1_lhs(p: ParameterPoint) -> FunctionValue:
-    """-(1/x) psi psi(a,c-1) = -(1/x) psi^2 (1 - a r), r = psi(a+1,c)/psi
-    (DLMF 13.3.9), so that no psi is evaluated below the point.  A product
-    of nonzero factors that underflows raises, as psi does."""
-    f0, r, err_r = shift_quotient(p, 1, 0)
-    down = 1.0 - p.a * r                        # psi(a, c-1, x)/psi
-    down_err = abs(p.a) * err_r + EPS * (abs(p.a * r) + abs(down))
-    square = f0.value * f0.value
-    value = -square * down / p.x
-    if square < _TINY or (down and abs(value) < _TINY):
-        raise _underflow(p, value)
-    err = ((square * down_err + abs(down) * (2.0 * abs(f0.value) + f0.abs_error)
-            * f0.abs_error) / p.x + 3.0 * EPS * abs(value))
-    return FunctionValue(value, err, f0.method)
-
-
-def _s_product(power: int):
-    """-(1/x) psi^(power-1) psi(a+1,c+1,x) as -(1/x) psi^power s, s =
-    psi(a+1,c+1)/psi.  A product of nonzero factors that underflows
-    raises, as psi does."""
+def _s_lhs(da: int, dc: int, power: int) -> Evaluator:
+    """-(1/x) psi^power q with q = psi(a+da, c+dc, x)/psi from
+    ``turanians.shift_quotient``: an S-family lhs divided by psi^2 > 0.
+    One that underflows costs at most _TINY, which its budget carries."""
     def ev(p: ParameterPoint) -> FunctionValue:
-        f0, s, err_s = shift_quotient(p, 1, 1)
-        prod = s
-        for _ in range(power):
-            prod *= f0.value
-        value = -p.x ** -1.0 * prod     # not 1/x, which differs in the last bit at some x
-        if abs(value) < _TINY and f0.value and s:
-            raise _underflow(p, value)
-        rel = power * f0.abs_error / abs(f0.value) + err_s / abs(s)
-        return FunctionValue(value, abs(value) * (rel + (power + 2) * EPS), f0.method)
+        f0, q, err_q = shift_quotient(p, da, dc)
+        f, err_f = (f0.value, f0.abs_error) if power else (1.0, 0.0)
+        value = -f * q / p.x
+        err = ((abs(f) * err_q + abs(q) * err_f) / p.x + 2.0 * EPS * abs(value)
+               + (_TINY if abs(value) < _TINY else 0.0))
+        return FunctionValue(value, err, f0.method)
     return ev
 
 
@@ -341,14 +326,17 @@ _RATIO_BOUNDS = (
 )
 
 
-def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
-                 gating=True) -> BoundSpec:
-    kind, closed = _TARGET_KIND[target], _exact(id_, bound_fn)
-
+def _ratio(kind: TuranianKind) -> Evaluator:
     def ratio(p: ParameterPoint) -> FunctionValue:
         # looked up per call, as psi is: a wrapper set on this module's
         # turanian_ratio (the layer trace) sees the catalog's calls
         return turanian_ratio(kind, p)
+    return ratio
+
+
+def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
+                 gating=True) -> BoundSpec:
+    closed, ratio = _exact(id_, bound_fn), _ratio(_TARGET_KIND[target])
     lhs, rhs = (closed, ratio) if side == "lower" else (ratio, closed)
     return BoundSpec(id_, target, side, region, region_text, lhs, rhs, anchor,
                      gating, bound_fn)
@@ -357,28 +345,25 @@ def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
 CATALOG: dict[str, BoundSpec] = {row[0]: _ratio_bound(*row) for row in _RATIO_BOUNDS}
 
 
-def _add(spec: BoundSpec):
-    CATALOG[spec.id] = spec
+# one row per S-family claim, checked as lhs <= R_c, the raw relation
+# lhs <= D_c divided by psi^2: (id, region, region_text, (da, dc), power,
+# anchor, gating); see ``_s_lhs`` for the lhs
+_S_BOUNDS = (
+    ("S1", lambda a, c: a > 0.0 and c < a + 2.0, "a>0, c<a+2, x>0", (0, -1), 0,
+     "second-shift Turanian >= -(1/x) psi(a,c,x) psi(a,c-1,x); "
+     "checked as -(1/x) psi(a,c-1)/psi <= R_c", True),
+    ("S2", lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0", (1, 1), 1,
+     "second-shift Turanian >= -(1/x) psi^2(a,c,x) psi(a+1,c+1,x), "
+     "inhomogeneous as quoted (fails at large x); "
+     "checked as -(1/x) psi(a+1,c+1) <= R_c", False),
+    ("S2H", lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0", (1, 1), 0,
+     "homogenized variant of S2 with a single psi(a,c,x) factor; "
+     "checked as -(1/x) psi(a+1,c+1)/psi <= R_c", False),
+)
+CATALOG.update((id_, BoundSpec(id_, "raw_psi_relation", "lower", region, region_text,
+                               _s_lhs(*shift, power), _ratio(SECOND), anchor, gating))
+               for id_, region, region_text, shift, power, anchor, gating in _S_BOUNDS)
 
-
-_second_turanian = partial(turanian, SECOND)   # D_c, read by the S-family
-
-
-_add(BoundSpec("S1", "raw_psi_relation", "lower",
-               lambda a, c: a > 0.0 and c < a + 2.0, "a>0, c<a+2, x>0",
-               _s1_lhs, _second_turanian,
-               "second-shift Turanian >= -(1/x) psi(a,c,x) psi(a,c-1,x)"))
-_add(BoundSpec("S2", "raw_psi_relation", "lower",
-               lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
-               _s_product(3), _second_turanian,
-               "second-shift Turanian >= -(1/x) psi^2(a,c,x) psi(a+1,c+1,x), "
-               "checked exactly as quoted (inhomogeneous; fails at large x)",
-               gating=False))
-_add(BoundSpec("S2H", "raw_psi_relation", "lower",
-               lambda a, c: a > 1.0 and c < a + 1.0, "a>1, c<a+1, x>0",
-               _s_product(2), _second_turanian,
-               "homogenized variant of S2 with a single psi(a,c,x) factor",
-               gating=False))
 # one row per I-family claim in log form: (id, auxiliary, region,
 # region_text, anchor); see the module docstring for the derived sides
 _LOG_BOUNDS = (

@@ -23,18 +23,20 @@ point, so a-1 <= 0 and its integer-c hole never enter.
 
 In psi's quadrature region (a > 0, x <= ``asymptotic_threshold(a, c)``)
 psi, r and s come from one trapezoid pass, ``kernel.psi_quotients``,
-cached per (a, c, x) as a record that the ratios, the raw Turanians and
-the bounds' S1, S2, S2H, I2 and auxiliary log-ratios all read: no psi
-is evaluated at a shifted point there, and psi, which the record holds
-bit for bit as ``psi`` gives it, is not evaluated either.  Outside the
-region (a <= 0, or x past the threshold) the quotients are those of psi
-values at (a,c), (a+1,c), (a,c+1) and (a+1,c+1), and the raw Turanian
+cached per (a, c, x) as a record that the ratios and the bounds' S- and
+I-family all read: no psi is evaluated at a shifted point there, and
+psi, which the record holds bit for bit as ``psi`` gives it, is not
+evaluated either.  Outside the region (a <= 0, or x past the threshold)
+the quotients are those of psi values at (a,c), (a+1,c), (a,c+1) and
+(a+1,c+1).  R carries a first-order budget in the quotients' errors
+plus 3 EPS |q_- q_+| of rounding on the product and EPS |R| on the
+difference.  The derived values are never psi results and never enter
+psi's cache.
+
+The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
 takes the relations without the division, D = psi^2 - psi_+ psi_- with
-psi_- = A psi - B psi(a+1,c), so it holds where psi vanishes (only at
-a <= 0); in the region it is psi^2 R.  R carries a first-order budget
-in the quotients' errors plus 3 EPS |q_- q_+| of rounding on the product
-and EPS |R| on the difference.  The derived values are never psi
-results and never enter psi's cache.
+psi_- = A psi - B psi(a+1,c), from psi at its three points: it holds
+where psi vanishes (only at a <= 0).
 
 The catalogued bounds on these ratios become equalities as x -> 0 or
 x -> inf.  ``LIMITS`` states each of those seven limits once, as a
@@ -46,10 +48,10 @@ scans and the endpoint allowance its rows are held to.
 ``sharpness_scan`` measures the deviations from a row's limit along that
 row's own sequence.
 
-``turanian_ratio`` and ``turanian`` are cached per (kind, a, c, x), on
-top of the record per (a, c, x): one target is checked by up to six
-catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U all read the
-both-shift ratio, S1, S2 and S2H the raw second-shift Turanian), and the
+``turanian_ratio`` is cached per (kind, a, c, x), on top of the record
+per (a, c, x): one ratio is read by up to seven catalog bounds at a
+point (T1L, T1U, T2L, P1L, P1U and P4U or P4U_probe the both-shift ratio;
+T6L, T6U, P3L, P3U, S1, S2 and S2H the second-shift one), and the
 stieltjes suite and the sharpness scans read the same values.
 """
 
@@ -127,50 +129,31 @@ def _up_quotient(a: float, c: float, x: float, da: int, dc: int,
 
 def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
     """(psi(a,c,x), q, err(q)) with q = psi(a+da, c+dc, x)/psi(a,c,x) for
-    (da, dc) = (1, 0), (1, 1) or (0, 1): from one trapezoid pass per
-    (a, c, x) in psi's quadrature region, and as the quotient of two psi
-    values outside it.  Raises where psi(a,c,x) cannot be told from 0."""
+    (da, dc) = (1, 0), (1, 1) or (0, 1), or for (0, -1) the second-shift
+    ratio's own lower quotient 1 - a r (DLMF 13.3.9).  From one trapezoid
+    pass per (a, c, x) in psi's quadrature region, and from psi values at
+    the point and above it outside it.  Raises where psi(a,c,x) cannot be
+    told from 0."""
     f0 = _base(p.a, p.c, p.x)
+    if (da, dc) == (0, -1):
+        return (f0, *_lower_quotient(TuranianKind.SECOND_SHIFT, p.a, p.c, p.x, f0))
     return (f0, *_up_quotient(p.a, p.c, p.x, da, dc, f0))
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
-    """psi^2 - psi_+ psi_-, psi_+- = psi(a+-da, c+-dc, x).  In psi's
-    quadrature region it is psi^2 R, R = ``turanian_ratio``, with R's
-    error scaled by psi^2 plus |R| times that of psi^2.  Outside it,
-    psi_- = A psi - B psi(a+1,c,x) by ``_lower``: no division, so psi may
-    vanish (only at a <= 0), and the error bounds the products' errors in
-    full.  Each adds EPS of rounding on each product and on the
-    difference.  Where a product of nonzero psi values underflows this
-    raises, as psi does, on every call.  Cached per (kind, a, c, x)."""
-    return _turanian_cached(kind, p.a, p.c, p.x)
-
-
-def _underflow(a: float, c: float, x: float) -> EvaluationError:
-    return EvaluationError(f"psi products underflow at (a={a}, c={c}, x={x})")
-
-
-@lru_cache(maxsize=65_536)
-def _turanian_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
-    rec = _record(a, c, x)
-    if rec is not None:
-        f0, ratio = rec[0], _ratio_cached(kind, a, c, x)
-        square = f0.value * f0.value
-        product = square * (1.0 - ratio.value)      # psi_+ psi_-
-        if square < _TINY or (product and abs(product) < _TINY):
-            raise _underflow(a, c, x)
-        value = square * ratio.value
-        err = (square * ratio.abs_error
-               + abs(ratio.value) * (2.0 * f0.value + f0.abs_error) * f0.abs_error
-               + 2.0 * EPS * abs(value))
-        return FunctionValue(value, err, f0.method)
+    """psi^2 - psi_+ psi_-, psi_+- = psi(a+-da, c+-dc, x), with psi_- = A psi
+    - B psi(a+1,c,x) by ``_lower``: no division, so psi may vanish (only at
+    a <= 0), and the error bounds the products' errors in full, plus EPS
+    of rounding on each product and on the difference.  Where a product
+    of nonzero psi values underflows this raises, as psi does."""
+    a, c, x = p.a, p.c, p.x
     da, dc = kind.shifts
-    f0, f1 = psi(ParameterPoint(a, c, x)), psi(ParameterPoint(a + 1.0, c, x))
+    f0, f1 = psi(p), psi(ParameterPoint(a + 1.0, c, x))
     fp = psi(ParameterPoint(a + da, c + dc, x))
     down, down_err = _lower(kind, a, c, x, f0.value, f0.abs_error, f1.value, f1.abs_error)
     square, product = f0.value * f0.value, fp.value * down
     if (f0.value and abs(square) < _TINY) or (fp.value and down and abs(product) < _TINY):
-        raise _underflow(a, c, x)
+        raise EvaluationError(f"psi products underflow at (a={a}, c={c}, x={x})")
     value = square - product
     err = ((2.0 * abs(f0.value) + f0.abs_error) * f0.abs_error
            + abs(down) * fp.abs_error + (abs(fp.value) + fp.abs_error) * down_err

@@ -106,12 +106,17 @@ class TestCheckBound:
         assert rec.status == "pass"
         assert rec.margin > 1e6 * rec.budget
 
-    @pytest.mark.parametrize("bid", ["S1", "S2", "S2H"])
-    def test_s_family_product_underflow_raises(self, bid):
-        # psi(100, -0.5, 1) = 6.5e-167, so a product of two psi values
-        # underflows; it used to read as an inconclusive 0.0 +- 0.0
-        with pytest.raises(EvaluationError, match="underflow"):
-            check_bound(bid, ParameterPoint(100.0, -0.5, 1.0))
+    # R_c - lhs by mpmath.hyperu at 40 digits at (100, -0.5, 1), where psi =
+    # 6.5e-167: a product of two psi values underflows, and forming one
+    # aborted whole runs; the checks divided by psi^2 form none
+    @pytest.mark.parametrize("bid,status,ref", [
+        pytest.param("S1", "pass", 0.0594592680628105443739556, id="S1"),
+        pytest.param("S2", "fail", -0.04447527696448468812489184, id="S2"),
+        pytest.param("S2H", "pass", 0.04601828623821997286143831, id="S2H")])
+    def test_s_family_delivers_where_psi_products_underflow(self, bid, status, ref):
+        rec = check_bound(bid, ParameterPoint(100.0, -0.5, 1.0))
+        assert rec.status == status
+        assert abs(rec.margin - ref) <= rec.budget
 
     @pytest.mark.parametrize("a,c,x,outside", [
         pytest.param(2.0, -2.5, 1.5, False, id="2.0--2.5-1.5"),
@@ -122,13 +127,13 @@ class TestCheckBound:
     def test_no_bound_reads_psi_below_its_point(self, monkeypatch, a, c, x, outside):
         # in psi's quadrature region no bound reads psi at a shifted point,
         # as one trapezoid pass gives psi's quotients there; outside it they
-        # read psi at the point and above it only: S1 takes psi(a, c-1) as
-        # psi (1 - a r), r = psi(a+1, c)/psi (DLMF 13.3.9), and the
+        # read psi at the point and above it only: S1 takes psi(a, c-1)/psi
+        # as 1 - a r, r = psi(a+1, c)/psi (DLMF 13.3.9), and the
         # Turanians their lower shifts from quotients
         seen = []
         monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
         for cached in (turanians._record, turanians._ratio_cached,
-                       turanians._turanian_cached, bounds._auxiliary_cached):
+                       bounds._auxiliary_cached):
             cached.cache_clear()
         p = ParameterPoint(a, c, x)
         checked = [bid for bid, spec in CATALOG.items() if spec.region(a, c)]
@@ -141,23 +146,31 @@ class TestCheckBound:
         else:
             assert set(seen) <= {p}
 
-    def test_s1_lhs_within_its_budget_against_mpmath(self):
-        # -(1/x) U(a,c,x) U(a,c-1,x) by mpmath.hyperu at 40 digits on 90
-        # seeded points of the region c < a + 2: a third with c > 1 and
-        # x < 1, where psi - a psi(a+1,c) cancels, a third at integer c
-        rng = random.Random("s1-oracle")
+    @pytest.mark.parametrize("bid,da,dc,power", [
+        pytest.param("S1", 0, -1, 0, id="S1"), pytest.param("S2", 1, 1, 1, id="S2"),
+        pytest.param("S2H", 1, 1, 0, id="S2H")])
+    def test_s_family_lhs_within_its_budget_against_mpmath(self, bid, da, dc, power):
+        # -(1/x) U(a,c,x)^power U(a+da,c+dc,x)/U(a,c,x) by mpmath.hyperu at 40
+        # digits on 90 seeded points of the claim's region: a third with
+        # c > 1 and x < 1, where psi - a psi(a+1,c) cancels in S1, a third
+        # at integer c
+        spec, rng = CATALOG[bid], random.Random(f"{bid}-oracle")
         lo, hi = math.log(1e-2), math.log(300.0)
         outside = []
         with mpmath.workdps(40):
             for i in range(90):
-                a, x = rng.uniform(0.05, 8.0), math.exp(rng.uniform(lo, hi))
+                a = rng.uniform(0.05 if bid == "S1" else 1.05, 8.0)
+                x = math.exp(rng.uniform(lo, hi))
                 if i % 3 == 0:
-                    c, x = rng.uniform(1.0, min(a + 2.0, 3.0)), math.exp(rng.uniform(lo, 0.0))
+                    c_hi = min(a + (2.0 if bid == "S1" else 1.0), 3.0)
+                    c, x = rng.uniform(1.0, c_hi), math.exp(rng.uniform(lo, 0.0))
                 else:
                     c = float(rng.randint(-5, 1)) if i % 3 == 1 else rng.uniform(-5.0, 1.0)
+                assert spec.region(a, c)
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
-                ref = float(-mpmath.hyperu(A, C, X) * mpmath.hyperu(A, C - 1, X) / X)
-                lhs = CATALOG["S1"].lhs(ParameterPoint(a, c, x))
+                u0 = mpmath.hyperu(A, C, X)
+                ref = float(-u0 ** power * mpmath.hyperu(A + da, C + dc, X) / u0 / X)
+                lhs = spec.lhs(ParameterPoint(a, c, x))
                 if not abs(lhs.value - ref) <= lhs.abs_error:
                     outside.append((a, c, x, lhs, ref))
         assert outside == []
@@ -399,10 +412,12 @@ class TestAuxiliaryLogRatios:
 
 class TestTotality:
     def test_every_check_delivers_unless_psi_raises(self):
-        # 1,500 seeded points, c = k + d with integer k in [-6, 2] and |d|
-        # in [1e-3, 0.5]: every catalog claim and every auxiliary whose
-        # region holds returns its record, or raises EvaluationError only
-        # where psi itself raises at one of the four shifts it reads
+        # 1,500 seeded points with a in [0.05, 20] and 300 with a in [20,
+        # 150], where psi products underflow, c = k + d with integer k in
+        # [-6, 2] and |d| in [1e-3, 0.5]: every catalog claim and every
+        # auxiliary whose region holds returns its record, or raises
+        # EvaluationError only where psi itself raises at one of the four
+        # shifts it reads
         rng = random.Random("totality")
 
         def log_uniform(lo, hi):
@@ -417,9 +432,9 @@ class TestTotality:
             return False
 
         bad, checked = [], 0
-        for _ in range(1500):
+        for a_lo, a_hi in [(0.05, 20.0)] * 1500 + [(20.0, 150.0)] * 300:
             d = log_uniform(1e-3, 0.5) * rng.choice((-1.0, 1.0))
-            a, c = log_uniform(0.05, 20.0), rng.randint(-6, 2) + d
+            a, c = log_uniform(a_lo, a_hi), rng.randint(-6, 2) + d
             x = log_uniform(0.01, 200.0)
             p = ParameterPoint(a, c, x)
             checks = [(bid, lambda bid=bid: check_bound(bid, p))

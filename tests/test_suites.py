@@ -352,18 +352,21 @@ def test_default_run_is_the_same_for_jobs_one_and_two(default_run):
 
 
 def test_bounds_suite_computes_each_ratio_once():
-    # up to six catalog bounds read one Turanian ratio at a point; from
-    # cold caches each (kind, point) the catalog needs is computed once
-    # and every other ratio bound check is served by the cache
+    # up to seven catalog bounds read one Turanian ratio at a point (the
+    # S-family the second-shift one); from cold caches each (kind, point)
+    # the catalog needs is computed once and every other check that reads
+    # a ratio is served by the cache
     turanians._ratio_cached.cache_clear()
     kernel._psi_cached.cache_clear()
     _, rows = suites.run(RunConfig(suites=("bounds",), **SMALL_GRID))
     kinds = {f"ratio_{kind.value}": kind for kind in turanians.TuranianKind}
-    needed = {(kinds[spec.target], a, c, x)
-              for spec in bounds.CATALOG.values() if spec.target in kinds
+    reads = {spec.id: kinds[spec.target] for spec in bounds.CATALOG.values()
+             if spec.target in kinds}
+    reads.update(dict.fromkeys(("S1", "S2", "S2H"), turanians.TuranianKind.SECOND_SHIFT))
+    needed = {(kind, a, c, x) for bid, kind in reads.items()
               for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
-              if spec.region(a, c) for x in SMALL_GRID["grid_x"]}
-    checks = sum(bounds.CATALOG[r.claim].target in kinds for r in rows)
+              if bounds.CATALOG[bid].region(a, c) for x in SMALL_GRID["grid_x"]}
+    checks = sum(r.claim in reads for r in rows)
     info = turanians._ratio_cached.cache_info()
     assert info.misses == len(needed)
     assert info.hits == checks - len(needed) > 0
@@ -381,7 +384,7 @@ def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
 
     monkeypatch.setattr(kernel, "_quadrature", counted)
     for cached in (kernel._psi_cached, turanians._record, turanians._ratio_cached,
-                   turanians._turanian_cached, bounds._auxiliary_cached):
+                   bounds._auxiliary_cached):
         cached.cache_clear()
     suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
     grid = [(a, c, x) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]

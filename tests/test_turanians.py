@@ -102,12 +102,11 @@ def _bits(fv):
 
 
 class TestCache:
-    """turanian_ratio and turanian are cached per (kind, a, c, x)."""
+    """turanian_ratio is cached per (kind, a, c, x)."""
 
     @pytest.mark.parametrize("kind", list(TuranianKind))
     @pytest.mark.parametrize("public,cached", [
-        (turanian_ratio, turanians._ratio_cached),
-        (turanian, turanians._turanian_cached)])
+        (turanian_ratio, turanians._ratio_cached)])
     def test_cached_value_equals_a_fresh_computation(self, kind, public, cached):
         p = ParameterPoint(2.0, -2.5, 1.5)
         cached.cache_clear()
@@ -118,12 +117,14 @@ class TestCache:
         assert _bits(fresh) == _bits(first)
 
     def test_a_raising_point_raises_on_every_call(self):
-        turanians._turanian_cached.cache_clear()
-        p = ParameterPoint(100.0, -0.5, 1.0)
+        # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the ratio, and the
+        # cache keeps no entry for it
+        turanians._ratio_cached.cache_clear()
+        p = ParameterPoint(200.0, 0.5, 1.0)
         for _ in range(2):
-            with pytest.raises(EvaluationError, match="underflow"):
-                turanian(SECOND, p)
-        info = turanians._turanian_cached.cache_info()
+            with pytest.raises(EvaluationError, match="underflows"):
+                turanian_ratio(SECOND, p)
+        info = turanians._ratio_cached.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
 
 
@@ -165,43 +166,50 @@ class TestOracle:
         assert outside == []
 
 
+_READS = [(BOTH, {(0, 0), (1, 0), (1, 1)}),
+          (FIRST, {(0, 0), (1, 0)}),
+          (SECOND, {(0, 0), (1, 0), (0, 1)})]
+
+
 class TestShiftPoints:
-    """In psi's quadrature region a ratio and a raw Turanian read no psi at
-    a shifted point: one trapezoid pass gives psi and its quotients.
-    Outside it they read psi at (a, c), (a+1, c), (a, c+1) and (a+1, c+1)
-    only, as their kind needs."""
+    """In psi's quadrature region a ratio reads no psi at a shifted point:
+    one trapezoid pass gives psi and its quotients.  Outside it a ratio,
+    and a raw Turanian everywhere, read psi at (a, c), (a+1, c), (a, c+1)
+    and (a+1, c+1) only, as their kind needs."""
 
     @staticmethod
-    def _reads(monkeypatch, kind, p):
+    def _reads(monkeypatch, public, kind, p):
         seen, passes = [], []
         monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
         monkeypatch.setattr(turanians, "psi_quotients",
                             lambda q: passes.append(q) or kernel.psi_quotients(q))
-        for cached in (turanians._record, turanians._ratio_cached,
-                       turanians._turanian_cached):
-            cached.cache_clear()
-        turanian_ratio(kind, p)
-        turanian(kind, p)
+        turanians._record.cache_clear()
+        turanians._ratio_cached.cache_clear()
+        public(kind, p)
         return seen, passes
 
-    @pytest.mark.parametrize("kind", list(TuranianKind))
-    def test_in_the_region_one_pass_and_no_shifted_psi(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind,shifts", _READS)
+    def test_in_the_region_one_pass_and_no_shifted_psi(self, monkeypatch, kind, shifts):
+        # the ratio makes one pass; the raw Turanian reads psi at its points
         p = ParameterPoint(0.5, -1.0, 0.03)  # psi(-0.5, -2, 0.03) has no route
-        seen, passes = self._reads(monkeypatch, kind, p)
+        seen, passes = self._reads(monkeypatch, turanian_ratio, kind, p)
         assert set(seen) <= {p}
         assert passes == [p]
+        seen, passes = self._reads(monkeypatch, turanian, kind, p)
+        assert passes == []
+        assert set(seen) == {ParameterPoint(0.5 + da, -1.0 + dc, 0.03) for da, dc in shifts}
 
-    @pytest.mark.parametrize("kind,shifts", [
-        (BOTH, {(0, 0), (1, 0), (1, 1)}),
-        (FIRST, {(0, 0), (1, 0)}),
-        (SECOND, {(0, 0), (1, 0), (0, 1)})])
+    @pytest.mark.parametrize("kind,shifts", _READS)
     def test_a_ratio_reads_psi_at_its_point_and_above(self, monkeypatch, kind, shifts):
         # outside the region: x past asymptotic_threshold(0.5, -1) = 312.5,
         # and a <= 0
         for a, c, x in ((0.5, -1.0, 400.0), (-0.5, 0.25, 2.0)):
-            seen, passes = self._reads(monkeypatch, kind, ParameterPoint(a, c, x))
-            assert passes == []
-            assert set(seen) == {ParameterPoint(a + da, c + dc, x) for da, dc in shifts}
+            for public in (turanian_ratio, turanian):
+                p = ParameterPoint(a, c, x)
+                seen, passes = self._reads(monkeypatch, public, kind, p)
+                assert passes == []
+                assert set(seen) == {ParameterPoint(a + da, c + dc, x)
+                                     for da, dc in shifts}
 
 
 def _pass_oracle_points():
@@ -238,6 +246,14 @@ class TestShiftQuotients:
                     if not abs(q - ref) <= err:
                         outside.append((a, c, x, da, dc, q, err, ref))
         assert outside == []
+
+    def test_second_lower_shift_is_the_ratios_lower_quotient(self):
+        # (0, -1) gives psi(a, c-1)/psi as the second-shift ratio takes it,
+        # in psi's quadrature region and past its threshold
+        for a, c, x in ((2.0, -2.5, 1.5), (0.5, -1.0, 400.0)):
+            f0, q, err = turanians.shift_quotient(ParameterPoint(a, c, x), 0, -1)
+            assert (q, err) == turanians._lower_quotient(SECOND, a, c, x, f0)
+            assert f0 == psi(ParameterPoint(a, c, x))
 
     def test_a_raising_record_raises_on_every_call(self):
         # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record
