@@ -146,7 +146,7 @@ def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     a <= 0), and the error bounds the products' errors in full, plus EPS
     of rounding on each product and on the difference.  Where a product
     of nonzero psi values underflows this raises, as psi does."""
-    a, c, x = p.a, p.c, p.x
+    a, c, x = p
     da, dc = kind.shifts
     f0, f1 = psi(p), psi(ParameterPoint(a + 1.0, c, x))
     fp = psi(ParameterPoint(a + da, c + dc, x))
