@@ -4,7 +4,9 @@ A :class:`RunConfig` selects suites, grids and output; ``run``
 executes every selected suite deterministically (fixed grid order, fixed
 quadrature) and returns a :class:`RunSummary` plus one :class:`ReportRow`
 per (claim, point).  A row is a named tuple, cheap to build; its fields
-are the report columns, in order.
+are the report columns, in order.  Where the config names a report file,
+``run`` writes the report (CSV or JSON) into it as it is formatted, so the
+whole text is never held in memory.
 
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim, x), every selected claim that holds there, at
@@ -366,9 +368,9 @@ def check_grid(grid: tuple[float, ...], name: str) -> None:
 class RunConfig:
     """What ``run`` does: the suites, in any order (the report keeps
     ``SUITES`` order), the a, c and x grids, each of distinct values, the
-    report file (None: no report) and its format, and the worker
-    processes.  The defaults are a run of every suite over the default
-    grids."""
+    report file (None: no report; the report is written into it as it is
+    formatted) and its format, and the worker processes.  The defaults are
+    a run of every suite over the default grids."""
 
     suites: tuple[str, ...] = SUITES
     grid_a: tuple[float, ...] = DEFAULT_GRID_A
@@ -480,7 +482,7 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
             rows += out
 
     summary = RunSummary(counts, gating_fails, advisory_fails, empty, len(rows))
-    if cfg.out:
+    if cfg.out is not None:
         write_report(cfg.out, cfg.fmt, rows, summary)
     return summary, rows
 
@@ -500,34 +502,37 @@ class _CsvField(dict):
         return field
 
 
-def rows_to_csv(rows, summary: RunSummary, timestamp: bool = True) -> str:
-    buf = io.StringIO()
+def _write_csv(fh, rows, summary: RunSummary, timestamp: bool = True) -> None:
+    """Write the CSV report to the text file ``fh`` a line at a time."""
     if timestamp:
-        buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    buf.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    fh.write(",".join(_CSV_COLUMNS) + "\n")
     q = _CsvField()
     # one formatted line per row; a %-template formats as fast but raised
     # the default run's peak RSS by about 0.3 MB
     for suite, claim, a, c, x, lhs, rhs, margin, budget, status, anchor in rows:
-        buf.write(f"{q[suite]},{q[claim]},{a:.17g},{c:.17g},{x:.17g},{lhs:.17g},"
-                  f"{rhs:.17g},{margin:.17g},{budget:.17g},{q[status]},{q[anchor]}\n")
+        fh.write(f"{q[suite]},{q[claim]},{a:.17g},{c:.17g},{x:.17g},{lhs:.17g},"
+                 f"{rhs:.17g},{margin:.17g},{budget:.17g},{q[status]},{q[anchor]}\n")
     for note in summary.empty_regions:
-        buf.write(f"# note: {note}\n")
-    return buf.getvalue()
+        fh.write(f"# note: {note}\n")
 
 
-def rows_to_json(rows, summary: RunSummary) -> str:
+def _write_json(fh, rows, summary: RunSummary) -> None:
+    """Write the JSON report to the text file ``fh``; ``json.dump`` with an
+    indent writes the bytes ``json.dumps`` returns, a piece at a time."""
     doc = {
         "rows": [dict(zip(_CSV_COLUMNS, r)) for r in rows],
         "summary": asdict(summary),
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    json.dump(doc, fh, indent=1, sort_keys=True)
+    fh.write("\n")
 
 
 def write_report(path: str, fmt: str, rows, summary: RunSummary) -> None:
-    text = rows_to_csv(rows, summary) if fmt == "csv" else rows_to_json(rows, summary)
+    """Write the report of ``rows`` in ``fmt`` ("csv" or "json") to the file
+    ``path`` as it is formatted, so no copy of the whole text is held."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        (_write_csv if fmt == "csv" else _write_json)(fh, rows, summary)
 
 
 def summary_lines(summary: RunSummary) -> list[str]:

@@ -276,6 +276,16 @@ class TestRun:
                   if line.startswith("bounds,")]
         assert len(claims) == 18 and {"S1", "S2", "S2H"} <= set(claims)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "empty"])
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path, missing, fmt):
+        # an empty path names no file, as a path in a missing directory does
+        out = str(tmp_path / "missing" / f"report.{fmt}") if missing else ""
+        code, _, err = run_cli(capsys, "run", "--suites", "dominance",
+                               "--grid-a", "2", "--grid-c=-2.5", "--grid-x", "1",
+                               "--format", fmt, "--out", out)
+        assert code == 2 and "output error" in err
+
     def test_tol_dominance_flag_is_rejected(self, capsys):
         # as is the --tol-* flag of every other suite
         for flag in ("--" + key for key in TOL_KEYS):

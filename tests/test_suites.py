@@ -8,6 +8,7 @@ import math
 import os
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -84,8 +85,7 @@ class TestRun:
         assert two == one
         # rows cross the pool as plain tuples, which equal rows too
         assert all(type(r) is ReportRow for r in two)
-        assert (suites.rows_to_csv(two, s2, timestamp=False)
-                == suites.rows_to_csv(one, s1, timestamp=False))
+        assert csv_text(two, s2) == csv_text(one, s1)
 
     @staticmethod
     def raise_at(monkeypatch, name, failing, calls=None):
@@ -347,8 +347,7 @@ def test_default_run_is_the_same_for_jobs_one_and_two(default_run):
     one_summary, one = default_run
     summary, two = suites.run(RunConfig(jobs=2))
     assert summary == one_summary
-    assert (suites.rows_to_csv(two, summary, timestamp=False)
-            == suites.rows_to_csv(one, one_summary, timestamp=False))
+    assert csv_text(two, summary) == csv_text(one, one_summary)
 
 
 def test_bounds_suite_computes_each_ratio_once():
@@ -402,8 +401,22 @@ def test_a_repeated_suite_name_lists_each_empty_region_once():
     assert rows_twice == rows
 
 
+def csv_text(rows, summary, timestamp=False):
+    """The CSV report of ``rows``, written by ``_write_csv`` into a string."""
+    buf = io.StringIO()
+    suites._write_csv(buf, rows, summary, timestamp=timestamp)
+    return buf.getvalue()
+
+
+def json_text(rows, summary):
+    """The JSON report of ``rows``, written by ``_write_json`` into a string."""
+    buf = io.StringIO()
+    suites._write_json(buf, rows, summary)
+    return buf.getvalue()
+
+
 def rows_to_csv_reference(rows, summary):
-    """The csv.writer form of ``rows_to_csv`` (timestamp off)."""
+    """The csv.writer form of the CSV report (timestamp off)."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(suites._CSV_COLUMNS)
@@ -418,8 +431,7 @@ def rows_to_csv_reference(rows, summary):
 class TestRowsToCsv:
     def test_equals_csv_writer_on_a_run(self):
         summary, rows = suites.run(RunConfig(**SMALL_GRID))
-        assert suites.rows_to_csv(rows, summary, timestamp=False) == (
-            rows_to_csv_reference(rows, summary))
+        assert csv_text(rows, summary) == rows_to_csv_reference(rows, summary)
 
     @pytest.mark.parametrize("text", ["a,b", 'say "x"', "cr\rhere", "lf\nhere",
                                       "", '"', ",", " padded ", "é"])
@@ -429,15 +441,53 @@ class TestRowsToCsv:
                           math.nan, 5e-324, "pass", text),
                 ReportRow("bounds", text, 1.0, 2.0, 3.0, 1.0 / 3.0, 2.0, 3.0,
                           4.0, text, "anchor")]
-        assert suites.rows_to_csv(rows, summary, timestamp=False) == (
-            rows_to_csv_reference(rows, summary))
+        assert csv_text(rows, summary) == rows_to_csv_reference(rows, summary)
 
     def test_timestamp_line_comes_first(self):
         summary = suites.RunSummary({}, 0, 0, [], 0)
-        text = suites.rows_to_csv([], summary)
+        text = csv_text([], summary, timestamp=True)
         first, rest = text.split("\n", 1)
         assert first.startswith("# generated ")
         assert rest == rows_to_csv_reference([], summary)
+
+
+class TestWriteReport:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_equals_the_string_form(self, tmp_path, fmt):
+        summary, rows = suites.run(RunConfig(suites=("bounds", "moments"),
+                                             **SMALL_GRID))
+        path = tmp_path / f"report.{fmt}"
+        suites.write_report(str(path), fmt, rows, summary)
+        text = path.read_text(encoding="utf-8")
+        if fmt == "csv":
+            first, text = text.split("\n", 1)
+            assert first.startswith("# generated ")
+            assert text == csv_text(rows, summary)
+        else:
+            assert text == json_text(rows, summary)
+
+    def test_csv_is_written_in_bounded_memory(self, tmp_path):
+        # 20,000 rows with the catalog's anchors make a report of about
+        # 4.4 MB; it goes into its file as it is formatted, so no copy of
+        # the text is held (with a copy the peak is near 10 MB)
+        rng = random.Random(25)
+        claims = list(bounds.CATALOG)
+        rows = [ReportRow("bounds", claims[i % len(claims)], rng.uniform(0, 5),
+                          rng.uniform(-5, 1), rng.uniform(0, 200),
+                          rng.uniform(-1, 1), rng.uniform(-1, 1),
+                          rng.uniform(-1, 1), rng.uniform(0, 1e-12), "pass",
+                          bounds.CATALOG[claims[i % len(claims)]].anchor)
+                for i in range(20_000)]
+        summary = suites.RunSummary({}, 0, 0, [], len(rows))
+        path = tmp_path / "report.csv"
+        tracemalloc.start()
+        try:
+            suites.write_report(str(path), "csv", rows, summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4_000_000
+        assert peak < 1_000_000
 
 
 class TestReportRow:
@@ -467,5 +517,5 @@ class TestReportRow:
 
     def test_json_rows_hold_the_csv_columns_only(self):
         summary = suites.RunSummary({}, 0, 0, [], 1)
-        doc = json.loads(suites.rows_to_json([self.ROW], summary))
+        doc = json.loads(json_text([self.ROW], summary))
         assert doc["rows"] == [dict(zip(suites._CSV_COLUMNS, self.ROW))]
