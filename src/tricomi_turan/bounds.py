@@ -52,8 +52,9 @@ quotient, and S2 and S2H take s = psi(a+1,c+1)/psi, S2 times psi.  The
 I-family reads psi and s as well: I2's quotient is 1/s, and an
 auxiliary with weights (w0, wp) is (w0 - wp) ln psi - wp ln s, so that
 psi's own error enters it with the weight w0 - wp alone (not at all in
-h).  In psi's quadrature region one trapezoid pass per (a, c, x) gives
-psi, r and s.
+h).  They read one record of psi, r and s per (a, c, x): one trapezoid
+pass in psi's quadrature region, psi at (a,c), (a+1,c) and (a+1,c+1)
+outside it, and never psi below the point or at (a,c+1).
 
 I1, I3 and I4 are checked in log form, so their lhs and rhs are log
 values.  Each is the monotone auxiliary log-ratio f, g or h below held

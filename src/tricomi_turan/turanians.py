@@ -21,17 +21,17 @@ solution of the recurrence (Gil, Segura & Temme, *Numerical Methods for
 Special Functions*, SIAM 2007, ch. 4); and no psi is evaluated below the
 point, so a-1 <= 0 and its integer-c hole never enter.
 
-In psi's quadrature region (a > 0, x <= ``asymptotic_threshold(a, c)``)
-psi, r and s come from one trapezoid pass, ``kernel.psi_quotients``,
-cached per (a, c, x) as a record that the ratios and the bounds' S- and
-I-family all read: no psi is evaluated at a shifted point there, and
-psi, which the record holds bit for bit as ``psi`` gives it, is not
-evaluated either.  Outside the region (a <= 0, or x past the threshold)
-the quotients are those of psi values at (a,c), (a+1,c), (a,c+1) and
-(a+1,c+1).  R carries a first-order budget in the quotients' errors
-plus 3 EPS |q_- q_+| of rounding on the product and EPS |R| on the
-difference.  The derived values are never psi results and never enter
-psi's cache.
+psi, r and s are cached per (a, c, x) as one record, from which
+``shift_quotient`` serves the six shifts to the ratios and the bounds'
+S- and I-family.  In psi's quadrature region (a > 0, x <=
+``asymptotic_threshold(a, c)``) it comes from one trapezoid pass,
+``kernel.psi_quotients``, which holds psi bit for bit as ``psi`` gives
+it: no psi is evaluated there.  Outside the region (a <= 0, or x past
+the threshold) r and s are quotients of psi values at (a,c), (a+1,c)
+and (a+1,c+1): psi(a,c+1) is never read.  R carries a first-order
+budget in the quotients' errors plus 3 EPS |q_- q_+| of rounding on the
+product and EPS |R| on the difference.  The derived values are never
+psi results and never enter psi's cache.
 
 The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
 takes the relations without the division, D = psi^2 - psi_+ psi_- with
@@ -89,55 +89,54 @@ _SHIFTS = {
 
 @lru_cache(maxsize=65_536)
 def _record(a: float, c: float, x: float):
-    """(psi, (r, err_r), (s, err_s)) of ``kernel.psi_quotients`` in psi's
-    quadrature region, a > 0 and x <= asymptotic_threshold(a, c), and
-    None outside it.  Where psi raises, this raises the same error, on
-    every call."""
-    if a > 0.0 and x <= asymptotic_threshold(a, c):
-        return psi_quotients(ParameterPoint(a, c, x))
-    return None
-
-
-def _base(a: float, c: float, x: float) -> FunctionValue:
-    """psi(a,c,x), the record's in psi's quadrature region, which quotients
-    divide by: raises unless it is told from 0."""
-    rec = _record(a, c, x)
-    f0 = psi(ParameterPoint(a, c, x)) if rec is None else rec[0]
+    """(psi, (r, err_r), (s, err_s)) at (a, c, x), with r = psi(a+1,c,x)/psi
+    and s = psi(a+1,c+1,x)/psi.  In psi's quadrature region, a > 0 and
+    x <= asymptotic_threshold(a, c), from one trapezoid pass,
+    ``kernel.psi_quotients``; outside it, from psi at (a+1, c) and
+    (a+1, c+1) divided by psi by ``_quotient``.  Raises where psi raises
+    at one of those points or cannot be told from 0, on every call."""
+    p = ParameterPoint(a, c, x)
+    inside = a > 0.0 and x <= asymptotic_threshold(a, c)
+    rec = psi_quotients(p) if inside else (psi(p),)
+    f0 = rec[0]
     if f0.abs_error >= abs(f0.value) / 2.0:
         raise EvaluationError(
             f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    return f0
+    if inside:
+        return rec
+    return (f0, _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0),
+            _quotient(psi(ParameterPoint(a + 1.0, c + 1.0, x)), f0))
 
 
-def _up_quotient(a: float, c: float, x: float, da: int, dc: int,
-                 f0: FunctionValue) -> tuple[float, float]:
-    """psi(a+da, c+dc, x)/psi(a,c,x), (da, dc) = (1, 0), (1, 1) or (0, 1),
-    and its error; f0 = ``_base(a, c, x)``.  In psi's quadrature region
-    the record's r, s and 1 + a s (DLMF 13.3.9) serve; outside it, the
-    quotient of two psi values."""
-    rec = _record(a, c, x)
-    if rec is None:
-        return _quotient(psi(ParameterPoint(a + da, c + dc, x)), f0)
-    if dc == 0:
-        return rec[1]
-    s, err_s = rec[2]
-    if da == 1:
-        return s, err_s
+def _one_plus_a_s(a: float, c: float, x: float, r, s) -> tuple[float, float]:
+    """psi(a,c+1,x)/psi = 1 + a s (DLMF 13.3.9) and its error."""
+    s, err_s = s
     t = 1.0 + a * s
     return t, abs(a) * err_s + EPS * (abs(a * s) + abs(t))
 
 
+# (da, dc) -> psi(a+da, c+dc, x)/psi(a,c,x) and its error from the record's
+# r and s: the three kinds' upper shifts, then their lower ones by ``_lower``
+_QUOTIENTS = {
+    (1, 0): lambda a, c, x, r, s: r,
+    (1, 1): lambda a, c, x, r, s: s,
+    (0, 1): _one_plus_a_s,
+    **{(-da, -dc): (lambda a, c, x, r, s, k=kind: _lower(k, a, c, x, 1.0, 0.0, *r))
+       for kind, (da, dc) in _SHIFTS.items()},
+}
+
+
 def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
-    """(psi(a,c,x), q, err(q)) with q = psi(a+da, c+dc, x)/psi(a,c,x) for
-    (da, dc) = (1, 0), (1, 1) or (0, 1), or for (0, -1) the second-shift
-    ratio's own lower quotient 1 - a r (DLMF 13.3.9).  From one trapezoid
-    pass per (a, c, x) in psi's quadrature region, and from psi values at
-    the point and above it outside it.  Raises where psi(a,c,x) cannot be
-    told from 0."""
-    f0 = _base(p.a, p.c, p.x)
-    if (da, dc) == (0, -1):
-        return (f0, *_lower_quotient(TuranianKind.SECOND_SHIFT, p.a, p.c, p.x, f0))
-    return (f0, *_up_quotient(p.a, p.c, p.x, da, dc, f0))
+    """(psi(a,c,x), q, err(q)), q = psi(a+da, c+dc, x)/psi(a,c,x), from the
+    record of (a, c, x) alone at the six shifts: r at (1, 0), s at (1, 1),
+    1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and (0, -1), as
+    the module docstring lists them.  Raises ValueError at any other
+    shift, and where the record raises."""
+    quotient = _QUOTIENTS.get((da, dc))
+    if quotient is None:
+        raise ValueError(f"no quotient at the shift (da={da}, dc={dc})")
+    f0, r, s = _record(*p)
+    return (f0, *quotient(p.a, p.c, p.x, r, s))
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
@@ -188,13 +187,6 @@ def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
                             + abs(value)))
 
 
-def _lower_quotient(kind: TuranianKind, a: float, c: float, x: float,
-                    f0: FunctionValue) -> tuple[float, float]:
-    """psi(a-da, c-dc, x)/psi(a, c, x) as A - B r, r = psi(a+1,c,x)/psi(a,c,x),
-    and its error; f0 = ``_base(a, c, x)``."""
-    return _lower(kind, a, c, x, 1.0, 0.0, *_up_quotient(a, c, x, 1, 0, f0))
-
-
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     """Turanian normalized by psi^2 as R = 1 - q_- q_+, q_+- = psi(a+-da,
     c+-dc, x)/psi(a,c,x), with q_- from DLMF 13.3.7 and 13.3.9 (see the
@@ -202,7 +194,7 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     |q_+| err(q_-) + |q_-| err(q_+), plus 3 EPS |q_- q_+| of rounding on
     the product and EPS |R| on the difference: psi is never squared.
 
-    Cached per (kind, a, c, x), since one ratio is checked by up to six
+    Cached per (kind, a, c, x), since one ratio is checked by up to seven
     catalog bounds at a point.  A point that raises raises again on the
     next call."""
     return _ratio_cached(kind, p.a, p.c, p.x)
@@ -211,9 +203,9 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
 @lru_cache(maxsize=65_536)
 def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
     da, dc = kind.shifts
-    f0 = _base(a, c, x)
-    qm, err_m = _lower_quotient(kind, a, c, x, f0)
-    qp, err_p = _up_quotient(a, c, x, da, dc, f0)
+    p = ParameterPoint(a, c, x)
+    f0, qm, err_m = shift_quotient(p, -da, -dc)
+    _, qp, err_p = shift_quotient(p, da, dc)
     value = 1.0 - qm * qp
     err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(qm * qp)
            + EPS * abs(value))

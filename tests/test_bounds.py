@@ -127,9 +127,10 @@ class TestCheckBound:
     def test_no_bound_reads_psi_below_its_point(self, monkeypatch, a, c, x, outside):
         # in psi's quadrature region no bound reads psi at a shifted point,
         # as one trapezoid pass gives psi's quotients there; outside it they
-        # read psi at the point and above it only: S1 takes psi(a, c-1)/psi
-        # as 1 - a r, r = psi(a+1, c)/psi (DLMF 13.3.9), and the
-        # Turanians their lower shifts from quotients
+        # read psi at (a, c), (a+1, c) and (a+1, c+1) only, the record of r
+        # and s: S1 takes psi(a, c-1)/psi as 1 - a r (DLMF 13.3.9), R_c its
+        # upper quotient psi(a, c+1)/psi as 1 + a s, and the Turanians
+        # their lower shifts from r
         seen = []
         monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
         for cached in (turanians._record, turanians._ratio_cached,
@@ -142,7 +143,7 @@ class TestCheckBound:
         assert len(checked) >= 15
         if outside:
             assert set(seen) == {ParameterPoint(a + da, c + dc, x)
-                                 for da, dc in ((0, 0), (1, 0), (0, 1), (1, 1))}
+                                 for da, dc in ((0, 0), (1, 0), (1, 1))}
         else:
             assert set(seen) <= {p}
 
@@ -416,15 +417,15 @@ class TestTotality:
         # 150], where psi products underflow, c = k + d with integer k in
         # [-6, 2] and |d| in [1e-3, 0.5]: every catalog claim and every
         # auxiliary whose region holds returns its record, or raises
-        # EvaluationError only where psi itself raises at one of the four
-        # shifts it reads
+        # EvaluationError only where psi itself raises at one of the three
+        # points it reads, (a, c), (a+1, c) and (a+1, c+1)
         rng = random.Random("totality")
 
         def log_uniform(lo, hi):
             return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
         def psi_raises(a, c, x):
-            for da, dc in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            for da, dc in ((0, 0), (1, 0), (1, 1)):
                 try:
                     psi(ParameterPoint(a + da, c + dc, x))
                 except EvaluationError:

@@ -142,8 +142,9 @@ def _oracle_points():
 
 
 class TestOracle:
-    """Each ratio kind and its lower quotient against mpmath.hyperu at 40
-    digits, from U at all seven shifts: |value - ref| <= abs_error."""
+    """Each ratio kind and its lower quotient, ``shift_quotient(p, -da,
+    -dc)``, against mpmath.hyperu at 40 digits, from U at all seven
+    shifts: |value - ref| <= abs_error."""
 
     def test_ratios_and_lower_quotients_within_their_budgets(self):
         outside = []
@@ -152,12 +153,12 @@ class TestOracle:
                 u = functools.lru_cache(maxsize=None)(
                     lambda da, dc: mpmath.hyperu(mpmath.mpf(a) + da, mpmath.mpf(c) + dc,
                                                  mpmath.mpf(x)))
-                p, f0 = ParameterPoint(a, c, x), psi(ParameterPoint(a, c, x))
+                p = ParameterPoint(a, c, x)
                 for kind in TuranianKind:
                     da, dc = kind.shifts
                     q_ref = u(-da, -dc) / u(0, 0)
                     r = turanian_ratio(kind, p)
-                    q = turanians._lower_quotient(kind, a, c, x, f0)
+                    q = turanians.shift_quotient(p, -da, -dc)[1:]
                     for value, err, ref in ((r.value, r.abs_error,
                                              1 - q_ref * u(da, dc) / u(0, 0)),
                                             (*q, q_ref)):
@@ -166,6 +167,7 @@ class TestOracle:
         assert outside == []
 
 
+# the points (a+da, c+dc) at which the raw Turanian of each kind reads psi
 _READS = [(BOTH, {(0, 0), (1, 0), (1, 1)}),
           (FIRST, {(0, 0), (1, 0)}),
           (SECOND, {(0, 0), (1, 0), (0, 1)})]
@@ -173,9 +175,10 @@ _READS = [(BOTH, {(0, 0), (1, 0), (1, 1)}),
 
 class TestShiftPoints:
     """In psi's quadrature region a ratio reads no psi at a shifted point:
-    one trapezoid pass gives psi and its quotients.  Outside it a ratio,
-    and a raw Turanian everywhere, read psi at (a, c), (a+1, c), (a, c+1)
-    and (a+1, c+1) only, as their kind needs."""
+    one trapezoid pass gives psi and its quotients.  Outside it a ratio of
+    any kind reads psi at (a, c), (a+1, c) and (a+1, c+1), the record of r
+    and s, and never at (a, c+1).  A raw Turanian reads psi everywhere at
+    the points of ``_READS``, as its kind needs."""
 
     @staticmethod
     def _reads(monkeypatch, public, kind, p):
@@ -204,12 +207,13 @@ class TestShiftPoints:
         # outside the region: x past asymptotic_threshold(0.5, -1) = 312.5,
         # and a <= 0
         for a, c, x in ((0.5, -1.0, 400.0), (-0.5, 0.25, 2.0)):
-            for public in (turanian_ratio, turanian):
-                p = ParameterPoint(a, c, x)
+            p = ParameterPoint(a, c, x)
+            for public, reads in ((turanian_ratio, {(0, 0), (1, 0), (1, 1)}),
+                                  (turanian, shifts)):
                 seen, passes = self._reads(monkeypatch, public, kind, p)
                 assert passes == []
                 assert set(seen) == {ParameterPoint(a + da, c + dc, x)
-                                     for da, dc in shifts}
+                                     for da, dc in reads}
 
 
 def _pass_oracle_points():
@@ -227,6 +231,29 @@ def _pass_oracle_points():
                                  math.log(kernel.asymptotic_threshold(a, c))))
         points.append((a, c, x))
     return points
+
+
+def _outside_points():
+    """200 seeded points outside psi's quadrature region, c = k + d with
+    integer k in [-5, 1] and d in [0.02, 0.98]: every other point with a
+    uniform in [-4, 0) and x log-uniform in [0.05, 600], the rest with a
+    log-uniform in [0.05, 6] and x from 1 to 20 times
+    asymptotic_threshold(a, c)."""
+    rng = random.Random("outside-oracle")
+    points = []
+    for i in range(200):
+        c = rng.randint(-5, 1) + rng.uniform(0.02, 0.98)
+        if i % 2 == 0:
+            a = rng.uniform(-4.0, 0.0)
+            x = math.exp(rng.uniform(math.log(0.05), math.log(600.0)))
+        else:
+            a = math.exp(rng.uniform(math.log(0.05), math.log(6.0)))
+            x = rng.uniform(1.0, 20.0) * kernel.asymptotic_threshold(a, c)
+        points.append((a, c, x))
+    return points
+
+
+_SIX_SHIFTS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 
 class TestShiftQuotients:
@@ -247,13 +274,58 @@ class TestShiftQuotients:
                         outside.append((a, c, x, da, dc, q, err, ref))
         assert outside == []
 
+    def test_outside_the_region_a_miss_is_psis_own(self):
+        # all six shifts against mpmath.hyperu at 40 digits.  62 of the
+        # 1,200 quotients lie outside their budget (worst 7.3x): 61 are r
+        # or s past asymptotic_threshold, where the expansion's own budget
+        # falls short (ROADMAP item 1).  Each miss must sit at a point where
+        # psi at (a, c), (a+1, c) or (a+1, c+1), the values the record
+        # divides, is itself outside its budget
+        def psi_outside(a, c, x):
+            with mpmath.workdps(40):
+                for da, dc in ((0, 0), (1, 0), (1, 1)):
+                    fv = psi(ParameterPoint(a + da, c + dc, x))
+                    ref = mpmath.hyperu(mpmath.mpf(a) + da, mpmath.mpf(c) + dc,
+                                        mpmath.mpf(x))
+                    if not abs(fv.value - float(ref)) <= fv.abs_error:
+                        return True
+            return False
+
+        misses, checked = [], 0
+        with mpmath.workdps(40):
+            for a, c, x in _outside_points():
+                A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+                u0 = mpmath.hyperu(A, C, X)
+                for da, dc in _SIX_SHIFTS:
+                    _, q, err = turanians.shift_quotient(ParameterPoint(a, c, x), da, dc)
+                    ref = float(mpmath.hyperu(A + da, C + dc, X) / u0)
+                    checked += 1
+                    if not abs(q - ref) <= err:
+                        misses.append((a, c, x, da, dc, q, err, ref))
+        assert checked == 1200
+        assert [m for m in misses if not psi_outside(*m[:3])] == []
+
     def test_second_lower_shift_is_the_ratios_lower_quotient(self):
-        # (0, -1) gives psi(a, c-1)/psi as the second-shift ratio takes it,
-        # in psi's quadrature region and past its threshold
+        # (0, -1) gives psi(a, c-1)/psi = 1 - a r (DLMF 13.3.9), the lower
+        # quotient of R_c = 1 - q(0, -1) q(0, 1), in psi's quadrature region
+        # and past its threshold
         for a, c, x in ((2.0, -2.5, 1.5), (0.5, -1.0, 400.0)):
-            f0, q, err = turanians.shift_quotient(ParameterPoint(a, c, x), 0, -1)
-            assert (q, err) == turanians._lower_quotient(SECOND, a, c, x, f0)
-            assert f0 == psi(ParameterPoint(a, c, x))
+            p = ParameterPoint(a, c, x)
+            f0, qm, _ = turanians.shift_quotient(p, 0, -1)
+            _, r, _ = turanians.shift_quotient(p, 1, 0)
+            _, qp, _ = turanians.shift_quotient(p, 0, 1)
+            assert qm == 1.0 - a * r
+            assert turanian_ratio(SECOND, p).value == 1.0 - qm * qp
+            assert f0 == psi(p)
+
+    @pytest.mark.parametrize("da,dc", [(2, 0), (0, 2), (1, -1), (0, 0), (-2, 0)])
+    @pytest.mark.parametrize("a,c,x", [(2.0, -2.5, 1.5), (0.5, -1.0, 400.0)],
+                             ids=["inside", "outside"])
+    def test_any_other_shift_raises(self, a, c, x, da, dc):
+        # only the six shifts of the Turanians are served: (2, 0) used to
+        # return r in psi's quadrature region
+        with pytest.raises(ValueError, match="no quotient"):
+            turanians.shift_quotient(ParameterPoint(a, c, x), da, dc)
 
     def test_a_raising_record_raises_on_every_call(self):
         # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record
