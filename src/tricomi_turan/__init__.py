@@ -24,7 +24,7 @@ _EXPORTS = {
     "turanians": ("LIMITS", "ScanResult", "SharpnessLimit", "TuranianKind",
                   "sharpness_scan", "turanian", "turanian_ratio"),
     "measure": ("MOMENT_IDENTITIES", "MomentIdentity", "WeightDensity", "phi",
-                "phi_moment", "stieltjes_first_shift", "stieltjes_ratio"),
+                "phi_moment", "stieltjes"),
     "bounds": ("CATALOG", "DOMINANCE", "BoundSpec", "DominanceSpec",
                "VerificationRecord", "auxiliary_log_ratio", "catalog_document",
                "check_bound", "check_dominance", "dominance_applicable"),

@@ -52,9 +52,9 @@ quotient, and S2 and S2H take s = psi(a+1,c+1)/psi, S2 times psi.  The
 I-family reads psi and s as well: I2's quotient is 1/s, and an
 auxiliary with weights (w0, wp) is (w0 - wp) ln psi - wp ln s, so that
 psi's own error enters it with the weight w0 - wp alone (not at all in
-h).  They read one record of psi, r and s per (a, c, x): one trapezoid
-pass in psi's quadrature region, psi at (a,c), (a+1,c) and (a+1,c+1)
-outside it, and never psi below the point or at (a,c+1).
+h).  The S- and I-family and the auxiliaries read psi, r and s from
+the one record per (a, c, x) that ``kernel.psi_quotients`` caches, and
+never psi below the point or at (a,c+1).
 
 I1, I3 and I4 are checked in log form, so their lhs and rhs are log
 values.  Each is the monotone auxiliary log-ratio f, g or h below held
@@ -227,6 +227,7 @@ AUXILIARY = {
 }
 
 
+@lru_cache(maxsize=256)
 def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
     """The log-ratio combinations whose monotonicity drives the I-family:
 
@@ -243,11 +244,6 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
     so a small cache holds each value until its second read, and adds
     little to a run's memory.
     """
-    return _auxiliary_cached(which, a, c, x)
-
-
-@lru_cache(maxsize=256)
-def _auxiliary_cached(which: str, a: float, c: float, x: float) -> FunctionValue:
     if which not in AUXILIARY:
         raise KeyError(f"unknown auxiliary function {which!r}")
     aux = AUXILIARY[which]

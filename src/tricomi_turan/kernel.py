@@ -44,12 +44,17 @@ exponent and the rounding of the prefactor, which includes |lnGamma(a)|
 or until a halving no longer halves it; a budget that cannot meet it is
 returned as it is, flagged ``"tolerance_not_met"``.
 
-One pass also gives the quotients psi(a+1,c,x)/psi and
-psi(a+1,c+1,x)/psi (``psi_quotients``, which the Turanians and the
-bounds read).  On psi's nodes the integrands of psi(a+1,c) and
-psi(a+1,c+1) are f e^w/(1 + e^w/x) and f e^w, and the prefactors divide
-to 1/(a x): the same nodes, run on past S for the extra e^w, and the
-last h serve both, and psi comes out bit for bit as ``psi`` gives it.
+``psi_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
+psi(a+1,c+1,x)/psi at every point, cached per point; the Turanians and
+the bounds take every shifted value from it.  In psi's quadrature region
+(a > 0, x <= ``asymptotic_threshold(a, c)``) one pass gives all three:
+on psi's nodes the integrands of psi(a+1,c) and psi(a+1,c+1) are
+f e^w/(1 + e^w/x) and f e^w, and the prefactors divide to 1/(a x), so
+the same nodes, run on past S for the extra e^w, and the last h serve
+both, and psi comes out bit for bit as ``psi`` gives it.  Outside the
+region the quotients divide psi at (a+1,c) and (a+1,c+1) by psi.  It
+raises, on every call, where psi raises at a point it reads or cannot be
+told from 0.
 
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
@@ -479,21 +484,42 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     return fv, _shifted_quotients(a, pw, x, h, m, total, err, *nodes, *extension)
 
 
+@lru_cache(maxsize=65_536)
 def psi_quotients(p: ParameterPoint):
     """psi(a,c,x) and the quotients r = psi(a+1,c,x)/psi(a,c,x) and
-    s = psi(a+1,c+1,x)/psi(a,c,x), from one pass of psi's trapezoid rule:
-    returns (psi, (r, err_r), (s, err_s)).  For a > 0; in psi's quadrature
-    region, x <= ``asymptotic_threshold(a, c)``, the first item equals
-    ``psi(p)`` bit for bit, and where psi raises this raises the same
-    error.
+    s = psi(a+1,c+1,x)/psi(a,c,x): returns (psi, (r, err_r), (s, err_s)),
+    the first item ``psi(p)`` bit for bit.  Cached per point.
 
-    The nodes, h and m are psi's and its sums are taken over its own
-    nodes; the nodes run on past its cutoff to cover the shifted
-    integrands, f e^w for psi(a+1,c+1) and f e^w/(1 + e^w/x) for
+    In psi's quadrature region all three come from one pass of psi's
+    trapezoid rule: the nodes, h and m are psi's and its sums are taken
+    over its own nodes; the nodes run on past its cutoff to cover the
+    shifted integrands, f e^w for psi(a+1,c+1) and f e^w/(1 + e^w/x) for
     psi(a+1,c), each summed once more at the last h (see
-    ``_shifted_quotients`` for their budgets)."""
-    fv, (r, s) = _quadrature(p.a, p.c, p.x, True)
-    return fv, r, s
+    ``_shifted_quotients`` for their budgets).  Outside it, r and s are
+    psi at (a+1,c) and (a+1,c+1) divided by psi, by ``_quotient``.
+
+    Raises, on every call, where psi raises at one of the points it reads
+    and where psi's error is half its magnitude or more (psi cannot be
+    told from 0)."""
+    a, c, x = p
+    inside = _in_quadrature_region(a, c, x)
+    if inside:
+        f0, (r, s) = _quadrature(a, c, x, True)
+    else:
+        f0 = psi(p)
+    if f0.abs_error >= abs(f0.value) / 2.0:
+        raise EvaluationError(
+            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
+    if not inside:
+        r = _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0)
+        s = _quotient(psi(ParameterPoint(a + 1.0, c + 1.0, x)), f0)
+    return f0, r, s
+
+
+def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:
+    """f/f0 and its first-order error, the rounding of the division included."""
+    q = f.value / f0.value
+    return q, (f.abs_error + abs(q) * f0.abs_error) / abs(f0.value) + EPS * abs(q)
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +665,19 @@ def _check_normal(value: float, a: float, c: float, x: float) -> None:
         raise _beyond_range(a, c, x)
 
 
+def _in_quadrature_region(a: float, c: float, x: float) -> bool:
+    """psi's quadrature region: a > 0 and x up to ``asymptotic_threshold``."""
+    return a > 0.0 and x <= asymptotic_threshold(a, c)
+
+
 @lru_cache(maxsize=200_000)
 def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
-    if a > 0.0:
-        if x > asymptotic_threshold(a, c):
-            fv = _asymptotic_auto(a, c, x)
-            _check_normal(fv.value, a, c, x)
-            return fv
+    if _in_quadrature_region(a, c, x):
         return _quadrature(a, c, x)
+    if a > 0.0:
+        fv = _asymptotic_auto(a, c, x)
+        _check_normal(fv.value, a, c, x)
+        return fv
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,
@@ -677,15 +708,15 @@ def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
 def psi(p: ParameterPoint) -> FunctionValue:
     """Evaluate psi(a,c,x) for x > 0, selecting a method by parameter region.
 
-    a > 0 uses the quadrature route (or the asymptotic expansion beyond
+    a > 0 uses the quadrature route, a value to ``PSI_TOL`` as
+    ``psi_quadrature(p)`` gives it (or the asymptotic expansion beyond
     ``asymptotic_threshold``); a = 0 and negative-integer a use their
     exact closed forms.  Other a < 0 try the optimally truncated expansion
     first (for x > 1): when its budget is at the rounding floor,
     2 EPS |value|, it is returned, because the connection series, whose
     budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
     connection series is summed too (for x <= 600) and the route with the
-    smaller budget is returned, a quadrature value to ``PSI_TOL``, as
-    ``psi_quadrature(p)`` gives it.  Results are cached per (a, c, x).
+    smaller budget is returned.  Results are cached per (a, c, x).
     For a > 0, where psi is positive, a value that underflows to 0 or to a
     subnormal raises :class:`EvaluationError`.  A value beyond the largest
     double raises :class:`DoubleRangeError`, and a terminating polynomial

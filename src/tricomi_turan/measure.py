@@ -10,7 +10,9 @@ ties the both-shift Turanian ratio to a Stieltjes-type transform,
 
 and the first-shift ratio to
 
-    (1+a-c) D_a(x)/psi^2(a,c,x) = 1 - int_0^inf x^2 phi(t) / (x+t)^2 dt.
+    (1+a-c) D_a(x)/psi^2(a,c,x) = 1 - int_0^inf x^2 phi(t) / (x+t)^2 dt;
+
+``stieltjes(kind, d, x)`` evaluates either right-hand side, by the kind.
 
 Its moments have closed forms on their validity regions:
 
@@ -84,6 +86,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .kernel import (_FMAX, _TINY, EPS, EvaluationError, FunctionValue, RegionError,
                      _connection_coefficients, log_gamma, log_gamma_error)
+from .turanians import TuranianKind
 
 _INTEGRAL = "quadrature"
 
@@ -427,30 +430,29 @@ def phi_moment(d: WeightDensity, power: int) -> FunctionValue:
     return FunctionValue(value, err, _INTEGRAL)
 
 
-def stieltjes_ratio(d: WeightDensity, x: float) -> FunctionValue:
-    """- int_0^inf t phi(t) / (x+t)^2 dt.
+def stieltjes(kind: TuranianKind, d: WeightDensity, x: float) -> FunctionValue:
+    """The Turanian ratio of ``kind`` at (a, c, x) as a transform of phi:
 
-    Equals the both-shift Turanian ratio computed directly from psi
-    values; the two code paths share nothing past the Gamma function, so
-    their agreement cross-validates the negative-axis evaluation, the
-    quadrature rule and the Turanian arithmetic at once.
+        both shifts   - int_0^inf t phi(t) / (x+t)^2 dt
+        first shift   (1 - int_0^inf x^2 phi(t) / (x+t)^2 dt) / (1 + a - c)
+
+    Each equals the ratio computed directly from psi values; the two code
+    paths share nothing past the Gamma function, so their agreement
+    cross-validates the negative-axis evaluation, the quadrature rule and
+    the Turanian arithmetic at once.  The second shift has no such form
+    here and raises ValueError; x <= 0 raises :class:`RegionError`.
     """
     if x <= 0.0:
         raise RegionError(f"x > 0 required, got x={x}")
-    if not _TINY <= x * x <= _FMAX:
-        raise EvaluationError(f"x^2 in 1/(x+t)^2 is outside the normal double range at x={x}")
-    value, err = _phi_table(d).integral(2.0 - d.c, lambda t: 1.0 / (x + t) ** 2)
-    return FunctionValue(-value, err, _INTEGRAL)
-
-
-def stieltjes_first_shift(d: WeightDensity, x: float) -> FunctionValue:
-    """(1 - int_0^inf x^2 phi(t) / (x+t)^2 dt) / (1 + a - c).
-
-    The first-shift counterpart of :func:`stieltjes_ratio`.
-    """
-    if x <= 0.0:
-        raise RegionError(f"x > 0 required, got x={x}")
-    value, err = _phi_table(d).integral(1.0 - d.c, lambda t: (x / (x + t)) ** 2)
-    scale = 1.0 + d.a - d.c
-    # 2 EPS covers the rounding of 1 - value and of the division
-    return FunctionValue((1.0 - value) / scale, (err + 2.0 * EPS) / scale, _INTEGRAL)
+    if kind is TuranianKind.BOTH_SHIFT:
+        if not _TINY <= x * x <= _FMAX:
+            raise EvaluationError(
+                f"x^2 in 1/(x+t)^2 is outside the normal double range at x={x}")
+        value, err = _phi_table(d).integral(2.0 - d.c, lambda t: 1.0 / (x + t) ** 2)
+        return FunctionValue(-value, err, _INTEGRAL)
+    if kind is TuranianKind.FIRST_SHIFT:
+        value, err = _phi_table(d).integral(1.0 - d.c, lambda t: (x / (x + t)) ** 2)
+        scale = 1.0 + d.a - d.c
+        # 2 EPS covers the rounding of 1 - value and of the division
+        return FunctionValue((1.0 - value) / scale, (err + 2.0 * EPS) / scale, _INTEGRAL)
+    raise ValueError(f"no Stieltjes form of the {kind.value}-shift ratio")

@@ -12,8 +12,9 @@ The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim, x), every selected claim that holds there, at
 each of its suite's x values, so the process that holds a pair computes
 each psi value, each phi table and each record of psi and its quotients
-of that pair once (a record is one trapezoid pass per (a, c, x), which
-the Turanians and the bounds read in place of psi at shifted points).  With
+of that pair once (a record is ``kernel.psi_quotients`` at one (a, c, x),
+one trapezoid pass in psi's quadrature region, which the Turanians and
+the bounds read in place of psi at shifted points).  With
 ``jobs = 1`` the blocks run in-process; otherwise a process pool maps
 them, with at most one worker per pair and per usable CPU.  A block
 returns its rows as plain tuples (they pickle several times faster than
@@ -32,14 +33,15 @@ failures are counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
-claims once, each with the argument its rows need (a catalog entry, a
-moment identity, a Turanian kind); the sharpness suite's claims are the
-rows of ``turanians.LIMITS``, each with its own (a, c) pairs and
-endpoint allowance.  A record holds the test of whether a claim
-holds at a pair; the points of its rows at a pair; and the evaluator of
-one row, which calls the per-point function of the claim
-(``check_bound``, ``check_dominance``, ``auxiliary_log_ratio``, the
-measure and Turanian functions).  No suite takes a tolerance.
+claims once, in task order, each with the argument its rows need (a
+catalog entry, a moment identity, a Turanian kind); the report puts them
+in name order.  The sharpness suite's claims are the rows of
+``turanians.LIMITS``, each with its own (a, c) pairs and endpoint
+allowance.  A record holds the test of whether a claim holds at a pair;
+the points of its rows at a pair; and the evaluator of one row, which
+calls the per-point function of the claim (``check_bound``,
+``check_dominance``, ``auxiliary_log_ratio``, ``measure.stieltjes``, the
+other measure and Turanian functions).  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -125,7 +127,7 @@ class Suite:
     """One verification suite; see the module docstring."""
 
     name: str
-    claims: dict                       # claim -> its argument, in report order
+    claims: dict                       # claim -> its argument, in task order
     applies: Callable[[object, float, float], bool]  # (argument, a, c)
     points: Callable[[RunConfig, float, float], Sequence]  # (config, a, c)
     evaluate: Callable[..., tuple | None]  # see the row evaluators below
@@ -145,8 +147,8 @@ def _agreement(suite, claim, a, c, x, lhs, rhs, budget, anchor):
 
 def _row_crosscheck(suite, claim, _, a, c, p):
     # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
-    # the quadrature route; the Turanians of this point hold the same value
-    # in their own trapezoid pass
+    # the quadrature route; kernel.psi_quotients at this point holds the
+    # same value, from its own trapezoid pass
     q = psi(p)
     k = psi_connection(a, c, p.x)
     return _agreement(suite, claim, a, c, p.x, q.value, k.value,
@@ -215,11 +217,7 @@ def _row_moment(suite, claim, ident, a, c, x):
 
 def _row_stieltjes(suite, claim, arg, a, c, p):
     kind, anchor = arg
-    d = measure_mod.WeightDensity(a, c)
-    if kind is TuranianKind.BOTH_SHIFT:
-        rep = measure_mod.stieltjes_ratio(d, p.x)
-    else:
-        rep = measure_mod.stieltjes_first_shift(d, p.x)
+    rep = measure_mod.stieltjes(kind, measure_mod.WeightDensity(a, c), p.x)
     direct = turanian_ratio(kind, p)
     return _agreement(suite, claim, a, c, p.x, direct.value, rep.value,
                       rep.abs_error + direct.abs_error, anchor)

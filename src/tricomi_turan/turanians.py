@@ -21,14 +21,11 @@ solution of the recurrence (Gil, Segura & Temme, *Numerical Methods for
 Special Functions*, SIAM 2007, ch. 4); and no psi is evaluated below the
 point, so a-1 <= 0 and its integer-c hole never enter.
 
-psi, r and s are cached per (a, c, x) as one record, from which
-``shift_quotient`` serves the six shifts to the ratios and the bounds'
-S- and I-family.  In psi's quadrature region (a > 0, x <=
-``asymptotic_threshold(a, c)``) it comes from one trapezoid pass,
-``kernel.psi_quotients``, which holds psi bit for bit as ``psi`` gives
-it: no psi is evaluated there.  Outside the region (a <= 0, or x past
-the threshold) r and s are quotients of psi values at (a,c), (a+1,c)
-and (a+1,c+1): psi(a,c+1) is never read.  R carries a first-order
+psi, r and s come from one cached record per (a, c, x),
+``kernel.psi_quotients``, from which ``shift_quotient`` serves the six
+shifts to the ratios and the bounds' S- and I-family: one trapezoid
+pass in psi's quadrature region, and psi at (a,c), (a+1,c) and (a+1,c+1)
+outside it, so psi(a,c+1) is never read.  R carries a first-order
 budget in the quotients' errors plus 3 EPS |q_- q_+| of rounding on the
 product and EPS |R| on the difference.  The derived values are never
 psi results and never enter psi's cache.
@@ -49,10 +46,11 @@ scans and the endpoint allowance its rows are held to.
 row's own sequence.
 
 ``turanian_ratio`` is cached per (kind, a, c, x), on top of the record
-per (a, c, x): one ratio is read by up to seven catalog bounds at a
-point (T1L, T1U, T2L, P1L, P1U and P4U or P4U_probe the both-shift ratio;
-T6L, T6U, P3L, P3U, S1, S2 and S2H the second-shift one), and the
-stieltjes suite and the sharpness scans read the same values.
+per (a, c, x) that ``kernel.psi_quotients`` caches: one ratio is read by
+up to seven catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U
+or P4U_probe the both-shift ratio; T6L, T6U, P3L, P3U, S1, S2 and S2H
+the second-shift one), and the stieltjes suite and the sharpness scans
+read the same values.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
-                     ParameterPoint, RegionError, asymptotic_threshold, psi,
-                     psi_quotients)
+                     ParameterPoint, RegionError, psi, psi_quotients)
 
 
 class TuranianKind(enum.Enum):
@@ -85,27 +82,6 @@ _SHIFTS = {
     TuranianKind.FIRST_SHIFT: (1, 0),
     TuranianKind.SECOND_SHIFT: (0, 1),
 }
-
-
-@lru_cache(maxsize=65_536)
-def _record(a: float, c: float, x: float):
-    """(psi, (r, err_r), (s, err_s)) at (a, c, x), with r = psi(a+1,c,x)/psi
-    and s = psi(a+1,c+1,x)/psi.  In psi's quadrature region, a > 0 and
-    x <= asymptotic_threshold(a, c), from one trapezoid pass,
-    ``kernel.psi_quotients``; outside it, from psi at (a+1, c) and
-    (a+1, c+1) divided by psi by ``_quotient``.  Raises where psi raises
-    at one of those points or cannot be told from 0, on every call."""
-    p = ParameterPoint(a, c, x)
-    inside = a > 0.0 and x <= asymptotic_threshold(a, c)
-    rec = psi_quotients(p) if inside else (psi(p),)
-    f0 = rec[0]
-    if f0.abs_error >= abs(f0.value) / 2.0:
-        raise EvaluationError(
-            f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    if inside:
-        return rec
-    return (f0, _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0),
-            _quotient(psi(ParameterPoint(a + 1.0, c + 1.0, x)), f0))
 
 
 def _one_plus_a_s(a: float, c: float, x: float, r, s) -> tuple[float, float]:
@@ -128,14 +104,14 @@ _QUOTIENTS = {
 
 def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
     """(psi(a,c,x), q, err(q)), q = psi(a+da, c+dc, x)/psi(a,c,x), from the
-    record of (a, c, x) alone at the six shifts: r at (1, 0), s at (1, 1),
-    1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and (0, -1), as
-    the module docstring lists them.  Raises ValueError at any other
-    shift, and where the record raises."""
+    record ``kernel.psi_quotients(p)`` alone at the six shifts: r at (1, 0),
+    s at (1, 1), 1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and
+    (0, -1), as the module docstring lists them.  Raises ValueError at any
+    other shift, and where the record raises."""
     quotient = _QUOTIENTS.get((da, dc))
     if quotient is None:
         raise ValueError(f"no quotient at the shift (da={da}, dc={dc})")
-    f0, r, s = _record(*p)
+    f0, r, s = psi_quotients(p)
     return (f0, *quotient(p.a, p.c, p.x, r, s))
 
 
@@ -160,12 +136,6 @@ def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     return FunctionValue(value, err, f0.method)
 
 
-def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:
-    """f/f0 and its first-order error, the rounding of the division included."""
-    q = f.value / f0.value
-    return q, (f.abs_error + abs(q) * f0.abs_error) / abs(f0.value) + EPS * abs(q)
-
-
 def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
            err_u: float, v: float, err_v: float) -> tuple[float, float]:
     """A u - B v, with A and B of psi(a-da, c-dc, x) = A psi(a,c,x) - B
@@ -187,6 +157,7 @@ def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
                             + abs(value)))
 
 
+@lru_cache(maxsize=65_536)
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     """Turanian normalized by psi^2 as R = 1 - q_- q_+, q_+- = psi(a+-da,
     c+-dc, x)/psi(a,c,x), with q_- from DLMF 13.3.7 and 13.3.9 (see the
@@ -197,13 +168,7 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     Cached per (kind, a, c, x), since one ratio is checked by up to seven
     catalog bounds at a point.  A point that raises raises again on the
     next call."""
-    return _ratio_cached(kind, p.a, p.c, p.x)
-
-
-@lru_cache(maxsize=65_536)
-def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionValue:
     da, dc = kind.shifts
-    p = ParameterPoint(a, c, x)
     f0, qm, err_m = shift_quotient(p, -da, -dc)
     _, qp, err_p = shift_quotient(p, da, dc)
     value = 1.0 - qm * qp
@@ -211,7 +176,7 @@ def _ratio_cached(kind: TuranianKind, a: float, c: float, x: float) -> FunctionV
            + EPS * abs(value))
     if not math.isfinite(err):
         raise EvaluationError(f"Turanian ratio beyond the double range at "
-                              f"(a={a}, c={c}, x={x})")
+                              f"(a={p.a}, c={p.c}, x={p.x})")
     return FunctionValue(value, err, f0.method)
 
 

@@ -7,7 +7,7 @@ import random
 import mpmath
 import pytest
 
-from tricomi_turan import bounds, turanians
+from tricomi_turan import kernel, turanians
 from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
                                   VerificationRecord, auxiliary_log_ratio,
                                   catalog_document,
@@ -132,9 +132,9 @@ class TestCheckBound:
         # upper quotient psi(a, c+1)/psi as 1 + a s, and the Turanians
         # their lower shifts from r
         seen = []
-        monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
-        for cached in (turanians._record, turanians._ratio_cached,
-                       bounds._auxiliary_cached):
+        for module in (kernel, turanians):
+            monkeypatch.setattr(module, "psi", lambda q: seen.append(q) or psi(q))
+        for cached in (kernel.psi_quotients, turanian_ratio, auxiliary_log_ratio):
             cached.cache_clear()
         p = ParameterPoint(a, c, x)
         checked = [bid for bid, spec in CATALOG.items() if spec.region(a, c)]
@@ -336,11 +336,11 @@ class TestAuxiliaryLogRatios:
         assert abs(fv.value) < 5e-3
 
     def test_cached_value_equals_a_fresh_computation(self):
-        bounds._auxiliary_cached.cache_clear()
+        auxiliary_log_ratio.cache_clear()
         first = auxiliary_log_ratio("g", 2.0, -2.5, 1.5)
         assert auxiliary_log_ratio("g", 2.0, -2.5, 1.5) is first
-        assert bounds._auxiliary_cached.cache_info().hits == 1
-        assert bounds._auxiliary_cached.__wrapped__("g", 2.0, -2.5, 1.5) == first
+        assert auxiliary_log_ratio.cache_info().hits == 1
+        assert auxiliary_log_ratio.__wrapped__("g", 2.0, -2.5, 1.5) == first
 
     def test_regions(self):
         with pytest.raises(RegionError):

@@ -425,16 +425,44 @@ def test_trapezoid_agrees_with_split_form():
         assert 0.5 <= err / err_split <= 2.0, args
 
 
+def _outside_region_points():
+    """The points of psi's quadrature region's complement that
+    ``test_psi_equals_psi_bit_for_bit`` takes: five fixed ones, where psi
+    is an expansion value, a connection value, a terminating polynomial,
+    has no route and underflows, then 300 seeded, every other one with a
+    uniform in [-4, 0] (every sixth an integer), c uniform in [-6, 3] and
+    x log-uniform in [0.05, 600], the rest with a log-uniform in [0.05, 6]
+    and x from 1 to 20 times asymptotic_threshold(a, c)."""
+    points = [(0.5, -1.0, 400.0), (-0.5, 0.25, 2.0), (-2.0, 0.5, 3.0),
+              (-0.5, -2.0, 0.03), (200.0, 0.5, 1e7)]
+    rng = np.random.default_rng(1075)
+    for i in range(300):
+        if i % 2 == 0:
+            a = float(rng.uniform(-4.0, 0.0))
+            if i % 6 == 0:
+                a = float(math.floor(a))
+            c = float(rng.uniform(-6.0, 3.0))
+            x = float(math.exp(rng.uniform(math.log(0.05), math.log(600.0))))
+        else:
+            a = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(6.0)))
+            c = float(rng.uniform(-6.0, 3.0))
+            x = float(rng.uniform(1.0, 20.0)) * asymptotic_threshold(a, c)
+        points.append((a, c, x))
+    return points
+
+
 class TestPsiQuotients:
-    """psi_quotients: psi and its quotients over (a+1, c) and (a+1, c+1)
-    from one trapezoid pass; their oracle is in test_turanians."""
+    """psi_quotients: psi and its quotients over (a+1, c) and (a+1, c+1),
+    from one trapezoid pass in psi's quadrature region; their oracle is in
+    test_turanians."""
 
     def test_psi_equals_psi_bit_for_bit(self):
         # 1,000 seeded points of psi's quadrature region: a log-uniform in
         # [1e-8, 30], c uniform in [-6, 3], a tenth within 1e-3 of an
-        # integer, x log-uniform in [1e-3, asymptotic_threshold(a, c)]
+        # integer, x log-uniform in [1e-3, asymptotic_threshold(a, c)]; then
+        # the points outside it of _outside_region_points
         rng = np.random.default_rng(1409)
-        differ = []
+        points = []
         for i in range(1000):
             a = float(10.0 ** rng.uniform(-8.0, math.log10(30.0)))
             c = float(rng.uniform(-6.0, 3.0))
@@ -442,6 +470,9 @@ class TestPsiQuotients:
                 c = round(c) + float(rng.uniform(-1e-3, 1e-3))
             x = float(math.exp(rng.uniform(math.log(1e-3),
                                            math.log(asymptotic_threshold(a, c)))))
+            points.append((a, c, x))
+        differ = []
+        for a, c, x in points + _outside_region_points():
             p = ParameterPoint(a, c, x)
             try:
                 want = psi(p)
@@ -457,6 +488,7 @@ class TestPsiQuotients:
 
     def test_psi_alone_runs_no_extension(self, monkeypatch):
         # psi's trapezoid passes take psi's six arguments only
+        kernel.psi_quotients.cache_clear()
         arities = []
         trapezoid = kernel._trapezoid
         monkeypatch.setattr(kernel, "_trapezoid",

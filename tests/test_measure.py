@@ -12,9 +12,12 @@ from tricomi_turan.kernel import (EvaluationError, ParameterPoint, RegionError,
                                   _m_series)
 from tricomi_turan.measure import (MOMENT_IDENTITIES, WeightDensity,
                                    _kummer_sums, _neg_axis_core, phi,
-                                   phi_moment, stieltjes_first_shift,
-                                   stieltjes_ratio)
+                                   phi_moment, stieltjes)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
+
+BOTH = TuranianKind.BOTH_SHIFT
+FIRST = TuranianKind.FIRST_SHIFT
+SECOND = TuranianKind.SECOND_SHIFT
 
 RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
 
@@ -23,6 +26,10 @@ PSI_NEG_AXIS_REFS = {
     (1.5, -0.5, 2.0): complex(-0.41978220188821506579, -0.537430667646613927),
     (2.0, -2.5, 4.0): complex(-0.2267621513564570295, -0.070355029994613514136),
 }
+
+
+def stieltjes_both(d, x):
+    return stieltjes(BOTH, d, x)
 
 
 def seeded_pairs(seed, n):
@@ -190,8 +197,7 @@ class TestEdgeCases:
         ("first", 5.0, -4.5, 0.01, 0.0952368504396099552034144559508),
     ])
     def test_ratio_against_pinned_reference(self, kind, a, c, x, ref):
-        rep = stieltjes_ratio if kind == "both" else stieltjes_first_shift
-        fv = rep(WeightDensity(a, c), x)
+        fv = stieltjes(TuranianKind(kind), WeightDensity(a, c), x)
         assert abs(fv.value - ref) <= fv.abs_error
         assert fv.abs_error <= 1e-8 * abs(ref)
 
@@ -215,10 +221,10 @@ class TestEdgeCases:
     # OverflowError), and t^-c underflows (0.0 +- 0.0)
     @pytest.mark.parametrize("fn,a,c,arg", [
         (phi_moment, 0.0005222921326088412, -138.36647372199363, 0),
-        (stieltjes_ratio, 0.002854960844284682, -124.21858801130399, 5.996457846028542e-127),
-        (stieltjes_ratio, 0.00022352864076403424, 0.9996427830785745, 1.0),
-        (stieltjes_ratio, 12.0, 0.9997551433629278, 1.0211166805651979e-172),
-        (stieltjes_ratio, 2.013562966892444, 0.9972884479354649, 6.073162224628772e+182),
+        (stieltjes_both, 0.002854960844284682, -124.21858801130399, 5.996457846028542e-127),
+        (stieltjes_both, 0.00022352864076403424, 0.9996427830785745, 1.0),
+        (stieltjes_both, 12.0, 0.9997551433629278, 1.0211166805651979e-172),
+        (stieltjes_both, 2.013562966892444, 0.9972884479354649, 6.073162224628772e+182),
         (phi, 0.0009544738347773529, -124.80668399016307, 1.5248017372701232e-216),
         # these four used to end in a numpy RuntimeWarning first: the Kummer
         # terms overflow in the running product, |psi|^-2 overflows, and the
@@ -275,7 +281,7 @@ class TestStieltjesRepresentations:
     ])
     def test_matches_direct_both_shift_ratio(self, a, c, x):
         d = WeightDensity(a, c)
-        rep = stieltjes_ratio(d, x)
+        rep = stieltjes(BOTH, d, x)
         direct = turanian_ratio(TuranianKind.BOTH_SHIFT, ParameterPoint(a, c, x))
         assert abs(rep.value - direct.value) <= rep.abs_error + direct.abs_error
 
@@ -284,7 +290,7 @@ class TestStieltjesRepresentations:
     ])
     def test_matches_direct_first_shift_ratio(self, a, c, x):
         d = WeightDensity(a, c)
-        rep = stieltjes_first_shift(d, x)
+        rep = stieltjes(FIRST, d, x)
         direct = turanian_ratio(TuranianKind.FIRST_SHIFT, ParameterPoint(a, c, x))
         assert abs(rep.value - direct.value) <= rep.abs_error + direct.abs_error
 
@@ -292,7 +298,7 @@ class TestStieltjesRepresentations:
         # -1/(2x) < value < 0 for a > 0, c < 1
         d = WeightDensity(2.0, -2.5)
         for x in (0.1, 1.0, 10.0):
-            v = stieltjes_ratio(d, x).value
+            v = stieltjes(BOTH, d, x).value
             assert -0.5 / x < v < 0.0
 
     def test_first_shift_bracket(self):
@@ -300,7 +306,7 @@ class TestStieltjesRepresentations:
         a, c = 2.0, -1.5
         d = WeightDensity(a, c)
         for x in (0.1, 1.0, 10.0):
-            v = stieltjes_first_shift(d, x).value
+            v = stieltjes(FIRST, d, x).value
             assert 0.0 < v < 1.0 / (1.0 + a - c)
 
     def test_x2_scaling_approaches_limit(self):
@@ -308,7 +314,7 @@ class TestStieltjesRepresentations:
         a, c = 2.0, -2.5
         d = WeightDensity(a, c)
         zeta = c - a - 1.0
-        devs = [abs(x * x * stieltjes_ratio(d, x).value - zeta)
+        devs = [abs(x * x * stieltjes(BOTH, d, x).value - zeta)
                 for x in (100.0, 1000.0)]
         assert devs[1] < devs[0]
         assert devs[1] < 0.02 * abs(zeta)
@@ -316,15 +322,20 @@ class TestStieltjesRepresentations:
     def test_first_shift_small_x_limit(self):
         a, c = 2.0, -1.5
         d = WeightDensity(a, c)
-        v = stieltjes_first_shift(d, 1e-3).value
+        v = stieltjes(FIRST, d, 1e-3).value
         assert v == pytest.approx(1.0 / (1.0 + a - c), rel=1e-4)
 
     def test_x2_scaled_transform_strictly_decreasing(self):
         d = WeightDensity(2.0, -2.5)
-        vals = [x * x * stieltjes_ratio(d, x).value
+        vals = [x * x * stieltjes(BOTH, d, x).value
                 for x in (0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_rejects_nonpositive_x(self):
-        with pytest.raises(RegionError):
-            stieltjes_ratio(WeightDensity(2.0, -2.5), -1.0)
+        for kind in TuranianKind:
+            with pytest.raises(RegionError):
+                stieltjes(kind, WeightDensity(2.0, -2.5), -1.0)
+
+    def test_second_shift_has_no_representation(self):
+        with pytest.raises(ValueError, match="second-shift"):
+            stieltjes(SECOND, WeightDensity(2.0, -2.5), 1.0)

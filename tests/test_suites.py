@@ -216,8 +216,7 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
     if r.suite == "stieltjes":
         kind, _ = suites.REGISTRY["stieltjes"].claims[r.claim]
         d = measure.WeightDensity(r.a, r.c)
-        rep = (measure.stieltjes_ratio if kind is turanians.TuranianKind.BOTH_SHIFT
-               else measure.stieltjes_first_shift)(d, r.x)
+        rep = measure.stieltjes(kind, d, r.x)
         return turanians.turanian_ratio(kind, p).value, rep.value
     if r.suite == "sharpness":
         scan = turanians.sharpness_scan(turanians.LIMITS[r.claim], r.a, r.c)
@@ -355,7 +354,7 @@ def test_bounds_suite_computes_each_ratio_once():
     # S-family the second-shift one); from cold caches each (kind, point)
     # the catalog needs is computed once and every other check that reads
     # a ratio is served by the cache
-    turanians._ratio_cached.cache_clear()
+    turanians.turanian_ratio.cache_clear()
     kernel._psi_cached.cache_clear()
     _, rows = suites.run(RunConfig(suites=("bounds",), **SMALL_GRID))
     kinds = {f"ratio_{kind.value}": kind for kind in turanians.TuranianKind}
@@ -366,7 +365,7 @@ def test_bounds_suite_computes_each_ratio_once():
               for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
               if bounds.CATALOG[bid].region(a, c) for x in SMALL_GRID["grid_x"]}
     checks = sum(r.claim in reads for r in rows)
-    info = turanians._ratio_cached.cache_info()
+    info = turanians.turanian_ratio.cache_info()
     assert info.misses == len(needed)
     assert info.hits == checks - len(needed) > 0
 
@@ -382,8 +381,8 @@ def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
         return quadrature(a, c, x, *shifted)
 
     monkeypatch.setattr(kernel, "_quadrature", counted)
-    for cached in (kernel._psi_cached, turanians._record, turanians._ratio_cached,
-                   bounds._auxiliary_cached):
+    for cached in (kernel._psi_cached, kernel.psi_quotients, turanians.turanian_ratio,
+                   bounds.auxiliary_log_ratio):
         cached.cache_clear()
     suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
     grid = [(a, c, x) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]

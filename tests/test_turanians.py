@@ -105,26 +105,24 @@ class TestCache:
     """turanian_ratio is cached per (kind, a, c, x)."""
 
     @pytest.mark.parametrize("kind", list(TuranianKind))
-    @pytest.mark.parametrize("public,cached", [
-        (turanian_ratio, turanians._ratio_cached)])
-    def test_cached_value_equals_a_fresh_computation(self, kind, public, cached):
+    def test_cached_value_equals_a_fresh_computation(self, kind):
         p = ParameterPoint(2.0, -2.5, 1.5)
-        cached.cache_clear()
-        first = public(kind, p)
-        assert public(kind, p) is first
-        assert cached.cache_info().hits == 1
-        fresh = cached.__wrapped__(kind, p.a, p.c, p.x)
+        turanian_ratio.cache_clear()
+        first = turanian_ratio(kind, p)
+        assert turanian_ratio(kind, p) is first
+        assert turanian_ratio.cache_info().hits == 1
+        fresh = turanian_ratio.__wrapped__(kind, p)
         assert _bits(fresh) == _bits(first)
 
     def test_a_raising_point_raises_on_every_call(self):
         # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the ratio, and the
         # cache keeps no entry for it
-        turanians._ratio_cached.cache_clear()
+        turanian_ratio.cache_clear()
         p = ParameterPoint(200.0, 0.5, 1.0)
         for _ in range(2):
             with pytest.raises(EvaluationError, match="underflows"):
                 turanian_ratio(SECOND, p)
-        info = turanians._ratio_cached.cache_info()
+        info = turanian_ratio.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
 
 
@@ -182,12 +180,21 @@ class TestShiftPoints:
 
     @staticmethod
     def _reads(monkeypatch, public, kind, p):
+        # the record reads psi through kernel.psi, the raw Turanian through
+        # turanians.psi; a pass is a call of kernel._quadrature with shifted
         seen, passes = [], []
+        quadrature = kernel._quadrature
+
+        def counted(a, c, x, *shifted):
+            if shifted and shifted[0]:
+                passes.append((a, c, x))
+            return quadrature(a, c, x, *shifted)
+
+        monkeypatch.setattr(kernel, "psi", lambda q: seen.append(q) or psi(q))
         monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
-        monkeypatch.setattr(turanians, "psi_quotients",
-                            lambda q: passes.append(q) or kernel.psi_quotients(q))
-        turanians._record.cache_clear()
-        turanians._ratio_cached.cache_clear()
+        monkeypatch.setattr(kernel, "_quadrature", counted)
+        kernel.psi_quotients.cache_clear()
+        turanian_ratio.cache_clear()
         public(kind, p)
         return seen, passes
 
@@ -266,7 +273,7 @@ class TestShiftQuotients:
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
                 u0 = mpmath.hyperu(A, C, X)
                 p = ParameterPoint(a, c, x)
-                assert turanians._record(a, c, x) is not None
+                assert kernel.psi_quotients(p) is not None
                 for da, dc in ((1, 0), (1, 1), (0, 1)):
                     _, q, err = turanians.shift_quotient(p, da, dc)
                     ref = float(mpmath.hyperu(A + da, C + dc, X) / u0)
@@ -329,11 +336,11 @@ class TestShiftQuotients:
 
     def test_a_raising_record_raises_on_every_call(self):
         # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record
-        turanians._record.cache_clear()
+        kernel.psi_quotients.cache_clear()
         for _ in range(2):
             with pytest.raises(EvaluationError, match="underflows"):
                 turanians.shift_quotient(ParameterPoint(200.0, 0.5, 1.0), 1, 1)
-        assert turanians._record.cache_info().currsize == 0
+        assert kernel.psi_quotients.cache_info().currsize == 0
 
 
 class TestRatioLimits:
