@@ -53,8 +53,9 @@ I-family reads psi and s as well: I2's quotient is 1/s, and an
 auxiliary with weights (w0, wp) is (w0 - wp) ln psi - wp ln s, so that
 psi's own error enters it with the weight w0 - wp alone (not at all in
 h).  The S- and I-family and the auxiliaries read psi, r and s from
-the one record per (a, c, x) that ``kernel.psi_quotients`` caches, and
-never psi below the point or at (a,c+1).
+the one record per (a, c, x) that ``kernel.psi_quotients`` caches, one
+trapezoid pass at every point of their regions (all have a > 0), and
+never psi at a shifted point.
 
 I1, I3 and I4 are checked in log form, so their lhs and rhs are log
 values.  Each is the monotone auxiliary log-ratio f, g or h below held

@@ -11,16 +11,17 @@ and, for a > 0 and x > 0, equals the Laplace-type integral
 Three routes evaluate psi on the real axis:
 
 * ``psi_quadrature``   -- the trapezoid rule for the integral above in
-                          w = log(x t) (validity a > 0; the accuracy
-                          anchor),
+                          w = log(x t) (the route for a > 0, at every
+                          x > 0; the accuracy anchor),
 * ``psi_connection``   -- Gamma-weighted combination of two Kummer-M
-                          series (the route for a <= 0 and the
+                          series (a route for a <= 0 and the
                           independent cross-check for a > 0; requires
                           non-integer c, while a negative integer a gives
                           a terminating polynomial),
 * ``_asymptotic_auto`` -- the large-x expansion
                           psi ~ x^-a (1 + alpha1/x + alpha2/x^2 + ...),
-                          summed to its smallest term.
+                          summed to its smallest term (a route for
+                          non-integer a < 0 and x > 1 only).
 
 The quadrature route.  With s = x t = e^w the integral becomes
 
@@ -29,10 +30,11 @@ The quadrature route.  With s = x t = e^w the integral becomes
 
 f is analytic in a strip about the real axis and decays like e^(aw) to
 the left and like exp(-e^w) to the right, so the trapezoid sum
-T_h = h sum_k f(w0 + k h) converges exponentially as h shrinks
-(Trefethen & Weideman, SIAM Review 56(3), 2014).  The nodes are one numpy
-array anchored at w0 ~ log min(x, 1) that runs from a first node w1 far
-to the left to past a cutoff S, and each is summed once.  Left of w1,
+T_h = h sum_k f(w0 + k h) converges exponentially as h shrinks, in the
+same way at every x > 0 (Trefethen & Weideman, SIAM Review 56(3), 2014).
+The nodes are one numpy array anchored at w0 ~ log min(x, 1) that runs
+from a first node w1 far to the left to past a cutoff S, and each is
+summed once.  Left of w1,
 f = e^(aw) G(w) with G -> 1: the e^(aw) parts of those nodes sum to the
 geometric series h e^(a(w1-h)) / (-expm1(-a h)), which is exact, and the
 rest, e^(aw) expm1(log G), decays like e^((a+1)w) and is truncated.  So
@@ -46,15 +48,14 @@ returned as it is, flagged ``"tolerance_not_met"``.
 
 ``psi_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
 psi(a+1,c+1,x)/psi at every point, cached per point; the Turanians and
-the bounds take every shifted value from it.  In psi's quadrature region
-(a > 0, x <= ``asymptotic_threshold(a, c)``) one pass gives all three:
-on psi's nodes the integrands of psi(a+1,c) and psi(a+1,c+1) are
-f e^w/(1 + e^w/x) and f e^w, and the prefactors divide to 1/(a x), so
-the same nodes, run on past S for the extra e^w, and the last h serve
-both, and psi comes out bit for bit as ``psi`` gives it.  Outside the
-region the quotients divide psi at (a+1,c) and (a+1,c+1) by psi.  It
-raises, on every call, where psi raises at a point it reads or cannot be
-told from 0.
+the bounds take every shifted value from it.  For a > 0 one pass gives
+all three: on psi's nodes the integrands of psi(a+1,c) and psi(a+1,c+1)
+are f e^w/(1 + e^w/x) and f e^w, and the prefactors divide to 1/(a x),
+so the same nodes, run on past S for the extra e^w, and the last h serve
+both, and psi comes out bit for bit as ``psi`` gives it.  For a <= 0 the
+quotients divide psi at (a+1,c) and (a+1,c+1) by psi.  It raises, on
+every call, where psi raises at a point it reads or cannot be told from
+0, and where a quotient falls below the normal double range.
 
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
@@ -354,8 +355,9 @@ def _shifted_quotients(a: float, pw: float, x: float, h: float, m: float,
     larger integrand, f e^w, at log S_ext; the rounding of each node,
     psi's weight plus the product and quotient that form it; and
     underflow, under 2^-1072 (1 + 2 S_ext) per node.  The prefactors
-    cancel, so their rounding does not enter.  A shifted sum that
-    underflows to 0 raises :class:`EvaluationError`."""
+    cancel, so their rounding does not enter.  A quotient below the
+    normal double range, 0 included, raises :class:`EvaluationError`, as
+    psi does."""
     w1, f, ew, weights = nodes
     ap = a + 1.0
     geo_h, geo_2h, rest = _left_sums(ap, q_ext, w1, h, m)
@@ -375,12 +377,12 @@ def _shifted_quotients(a: float, pw: float, x: float, h: float, m: float,
             y.sum(axis=1).tolist(), y[:, ::2].sum(axis=1).tolist(),
             (y @ weights).tolist(), (x, 1.0), (pw - 1.0, pw)):
         t_h = h * scale * total + geo_h
-        if not t_h > 0.0:
-            raise EvaluationError(f"shifted trapezoid sums underflow at "
-                                  f"(a={a}, c={pw + a + 1.0}, x={x})")
+        ratio = t_h / denom
+        if not ratio >= _TINY:
+            raise EvaluationError(f"shifted quotients underflow the double range "
+                                  f"at (a={a}, c={pw + a + 1.0}, x={x})")
         err = (abs(t_h - 2.0 * h * scale * evens - geo_2h) + fixed + rounding * scale
                * (weighted + (20.0 + abs(m) + abs(pw_y)) * total))
-        ratio = t_h / denom
         out.append((ratio, ratio * (err / t_h + rel0)))
     return tuple(out)
 
@@ -476,7 +478,13 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
         # range, or too near its top to hold
         raise _beyond_range(a, c, x) from None
     value = scale * total
-    _check_normal(value, a, c, x)
+    # psi > 0 for a > 0, so a value of 0 or a subnormal one has underflowed,
+    # and an infinite one has overflowed
+    if value < _TINY:
+        raise EvaluationError(
+            f"psi(a={a}, c={c}, x={x}) underflows the double range (got {value})")
+    if value > _FMAX:
+        raise _beyond_range(a, c, x)
     fv = FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
                        () if met else ("tolerance_not_met",))
     if not shifted:
@@ -490,27 +498,27 @@ def psi_quotients(p: ParameterPoint):
     s = psi(a+1,c+1,x)/psi(a,c,x): returns (psi, (r, err_r), (s, err_s)),
     the first item ``psi(p)`` bit for bit.  Cached per point.
 
-    In psi's quadrature region all three come from one pass of psi's
-    trapezoid rule: the nodes, h and m are psi's and its sums are taken
-    over its own nodes; the nodes run on past its cutoff to cover the
-    shifted integrands, f e^w for psi(a+1,c+1) and f e^w/(1 + e^w/x) for
+    For a > 0 all three come from one pass of psi's trapezoid rule, at
+    every x: the nodes, h and m are psi's and its sums are taken over its
+    own nodes; the nodes run on past its cutoff to cover the shifted
+    integrands, f e^w for psi(a+1,c+1) and f e^w/(1 + e^w/x) for
     psi(a+1,c), each summed once more at the last h (see
-    ``_shifted_quotients`` for their budgets).  Outside it, r and s are
+    ``_shifted_quotients`` for their budgets).  For a <= 0, r and s are
     psi at (a+1,c) and (a+1,c+1) divided by psi, by ``_quotient``.
 
-    Raises, on every call, where psi raises at one of the points it reads
-    and where psi's error is half its magnitude or more (psi cannot be
-    told from 0)."""
+    Raises, on every call, where psi raises at one of the points it reads,
+    where psi's error is half its magnitude or more (psi cannot be told
+    from 0) and, for a > 0, where r or s lies below the normal double
+    range."""
     a, c, x = p
-    inside = _in_quadrature_region(a, c, x)
-    if inside:
+    if a > 0.0:
         f0, (r, s) = _quadrature(a, c, x, True)
     else:
         f0 = psi(p)
     if f0.abs_error >= abs(f0.value) / 2.0:
         raise EvaluationError(
             f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    if not inside:
+    if a <= 0.0:
         r = _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0)
         s = _quotient(psi(ParameterPoint(a + 1.0, c + 1.0, x)), f0)
     return f0, r, s
@@ -646,38 +654,14 @@ def _asymptotic_auto(a: float, c: float, x: float) -> FunctionValue:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def asymptotic_threshold(a: float, c: float) -> float:
-    """Dispatch boundary: the expansion is preferred only for x above this."""
-    return 50.0 * (1.0 + abs(a) + abs(c)) ** 2
-
-
 def _beyond_range(a: float, c: float, x: float) -> DoubleRangeError:
     return DoubleRangeError(f"psi(a={a}, c={c}, x={x}) exceeds the double range")
 
 
-def _check_normal(value: float, a: float, c: float, x: float) -> None:
-    """psi > 0 for a > 0, so a value of 0 or a subnormal one has underflowed,
-    and an infinite one has overflowed."""
-    if abs(value) < _TINY:
-        raise EvaluationError(
-            f"psi(a={a}, c={c}, x={x}) underflows the double range (got {value})")
-    if abs(value) > _FMAX:
-        raise _beyond_range(a, c, x)
-
-
-def _in_quadrature_region(a: float, c: float, x: float) -> bool:
-    """psi's quadrature region: a > 0 and x up to ``asymptotic_threshold``."""
-    return a > 0.0 and x <= asymptotic_threshold(a, c)
-
-
 @lru_cache(maxsize=200_000)
 def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
-    if _in_quadrature_region(a, c, x):
-        return _quadrature(a, c, x)
     if a > 0.0:
-        fv = _asymptotic_auto(a, c, x)
-        _check_normal(fv.value, a, c, x)
-        return fv
+        return _quadrature(a, c, x)
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,
@@ -708,9 +692,8 @@ def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
 def psi(p: ParameterPoint) -> FunctionValue:
     """Evaluate psi(a,c,x) for x > 0, selecting a method by parameter region.
 
-    a > 0 uses the quadrature route, a value to ``PSI_TOL`` as
-    ``psi_quadrature(p)`` gives it (or the asymptotic expansion beyond
-    ``asymptotic_threshold``); a = 0 and negative-integer a use their
+    a > 0 uses the quadrature route at every x, a value to ``PSI_TOL`` as
+    ``psi_quadrature(p)`` gives it; a = 0 and negative-integer a use their
     exact closed forms.  Other a < 0 try the optimally truncated expansion
     first (for x > 1): when its budget is at the rounding floor,
     2 EPS |value|, it is returned, because the connection series, whose

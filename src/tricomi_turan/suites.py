@@ -13,8 +13,8 @@ task order (suite, claim, x), every selected claim that holds there, at
 each of its suite's x values, so the process that holds a pair computes
 each psi value, each phi table and each record of psi and its quotients
 of that pair once (a record is ``kernel.psi_quotients`` at one (a, c, x),
-one trapezoid pass in psi's quadrature region, which the Turanians and
-the bounds read in place of psi at shifted points).  With
+one trapezoid pass for a > 0, which the Turanians and the bounds read
+in place of psi at shifted points).  With
 ``jobs = 1`` the blocks run in-process; otherwise a process pool maps
 them, with at most one worker per pair and per usable CPU.  A block
 returns its rows as plain tuples (they pickle several times faster than
@@ -146,9 +146,9 @@ def _agreement(suite, claim, a, c, x, lhs, rhs, budget, anchor):
 
 
 def _row_crosscheck(suite, claim, _, a, c, p):
-    # x <= max(CROSSCHECK_X) lies below asymptotic_threshold, so psi takes
-    # the quadrature route; kernel.psi_quotients at this point holds the
-    # same value, from its own trapezoid pass
+    # the suite holds at a > 0 only, where psi takes the quadrature route;
+    # kernel.psi_quotients at this point holds the same value, from its
+    # own trapezoid pass
     q = psi(p)
     k = psi_connection(a, c, p.x)
     return _agreement(suite, claim, a, c, p.x, q.value, k.value,

@@ -24,8 +24,8 @@ point, so a-1 <= 0 and its integer-c hole never enter.
 psi, r and s come from one cached record per (a, c, x),
 ``kernel.psi_quotients``, from which ``shift_quotient`` serves the six
 shifts to the ratios and the bounds' S- and I-family: one trapezoid
-pass in psi's quadrature region, and psi at (a,c), (a+1,c) and (a+1,c+1)
-outside it, so psi(a,c+1) is never read.  R carries a first-order
+pass for a > 0, and psi at (a,c), (a+1,c) and (a+1,c+1) for a <= 0, so
+psi(a,c+1) is never read.  R carries a first-order
 budget in the quotients' errors plus 3 EPS |q_- q_+| of rounding on the
 product and EPS |R| on the difference.  The derived values are never
 psi results and never enter psi's cache.

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import tricomi_turan
@@ -30,6 +31,21 @@ class TestCatalog:
         ids = [entry["id"] for entry in json.loads(out)]
         assert len(ids) == 23 and ids == list(CATALOG)
 
+    def test_csv_is_a_header_and_one_row_per_entry(self, capsys):
+        code, out, _ = run_cli(capsys, "catalog", "--format", "csv")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 24
+        assert lines[0] == "id,target,side,region,anchor,gating"
+        assert [line.split(",", 1)[0] for line in lines[1:]] == list(CATALOG)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_holds_the_stdout_form(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / f"catalog.{fmt}"
+        code, out, _ = run_cli(capsys, "catalog", "--format", fmt, "--out", str(out_file))
+        assert code == 0 and out == ""
+        assert out_file.read_text(encoding="utf-8") == run_cli(
+            capsys, "catalog", "--format", fmt)[1]
+
     def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "catalog", "--out",
                                str(tmp_path / "missing" / "catalog.json"))
@@ -45,6 +61,15 @@ class TestSharpness:
         code, out, err = run_cli(capsys, "sharpness", "--grid-a", "", "--grid-c", "")
         assert code == 2 and out == ""
         assert err == "config error: grid for a is empty\n"
+
+    def test_out_file_holds_the_stdout_form(self, capsys, tmp_path):
+        grid = ("--grid-a=2,3", "--grid-c=-2.5,0.25")
+        out_file = tmp_path / "scans.txt"
+        code, out, _ = run_cli(capsys, "sharpness", *grid, "--out", str(out_file))
+        assert code == 0 and out == ""
+        text = out_file.read_text(encoding="utf-8")
+        assert text == run_cli(capsys, "sharpness", *grid)[1]
+        assert len(text.splitlines()) >= 4
 
     def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sharpness", "--grid-a", "2",
@@ -98,6 +123,27 @@ class TestEval:
         human, machine = out.splitlines()
         assert code == 0 and "flags" not in human
         assert json.loads(machine)["flags"] == []
+
+    @pytest.mark.parametrize("op", ["ratio", "turanian"])
+    def test_both_shift_turanian_and_ratio(self, capsys, op):
+        # D = psi(1,-1)^2 - psi(0,-2) psi(2,0) at x = 1, with psi(0,-2) = 1,
+        # and R = D/psi(1,-1)^2, against mpmath.hyperu at 40 digits
+        code, out, _ = run_cli(capsys, "eval", f"{op}:both", "1", "-1", "1")
+        human, machine = out.splitlines()
+        got = json.loads(machine)
+        assert code == 0
+        assert human == (f"{op}[both](a=1, c=-1, x=1) = {got['value']:.17g} "
+                         f"+/- {got['abs_error']:.3g} [quadrature]")
+        assert {k: got[k] for k in ("what", "a", "c", "x", "method", "flags")} == {
+            "what": f"{op}:both", "a": 1.0, "c": -1.0, "x": 1.0,
+            "method": "quadrature", "flags": []}
+        with mpmath.workdps(40):
+            u0 = mpmath.hyperu(1, -1, 1)
+            ref = u0 ** 2 - mpmath.hyperu(2, 0, 1)
+            if op == "ratio":
+                ref /= u0 ** 2
+        assert got["value"] < 0.0
+        assert abs(got["value"] - float(ref)) <= got["abs_error"]
 
     def test_bound(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "bound:T1L", "1", "0", "1")

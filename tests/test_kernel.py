@@ -31,7 +31,7 @@ from tricomi_turan.kernel import (EPS, PSI_TOL, DoubleRangeError,
                                   EvaluationError, FunctionValue,
                                   ParameterPoint, RegionError,
                                   _asymptotic_auto, _digamma,
-                                  _m_series, _trapezoid, asymptotic_threshold,
+                                  _m_series, _trapezoid,
                                   log_gamma, log_gamma_error, psi,
                                   psi_connection, psi_quadrature)
 
@@ -51,6 +51,11 @@ def hyperu40(a, c, x):
     """U(a, c, x) by mpmath at 40 digits; the float arguments enter exactly."""
     with mpmath.workdps(40):
         return float(mpmath.hyperu(mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)))
+
+
+def large_x(a, c):
+    """50 (1 + |a| + |c|)^2: the samplers below take x past it as large."""
+    return 50.0 * (1.0 + abs(a) + abs(c)) ** 2
 
 
 def m_series(a, c, x):
@@ -354,7 +359,7 @@ class TestPsiQuadrature:
     def test_oracle_sample(self):
         # a log-uniform in [1e-8, 1e-3] (the endpoint factor s^(a-1) is at
         # its sharpest), uniform in [1e-3, 6], and a = 20, 30; c uniform in
-        # [-5, 2]; x log-uniform in [1e-2, asymptotic_threshold]
+        # [-5, 2]; x log-uniform in [1e-2, large_x(a, c)]
         rng = np.random.default_rng(20261018)
         a_values = ([float(10.0 ** rng.uniform(-8, -3)) for _ in range(40)]
                     + [float(rng.uniform(1e-3, 6.0)) for _ in range(100)]
@@ -363,7 +368,7 @@ class TestPsiQuadrature:
         for a in a_values:
             c = float(rng.uniform(-5.0, 2.0))
             x = float(math.exp(rng.uniform(math.log(1e-2),
-                                           math.log(asymptotic_threshold(a, c)))))
+                                           math.log(large_x(a, c)))))
             points.append((a, c, x))
         # the longest node arrays and the largest geometric tails: a
         # log-uniform in [1e-8, 1e-3], c uniform in [1, 2] and x log-uniform
@@ -425,14 +430,14 @@ def test_trapezoid_agrees_with_split_form():
         assert 0.5 <= err / err_split <= 2.0, args
 
 
-def _outside_region_points():
-    """The points of psi's quadrature region's complement that
-    ``test_psi_equals_psi_bit_for_bit`` takes: five fixed ones, where psi
-    is an expansion value, a connection value, a terminating polynomial,
-    has no route and underflows, then 300 seeded, every other one with a
-    uniform in [-4, 0] (every sixth an integer), c uniform in [-6, 3] and
-    x log-uniform in [0.05, 600], the rest with a log-uniform in [0.05, 6]
-    and x from 1 to 20 times asymptotic_threshold(a, c)."""
+def _large_x_and_nonpositive_a_points():
+    """The points at large x or a <= 0 that ``test_psi_equals_psi_bit_for_bit``
+    takes: five fixed ones, where psi is a quadrature value at large x, a
+    connection value, a terminating polynomial, has no route and
+    underflows, then 300 seeded, every other one with a uniform in [-4, 0]
+    (every sixth an integer), c uniform in [-6, 3] and x log-uniform in
+    [0.05, 600], the rest with a log-uniform in [0.05, 6] and x from 1 to
+    20 times large_x(a, c)."""
     points = [(0.5, -1.0, 400.0), (-0.5, 0.25, 2.0), (-2.0, 0.5, 3.0),
               (-0.5, -2.0, 0.03), (200.0, 0.5, 1e7)]
     rng = np.random.default_rng(1075)
@@ -446,21 +451,21 @@ def _outside_region_points():
         else:
             a = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(6.0)))
             c = float(rng.uniform(-6.0, 3.0))
-            x = float(rng.uniform(1.0, 20.0)) * asymptotic_threshold(a, c)
+            x = float(rng.uniform(1.0, 20.0)) * large_x(a, c)
         points.append((a, c, x))
     return points
 
 
 class TestPsiQuotients:
     """psi_quotients: psi and its quotients over (a+1, c) and (a+1, c+1),
-    from one trapezoid pass in psi's quadrature region; their oracle is in
-    test_turanians."""
+    from one trapezoid pass at a > 0; their oracle at large x is here, the
+    rest in test_turanians."""
 
     def test_psi_equals_psi_bit_for_bit(self):
-        # 1,000 seeded points of psi's quadrature region: a log-uniform in
-        # [1e-8, 30], c uniform in [-6, 3], a tenth within 1e-3 of an
-        # integer, x log-uniform in [1e-3, asymptotic_threshold(a, c)]; then
-        # the points outside it of _outside_region_points
+        # 1,000 seeded points with a > 0: a log-uniform in [1e-8, 30], c
+        # uniform in [-6, 3], a tenth within 1e-3 of an integer, x
+        # log-uniform in [1e-3, large_x(a, c)]; then those of
+        # _large_x_and_nonpositive_a_points
         rng = np.random.default_rng(1409)
         points = []
         for i in range(1000):
@@ -469,10 +474,10 @@ class TestPsiQuotients:
             if i % 10 == 0:
                 c = round(c) + float(rng.uniform(-1e-3, 1e-3))
             x = float(math.exp(rng.uniform(math.log(1e-3),
-                                           math.log(asymptotic_threshold(a, c)))))
+                                           math.log(large_x(a, c)))))
             points.append((a, c, x))
         differ = []
-        for a, c, x in points + _outside_region_points():
+        for a, c, x in points + _large_x_and_nonpositive_a_points():
             p = ParameterPoint(a, c, x)
             try:
                 want = psi(p)
@@ -485,6 +490,64 @@ class TestPsiQuotients:
                     want.value.hex(), want.abs_error.hex(), want.method, want.flags):
                 differ.append((a, c, x))
         assert differ == []
+
+    def test_large_x_psi_and_quotients_within_their_budgets_against_mpmath(self):
+        # 600 seeded points: a log-uniform in [1e-3, 30], c uniform in
+        # [-5, 2], a fifth at or within 1e-7 of an integer, x from 1 to 20
+        # times large_x(a, c) at every other point and log-uniform in 1 to
+        # 1e4 times it at the rest.  psi, r and s against mpmath.hyperu at
+        # 40 digits with exact shifts
+        rng = np.random.default_rng(1409_1075)
+        outside = []
+        with mpmath.workdps(40):
+            for i in range(600):
+                a = float(math.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
+                c = float(rng.uniform(-5.0, 2.0))
+                if i % 5 == 0:
+                    c = float(rng.integers(-5, 3)) + (
+                        0.0 if i % 10 == 0 else float(rng.uniform(-1e-7, 1e-7)))
+                scale = (rng.uniform(1.0, 20.0) if i % 2 == 0
+                         else math.exp(rng.uniform(0.0, math.log(1e4))))
+                x = float(scale) * large_x(a, c)
+                A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+                u0 = mpmath.hyperu(A, C, X)
+                f0, r, s = kernel.psi_quotients(ParameterPoint(a, c, x))
+                assert f0.method == "quadrature"
+                for name, (value, err), ref in (
+                        ("psi", f0[:2], u0), ("r", r, mpmath.hyperu(A + 1, C, X) / u0),
+                        ("s", s, mpmath.hyperu(A + 1, C + 1, X) / u0)):
+                    if not abs(value - float(ref)) <= err:
+                        outside.append((name, a, c, x, value, err, float(ref)))
+        assert outside == []
+
+    @pytest.mark.parametrize("x", [1e308, 1.7e308])
+    def test_quotients_below_the_double_range_raise_on_every_call(self, x):
+        # psi(0.1, -4.5, x) is a normal double, but r and s, about 1/x, are
+        # not: they raise as psi does where it underflows
+        kernel.psi_quotients.cache_clear()
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="underflow"):
+                kernel.psi_quotients(ParameterPoint(0.1, -4.5, x))
+        assert kernel.psi_quotients.cache_info().currsize == 0
+
+    def test_quotients_near_the_bottom_of_the_double_range_deliver(self):
+        a, c, x = 0.1, -4.5, 1e307
+        f0, r, s = kernel.psi_quotients(ParameterPoint(a, c, x))
+        with mpmath.workdps(40):
+            A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+            u0 = mpmath.hyperu(A, C, X)
+            for (value, err), ref in ((r, mpmath.hyperu(A + 1, C, X) / u0),
+                                      (s, mpmath.hyperu(A + 1, C + 1, X) / u0)):
+                assert value == pytest.approx(1e-307, rel=1e-12)
+                assert abs(value - float(ref)) <= err
+
+    def test_psi_indistinguishable_from_zero_raises_on_every_call(self):
+        # U(-3/2, 1/2, x^2) = H_3(x)/8 = x^3 - 3x/2 vanishes at x^2 = 3/2
+        kernel.psi_quotients.cache_clear()
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="indistinguishable from 0"):
+                kernel.psi_quotients(ParameterPoint(-1.5, 0.5, 1.5))
+        assert kernel.psi_quotients.cache_info().currsize == 0
 
     def test_psi_alone_runs_no_extension(self, monkeypatch):
         # psi's trapezoid passes take psi's six arguments only
@@ -605,13 +668,15 @@ class TestPsiDispatcher:
         assert fv.value == pytest.approx(PSI_REFS[(-0.75, -5.5, 200.0)], rel=1e-11)
         assert fv.method == "asymptotic_large_x"
 
-    def test_huge_x_dispatches_to_asymptotics(self):
-        fv = psi(ParameterPoint(0.25, 0.5, 500.0))  # threshold 50*(1.75)^2 = 153
-        assert fv.method == "asymptotic_large_x"
+    def test_huge_x_takes_quadrature(self):
+        # x past large_x(0.25, 0.5) = 153, where psi ~ x^-a
+        fv = psi(ParameterPoint(0.25, 0.5, 500.0))
+        assert fv.method == "quadrature"
         assert fv.value == pytest.approx(500.0 ** -0.25, rel=1e-3)
 
     def test_asymptotic_underflow_raises(self):
-        # psi(200, 0.5, 1e7) ~ 1e7^-200 = 1e-1400, beyond asymptotic_threshold
+        # psi(200, 0.5, 1e7) ~ 1e7^-200 = 1e-1400, at large x, where the
+        # quadrature route serves a > 0 as everywhere
         with pytest.raises(EvaluationError, match="underflows"):
             psi(ParameterPoint(200.0, 0.5, 1e7))
 

@@ -16,8 +16,7 @@ import mpmath
 import pytest
 
 from tricomi_turan import bounds, kernel, measure, suites, turanians
-from tricomi_turan.kernel import (EvaluationError, ParameterPoint,
-                                  asymptotic_threshold, psi, psi_connection)
+from tricomi_turan.kernel import EvaluationError, ParameterPoint, psi, psi_connection
 from tricomi_turan.suites import ConfigError, ReportRow, RunConfig
 
 SMALL_GRID = {"grid_a": (0.5, 2.0), "grid_c": (-2.5, 0.25),
@@ -53,7 +52,12 @@ class TestRunConfig:
 
 
 def test_crosscheck_points_take_the_quadrature_route_of_psi():
-    assert max(suites.CROSSCHECK_X) < asymptotic_threshold(0.0, 0.0)
+    # every point of the default grid at which the suite holds
+    cfg, crosscheck = RunConfig(), suites.REGISTRY["kernel_crosscheck"]
+    points = [p for a in cfg.grid_a for c in cfg.grid_c
+              if crosscheck.applies(None, a, c) for p in crosscheck.points(cfg, a, c)]
+    assert len(points) > 100
+    assert {psi(p).method for p in points} == {"quadrature"}
 
 
 class RecordingPool:
@@ -372,7 +376,7 @@ def test_bounds_suite_computes_each_ratio_once():
 
 def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
     # from cold caches: one trapezoid pass per (a, c, x) of the grid, all
-    # in psi's quadrature region, and no quadrature at a shifted point
+    # at a > 0, and no quadrature at a shifted point
     quadratures = []
     quadrature = kernel._quadrature
 
@@ -387,7 +391,7 @@ def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
     suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
     grid = [(a, c, x) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
             for x in SMALL_GRID["grid_x"]]
-    assert all(x <= asymptotic_threshold(a, c) for a, c, x in grid)
+    assert all(a > 0.0 for a, c, x in grid)
     assert sorted(quadratures) == sorted((point, True) for point in grid)
 
 

@@ -18,6 +18,11 @@ FIRST = TuranianKind.FIRST_SHIFT
 SECOND = TuranianKind.SECOND_SHIFT
 
 
+def large_x(a, c):
+    """50 (1 + |a| + |c|)^2: the samplers below take x past it as large."""
+    return 50.0 * (1.0 + abs(a) + abs(c)) ** 2
+
+
 class TestTuranian:
     def test_closed_form_zero(self):
         # psi(1,2,2) = 1/2, psi(0,1,2) = 1, psi(2,3,2) = 1/4: difference is 0
@@ -172,11 +177,12 @@ _READS = [(BOTH, {(0, 0), (1, 0), (1, 1)}),
 
 
 class TestShiftPoints:
-    """In psi's quadrature region a ratio reads no psi at a shifted point:
-    one trapezoid pass gives psi and its quotients.  Outside it a ratio of
-    any kind reads psi at (a, c), (a+1, c) and (a+1, c+1), the record of r
-    and s, and never at (a, c+1).  A raw Turanian reads psi everywhere at
-    the points of ``_READS``, as its kind needs."""
+    """The region here is a > 0, at every x: there a ratio reads no psi at
+    a shifted point, as one trapezoid pass gives psi and its quotients.
+    At a <= 0 a ratio of any kind reads psi at (a, c), (a+1, c) and
+    (a+1, c+1), the record of r and s, and never at (a, c+1).  A raw
+    Turanian reads psi everywhere at the points of ``_READS``, as its kind
+    needs."""
 
     @staticmethod
     def _reads(monkeypatch, public, kind, p):
@@ -200,34 +206,35 @@ class TestShiftPoints:
 
     @pytest.mark.parametrize("kind,shifts", _READS)
     def test_in_the_region_one_pass_and_no_shifted_psi(self, monkeypatch, kind, shifts):
-        # the ratio makes one pass; the raw Turanian reads psi at its points
-        p = ParameterPoint(0.5, -1.0, 0.03)  # psi(-0.5, -2, 0.03) has no route
-        seen, passes = self._reads(monkeypatch, turanian_ratio, kind, p)
-        assert set(seen) <= {p}
-        assert passes == [p]
-        seen, passes = self._reads(monkeypatch, turanian, kind, p)
-        assert passes == []
-        assert set(seen) == {ParameterPoint(0.5 + da, -1.0 + dc, 0.03) for da, dc in shifts}
+        # the ratio makes one pass; the raw Turanian reads psi at its
+        # points.  psi(-0.5, -2, 0.03) has no route, and 400 lies past
+        # large_x(0.5, -1) = 312.5
+        for x in (0.03, 400.0):
+            p = ParameterPoint(0.5, -1.0, x)
+            seen, passes = self._reads(monkeypatch, turanian_ratio, kind, p)
+            assert set(seen) <= {p}
+            assert passes == [p]
+            seen, passes = self._reads(monkeypatch, turanian, kind, p)
+            assert passes == []
+            assert set(seen) == {ParameterPoint(0.5 + da, -1.0 + dc, x) for da, dc in shifts}
 
     @pytest.mark.parametrize("kind,shifts", _READS)
     def test_a_ratio_reads_psi_at_its_point_and_above(self, monkeypatch, kind, shifts):
-        # outside the region: x past asymptotic_threshold(0.5, -1) = 312.5,
-        # and a <= 0
-        for a, c, x in ((0.5, -1.0, 400.0), (-0.5, 0.25, 2.0)):
-            p = ParameterPoint(a, c, x)
-            for public, reads in ((turanian_ratio, {(0, 0), (1, 0), (1, 1)}),
-                                  (turanian, shifts)):
-                seen, passes = self._reads(monkeypatch, public, kind, p)
-                assert passes == []
-                assert set(seen) == {ParameterPoint(a + da, c + dc, x)
-                                     for da, dc in reads}
+        # outside the region: a <= 0
+        a, c, x = -0.5, 0.25, 2.0
+        p = ParameterPoint(a, c, x)
+        for public, reads in ((turanian_ratio, {(0, 0), (1, 0), (1, 1)}),
+                              (turanian, shifts)):
+            seen, passes = self._reads(monkeypatch, public, kind, p)
+            assert passes == []
+            assert set(seen) == {ParameterPoint(a + da, c + dc, x)
+                                 for da, dc in reads}
 
 
 def _pass_oracle_points():
-    """320 seeded points in psi's quadrature region: a log-uniform in
-    [1e-3, 8], every fifth in [1e-3, 0.05] (169 lie below 0.05), c within
-    1e-3 of an integer in [-5, 2], x log-uniform in [1e-2,
-    asymptotic_threshold(a, c)]."""
+    """320 seeded points with a > 0: a log-uniform in [1e-3, 8], every
+    fifth in [1e-3, 0.05] (169 lie below 0.05), c within 1e-3 of an
+    integer in [-5, 2], x log-uniform in [1e-2, large_x(a, c)]."""
     rng = random.Random("pass-oracle")
     points = []
     for i in range(320):
@@ -235,17 +242,16 @@ def _pass_oracle_points():
                                  else math.log(8.0)))
         c = rng.randint(-5, 2) + rng.uniform(-1e-3, 1e-3)
         x = math.exp(rng.uniform(math.log(1e-2),
-                                 math.log(kernel.asymptotic_threshold(a, c))))
+                                 math.log(large_x(a, c))))
         points.append((a, c, x))
     return points
 
 
-def _outside_points():
-    """200 seeded points outside psi's quadrature region, c = k + d with
-    integer k in [-5, 1] and d in [0.02, 0.98]: every other point with a
-    uniform in [-4, 0) and x log-uniform in [0.05, 600], the rest with a
-    log-uniform in [0.05, 6] and x from 1 to 20 times
-    asymptotic_threshold(a, c)."""
+def _large_x_and_nonpositive_a_points():
+    """200 seeded points, c = k + d with integer k in [-5, 1] and d in
+    [0.02, 0.98]: every other point with a uniform in [-4, 0) and x
+    log-uniform in [0.05, 600], the rest with a log-uniform in [0.05, 6]
+    and x from 1 to 20 times large_x(a, c)."""
     rng = random.Random("outside-oracle")
     points = []
     for i in range(200):
@@ -255,7 +261,7 @@ def _outside_points():
             x = math.exp(rng.uniform(math.log(0.05), math.log(600.0)))
         else:
             a = math.exp(rng.uniform(math.log(0.05), math.log(6.0)))
-            x = rng.uniform(1.0, 20.0) * kernel.asymptotic_threshold(a, c)
+            x = rng.uniform(1.0, 20.0) * large_x(a, c)
         points.append((a, c, x))
     return points
 
@@ -281,11 +287,12 @@ class TestShiftQuotients:
                         outside.append((a, c, x, da, dc, q, err, ref))
         assert outside == []
 
-    def test_outside_the_region_a_miss_is_psis_own(self):
-        # all six shifts against mpmath.hyperu at 40 digits.  62 of the
-        # 1,200 quotients lie outside their budget (worst 7.3x): 61 are r
-        # or s past asymptotic_threshold, where the expansion's own budget
-        # falls short (ROADMAP item 1).  Each miss must sit at a point where
+    def test_no_miss_at_large_x_and_a_nonpositive_a_miss_is_psis_own(self):
+        # all six shifts against mpmath.hyperu at 40 digits.  At a > 0 and
+        # large x the record is one trapezoid pass, and no quotient may lie
+        # outside its budget (worst 0.33 of it).  At a <= 0 one of the 600
+        # lies outside (1.29x), where the expansion's own budget falls
+        # short (ROADMAP item 1): each such miss must sit at a point where
         # psi at (a, c), (a+1, c) or (a+1, c+1), the values the record
         # divides, is itself outside its budget
         def psi_outside(a, c, x):
@@ -300,7 +307,7 @@ class TestShiftQuotients:
 
         misses, checked = [], 0
         with mpmath.workdps(40):
-            for a, c, x in _outside_points():
+            for a, c, x in _large_x_and_nonpositive_a_points():
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
                 u0 = mpmath.hyperu(A, C, X)
                 for da, dc in _SIX_SHIFTS:
@@ -310,12 +317,13 @@ class TestShiftQuotients:
                     if not abs(q - ref) <= err:
                         misses.append((a, c, x, da, dc, q, err, ref))
         assert checked == 1200
+        assert [m for m in misses if m[0] > 0.0] == []
         assert [m for m in misses if not psi_outside(*m[:3])] == []
 
     def test_second_lower_shift_is_the_ratios_lower_quotient(self):
         # (0, -1) gives psi(a, c-1)/psi = 1 - a r (DLMF 13.3.9), the lower
-        # quotient of R_c = 1 - q(0, -1) q(0, 1), in psi's quadrature region
-        # and past its threshold
+        # quotient of R_c = 1 - q(0, -1) q(0, 1), below and past
+        # large_x(0.5, -1) = 312.5
         for a, c, x in ((2.0, -2.5, 1.5), (0.5, -1.0, 400.0)):
             p = ParameterPoint(a, c, x)
             f0, qm, _ = turanians.shift_quotient(p, 0, -1)
@@ -326,11 +334,12 @@ class TestShiftQuotients:
             assert f0 == psi(p)
 
     @pytest.mark.parametrize("da,dc", [(2, 0), (0, 2), (1, -1), (0, 0), (-2, 0)])
+    # "outside": past large_x(0.5, -1) = 312.5
     @pytest.mark.parametrize("a,c,x", [(2.0, -2.5, 1.5), (0.5, -1.0, 400.0)],
                              ids=["inside", "outside"])
     def test_any_other_shift_raises(self, a, c, x, da, dc):
         # only the six shifts of the Turanians are served: (2, 0) used to
-        # return r in psi's quadrature region
+        # return r
         with pytest.raises(ValueError, match="no quotient"):
             turanians.shift_quotient(ParameterPoint(a, c, x), da, dc)
 
