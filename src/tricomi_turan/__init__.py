@@ -21,7 +21,7 @@ _EXPORTS = {
     "kernel": ("DoubleRangeError", "EvaluationError", "FunctionValue",
                "ParameterPoint", "RegionError", "log_gamma", "psi",
                "psi_connection", "psi_quadrature"),
-    "turanians": ("LIMITS", "ScanResult", "SharpnessLimit", "TuranianKind",
+    "turanians": ("LIMITS", "ScanPoint", "SharpnessLimit", "TuranianKind",
                   "sharpness_scan", "turanian", "turanian_ratio"),
     "measure": ("MOMENT_IDENTITIES", "MomentIdentity", "WeightDensity", "phi",
                 "phi_moment", "stieltjes"),

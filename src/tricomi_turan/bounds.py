@@ -99,7 +99,8 @@ from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, log_gamma_error)
-from .turanians import TuranianKind, shift_quotient, turanian_ratio
+from .turanians import (BOTH, FIRST, SECOND, TuranianKind, shift_quotient,
+                        turanian_ratio)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -264,9 +265,6 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
 
 
 # --- the catalog -----------------------------------------------------------
-
-BOTH, FIRST, SECOND = (TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT,
-                       TuranianKind.SECOND_SHIFT)
 
 _TARGET_KIND = {"ratio_both": BOTH, "ratio_first": FIRST, "ratio_second": SECOND}
 

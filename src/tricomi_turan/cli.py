@@ -6,7 +6,8 @@ Subcommands:
 * ``eval``       -- single-point evaluation for debugging
 * ``catalog``    -- dump the bound catalog
 * ``sharpness``  -- print limit scans: one line per (a, c) pair and row of
-  ``turanians.LIMITS`` whose region holds at the pair, in table order
+  ``turanians.LIMITS`` whose region holds at the pair, in table order,
+  with the deviation from the limit and its rate bound at each x
 
 ``run`` passes the settings given on the command line to its
 :class:`RunConfig`; a setting not given keeps the RunConfig default, so
@@ -109,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="json")
     p_cat.add_argument("--out")
 
-    p_sh = sub.add_parser("sharpness", help="print sharpness limit scans")
+    p_sh = sub.add_parser("sharpness", help="print sharpness limit scans: the "
+                                      "deviation from each limit and its "
+                                      "rate bound at each x")
     p_sh.add_argument("--grid-a", type=_parse_floats,
                       help="comma list of a values (default curated pairs)")
     p_sh.add_argument("--grid-c", type=_parse_floats, help="comma list of c values")
@@ -234,12 +237,10 @@ def _cmd_sharpness(args) -> int:
                 return EXIT_EVAL
             direction = "x_to_zero" if lim.toward_zero else "x_to_infinity"
             norm = "ratio_times_x2" if lim.x2_scaled else "ratio"
-            seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}"
-                           for q in scan.points)
-            lines.append(
-                f"{lim.kind.value} {direction} {norm} "
-                f"a={a:g} c={c:g} limit={lim.value(a, c):.10g} {seq} "
-                f"decreasing={scan.eventually_decreasing}")
+            seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}:rate={q.rate:.6g}"
+                           for q in scan)
+            lines.append(f"{lim.kind.value} {direction} {norm} "
+                         f"a={a:g} c={c:g} limit={lim.value(a, c):.10g} {seq}")
     return _emit("\n".join(lines) + "\n", args.out)
 
 

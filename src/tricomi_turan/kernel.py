@@ -167,10 +167,16 @@ class FunctionValue(_ValueFields):
 # ---------------------------------------------------------------------------
 
 def log_gamma(z: float) -> tuple[float, float]:
-    """Return (log|Gamma(z)|, sign(Gamma(z))) for real z off the poles."""
+    """Return (log|Gamma(z)|, sign(Gamma(z))) for real z off the poles;
+    where log|Gamma(z)| itself overflows (z near 1e306 and beyond), raise
+    :class:`EvaluationError`."""
     if z <= 0.0 and z == math.floor(z):
         raise EvaluationError(f"Gamma pole at z={z}")
-    return math.lgamma(z), -1.0 if z < 0.0 and math.floor(z) % 2 else 1.0
+    try:
+        lg = math.lgamma(z)
+    except OverflowError:
+        raise EvaluationError(f"log Gamma({z}) is beyond the double range") from None
+    return lg, -1.0 if z < 0.0 and math.floor(z) % 2 else 1.0
 
 
 def log_gamma_error(z: float, lg: float) -> float:
@@ -230,22 +236,31 @@ def _digamma(z: float) -> float:
 
 
 def _pochhammer(c: float, m: int) -> float:
+    """(c)_m as a running product, which stops at its first zero or
+    non-finite value: later finite factors leave a zero a zero, and a
+    non-finite product a non-finite one."""
     out = 1.0
     for k in range(m):
         out *= c + k
+        if not 0.0 < abs(out) <= _FMAX:
+            break
     return out
 
 
 def _terminating(m: int, c: float, x: float) -> FunctionValue:
     """psi(-m, c, x) = (-1)^m sum_s C(m,s) (c+s)_(m-s) (-x)^s (DLMF 13.2.7),
     a degree-m polynomial with no division, valid for every c.  The budget
-    allows 3m + 4 roundings per term, the summation included."""
+    allows 3m + 4 roundings per term, the summation included.  The sum
+    stops at its first non-finite term, which raises, so a huge m costs
+    no more than the terms before the double range ends."""
     total = gross = 0.0
     try:
         for s in range(m + 1):
             term = math.comb(m, s) * _pochhammer(c + s, m - s) * (-x) ** s
             total += term
             gross += abs(term)
+            if not gross <= _FMAX:
+                break
     except OverflowError:
         gross = math.inf
     if not gross <= _FMAX:
@@ -413,7 +428,9 @@ def psi_quadrature(p: ParameterPoint) -> FunctionValue:
     rounding, not the step, then sets it), the honest budget is returned
     with the flag ``"tolerance_not_met"``.  A value below
     the normal double range raises :class:`EvaluationError`, one beyond it
-    :class:`DoubleRangeError`.
+    :class:`DoubleRangeError`; so do, as :class:`EvaluationError`, nodes
+    that leave the double range (|c - a - 1|/x or the cutoff near the
+    largest double) and a NaN or infinite value or budget.
     """
     return _quadrature(p.a, p.c, p.x)
 
@@ -444,13 +461,17 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     log_b = math.log(min(x, 1.0))
     w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
     S, log_f_cut = _cutoff(a, pw, x, log_b, pw)
+    # the shifted integrands are psi's at (a+1, pw) and, below it by the
+    # factor 1/(1 + e^w/x), at (a+1, pw-1)
+    S_ext = max(S, _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0]) if shifted else S
+    # the nodes need e^w/x up to past S_ext and twice the bound 1 + |pw|/x
+    # of _left_nodes (1 + |pw-1|/x for the shifted sums) as doubles
+    if not 2.0 * (S_ext + abs(pw) + 1.0) / x <= _FMAX:
+        raise EvaluationError(f"the trapezoid nodes of psi(a={a}, c={c}, x={x}) "
+                              f"reach beyond the double range")
     w_max = math.log(S)
-    extension = ()
-    if shifted:
-        # the shifted integrands are psi's at (a+1, pw) and, below it by
-        # the factor 1/(1 + e^w/x), at (a+1, pw-1)
-        S_ext = max(S, _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0])
-        extension = (math.log(S_ext), 1.0 + max(abs(pw), abs(pw - 1.0)) / x)
+    extension = ((math.log(S_ext), 1.0 + max(abs(pw), abs(pw - 1.0)) / x)
+                 if shifted else ())
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
@@ -485,8 +506,12 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
             f"psi(a={a}, c={c}, x={x}) underflows the double range (got {value})")
     if value > _FMAX:
         raise _beyond_range(a, c, x)
-    fv = FunctionValue(value, scale * err + rel_scale * abs(value), QUADRATURE,
-                       () if met else ("tolerance_not_met",))
+    budget = scale * err + rel_scale * abs(value)
+    # NaN passes both tests above
+    if not value + budget <= _FMAX:
+        raise EvaluationError(f"psi(a={a}, c={c}, x={x}) has no finite value and "
+                              f"budget on the trapezoid route")
+    fv = FunctionValue(value, budget, QUADRATURE, () if met else ("tolerance_not_met",))
     if not shifted:
         return fv
     return fv, _shifted_quotients(a, pw, x, h, m, total, err, *nodes, *extension)
@@ -682,7 +707,8 @@ def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
             raise
         except EvaluationError:
             pass
-    if expansion is not None:
+    # an expansion whose budget overflows is no candidate
+    if expansion is not None and expansion.abs_error <= _FMAX:
         candidates.append(expansion)
     if not candidates:
         raise EvaluationError(f"no usable evaluation route for a={a}, c={c}, x={x}")

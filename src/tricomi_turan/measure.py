@@ -102,7 +102,9 @@ _BLOCKS = (8, 16, 32, 64)   # terms per block of the Kummer sums, the last repea
 
 @dataclass(frozen=True)
 class WeightDensity:
-    """Parameters (a > 0, c < 1), the log of 1/(Gamma(a+1)Gamma(a-c+1)) and its error."""
+    """Parameters (finite a > 0, c < 1), the log of 1/(Gamma(a+1)Gamma(a-c+1))
+    and its error; a log-Gamma beyond the double range raises
+    :class:`EvaluationError`."""
 
     a: float
     c: float
@@ -110,9 +112,9 @@ class WeightDensity:
     log_prefactor_error: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.c < 1.0):
-            raise RegionError(
-                f"weight density requires a > 0 and c < 1, got a={self.a}, c={self.c}")
+        if not (0.0 < self.a < math.inf and -math.inf < self.c < 1.0):
+            raise RegionError(f"weight density requires finite a > 0 and c < 1, "
+                              f"got a={self.a}, c={self.c}")
         zs = (self.a + 1.0, self.a - self.c + 1.0)
         lgs = [log_gamma(z)[0] for z in zs]
         object.__setattr__(self, "log_prefactor", -sum(lgs))
@@ -254,9 +256,9 @@ def _neg_axis_core(d: WeightDensity, t: np.ndarray):
 
 
 def phi(d: WeightDensity, t: float) -> FunctionValue:
-    """Density value at t > 0 (always >= 0)."""
-    if t <= 0.0:
-        raise RegionError(f"density argument must satisfy t > 0, got t={t}")
+    """Density value at finite t > 0 (always >= 0)."""
+    if not 0.0 < t < math.inf:
+        raise RegionError(f"density argument must be finite and > 0, got t={t}")
     core, rel = _neg_axis_core(d, np.array([float(t)]))
     log_scale = d.log_prefactor - d.c * math.log(t)
     value = math.exp(log_scale) * float(core[0])

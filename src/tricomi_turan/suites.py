@@ -36,12 +36,14 @@ Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 claims once, in task order, each with the argument its rows need (a
 catalog entry, a moment identity, a Turanian kind); the report puts them
 in name order.  The sharpness suite's claims are the rows of
-``turanians.LIMITS``, each with its own (a, c) pairs and endpoint
-allowance.  A record holds the test of whether a claim holds at a pair;
-the points of its rows at a pair; and the evaluator of one row, which
-calls the per-point function of the claim (``check_bound``,
-``check_dominance``, ``auxiliary_log_ratio``, ``measure.stieltjes``, the
-other measure and Turanian functions).  No suite takes a tolerance.
+``turanians.LIMITS``, each with its own (a, c) pairs; a row holds the
+deviation from the limit at the end of its scan against the limit's
+rate bound there, as an inequality row.  A record holds the test of
+whether a claim holds at a pair; the points of its rows at a pair; and
+the evaluator of one row, which calls the per-point function of the
+claim (``check_bound``, ``check_dominance``, ``auxiliary_log_ratio``,
+``measure.stieltjes``, the other measure and Turanian functions).  No
+suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -238,24 +240,11 @@ def _row_dominance(suite, claim, _, a, c, p):
 
 
 def _row_sharpness(suite, claim, lim, a, c, _):
-    scan = sharpness_scan(lim, a, c)
-    last = scan.points[-1]
-    if lim.allowance is not None:
-        # the endpoint lies within a fraction of |limit|; the x^2-scaled
-        # zeta limit needs decreasing deviations too
-        allowance = lim.allowance * abs(lim.value(a, c))
-        margin = allowance - last.deviation
-        if lim.x2_scaled and not scan.eventually_decreasing:
-            margin = -abs(margin) - 1.0
-        return (suite, claim, a, c, last.x, last.deviation, allowance, margin,
-                last.budget, bounds_mod._status(margin, last.budget), lim.anchor)
-    # plain ratios at infinity: the deviations decrease
-    devs = [q.deviation for q in scan.points]
-    worst = max(d2 - d1 for d1, d2 in zip(devs, devs[1:]))
-    budget = 2.0 * max(q.budget for q in scan.points)
-    margin = -worst
-    return (suite, claim, a, c, last.x, devs[-1], devs[0], margin, budget,
-            bounds_mod._status(margin, budget), lim.anchor)
+    # the deviation at the end of the scan, held against the limit's rate
+    end = sharpness_scan(lim, a, c)[-1]
+    margin = end.rate - end.deviation
+    return (suite, claim, a, c, end.x, end.deviation, end.rate, margin, end.budget,
+            bounds_mod._status(margin, end.budget), lim.anchor)
 
 
 def _row_monotonicity(suite, claim, which, a, c, step):

@@ -39,11 +39,17 @@ The catalogued bounds on these ratios become equalities as x -> 0 or
 x -> inf.  ``LIMITS`` states each of those seven limits once, as a
 :class:`SharpnessLimit` row keyed by its claim name: the Turanian kind,
 the scan sequence toward 0 or toward infinity, whether the ratio is
-scaled by x^2, the (a, c) region, the closed-form limit, the anchor
-text of its report rows, the curated (a, c) pairs the sharpness suite
-scans and the endpoint allowance its rows are held to.
-``sharpness_scan`` measures the deviations from a row's limit along that
-row's own sequence.
+scaled by x^2, the (a, c) region, the closed-form limit L, the rate
+bound rho(a, c, x) >= |scale R - L|, the anchor text of its report rows
+and the curated (a, c) pairs the sharpness suite scans.  The rates come
+from the Stieltjes form q(x) = psi(a+1,c+1,x)/psi(a,c,x) = int_0^inf
+phi(t)/(x+t) dt with phi >= 0 (Ismail & Kelker, SIAM J. Math. Anal. 10,
+1979; ``measure``): the both-shift ratio is -int t phi/(x+t)^2 dt, and
+1 - 1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac - (c-a-1) by 2 m_2/x,
+m_2 = int t^2 phi dt = (1+a-c)(2+2a-c) from the large-x expansion of q.
+The other six rates are |bound - L| for the catalog bound that makes the
+limit sharp, so each is proven where that bound is.  ``sharpness_scan`` measures the deviations from a row's
+limit along that row's own sequence, each beside its rate.
 
 ``turanian_ratio`` is cached per (kind, a, c, x), on top of the record
 per (a, c, x) that ``kernel.psi_quotients`` caches: one ratio is read by
@@ -77,11 +83,9 @@ class TuranianKind(enum.Enum):
         return _SHIFTS[self]
 
 
-_SHIFTS = {
-    TuranianKind.BOTH_SHIFT: (1, 1),
-    TuranianKind.FIRST_SHIFT: (1, 0),
-    TuranianKind.SECOND_SHIFT: (0, 1),
-}
+BOTH, FIRST, SECOND = (TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT,
+                       TuranianKind.SECOND_SHIFT)
+_SHIFTS = {BOTH: (1, 1), FIRST: (1, 0), SECOND: (0, 1)}
 
 
 def _one_plus_a_s(a: float, c: float, x: float, r, s) -> tuple[float, float]:
@@ -185,21 +189,20 @@ SCAN_TO_ZERO = (1.0, 0.1, 0.01, 0.001)
 SCAN_TO_INFINITY = (10.0, 100.0, 1000.0)
 
 
-# Curated (a, c) pairs for the sharpness scans.  The x -> 0 limits converge
-# like K(a,c) * x with K growing as c -> -1 and |c - a| -> inf; these pairs
-# keep the deviation at x = 1e-3 below 1% of the limit with >= 4x margin.
+# The (a, c) pairs the sharpness suite scans.  They stay while the recorded
+# counts of the default run pin its 28 sharpness rows; each lies in the
+# region of every limit that scans it.
 PAIRS_TO_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
 PAIRS_TO_INFINITY = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
 
 
 @dataclass(frozen=True)
 class SharpnessLimit:
-    """One sharpness claim: where ``region(a, c)`` holds, the ratio of
-    ``kind``, times x^2 if ``x2_scaled``, tends to ``value(a, c)`` along
-    ``xs``.  The sharpness suite scans it at ``pairs``; where ``allowance``
-    is set, the deviation at the end of the scan must lie within that
-    fraction of |limit|, and where it is None the deviations must
-    decrease."""
+    """One sharpness claim: where ``region(a, c)`` holds, the ratio R of
+    ``kind``, times x^2 if ``x2_scaled``, tends to L = ``value(a, c)``
+    along ``xs``, at the proven rate |scale R - L| <= ``rate(a, c, x)``,
+    which tends to 0.  The region is the one where the rate is stated.
+    The sharpness suite scans the limit at ``pairs``."""
 
     name: str
     kind: TuranianKind
@@ -207,66 +210,68 @@ class SharpnessLimit:
     x2_scaled: bool
     region: Callable[[float, float], bool]
     value: Callable[[float, float], float]
+    rate: Callable[[float, float, float], float]
     anchor: str
     pairs: tuple[tuple[float, float], ...]  # PAIRS_TO_ZERO or PAIRS_TO_INFINITY
-    allowance: float | None
 
     @property
     def toward_zero(self) -> bool:
         return self.xs[-1] < self.xs[0]
 
 
-def _vanishes(kind: TuranianKind) -> SharpnessLimit:
+def _vanishes(kind: TuranianKind, rate) -> SharpnessLimit:
     return SharpnessLimit(f"vanish[{kind.value}]", kind, SCAN_TO_INFINITY, False,
-                          lambda a, c: True, lambda a, c: 0.0,
-                          "plain ratio deviations from 0 decrease toward infinity",
-                          PAIRS_TO_INFINITY, None)
+                          lambda a, c: a > 0.0 and c < 1.0, lambda a, c: 0.0, rate,
+                          "plain ratio tends to 0 within its rate", PAIRS_TO_INFINITY)
 
 
-def _to_zero(kind: TuranianKind, region, value) -> SharpnessLimit:
-    # a plain ratio at x = 1e-3 lies within 1% of its x -> 0 limit
+def _to_zero(kind: TuranianKind, value, rate) -> SharpnessLimit:
     return SharpnessLimit(f"zero-limit[{kind.value}]", kind, SCAN_TO_ZERO, False,
-                          region, value, "plain ratio approaches its x->0 closed form",
-                          PAIRS_TO_ZERO, 0.01)
+                          lambda a, c: a > 1.0 and c < -1.0, value, rate,
+                          "plain ratio tends to its x->0 closed form within its rate",
+                          PAIRS_TO_ZERO)
 
 
-# claim name -> limit, in the output order of ``tricomi-turan sharpness``
+# claim name -> limit, in the output order of ``tricomi-turan sharpness``.
+# Each rate but the zeta limit's is |bound - L| for the catalog bound that
+# makes the limit sharp (T1U, T1L, T5L, T3U, T6U, T6L in this order),
+# written out here since the catalog imports this module.
 LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
-    # the x^2-scaled ratio at x = 1000 lies within 5% of its limit, and its
-    # deviations decrease as well
-    SharpnessLimit("zeta-limit", TuranianKind.BOTH_SHIFT, SCAN_TO_INFINITY, True,
+    SharpnessLimit("zeta-limit", BOTH, SCAN_TO_INFINITY, True,
                    lambda a, c: a > 0.0 and c < 1.0, lambda a, c: c - a - 1.0,
-                   "x^2-scaled both-shift ratio approaches c-a-1",
-                   PAIRS_TO_INFINITY, 0.05),
-    _to_zero(TuranianKind.BOTH_SHIFT, lambda a, c: a > 0.0 > c, lambda a, c: 1.0 / c),
-    _vanishes(TuranianKind.BOTH_SHIFT),
-    _to_zero(TuranianKind.FIRST_SHIFT, lambda a, c: a > 0.0 and c < 1.0,
-             lambda a, c: 1.0 / (1.0 + a - c)),
-    _vanishes(TuranianKind.FIRST_SHIFT),
-    _to_zero(TuranianKind.SECOND_SHIFT, lambda a, c: a > 0.0 > c,
-             lambda a, c: a / (c * (1.0 + a - c))),
-    _vanishes(TuranianKind.SECOND_SHIFT),
+                   lambda a, c, x: 2.0 * (1.0 + a - c) * (2.0 + 2.0 * a - c) / x,
+                   "x^2-scaled both-shift ratio tends to c-a-1 within its rate",
+                   PAIRS_TO_INFINITY),
+    _to_zero(BOTH, lambda a, c: 1.0 / c,
+             lambda a, c, x: 2.0 * x * (c - a) / (c * c * (c + 1.0))),
+    _vanishes(BOTH, lambda a, c, x: (1.0 + a - c) / (x * x)),
+    _to_zero(FIRST, lambda a, c: 1.0 / (1.0 + a - c),
+             lambda a, c, x: x * x * (c - a) / (c * c * (c + 1.0) * (1.0 + a - c))),
+    _vanishes(FIRST, lambda a, c, x: 2.0 / x),
+    _to_zero(SECOND, lambda a, c: a / (c * (1.0 + a - c)),
+             lambda a, c, x: 2.0 * x * a * (c - a) / (c * c * (c + 1.0) * (1.0 + a - c))),
+    _vanishes(SECOND, lambda a, c, x: a / (x * x)),
 )}
 
 
 @dataclass(frozen=True)
 class ScanPoint:
+    """One point of a scan: the (x^2-scaled) ratio, its deviation from the
+    limit, the rate that bounds it and the budget of rate - deviation."""
+
     x: float
     ratio: float
     deviation: float
+    rate: float
     budget: float
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    points: tuple[ScanPoint, ...]
-    eventually_decreasing: bool
-
-
-def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> ScanResult:
-    """Deviations of the (x^2-scaled) ratio from its limit along the
-    limit's own scan sequence, and whether they decrease throughout.
-    Raises :class:`RegionError` where the limit's region does not hold."""
+def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> tuple[ScanPoint, ...]:
+    """The (x^2-scaled) ratio along the limit's own scan sequence, each
+    point with its deviation |scale R - L| from the limit L and the rate
+    bound on it.  The budget is the scaled ratio's plus 4 EPS (|L| + rate)
+    for the rounding of L, of the rate and of scale R.  Raises
+    :class:`RegionError` where the limit's region does not hold."""
     if not limit.region(a, c):
         raise RegionError(f"{limit.name} is not stated at (a={a}, c={c})")
     value = limit.value(a, c)
@@ -274,8 +279,7 @@ def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> ScanResult:
     for x in limit.xs:
         r = turanian_ratio(limit.kind, ParameterPoint(a, c, x))
         scale = x * x if limit.x2_scaled else 1.0
-        dev = abs(scale * r.value - value)
-        points.append(ScanPoint(x, scale * r.value, dev, scale * r.abs_error))
-    devs = [q.deviation for q in points]
-    decreasing = all(b < a_ for a_, b in zip(devs, devs[1:]))
-    return ScanResult(tuple(points), decreasing)
+        rate = limit.rate(a, c, x)
+        points.append(ScanPoint(x, scale * r.value, abs(scale * r.value - value), rate,
+                                scale * r.abs_error + 4.0 * EPS * (abs(value) + rate)))
+    return tuple(points)

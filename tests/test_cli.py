@@ -54,8 +54,14 @@ class TestCatalog:
 
 class TestSharpness:
     def test_default_pairs_print_one_line_per_limit_in_region(self, capsys):
+        # 6 pairs: the zeta and vanish limits hold at all 6, the three
+        # zero limits (a > 1, c < -1) at 4
         code, out, _ = run_cli(capsys, "sharpness")
-        assert code == 0 and len(out.splitlines()) == 40
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 36
+        # each x of a scan shows its deviation beside its rate
+        assert all(" decreasing=" not in line and line.count(":rate=") in (3, 4)
+                   for line in lines)
 
     def test_empty_grid_is_a_config_error(self, capsys):
         code, out, err = run_cli(capsys, "sharpness", "--grid-a", "", "--grid-c", "")
@@ -82,8 +88,8 @@ class TestSharpness:
         code, out, err = run_cli(capsys, "sharpness", flag, "7")
         assert code == 2 and "config error" in err and out == ""
 
-    # at a = 200 every psi underflows, on the first scan of the zeta limit
-    # at c = 0.5 and of the zero limits at c = -1
+    # at a = 200 every psi underflows, on the first scan, the zeta limit's:
+    # at c = -1 no zero limit holds (c < -1), and the zeta limit comes first
     @pytest.mark.parametrize("a,c,reason", [
         ("200", "0.5", "underflows the double range"),
         ("200", "-1", "underflows the double range")])
@@ -99,9 +105,10 @@ class TestSharpness:
 
     def test_integer_c_at_a_below_one_is_scanned(self, capsys):
         # the ratios read psi at a and a + 1 only, so no scan meets the
-        # integer-c hole of psi at a - 1 = -0.5
+        # integer-c hole of psi at a - 1 = -0.5; the zeta and the three
+        # vanish limits hold at (0.5, -1), the zero limits (a > 1) do not
         code, out, err = run_cli(capsys, "sharpness", "--grid-a", "0.5", "--grid-c=-1")
-        assert code == 0 and err == "" and len(out.splitlines()) == 7
+        assert code == 0 and err == "" and len(out.splitlines()) == 4
 
 
 class TestEval:
@@ -183,6 +190,22 @@ class TestEval:
         assert code == 4 and out == ""
         assert err.startswith("evaluation error: ")
         assert "exceeds the double range" in err
+
+    @pytest.mark.parametrize("a,c,t", [("1", "0.5", "nan"), ("1", "0.5", "inf"),
+                                       ("inf", "0.5", "1"), ("1", "nan", "1"),
+                                       ("1", "-inf", "1")])
+    def test_phi_at_non_finite_arguments_is_a_region_error(self, capsys, a, c, t):
+        # t = nan used to sum 10,000 Kummer terms first, a = inf to exit 4
+        code, out, err = run_cli(capsys, "eval", "phi", "--", a, c, t)
+        assert code == 3 and out == "" and err.startswith("region error: ")
+
+    @pytest.mark.parametrize("what,a", [("phi", "1e308"), ("psi", "1e308"),
+                                        ("psi", "-1e20")])
+    def test_huge_a_is_exit_4(self, capsys, what, a):
+        # log Gamma(1e308) overflows, and psi(-1e20, 0.5, 1), a terminating
+        # polynomial of degree 1e20, stops at its first non-finite term
+        code, out, err = run_cli(capsys, "eval", what, "--", a, "0.5", "1")
+        assert code == 4 and out == "" and err.startswith("evaluation error: ")
 
     def test_underflowing_turanian_is_an_evaluation_failure(self, capsys):
         # psi(100, -0.5, 1) = 6.5e-167: the products of two psi values underflow

@@ -21,6 +21,7 @@ Oracles used here:
 
 import math
 import pickle
+import signal
 
 import mpmath
 import numpy as np
@@ -223,6 +224,11 @@ class TestLogGamma:
     def test_pole_raises(self, z):
         with pytest.raises(EvaluationError):
             log_gamma(z)
+
+    def test_beyond_the_double_range_raises(self):
+        # math.lgamma raises an untyped OverflowError here
+        with pytest.raises(EvaluationError, match="beyond the double range"):
+            log_gamma(1e308)
 
     def test_oracle_sample(self):
         """log|Gamma| within its stated bound, the sign and digamma against
@@ -767,6 +773,62 @@ class TestDoubleRange:
         with pytest.raises(EvaluationError) as exc:
             psi(ParameterPoint(a, 0.5, x))
         assert "terminating series overflows the double range" in str(exc.value)
+
+
+# each finite extreme: a from +1e308 to -1e308 (-1e20 and -1e308 are
+# integers, so psi takes the terminating polynomial there), c = +-1e308,
+# +-1e20 and +-0.5, x from 1e-300 to 1e300: 144 points
+EXTREME_POINTS = [(a, c, x)
+                  for a in (1e308, 1e200, 1e20, 0.5, -0.5, -1e6 - 0.5, -1e20, -1e308)
+                  for c in (1e308, -1e308, 1e20, -1e20, 0.5, -0.5)
+                  for x in (1e-300, 1.0, 1e300)]
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+class TestExtremeParameters:
+    @pytest.mark.parametrize("fn", [psi, kernel.psi_quotients], ids=["psi", "psi_quotients"])
+    def test_typed_error_or_finite_value_within_2s(self, fn):
+        # each call used to raise an untyped OverflowError (from math.lgamma,
+        # math.ceil(inf) in _left_nodes or the trapezoid's node count), run
+        # on for ever (the terminating polynomial at a = -1e20) or return a
+        # NaN or infinite budget
+        old = signal.signal(signal.SIGALRM, _alarm)
+        bad = []
+        try:
+            for a, c, x in EXTREME_POINTS:
+                signal.setitimer(signal.ITIMER_REAL, 2.0)
+                try:
+                    got = fn(ParameterPoint(a, c, x))
+                except (EvaluationError, RegionError):
+                    continue
+                except Exception as exc:    # any other type is a failure
+                    bad.append((a, c, x, repr(exc)))
+                    continue
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0.0)
+                fv, *quotients = got if fn is kernel.psi_quotients else (got,)
+                if not all(math.isfinite(v) and math.isfinite(e)
+                           for v, e in [fv[:2], *quotients]):
+                    bad.append((a, c, x, got))
+        finally:
+            signal.signal(signal.SIGALRM, old)
+        assert bad == []
+
+    def test_terminating_polynomial_keeps_its_values(self):
+        # the running products stop at a zero factor (c a nonpositive
+        # integer) or at the end of the double range; the values stand
+        for m in range(1, 9):
+            for c in (-3.0, -0.5, 2.5):
+                for x in (0.5, 3.0):
+                    fv = psi(ParameterPoint(-float(m), c, x))
+                    assert abs(fv.value - hyperu40(-float(m), c, x)) <= fv.abs_error
 
 
 class TestKernelInvariants:

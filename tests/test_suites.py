@@ -223,8 +223,10 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
         rep = measure.stieltjes(kind, d, r.x)
         return turanians.turanian_ratio(kind, p).value, rep.value
     if r.suite == "sharpness":
-        scan = turanians.sharpness_scan(turanians.LIMITS[r.claim], r.a, r.c)
-        return scan.points[-1].x, scan.points[-1].deviation
+        end = turanians.sharpness_scan(turanians.LIMITS[r.claim], r.a, r.c)[-1]
+        margin = end.rate - end.deviation
+        return (end.x, end.deviation, end.rate, margin, end.budget,
+                bounds._status(margin, end.budget))
     if r.suite == "kernel_crosscheck":
         return psi(p).value, psi_connection(r.a, r.c, r.x).value
     assert r.suite in ("derivative", "ode_residual")
@@ -245,8 +247,9 @@ def row_fields(r: ReportRow) -> tuple:
     if r.suite in ("bounds", "dominance"):
         return r.lhs, r.rhs, r.margin, r.budget, r.status, r.anchor
     if r.suite == "sharpness":
-        # every limit reports the deviation at the end of its scan
-        return r.x, r.lhs
+        # every limit reports the deviation at the end of its scan, held
+        # against its rate there
+        return r.x, r.lhs, r.rhs, r.margin, r.budget, r.status
     if r.suite == "ode_residual":
         return r.lhs,
     return r.lhs, r.rhs
@@ -342,8 +345,13 @@ def test_default_run_verdicts_are_the_recorded_ones(default_run):
     assert totals == (9398, 0, 246) == (
         recorded["rows"], recorded["gating_fails"], recorded["advisory_fails"])
     assert summary.n_rows == len(rows)
+    # every suite has its counts, in report order, zero counts included
+    assert list(summary.counts) == list(suites.SUITES)
+    assert all(list(c) == ["pass", "fail", "inconclusive"]
+               for c in summary.counts.values())
     assert {s: {k: n for k, n in c.items() if n}
             for s, c in summary.counts.items()} == recorded["counts"]
+    assert summary.empty_regions == []
 
 
 def test_default_run_is_the_same_for_jobs_one_and_two(default_run):

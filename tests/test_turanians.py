@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from tricomi_turan import kernel, turanians
+from tricomi_turan.bounds import CATALOG
 from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError, psi
 from tricomi_turan.turanians import (LIMITS, SCAN_TO_INFINITY, SCAN_TO_ZERO,
                                      TuranianKind, sharpness_scan, turanian,
@@ -404,26 +405,97 @@ class TestSharpnessLimit:
 
     def test_region_validation(self):
         assert not LIMITS["zero-limit[both]"].region(2.0, 0.5)
+        # each region is the one where the limit's rate is stated
+        assert not LIMITS["zero-limit[first]"].region(0.5, -2.5)
+        assert not LIMITS["vanish[both]"].region(2.0, 1.5)
         with pytest.raises(RegionError):
             sharpness_scan(LIMITS["zero-limit[both]"], 2.0, 0.5)
 
 
 class TestSharpnessScan:
-    def test_zeta_scan_decreasing(self):
+    def test_zeta_scan_ends_within_its_rate(self):
         scan = sharpness_scan(LIMITS["zeta-limit"], 1.0, 0.0)
-        assert [q.x for q in scan.points] == list(SCAN_TO_INFINITY)
-        assert scan.eventually_decreasing
-        assert scan.points[-1].deviation < 0.05 * 2.0
+        assert [q.x for q in scan] == list(SCAN_TO_INFINITY)
+        assert [q.rate for q in scan] == [2.0 * 2.0 * 4.0 / x for x in SCAN_TO_INFINITY]
+        assert scan[-1].deviation < scan[-1].rate - scan[-1].budget
 
     def test_both_ratio_scan_to_zero(self):
         scan = sharpness_scan(LIMITS["zero-limit[both]"], 2.0, -2.0)
-        assert [q.x for q in scan.points] == list(SCAN_TO_ZERO)
-        assert scan.eventually_decreasing
-        assert scan.points[-1].deviation < 0.01 * 0.5
+        assert [q.x for q in scan] == list(SCAN_TO_ZERO)
+        assert all(q.deviation < q.rate - q.budget for q in scan)
 
     def test_plain_ratio_scan_to_infinity(self):
         scan = sharpness_scan(LIMITS["vanish[both]"], 2.0, -2.0)
-        assert scan.eventually_decreasing
+        assert [q.x for q in scan] == list(SCAN_TO_INFINITY)
+        assert all(q.deviation < q.rate - q.budget for q in scan)
+
+    def test_budget_adds_rounding_of_limit_and_rate_to_the_ratios(self):
+        lim = LIMITS["zero-limit[first]"]
+        for q in sharpness_scan(lim, 3.0, -4.5):
+            r = turanian_ratio(FIRST, ParameterPoint(3.0, -4.5, q.x))
+            assert q.ratio == r.value
+            assert q.budget == r.abs_error + 4.0 * kernel.EPS * (
+                abs(lim.value(3.0, -4.5)) + q.rate)
+
+
+# each limit's catalog bound: its rate is |bound - L|
+TWINS = {"zero-limit[both]": "T1U", "vanish[both]": "T1L", "zero-limit[first]": "T5L",
+         "vanish[first]": "T3U", "zero-limit[second]": "T6U", "vanish[second]": "T6L"}
+
+
+def _rate_points(lim, n: int = 20):
+    """n seeded (a, c, x) in the limit's region: toward 0, a in (1, 6] and
+    c in [-5, -1), x log-uniform in [1e-4, 0.1]; toward infinity, a
+    log-uniform in [0.05, 6] and c in [-5, 1), x log-uniform in [10, 1e5]."""
+    rng = random.Random(f"sharpness-rate:{lim.name}")
+    lo, hi = (1e-4, 0.1) if lim.toward_zero else (10.0, 1e5)
+    out = []
+    for _ in range(n):
+        if lim.toward_zero:
+            a, c = 6.0 - 5.0 * rng.random(), rng.uniform(-5.0, -1.0)
+        else:
+            a, c = math.exp(rng.uniform(math.log(0.05), math.log(6.0))), rng.uniform(-5.0, 1.0)
+        out.append((a, c, math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+    assert all(lim.region(a, c) for a, c, _ in out)
+    return out
+
+
+class TestSharpnessRates:
+    @pytest.mark.parametrize("name", list(LIMITS))
+    def test_rate_bounds_the_deviation_against_mpmath(self, name):
+        # R = 1 - U(a-da, c-dc) U(a+da, c+dc)/U(a,c)^2 from 40-digit hyperu;
+        # the shifts are taken in mpmath, since a + 1 rounds in doubles,
+        # which moves x^2 R by up to 3% of the zeta rate at x = 1e5
+        lim = LIMITS[name]
+        da, dc = lim.kind.shifts
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a, c, x in _rate_points(lim):
+                a_, c_ = mpmath.mpf(a), mpmath.mpf(c)
+                u0 = mpmath.hyperu(a_, c_, x)
+                ratio = 1 - (mpmath.hyperu(a_ - da, c_ - dc, x)
+                             * mpmath.hyperu(a_ + da, c_ + dc, x) / (u0 * u0))
+                scale = x * x if lim.x2_scaled else 1.0
+                dev = float(abs(scale * ratio - lim.value(a, c)))
+                worst = max(worst, dev / lim.rate(a, c, x))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("name", list(TWINS))
+    def test_rate_is_the_gap_of_its_catalog_bound(self, name):
+        lim, twin = LIMITS[name], CATALOG[TWINS[name]].bound_fn
+        assert not lim.x2_scaled
+        for a, c, x in _rate_points(lim):
+            b, value = twin(a, c, x), lim.value(a, c)
+            assert lim.rate(a, c, x) == pytest.approx(
+                abs(b - value), rel=0.0, abs=8.0 * kernel.EPS * (abs(b) + abs(value)))
+
+    def test_scan_ends_come_near_their_rates(self):
+        # a loosened rate fails here: at every curated pair the deviation
+        # at the end of the scan is at least 95% of the rate
+        ends = [sharpness_scan(lim, a, c)[-1] for lim in LIMITS.values()
+                for a, c in lim.pairs]
+        assert len(ends) == 28
+        assert all(0.95 <= q.deviation / q.rate <= 1.0 for q in ends)
 
 
 def _wide_points(n: int):
