@@ -1,6 +1,8 @@
 """Weight density, moment identities, and Stieltjes-type representations."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from tricomi_turan.turanians import TuranianKind, turanian_ratio
 BOTH = TuranianKind.BOTH_SHIFT
 FIRST = TuranianKind.FIRST_SHIFT
 SECOND = TuranianKind.SECOND_SHIFT
+
+RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
 
 # psi(a, c, t e^(i pi)) on the principal branch, 50-digit connection formula
 PSI_NEG_AXIS_REFS = {
@@ -256,6 +260,18 @@ class TestDefaultGrid:
             measure._phi_table.cache_clear()
         assert len(densities) == 42
         assert len(calls) <= 2.5 * len(densities)
+
+    def test_verdicts_as_recorded(self):
+        recorded = json.loads(RECORDED.read_text())["default-run"]
+        summary, rows = suites.run(suites.RunConfig())
+        assert summary.n_rows == len(rows) == recorded["rows"]
+        assert list(summary.counts) == list(suites.SUITES)
+        for suite, counts in recorded["counts"].items():
+            assert summary.counts[suite] == {"pass": 0, "fail": 0,
+                                             "inconclusive": 0, **counts}
+        assert summary.gating_fails == recorded["gating_fails"]
+        assert summary.advisory_fails == recorded["advisory_fails"]
+        assert summary.empty_regions == []
 
 
 class TestStieltjesRepresentations:
