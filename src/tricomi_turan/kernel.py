@@ -57,6 +57,16 @@ quotients divide psi at (a+1,c) and (a+1,c+1) by psi.  It raises, on
 every call, where psi raises at a point it reads or cannot be told from
 0, and where a quotient falls below the normal double range.
 
+Both memos are bounded by the reuse a run shows.  ``psi`` keeps the last
+2,048 points.  Within one grid pair a value is read again at most about
+5 distinct points per grid x later (127 at 27 x values), so 2,048 keeps
+every such hit for grids of up to about 400 x values.  Across pairs, the
+derivative suite's target psi(a+1, c+1, x) is read again as psi at the
+grid pair (a+1, c+1): on the default grid at most 1,428 distinct points
+later.  ``psi_quotients`` keeps the last 4,096 records; a record is read
+again at most 11 records later.  A point read again past the bound is
+computed again, to the same bits.
+
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
 these budgets instead of trusting raw floating point.
@@ -517,11 +527,12 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     return fv, _shifted_quotients(a, pw, x, h, m, total, err, *nodes, *extension)
 
 
-@lru_cache(maxsize=65_536)
+@lru_cache(maxsize=4096)
 def psi_quotients(p: ParameterPoint):
     """psi(a,c,x) and the quotients r = psi(a+1,c,x)/psi(a,c,x) and
     s = psi(a+1,c+1,x)/psi(a,c,x): returns (psi, (r, err_r), (s, err_s)),
-    the first item ``psi(p)`` bit for bit.  Cached per point.
+    the first item ``psi(p)`` bit for bit.  Cached per point, the last
+    4,096 (see the module docstring).
 
     For a > 0 all three come from one pass of psi's trapezoid rule, at
     every x: the nodes, h and m are psi's and its sums are taken over its
@@ -683,7 +694,7 @@ def _beyond_range(a: float, c: float, x: float) -> DoubleRangeError:
     return DoubleRangeError(f"psi(a={a}, c={c}, x={x}) exceeds the double range")
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=2048)
 def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
     if a > 0.0:
         return _quadrature(a, c, x)
@@ -725,7 +736,8 @@ def psi(p: ParameterPoint) -> FunctionValue:
     2 EPS |value|, it is returned, because the connection series, whose
     budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
     connection series is summed too (for x <= 600) and the route with the
-    smaller budget is returned.  Results are cached per (a, c, x).
+    smaller budget is returned.  Results are cached per (a, c, x), the
+    last 2,048 points (see the module docstring).
     For a > 0, where psi is positive, a value that underflows to 0 or to a
     subnormal raises :class:`EvaluationError`.  A value beyond the largest
     double raises :class:`DoubleRangeError`, and a terminating polynomial

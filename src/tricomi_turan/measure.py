@@ -47,7 +47,10 @@ Gamma(a-c+1)) at a single t uses the same routine.
 Every identity is an integral int_0^inf t^(beta-1) phi_0(t) extra(t) dt,
 phi_0 = t^c phi, with beta > 0 and extra one of 1, 1/(x+t)^2 and
 (x/(x+t))^2.  phi_0 depends on neither x nor beta, so each (a, c) gets
-one fixed rule, built on first use and cached (``_phi_table``):
+one fixed rule, built on first use and cached (``_phi_table``).  The
+cache keeps the last two tables: a run reads a table only from the rows
+of its own (a, c) pair, which come one after another, so no table is
+built twice (the default run builds 42 and reads them 880 times).
 
 * head, t < t0: there core = (1 + O(t)) / |A + B e^(i pi (1-c)) s|^2,
   s = t^(1-c), whose expansion A^-2 sum_n (-r s)^n U_n(cos pi(1-c))
@@ -55,7 +58,8 @@ one fixed rule, built on first use and cached (``_phi_table``):
   t^(beta-1).  t0 keeps |r| s <= 1/2 and the neglected O(t) terms below
   1e-17 relative.
 * body: composite 16-point Gauss-Legendre in w = log t (nodes and weights
-  from ``numpy.polynomial.legendre.leggauss``), where t^(beta-1) dt =
+  are constants, equal bit for bit to ``leggauss(16)`` of
+  ``numpy.polynomial.legendre``), where t^(beta-1) dt =
   e^(beta w) dw has no endpoint singularity and the extras are analytic
   within pi of the real w axis.  Panels start 2 wide below t = 1 and 1/2
   wide above, near the widths the halving ends at, so that a table takes
@@ -82,7 +86,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .kernel import (_FMAX, _TINY, EPS, EvaluationError, FunctionValue, RegionError,
                      _connection_coefficients, log_gamma, log_gamma_error)
@@ -98,6 +101,23 @@ _HEAD_TOL = 1e-17           # neglected O(t) terms of the head, relative
 _TAIL_TOL = 1e-19           # tail mass at T relative to the integral
 _MAX_TERMS = 10_000
 _BLOCKS = (8, 16, 32, 64)   # terms per block of the Kummer sums, the last repeating
+
+# Gauss-Legendre nodes in (0, 1) and their weights, to 17 significant
+# digits; both rules are symmetric about 0.  The panel rule on [-1, 1] is
+# the 16-point rule, then its 8-point companion with negated weights, so
+# that a panel's row sum is G16 - G8.
+_G16_X = np.array([0.095012509837637441, 0.28160355077925892, 0.45801677765722737,
+                   0.61787624440264377, 0.755404408355003, 0.86563120238783176,
+                   0.9445750230732326, 0.98940093499164994])
+_G16_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                   0.14959598881657671, 0.12462897125553407, 0.095158511682492605,
+                   0.062253523938647456, 0.027152459411754176])
+_G8_X = np.array([0.18343464249564978, 0.52553240991632899, 0.79666647741362673,
+                  0.96028985649753618])
+_G8_W = np.array([0.36268378337836166, 0.31370664587788688, 0.22238103445337443,
+                  0.10122853629037706])
+_PANEL_NODES = np.concatenate([-_G16_X[::-1], _G16_X, -_G8_X[::-1], _G8_X])
+_PANEL_WEIGHTS = np.concatenate([_G16_W[::-1], _G16_W, -_G8_W[::-1], -_G8_W])
 
 
 @dataclass(frozen=True)
@@ -326,17 +346,7 @@ class _PhiTable:
         return value, err
 
 
-@lru_cache(maxsize=1)
-def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]: the 16-point rule, then
-    its 8-point companion with negated weights, so that a panel's row sum
-    is G16 - G8.  Computed on first use: the eigenvalue solve behind them
-    costs memory that programs never building a table need not pay."""
-    (x, w), (xc, wc) = leggauss(_GAUSS), leggauss(_GAUSS // 2)
-    return np.concatenate([x, xc]), np.concatenate([w, -wc])
-
-
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=2)
 def _phi_table(d: WeightDensity) -> _PhiTable:
     """The fixed rule of density d, built on first use per (a, c)."""
     a, c = d.a, d.c
@@ -385,7 +395,6 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
                               f"the double range at T={tail_t}")
 
     # body: halve the panels whose companion disagrees, at both betas
-    nodes, weights = _panel_rule()
     heads = np.array([head.integral(b)[0] for b in betas])
     w0, w1 = math.log(t0), math.log(tail_t)
     # t0 < 1 < T; the panels start near the widths the halving ends at
@@ -395,12 +404,12 @@ def _phi_table(d: WeightDensity) -> _PhiTable:
     done, settled, tail_phi0 = [], np.zeros(2), None
     while lo.size:
         half = 0.5 * (hi - lo)
-        t = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * nodes)
+        t = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * _PANEL_NODES)
         # T rides along with the first round
         core, rel = _neg_axis_core(d, np.append(t, [tail_t] if tail_phi0 is None else []))
         if tail_phi0 is None:
             tail_phi0 = pref * float(core[-1])
-        v = half[:, None] * weights * t * (pref * core[:t.size].reshape(t.shape))
+        v = half[:, None] * _PANEL_WEIGHTS * t * (pref * core[:t.size].reshape(t.shape))
         e = np.abs(v[:, :_GAUSS]) * (rel[:t.size].reshape(t.shape)[:, :_GAUSS] + rel_pref)
         g = t ** (betas[:, None, None] - 1.0)
         vg = v * g

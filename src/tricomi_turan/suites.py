@@ -68,6 +68,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -504,14 +505,44 @@ def _write_csv(fh, rows, summary: RunSummary, timestamp: bool = True) -> None:
         fh.write(f"# note: {note}\n")
 
 
+class _JsonString(dict):
+    """A string -> its JSON text, as ``json.dumps`` writes it, worked out
+    once per distinct string."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+def _json_float(v: float) -> str:
+    """A number as ``json.dumps`` writes it: a finite float by
+    ``float.__repr__``, anything else (NaN, the infinities, an int) by
+    ``json`` itself."""
+    return float.__repr__(v) if isinstance(v, float) and math.isfinite(v) else json.dumps(v)
+
+
+# one row as ``json.dumps(..., indent=1, sort_keys=True)`` nests it in the
+# report's "rows" list: the keys in sorted order, each taking the value at
+# its column's position
+_JSON_ROW = "  {{\n" + ",\n".join(
+    f"   {encode_basestring_ascii(k)}: {{{i}}}"
+    for k, i in sorted((k, i) for i, k in enumerate(_CSV_COLUMNS))) + "\n  }}"
+
+
 def _write_json(fh, rows, summary: RunSummary) -> None:
-    """Write the JSON report to the text file ``fh``; ``json.dump`` with an
-    indent writes the bytes ``json.dumps`` returns, a piece at a time."""
-    doc = {
-        "rows": [dict(zip(_CSV_COLUMNS, r)) for r in rows],
-        "summary": asdict(summary),
-    }
-    json.dump(doc, fh, indent=1, sort_keys=True)
+    """Write the JSON report to the text file ``fh`` a row at a time; the
+    bytes are those of ``json.dump({"rows": [row dicts], "summary": ...},
+    indent=1, sort_keys=True)`` and a newline."""
+    q = _JsonString()
+    fh.write('{\n "rows": [')
+    sep = "\n"
+    for row in rows:
+        fh.write(sep + _JSON_ROW.format(*[q[v] if type(v) is str else _json_float(v)
+                                          for v in row]))
+        sep = ",\n"
+    fh.write("]" if sep == "\n" else "\n ]")
+    # the summary as json.dumps nests it in the report, after '{\n'
+    fh.write(",\n" + json.dumps({"summary": asdict(summary)}, indent=1, sort_keys=True)[2:])
     fh.write("\n")
 
 

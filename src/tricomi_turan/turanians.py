@@ -161,7 +161,7 @@ def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
                             + abs(value)))
 
 
-@lru_cache(maxsize=65_536)
+@lru_cache(maxsize=4096)
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     """Turanian normalized by psi^2 as R = 1 - q_- q_+, q_+- = psi(a+-da,
     c+-dc, x)/psi(a,c,x), with q_- from DLMF 13.3.7 and 13.3.9 (see the
@@ -170,8 +170,9 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     the product and EPS |R| on the difference: psi is never squared.
 
     Cached per (kind, a, c, x), since one ratio is checked by up to seven
-    catalog bounds at a point.  A point that raises raises again on the
-    next call."""
+    catalog bounds at a point: the last 4,096, where a ratio is read again
+    at most 35 ratios later.  A point that raises raises again on the next
+    call."""
     da, dc = kind.shifts
     f0, qm, err_m = shift_quotient(p, -da, -dc)
     _, qp, err_p = shift_quotient(p, da, dc)

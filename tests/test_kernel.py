@@ -686,6 +686,17 @@ class TestPsiDispatcher:
         with pytest.raises(EvaluationError, match="underflows"):
             psi(ParameterPoint(200.0, 0.5, 1e7))
 
+    def test_cache_holds_at_most_2048_points(self):
+        # 5,000 distinct points, each exact and cheap at a = 0
+        kernel._psi_cached.cache_clear()
+        try:
+            for k in range(5000):
+                psi(ParameterPoint(0.0, -1.0, 1.0 + k))
+            info = kernel._psi_cached.cache_info()
+        finally:
+            kernel._psi_cached.cache_clear()
+        assert (info.misses, info.maxsize, info.currsize) == (5000, 2048, 2048)
+
     def test_negative_a_matches_eager_pick(self):
         # psi tries the expansion first and sums the connection series only
         # when it can win; the result must equal summing both and taking

@@ -238,6 +238,13 @@ class TestEdgeCases:
             fn(WeightDensity(a, c), arg)
 
 
+def test_panel_rule_constants_are_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+    (x, w), (xc, wc) = leggauss(16), leggauss(8)
+    assert measure._PANEL_NODES.tobytes() == np.concatenate([x, xc]).tobytes()
+    assert measure._PANEL_WEIGHTS.tobytes() == np.concatenate([w, -wc]).tobytes()
+
+
 class TestDefaultGrid:
     def test_tables_take_few_core_calls(self, monkeypatch):
         # panels start near their final width, so a table takes one pass

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -382,6 +383,32 @@ def test_bounds_suite_computes_each_ratio_once():
     assert info.hits == checks - len(needed) > 0
 
 
+def _cold_default_run():
+    """Run the default grid from cold caches; return the misses of the psi
+    cache and of the phi-table cache."""
+    for cached in (kernel._psi_cached, kernel.psi_quotients, turanians.turanian_ratio,
+                   bounds._lg_ratio, bounds.auxiliary_log_ratio, measure._phi_table):
+        cached.cache_clear()
+    suites.run(RunConfig())
+    return kernel._psi_cached.cache_info().misses, measure._phi_table.cache_info().misses
+
+
+def test_default_run_computes_no_psi_point_or_phi_table_twice(monkeypatch):
+    # psi's cache and the phi-table cache are bounded by the longest reuse
+    # a run shows: their misses equal those of unbounded caches in their
+    # place, so no point and no table is computed twice
+    bounded = _cold_default_run()
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_psi_cached",
+                  functools.lru_cache(maxsize=None)(kernel._psi_cached.__wrapped__))
+        m.setattr(measure, "_phi_table",
+                  functools.lru_cache(maxsize=None)(measure._phi_table.__wrapped__))
+        unbounded = _cold_default_run()
+    assert bounded == unbounded == (2191, 42)
+    assert kernel._psi_cached.cache_info().maxsize == 2048
+    assert measure._phi_table.cache_info().maxsize == 2
+
+
 def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
     # from cold caches: one trapezoid pass per (a, c, x) of the grid, all
     # at a > 0, and no quadrature at a shifted point
@@ -460,6 +487,48 @@ class TestRowsToCsv:
         first, rest = text.split("\n", 1)
         assert first.startswith("# generated ")
         assert rest == rows_to_csv_reference([], summary)
+
+
+def rows_to_json_reference(rows, summary):
+    """The report as ``json.dump`` writes the whole document at once."""
+    doc = {"rows": [dict(zip(suites._CSV_COLUMNS, r)) for r in rows],
+           "summary": dataclasses.asdict(summary)}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+class TestRowsToJson:
+    def test_equals_json_dump_on_the_default_run(self, default_run):
+        summary, rows = default_run
+        assert json_text(rows, summary) == rows_to_json_reference(rows, summary)
+
+    def test_equals_json_dump_without_rows(self):
+        summary = suites.RunSummary({}, 0, 0, ["x/y: no grid point lies in its region"], 0)
+        assert json_text([], summary) == rows_to_json_reference([], summary)
+
+    @pytest.mark.parametrize("text", ['say "x"', "back\\slash", "lf\nhere", "tab\t",
+                                      "\x00\x1f", "", "é", "\u2603", "{0}"])
+    def test_equals_json_dump_on_awkward_values(self, text):
+        summary = suites.RunSummary({"bounds": {"pass": 2}}, 0, 0, [text], 2)
+        rows = [ReportRow(text, "T1L", 0.1, -0.0, 1e-300, math.inf, -math.inf,
+                          math.nan, 5e-324, "pass", text),
+                ReportRow("bounds", text, 1, 2.0, 3.0, 1.0 / 3.0, 2.0, 3.0,
+                          4.0, text, "anchor")]
+        assert json_text(rows, summary) == rows_to_json_reference(rows, summary)
+
+    def test_is_written_in_bounded_memory(self, tmp_path):
+        # a row at a time: held as dicts, the default run's 9,398 rows
+        # peak at about 4.5 MB
+        summary, rows = suites.run(RunConfig(suites=("bounds",), **SMALL_GRID))
+        rows = rows * (9000 // len(rows) + 1)
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            suites.write_report(str(path), "json", rows, summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2_000_000
+        assert peak < 500_000
 
 
 class TestWriteReport:
