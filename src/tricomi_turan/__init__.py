@@ -21,11 +21,11 @@ _EXPORTS = {
     "kernel": ("DoubleRangeError", "EvaluationError", "FunctionValue",
                "ParameterPoint", "RegionError", "log_gamma", "psi",
                "psi_connection", "psi_quadrature"),
-    "turanians": ("LIMITS", "ScanPoint", "SharpnessLimit", "TuranianKind",
-                  "sharpness_scan", "turanian", "turanian_ratio"),
+    "turanians": ("ScanPoint", "SharpnessLimit", "TuranianKind", "sharpness_scan",
+                  "turanian", "turanian_ratio"),
     "measure": ("MOMENT_IDENTITIES", "MomentIdentity", "WeightDensity", "phi",
                 "phi_moment", "stieltjes"),
-    "bounds": ("CATALOG", "DOMINANCE", "BoundSpec", "DominanceSpec",
+    "bounds": ("CATALOG", "DOMINANCE", "LIMITS", "BoundSpec", "DominanceSpec",
                "VerificationRecord", "auxiliary_log_ratio", "catalog_document",
                "check_bound", "check_dominance", "dominance_applicable"),
     "suites": ("DEFAULT_GRID_A", "DEFAULT_GRID_C", "DEFAULT_GRID_X",

@@ -52,10 +52,7 @@ quotient, and S2 and S2H take s = psi(a+1,c+1)/psi, S2 times psi.  The
 I-family reads psi and s as well: I2's quotient is 1/s, and an
 auxiliary with weights (w0, wp) is (w0 - wp) ln psi - wp ln s, so that
 psi's own error enters it with the weight w0 - wp alone (not at all in
-h).  The S- and I-family and the auxiliaries read psi, r and s from
-the one record per (a, c, x) that ``kernel.psi_quotients`` caches, one
-trapezoid pass at every point of their regions (all have a > 0), and
-never psi at a shifted point.
+h).  No psi at a shifted point is read.
 
 I1, I3 and I4 are checked in log form, so their lhs and rhs are log
 values.  Each is the monotone auxiliary log-ratio f, g or h below held
@@ -65,8 +62,7 @@ weights (w0, wp) has aux(0+) = wp ln G1 - w0 ln G0, and h(0+) = ln(-c).
 Each row of ``_LOG_BOUNDS`` names its auxiliary; the limit is the
 closed-form side, the ``lower`` one for an increasing auxiliary and the
 ``upper`` one for a decreasing one.  No power of psi is formed, so none
-can underflow.  I2 forms (G0 psi)^(1/a), a positive addend whose
-underflow its budget carries.
+can underflow.
 
 S2 keeps the quoted inhomogeneity even though it mixes psi^3 against
 psi^2 (psi against R_c once divided) and fails systematically at large
@@ -81,6 +77,18 @@ its :class:`BoundSpec` are derived from that row when the catalog is
 built: a ``lower`` bound checks bound_fn < R of the target's kind, an
 ``upper`` bound checks R < bound_fn.
 
+``LIMITS`` holds the seven limits that make ratio bounds sharp.  Six
+name the bound (T1U, T1L, T5L, T3U, T6U, T6L) and a scan toward 0 or
+infinity: the kind and region are the bound's, L is the bound at x = 0
+toward 0 and 0 toward infinity, and the rate is |bound - L| through
+``closed_form``, proven where the bound is.  The zeta limit, x^2 R_ac ->
+c-a-1 as x -> inf, takes its rate from the Stieltjes form q(x) =
+psi(a+1,c+1,x)/psi(a,c,x) = int_0^inf phi(t)/(x+t) dt, phi >= 0 (Ismail
+& Kelker, SIAM J. Math. Anal. 10, 1979; ``measure``): R_ac = -int t
+phi/(x+t)^2 dt, and 1 - 1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac -
+(c-a-1) by 2 m_2/x, m_2 = int t^2 phi dt = (1+a-c)(2+2a-c) from the
+large-x expansion of q.
+
 The eight dominance claims D1..D8 state where one closed-form bound is
 tighter than its competitor; ``check_dominance`` compares the closed-form
 sides that ``check_bound`` checks, at points satisfying the claimed
@@ -94,13 +102,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, log_gamma_error)
-from .turanians import (BOTH, FIRST, SECOND, TuranianKind, shift_quotient,
-                        turanian_ratio)
+from .turanians import (BOTH, FIRST, SCAN_TO_INFINITY, SCAN_TO_ZERO, SECOND,
+                        SharpnessLimit, TuranianKind, shift_quotient, turanian_ratio)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -191,17 +199,25 @@ def _s_lhs(da: int, dc: int, power: int) -> Evaluator:
 def _i2_rhs(p: ParameterPoint) -> FunctionValue:
     """psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a), the quotient as 1/s, s =
     psi(a+1,c+1)/psi.  The power enters as a positive addend, so one that
-    underflows costs at most _TINY/|c|, which its budget carries."""
+    underflows costs at most _TINY/|c|, which its budget carries; where
+    the power, the value or its budget overflows this raises."""
     f0, s, err_s = shift_quotient(p, 1, 1)
     q = 1.0 / s
     eq = q * (err_s / s + EPS)
     lg, lg_err = _lg_ratio(p.a - p.c + 1.0, 1.0 - p.c)
     expo = 1.0 / p.a
-    pw = math.exp(expo * (lg + math.log(f0.value)))
+    try:
+        pw = math.exp(expo * (lg + math.log(f0.value)))
+    except OverflowError:
+        pw = math.inf
     pw_err = (abs(pw * expo) * (f0.abs_error / abs(f0.value) + lg_err) + 4.0 * EPS * abs(pw)
               + (_TINY if pw < _TINY else 0.0))
     val = q - pw / p.c
-    return FunctionValue(val, eq + pw_err / abs(p.c) + 4.0 * EPS * abs(val), f0.method)
+    err = eq + pw_err / abs(p.c) + 4.0 * EPS * abs(val)
+    if not math.isfinite(abs(val) + err):
+        raise EvaluationError(f"rhs of I2 beyond the double range at "
+                              f"(a={p.a}, c={p.c}, x={p.x})")
+    return FunctionValue(val, err, f0.method)
 
 
 # --- auxiliary monotone log-ratios -----------------------------------------
@@ -397,6 +413,44 @@ _I2 = BoundSpec("I2", "raw_psi_relation", "lower", lambda a, c: a > 0.0 > c, "a>
                 "psi ratio minus (1/c)-scaled power exceeds 2")
 CATALOG.update((spec.id, spec) for spec in sorted(     # in order I1, I2, I3, I4
     (_I2, *(_log_bound(*row) for row in _LOG_BOUNDS)), key=lambda spec: spec.id))
+
+
+# --- sharpness limits ------------------------------------------------------
+
+# The (a, c) pairs the sharpness suite scans, each in the region of every
+# limit that scans it; they stay while recorded counts pin the 28 rows.
+# _SCANS: scan sequence -> claim name prefix, anchor and pairs.
+PAIRS_TO_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
+PAIRS_TO_INFINITY = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
+_SCANS = {
+    SCAN_TO_ZERO: ("zero-limit", "plain ratio tends to its x->0 closed form within its rate",
+                   PAIRS_TO_ZERO),
+    SCAN_TO_INFINITY: ("vanish", "plain ratio tends to 0 within its rate", PAIRS_TO_INFINITY),
+}
+
+
+def _sharpness_limit(bound_id: str, xs: tuple[float, ...]) -> SharpnessLimit:
+    spec, (prefix, anchor, pairs) = CATALOG[bound_id], _SCANS[xs]
+    kind = _TARGET_KIND[spec.target]
+    value = partial(spec.bound_fn, x=0.0) if xs is SCAN_TO_ZERO else lambda a, c: 0.0
+
+    def rate(a: float, c: float, x: float) -> float:
+        return abs(spec.closed_form(ParameterPoint(a, c, x)).value - value(a, c))
+    return SharpnessLimit(f"{prefix}[{kind.value}]", kind, xs, False, spec.region,
+                          value, rate, anchor, pairs)
+
+
+# claim name -> limit, in the output order of ``tricomi-turan sharpness``
+LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
+    SharpnessLimit("zeta-limit", BOTH, SCAN_TO_INFINITY, True,
+                   lambda a, c: a > 0.0 and c < 1.0, lambda a, c: c - a - 1.0,
+                   lambda a, c, x: 2.0 * (1.0 + a - c) * (2.0 + 2.0 * a - c) / x,
+                   "x^2-scaled both-shift ratio tends to c-a-1 within its rate",
+                   PAIRS_TO_INFINITY),
+    *(_sharpness_limit(*row) for row in (
+        ("T1U", SCAN_TO_ZERO), ("T1L", SCAN_TO_INFINITY), ("T5L", SCAN_TO_ZERO),
+        ("T3U", SCAN_TO_INFINITY), ("T6U", SCAN_TO_ZERO), ("T6L", SCAN_TO_INFINITY))),
+)}
 
 
 def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:

@@ -6,7 +6,7 @@ Subcommands:
 * ``eval``       -- single-point evaluation for debugging
 * ``catalog``    -- dump the bound catalog
 * ``sharpness``  -- print limit scans: one line per (a, c) pair and row of
-  ``turanians.LIMITS`` whose region holds at the pair, in table order,
+  ``bounds.LIMITS`` whose region holds at the pair, in table order,
   with the deviation from the limit and its rate bound at each x
 
 ``run`` passes the settings given on the command line to its
@@ -45,11 +45,10 @@ import json
 import sys
 
 from . import suites as suites_mod
-from .bounds import CATALOG, catalog_document, check_bound
+from .bounds import CATALOG, LIMITS, catalog_document, check_bound
 from .kernel import EvaluationError, ParameterPoint, RegionError, psi
 from .measure import WeightDensity, phi
-from .turanians import (LIMITS, TuranianKind, sharpness_scan, turanian,
-                        turanian_ratio)
+from .turanians import TuranianKind, sharpness_scan, turanian, turanian_ratio
 
 EXIT_OK, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 2, 3, 4
 

@@ -48,14 +48,8 @@ returned as it is, flagged ``"tolerance_not_met"``.
 
 ``psi_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
 psi(a+1,c+1,x)/psi at every point, cached per point; the Turanians and
-the bounds take every shifted value from it.  For a > 0 one pass gives
-all three: on psi's nodes the integrands of psi(a+1,c) and psi(a+1,c+1)
-are f e^w/(1 + e^w/x) and f e^w, and the prefactors divide to 1/(a x),
-so the same nodes, run on past S for the extra e^w, and the last h serve
-both, and psi comes out bit for bit as ``psi`` gives it.  For a <= 0 the
-quotients divide psi at (a+1,c) and (a+1,c+1) by psi.  It raises, on
-every call, where psi raises at a point it reads or cannot be told from
-0, and where a quotient falls below the normal double range.
+the bounds take every shifted value from it.  For a > 0 one trapezoid
+pass gives all three, psi bit for bit as ``psi`` gives it.
 
 Both memos are bounded by the reuse a run shows.  ``psi`` keeps the last
 2,048 points.  Within one grid pair a value is read again at most about
@@ -381,8 +375,8 @@ def _shifted_quotients(a: float, pw: float, x: float, h: float, m: float,
     psi's weight plus the product and quotient that form it; and
     underflow, under 2^-1072 (1 + 2 S_ext) per node.  The prefactors
     cancel, so their rounding does not enter.  A quotient below the
-    normal double range, 0 included, raises :class:`EvaluationError`, as
-    psi does."""
+    normal double range, 0 included, or beyond it with its error, raises
+    :class:`EvaluationError`, as psi does."""
     w1, f, ew, weights = nodes
     ap = a + 1.0
     geo_h, geo_2h, rest = _left_sums(ap, q_ext, w1, h, m)
@@ -397,18 +391,24 @@ def _shifted_quotients(a: float, pw: float, x: float, h: float, m: float,
     np.add(ew, x, out=y[0])
     np.divide(y[1], y[0], out=y[0])
     out = []
-    rounding, denom, rel0 = 4.0 * EPS * h, a * x * t0, e0 / t0 + 3.0 * EPS
+    # denom 2^(ea+ex) is a x t0, bit for bit where that is a normal double
+    (ma, ea), (mx, ex) = math.frexp(a), math.frexp(x)
+    rounding, denom, rel0 = 4.0 * EPS * h, ma * mx * t0, e0 / t0 + 3.0 * EPS
     for total, evens, weighted, scale, pw_y in zip(
             y.sum(axis=1).tolist(), y[:, ::2].sum(axis=1).tolist(),
             (y @ weights).tolist(), (x, 1.0), (pw - 1.0, pw)):
         t_h = h * scale * total + geo_h
-        ratio = t_h / denom
-        if not ratio >= _TINY:
-            raise EvaluationError(f"shifted quotients underflow the double range "
-                                  f"at (a={a}, c={pw + a + 1.0}, x={x})")
+        try:
+            ratio = math.ldexp(t_h / denom, -ea - ex)
+        except OverflowError:
+            ratio = math.inf
         err = (abs(t_h - 2.0 * h * scale * evens - geo_2h) + fixed + rounding * scale
                * (weighted + (20.0 + abs(m) + abs(pw_y)) * total))
-        out.append((ratio, ratio * (err / t_h + rel0)))
+        err = ratio * (err / t_h + rel0)
+        if not (ratio >= _TINY and ratio + err <= _FMAX):
+            raise EvaluationError(f"shifted quotients underflow or overflow the double range "
+                                  f"at (a={a}, c={pw + a + 1.0}, x={x})")
+        out.append((ratio, err))
     return tuple(out)
 
 
@@ -544,8 +544,7 @@ def psi_quotients(p: ParameterPoint):
 
     Raises, on every call, where psi raises at one of the points it reads,
     where psi's error is half its magnitude or more (psi cannot be told
-    from 0) and, for a > 0, where r or s lies below the normal double
-    range."""
+    from 0) and, for a > 0, where r or s leaves the double range."""
     a, c, x = p
     if a > 0.0:
         f0, (r, s) = _quadrature(a, c, x, True)

@@ -12,11 +12,9 @@ The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim, x), every selected claim that holds there, at
 each of its suite's x values, so the process that holds a pair computes
 each psi value, each phi table and each record of psi and its quotients
-of that pair once (a record is ``kernel.psi_quotients`` at one (a, c, x),
-one trapezoid pass for a > 0, which the Turanians and the bounds read
-in place of psi at shifted points).  With
-``jobs = 1`` the blocks run in-process; otherwise a process pool maps
-them, with at most one worker per pair and per usable CPU.  A block
+(``kernel.psi_quotients``) of that pair once.  With ``jobs = 1`` the
+blocks run in-process; otherwise a process pool maps them, with at most
+one worker per pair and per usable CPU.  A block
 returns its rows as plain tuples (they pickle several times faster than
 named tuples), and its first failing task raises.  The pairs run in run
 order: the grid's in (a, c) order, then the sharpness limits' curated
@@ -36,7 +34,7 @@ Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 claims once, in task order, each with the argument its rows need (a
 catalog entry, a moment identity, a Turanian kind); the report puts them
 in name order.  The sharpness suite's claims are the rows of
-``turanians.LIMITS``, each with its own (a, c) pairs; a row holds the
+``bounds.LIMITS``, each with its own (a, c) pairs; a row holds the
 deviation from the limit at the end of its scan against the limit's
 rate bound there, as an inequality row.  A record holds the test of
 whether a claim holds at a pair; the points of its rows at a pair; and
@@ -75,7 +73,7 @@ from . import bounds as bounds_mod
 from . import measure as measure_mod
 from .kernel import (EPS, INTEGER_C_GUARD, FunctionValue, ParameterPoint, psi,
                      psi_connection)
-from .turanians import LIMITS, TuranianKind, sharpness_scan, turanian_ratio
+from .turanians import TuranianKind, sharpness_scan, turanian_ratio
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_GRID_C = (-4.5, -2.5, -1.5, -0.5, 0.25, 0.75)
@@ -326,7 +324,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
     Suite("dominance", bounds_mod.DOMINANCE, lambda *_: True,
           _grid_points, _row_dominance),
     # each limit is scanned at its curated pairs, not at the grid's
-    Suite("sharpness", LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
+    Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
           _row_sharpness, pairs=lambda lim: lim.pairs),
     Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
           lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),

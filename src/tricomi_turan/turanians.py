@@ -25,38 +25,17 @@ psi, r and s come from one cached record per (a, c, x),
 ``kernel.psi_quotients``, from which ``shift_quotient`` serves the six
 shifts to the ratios and the bounds' S- and I-family: one trapezoid
 pass for a > 0, and psi at (a,c), (a+1,c) and (a+1,c+1) for a <= 0, so
-psi(a,c+1) is never read.  R carries a first-order
-budget in the quotients' errors plus 3 EPS |q_- q_+| of rounding on the
-product and EPS |R| on the difference.  The derived values are never
-psi results and never enter psi's cache.
+psi(a,c+1) is never read.  The derived values are never psi results and
+never enter psi's cache.
 
 The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
 takes the relations without the division, D = psi^2 - psi_+ psi_- with
 psi_- = A psi - B psi(a+1,c), from psi at its three points: it holds
 where psi vanishes (only at a <= 0).
 
-The catalogued bounds on these ratios become equalities as x -> 0 or
-x -> inf.  ``LIMITS`` states each of those seven limits once, as a
-:class:`SharpnessLimit` row keyed by its claim name: the Turanian kind,
-the scan sequence toward 0 or toward infinity, whether the ratio is
-scaled by x^2, the (a, c) region, the closed-form limit L, the rate
-bound rho(a, c, x) >= |scale R - L|, the anchor text of its report rows
-and the curated (a, c) pairs the sharpness suite scans.  The rates come
-from the Stieltjes form q(x) = psi(a+1,c+1,x)/psi(a,c,x) = int_0^inf
-phi(t)/(x+t) dt with phi >= 0 (Ismail & Kelker, SIAM J. Math. Anal. 10,
-1979; ``measure``): the both-shift ratio is -int t phi/(x+t)^2 dt, and
-1 - 1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac - (c-a-1) by 2 m_2/x,
-m_2 = int t^2 phi dt = (1+a-c)(2+2a-c) from the large-x expansion of q.
-The other six rates are |bound - L| for the catalog bound that makes the
-limit sharp, so each is proven where that bound is.  ``sharpness_scan`` measures the deviations from a row's
-limit along that row's own sequence, each beside its rate.
-
-``turanian_ratio`` is cached per (kind, a, c, x), on top of the record
-per (a, c, x) that ``kernel.psi_quotients`` caches: one ratio is read by
-up to seven catalog bounds at a point (T1L, T1U, T2L, P1L, P1U and P4U
-or P4U_probe the both-shift ratio; T6L, T6U, P3L, P3U, S1, S2 and S2H
-the second-shift one), and the stieltjes suite and the sharpness scans
-read the same values.
+A :class:`SharpnessLimit` states a limit that makes a catalogued bound
+sharp (``bounds.LIMITS``); ``sharpness_scan`` measures the deviations from
+it along its own sequence, each beside its rate.
 """
 
 from __future__ import annotations
@@ -124,19 +103,22 @@ def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     - B psi(a+1,c,x) by ``_lower``: no division, so psi may vanish (only at
     a <= 0), and the error bounds the products' errors in full, plus EPS
     of rounding on each product and on the difference.  Where a product
-    of nonzero psi values underflows this raises, as psi does."""
+    of nonzero psi values underflows, or the value or its error is not
+    finite, this raises, as psi does."""
     a, c, x = p
     da, dc = kind.shifts
     f0, f1 = psi(p), psi(ParameterPoint(a + 1.0, c, x))
     fp = psi(ParameterPoint(a + da, c + dc, x))
     down, down_err = _lower(kind, a, c, x, f0.value, f0.abs_error, f1.value, f1.abs_error)
     square, product = f0.value * f0.value, fp.value * down
-    if (f0.value and abs(square) < _TINY) or (fp.value and down and abs(product) < _TINY):
-        raise EvaluationError(f"psi products underflow at (a={a}, c={c}, x={x})")
     value = square - product
     err = ((2.0 * abs(f0.value) + f0.abs_error) * f0.abs_error
            + abs(down) * fp.abs_error + (abs(fp.value) + fp.abs_error) * down_err
            + EPS * (square + abs(product) + abs(value)))
+    if ((f0.value and abs(square) < _TINY) or (fp.value and down and abs(product) < _TINY)
+            or not math.isfinite(abs(value) + err)):
+        raise EvaluationError(f"psi products underflow or leave the double range "
+                              f"at (a={a}, c={c}, x={x})")
     return FunctionValue(value, err, f0.method)
 
 
@@ -169,10 +151,13 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
     |q_+| err(q_-) + |q_-| err(q_+), plus 3 EPS |q_- q_+| of rounding on
     the product and EPS |R| on the difference: psi is never squared.
 
-    Cached per (kind, a, c, x), since one ratio is checked by up to seven
-    catalog bounds at a point: the last 4,096, where a ratio is read again
-    at most 35 ratios later.  A point that raises raises again on the next
-    call."""
+    Cached per (kind, a, c, x), on top of the record per (a, c, x), since
+    one ratio is checked by up to seven catalog bounds at a point (T1L,
+    T1U, T2L, P1L, P1U and P4U or P4U_probe the both-shift ratio; T6L,
+    T6U, P3L, P3U, S1, S2 and S2H the second-shift one), and the stieltjes
+    suite and the sharpness scans read it too: the last 4,096, where a
+    ratio is read again at most 35 ratios later.  A point that raises
+    raises again on the next call."""
     da, dc = kind.shifts
     f0, qm, err_m = shift_quotient(p, -da, -dc)
     _, qp, err_p = shift_quotient(p, da, dc)
@@ -188,13 +173,6 @@ def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
 # scan sequences: toward 0 and toward infinity
 SCAN_TO_ZERO = (1.0, 0.1, 0.01, 0.001)
 SCAN_TO_INFINITY = (10.0, 100.0, 1000.0)
-
-
-# The (a, c) pairs the sharpness suite scans.  They stay while the recorded
-# counts of the default run pin its 28 sharpness rows; each lies in the
-# region of every limit that scans it.
-PAIRS_TO_ZERO = ((1.5, -2.5), (2.0, -2.5), (2.0, -4.5), (3.0, -4.5))
-PAIRS_TO_INFINITY = ((1.0, 0.5), (1.0, -1.5), (2.0, -2.5), (3.0, -4.5))
 
 
 @dataclass(frozen=True)
@@ -220,41 +198,6 @@ class SharpnessLimit:
         return self.xs[-1] < self.xs[0]
 
 
-def _vanishes(kind: TuranianKind, rate) -> SharpnessLimit:
-    return SharpnessLimit(f"vanish[{kind.value}]", kind, SCAN_TO_INFINITY, False,
-                          lambda a, c: a > 0.0 and c < 1.0, lambda a, c: 0.0, rate,
-                          "plain ratio tends to 0 within its rate", PAIRS_TO_INFINITY)
-
-
-def _to_zero(kind: TuranianKind, value, rate) -> SharpnessLimit:
-    return SharpnessLimit(f"zero-limit[{kind.value}]", kind, SCAN_TO_ZERO, False,
-                          lambda a, c: a > 1.0 and c < -1.0, value, rate,
-                          "plain ratio tends to its x->0 closed form within its rate",
-                          PAIRS_TO_ZERO)
-
-
-# claim name -> limit, in the output order of ``tricomi-turan sharpness``.
-# Each rate but the zeta limit's is |bound - L| for the catalog bound that
-# makes the limit sharp (T1U, T1L, T5L, T3U, T6U, T6L in this order),
-# written out here since the catalog imports this module.
-LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
-    SharpnessLimit("zeta-limit", BOTH, SCAN_TO_INFINITY, True,
-                   lambda a, c: a > 0.0 and c < 1.0, lambda a, c: c - a - 1.0,
-                   lambda a, c, x: 2.0 * (1.0 + a - c) * (2.0 + 2.0 * a - c) / x,
-                   "x^2-scaled both-shift ratio tends to c-a-1 within its rate",
-                   PAIRS_TO_INFINITY),
-    _to_zero(BOTH, lambda a, c: 1.0 / c,
-             lambda a, c, x: 2.0 * x * (c - a) / (c * c * (c + 1.0))),
-    _vanishes(BOTH, lambda a, c, x: (1.0 + a - c) / (x * x)),
-    _to_zero(FIRST, lambda a, c: 1.0 / (1.0 + a - c),
-             lambda a, c, x: x * x * (c - a) / (c * c * (c + 1.0) * (1.0 + a - c))),
-    _vanishes(FIRST, lambda a, c, x: 2.0 / x),
-    _to_zero(SECOND, lambda a, c: a / (c * (1.0 + a - c)),
-             lambda a, c, x: 2.0 * x * a * (c - a) / (c * c * (c + 1.0) * (1.0 + a - c))),
-    _vanishes(SECOND, lambda a, c, x: a / (x * x)),
-)}
-
-
 @dataclass(frozen=True)
 class ScanPoint:
     """One point of a scan: the (x^2-scaled) ratio, its deviation from the
@@ -270,9 +213,13 @@ class ScanPoint:
 def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> tuple[ScanPoint, ...]:
     """The (x^2-scaled) ratio along the limit's own scan sequence, each
     point with its deviation |scale R - L| from the limit L and the rate
-    bound on it.  The budget is the scaled ratio's plus 4 EPS (|L| + rate)
-    for the rounding of L, of the rate and of scale R.  Raises
-    :class:`RegionError` where the limit's region does not hold."""
+    bound on it.  The budget of rate - deviation is the scaled ratio's
+    plus EPS (14 |L| + 5 rate + 3 deviation): L, in both, and the bound b
+    of a rate |b - L| round within 4 EPS of their size, as catalog closed
+    forms do, |b| <= |L| + rate (the zeta rate takes b's share), x^2 R
+    within 2 EPS (|L| + deviation), and each difference once.  Raises
+    :class:`RegionError` outside the limit's region, and
+    :class:`EvaluationError` where a deviation, rate or budget is not finite."""
     if not limit.region(a, c):
         raise RegionError(f"{limit.name} is not stated at (a={a}, c={c})")
     value = limit.value(a, c)
@@ -280,7 +227,10 @@ def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> tuple[ScanPoint
     for x in limit.xs:
         r = turanian_ratio(limit.kind, ParameterPoint(a, c, x))
         scale = x * x if limit.x2_scaled else 1.0
-        rate = limit.rate(a, c, x)
-        points.append(ScanPoint(x, scale * r.value, abs(scale * r.value - value), rate,
-                                scale * r.abs_error + 4.0 * EPS * (abs(value) + rate)))
+        rate, dev = limit.rate(a, c, x), abs(scale * r.value - value)
+        budget = scale * r.abs_error + EPS * (14.0 * abs(value) + 5.0 * rate + 3.0 * dev)
+        if not math.isfinite(dev + rate + budget):
+            raise EvaluationError(f"{limit.name} has no finite deviation, rate and "
+                                  f"budget at (a={a}, c={c}, x={x})")
+        points.append(ScanPoint(x, scale * r.value, dev, rate, budget))
     return tuple(points)

@@ -213,6 +213,34 @@ class TestEval:
         assert code == 4 and out == "" and "underflow" in err
 
 
+# fuzzed points where the CLI ended in a traceback (a ZeroDivisionError as
+# a x t0 underflowed in the shifted quotients, an OverflowError in I2's
+# power (G0 psi)^(1/a)) or exited 0 having printed a NaN or an infinite
+# value, budget or rate (the raw Turanians, the zeta limit's scan)
+FUZZED = {
+    "ratio-tiny-ax": ("eval", "ratio:both", "--", "1.3461539331676207e-242",
+                      "-5.5192215979636075", "1.6787938574856139e-206"),
+    "run-tiny-ax": ("run", "--suites", "monotonicity", "--grid-a", "1e-250",
+                    "--grid-c=-8.775", "--grid-x", "1e-300,1e-299"),
+    "i2-power": ("eval", "bound:I2", "--", "4.574711093407372e-190",
+                 "-56.064997628840494", "0.19819728788641733"),
+    "run-i2-power": ("run", "--suites", "bounds", "--grid-a", "4.574711093407372e-190",
+                     "--grid-c=-56.064997628840494", "--grid-x", "0.19819728788641733"),
+    "turanian-nan": ("eval", "turanian:second", "--", "-1.0498223014813028",
+                     "11.180985560020886", "3.676203893710691e+244"),
+    "turanian-inf-budget": ("eval", "turanian:first", "--", "-23.778218622771682",
+                            "-3.4185697950490476e+75", "1.6278328138092446"),
+    "zeta-rate-inf": ("sharpness", "--grid-a", "2.6289344176285844e-195",
+                      "--grid-c=-3.0246065475647724e154"),
+}
+
+
+@pytest.mark.parametrize("argv", FUZZED.values(), ids=FUZZED)
+def test_fuzzed_extremes_are_exit_4(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == "" and err.startswith("evaluation error: ")
+
+
 def rejected(capsys, *argv) -> str:
     """The stderr of an argparse rejection of argv, which exits 2."""
     with pytest.raises(SystemExit) as exc:

@@ -547,6 +547,24 @@ class TestPsiQuotients:
                 assert value == pytest.approx(1e-307, rel=1e-12)
                 assert abs(value - float(ref)) <= err
 
+    @pytest.mark.parametrize("a,c,x", [(1e-300, 2.5, 1e-30), (1e-300, 1.5, 1e-12)])
+    def test_quotients_deliver_where_a_x_underflows(self, a, c, x):
+        # a x t0 is 0 or subnormal here while r ~ x^(1-c) is not: the first
+        # point used to raise ZeroDivisionError, the second to return r 27
+        # times outside its budget
+        f0, r, s = kernel.psi_quotients(ParameterPoint(a, c, x))
+        with mpmath.workdps(40):
+            A = mpmath.mpf(a)
+            u0 = mpmath.hyperu(A, c, x)
+            for (value, err), ref in ((r, mpmath.hyperu(A + 1, c, x) / u0),
+                                      (s, mpmath.hyperu(A + 1, c + 1, x) / u0)):
+                assert abs(value - float(ref)) <= err
+
+    def test_quotients_beyond_the_double_range_raise(self):
+        # s ~ 1e232 with an error past the largest double, which was returned
+        with pytest.raises(EvaluationError, match="overflow"):
+            kernel.psi_quotients(ParameterPoint(1e-200, 4.5, 1e-120))
+
     def test_psi_indistinguishable_from_zero_raises_on_every_call(self):
         # U(-3/2, 1/2, x^2) = H_3(x)/8 = x^3 - 3x/2 vanishes at x^2 = 3/2
         kernel.psi_quotients.cache_clear()
@@ -787,10 +805,12 @@ class TestDoubleRange:
 
 
 # each finite extreme: a from +1e308 to -1e308 (-1e20 and -1e308 are
-# integers, so psi takes the terminating polynomial there), c = +-1e308,
-# +-1e20 and +-0.5, x from 1e-300 to 1e300: 144 points
+# integers, so psi takes the terminating polynomial there) and a = 1e-300
+# and 1e-190, where a x underflows, c = +-1e308, +-1e20 and +-0.5, x from
+# 1e-300 to 1e300: 180 points
 EXTREME_POINTS = [(a, c, x)
-                  for a in (1e308, 1e200, 1e20, 0.5, -0.5, -1e6 - 0.5, -1e20, -1e308)
+                  for a in (1e308, 1e200, 1e20, 0.5, 1e-190, 1e-300, -0.5, -1e6 - 0.5,
+                            -1e20, -1e308)
                   for c in (1e308, -1e308, 1e20, -1e20, 0.5, -0.5)
                   for x in (1e-300, 1.0, 1e300)]
 

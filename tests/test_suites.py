@@ -224,7 +224,7 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
         rep = measure.stieltjes(kind, d, r.x)
         return turanians.turanian_ratio(kind, p).value, rep.value
     if r.suite == "sharpness":
-        end = turanians.sharpness_scan(turanians.LIMITS[r.claim], r.a, r.c)[-1]
+        end = turanians.sharpness_scan(bounds.LIMITS[r.claim], r.a, r.c)[-1]
         margin = end.rate - end.deviation
         return (end.x, end.deviation, end.rate, margin, end.budget,
                 bounds._status(margin, end.budget))
@@ -274,7 +274,7 @@ class TestPairBlocks:
             if suite == "sharpness":
                 # the limit's curated pairs, in their list order, though
                 # the blocks of those on the grid run first
-                assert pairs == list(turanians.LIMITS[claim].pairs)
+                assert pairs == list(bounds.LIMITS[claim].pairs)
             else:
                 # grid pairs, in grid order
                 visited = [p for i, p in enumerate(pairs) if i == 0 or pairs[i - 1] != p]

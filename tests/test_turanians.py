@@ -8,11 +8,10 @@ import mpmath
 import pytest
 
 from tricomi_turan import kernel, turanians
-from tricomi_turan.bounds import CATALOG
+from tricomi_turan.bounds import _TARGET_KIND, CATALOG, LIMITS
 from tricomi_turan.kernel import EvaluationError, ParameterPoint, RegionError, psi
-from tricomi_turan.turanians import (LIMITS, SCAN_TO_INFINITY, SCAN_TO_ZERO,
-                                     TuranianKind, sharpness_scan, turanian,
-                                     turanian_ratio)
+from tricomi_turan.turanians import (SCAN_TO_INFINITY, SCAN_TO_ZERO, TuranianKind,
+                                     sharpness_scan, turanian, turanian_ratio)
 
 BOTH = TuranianKind.BOTH_SHIFT
 FIRST = TuranianKind.FIRST_SHIFT
@@ -434,11 +433,11 @@ class TestSharpnessScan:
         for q in sharpness_scan(lim, 3.0, -4.5):
             r = turanian_ratio(FIRST, ParameterPoint(3.0, -4.5, q.x))
             assert q.ratio == r.value
-            assert q.budget == r.abs_error + 4.0 * kernel.EPS * (
-                abs(lim.value(3.0, -4.5)) + q.rate)
+            assert q.budget == r.abs_error + kernel.EPS * (
+                14.0 * abs(lim.value(3.0, -4.5)) + 5.0 * q.rate + 3.0 * q.deviation)
 
 
-# each limit's catalog bound: its rate is |bound - L|
+# the catalog bound each limit reads: its kind, region and rate |bound - L|
 TWINS = {"zero-limit[both]": "T1U", "vanish[both]": "T1L", "zero-limit[first]": "T5L",
          "vanish[first]": "T3U", "zero-limit[second]": "T6U", "vanish[second]": "T6L"}
 
@@ -482,12 +481,17 @@ class TestSharpnessRates:
 
     @pytest.mark.parametrize("name", list(TWINS))
     def test_rate_is_the_gap_of_its_catalog_bound(self, name):
-        lim, twin = LIMITS[name], CATALOG[TWINS[name]].bound_fn
+        lim, twin = LIMITS[name], CATALOG[TWINS[name]]
         assert not lim.x2_scaled
+        assert (lim.kind, lim.region) == (_TARGET_KIND[twin.target], twin.region)
+        # the x->0 closed forms that the zero limits read off their bounds
+        closed_forms = {"zero-limit[both]": lambda a, c: 1.0 / c,
+                        "zero-limit[first]": lambda a, c: 1.0 / (1.0 + a - c),
+                        "zero-limit[second]": lambda a, c: a / (c * (1.0 + a - c))}
         for a, c, x in _rate_points(lim):
-            b, value = twin(a, c, x), lim.value(a, c)
-            assert lim.rate(a, c, x) == pytest.approx(
-                abs(b - value), rel=0.0, abs=8.0 * kernel.EPS * (abs(b) + abs(value)))
+            value = closed_forms[name](a, c) if lim.toward_zero else 0.0
+            assert lim.value(a, c) == value                 # bit for bit
+            assert lim.rate(a, c, x) == abs(twin.bound_fn(a, c, x) - value)
 
     def test_scan_ends_come_near_their_rates(self):
         # a loosened rate fails here: at every curated pair the deviation
