@@ -39,9 +39,10 @@ f = e^(aw) G(w) with G -> 1: the e^(aw) parts of those nodes sum to the
 geometric series h e^(a(w1-h)) / (-expm1(-a h)), which is exact, and the
 rest, e^(aw) expm1(log G), decays like e^((a+1)w) and is truncated.  So
 there is no endpoint singularity and small a costs no more than large a.
-The error budget is |T_h - T_2h| (T_2h from the even nodes) plus the left
-truncation bound, the tail bound past S, the rounding of every node's
-exponent and the rounding of the prefactor, which includes |lnGamma(a)|
+Each sum on the nodes is a row with one error rule (``_row_sum``):
+|T_h - T_2h| (T_2h from the even nodes), the left truncation, the
+rounding of every node's exponent, the tail past S and underflow.  psi's
+budget adds the rounding of the prefactor, which includes |lnGamma(a)|
 (about 18 at a = 1e-8).  h is halved until the budget meets ``PSI_TOL``,
 or until a halving no longer halves it; a budget that cannot meet it is
 returned as it is, flagged ``"tolerance_not_met"``.
@@ -49,7 +50,9 @@ returned as it is, flagged ``"tolerance_not_met"``.
 ``psi_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
 psi(a+1,c+1,x)/psi at every point, cached per point; the Turanians and
 the bounds take every shifted value from it.  For a > 0 one trapezoid
-pass gives all three, psi bit for bit as ``psi`` gives it.
+pass gives all three, psi bit for bit as ``psi`` gives it, and the
+shifted sums as two more rows.  A subnormal a, 0 < |a| < 2^-1022,
+raises :class:`EvaluationError` in psi and ``psi_quotients``.
 
 Both memos are bounded by the reuse a run shows.  ``psi`` keeps the last
 2,048 points.  Within one grid pair a value is read again at most about
@@ -300,147 +303,122 @@ def _left_sums(a: float, q: float, w1: float, h: float, m: float):
     return geo_h, geo_2h, rest
 
 
-def _trapezoid(a: float, pw: float, x: float, w0: float, w_max: float,
-               h: float, *extension: float) -> tuple:
-    """The step-h trapezoid sum of f(w) = exp(a w - e^w + pw log1p(e^w/x))
-    over the nodes w0 + k h, all k, scaled by e^-m with m the largest
-    exponent on the grid.  Returns (T_h, its error bound, m), both scaled.
-
-    Buffers are worked in place, each element by the same expression as
-    with a fresh array per step: one array holds the nodes w, then a w; f
-    holds the exponent a w + log G, then the summands.  Once both sums are
-    taken, the a w array, with e^w and |pw log1p(e^w/x)| added in place,
-    holds the nodes' rounding weights.
-
-    ``extension`` = (w_ext, q_ext), for the shifted sums of
-    ``psi_quotients``, runs the arrays on to w_ext >= w_max and starts them
-    where ``_left_nodes`` starts those of exp((a+1) w + log G'), |log G'|
-    <= q_ext e^w, if that is further left.  T_h, its bound and m stay
-    those of psi's own nodes, and a fourth item (w1, f, e^w, weights)
-    returns the arrays, w1 their first node.
-    """
-    q = 1.0 + abs(pw) / x
-    kl = _left_nodes(a, q, w0, h)
-    w1 = w0 - kl * h
-    # psi's own nodes, from w1 to past w_max, are those from index k0 on
-    w_ext, k0 = w_max, 0
-    if extension:
-        w_ext, q_ext = extension
-        k0 = max(0, _left_nodes(a + 1.0, q_ext, w0, h) - kl)
+def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tuple:
+    """The step-h trapezoid pass for ``rows`` on the nodes w0 + k h of
+    f(w) = exp(a w - e^w + pw log1p(e^w/x)), scaled by e^-m, m the largest
+    exponent on psi's nodes.  A row (k, j, S, q, log_tail) is the sum of
+    f e^(kw) / (1 + e^w/x)^j, the integrand of psi(a+k, c+k-j), formed as
+    x^j f e^(kw) / (x + e^w)^j; its nodes run past S and start where q e^w
+    bounds the log of its factor (1 + e^w/x)^(pw-j) (``_left_nodes``), and
+    2 e^log_tail bounds its sum past S.  psi's row, (0, 0), comes first and
+    is its own slice of the nodes; the other rows share one extent (k, S
+    and q) and take all of them.  Returns (m, psi's (T_h, error bound),
+    nodes), on which ``_more_rows`` sums the other rows.  Buffers are
+    worked in place, each element as with a fresh array: aw holds w, a w,
+    then the rounding weights |a w| + e^w + |pw log1p(e^w/x)|; f holds
+    a w + log G, then psi's summands."""
+    kl, end = _extent(a, rows[0], w0, h)
+    k1, last = kl, end
+    if len(rows) > 1:
+        k1, last = map(max, (kl, end), _extent(a, rows[-1], w0, h))
     # w, exact: h is a power of 2 and w0 a multiple of 2^-20
-    aw = np.arange(w1 - k0 * h, w0 + (math.ceil((w_ext - w0) / h) + 1.5) * h, h)
+    aw = np.arange(w0 - k1 * h, w0 + (last + 1.5) * h, h)
     ew = np.exp(aw)
     pl = ew / x
     np.log1p(pl, out=pl)
     pl *= pw
-    lg = pl - ew
+    f = pl - ew
     aw *= a
-    f = aw + lg
-    fo, awo = f, aw
-    if extension:
-        own = slice(k0, k0 + kl + math.ceil((w_max - w0) / h) + 2)
-        fo, awo = f[own], aw[own]
-    m = float(fo.max())
+    f += aw
+    own = slice(k1 - kl, k1 + end + 2)
+    fo = f[own]
+    m = float(np.maximum.reduce(fo))
     f -= m
     np.exp(f, out=f)
-
-    geo_h, geo_2h, rest = _left_sums(a, q, w1, h, m)
-    total = float(fo.sum())
-    t_h = h * total + geo_h
-    t_2h = 2.0 * h * float(fo[::2].sum()) + geo_2h
-    # node rounding: the exponent of each node (and m) is rounded
     np.abs(aw, out=aw)
     aw += ew
-    np.abs(pl, out=pl)
-    aw += pl
-    rounding = (4.0 * EPS * h * (float(fo @ awo) + (16.0 + abs(m) + abs(pw)) * total)
-                + 4.0 * EPS * geo_h * (4.0 + abs(a * (w1 - h) - m)))
-    # rest, the left truncation, is counted for both sums
-    out = (t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m)
-    return (*out, (w1 - k0 * h, f, ew, aw)) if extension else out
+    # |pw log1p(e^w/x)| is pl or -pl by the sign of pw alone
+    (np.subtract if pw < 0.0 else np.add)(aw, pl, out=aw)
+    w1 = w0 - kl * h
+    psi_sum = _row_sum(rows[0], fo, aw[own], w1, _left_sums(a, rows[0][3], w1, h, m),
+                       a, pw, x, h, m)
+    return m, psi_sum, (f, ew, aw, w0 - k1 * h)
 
 
-def _shifted_quotients(a: float, pw: float, x: float, h: float, m: float,
-                       t0: float, e0: float, nodes, w_ext: float, q_ext: float):
-    """r = psi(a+1,c,x)/psi and s = psi(a+1,c+1,x)/psi, each with its
-    error, from the arrays of psi's last trapezoid pass, whose T_h = t0
-    lies within e0, both scaled by e^-m as the nodes are.
+def _more_rows(rows, nodes, a: float, pw: float, x: float, h: float, m: float) -> list:
+    """``_row_sum`` of each of ``rows``, which share one extent, on all the
+    nodes of a pass; f e^(kw) and the left series are formed once."""
+    f, ew, aw, w1 = nodes
+    k, _, _, q, _ = rows[0]
+    fk = f * ew if k else f
+    left = _left_sums(a + k, q, w1, h, m)
+    return [_row_sum(row, fk / (ew + x) if row[1] else fk, aw, w1, left, a, pw, x, h, m)
+            for row in rows]
 
-    On psi's nodes the integrand of psi(a+1,c+1) is f e^w and that of
-    psi(a+1,c) is f e^w/(1 + e^w/x); both prefactors are x^-(a+1) /
-    Gamma(a+1), so a quotient is T_h[integrand] / (a x t0).  Each shifted
-    sum is budgeted as psi's is, at exponent a+1: |T_h - T_2h|; the left
-    truncation of ``_left_sums``; past the extended cutoff, twice the
-    larger integrand, f e^w, at log S_ext; the rounding of each node,
-    psi's weight plus the product and quotient that form it; and
-    underflow, under 2^-1072 (1 + 2 S_ext) per node.  The prefactors
-    cancel, so their rounding does not enter.  A quotient below the
-    normal double range, 0 included, or beyond it with its error, raises
-    :class:`EvaluationError`, as psi does."""
-    w1, f, ew, weights = nodes
-    ap = a + 1.0
-    geo_h, geo_2h, rest = _left_sums(ap, q_ext, w1, h, m)
-    S_ext = math.exp(w_ext)
-    fixed = (4.0 * rest + 4.0 * EPS * geo_h * (4.0 + abs(ap * (w1 - h) - m))
-             + 2.0 * math.exp(-S_ext + ap * w_ext + pw * math.log1p(S_ext / x) - m)
-             + h * len(f) * (2.0 * S_ext + 1.0) * 2.0 ** -1072)
-    # rows: f e^w / (x + e^w), which is psi(a+1,c)'s integrand over x, and
-    # f e^w, psi(a+1,c+1)'s
-    y = np.empty((2, len(f)))
-    np.multiply(f, ew, out=y[1])
-    np.add(ew, x, out=y[0])
-    np.divide(y[1], y[0], out=y[0])
+
+def _extent(a: float, row, w0: float, h: float) -> tuple[int, int]:
+    """k of a row's first node w0 - k h and of its last node before S."""
+    k, _, S, q, _ = row
+    return _left_nodes(a + k, q, w0, h), math.ceil((math.log(S) - w0) / h)
+
+
+def _row_sum(row, y, weights, w1: float, left, a: float, pw: float, x: float, h: float,
+             m: float) -> tuple[float, float]:
+    """(T_h, error bound) of a row whose summands y, scaled by e^-m, lie on
+    the nodes from w1 (a node of T_2h) on: T_h is x^j h sum(y) plus the
+    left series, ``left`` the ``_left_sums`` of the row's extent.  The one
+    error rule: |T_h - T_2h|; the left truncation, for both sums; the
+    rounding of each node, 4 EPS times its weight plus 16 + |m| + |pw-j|
+    and 2 per factor e^w or 1/(x + e^w), and the left series'; the tail
+    past S; underflow, 2^-1072 (1 + 2 S) max(1, x^j) per node."""
+    k, j, S, _, log_tail = row
+    ak, hs = a + k, h * x if j else h
+    geo_h, geo_2h, rest = left
+    total = float(np.add.reduce(y))
+    t_h = hs * total + geo_h
+    t_2h = 2.0 * hs * float(np.add.reduce(y[::2])) + geo_2h
+    rounding = (4.0 * EPS * hs * (float(y @ weights)
+                                  + (16.0 + 2.0 * (k + j) + abs(m) + abs(pw - j)) * total)
+                + 4.0 * EPS * geo_h * (4.0 + abs(ak * (w1 - h) - m)))
+    return t_h, (abs(t_h - t_2h) + 4.0 * rest + rounding + 2.0 * math.exp(log_tail - m)
+                 + len(y) * (2.0 * S + 1.0) * 2.0 ** -1072 * max(h, hs))
+
+
+def _shifted_quotients(a: float, c: float, x: float, t0: float, e0: float, sums):
+    """r = psi(a+1,c,x)/psi and s = psi(a+1,c+1,x)/psi with their errors,
+    from the (T_h, error) of their rows and psi's t0 within e0: T_h / (a x
+    t0), the exponents applied last, so that a quotient in the double range
+    is formed however small a x is.  Below the normal range, 0 included, or
+    beyond it with its error, it raises :class:`EvaluationError`."""
+    (ma, ea), (mx, ex), (m0, et0) = math.frexp(a), math.frexp(x), math.frexp(t0)
+    denom, rel0 = ma * mx * m0, e0 / t0 + 3.0 * EPS
     out = []
-    # denom 2^(ea+ex) is a x t0, bit for bit where that is a normal double
-    (ma, ea), (mx, ex) = math.frexp(a), math.frexp(x)
-    rounding, denom, rel0 = 4.0 * EPS * h, ma * mx * t0, e0 / t0 + 3.0 * EPS
-    for total, evens, weighted, scale, pw_y in zip(
-            y.sum(axis=1).tolist(), y[:, ::2].sum(axis=1).tolist(),
-            (y @ weights).tolist(), (x, 1.0), (pw - 1.0, pw)):
-        t_h = h * scale * total + geo_h
+    for t_h, err in sums:
+        mt, et = math.frexp(t_h)
         try:
-            ratio = math.ldexp(t_h / denom, -ea - ex)
+            ratio = math.ldexp(mt / denom, et - et0 - ea - ex)
         except OverflowError:
             ratio = math.inf
-        err = (abs(t_h - 2.0 * h * scale * evens - geo_2h) + fixed + rounding * scale
-               * (weighted + (20.0 + abs(m) + abs(pw_y)) * total))
-        err = ratio * (err / t_h + rel0)
-        if not (ratio >= _TINY and ratio + err <= _FMAX):
+        err = ratio * (err / t_h + rel0) if ratio >= _TINY else math.nan
+        if not ratio + err <= _FMAX:
             raise EvaluationError(f"shifted quotients underflow or overflow the double range "
-                                  f"at (a={a}, c={pw + a + 1.0}, x={x})")
+                                  f"at (a={a}, c={c}, x={x})")
         out.append((ratio, err))
     return tuple(out)
 
 
 def psi_quadrature(p: ParameterPoint) -> FunctionValue:
-    """Evaluate psi(a,c,x), a > 0, by the trapezoid rule in w = log s.
-
-    Written in the Laplace-scaled variable s = x t = e^w,
-
-        psi = x^-a / Gamma(a) * int_-inf^inf f(w) dw,
-        f(w) = exp(a w - e^w + (c-a-1) log1p(e^w/x)),
-
-    by the trapezoid sum T_h = h sum_k f(w0 + k h) over all k (see the
-    module docstring).  The anchor w0 is log min(x, 1) rounded to a
-    multiple of 2^-20, so that every node is exact; the nodes end past the
-    cutoff S and start at w1, about 40 / (a+1) left of the node past
-    which |log G| <= 1/2.  Write f = e^(aw) G(w).  Every node from w1 on
-    is summed once, as it is; left of w1 the e^(aw) parts sum exactly to
-    h e^(a(w1-h)) / (-expm1(-a h)), and the rest, e^(aw) expm1(log G),
-    decays like e^((a+1)w) and is truncated with a bound.
-
-    abs_error adds |T_h - T_2h| (the even nodes), the left truncation
-    bound, the tail bound 2 f(log S) at the cutoff, the rounding of every
-    node's exponent and the rounding of the prefactor
-    exp(m - a log x - lnGamma(a)).  h starts at 1/8 and is halved until
-    abs_error <= PSI_TOL |value|.  If that fails at h = 1/128, or once a
-    halving leaves the relative budget above half the previous one (the
-    rounding, not the step, then sets it), the honest budget is returned
-    with the flag ``"tolerance_not_met"``.  A value below
-    the normal double range raises :class:`EvaluationError`, one beyond it
-    :class:`DoubleRangeError`; so do, as :class:`EvaluationError`, nodes
-    that leave the double range (|c - a - 1|/x or the cutoff near the
-    largest double) and a NaN or infinite value or budget.
+    """Evaluate psi(a,c,x), a > 0, by the trapezoid rule in w = log s
+    (see the module docstring), on nodes anchored at w0 = log min(x, 1)
+    rounded to a multiple of 2^-20, so that every node is exact.  h starts
+    at 1/8 and is halved until abs_error <= PSI_TOL |value|; if that fails
+    at h = 1/128, or once a halving leaves the relative budget above half
+    the previous one (rounding then sets it), the honest budget is
+    returned, flagged ``"tolerance_not_met"``.  A value below the normal
+    double range raises :class:`EvaluationError`, one beyond it
+    :class:`DoubleRangeError`; so do, as :class:`EvaluationError`, a
+    subnormal a, nodes that leave the double range (|c - a - 1|/x or the
+    cutoff near the largest double) and a NaN or infinite value or budget.
     """
     return _quadrature(p.a, p.c, p.x)
 
@@ -467,21 +445,26 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     ``psi_quotients`` needs them."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
+    if a < _TINY:
+        raise _subnormal(a, c, x)
     pw = c - a - 1.0
     log_b = math.log(min(x, 1.0))
     w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
     S, log_f_cut = _cutoff(a, pw, x, log_b, pw)
-    # the shifted integrands are psi's at (a+1, pw) and, below it by the
-    # factor 1/(1 + e^w/x), at (a+1, pw-1)
-    S_ext = max(S, _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0]) if shifted else S
-    # the nodes need e^w/x up to past S_ext and twice the bound 1 + |pw|/x
-    # of _left_nodes (1 + |pw-1|/x for the shifted sums) as doubles
+    rows, S_ext = [(0, 0, S, 1.0 + abs(pw) / x, log_f_cut)], S
+    if shifted:
+        # the r row, psi's integrand at (a+1, pw-1), and the s row, at
+        # (a+1, pw), share the s row's cutoff and the larger q; log_s is
+        # the log of the s row's integrand there, as in _cutoff
+        S_ext = max(S, _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0])
+        q_ext = 1.0 + max(abs(pw), abs(pw - 1.0)) / x
+        log_s = -S_ext + (a + 1.0) * math.log(S_ext) + pw * math.log1p(S_ext / x)
+        rows += [(1, 1, S_ext, q_ext, log_s - math.log1p(S_ext / x)), (1, 0, S_ext, q_ext, log_s)]
+    # the nodes need e^w/x up to past S_ext and twice the largest q of
+    # _left_nodes as doubles
     if not 2.0 * (S_ext + abs(pw) + 1.0) / x <= _FMAX:
         raise EvaluationError(f"the trapezoid nodes of psi(a={a}, c={c}, x={x}) "
                               f"reach beyond the double range")
-    w_max = math.log(S)
-    extension = ((math.log(S_ext), 1.0 + max(abs(pw), abs(pw - 1.0)) / x)
-                 if shifted else ())
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
@@ -491,9 +474,7 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     h = _STEP
     prev_rel = math.inf
     while True:
-        total, err, m, *nodes = _trapezoid(a, pw, x, w0, w_max, h, *extension)
-        # 2 f(log S) is S times a bound on either sum past the cutoff
-        err += 2.0 * math.exp(log_f_cut - m)
+        m, (total, err), nodes = _trapezoid(a, pw, x, w0, h, rows)
         rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
                      + lg_a_err)
         met = err <= (PSI_TOL - rel_scale) * abs(total)
@@ -524,7 +505,8 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     fv = FunctionValue(value, budget, QUADRATURE, () if met else ("tolerance_not_met",))
     if not shifted:
         return fv
-    return fv, _shifted_quotients(a, pw, x, h, m, total, err, *nodes, *extension)
+    return fv, _shifted_quotients(
+        a, c, x, total, err, _more_rows(rows[1:], nodes, a, pw, x, h, m))
 
 
 @lru_cache(maxsize=4096)
@@ -535,12 +517,9 @@ def psi_quotients(p: ParameterPoint):
     4,096 (see the module docstring).
 
     For a > 0 all three come from one pass of psi's trapezoid rule, at
-    every x: the nodes, h and m are psi's and its sums are taken over its
-    own nodes; the nodes run on past its cutoff to cover the shifted
-    integrands, f e^w for psi(a+1,c+1) and f e^w/(1 + e^w/x) for
-    psi(a+1,c), each summed once more at the last h (see
-    ``_shifted_quotients`` for their budgets).  For a <= 0, r and s are
-    psi at (a+1,c) and (a+1,c+1) divided by psi, by ``_quotient``.
+    every x: the r and s rows (see ``_trapezoid``) are summed at psi's last
+    h on its nodes, run on to cover them.  For a <= 0, r and s are psi at (a+1,c)
+    and (a+1,c+1) divided by psi, by ``_quotient``.
 
     Raises, on every call, where psi raises at one of the points it reads,
     where psi's error is half its magnitude or more (psi cannot be told
@@ -693,12 +672,20 @@ def _beyond_range(a: float, c: float, x: float) -> DoubleRangeError:
     return DoubleRangeError(f"psi(a={a}, c={c}, x={x}) exceeds the double range")
 
 
+def _subnormal(a: float, c: float, x: float) -> EvaluationError:
+    # a w and a h lose their digits to underflow, and 1/a overflows
+    return EvaluationError(f"psi(a={a}, c={c}, x={x}): a is subnormal, below the "
+                           f"normal double range that the routes need")
+
+
 @lru_cache(maxsize=2048)
 def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
     if a > 0.0:
         return _quadrature(a, c, x)
     if a == 0.0 or a == math.floor(a):
         return psi_connection(a, c, x)
+    if a > -_TINY:
+        raise _subnormal(a, c, x)
     # a < 0, non-integer: the connection series loses ~e^x to cancellation,
     # while optimal truncation of the divergent expansion gains with x.
     # Take whichever route reports the smaller error.  The series budget

@@ -12,6 +12,7 @@ import pytest
 import tricomi_turan
 from tricomi_turan import cli, suites
 from tricomi_turan.bounds import CATALOG
+from tricomi_turan.kernel import ParameterPoint, psi_quotients
 
 # a tol-* key per suite, the flag being "--" + key: no suite takes a
 # tolerance, so the CLI knows none of them
@@ -213,15 +214,11 @@ class TestEval:
         assert code == 4 and out == "" and "underflow" in err
 
 
-# fuzzed points where the CLI ended in a traceback (a ZeroDivisionError as
-# a x t0 underflowed in the shifted quotients, an OverflowError in I2's
-# power (G0 psi)^(1/a)) or exited 0 having printed a NaN or an infinite
-# value, budget or rate (the raw Turanians, the zeta limit's scan)
+# fuzzed points where the CLI ended in a traceback (an OverflowError in I2's
+# power (G0 psi)^(1/a), a ZeroDivisionError at a subnormal a) or exited 0
+# having printed a NaN or an infinite value, budget or rate (the raw
+# Turanians, the zeta limit's scan, psi at a subnormal a)
 FUZZED = {
-    "ratio-tiny-ax": ("eval", "ratio:both", "--", "1.3461539331676207e-242",
-                      "-5.5192215979636075", "1.6787938574856139e-206"),
-    "run-tiny-ax": ("run", "--suites", "monotonicity", "--grid-a", "1e-250",
-                    "--grid-c=-8.775", "--grid-x", "1e-300,1e-299"),
     "i2-power": ("eval", "bound:I2", "--", "4.574711093407372e-190",
                  "-56.064997628840494", "0.19819728788641733"),
     "run-i2-power": ("run", "--suites", "bounds", "--grid-a", "4.574711093407372e-190",
@@ -232,6 +229,9 @@ FUZZED = {
                             "-3.4185697950490476e+75", "1.6278328138092446"),
     "zeta-rate-inf": ("sharpness", "--grid-a", "2.6289344176285844e-195",
                       "--grid-c=-3.0246065475647724e154"),
+    "psi-subnormal-a": ("eval", "psi", "--", "5e-324", "3.5", "1e-5"),
+    "psi-subnormal-nan": ("eval", "psi", "--", "-4.9933301694917e-311",
+                          "0.5261279034598146", "9.919739284624609e-89"),
 }
 
 
@@ -239,6 +239,41 @@ FUZZED = {
 def test_fuzzed_extremes_are_exit_4(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == "" and err.startswith("evaluation error: ")
+
+
+def quotients_within_budget(a, c, x) -> bool:
+    """r and s of psi_quotients(a, c, x) within their budgets of 40-digit
+    mpmath.hyperu quotients."""
+    _, r, s = psi_quotients(ParameterPoint(a, c, x))
+    with mpmath.workdps(40):
+        A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
+        u0 = mpmath.hyperu(A, C, X)
+        return all(abs(value - float(ref)) <= err for (value, err), ref in (
+            (r, mpmath.hyperu(A + 1, C, X) / u0), (s, mpmath.hyperu(A + 1, C + 1, X) / u0)))
+
+
+# fuzzed points where a x t0 underflows, although r and s are normal
+# doubles: each exited 4 before r and s were formed from mantissas
+TINY_AX = {
+    "ratio-tiny-ax": (("eval", "ratio:both", "--", "1.3461539331676207e-242",
+                       "-5.5192215979636075", "1.6787938574856139e-206"),
+                      [(1.3461539331676207e-242, -5.5192215979636075, 1.6787938574856139e-206)]),
+    "run-tiny-ax": (("run", "--suites", "monotonicity", "--grid-a", "1e-250",
+                     "--grid-c=-8.775", "--grid-x", "1e-300,1e-299"),
+                    [(1e-250, -8.775, 1e-300), (1e-250, -8.775, 1e-299)]),
+}
+
+
+@pytest.mark.parametrize("argv,points", TINY_AX.values(), ids=TINY_AX)
+def test_fuzzed_tiny_a_x_delivers(capsys, argv, points):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if argv[0] == "run":
+        # the three auxiliary monotonicity rows, whose margins lie within
+        # their budgets
+        assert out.splitlines() == ["monotonicity: pass=0 fail=0 inconclusive=3",
+                                    "total rows=3 gating_fails=0 advisory_fails=0"]
+    assert all(quotients_within_budget(*p) for p in points)
 
 
 def rejected(capsys, *argv) -> str:

@@ -35,6 +35,7 @@ from tricomi_turan.kernel import (EPS, PSI_TOL, DoubleRangeError,
                                   _m_series, _trapezoid,
                                   log_gamma, log_gamma_error, psi,
                                   psi_connection, psi_quadrature)
+from tricomi_turan.turanians import SECOND, turanian_ratio
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -398,7 +399,7 @@ class TestPsiQuadrature:
 
 
 def trapezoid_cases(n=600, seed=31):
-    """Seeded _trapezoid arguments as psi_quadrature forms them: a in
+    """Seeded (a, pw, x, w0, S, h) as psi_quadrature forms them: a in
     [1e-8, 30], x in [1e-2, 1e3], h from 1/8 to 1/128; and a below e^-40,
     where the nodes start at the split node ws, so that the split form has
     no node summed as e^(aw) expm1(log G)."""
@@ -411,15 +412,23 @@ def trapezoid_cases(n=600, seed=31):
         pw = c - a - 1.0
         w0 = round(math.log(min(x, 1.0)) * 2.0 ** 20) * 2.0 ** -20
         S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0) * 1.5 ** rng.integers(0, 4)
-        cases.append((a, pw, x, w0, math.log(S), 2.0 ** -int(rng.integers(3, 8))))
+        cases.append((a, pw, x, w0, S, 2.0 ** -int(rng.integers(3, 8))))
     return cases
+
+
+def psi_row(a, pw, x, w0, S, h):
+    """(T_h, its bound, m) of psi's row alone, with no tail bound past S,
+    which the references leave out."""
+    m, (t_h, err), _ = _trapezoid(a, pw, x, w0, h, [(0, 0, S, 1.0 + abs(pw) / x, -math.inf)])
+    return t_h, err, m
 
 
 def test_trapezoid_matches_reference():
     cases = trapezoid_cases()
     empty_left = 0
-    for args in cases:
-        assert _trapezoid(*args) == trapezoid_reference(*args), args
+    for a, pw, x, w0, S, h in cases:
+        args = (a, pw, x, w0, math.log(S), h)
+        assert psi_row(a, pw, x, w0, S, h) == trapezoid_reference(*args), args
         empty_left += args[0] < math.exp(-kernel._LEFT_DEPTH)
     assert empty_left >= 6
 
@@ -428,8 +437,9 @@ def test_trapezoid_agrees_with_split_form():
     # the one-pass sum and the split sum are the same sum rounded
     # differently: the one lies within its budget of the other, and the
     # two budgets differ in rounding alone
-    for args in trapezoid_cases():
-        t_h, err, m = _trapezoid(*args)
+    for a, pw, x, w0, S, h in trapezoid_cases():
+        args = (a, pw, x, w0, math.log(S), h)
+        t_h, err, m = psi_row(a, pw, x, w0, S, h)
         t_split, err_split, m_split = trapezoid_split_reference(*args)
         assert m == m_split, args
         assert abs(t_h - t_split) <= err, args
@@ -574,17 +584,29 @@ class TestPsiQuotients:
         assert kernel.psi_quotients.cache_info().currsize == 0
 
     def test_psi_alone_runs_no_extension(self, monkeypatch):
-        # psi's trapezoid passes take psi's six arguments only
-        kernel.psi_quotients.cache_clear()
-        arities = []
-        trapezoid = kernel._trapezoid
-        monkeypatch.setattr(kernel, "_trapezoid",
-                            lambda *args: arities.append(len(args)) or trapezoid(*args))
-        psi_quadrature(ParameterPoint(2.0, -2.5, 3.0))
-        assert set(arities) == {6}
-        arities.clear()
-        kernel.psi_quotients(ParameterPoint(2.0, -2.5, 3.0))
-        assert set(arities) == {8}
+        # each pass sums psi's row (0, 0) alone; the record's last pass then
+        # sums the r row (1, 1) and the s row (1, 0), over the whole array,
+        # which reaches past psi's own nodes, and psi's passes sum no other
+        # row.  (6, -4.5, 200) takes two passes
+        summed = []
+        row_sum = kernel._row_sum
+
+        def counted(row, y, *args):
+            summed.append((*row[:2], len(y)))
+            return row_sum(row, y, *args)
+
+        monkeypatch.setattr(kernel, "_row_sum", counted)
+        for point, passes in (((2.0, -2.5, 3.0), 1), ((6.0, -4.5, 200.0), 2)):
+            kernel.psi_quotients.cache_clear()
+            psi_quadrature(ParameterPoint(*point))
+            psi_rows = summed[:]
+            assert [row[:2] for row in psi_rows] == [(0, 0)] * passes
+            summed.clear()
+            kernel.psi_quotients(ParameterPoint(*point))
+            assert summed[:passes] == psi_rows
+            r, s = summed[passes:]
+            assert r[:2] == (1, 1) and s[:2] == (1, 0) and r[2] == s[2] > psi_rows[-1][2]
+            summed.clear()
 
 
 class TestPsiConnection:
@@ -815,12 +837,57 @@ EXTREME_POINTS = [(a, c, x)
                   for x in (1e-300, 1.0, 1e300)]
 
 
+def _fuzz_points(n=1000, seed=1075_33):
+    """n seeded triples: |a| log-uniform in [5e-324, 1e3], a fifth of them
+    subnormal, c log-uniform in +-[1e-3, 1e4], x log-uniform in [1e-300,
+    1e300], signs at random."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    points = []
+    for i in range(n):
+        a = log_uniform(5e-324, kernel._TINY) if i % 5 == 0 else log_uniform(kernel._TINY, 1e3)
+        c = log_uniform(1e-3, 1e4)
+        points.append((a * float(rng.choice([-1.0, 1.0])), c * float(rng.choice([-1.0, 1.0])),
+                       log_uniform(1e-300, 1e300)))
+    return points
+
+
 class _Timeout(Exception):
     pass
 
 
 def _alarm(signum, frame):
     raise _Timeout
+
+
+def untyped_or_infinite(fn, points):
+    """The points where fn(ParameterPoint(a, c, x)) raises an error other
+    than EvaluationError and RegionError, takes over 2 s or returns a value
+    or budget that is not finite (psi_quotients' tuple: any of them)."""
+    old = signal.signal(signal.SIGALRM, _alarm)
+    bad = []
+    try:
+        for a, c, x in points:
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            try:
+                got = fn(ParameterPoint(a, c, x))
+            except (EvaluationError, RegionError):
+                continue
+            except Exception as exc:    # any other type is a failure
+                bad.append((a, c, x, repr(exc)))
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+            fv, *quotients = got if type(got) is tuple else (got,)
+            if not all(math.isfinite(v) and math.isfinite(e)
+                       for v, e in [fv[:2], *quotients]):
+                bad.append((a, c, x, got))
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    return bad
 
 
 class TestExtremeParameters:
@@ -830,27 +897,26 @@ class TestExtremeParameters:
         # math.ceil(inf) in _left_nodes or the trapezoid's node count), run
         # on for ever (the terminating polynomial at a = -1e20) or return a
         # NaN or infinite budget
-        old = signal.signal(signal.SIGALRM, _alarm)
-        bad = []
-        try:
-            for a, c, x in EXTREME_POINTS:
-                signal.setitimer(signal.ITIMER_REAL, 2.0)
-                try:
-                    got = fn(ParameterPoint(a, c, x))
-                except (EvaluationError, RegionError):
-                    continue
-                except Exception as exc:    # any other type is a failure
-                    bad.append((a, c, x, repr(exc)))
-                    continue
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0.0)
-                fv, *quotients = got if fn is kernel.psi_quotients else (got,)
-                if not all(math.isfinite(v) and math.isfinite(e)
-                           for v, e in [fv[:2], *quotients]):
-                    bad.append((a, c, x, got))
-        finally:
-            signal.signal(signal.SIGALRM, old)
-        assert bad == []
+        assert untyped_or_infinite(fn, EXTREME_POINTS) == []
+
+    @pytest.mark.parametrize("fn", [psi, kernel.psi_quotients,
+                                    lambda p: turanian_ratio(SECOND, p)],
+                             ids=["psi", "psi_quotients", "ratio-second"])
+    def test_seeded_fuzz_typed_error_or_finite_value_within_2s(self, fn):
+        # subnormal a used to end in a ZeroDivisionError, a false
+        # DoubleRangeError or a NaN budget
+        assert untyped_or_infinite(fn, _fuzz_points()) == []
+
+    @pytest.mark.parametrize("a,c,x", [
+        (5e-324, 3.5, 1e-5), (1e-318, 3.5, 1e-5), (1e-312, 0.5, 1.0),
+        (-4.9933301694917e-311, 0.5261279034598146, 9.919739284624609e-89)])
+    def test_subnormal_a_raises(self, a, c, x):
+        # these gave a ZeroDivisionError, a value 6.6e6 times outside its
+        # budget, a false DoubleRangeError and a NaN budget
+        for fn in (psi, kernel.psi_quotients):
+            with pytest.raises(EvaluationError, match="a is subnormal") as exc:
+                fn(ParameterPoint(a, c, x))
+            assert type(exc.value) is EvaluationError
 
     def test_terminating_polynomial_keeps_its_values(self):
         # the running products stop at a zero factor (c a nonpositive
