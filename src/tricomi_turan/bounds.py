@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
@@ -484,9 +484,13 @@ class DominanceSpec:
     threshold: Callable[[float, float, float], bool]
     threshold_text: str
 
-    @property
+    @cached_property
     def anchor(self) -> str:
         return f"{self.claimed} tighter than {self.other} for {self.threshold_text}"
+
+    def region(self, a: float, c: float) -> bool:
+        """True when (a, c) lies in both bounds' regions."""
+        return CATALOG[self.claimed].region(a, c) and CATALOG[self.other].region(a, c)
 
 
 DOMINANCE: dict[str, DominanceSpec] = {spec.id: spec for spec in (
@@ -512,9 +516,7 @@ DOMINANCE: dict[str, DominanceSpec] = {spec.id: spec for spec in (
 def dominance_applicable(dom_id: str, p: ParameterPoint) -> bool:
     """True when p lies in both bounds' regions and meets the threshold."""
     spec = DOMINANCE[dom_id]
-    claimed, other = CATALOG[spec.claimed], CATALOG[spec.other]
-    return (claimed.region(p.a, p.c) and other.region(p.a, p.c)
-            and spec.threshold(p.a, p.c, p.x))
+    return spec.region(p.a, p.c) and spec.threshold(p.a, p.c, p.x)
 
 
 def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:

@@ -315,8 +315,19 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tupl
     and q) and take all of them.  Returns (m, psi's (T_h, error bound),
     nodes), on which ``_more_rows`` sums the other rows.  Buffers are
     worked in place, each element as with a fresh array: aw holds w, a w,
-    then the rounding weights |a w| + e^w + |pw log1p(e^w/x)|; f holds
-    a w + log G, then psi's summands."""
+    then the rounding weights |a w| + e^w + kappa L, L = log1p(e^w/x);
+    f holds a w + log G, then psi's summands.
+
+    The weights bound the rounding of a node's exponent a w - e^w + pw L
+    - m, in units of 4 EPS, with 2 EPS for each of exp and log1p.  e^w is
+    off by 2 EPS e^w; u = e^w/x by 2.5 EPS relative, so L by 2.5 EPS
+    u/(1+u) <= 2.5 EPS L, and by 2 EPS L more from log1p; pw L by |pw|
+    times that, EPS/2 |pw L| from the product, and |dpw| L from the
+    rounding of pw = c - a - 1 itself, |dpw| <= EPS/2 (|c-a| + |pw|) <=
+    EPS (|pw| + 1/2); each of the three sums by EPS/2 its magnitude, at
+    most |a w| + e^w + |pw L| + |m|.  In all 1.5 EPS |a w| + 3.5 EPS e^w +
+    (7.5 |pw| + 0.5) EPS L + EPS/2 |m|: kappa is (7.5 |pw| + 0.5) / 4, and
+    ``_row_sum`` charges |m| flat."""
     kl, end = _extent(a, rows[0], w0, h)
     k1, last = kl, end
     if len(rows) > 1:
@@ -326,8 +337,8 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tupl
     ew = np.exp(aw)
     pl = ew / x
     np.log1p(pl, out=pl)
-    pl *= pw
-    f = pl - ew
+    f = pl * pw
+    f -= ew
     aw *= a
     f += aw
     own = slice(k1 - kl, k1 + end + 2)
@@ -337,22 +348,22 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tupl
     np.exp(f, out=f)
     np.abs(aw, out=aw)
     aw += ew
-    # |pw log1p(e^w/x)| is pl or -pl by the sign of pw alone
-    (np.subtract if pw < 0.0 else np.add)(aw, pl, out=aw)
+    pl *= 1.875 * abs(pw) + 0.125
+    aw += pl
     w1 = w0 - kl * h
     psi_sum = _row_sum(rows[0], fo, aw[own], w1, _left_sums(a, rows[0][3], w1, h, m),
-                       a, pw, x, h, m)
+                       a, x, h, m)
     return m, psi_sum, (f, ew, aw, w0 - k1 * h)
 
 
-def _more_rows(rows, nodes, a: float, pw: float, x: float, h: float, m: float) -> list:
+def _more_rows(rows, nodes, a: float, x: float, h: float, m: float) -> list:
     """``_row_sum`` of each of ``rows``, which share one extent, on all the
     nodes of a pass; f e^(kw) and the left series are formed once."""
     f, ew, aw, w1 = nodes
     k, _, _, q, _ = rows[0]
     fk = f * ew if k else f
     left = _left_sums(a + k, q, w1, h, m)
-    return [_row_sum(row, fk / (ew + x) if row[1] else fk, aw, w1, left, a, pw, x, h, m)
+    return [_row_sum(row, fk / (ew + x) if row[1] else fk, aw, w1, left, a, x, h, m)
             for row in rows]
 
 
@@ -362,15 +373,15 @@ def _extent(a: float, row, w0: float, h: float) -> tuple[int, int]:
     return _left_nodes(a + k, q, w0, h), math.ceil((math.log(S) - w0) / h)
 
 
-def _row_sum(row, y, weights, w1: float, left, a: float, pw: float, x: float, h: float,
+def _row_sum(row, y, weights, w1: float, left, a: float, x: float, h: float,
              m: float) -> tuple[float, float]:
     """(T_h, error bound) of a row whose summands y, scaled by e^-m, lie on
     the nodes from w1 (a node of T_2h) on: T_h is x^j h sum(y) plus the
     left series, ``left`` the ``_left_sums`` of the row's extent.  The one
     error rule: |T_h - T_2h|; the left truncation, for both sums; the
-    rounding of each node, 4 EPS times its weight plus 16 + |m| + |pw-j|
-    and 2 per factor e^w or 1/(x + e^w), and the left series'; the tail
-    past S; underflow, 2^-1072 (1 + 2 S) max(1, x^j) per node."""
+    rounding of each node, 4 EPS times its weight (``_trapezoid``) plus
+    16 + |m| and 2 per factor e^w or 1/(x + e^w), and the left series';
+    the tail past S; underflow, 2^-1072 (1 + 2 S) max(1, x^j) per node."""
     k, j, S, _, log_tail = row
     ak, hs = a + k, h * x if j else h
     geo_h, geo_2h, rest = left
@@ -378,7 +389,7 @@ def _row_sum(row, y, weights, w1: float, left, a: float, pw: float, x: float, h:
     t_h = hs * total + geo_h
     t_2h = 2.0 * hs * float(np.add.reduce(y[::2])) + geo_2h
     rounding = (4.0 * EPS * hs * (float(y @ weights)
-                                  + (16.0 + 2.0 * (k + j) + abs(m) + abs(pw - j)) * total)
+                                  + (16.0 + 2.0 * (k + j) + abs(m)) * total)
                 + 4.0 * EPS * geo_h * (4.0 + abs(ak * (w1 - h) - m)))
     return t_h, (abs(t_h - t_2h) + 4.0 * rest + rounding + 2.0 * math.exp(log_tail - m)
                  + len(y) * (2.0 * S + 1.0) * 2.0 ** -1072 * max(h, hs))
@@ -506,7 +517,7 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     if not shifted:
         return fv
     return fv, _shifted_quotients(
-        a, c, x, total, err, _more_rows(rows[1:], nodes, a, pw, x, h, m))
+        a, c, x, total, err, _more_rows(rows[1:], nodes, a, x, h, m))
 
 
 @lru_cache(maxsize=4096)

@@ -14,15 +14,19 @@ each of its suite's x values, so the process that holds a pair computes
 each psi value, each phi table and each record of psi and its quotients
 (``kernel.psi_quotients``) of that pair once.  With ``jobs = 1`` the
 blocks run in-process; otherwise a process pool maps them, with at most
-one worker per pair and per usable CPU.  A block
-returns its rows as plain tuples (they pickle several times faster than
-named tuples), and its first failing task raises.  The pairs run in run
-order: the grid's in (a, c) order, then the sharpness limits' curated
-pairs off the grid; grid values are distinct, so no pair repeats.
-``run`` takes the blocks in that order as they arrive and appends each
-block's rows to those of their (suite, claim); a sharpness limit's rows
-are then put in the order of its pairs.  The claims, concatenated by
-(suite, claim name), make the report.  A failing run raises the error
+one worker per pair and per usable CPU.  The pool's machinery is
+imported by the first run that pools, so a run in-process never loads
+it.  A block keys its rows by (suite, claim) and returns each as a plain
+tuple of the fields after (suite, claim, a, c), which the parent holds
+already: plain tuples pickle several times faster than named tuples, and
+pickle does not share equal floats between rows.  Its first failing task
+raises.  The pairs run in run order: the grid's in (a, c) order, then the
+sharpness limits' curated pairs off the grid; grid values are distinct,
+so no pair repeats.  ``run`` takes the blocks in that order as they
+arrive, makes each row a :class:`ReportRow` of its key, its pair and its
+fields, and appends it to those of its (suite, claim); a sharpness
+limit's rows are then put in the order of its pairs.  The claims,
+concatenated by (suite, claim name), make the report.  A failing run raises the error
 of its first failing pair in run order, the first failing task there in
 task order, and evaluates no later pair at ``jobs = 1``; neither the
 report nor that error depends on ``jobs``.  Claims whose failures are
@@ -32,16 +36,18 @@ failures are counted apart.
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
 claims once, in task order, each with the argument its rows need (a
-catalog entry, a moment identity, a Turanian kind); the report puts them
-in name order.  The sharpness suite's claims are the rows of
+catalog entry, a dominance claim, a moment identity or Turanian kind or
+auxiliary with its anchor text, formed once); the report puts them in
+name order.  The sharpness suite's claims are the rows of
 ``bounds.LIMITS``, each with its own (a, c) pairs; a row holds the
 deviation from the limit at the end of its scan against the limit's
 rate bound there, as an inequality row.  A record holds the test of
-whether a claim holds at a pair; the points of its rows at a pair; and
-the evaluator of one row, which calls the per-point function of the
-claim (``check_bound``, ``check_dominance``, ``auxiliary_log_ratio``,
-``measure.stieltjes``, the other measure and Turanian functions).  No
-suite takes a tolerance.
+whether a claim holds at a pair (a dominance claim where both of its
+bounds hold; its threshold in x is tested per row); the points of its
+rows at a pair; and the evaluator of one row, which calls the per-point
+function of the claim (``check_bound``, ``check_dominance``,
+``auxiliary_log_ratio``, ``measure.stieltjes``, the other measure and
+Turanian functions).  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -62,7 +68,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -136,24 +141,23 @@ class Suite:
 
 
 # ---------------------------------------------------------------------------
-# row evaluators: (suite, claim, argument, a, c, point) -> the fields of a
-# row, or None where the claim does not hold at the point
+# row evaluators: (claim, argument, a, c, point) -> the fields of a row
+# after (suite, claim, a, c), or None where the claim does not hold at the
+# point
 # ---------------------------------------------------------------------------
 
-def _agreement(suite, claim, a, c, x, lhs, rhs, budget, anchor):
+def _agreement(x, lhs, rhs, budget, anchor):
     margin = budget - abs(lhs - rhs)
-    return (suite, claim, a, c, x, lhs, rhs, margin, budget,
-            PASS if margin >= 0.0 else FAIL, anchor)
+    return x, lhs, rhs, margin, budget, PASS if margin >= 0.0 else FAIL, anchor
 
 
-def _row_crosscheck(suite, claim, _, a, c, p):
+def _row_crosscheck(claim, _, a, c, p):
     # the suite holds at a > 0 only, where psi takes the quadrature route;
     # kernel.psi_quotients at this point holds the same value, from its
     # own trapezoid pass
     q = psi(p)
     k = psi_connection(a, c, p.x)
-    return _agreement(suite, claim, a, c, p.x, q.value, k.value,
-                      q.abs_error + k.abs_error,
+    return _agreement(p.x, q.value, k.value, q.abs_error + k.abs_error,
                       "quadrature and connection-series values agree")
 
 
@@ -187,76 +191,74 @@ def _central_difference(a: float, c: float, x: float, k: int) -> FunctionValue:
                          "central_difference")
 
 
-def _row_ode(suite, claim, _, a, c, x):
+def _row_ode(claim, _, a, c, x):
     d1, d2 = (_central_difference(a, c, x, k) for k in (1, 2))
     f0 = psi(ParameterPoint(a, c, x))
     resid = x * d2.value + (c - x) * d1.value - a * f0.value
     scale = abs(x * d2.value) + abs((c - x) * d1.value) + abs(a * f0.value)
     budget = (x * d2.abs_error + abs(c - x) * d1.abs_error + a * f0.abs_error
               + 4.0 * EPS * scale)
-    return _agreement(suite, claim, a, c, x, abs(resid), 0.0, budget,
+    return _agreement(x, abs(resid), 0.0, budget,
                       "Kummer ODE residual under central differences")
 
 
-def _row_derivative(suite, claim, _, a, c, x):
+def _row_derivative(claim, _, a, c, x):
     d1 = _central_difference(a, c, x, 1)
     shifted = psi(ParameterPoint(a + 1.0, c + 1.0, x))
     target = -a * shifted.value
-    return _agreement(suite, claim, a, c, x, d1.value, target,
+    return _agreement(x, d1.value, target,
                       d1.abs_error + a * shifted.abs_error + EPS * abs(target),
                       "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)")
 
 
-def _row_moment(suite, claim, ident, a, c, x):
+def _row_moment(claim, arg, a, c, x):
+    ident, anchor = arg
     mv = measure_mod.phi_moment(measure_mod.WeightDensity(a, c), ident.power)
     closed = ident.closed_form(a, c)
     # the closed forms are rational in a and c: five roundings at most
-    return _agreement(suite, claim, a, c, x, mv.value, closed,
-                      mv.abs_error + 5.0 * EPS * abs(closed),
-                      f"moment power {ident.power} equals its closed form")
+    return _agreement(x, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed), anchor)
 
 
-def _row_stieltjes(suite, claim, arg, a, c, p):
+def _row_stieltjes(claim, arg, a, c, p):
     kind, anchor = arg
     rep = measure_mod.stieltjes(kind, measure_mod.WeightDensity(a, c), p.x)
     direct = turanian_ratio(kind, p)
-    return _agreement(suite, claim, a, c, p.x, direct.value, rep.value,
-                      rep.abs_error + direct.abs_error, anchor)
+    return _agreement(p.x, direct.value, rep.value, rep.abs_error + direct.abs_error,
+                      anchor)
 
 
-def _row_bound(suite, claim, _, a, c, p):
-    rec = bounds_mod.check_bound(claim, p)
-    return (suite, claim, a, c, p.x, rec.lhs.value, rec.rhs.value, rec.margin,
-            rec.budget, rec.status, rec.anchor)
+def _record(p, rec):
+    return p.x, rec.lhs.value, rec.rhs.value, rec.margin, rec.budget, rec.status, rec.anchor
 
 
-def _row_dominance(suite, claim, _, a, c, p):
-    if not bounds_mod.dominance_applicable(claim, p):
+def _row_bound(claim, _, a, c, p):
+    return _record(p, bounds_mod.check_bound(claim, p))
+
+
+def _row_dominance(claim, spec, a, c, p):
+    # the suite holds where both bounds' regions do; the threshold is per x
+    if not spec.threshold(a, c, p.x):
         return None
-    rec = bounds_mod.check_dominance(claim, p)
-    return (suite, claim, a, c, p.x, rec.lhs.value, rec.rhs.value, rec.margin,
-            rec.budget, rec.status, rec.anchor)
+    return _record(p, bounds_mod.check_dominance(claim, p))
 
 
-def _row_sharpness(suite, claim, lim, a, c, _):
+def _row_sharpness(claim, lim, a, c, _):
     # the deviation at the end of the scan, held against the limit's rate
     end = sharpness_scan(lim, a, c)[-1]
     margin = end.rate - end.deviation
-    return (suite, claim, a, c, end.x, end.deviation, end.rate, margin, end.budget,
+    return (end.x, end.deviation, end.rate, margin, end.budget,
             bounds_mod._status(margin, end.budget), lim.anchor)
 
 
-def _row_monotonicity(suite, claim, which, a, c, step):
+def _row_monotonicity(claim, arg, a, c, step):
+    which, anchor = arg
     x_lo, x_hi = step
-    sign = bounds_mod.AUXILIARY[which].sign
     lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo)
     hi = bounds_mod.auxiliary_log_ratio(which, a, c, x_hi)
-    margin = sign * (hi.value - lo.value)
+    margin = bounds_mod.AUXILIARY[which].sign * (hi.value - lo.value)
     budget = lo.abs_error + hi.abs_error
-    direction = "increasing" if sign > 0 else "decreasing"
-    return (suite, claim, a, c, x_hi, lo.value, hi.value, margin, budget,
-            bounds_mod._status(margin, budget),
-            f"auxiliary log-ratio {which} is {direction}")
+    return (x_hi, lo.value, hi.value, margin, budget, bounds_mod._status(margin, budget),
+            anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +310,10 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
           _ode_xs, _row_ode),
     Suite("derivative", {"dpsi-dx": None}, lambda _, a, c: a > 0.0,
           _grid_xs, _row_derivative),
-    Suite("moments", {f"moment[{power}]": ident for power, ident
-                      in measure_mod.MOMENT_IDENTITIES.items()},
-          lambda ident, a, c: ident.region(a, c) and _off_integer(c),
+    Suite("moments", {f"moment[{power}]": (ident, f"moment power {power} equals its "
+                                                  "closed form")
+                      for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
+          lambda arg, a, c: arg[0].region(a, c) and _off_integer(c),
           _no_x, _row_moment),
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
@@ -320,14 +323,16 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
           _grid_points, _row_stieltjes),
     Suite("bounds", bounds_mod.CATALOG,
           lambda spec, a, c: spec.region(a, c), _grid_points, _row_bound),
-    # dominance_applicable decides per point
-    Suite("dominance", bounds_mod.DOMINANCE, lambda *_: True,
+    Suite("dominance", bounds_mod.DOMINANCE, lambda spec, a, c: spec.region(a, c),
           _grid_points, _row_dominance),
     # each limit is scanned at its curated pairs, not at the grid's
     Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
           _row_sharpness, pairs=lambda lim: lim.pairs),
-    Suite("monotonicity", {f"{w}-monotone": w for w in bounds_mod.AUXILIARY},
-          lambda which, a, c: bounds_mod.AUXILIARY[which].region(a, c),
+    Suite("monotonicity", {
+        f"{w}-monotone": (w, f"auxiliary log-ratio {w} is "
+                             f"{'increasing' if aux.sign > 0 else 'decreasing'}")
+        for w, aux in bounds_mod.AUXILIARY.items()},
+          lambda arg, a, c: bounds_mod.AUXILIARY[arg[0]].region(a, c),
           _grid_steps, _row_monotonicity),
 )}
 
@@ -388,9 +393,10 @@ class RunConfig:
 
 def _pair_block(cfg: RunConfig, unit) -> dict:
     """Evaluate one (a, c) pair: ``unit`` is the pair and the names of the
-    selected suites with a claim there, in report order.  Returns the
-    rows, as plain tuples, of each (suite, claim) that holds at the pair,
-    in task order; the first failing task raises its error."""
+    selected suites with a claim there, in report order.  Returns, keyed by
+    (suite, claim), the rows of each claim that holds at the pair, in task
+    order, each as a plain tuple of its fields after (suite, claim, a, c);
+    the first failing task raises its error."""
     (a, c), names = unit
     rows: dict = {}
     points: dict = {}   # each suite's points function -> its items here
@@ -402,7 +408,7 @@ def _pair_block(cfg: RunConfig, unit) -> dict:
             if s.applies(arg, a, c):
                 rows[name, claim] = [
                     row for p in points[s.points]
-                    if (row := s.evaluate(name, claim, arg, a, c, p)) is not None]
+                    if (row := s.evaluate(claim, arg, a, c, p)) is not None]
     return rows
 
 
@@ -414,8 +420,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool(workers: int):
+    """A process pool of ``workers`` processes.  The pool machinery is
+    imported on the first pooled run, so a run in-process never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     """Execute the configured suites; deterministic for a fixed config.
+    The (a, c) pairs run in-process at ``jobs = 1`` and in a pool of
+    ``_pool`` otherwise, one code path; each row is built here from its
+    block's (suite, claim) key, the pair and the fields the block returns.
     Raises the error of the first failing task in run order."""
     selected = [s for s in REGISTRY.values() if s.name in cfg.suites]
     # the units of work in run order, the grid's (a, c) pairs and then the
@@ -436,11 +452,11 @@ def run(cfg: RunConfig) -> tuple[RunSummary, list[ReportRow]]:
     workers = min(cfg.jobs, len(items), _usable_cpus())
     # each block's rows are appended as it arrives, while the pool still
     # evaluates later blocks; map yields the blocks in run order
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        for got in (pool.map if pool else map)(block, items):
-            for key, block_rows in got.items():
-                rows_of[key] += map(ReportRow._make, block_rows)
+    with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for ((a, c), _), got in zip(items, (pool.map if pool else map)(block, items)):
+            for (name, claim), block_rows in got.items():
+                head = (name, claim, a, c)
+                rows_of[name, claim] += [ReportRow._make(head + r) for r in block_rows]
 
     empty = [f"{name}/{claim}: no grid point lies in its region"
              for (name, claim), out in rows_of.items() if not out]

@@ -462,6 +462,20 @@ class TestDependencies:
             "print(json.dumps([loaded, type(tricomi_turan.suites).__name__]))\n")
         assert json.loads(run_python(code)) == [["tricomi_turan.kernel"], "module"]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--jobs", "1", "--grid-a", "2.0", "--grid-c=-2.5,0.25",
+         "--grid-x", "0.5,1.0"],
+        ["eval", "psi", "1.5", "-0.5", "2.0"]], ids=["run-jobs-1", "eval-psi"])
+    def test_a_command_that_does_not_pool_loads_no_pool(self, argv):
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from tricomi_turan import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r})\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('multiprocessing', 'concurrent.futures')))]))\n")
+        assert json.loads(run_python(code)) == [0, []]
+
     def test_eval_phi_overflow_is_exit_4_with_warnings_as_errors(self):
         # as `python -W error -m tricomi_turan.cli eval phi ...`
         code = (

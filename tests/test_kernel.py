@@ -11,6 +11,8 @@ Oracles used here:
   * frozen 50-digit reference values for generic parameter points
   * cross-method agreement between the quadrature and connection routes
   * mpmath.hyperu at 40 digits, as |value - ref| <= abs_error
+  * the Laplace integral by mpmath.quad at 40 digits, for psi and its
+    quotients at large |c|, where hyperu fails
   * reference forms of ``_trapezoid`` and ``_digamma`` written out
     plainly, which the kernel's in-place and looped forms must equal
     bit for bit; ``_trapezoid`` sums every node once as exp(a w + log G),
@@ -55,6 +57,46 @@ def hyperu40(a, c, x):
         return float(mpmath.hyperu(mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)))
 
 
+def laplace40(a, c, x):
+    """(psi, r, s) at (a, c, x), a > 0 and pw = c - a - 1 != 0, from the
+    Laplace integral at 40 digits.  With g = e^(-xt) t^(a-1) (1+t)^pw,
+    psi = int g / Gamma(a) and s = int g t / (a int g); r = (x s - 1)/pw,
+    since the derivative of e^(-xt) t^a (1+t)^pw, which vanishes at 0 and
+    at infinity, integrates to -x int g t + a int g + pw int g t/(1+t) =
+    0.  Up to t_l = 0.1/(|pw| + x + 1) both integrals
+    are the Taylor series of e^(-xt) (1+t)^pw integrated term by term
+    (45 terms, each under 0.1^n of the first); past it ``mpmath.quad``
+    takes them in w = log t, as the real and imaginary parts of one
+    complex integrand, on intervals of width 6 at most up to where
+    x t = 110 + 40 max(a, 1)."""
+    with mpmath.workdps(40):
+        a, c, x = (mpmath.mpf(v) for v in (a, c, x))
+        pw = c - a - 1
+        t_l = mpmath.mpf(0.1) / (abs(pw) + x + 1)
+        # g t^(1-a) = exp(h), h = (pw - x) t + pw sum_{j>=2} (-1)^(j+1) t^j / j
+        h = [0, pw - x] + [pw * (-1) ** (j + 1) / j for j in range(2, 45)]
+        coef = [mpmath.mpf(1)]
+        for n in range(1, 45):
+            coef.append(mpmath.fsum(j * h[j] * coef[n - j] for j in range(1, n + 1)) / n)
+        head0 = head1 = 0
+        power = t_l ** a
+        for n, g_n in enumerate(coef):
+            head0 += g_n * power / (a + n)
+            power *= t_l
+            head1 += g_n * power / (a + n + 1)
+
+        def both(w):
+            t = mpmath.exp(w)
+            return mpmath.exp(a * w - x * t + pw * mpmath.log1p(t)) * mpmath.mpc(1, t)
+
+        w_l, w_r = mpmath.log(t_l), mpmath.log((110 + 40 * max(a, 1)) / x)
+        cuts = mpmath.linspace(w_l, w_r, int(mpmath.ceil((w_r - w_l) / 6)) + 1)
+        tail = mpmath.quad(both, cuts, method="gauss-legendre")
+        i0, i1 = head0 + tail.real, head1 + tail.imag
+        s = i1 / (a * i0)
+        return float(i0 / mpmath.gamma(a)), float((x * s - 1) / pw), float(s)
+
+
 def large_x(a, c):
     """50 (1 + |a| + |c|)^2: the samplers below take x past it as large."""
     return 50.0 * (1.0 + abs(a) + abs(c)) ** 2
@@ -89,8 +131,8 @@ def trapezoid_reference(a, pw, x, w0, w_max, h):
     """_trapezoid written out with a fresh array for every step."""
     q, _, kl, w = trapezoid_nodes(a, pw, x, w0, w_max, h)
     ew = np.exp(w)
-    pl = pw * np.log1p(ew / x)
-    lg = pl - ew
+    log1p = np.log1p(ew / x)
+    lg = pw * log1p - ew
     aw = a * w
     arg = aw + lg
     m = float(arg.max())
@@ -103,8 +145,8 @@ def trapezoid_reference(a, pw, x, w0, w_max, h):
     t_2h = 2.0 * h * float(f[::2].sum()) + geo_2h
     w_end = w1 - h
     rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
-    rounding = (4.0 * EPS * h * (float(f @ (np.abs(aw) + ew + np.abs(pl)))
-                                 + (16.0 + abs(m) + abs(pw)) * total)
+    weights = np.abs(aw) + ew + (1.875 * abs(pw) + 0.125) * log1p
+    rounding = (4.0 * EPS * h * (float(f @ weights) + (16.0 + abs(m)) * total)
                 + 4.0 * EPS * geo_h * (4.0 + abs(a * (w1 - h) - m)))
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
@@ -116,8 +158,8 @@ def trapezoid_split_reference(a, pw, x, w0, w_max, h):
     q, j, kl, w = trapezoid_nodes(a, pw, x, w0, w_max, h)
     nl = kl - j
     ew = np.exp(w)
-    pl = pw * np.log1p(ew / x)
-    lg = pl - ew
+    log1p = np.log1p(ew / x)
+    lg = pw * log1p - ew
     aw = a * w
     arg = aw + lg
     m = float(arg.max())
@@ -133,8 +175,8 @@ def trapezoid_split_reference(a, pw, x, w0, w_max, h):
     rest = 1.65 * q * h * math.exp(a * w_end - m + w_end) / -math.expm1(-(a + 1.0) * h)
     u = f.copy()
     u[:nl] = e_left + np.abs(f[:nl])
-    rounding = (4.0 * EPS * h * float(u @ (16.0 + abs(m) + abs(pw) + np.abs(aw) + ew
-                                           + np.abs(pl)))
+    rounding = (4.0 * EPS * h * float(u @ (16.0 + abs(m) + np.abs(aw) + ew
+                                           + (1.875 * abs(pw) + 0.125) * log1p))
                 + 4.0 * EPS * geo_h * (4.0 + abs(a * (ws - h) - m)))
     return t_h, abs(t_h - t_2h) + 4.0 * rest + rounding, m
 
@@ -474,8 +516,26 @@ def _large_x_and_nonpositive_a_points():
 
 class TestPsiQuotients:
     """psi_quotients: psi and its quotients over (a+1, c) and (a+1, c+1),
-    from one trapezoid pass at a > 0; their oracle at large x is here, the
-    rest in test_turanians."""
+    from one trapezoid pass at a > 0; their oracles at large x and at
+    large |c| are here, the rest in test_turanians."""
+
+    def test_budgets_hold_and_meet_the_tolerance_at_large_negative_c(self):
+        # the rounding of the nodes' exponents grows with |pw| only where
+        # |pw log1p(e^w/x)| does, not flat in |pw|: at c = -1e4 and -1e20
+        # psi's budget once missed PSI_TOL by 9x and 9e16x.  Then 300
+        # seeded points: a log-uniform in [0.05, 6], -c log-uniform in
+        # [1, 1e5] and x log-uniform in [1e-2, 1e2]
+        rng = np.random.default_rng(1409)
+        points = [(0.5, -1e4, 1.0), (0.5, -1e20, 1.0)]
+        points += [(float(10.0 ** rng.uniform(math.log10(0.05), math.log10(6.0))),
+                    -float(10.0 ** rng.uniform(0.0, 5.0)),
+                    float(10.0 ** rng.uniform(-2.0, 2.0))) for _ in range(300)]
+        for a, c, x in points:
+            f0, r, s = kernel.psi_quotients(ParameterPoint(a, c, x))
+            assert f0.flags == (), (a, c, x)
+            for (value, err), ref in zip(((f0.value, f0.abs_error), r, s),
+                                         laplace40(a, c, x)):
+                assert abs(value - ref) <= err, (a, c, x)
 
     def test_psi_equals_psi_bit_for_bit(self):
         # 1,000 seeded points with a > 0: a log-uniform in [1e-8, 30], c

@@ -62,14 +62,14 @@ def test_crosscheck_points_take_the_quadrature_route_of_psi():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count asked
-    for and maps in this process, so it starts no process."""
+    """Stands in for ``suites._pool``: records the worker count asked for
+    and maps in this process, so it starts no process."""
 
     def __init__(self, asked):
         self.asked = asked
 
-    def __call__(self, max_workers):
-        self.asked.append(max_workers)
+    def __call__(self, workers):
+        self.asked.append(workers)
         return self
 
     def __enter__(self):
@@ -100,13 +100,13 @@ class TestRun:
         its (claim, a) to ``calls``, when given."""
         suite = suites.REGISTRY[name]
 
-        def evaluate(s, claim, arg, a, c, p):
+        def evaluate(claim, arg, a, c, p):
             if calls is not None:
                 calls.append((claim, a))
             message = failing.get((claim, a), failing.get((None, a)))
             if message:
                 raise EvaluationError(message)
-            return suite.evaluate(s, claim, arg, a, c, p)
+            return suite.evaluate(claim, arg, a, c, p)
 
         monkeypatch.setitem(suites.REGISTRY, name,
                             dataclasses.replace(suite, evaluate=evaluate))
@@ -118,7 +118,7 @@ class TestRun:
         # the first failing pair raises, though bounds comes first in task order
         self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"})
         self.raise_at(monkeypatch, "dominance", {(None, 2.0): "dominance at a=2.0"})
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool([]))
+        monkeypatch.setattr(suites, "_pool", RecordingPool([]))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = {"suites": ("bounds", "dominance"), **self.FAILING_GRID}
         for jobs in (1, 2):
@@ -135,7 +135,7 @@ class TestRun:
     def test_the_first_failing_pair_raises(self, monkeypatch, failing, message):
         self.raise_at(monkeypatch, "bounds", failing)
         recorded = []
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
+        monkeypatch.setattr(suites, "_pool", RecordingPool(recorded))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for jobs in (1, 2):
             with pytest.raises(EvaluationError, match=message):
@@ -158,7 +158,7 @@ class TestRun:
         # one block per (a, c) pair: a 1x2 grid asks for 2 workers, and a
         # single pair runs in-process
         recorded = []
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
+        monkeypatch.setattr(suites, "_pool", RecordingPool(recorded))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
                             raising=False)
         cfg = {"suites": ("bounds", "dominance"), "grid_a": (2.0,),
@@ -173,7 +173,7 @@ class TestRun:
         # a 1x4 grid holds 4 pairs; --jobs 8 asks for no more workers than
         # the process may run on, and one CPU runs the pairs in-process
         recorded = []
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool(recorded))
+        monkeypatch.setattr(suites, "_pool", RecordingPool(recorded))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         suites.run(RunConfig(jobs=8, suites=("dominance",), grid_a=(2.0,),
@@ -215,7 +215,7 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
                   for x in (xs[xs.index(r.x) - 1], r.x))
         return lo.value, hi.value
     if r.suite == "moments":
-        ident = suites.REGISTRY["moments"].claims[r.claim]
+        ident, _ = suites.REGISTRY["moments"].claims[r.claim]
         mv = measure.phi_moment(measure.WeightDensity(r.a, r.c), ident.power)
         return mv.value, ident.closed_form(r.a, r.c)
     if r.suite == "stieltjes":
