@@ -29,7 +29,7 @@ _EXPORTS = {
                "VerificationRecord", "auxiliary_log_ratio", "catalog_document",
                "check_bound", "check_dominance", "dominance_applicable"),
     "suites": ("DEFAULT_GRID_A", "DEFAULT_GRID_C", "DEFAULT_GRID_X",
-               "ReportRow", "RunConfig", "RunSummary", "run"),
+               "ReportRow", "ReportRows", "RunConfig", "RunSummary", "run"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

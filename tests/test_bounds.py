@@ -70,6 +70,21 @@ class TestCatalogIntegrity:
             assert rec.rhs == CATALOG[dom.other].closed_form(p)
 
 
+# the ratio bounds, each checked against its closed form bound_fn
+RATIO_BOUND_IDS = [row[0] for row in bounds._RATIO_BOUNDS]
+
+# points where a ratio bound's closed form misses its 4 EPS|v| budget, as
+# the closed form cancels near its zero, with the measured miss (the error
+# over the budget); seen over 3,000 probe points per bound
+CLOSED_FORM_MISSES = {
+    "T1L": ((0.015215777392237263, 0.9997984394083801, 0.35204799032293627), 2.5),
+    "T1U": ((1.8082360636128365, -24.71162025432706, 11.340540706477425), 11),
+    "T3L": ((0.38352896960663807, -13.024475560633384, 26.046545092675778), 140),
+    "T5L": ((2.7274690684916454, -19.95269543809148, 18.17406915487569), 22),
+    "T6U": ((2.7428017221719156, -512.9781781998663, 253.7365382866448), 50),
+}
+
+
 class TestCheckBound:
     def test_t1l_spec_point(self):
         rec = check_bound("T1L", ParameterPoint(1.0, 0.0, 1.0))
@@ -169,6 +184,35 @@ class TestCheckBound:
                 lhs = spec.lhs(ParameterPoint(a, c, x))
                 if not abs(lhs.value - ref) <= lhs.abs_error:
                     outside.append((a, c, x, lhs, ref))
+        assert outside == []
+
+    @pytest.mark.parametrize("bid", [
+        pytest.param(bid, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=f"4 EPS|v| misses by {CLOSED_FORM_MISSES[bid][1]}x where the "
+                   "closed form cancels near its zero")) if bid in CLOSED_FORM_MISSES
+        else bid for bid in RATIO_BOUND_IDS])
+    def test_closed_form_within_its_budget(self, bid):
+        # |closed_form - ref| <= abs_error, ref the bound_fn on 40-digit mpf
+        # arguments (the closed forms are plain arithmetic), on 300 seeded
+        # points of the bound's region: a log-uniform in [0.01, 20], c
+        # either 1 - 10^u, u in [-2, 3], or uniform in [-10, 10], x
+        # log-uniform in [1e-3, 1e3]; plus the bound's known miss, if any
+        spec, rng = CATALOG[bid], random.Random(f"{bid}-closed-form")
+        points = [CLOSED_FORM_MISSES[bid][0]] if bid in CLOSED_FORM_MISSES else []
+        while len(points) < 301:
+            a, x = 10.0 ** rng.uniform(-2.0, 1.3), 10.0 ** rng.uniform(-3.0, 3.0)
+            c = 1.0 - 10.0 ** rng.uniform(-2.0, 3.0) if rng.random() < 0.5 else \
+                rng.uniform(-10.0, 10.0)
+            if spec.region(a, c):
+                points.append((a, c, x))
+        outside = []
+        with mpmath.workdps(40):
+            for a, c, x in points:
+                fv = spec.closed_form(ParameterPoint(a, c, x))
+                ref = spec.bound_fn(mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x))
+                if not abs(fv.value - ref) <= fv.abs_error:
+                    outside.append((a, c, x, fv, ref))
         assert outside == []
 
     @pytest.mark.parametrize("bid", ["T1L", "T2L", "P1L", "P1U", "T3L", "T3U",
