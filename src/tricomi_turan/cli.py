@@ -17,8 +17,10 @@ per line (``--grid-a=0.5,1``), read in its place, and a later argument
 wins, so ``run @FILE --suites sharpness`` overrides the file's
 ``--suites``.  Any argument that starts with ``@`` names such a file.
 Blank lines and lines whose first non-space character is ``#`` are
-skipped; any other line is one whole argument, so ``--jobs 2`` on one
-line is rejected as an unrecognized argument.
+skipped; any other line, stripped of its surrounding whitespace, is one
+whole argument, so ``--jobs 2`` on one line is rejected as an
+unrecognized argument.  ``--jobs`` must be at least 1 but has no effect:
+every run evaluates its (a, c) pairs in-process, one after another.
 
 Exit codes: every subcommand exits 2 when argparse rejects its arguments
 (an unknown flag, a bad number or list, a settings file that cannot be
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   fromfile_prefix_chars="@")
     # a settings file's blank and comment lines give no argument
     top.convert_arg_line_to_args = lambda line: (
-        [] if line.strip()[:1] in ("", "#") else [line])
+        [] if (arg := line.strip())[:1] in ("", "#") else [arg])
     sub = top.add_subparsers(dest="command", required=True)
 
     # a setting not given is left out of the namespace: RunConfig holds the defaults
@@ -90,11 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="report format (default csv)")
     p_run.add_argument("--jobs", type=int,
-                       help="worker processes (default 1), at most one per "
-                            "(a, c) pair and per usable CPU; each gets whole "
-                            "pairs, whose rows are merged in grid order, so "
-                            "neither the report nor the error of a failing "
-                            "run depends on it")
+                       help="accepted; has no effect: every run is in-process")
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity at one point")
     p_eval.add_argument("what", help="psi | turanian:KIND | ratio:KIND | phi | "

@@ -9,27 +9,21 @@ columns.  Where the config names a report file, ``run`` writes the report
 
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim, x), every selected claim that holds there, at
-each of its suite's x values, so the process that holds a pair computes
-each psi value, each phi table and each record of psi and its quotients
-(``kernel.psi_quotients``) of that pair once.  With ``jobs = 1`` the
-blocks run in-process; otherwise a process pool maps them, with at most
-one worker per pair and per usable CPU.  The pool's machinery is
-imported by the first run that pools, so a run in-process never loads
-it.  A block returns the rows of each (suite, claim) as columns, an
+each of its suite's x values, so each psi value, each phi table and each
+record of psi and its quotients (``kernel.psi_quotients``) of that pair
+is computed once.  The blocks run in-process, one after another, in run
+order: the grid's pairs in (a, c) order, then the sharpness limits'
+curated pairs off the grid; grid values are distinct, so no pair
+repeats.  A block returns the rows of each (suite, claim) as columns, an
 array of doubles for each of a, c, x, lhs, rhs, margin and budget and a
-byte per row for the status, so a pooled block crosses the pipe as a few
-buffers.  Its first failing task raises.  The pairs run in run order:
-the grid's in (a, c) order, then the sharpness limits' curated pairs off
-the grid; grid values are distinct, so no pair repeats.  ``run`` extends
-each claim's columns by the blocks' as they arrive, in that order, and
-puts a sharpness limit's rows in the order of its pairs by one reorder.
-The claims, by (suite, claim name), make the report; each holds its one
-anchor once, and each row is built as it is read.  A failing run raises
-the error of its first failing pair in run order, the first failing task
-there in task order, and evaluates no later pair at ``jobs = 1``; neither
-the report nor that error depends on ``jobs``.  Claims whose failures
-are advisory (the catalog's non-gating bounds) never gate a run; their
-failures are counted apart.
+byte per row for the status; ``run`` extends each claim's columns by
+them and puts a sharpness limit's rows in the order of its pairs by one
+reorder.  The claims, by (suite, claim name), make the report; each
+holds its one anchor once, and each row is built as it is read.  A
+failing run raises the error of its first failing pair in run order,
+the first failing task there in task order, and evaluates no later
+pair.  Claims whose failures are advisory (the catalog's non-gating
+bounds) never gate a run; their failures are counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
@@ -60,12 +54,10 @@ psi^(k) = (-1)^k (a)_k psi(a+k, c+k, x), DLMF 13.3(ii).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
 import math
-import os
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -362,8 +354,9 @@ class RunConfig:
     """What ``run`` does: the suites, in any order (the report keeps
     ``SUITES`` order), the a, c and x grids, each of distinct values, the
     report file (None: no report; the report is written into it as it is
-    formatted) and its format, and the worker processes.  The defaults are
-    a run of every suite over the default grids."""
+    formatted) and its format.  ``jobs`` is checked (at least 1) but has
+    no effect: every run is in-process.  The defaults are a run of every
+    suite over the default grids."""
 
     suites: tuple[str, ...] = SUITES
     grid_a: tuple[float, ...] = DEFAULT_GRID_A
@@ -432,13 +425,11 @@ class ReportRows(Sequence):
             map(eq, self, other))
 
 
-def _pair_block(cfg: RunConfig, unit) -> dict:
-    """Evaluate one (a, c) pair: ``unit`` is the pair and the names of the
-    selected suites with a claim there, in report order.  Returns, keyed by
-    (suite, claim), the rows of each claim that holds at the pair, in task
-    order, as ``_columns``, so a pooled block crosses the pipe as a few
-    buffers; the first failing task raises its error."""
-    (a, c), names = unit
+def _pair_block(cfg: RunConfig, a: float, c: float, names: list) -> dict:
+    """Evaluate one (a, c) pair for ``names``, the selected suites with a
+    claim there, in report order.  Returns, keyed by (suite, claim), the
+    rows of each claim that holds at the pair, in task order, as
+    ``_columns``; the first failing task raises its error."""
     rows: dict = {}
     points: dict = {}   # each suite's points function -> its items here
     for name in names:
@@ -453,26 +444,10 @@ def _pair_block(cfg: RunConfig, unit) -> dict:
     return rows
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; more workers only add processes."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _pool(workers: int):
-    """A process pool of ``workers`` processes.  The pool machinery is
-    imported on the first pooled run, so a run in-process never loads it."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
     """Execute the configured suites; deterministic for a fixed config.
-    The (a, c) pairs run in-process at ``jobs = 1`` and in a pool of
-    ``_pool`` otherwise, one code path; each block's columns extend those
-    of its claims as it arrives, and the rows return as their
+    The (a, c) pairs run in-process in run order; each block's columns
+    extend those of its claims, and the rows return as their
     :class:`ReportRows`.  Raises the first failing task's error in run order."""
     selected = [s for s in REGISTRY.values() if s.name in cfg.suites]
     # the units of work in run order, the grid's (a, c) pairs and then the
@@ -485,19 +460,13 @@ def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
             pair for arg in s.claims.values() for pair in s.pairs(arg)]
         for pair in pairs:
             units.setdefault(pair, set()).add(s.name)
-    items = [(pair, sorted(names, key=_SUITE_RANK.__getitem__))
-             for pair, names in units.items()]
 
     held = {(s.name, claim): _columns(0, 0, []) for s in selected for claim in s.claims}
-    block = partial(_pair_block, cfg)
-    workers = min(cfg.jobs, len(items), _usable_cpus())
-    # each block's columns are appended as it arrives, while the pool still
-    # evaluates later blocks; map yields the blocks in run order
-    with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for got in (pool.map if pool else map)(block, items):
-            for key, cols in got.items():
-                for col, more in zip(held[key], cols):
-                    col += more
+    for (a, c), names in units.items():
+        block = _pair_block(cfg, a, c, sorted(names, key=_SUITE_RANK.__getitem__))
+        for key, cols in block.items():
+            for col, more in zip(held[key], cols):
+                col += more
 
     empty = [f"{name}/{claim}: no grid point lies in its region"
              for (name, claim), cols in held.items() if not cols[0]]

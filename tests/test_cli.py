@@ -314,6 +314,27 @@ class TestRun:
         assert code == 0 and err == ""
         assert out.splitlines()[0] == "sharpness: pass=28 fail=0 inconclusive=0"
 
+    def test_an_indented_settings_line_is_its_argument(self, capsys, tmp_path):
+        flags = ["--suites=dominance", "--grid-a=2", "--grid-c=-2.5", "--grid-x=0.1,1"]
+        cfg = tmp_path / "run.args"
+        cfg.write_text("".join(f"{pad}{flag}\n"
+                               for pad, flag in zip(("", "  ", "\t", " "), flags)))
+        code, out, err = run_cli(capsys, "run", f"@{cfg}")
+        assert code == 0 and err == ""
+        assert out.startswith("dominance: pass=")
+        assert out == run_cli(capsys, "run", *flags)[1]
+        # a line is still one whole argument
+        cfg.write_text("  --jobs 2\n")
+        err = rejected(capsys, "run", f"@{cfg}")
+        assert err.endswith("unrecognized arguments: --jobs 2\n")
+
+    def test_trailing_spaces_of_a_settings_line_are_dropped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text(f"--suites=sharpness  \n--out={tmp_path / 'o.csv'}  \n")
+        code, _, err = run_cli(capsys, "run", f"@{cfg}")
+        assert code == 0 and err == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "run.args"]
+
     def test_missing_settings_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing.args"
         err = rejected(capsys, "run", f"@{missing}")
@@ -368,8 +389,8 @@ class TestRun:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_evaluation_failure_is_exit_4(self, capsys, jobs):
-        # psi(200, -1, 0.03) underflows; the pair (0.5, -1) evaluates, so at
-        # jobs = 2 the error comes from the block of the second pair
+        # psi(200, -1, 0.03) underflows; the pair (0.5, -1) evaluates, so
+        # the error comes from the block of the second pair
         code, out, err = run_cli(capsys, "run", "--suites", "bounds",
                                  "--grid-a", "0.5,200", "--grid-c", "-1",
                                  "--grid-x", "0.03,1", "--jobs", jobs)
@@ -465,7 +486,9 @@ class TestDependencies:
     @pytest.mark.parametrize("argv", [
         ["run", "--jobs", "1", "--grid-a", "2.0", "--grid-c=-2.5,0.25",
          "--grid-x", "0.5,1.0"],
-        ["eval", "psi", "1.5", "-0.5", "2.0"]], ids=["run-jobs-1", "eval-psi"])
+        ["run", "--jobs", "2", "--grid-a", "2.0", "--grid-c=-2.5,0.25",
+         "--grid-x", "0.5,1.0"],
+        ["eval", "psi", "1.5", "-0.5", "2.0"]], ids=["run-jobs-1", "run-jobs-2", "eval-psi"])
     def test_a_command_that_does_not_pool_loads_no_pool(self, argv):
         code = (
             "import contextlib, io, json, sys\n"

@@ -1,4 +1,4 @@
-"""Suite records, run-configuration checks and the process-pool runner."""
+"""Suite records, run-configuration checks and the runner."""
 
 import csv
 import dataclasses
@@ -6,7 +6,6 @@ import functools
 import io
 import json
 import math
-import os
 import pickle
 import random
 import tracemalloc
@@ -62,34 +61,13 @@ def test_crosscheck_points_take_the_quadrature_route_of_psi():
     assert {psi(p).method for p in points} == {"quadrature"}
 
 
-class RecordingPool:
-    """Stands in for ``suites._pool``: records the worker count asked for
-    and maps in this process, so it starts no process."""
-
-    def __init__(self, asked):
-        self.asked = asked
-
-    def __call__(self, workers):
-        self.asked.append(workers)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestRun:
     def test_jobs_two_rows_equal_jobs_one(self):
         s1, one = suites.run(RunConfig(jobs=1, **SMALL_GRID))
         s2, two = suites.run(RunConfig(jobs=2, **SMALL_GRID))
         assert {r.suite for r in one} == set(suites.SUITES)
         assert two == one
-        # rows cross the pool as columns and are built as they are read
+        # rows are held as columns and built as they are read
         assert all(type(r) is ReportRow for r in two)
         assert csv_text(two, s2) == csv_text(one, s1)
 
@@ -119,8 +97,6 @@ class TestRun:
         # the first failing pair raises, though bounds comes first in task order
         self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"})
         self.raise_at(monkeypatch, "dominance", {(None, 2.0): "dominance at a=2.0"})
-        monkeypatch.setattr(suites, "_pool", RecordingPool([]))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = {"suites": ("bounds", "dominance"), **self.FAILING_GRID}
         for jobs in (1, 2):
             with pytest.raises(EvaluationError, match=r"^dominance at a=2\.0$"):
@@ -135,51 +111,22 @@ class TestRun:
          r"^T1L at a=2\.0$")], ids=["later-pair", "same-pair"])
     def test_the_first_failing_pair_raises(self, monkeypatch, failing, message):
         self.raise_at(monkeypatch, "bounds", failing)
-        recorded = []
-        monkeypatch.setattr(suites, "_pool", RecordingPool(recorded))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for jobs in (1, 2):
             with pytest.raises(EvaluationError, match=message):
                 suites.run(RunConfig(jobs=jobs, suites=("bounds",), **self.FAILING_GRID))
-        assert recorded == [2]
 
     def test_no_pair_after_the_first_failing_one_is_evaluated(self, monkeypatch):
-        # at jobs=1 the blocks run one by one, and the failing one raises
-        # at its first task
+        # the blocks run one by one in this process, whatever jobs is, and
+        # the failing one raises at its first task
         calls = []
         self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"}, calls)
-        with pytest.raises(EvaluationError, match=r"^bounds at a=3\.0$"):
-            suites.run(RunConfig(jobs=1, suites=("bounds",), grid_a=(2.0, 3.0, 5.0),
-                                 grid_c=(-2.5,), grid_x=(0.1, 1.0)))
-        assert calls[-1] == ("T1L", 3.0)
-        assert Counter(a for _, a in calls) == {2.0: len(calls) - 1, 3.0: 1}
-
-    @pytest.mark.parametrize("grid_c,asked", [((-2.5, 0.25), [2]), ((-2.5,), [])])
-    def test_workers_capped_by_grid_pairs(self, monkeypatch, grid_c, asked):
-        # one block per (a, c) pair: a 1x2 grid asks for 2 workers, and a
-        # single pair runs in-process
-        recorded = []
-        monkeypatch.setattr(suites, "_pool", RecordingPool(recorded))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
-                            raising=False)
-        cfg = {"suites": ("bounds", "dominance"), "grid_a": (2.0,),
-               "grid_c": grid_c, "grid_x": (0.1, 1.0, 20.0)}
-        _, eight = suites.run(RunConfig(jobs=8, **cfg))
-        assert recorded == asked
-        _, one = suites.run(RunConfig(jobs=1, **cfg))
-        assert eight == one
-
-    @pytest.mark.parametrize("cpus,asked", [(3, [3]), (2, [2]), (1, [])])
-    def test_workers_capped_by_usable_cpus(self, monkeypatch, cpus, asked):
-        # a 1x4 grid holds 4 pairs; --jobs 8 asks for no more workers than
-        # the process may run on, and one CPU runs the pairs in-process
-        recorded = []
-        monkeypatch.setattr(suites, "_pool", RecordingPool(recorded))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        suites.run(RunConfig(jobs=8, suites=("dominance",), grid_a=(2.0,),
-                             grid_c=(-2.5, -1.5, -0.5, 0.25), grid_x=(1.0,)))
-        assert recorded == asked
+        for jobs in (1, 2):
+            calls.clear()
+            with pytest.raises(EvaluationError, match=r"^bounds at a=3\.0$"):
+                suites.run(RunConfig(jobs=jobs, suites=("bounds",), grid_a=(2.0, 3.0, 5.0),
+                                     grid_c=(-2.5,), grid_x=(0.1, 1.0)))
+            assert calls[-1] == ("T1L", 3.0)
+            assert Counter(a for _, a in calls) == {2.0: len(calls) - 1, 3.0: 1}
 
     def test_rows_are_a_read_only_sequence_of_report_rows(self):
         _, rows = suites.run(RunConfig(**SMALL_GRID))
@@ -201,12 +148,10 @@ class TestRun:
             assert all(type(v) is str for v in (*r[:2], *r[9:]))
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_rows_are_held_in_under_96_bytes_each(self, monkeypatch, jobs):
+    def test_rows_are_held_in_under_96_bytes_each(self, jobs):
         # the rows' retained heap: a, c, x, lhs, rhs, margin and budget as
         # doubles and the status as a byte, about 60 B a row; held as
-        # named tuples of floats they took 214 B in-process and 280 B after
-        # a pooled run, as pickle copies every float
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # named tuples of floats they took 214 B
         cfg = RunConfig(suites=("bounds", "dominance", "monotonicity"), jobs=jobs)
         suites.run(cfg)         # the caches fill here, not in the run traced
         tracemalloc.start()
@@ -219,13 +164,6 @@ class TestRun:
             tracemalloc.stop()
         assert n >= 2000
         assert (held - freed) / n <= 96
-
-    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert suites._usable_cpus() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert suites._usable_cpus() == 1
 
 
 # pairs one integer step apart (the shifted psi of (1, -2.5) is psi at the
@@ -297,9 +235,7 @@ def row_fields(r: ReportRow) -> tuple:
 
 
 class TestPairBlocks:
-    def test_rows_match_their_per_point_functions_in_grid_order(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
+    def test_rows_match_their_per_point_functions_in_grid_order(self):
         runs = [suites.run(RunConfig(jobs=jobs, **MIXED_GRID))[1] for jobs in (1, 2, 3)]
         rows = runs[0]
         assert runs[1] == rows and runs[2] == rows
@@ -393,13 +329,6 @@ def test_default_run_verdicts_are_the_recorded_ones(default_run):
     assert {s: {k: n for k, n in c.items() if n}
             for s, c in summary.counts.items()} == recorded["counts"]
     assert summary.empty_regions == []
-
-
-def test_default_run_is_the_same_for_jobs_one_and_two(default_run):
-    one_summary, one = default_run
-    summary, two = suites.run(RunConfig(jobs=2))
-    assert summary == one_summary
-    assert csv_text(two, summary) == csv_text(one, one_summary)
 
 
 def test_bounds_suite_computes_each_ratio_once():
