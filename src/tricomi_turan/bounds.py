@@ -90,12 +90,14 @@ phi/(x+t)^2 dt, and 1 - 1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac -
 large-x expansion of q.
 
 The eight dominance claims D1..D8 state where one closed-form bound is
-tighter than its competitor; ``check_dominance`` compares the closed-form
-sides that ``check_bound`` checks, at points satisfying the claimed
-threshold.  The auxiliary log-ratios f, g and h behind the I-family are
-``AUXILIARY`` records, each with its region, its two weights and the sign
-of its monotonicity; the monotonicity suite checks that sign, and I1, I3
-and I4 read the same cached values.
+tighter than its competitor; ``dominance_verdict`` compares the
+closed-form sides that ``bound_verdict`` checks.  The suites apply these
+two verdict rules at points they have placed themselves; ``check_bound``
+and ``check_dominance`` validate the point, then apply them.  The
+auxiliary log-ratios f, g and h behind the I-family are ``AUXILIARY``
+records, each with its region, its two weights and the sign of its
+monotonicity; the monotonicity suite checks that sign, and I1, I3 and I4
+read the same cached values.
 """
 
 from __future__ import annotations
@@ -453,8 +455,20 @@ LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
 )}
 
 
+def bound_verdict(spec: BoundSpec, p: ParameterPoint) -> tuple:
+    """(lhs, rhs, margin, budget, status) of the catalog bound ``spec`` at
+    p, which the caller has placed in its region: margin = rhs - lhs, held
+    against the errors of both sides."""
+    lhs = spec.lhs(p)
+    rhs = spec.rhs(p)
+    margin = rhs.value - lhs.value
+    budget = lhs.abs_error + rhs.abs_error + EPS * (abs(lhs.value) + abs(rhs.value))
+    return lhs, rhs, margin, budget, _status(margin, budget)
+
+
 def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
-    """Verify one catalogued inequality at one point.
+    """Verify one catalogued inequality at one point: validate the id and
+    the point, then apply ``bound_verdict``.
 
     Raises :class:`RegionError` outside the bound's region (distinct from
     a ``fail`` status).
@@ -466,12 +480,7 @@ def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"point (a={p.a}, c={p.c}) outside region of {bound_id} "
             f"({spec.region_text})")
-    lhs = spec.lhs(p)
-    rhs = spec.rhs(p)
-    margin = rhs.value - lhs.value
-    budget = lhs.abs_error + rhs.abs_error + EPS * (abs(lhs.value) + abs(rhs.value))
-    return VerificationRecord(bound_id, p, lhs, rhs, margin, budget,
-                              _status(margin, budget), spec.anchor)
+    return VerificationRecord(bound_id, p, *bound_verdict(spec, p), spec.anchor)
 
 
 # --- dominance claims ------------------------------------------------------
@@ -519,13 +528,25 @@ def dominance_applicable(dom_id: str, p: ParameterPoint) -> bool:
     return spec.region(p.a, p.c) and spec.threshold(p.a, p.c, p.x)
 
 
-def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
-    """Compare the two closed-form bound values where the claim applies.
+def dominance_verdict(spec: DominanceSpec, p: ParameterPoint) -> tuple:
+    """(claimed, other, margin, budget, status) of the dominance claim
+    ``spec`` at p, where the caller has found it applies: for lower bounds
+    the claimed closed-form side must be the larger, for upper bounds the
+    smaller."""
+    claimed = CATALOG[spec.claimed]
+    fv_c, fv_o = claimed.closed_form(p), CATALOG[spec.other].closed_form(p)
+    bc, bo = fv_c.value, fv_o.value
+    margin = (bc - bo) if claimed.side == "lower" else (bo - bc)
+    budget = 8.0 * EPS * (abs(bc) + abs(bo))
+    return fv_c, fv_o, margin, budget, _status(margin, budget)
 
-    The values are those of the closed-form sides that ``check_bound``
-    checks.  For lower bounds the claimed one must be the larger, for
-    upper bounds the smaller.  Points outside either region or failing the
-    threshold raise :class:`RegionError`.
+
+def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
+    """Compare the two closed-form bound values where the claim applies:
+    validate the id and the point, then apply ``dominance_verdict``.
+
+    Points outside either region or failing the threshold raise
+    :class:`RegionError`.
     """
     if dom_id not in DOMINANCE:
         raise KeyError(f"unknown dominance id {dom_id!r}")
@@ -534,13 +555,7 @@ def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
             f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
-    claimed, other = CATALOG[spec.claimed], CATALOG[spec.other]
-    fv_c, fv_o = claimed.closed_form(p), other.closed_form(p)
-    bc, bo = fv_c.value, fv_o.value
-    margin = (bc - bo) if claimed.side == "lower" else (bo - bc)
-    budget = 8.0 * EPS * (abs(bc) + abs(bo))
-    return VerificationRecord(dom_id, p, fv_c, fv_o, margin, budget,
-                              _status(margin, budget), spec.anchor)
+    return VerificationRecord(dom_id, p, *dominance_verdict(spec, p), spec.anchor)
 
 
 def catalog_document() -> list[dict]:

@@ -38,9 +38,10 @@ rate bound there, as an inequality row.  A record holds the test of
 whether a claim holds at a pair (a dominance claim where both of its
 bounds hold; its threshold in x is tested per row); the points of its
 rows at a pair; and the evaluator of one row, which calls the per-point
-function of the claim (``check_bound``, ``check_dominance``,
-``auxiliary_log_ratio``, ``measure.stieltjes``, the other measure and
-Turanian functions).  No suite takes a tolerance.
+function of the claim (``bound_verdict`` and ``dominance_verdict``, the
+verdict rules of ``check_bound`` and ``check_dominance`` without their
+point checks, ``auxiliary_log_ratio``, ``measure.stieltjes``, the other
+measure and Turanian functions).  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -220,19 +221,17 @@ def _row_stieltjes(claim, arg, a, c, p):
     return _agreement(p.x, direct.value, rep.value, rep.abs_error + direct.abs_error)
 
 
-def _record(p, rec):
-    return p.x, rec.lhs.value, rec.rhs.value, rec.margin, rec.budget, rec.status
-
-
-def _row_bound(claim, _, a, c, p):
-    return _record(p, bounds_mod.check_bound(claim, p))
+def _row_bound(claim, spec, a, c, p):
+    lhs, rhs, margin, budget, status = bounds_mod.bound_verdict(spec, p)
+    return p.x, lhs.value, rhs.value, margin, budget, status
 
 
 def _row_dominance(claim, spec, a, c, p):
     # the suite holds where both bounds' regions do; the threshold is per x
     if not spec.threshold(a, c, p.x):
         return None
-    return _record(p, bounds_mod.check_dominance(claim, p))
+    lhs, rhs, margin, budget, status = bounds_mod.dominance_verdict(spec, p)
+    return p.x, lhs.value, rhs.value, margin, budget, status
 
 
 def _row_sharpness(claim, lim, a, c, _):
@@ -436,11 +435,11 @@ def _pair_block(cfg: RunConfig, a: float, c: float, names: list) -> dict:
         s = REGISTRY[name]
         if s.points not in points:
             points[s.points] = s.points(cfg, a, c)
+        items, evaluate = points[s.points], s.evaluate
         for claim, arg in s.claims.items():
             if s.applies(arg, a, c):
                 rows[name, claim] = _columns(a, c, [
-                    row for p in points[s.points]
-                    if (row := s.evaluate(claim, arg, a, c, p)) is not None])
+                    row for p in items if (row := evaluate(claim, arg, a, c, p)) is not None])
     return rows
 
 

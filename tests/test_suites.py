@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -170,6 +171,10 @@ class TestRun:
 # grid pair (2, -1.5)) and two sharpness pairs on the grid
 MIXED_GRID = {"grid_a": (1.0, 2.0), "grid_c": (-2.5, -1.5),
               "grid_x": (0.05, 1.0, 5.0)}
+# 0 < a < 1 and 0 < c < 1, which MIXED_GRID misses, with a sharpness pair
+# on the grid and x from near 0 to large
+OPEN_UNIT_GRID = {"grid_a": (0.5, 3.0), "grid_c": (-4.5, 0.25),
+                  "grid_x": (0.01, 2.0, 150.0)}
 
 
 def node(a, c, x):
@@ -236,7 +241,12 @@ def row_fields(r: ReportRow) -> tuple:
 
 class TestPairBlocks:
     def test_rows_match_their_per_point_functions_in_grid_order(self):
-        runs = [suites.run(RunConfig(jobs=jobs, **MIXED_GRID))[1] for jobs in (1, 2, 3)]
+        for cfg in (MIXED_GRID, OPEN_UNIT_GRID):
+            self.check_rows_of(cfg)
+
+    @staticmethod
+    def check_rows_of(cfg):
+        runs = [suites.run(RunConfig(jobs=jobs, **cfg))[1] for jobs in (1, 2, 3)]
         rows = runs[0]
         assert runs[1] == rows and runs[2] == rows
         assert {r.suite for r in rows} == set(suites.SUITES)
@@ -244,7 +254,7 @@ class TestPairBlocks:
         by_claim: dict = {}
         for r in rows:
             by_claim.setdefault((r.suite, r.claim), []).append(r)
-        grid = [(a, c) for a in MIXED_GRID["grid_a"] for c in MIXED_GRID["grid_c"]]
+        grid = [(a, c) for a in cfg["grid_a"] for c in cfg["grid_c"]]
         for (suite, claim), claim_rows in by_claim.items():
             pairs = [(r.a, r.c) for r in claim_rows]
             if suite == "sharpness":
@@ -263,10 +273,15 @@ class TestPairBlocks:
         # T1L holds at every grid point: its rows run over the grid in order
         t1l = by_claim["bounds", "T1L"]
         assert [(r.a, r.c, r.x) for r in t1l] == [
-            (a, c, x) for a, c in grid for x in MIXED_GRID["grid_x"]]
+            (a, c, x) for a, c in grid for x in cfg["grid_x"]]
+        # a dominance claim has a row at exactly the points where it applies
+        for dom_id in bounds.DOMINANCE:
+            assert [(r.a, r.c, r.x) for r in by_claim.get(("dominance", dom_id), [])] == [
+                (a, c, x) for a, c in grid for x in cfg["grid_x"]
+                if bounds.dominance_applicable(dom_id, ParameterPoint(a, c, x))]
 
         for r in rows:
-            assert row_fields(r) == reference_fields(r, MIXED_GRID["grid_x"]), r
+            assert row_fields(r) == reference_fields(r, cfg["grid_x"]), r
 
 
 AGREEMENT_SUITES = ("kernel_crosscheck", "ode_residual", "derivative",
@@ -498,6 +513,17 @@ class TestRowsToJson:
             tracemalloc.stop()
         assert path.stat().st_size > 2_000_000
         assert peak < 500_000
+
+
+def test_default_run_report_bytes_are_pinned(default_run):
+    # sha256 of the default run's CSV report past its timestamp line and of
+    # its JSON report, verified with numpy 2.4.6 and Python 3.11.7: a
+    # change meant to keep every output keeps these bytes
+    summary, rows = default_run
+    assert [hashlib.sha256(text.encode()).hexdigest()
+            for text in (csv_text(rows, summary), json_text(rows, summary))] == [
+        "8d72d13d54e07b8ec922496fc243e26396c108b934c7b5b835cce055d3b79952",
+        "9cd57d31fe07a6efc9a6338b4a22001a220e3193dbfc495a385b57f9cffe498f"]
 
 
 class TestWriteReport:
