@@ -90,14 +90,24 @@ phi/(x+t)^2 dt, and 1 - 1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac -
 large-x expansion of q.
 
 The eight dominance claims D1..D8 state where one closed-form bound is
-tighter than its competitor; ``dominance_verdict`` compares the
-closed-form sides that ``bound_verdict`` checks.  The suites apply these
-two verdict rules at points they have placed themselves; ``check_bound``
-and ``check_dominance`` validate the point, then apply them.  The
-auxiliary log-ratios f, g and h behind the I-family are ``AUXILIARY``
-records, each with its region, its two weights and the sign of its
-monotonicity; the monotonicity suite checks that sign, and I1, I3 and I4
-read the same cached values.
+tighter than its competitor, comparing the closed-form sides that the
+catalog checks.  Each verdict rule is written once, on columns of
+values: ``_verdicts`` for a catalog bound, ``_dominance_verdicts`` for a
+dominance claim and ``_status_codes`` for the status of a margin
+against its budget; so is a closed form's value with its 4 EPS|v|
+budget and its error where it is not a finite double,
+``_closed_values``.  The suites apply the rules to the rows of a claim
+at all x of an (a, c) pair they have placed in its region:
+``bound_columns`` and ``dominance_columns`` read each side of the claim
+at the pair's x in order through its :class:`_Side`, where a Turanian
+kind's ratios are read once per pair (``PairGrid``) and an I-family
+limit is formed once per pair, and raise the error of the first x where
+a side fails, the lhs's before the rhs's.  ``check_bound`` and
+``check_dominance`` validate one point, then apply the same rules to
+its one row.  The auxiliary log-ratios f, g and h behind the I-family
+are ``AUXILIARY`` records, each with its region, its two weights and the
+sign of its monotonicity; the monotonicity suite checks that sign, and
+I1, I3 and I4 read the same cached values.
 """
 
 from __future__ import annotations
@@ -113,8 +123,65 @@ from .turanians import (BOTH, FIRST, SCAN_TO_INFINITY, SCAN_TO_ZERO, SECOND,
                         SharpnessLimit, TuranianKind, shift_quotient, turanian_ratio)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+_STATUSES = (PASS, FAIL, INCONCLUSIVE)    # a status code is an index here
 
 Evaluator = Callable[[ParameterPoint], FunctionValue]
+
+
+class _Column(NamedTuple):
+    """One side of a claim at a pair's x, in order: its values and errors
+    up to the first x where it raises, and that error (None if none)."""
+
+    values: list
+    errors: list
+    error: Exception | None
+
+
+def _read(ev: Evaluator, points) -> _Column:
+    """The per-point evaluator ev at each of the points in order."""
+    got = []
+    try:
+        for p in points:
+            got.append(ev(p))
+    except Exception as exc:
+        # kept for _verdict_columns to raise at its x, after the errors of
+        # earlier x on either side: a pair raises its first failing task
+        error = exc
+    else:
+        error = None
+    return _Column([fv.value for fv in got], [fv.abs_error for fv in got], error)
+
+
+class PairGrid:
+    """The x of one (a, c) pair at which the rows of a claim are
+    evaluated, in order, with each Turanian kind's ratios at them, read
+    once per pair and kind."""
+
+    def __init__(self, a: float, c: float, xs):
+        self.a, self.c, self.xs = a, c, list(xs)
+        self._ratios: dict = {}
+
+    @cached_property
+    def points(self) -> list:
+        return [ParameterPoint(self.a, self.c, x) for x in self.xs]
+
+    def ratios(self, kind: TuranianKind) -> _Column:
+        if kind not in self._ratios:
+            # looked up per call, as psi is: a wrapper set on this module's
+            # turanian_ratio (the layer trace) sees the catalog's reads
+            self._ratios[kind] = _read(partial(turanian_ratio, kind), self.points)
+        return self._ratios[kind]
+
+
+class _Side(NamedTuple):
+    """One side of a catalog claim: called, its value at a point; its
+    ``column``, its values at the x of a pair."""
+
+    at: Evaluator
+    column: Callable[[PairGrid], _Column]
+
+    def __call__(self, p: ParameterPoint) -> FunctionValue:
+        return self.at(p)
 
 
 @dataclass(frozen=True)
@@ -124,16 +191,21 @@ class BoundSpec:
     side: str            # lower | upper (side the closed-form bound sits on)
     region: Callable[[float, float], bool]
     region_text: str
-    lhs: Evaluator
-    rhs: Evaluator
+    lhs: _Side
+    rhs: _Side
     anchor: str
     gating: bool = True
     bound_fn: Callable[[float, float, float], float] | None = None
 
+    @property
+    def closed_side(self) -> _Side:
+        """A ratio bound's bound_fn, or the x->0+ limit of the auxiliary
+        behind I1, I3 or I4."""
+        return self.lhs if self.side == "lower" else self.rhs
+
     def closed_form(self, p: ParameterPoint) -> FunctionValue:
-        """The closed-form side at p: a ratio bound's bound_fn, or the
-        x->0+ limit of the auxiliary behind I1, I3 or I4."""
-        return (self.lhs if self.side == "lower" else self.rhs)(p)
+        """The closed-form side at p."""
+        return self.closed_side(p)
 
 
 class VerificationRecord(NamedTuple):
@@ -149,30 +221,87 @@ class VerificationRecord(NamedTuple):
     anchor: str
 
 
+# --- verdict rules, applied to columns -------------------------------------
+
+def _status_codes(margins, budgets) -> list[int]:
+    """The status of each margin against its budget as its index in
+    _STATUSES: pass needs margin > budget, fail margin < -budget."""
+    return [0 if m > b else 1 if m < -b else 2 for m, b in zip(margins, budgets)]
+
+
 def _status(margin: float, budget: float) -> str:
-    if margin > budget:
-        return PASS
-    if margin < -budget:
-        return FAIL
-    return INCONCLUSIVE
+    return _STATUSES[_status_codes((margin,), (budget,))[0]]
+
+
+def _verdicts(lhs, lhs_errors, rhs, rhs_errors) -> tuple:
+    """(margins, budgets, status codes) of a catalog bound lhs < rhs at
+    each point of its columns: margin = rhs - lhs, held against the
+    errors of both sides."""
+    margins = [r - l for l, r in zip(lhs, rhs)]
+    budgets = [el + er + EPS * (abs(l) + abs(r))
+               for l, el, r, er in zip(lhs, lhs_errors, rhs, rhs_errors)]
+    return margins, budgets, _status_codes(margins, budgets)
+
+
+def _dominance_verdicts(lower: bool, claimed, claimed_errors, other, other_errors) -> tuple:
+    """(margins, budgets, status codes) of a dominance claim between two
+    closed-form columns: for lower bounds the claimed value must be the
+    larger, for upper bounds the smaller.  The budget, 8 EPS of their
+    sizes, covers their errors of 4 EPS each."""
+    pairs = list(zip(claimed, other))
+    margins = [c - o for c, o in pairs] if lower else [o - c for c, o in pairs]
+    budgets = [8.0 * EPS * (abs(c) + abs(o)) for c, o in pairs]
+    return margins, budgets, _status_codes(margins, budgets)
+
+
+def _verdict_columns(xs: list, lhs: _Column, rhs: _Column, rule) -> tuple:
+    """(xs, lhs, rhs, margins, budgets, status codes) of a claim whose sides
+    at xs are lhs and rhs, by ``rule``; where a side raised, raises the
+    error of the first x where one did, the lhs's before the rhs's."""
+    n = min(len(lhs.values), len(rhs.values))
+    if n < len(xs):
+        raise lhs.error if len(lhs.values) == n else rhs.error
+    return (xs, lhs.values, rhs.values, *rule(*lhs[:2], *rhs[:2]))
 
 
 # --- evaluator factories ---------------------------------------------------
 
-def _exact(bound_id: str, fn):
-    """The closed form fn(a, c, x) of bound_id, which raises where it is
-    not a finite double (x^2 underflows to 0 in T1L and T6L below
-    x ~ 1.5e-162)."""
-    def ev(p: ParameterPoint) -> FunctionValue:
+def _closed_values(bound_id: str, fn, a: float, c: float, xs) -> _Column:
+    """The closed form fn(a, c, x) of bound_id at each x of xs, each with
+    the budget 4 EPS|v|, up to the first x where it is not a finite
+    double (x^2 underflows to 0 in T1L and T6L below x ~ 1.5e-162)."""
+    values, error = [], None
+    for x in xs:
         try:
-            v = fn(p.a, p.c, p.x)
+            v = fn(a, c, x)
         except ZeroDivisionError:
             v = math.nan
         if not math.isfinite(v):
-            raise EvaluationError(f"closed form of {bound_id} is not a finite double "
-                                  f"at (a={p.a}, c={p.c}, x={p.x})")
-        return FunctionValue(v, 4.0 * EPS * abs(v), "closed_form")
-    return ev
+            error = EvaluationError(f"closed form of {bound_id} is not a finite double "
+                                    f"at (a={a}, c={c}, x={x})")
+            break
+        values.append(v)
+    return _Column(values, [4.0 * EPS * abs(v) for v in values], error)
+
+
+def _exact(bound_id: str, fn) -> _Side:
+    """The closed form fn(a, c, x) of bound_id as a side: at a point and
+    at a pair's x, both by ``_closed_values``, which states its budget and
+    its error once; at a point that error is raised."""
+    def at(p: ParameterPoint) -> FunctionValue:
+        values, errors, error = _closed_values(bound_id, fn, p.a, p.c, (p.x,))
+        if error is not None:
+            raise error
+        return FunctionValue(values[0], errors[0], "closed_form")
+
+    def column(pair: PairGrid) -> _Column:
+        return _closed_values(bound_id, fn, pair.a, pair.c, pair.xs)
+    return _Side(at, column)
+
+
+def _pointwise(ev: Evaluator) -> _Side:
+    """A side read by its per-point evaluator ev at each x."""
+    return _Side(ev, lambda pair: _read(ev, pair.points))
 
 
 @lru_cache(maxsize=4096)
@@ -258,11 +387,10 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
     The value is a log, as are the lhs and rhs of I1, I3 and I4, which
     check f, g and h against their x->0+ limits.
 
-    Cached per (which, a, c, x): a monotonicity row reads both ends of its
-    step, so two rows read each interior grid x, and the I1, I3 and I4 rows
-    at that x read it too.  The rows of a claim at a pair run in x order,
-    so a small cache holds each value until its second read, and adds
-    little to a run's memory.
+    Cached per (which, a, c, x): the I1, I3 and I4 rows at a pair read
+    each grid x, and the monotonicity rows of the same pair read it again.
+    Both read the pair's x once each, so a small cache holds each value
+    until its second read, and adds little to a run's memory.
     """
     if which not in AUXILIARY:
         raise KeyError(f"unknown auxiliary function {which!r}")
@@ -340,12 +468,10 @@ _RATIO_BOUNDS = (
 )
 
 
-def _ratio(kind: TuranianKind) -> Evaluator:
-    def ratio(p: ParameterPoint) -> FunctionValue:
-        # looked up per call, as psi is: a wrapper set on this module's
-        # turanian_ratio (the layer trace) sees the catalog's calls
-        return turanian_ratio(kind, p)
-    return ratio
+def _ratio(kind: TuranianKind) -> _Side:
+    """The Turanian ratio of ``kind``, looked up per call as in
+    ``PairGrid.ratios``, which reads a pair's once."""
+    return _Side(lambda p: turanian_ratio(kind, p), lambda pair: pair.ratios(kind))
 
 
 def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
@@ -375,7 +501,8 @@ _S_BOUNDS = (
      "checked as -(1/x) psi(a+1,c+1)/psi <= R_c", False),
 )
 CATALOG.update((id_, BoundSpec(id_, "raw_psi_relation", "lower", region, region_text,
-                               _s_lhs(*shift, power), _ratio(SECOND), anchor, gating))
+                               _pointwise(_s_lhs(*shift, power)), _ratio(SECOND), anchor,
+                               gating))
                for id_, region, region_text, shift, power, anchor, gating in _S_BOUNDS)
 
 # one row per I-family claim in log form: (id, auxiliary, region,
@@ -397,21 +524,27 @@ def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
     def log_ratio(p: ParameterPoint) -> FunctionValue:
         return auxiliary_log_ratio(which, p.a, p.c, p.x)
 
-    def limit(p: ParameterPoint) -> FunctionValue:
+    def limit(a: float, c: float) -> FunctionValue:
         # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring
-        w0, wp = aux.weights(p.a, p.c)
-        l0, e0 = _lg_ratio(p.a - p.c + 1.0, 1.0 - p.c)
-        l1, e1 = _lg_ratio(p.a - p.c + 1.0, -p.c)
+        w0, wp = aux.weights(a, c)
+        l0, e0 = _lg_ratio(a - c + 1.0, 1.0 - c)
+        l1, e1 = _lg_ratio(a - c + 1.0, -c)
         value = wp * l1 - w0 * l0
         err = abs(wp) * e1 + abs(w0) * e0 + EPS * (abs(wp * l1) + abs(w0 * l0) + abs(value))
         return FunctionValue(value, err, "closed_form")
+
+    def limit_column(pair: PairGrid) -> _Column:
+        # the limit depends on (a, c) alone: formed once per pair
+        once, n = _read(lambda _: limit(pair.a, pair.c), pair.xs[:1]), len(pair.xs)
+        return _Column(once.values * n, once.errors * n, once.error)
     side = "lower" if aux.sign > 0 else "upper"
-    lhs, rhs = (limit, log_ratio) if side == "lower" else (log_ratio, limit)
+    closed, aux_side = _Side(lambda p: limit(p.a, p.c), limit_column), _pointwise(log_ratio)
+    lhs, rhs = (closed, aux_side) if side == "lower" else (aux_side, closed)
     return BoundSpec(id_, "raw_psi_relation", side, region, region_text, lhs, rhs, anchor)
 
 
 _I2 = BoundSpec("I2", "raw_psi_relation", "lower", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-                _exact("I2", lambda a, c, x: 2.0), _i2_rhs,
+                _exact("I2", lambda a, c, x: 2.0), _pointwise(_i2_rhs),
                 "psi ratio minus (1/c)-scaled power exceeds 2")
 CATALOG.update((spec.id, spec) for spec in sorted(     # in order I1, I2, I3, I4
     (_I2, *(_log_bound(*row) for row in _LOG_BOUNDS)), key=lambda spec: spec.id))
@@ -455,20 +588,19 @@ LIMITS: dict[str, SharpnessLimit] = {lim.name: lim for lim in (
 )}
 
 
-def bound_verdict(spec: BoundSpec, p: ParameterPoint) -> tuple:
-    """(lhs, rhs, margin, budget, status) of the catalog bound ``spec`` at
-    p, which the caller has placed in its region: margin = rhs - lhs, held
-    against the errors of both sides."""
-    lhs = spec.lhs(p)
-    rhs = spec.rhs(p)
-    margin = rhs.value - lhs.value
-    budget = lhs.abs_error + rhs.abs_error + EPS * (abs(lhs.value) + abs(rhs.value))
-    return lhs, rhs, margin, budget, _status(margin, budget)
+def bound_columns(spec: BoundSpec, pair: PairGrid) -> tuple:
+    """The rows of the catalog bound ``spec`` at the x of ``pair``, which
+    the caller has placed in its region, as the columns (xs, lhs, rhs,
+    margins, budgets, status codes) of ``_verdicts``."""
+    return _verdict_columns(pair.xs, spec.lhs.column(pair), spec.rhs.column(pair),
+                            _verdicts)
 
 
 def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
     """Verify one catalogued inequality at one point: validate the id and
-    the point, then apply ``bound_verdict``.
+    the point, then read both sides there and apply the catalog's verdict
+    rule ``_verdicts`` to that one row, as ``bound_columns`` applies it to
+    the rows of a pair.
 
     Raises :class:`RegionError` outside the bound's region (distinct from
     a ``fail`` status).
@@ -480,7 +612,11 @@ def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"point (a={p.a}, c={p.c}) outside region of {bound_id} "
             f"({spec.region_text})")
-    return VerificationRecord(bound_id, p, *bound_verdict(spec, p), spec.anchor)
+    lhs, rhs = spec.lhs(p), spec.rhs(p)
+    (margin,), (budget,), (code,) = _verdicts((lhs.value,), (lhs.abs_error,),
+                                              (rhs.value,), (rhs.abs_error,))
+    return VerificationRecord(bound_id, p, lhs, rhs, margin, budget, _STATUSES[code],
+                              spec.anchor)
 
 
 # --- dominance claims ------------------------------------------------------
@@ -528,22 +664,24 @@ def dominance_applicable(dom_id: str, p: ParameterPoint) -> bool:
     return spec.region(p.a, p.c) and spec.threshold(p.a, p.c, p.x)
 
 
-def dominance_verdict(spec: DominanceSpec, p: ParameterPoint) -> tuple:
-    """(claimed, other, margin, budget, status) of the dominance claim
-    ``spec`` at p, where the caller has found it applies: for lower bounds
-    the claimed closed-form side must be the larger, for upper bounds the
-    smaller."""
+def dominance_columns(spec: DominanceSpec, pair: PairGrid) -> tuple:
+    """The rows of the dominance claim ``spec`` at the x of ``pair`` that
+    meet its threshold, the pair in both bounds' regions, as the columns
+    (xs, claimed, other, margins, budgets, status codes) of
+    ``_dominance_verdicts``."""
+    a, c = pair.a, pair.c
+    met = PairGrid(a, c, [x for x in pair.xs if spec.threshold(a, c, x)])
     claimed = CATALOG[spec.claimed]
-    fv_c, fv_o = claimed.closed_form(p), CATALOG[spec.other].closed_form(p)
-    bc, bo = fv_c.value, fv_o.value
-    margin = (bc - bo) if claimed.side == "lower" else (bo - bc)
-    budget = 8.0 * EPS * (abs(bc) + abs(bo))
-    return fv_c, fv_o, margin, budget, _status(margin, budget)
+    return _verdict_columns(met.xs, claimed.closed_side.column(met),
+                            CATALOG[spec.other].closed_side.column(met),
+                            partial(_dominance_verdicts, claimed.side == "lower"))
 
 
 def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
     """Compare the two closed-form bound values where the claim applies:
-    validate the id and the point, then apply ``dominance_verdict``.
+    validate the id and the point, then apply ``_dominance_verdicts`` to
+    that one row, as ``dominance_columns`` applies it to the rows of a
+    pair.
 
     Points outside either region or failing the threshold raise
     :class:`RegionError`.
@@ -555,7 +693,13 @@ def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
             f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
-    return VerificationRecord(dom_id, p, *dominance_verdict(spec, p), spec.anchor)
+    claimed = CATALOG[spec.claimed]
+    fv_c, fv_o = claimed.closed_form(p), CATALOG[spec.other].closed_form(p)
+    (margin,), (budget,), (code,) = _dominance_verdicts(
+        claimed.side == "lower", (fv_c.value,), (fv_c.abs_error,),
+        (fv_o.value,), (fv_o.abs_error,))
+    return VerificationRecord(dom_id, p, fv_c, fv_o, margin, budget, _STATUSES[code],
+                              spec.anchor)
 
 
 def catalog_document() -> list[dict]:

@@ -8,21 +8,22 @@ columns.  Where the config names a report file, ``run`` writes the report
 (CSV or JSON) into it as it is formatted, so the whole text is never held.
 
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
-task order (suite, claim, x), every selected claim that holds there, at
-each of its suite's x values, so each psi value, each phi table and each
-record of psi and its quotients (``kernel.psi_quotients``) of that pair
-is computed once.  The blocks run in-process, one after another, in run
-order: the grid's pairs in (a, c) order, then the sharpness limits'
-curated pairs off the grid; grid values are distinct, so no pair
-repeats.  A block returns the rows of each (suite, claim) as columns, an
-array of doubles for each of a, c, x, lhs, rhs, margin and budget and a
-byte per row for the status; ``run`` extends each claim's columns by
-them and puts a sharpness limit's rows in the order of its pairs by one
-reorder.  The claims, by (suite, claim name), make the report; each
+task order (suite, claim), every selected claim that holds there, at
+each of its suite's x values at once, so each psi value, each phi table
+and each record of psi and its quotients (``kernel.psi_quotients``) of
+that pair is computed once.  The blocks run in-process, one after
+another, in run order: the grid's pairs in (a, c) order, then the
+sharpness limits' curated pairs off the grid; grid values are distinct,
+so no pair repeats.  A block returns the rows of each (suite, claim) as
+columns, a list for each of x, lhs, rhs, margin, budget and the status
+code; ``run`` extends each claim's arrays, of doubles for a, c, x, lhs,
+rhs, margin and budget and of bytes for the status, by them and puts a
+sharpness limit's rows in the order of its pairs by one reorder.  The claims, by (suite, claim name), make the report; each
 holds its one anchor once, and each row is built as it is read.  A
 failing run raises the error of its first failing pair in run order,
 the first failing task there in task order, and evaluates no later
-pair.  Claims whose failures are advisory (the catalog's non-gating
+pair; within a claim at a pair, the first failing x raises, and at one
+x its lhs fails before its rhs.  Claims whose failures are advisory (the catalog's non-gating
 bounds) never gate a run; their failures are counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
@@ -37,11 +38,15 @@ deviation from the limit at the end of its scan against the limit's
 rate bound there, as an inequality row.  A record holds the test of
 whether a claim holds at a pair (a dominance claim where both of its
 bounds hold; its threshold in x is tested per row); the points of its
-rows at a pair; and the evaluator of one row, which calls the per-point
-function of the claim (``bound_verdict`` and ``dominance_verdict``, the
-verdict rules of ``check_bound`` and ``check_dominance`` without their
-point checks, ``auxiliary_log_ratio``, ``measure.stieltjes``, the other
-measure and Turanian functions).  No suite takes a tolerance.
+rows at a pair; and the evaluator of a claim's rows at a pair, which
+returns them as columns.  The catalog and dominance claims take theirs
+from ``bounds.bound_columns`` and ``bounds.dominance_columns``, which
+read each Turanian kind's ratios once per pair and apply the verdict
+rules of ``check_bound`` and ``check_dominance`` to whole columns; a
+monotonicity claim reads ``auxiliary_log_ratio`` once per x; the other
+suites state one row per point, by the per-point function of the claim
+(``measure.stieltjes``, the other measure and Turanian functions),
+behind one adapter, ``_per_point``.  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -64,7 +69,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import partial
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq, itemgetter
@@ -122,7 +126,7 @@ class RunSummary:
 
 
 PASS, FAIL, INCONCLUSIVE = bounds_mod.PASS, bounds_mod.FAIL, bounds_mod.INCONCLUSIVE
-_STATUSES = (PASS, FAIL, INCONCLUSIVE)    # a row holds its status as its index here
+_STATUSES = bounds_mod._STATUSES    # a row holds its status as its index here
 
 
 @dataclass(frozen=True)
@@ -133,16 +137,27 @@ class Suite:
     claims: dict                       # claim -> its argument, in task order
     applies: Callable[[object, float, float], bool]  # (argument, a, c)
     points: Callable[[RunConfig, float, float], Sequence]  # (config, a, c)
-    evaluate: Callable[..., tuple | None]  # see the row evaluators below
+    evaluate: Callable[..., tuple]     # see the column evaluators below
     anchor: Callable[[object], str]    # a claim's anchor text, from its argument
     pairs: Callable[[object], tuple] | None = None  # a claim's own; None: the grid's
 
 
 # ---------------------------------------------------------------------------
-# row evaluators: (claim, argument, a, c, point) -> the fields of a row
-# after (suite, claim, a, c) and before its anchor, or None where the claim
-# does not hold at the point
+# column evaluators: (claim, argument, a, c, items) -> the claim's rows at
+# the pair as the columns x, lhs, rhs, margin, budget and status code (an
+# index into _STATUSES); per-point suites state one row per item, which
+# ``_per_point`` turns into columns
 # ---------------------------------------------------------------------------
+
+def _per_point(row):
+    """The column evaluator of ``row``, (claim, argument, a, c, item) -> the
+    fields of a row after (suite, claim, a, c) and before its anchor."""
+    def evaluate(claim, arg, a, c, items):
+        rows = [row(claim, arg, a, c, p) for p in items]
+        *values, status = zip(*rows) if rows else [()] * 6
+        return (*map(list, values), list(map(_STATUSES.index, status)))
+    return evaluate
+
 
 def _agreement(x, lhs, rhs, budget):
     margin = budget - abs(lhs - rhs)
@@ -221,19 +236,6 @@ def _row_stieltjes(claim, arg, a, c, p):
     return _agreement(p.x, direct.value, rep.value, rep.abs_error + direct.abs_error)
 
 
-def _row_bound(claim, spec, a, c, p):
-    lhs, rhs, margin, budget, status = bounds_mod.bound_verdict(spec, p)
-    return p.x, lhs.value, rhs.value, margin, budget, status
-
-
-def _row_dominance(claim, spec, a, c, p):
-    # the suite holds where both bounds' regions do; the threshold is per x
-    if not spec.threshold(a, c, p.x):
-        return None
-    lhs, rhs, margin, budget, status = bounds_mod.dominance_verdict(spec, p)
-    return p.x, lhs.value, rhs.value, margin, budget, status
-
-
 def _row_sharpness(claim, lim, a, c, _):
     # the deviation at the end of the scan, held against the limit's rate
     end = sharpness_scan(lim, a, c)[-1]
@@ -242,20 +244,36 @@ def _row_sharpness(claim, lim, a, c, _):
             bounds_mod._status(margin, end.budget))
 
 
-def _row_monotonicity(claim, arg, a, c, step):
+def _bound_columns(claim, spec, a, c, pair):
+    return bounds_mod.bound_columns(spec, pair)
+
+
+def _dominance_columns(claim, spec, a, c, pair):
+    # the suite holds where both bounds' regions do; the threshold is per x
+    return bounds_mod.dominance_columns(spec, pair)
+
+
+def _monotonicity_columns(claim, arg, a, c, xs):
+    # the auxiliary at each x once, in increasing x; a row is the step
+    # from one x to the next
     which, _ = arg
-    x_lo, x_hi = step
-    lo = bounds_mod.auxiliary_log_ratio(which, a, c, x_lo)
-    hi = bounds_mod.auxiliary_log_ratio(which, a, c, x_hi)
-    margin = bounds_mod.AUXILIARY[which].sign * (hi.value - lo.value)
-    budget = lo.abs_error + hi.abs_error
-    return x_hi, lo.value, hi.value, margin, budget, bounds_mod._status(margin, budget)
+    sign = bounds_mod.AUXILIARY[which].sign
+    fvs = [bounds_mod.auxiliary_log_ratio(which, a, c, x) for x in xs]
+    steps = list(zip(fvs, fvs[1:]))
+    margins = [sign * (hi.value - lo.value) for lo, hi in steps]
+    budgets = [lo.abs_error + hi.abs_error for lo, hi in steps]
+    return (xs[1:], [lo.value for lo, _ in steps], [hi.value for _, hi in steps],
+            margins, budgets, bounds_mod._status_codes(margins, budgets))
 
 
 # ---------------------------------------------------------------------------
 # the points of a suite's rows at one (a, c) pair: (config, a, c) -> items,
-# each given to the evaluator of every claim that holds at the pair
+# given to the evaluator of every claim that holds at the pair
 # ---------------------------------------------------------------------------
+
+def _pair_grid(cfg, a, c):
+    return bounds_mod.PairGrid(a, c, cfg.grid_x)
+
 
 def _grid_points(cfg, a, c):
     return [ParameterPoint(a, c, x) for x in cfg.grid_x]
@@ -273,9 +291,9 @@ def _crosscheck_points(cfg, a, c):
     return [ParameterPoint(a, c, x) for x in CROSSCHECK_X]
 
 
-def _grid_steps(cfg, a, c):
-    xs = sorted(cfg.grid_x)
-    return list(zip(xs, xs[1:]))
+def _sorted_xs(cfg, a, c):
+    # a monotonicity row is a step between two x, so one x makes none
+    return sorted(cfg.grid_x) if len(cfg.grid_x) > 1 else []
 
 
 def _no_x(cfg, a, c):
@@ -298,35 +316,35 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
     Suite("kernel_crosscheck", {"psi-two-methods": "quadrature and connection-series "
                                                    "values agree"},
           lambda _, a, c: a > 0.0 and _off_integer(c), _crosscheck_points,
-          _row_crosscheck, _OWN),
+          _per_point(_row_crosscheck), _OWN),
     Suite("ode_residual", {"kummer-ode": "Kummer ODE residual under central differences"},
-          lambda _, a, c: a > 0.0, _ode_xs, _row_ode, _OWN),
+          lambda _, a, c: a > 0.0, _ode_xs, _per_point(_row_ode), _OWN),
     Suite("derivative", {"dpsi-dx": "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)"},
-          lambda _, a, c: a > 0.0, _grid_xs, _row_derivative, _OWN),
+          lambda _, a, c: a > 0.0, _grid_xs, _per_point(_row_derivative), _OWN),
     Suite("moments", {f"moment[{power}]": (ident, f"moment power {power} equals its "
                                                   "closed form")
                       for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
           lambda arg, a, c: arg[0].region(a, c) and _off_integer(c),
-          _no_x, _row_moment, _SECOND),
+          _no_x, _per_point(_row_moment), _SECOND),
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
                                 "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
           lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
-          _grid_points, _row_stieltjes, _SECOND),
+          _grid_points, _per_point(_row_stieltjes), _SECOND),
     Suite("bounds", bounds_mod.CATALOG,
-          lambda spec, a, c: spec.region(a, c), _grid_points, _row_bound, _SPEC),
+          lambda spec, a, c: spec.region(a, c), _pair_grid, _bound_columns, _SPEC),
     Suite("dominance", bounds_mod.DOMINANCE, lambda spec, a, c: spec.region(a, c),
-          _grid_points, _row_dominance, _SPEC),
+          _pair_grid, _dominance_columns, _SPEC),
     # each limit is scanned at its curated pairs, not at the grid's
     Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
-          _row_sharpness, _SPEC, pairs=lambda lim: lim.pairs),
+          _per_point(_row_sharpness), _SPEC, pairs=lambda lim: lim.pairs),
     Suite("monotonicity", {
         f"{w}-monotone": (w, f"auxiliary log-ratio {w} is "
                              f"{'increasing' if aux.sign > 0 else 'decreasing'}")
         for w, aux in bounds_mod.AUXILIARY.items()},
           lambda arg, a, c: bounds_mod.AUXILIARY[arg[0]].region(a, c),
-          _grid_steps, _row_monotonicity, _SECOND),
+          _sorted_xs, _monotonicity_columns, _SECOND),
 )}
 
 SUITES = tuple(REGISTRY)
@@ -385,13 +403,10 @@ class RunConfig:
 # runner and report writers
 # ---------------------------------------------------------------------------
 
-def _columns(a: float, c: float, fields: list) -> tuple:
-    """A claim's evaluated rows at (a, c) as arrays: of doubles for a, c, x,
-    lhs, rhs, margin and budget, of bytes for the status."""
-    *values, status = zip(*fields) if fields else [()] * 6
-    n = len(fields)
-    return (array("d", [a]) * n, array("d", [c]) * n, *map(partial(array, "d"), values),
-            array("B", map(_STATUSES.index, status)))
+def _empty_columns() -> tuple:
+    """A claim's rows as arrays: of doubles for a, c, x, lhs, rhs, margin
+    and budget, of bytes for the status code."""
+    return (*(array("d") for _ in range(7)), array("B"))
 
 
 class ReportRows(Sequence):
@@ -427,8 +442,8 @@ class ReportRows(Sequence):
 def _pair_block(cfg: RunConfig, a: float, c: float, names: list) -> dict:
     """Evaluate one (a, c) pair for ``names``, the selected suites with a
     claim there, in report order.  Returns, keyed by (suite, claim), the
-    rows of each claim that holds at the pair, in task order, as
-    ``_columns``; the first failing task raises its error."""
+    rows of each claim that holds at the pair, in task order, as the
+    columns of its evaluator; the first failing task raises its error."""
     rows: dict = {}
     points: dict = {}   # each suite's points function -> its items here
     for name in names:
@@ -438,8 +453,7 @@ def _pair_block(cfg: RunConfig, a: float, c: float, names: list) -> dict:
         items, evaluate = points[s.points], s.evaluate
         for claim, arg in s.claims.items():
             if s.applies(arg, a, c):
-                rows[name, claim] = _columns(a, c, [
-                    row for p in items if (row := evaluate(claim, arg, a, c, p)) is not None])
+                rows[name, claim] = evaluate(claim, arg, a, c, items)
     return rows
 
 
@@ -460,12 +474,13 @@ def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
         for pair in pairs:
             units.setdefault(pair, set()).add(s.name)
 
-    held = {(s.name, claim): _columns(0, 0, []) for s in selected for claim in s.claims}
+    held = {(s.name, claim): _empty_columns() for s in selected for claim in s.claims}
     for (a, c), names in units.items():
         block = _pair_block(cfg, a, c, sorted(names, key=_SUITE_RANK.__getitem__))
-        for key, cols in block.items():
-            for col, more in zip(held[key], cols):
-                col += more
+        for key, (xs, *cols) in block.items():
+            n = len(xs)
+            for col, more in zip(held[key], ([a] * n, [c] * n, xs, *cols)):
+                col.fromlist(more)
 
     empty = [f"{name}/{claim}: no grid point lies in its region"
              for (name, claim), cols in held.items() if not cols[0]]

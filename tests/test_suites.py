@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
@@ -76,17 +77,17 @@ class TestRun:
     def raise_at(monkeypatch, name, failing, calls=None):
         """Make the rows of suite ``name`` raise EvaluationError(message)
         at the (claim, a) -> message entries of ``failing``; a claim of
-        None stands for every claim of the suite.  Each evaluation appends
-        its (claim, a) to ``calls``, when given."""
+        None stands for every claim of the suite.  Each evaluation of a
+        claim at a pair appends its (claim, a) to ``calls``, when given."""
         suite = suites.REGISTRY[name]
 
-        def evaluate(claim, arg, a, c, p):
+        def evaluate(claim, arg, a, c, items):
             if calls is not None:
                 calls.append((claim, a))
             message = failing.get((claim, a), failing.get((None, a)))
             if message:
                 raise EvaluationError(message)
-            return suite.evaluate(claim, arg, a, c, p)
+            return suite.evaluate(claim, arg, a, c, items)
 
         monkeypatch.setitem(suites.REGISTRY, name,
                             dataclasses.replace(suite, evaluate=evaluate))
@@ -284,6 +285,54 @@ class TestPairBlocks:
             assert row_fields(r) == reference_fields(r, cfg["grid_x"]), r
 
 
+# a and c off the integers and off the default grid, x log-spaced in
+# [0.01, 200]: every catalog claim holds at some pair, and every dominance
+# claim meets and misses its threshold within its region
+OFF_GRID = {"grid_a": (0.3, 0.9, 1.7, 4.2), "grid_c": (-3.7, -1.2, -0.4, 0.6),
+            "grid_x": (0.01, 0.0725, 0.525, 3.8, 27.5, 200.0)}
+DENSE_SUITES = ("bounds", "dominance", "monotonicity")
+
+
+def test_dense_suites_rows_off_the_default_grid_are_pinned():
+    # sha256 of the repr of every row, taken before the three suites were
+    # evaluated as columns per (claim, pair): a change meant to keep every
+    # output keeps it
+    _, rows = suites.run(RunConfig(suites=DENSE_SUITES, **OFF_GRID))
+    digest = hashlib.sha256()
+    for r in rows:
+        digest.update(repr(r).encode())
+    assert (len(rows), digest.hexdigest()) == (
+        1926, "469fdc126645963e808f0e8ccc8e522f060592cb9dea605027ef47d256a1be43")
+    claims = {(r.suite, r.claim) for r in rows}
+    assert all(("bounds", bid) in claims for bid in bounds.CATALOG)
+    pairs = [(a, c) for a in OFF_GRID["grid_a"] for c in OFF_GRID["grid_c"]]
+    for did, dom in bounds.DOMINANCE.items():
+        assert {dom.threshold(a, c, x) for a, c in pairs if dom.region(a, c)
+                for x in OFF_GRID["grid_x"]} == {False, True}, did
+        assert ("dominance", did) in claims
+
+
+@pytest.mark.parametrize("grid_x,message", [
+    # T1L's rhs (the ratio) fails at its first x
+    ((1.0, 1e-200), "ratio at x=1.0"),
+    # T1L's lhs (x^2 underflows in its closed form) fails at its first x,
+    # before the ratio fails at the second
+    ((1e-200, 1.0), "closed form of T1L is not a finite double "
+                    "at (a=0.5, c=0.5, x=1e-200)")], ids=["rhs-first", "lhs-first"])
+def test_a_pair_raises_its_first_failing_task_in_x_order(monkeypatch, grid_x, message):
+    ratio = turanians.turanian_ratio
+
+    def failing(kind, p):
+        if p.x == 1.0:
+            raise EvaluationError("ratio at x=1.0")
+        return ratio(kind, p)
+
+    monkeypatch.setattr(bounds, "turanian_ratio", failing)
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        suites.run(RunConfig(suites=("bounds",), grid_a=(0.5,), grid_c=(0.5,),
+                             grid_x=grid_x))
+
+
 AGREEMENT_SUITES = ("kernel_crosscheck", "ode_residual", "derivative",
                     "moments", "stieltjes")
 
@@ -349,8 +398,8 @@ def test_default_run_verdicts_are_the_recorded_ones(default_run):
 def test_bounds_suite_computes_each_ratio_once():
     # up to seven catalog bounds read one Turanian ratio at a point (the
     # S-family the second-shift one); from cold caches each (kind, point)
-    # the catalog needs is computed once and every other check that reads
-    # a ratio is served by the cache
+    # the catalog needs is computed once, and read once: every check of
+    # that kind at the pair takes it from the pair's column
     turanians.turanian_ratio.cache_clear()
     kernel._psi_cached.cache_clear()
     _, rows = suites.run(RunConfig(suites=("bounds",), **SMALL_GRID))
@@ -364,7 +413,7 @@ def test_bounds_suite_computes_each_ratio_once():
     checks = sum(r.claim in reads for r in rows)
     info = turanians.turanian_ratio.cache_info()
     assert info.misses == len(needed)
-    assert info.hits == checks - len(needed) > 0
+    assert info.hits == 0 and checks > len(needed)
 
 
 def _cold_default_run():
