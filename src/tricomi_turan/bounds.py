@@ -46,7 +46,7 @@ relation lhs <= D_c = psi^2 R_c is checked divided by psi^2, against the
 same second-shift ratio R_c as T6L, T6U, P3L and P3U: no product of two
 psi values is formed, so the checks run wherever psi and R_c do, at
 large a as well.  ``_S_BOUNDS`` states each lhs once, as -(1/x)
-psi^power q with q a quotient of ``turanians.shift_quotient``: S1 takes
+psi^power q with q a quotient of ``PairRecords.quotient``: S1 takes
 psi(a,c-1)/psi = 1 - a r (DLMF 13.3.9), the Turanians' own lower
 quotient, and S2 and S2H take s = psi(a+1,c+1)/psi, S2 times psi.  The
 I-family reads psi and s as well: I2's quotient is 1/s, and an
@@ -99,15 +99,26 @@ budget and its error where it is not a finite double,
 ``_closed_values``.  The suites apply the rules to the rows of a claim
 at all x of an (a, c) pair they have placed in its region:
 ``bound_columns`` and ``dominance_columns`` read each side of the claim
-at the pair's x in order through its :class:`_Side`, where a Turanian
-kind's ratios are read once per pair (``PairGrid``) and an I-family
-limit is formed once per pair, and raise the error of the first x where
-a side fails, the lhs's before the rhs's.  ``check_bound`` and
-``check_dominance`` validate one point, then apply the same rules to
-its one row.  The auxiliary log-ratios f, g and h behind the I-family
-are ``AUXILIARY`` records, each with its region, its two weights and the
-sign of its monotonicity; the monotonicity suite checks that sign, and
-I1, I3 and I4 read the same cached values.
+at the pair's x in order through its :class:`_Side`, from the pair's
+context, a :class:`PairGrid`, and raise the error of the first x where a
+side fails, the lhs's before the rhs's.
+
+The context reads the record of psi, r and s (``kernel.psi_quotients``)
+once per x of the pair, into arrays, and forms from them as numpy
+columns each Turanian kind's ratio and each auxiliary log-ratio, once
+per pair and shared by every claim and suite that reads it, and the
+S-family lhs and I2's rhs; an I-family limit is formed once per pair.
+Each column does the per-point arithmetic on whole arrays, the same
+operations in the same order, with every log and exp a ``math.log`` or
+``math.exp`` per element (numpy's can differ in the last bit), so each
+element is bit for bit the value at its x.  ``check_bound`` and
+``check_dominance`` validate one point, then read both sides from a
+context over its one x and apply the same rules to its one row; a side
+called at a point, and ``auxiliary_log_ratio``, are that one-x case.
+The auxiliary log-ratios f, g and h behind the I-family are
+``AUXILIARY`` records, each with its region, its two weights and the
+sign of its monotonicity; the monotonicity suite checks that sign on the
+column I1, I3 and I4 read, taken in increasing x.
 """
 
 from __future__ import annotations
@@ -117,71 +128,56 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, log_gamma_error)
-from .turanians import (BOTH, FIRST, SCAN_TO_INFINITY, SCAN_TO_ZERO, SECOND,
-                        SharpnessLimit, TuranianKind, shift_quotient, turanian_ratio)
+from .turanians import (BOTH, FIRST, SCAN_TO_INFINITY, SCAN_TO_ZERO, SECOND, Column,
+                        PairRecords, SharpnessLimit, TuranianKind)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _STATUSES = (PASS, FAIL, INCONCLUSIVE)    # a status code is an index here
 
-Evaluator = Callable[[ParameterPoint], FunctionValue]
 
-
-class _Column(NamedTuple):
-    """One side of a claim at a pair's x, in order: its values and errors
-    up to the first x where it raises, and that error (None if none)."""
-
-    values: list
-    errors: list
-    error: Exception | None
-
-
-def _read(ev: Evaluator, points) -> _Column:
-    """The per-point evaluator ev at each of the points in order."""
-    got = []
-    try:
-        for p in points:
-            got.append(ev(p))
-    except Exception as exc:
-        # kept for _verdict_columns to raise at its x, after the errors of
-        # earlier x on either side: a pair raises its first failing task
-        error = exc
-    else:
-        error = None
-    return _Column([fv.value for fv in got], [fv.abs_error for fv in got], error)
-
-
-class PairGrid:
-    """The x of one (a, c) pair at which the rows of a claim are
-    evaluated, in order, with each Turanian kind's ratios at them, read
-    once per pair and kind."""
+class PairGrid(PairRecords):
+    """The context of one (a, c) pair: the x at which the rows of its
+    claims are evaluated, in order, with the records, quotients and
+    Turanian ratios of ``turanians.PairRecords`` and, formed from the same
+    records as columns, the S-family lhs (``_s_lhs``), I2's rhs
+    (``_i2_rhs``) and the auxiliary log-ratios, each once per pair."""
 
     def __init__(self, a: float, c: float, xs):
-        self.a, self.c, self.xs = a, c, list(xs)
-        self._ratios: dict = {}
+        super().__init__(a, c, xs)
+        self._auxiliary: dict = {}
 
     @cached_property
-    def points(self) -> list:
-        return [ParameterPoint(self.a, self.c, x) for x in self.xs]
+    def logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """ln psi and ln s at each x, by ``_logs``."""
+        return _logs(self.records.psi), _logs(self.records.s)
 
-    def ratios(self, kind: TuranianKind) -> _Column:
-        if kind not in self._ratios:
-            # looked up per call, as psi is: a wrapper set on this module's
-            # turanian_ratio (the layer trace) sees the catalog's reads
-            self._ratios[kind] = _read(partial(turanian_ratio, kind), self.points)
-        return self._ratios[kind]
+    def auxiliary(self, which: str, order=None) -> Column:
+        """The auxiliary ``which`` at the pair's x, taken in ``order`` as
+        ``column`` takes it."""
+        if which not in self._auxiliary:
+            self._auxiliary[which] = _auxiliary_arrays(self, which)
+        return self.column(*self._auxiliary[which], lambda x: RegionError(
+            "psi must be positive for the log-ratios (a > 0)"), order)
 
 
 class _Side(NamedTuple):
-    """One side of a catalog claim: called, its value at a point; its
-    ``column``, its values at the x of a pair."""
+    """One side of a catalog claim: ``column``, its values at the x of a
+    pair, with ``method`` for its value at a point (None: psi's method
+    there).  Called, its value at a point, the one-x case of its column."""
 
-    at: Evaluator
-    column: Callable[[PairGrid], _Column]
+    column: Callable[[PairGrid], Column]
+    method: str | None = None
+
+    def at(self, pair: PairGrid) -> FunctionValue:
+        """Its value at the one x of ``pair``."""
+        return pair.one(self.column(pair), self.method)
 
     def __call__(self, p: ParameterPoint) -> FunctionValue:
-        return self.at(p)
+        return self.at(PairGrid(p.a, p.c, (p.x,)))
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,7 @@ def _dominance_verdicts(lower: bool, claimed, claimed_errors, other, other_error
     return margins, budgets, _status_codes(margins, budgets)
 
 
-def _verdict_columns(xs: list, lhs: _Column, rhs: _Column, rule) -> tuple:
+def _verdict_columns(xs: list, lhs: Column, rhs: Column, rule) -> tuple:
     """(xs, lhs, rhs, margins, budgets, status codes) of a claim whose sides
     at xs are lhs and rhs, by ``rule``; where a side raised, raises the
     error of the first x where one did, the lhs's before the rhs's."""
@@ -266,7 +262,7 @@ def _verdict_columns(xs: list, lhs: _Column, rhs: _Column, rule) -> tuple:
 
 # --- evaluator factories ---------------------------------------------------
 
-def _closed_values(bound_id: str, fn, a: float, c: float, xs) -> _Column:
+def _closed_values(bound_id: str, fn, a: float, c: float, xs) -> Column:
     """The closed form fn(a, c, x) of bound_id at each x of xs, each with
     the budget 4 EPS|v|, up to the first x where it is not a finite
     double (x^2 underflows to 0 in T1L and T6L below x ~ 1.5e-162)."""
@@ -281,27 +277,14 @@ def _closed_values(bound_id: str, fn, a: float, c: float, xs) -> _Column:
                                     f"at (a={a}, c={c}, x={x})")
             break
         values.append(v)
-    return _Column(values, [4.0 * EPS * abs(v) for v in values], error)
+    return Column(values, [4.0 * EPS * abs(v) for v in values], error)
 
 
 def _exact(bound_id: str, fn) -> _Side:
-    """The closed form fn(a, c, x) of bound_id as a side: at a point and
-    at a pair's x, both by ``_closed_values``, which states its budget and
-    its error once; at a point that error is raised."""
-    def at(p: ParameterPoint) -> FunctionValue:
-        values, errors, error = _closed_values(bound_id, fn, p.a, p.c, (p.x,))
-        if error is not None:
-            raise error
-        return FunctionValue(values[0], errors[0], "closed_form")
-
-    def column(pair: PairGrid) -> _Column:
-        return _closed_values(bound_id, fn, pair.a, pair.c, pair.xs)
-    return _Side(at, column)
-
-
-def _pointwise(ev: Evaluator) -> _Side:
-    """A side read by its per-point evaluator ev at each x."""
-    return _Side(ev, lambda pair: _read(ev, pair.points))
+    """The closed form fn(a, c, x) of bound_id as a side, by
+    ``_closed_values``, which states its budget and its error once."""
+    return _Side(lambda pair: _closed_values(bound_id, fn, pair.a, pair.c, pair.xs),
+                 "closed_form")
 
 
 @lru_cache(maxsize=4096)
@@ -313,42 +296,57 @@ def _lg_ratio(u: float, v: float) -> tuple[float, float]:
     return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
 
 
-def _s_lhs(da: int, dc: int, power: int) -> Evaluator:
-    """-(1/x) psi^power q with q = psi(a+da, c+dc, x)/psi from
-    ``turanians.shift_quotient``: an S-family lhs divided by psi^2 > 0.
-    One that underflows costs at most _TINY, which its budget carries."""
-    def ev(p: ParameterPoint) -> FunctionValue:
-        f0, q, err_q = shift_quotient(p, da, dc)
-        f, err_f = (f0.value, f0.abs_error) if power else (1.0, 0.0)
-        value = -f * q / p.x
-        err = ((abs(f) * err_q + abs(q) * err_f) / p.x + 2.0 * EPS * abs(value)
-               + (_TINY if abs(value) < _TINY else 0.0))
-        return FunctionValue(value, err, f0.method)
-    return ev
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of each element, nan where it is not positive: numpy's log
+    can differ from it in the last bit."""
+    return np.array([math.log(v) if v > 0.0 else math.nan for v in values.tolist()])
 
 
-def _i2_rhs(p: ParameterPoint) -> FunctionValue:
-    """psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a), the quotient as 1/s, s =
-    psi(a+1,c+1)/psi.  The power enters as a positive addend, so one that
-    underflows costs at most _TINY/|c|, which its budget carries; where
-    the power, the value or its budget overflows this raises."""
-    f0, s, err_s = shift_quotient(p, 1, 1)
-    q = 1.0 / s
-    eq = q * (err_s / s + EPS)
-    lg, lg_err = _lg_ratio(p.a - p.c + 1.0, 1.0 - p.c)
-    expo = 1.0 / p.a
+def _exp(v: float) -> float:
     try:
-        pw = math.exp(expo * (lg + math.log(f0.value)))
+        return math.exp(v)
     except OverflowError:
-        pw = math.inf
-    pw_err = (abs(pw * expo) * (f0.abs_error / abs(f0.value) + lg_err) + 4.0 * EPS * abs(pw)
-              + (_TINY if pw < _TINY else 0.0))
-    val = q - pw / p.c
-    err = eq + pw_err / abs(p.c) + 4.0 * EPS * abs(val)
-    if not math.isfinite(abs(val) + err):
-        raise EvaluationError(f"rhs of I2 beyond the double range at "
-                              f"(a={p.a}, c={p.c}, x={p.x})")
-    return FunctionValue(val, err, f0.method)
+        return math.inf
+
+
+def _s_lhs(da: int, dc: int, power: int) -> Callable[[PairGrid], Column]:
+    """The column of -(1/x) psi^power q with q = psi(a+da, c+dc, x)/psi from
+    ``PairRecords.quotient``: an S-family lhs divided by psi^2 > 0.  One
+    that underflows costs at most _TINY, which its budget carries."""
+    def column(pair: PairGrid) -> Column:
+        q, err_q = pair.quotient(da, dc)
+        rec = pair.records
+        f, err_f = (rec.psi, rec.psi_err) if power else (1.0, 0.0)
+        with np.errstate(all="ignore"):
+            value = -f * q / pair.x
+            err = ((abs(f) * err_q + abs(q) * err_f) / pair.x + 2.0 * EPS * abs(value)
+                   + (abs(value) < _TINY) * _TINY)
+        return pair.column(value, err)
+    return column
+
+
+def _i2_rhs(pair: PairGrid) -> Column:
+    """The column of psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a), the quotient as
+    1/s, s = psi(a+1,c+1)/psi.  The power enters as a positive addend, so
+    one that underflows costs at most _TINY/|c|, which its budget carries;
+    where the power, the value or its budget overflows this raises, as
+    it does where ln(G0) leaves the double range."""
+    a, c, rec = pair.a, pair.c, pair.records
+    try:
+        lg, lg_err = _lg_ratio(a - c + 1.0, 1.0 - c)
+    except EvaluationError as exc:
+        return pair.column(rec.psi, rec.psi_err, np.ones(len(pair.xs), bool), lambda x: exc)
+    expo = 1.0 / a
+    pw = np.array([_exp(expo * (lg + l0)) for l0 in pair.logs[0].tolist()])
+    with np.errstate(all="ignore"):
+        q = 1.0 / rec.s
+        eq = q * (rec.s_err / rec.s + EPS)
+        pw_err = (abs(pw * expo) * (rec.psi_err / abs(rec.psi) + lg_err) + 4.0 * EPS * abs(pw)
+                  + (pw < _TINY) * _TINY)
+        val = q - pw / c
+        err = eq + pw_err / abs(c) + 4.0 * EPS * abs(val)
+    return pair.column(val, err, ~np.isfinite(abs(val) + err), lambda x: EvaluationError(
+        f"rhs of I2 beyond the double range at (a={a}, c={c}, x={x})"))
 
 
 # --- auxiliary monotone log-ratios -----------------------------------------
@@ -376,7 +374,22 @@ AUXILIARY = {
 }
 
 
-@lru_cache(maxsize=256)
+def _auxiliary_arrays(pair: PairGrid, which: str) -> tuple:
+    """The values and errors of the auxiliary ``which`` at the pair's x,
+    and the mask of the x where psi or s is not positive (see
+    ``auxiliary_log_ratio``)."""
+    rec = pair.records
+    s, err_s = rec.s, rec.s_err
+    # log psi(a+1,c+1) = l0 + ls, so psi's own error enters with w0 - wp
+    l0, ls = pair.logs
+    w0, wp = AUXILIARY[which].weights(pair.a, pair.c)
+    with np.errstate(all="ignore"):
+        value = (w0 - wp) * l0 - wp * ls
+        err = (abs(w0 - wp) * rec.psi_err / rec.psi + abs(wp) * err_s / s
+               + 2.0 * EPS * (abs(w0 * l0) + abs(wp * l0) + abs(wp * ls) + abs(value)))
+    return value, err, (rec.psi <= 0.0) | (s <= 0.0)
+
+
 def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
     """The log-ratio combinations whose monotonicity drives the I-family:
 
@@ -385,12 +398,10 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
         h = log psi - log psi(a+1,c+1,.)                        increasing
 
     The value is a log, as are the lhs and rhs of I1, I3 and I4, which
-    check f, g and h against their x->0+ limits.
-
-    Cached per (which, a, c, x): the I1, I3 and I4 rows at a pair read
-    each grid x, and the monotonicity rows of the same pair read it again.
-    Both read the pair's x once each, so a small cache holds each value
-    until its second read, and adds little to a run's memory.
+    check f, g and h against their x->0+ limits.  Outside the auxiliary's
+    region this raises :class:`RegionError`, as it does where psi or s is
+    not positive; it is the one-x case of ``PairGrid.auxiliary``, the
+    column that I1, I3 and I4 and the monotonicity suite read at a pair.
     """
     if which not in AUXILIARY:
         raise KeyError(f"unknown auxiliary function {which!r}")
@@ -398,16 +409,8 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
     if not aux.region(a, c):
         raise RegionError(
             f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
-    f0, s, err_s = shift_quotient(ParameterPoint(a, c, x), 1, 1)
-    if f0.value <= 0.0 or s <= 0.0:
-        raise RegionError("psi must be positive for the log-ratios (a > 0)")
-    # log psi(a+1,c+1) = l0 + ls, so psi's own error enters with w0 - wp
-    l0, ls = math.log(f0.value), math.log(s)
-    w0, wp = aux.weights(a, c)
-    value = (w0 - wp) * l0 - wp * ls
-    err = (abs(w0 - wp) * f0.abs_error / f0.value + abs(wp) * err_s / s
-           + 2.0 * EPS * (abs(w0 * l0) + abs(wp * l0) + abs(wp * ls) + abs(value)))
-    return FunctionValue(value, err, f0.method)
+    pair = PairGrid(a, c, (x,))
+    return pair.one(pair.auxiliary(which))
 
 
 # --- the catalog -----------------------------------------------------------
@@ -469,9 +472,8 @@ _RATIO_BOUNDS = (
 
 
 def _ratio(kind: TuranianKind) -> _Side:
-    """The Turanian ratio of ``kind``, looked up per call as in
-    ``PairGrid.ratios``, which reads a pair's once."""
-    return _Side(lambda p: turanian_ratio(kind, p), lambda pair: pair.ratios(kind))
+    """The Turanian ratio of ``kind``, formed once per pair."""
+    return _Side(lambda pair: pair.ratios(kind))
 
 
 def _ratio_bound(id_, target, side, region, region_text, bound_fn, anchor,
@@ -501,7 +503,7 @@ _S_BOUNDS = (
      "checked as -(1/x) psi(a+1,c+1)/psi <= R_c", False),
 )
 CATALOG.update((id_, BoundSpec(id_, "raw_psi_relation", "lower", region, region_text,
-                               _pointwise(_s_lhs(*shift, power)), _ratio(SECOND), anchor,
+                               _Side(_s_lhs(*shift, power)), _ratio(SECOND), anchor,
                                gating))
                for id_, region, region_text, shift, power, anchor, gating in _S_BOUNDS)
 
@@ -521,30 +523,28 @@ _LOG_BOUNDS = (
 def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
     aux = AUXILIARY[which]
 
-    def log_ratio(p: ParameterPoint) -> FunctionValue:
-        return auxiliary_log_ratio(which, p.a, p.c, p.x)
-
-    def limit(a: float, c: float) -> FunctionValue:
-        # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring
+    def limit(pair: PairGrid) -> Column:
+        # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring; it
+        # depends on (a, c) alone, so it is formed once per pair, and where
+        # it raises, it does so at the pair's first x
+        a, c, n = pair.a, pair.c, len(pair.xs)
         w0, wp = aux.weights(a, c)
-        l0, e0 = _lg_ratio(a - c + 1.0, 1.0 - c)
-        l1, e1 = _lg_ratio(a - c + 1.0, -c)
+        try:
+            l0, e0 = _lg_ratio(a - c + 1.0, 1.0 - c)
+            l1, e1 = _lg_ratio(a - c + 1.0, -c)
+        except EvaluationError as exc:
+            return Column([], [], exc)
         value = wp * l1 - w0 * l0
         err = abs(wp) * e1 + abs(w0) * e0 + EPS * (abs(wp * l1) + abs(w0 * l0) + abs(value))
-        return FunctionValue(value, err, "closed_form")
-
-    def limit_column(pair: PairGrid) -> _Column:
-        # the limit depends on (a, c) alone: formed once per pair
-        once, n = _read(lambda _: limit(pair.a, pair.c), pair.xs[:1]), len(pair.xs)
-        return _Column(once.values * n, once.errors * n, once.error)
+        return Column([value] * n, [err] * n, None)
     side = "lower" if aux.sign > 0 else "upper"
-    closed, aux_side = _Side(lambda p: limit(p.a, p.c), limit_column), _pointwise(log_ratio)
+    closed, aux_side = _Side(limit, "closed_form"), _Side(lambda pair: pair.auxiliary(which))
     lhs, rhs = (closed, aux_side) if side == "lower" else (aux_side, closed)
     return BoundSpec(id_, "raw_psi_relation", side, region, region_text, lhs, rhs, anchor)
 
 
 _I2 = BoundSpec("I2", "raw_psi_relation", "lower", lambda a, c: a > 0.0 > c, "a>0>c, x>0",
-                _exact("I2", lambda a, c, x: 2.0), _pointwise(_i2_rhs),
+                _exact("I2", lambda a, c, x: 2.0), _Side(_i2_rhs),
                 "psi ratio minus (1/c)-scaled power exceeds 2")
 CATALOG.update((spec.id, spec) for spec in sorted(     # in order I1, I2, I3, I4
     (_I2, *(_log_bound(*row) for row in _LOG_BOUNDS)), key=lambda spec: spec.id))
@@ -612,7 +612,8 @@ def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"point (a={p.a}, c={p.c}) outside region of {bound_id} "
             f"({spec.region_text})")
-    lhs, rhs = spec.lhs(p), spec.rhs(p)
+    pair = PairGrid(p.a, p.c, (p.x,))
+    lhs, rhs = spec.lhs.at(pair), spec.rhs.at(pair)
     (margin,), (budget,), (code,) = _verdicts((lhs.value,), (lhs.abs_error,),
                                               (rhs.value,), (rhs.abs_error,))
     return VerificationRecord(bound_id, p, lhs, rhs, margin, budget, _STATUSES[code],
@@ -693,8 +694,8 @@ def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
             f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
-    claimed = CATALOG[spec.claimed]
-    fv_c, fv_o = claimed.closed_form(p), CATALOG[spec.other].closed_form(p)
+    claimed, pair = CATALOG[spec.claimed], PairGrid(p.a, p.c, (p.x,))
+    fv_c, fv_o = claimed.closed_side.at(pair), CATALOG[spec.other].closed_side.at(pair)
     (margin,), (budget,), (code,) = _dominance_verdicts(
         claimed.side == "lower", (fv_c.value,), (fv_c.abs_error,),
         (fv_o.value,), (fv_o.abs_error,))

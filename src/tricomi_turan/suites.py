@@ -23,8 +23,10 @@ holds its one anchor once, and each row is built as it is read.  A
 failing run raises the error of its first failing pair in run order,
 the first failing task there in task order, and evaluates no later
 pair; within a claim at a pair, the first failing x raises, and at one
-x its lhs fails before its rhs.  Claims whose failures are advisory (the catalog's non-gating
-bounds) never gate a run; their failures are counted apart.
+x its lhs fails before its rhs, but for a stieltjes row, whose phi side
+(its rhs) fails before the ratio.  Claims whose failures are advisory
+(the catalog's non-gating bounds) never gate a run; their failures are
+counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
@@ -39,14 +41,20 @@ rate bound there, as an inequality row.  A record holds the test of
 whether a claim holds at a pair (a dominance claim where both of its
 bounds hold; its threshold in x is tested per row); the points of its
 rows at a pair; and the evaluator of a claim's rows at a pair, which
-returns them as columns.  The catalog and dominance claims take theirs
-from ``bounds.bound_columns`` and ``bounds.dominance_columns``, which
-read each Turanian kind's ratios once per pair and apply the verdict
-rules of ``check_bound`` and ``check_dominance`` to whole columns; a
-monotonicity claim reads ``auxiliary_log_ratio`` once per x; the other
-suites state one row per point, by the per-point function of the claim
-(``measure.stieltjes``, the other measure and Turanian functions),
-behind one adapter, ``_per_point``.  No suite takes a tolerance.
+returns them as columns.  The stieltjes, bounds, dominance and
+monotonicity suites share one pair context, a ``bounds.PairGrid`` over
+the grid's x, which a block builds once: it reads each record of the
+pair once per x and forms each Turanian kind's ratio column and each
+auxiliary log-ratio column once, for every claim of these suites that
+reads it.  The catalog and dominance claims take their rows from
+``bounds.bound_columns`` and ``bounds.dominance_columns``, which apply
+the verdict rules of ``check_bound`` and ``check_dominance`` to whole
+columns; a monotonicity claim takes its auxiliary's column in
+increasing x; a stieltjes row holds the phi side of its x, by
+``measure.stieltjes``, against the ratio column there.  The other suites
+state one row per point, by the per-point function of the claim (the
+other measure and Turanian functions), behind one adapter,
+``_per_point``.  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -78,7 +86,7 @@ from . import bounds as bounds_mod
 from . import measure as measure_mod
 from .kernel import (EPS, INTEGER_C_GUARD, FunctionValue, ParameterPoint, psi,
                      psi_connection)
-from .turanians import TuranianKind, sharpness_scan, turanian_ratio
+from .turanians import TuranianKind, sharpness_scan
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_GRID_C = (-4.5, -2.5, -1.5, -0.5, 0.25, 0.75)
@@ -140,6 +148,8 @@ class Suite:
     evaluate: Callable[..., tuple]     # see the column evaluators below
     anchor: Callable[[object], str]    # a claim's anchor text, from its argument
     pairs: Callable[[object], tuple] | None = None  # a claim's own; None: the grid's
+    # why a claim that holds at some pair may still have no row there
+    no_rows: str = "no grid x gives it a row"
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +239,19 @@ def _row_moment(claim, arg, a, c, x):
     return _agreement(x, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))
 
 
-def _row_stieltjes(claim, arg, a, c, p):
+def _stieltjes_columns(claim, arg, a, c, pair):
+    # the pair's ratios, held against the phi side at each x, which fails
+    # before the ratio there
     kind, _ = arg
-    rep = measure_mod.stieltjes(kind, measure_mod.WeightDensity(a, c), p.x)
-    direct = turanian_ratio(kind, p)
-    return _agreement(p.x, direct.value, rep.value, rep.abs_error + direct.abs_error)
+    d, ratios = measure_mod.WeightDensity(a, c), pair.ratios(kind)
+
+    def row(claim, arg, a, c, i):
+        x = pair.xs[i]
+        rep = measure_mod.stieltjes(kind, d, x)
+        if i == len(ratios.values):
+            raise ratios.error
+        return _agreement(x, ratios.values[i], rep.value, rep.abs_error + ratios.errors[i])
+    return _per_point(row)(claim, arg, a, c, range(len(pair.xs)))
 
 
 def _row_sharpness(claim, lim, a, c, _):
@@ -253,17 +271,21 @@ def _dominance_columns(claim, spec, a, c, pair):
     return bounds_mod.dominance_columns(spec, pair)
 
 
-def _monotonicity_columns(claim, arg, a, c, xs):
-    # the auxiliary at each x once, in increasing x; a row is the step
-    # from one x to the next
+def _monotonicity_columns(claim, arg, a, c, pair):
+    # the pair's auxiliary column in increasing x; a row is the step from
+    # one x to the next, so one x makes none
     which, _ = arg
+    if len(pair.xs) < 2:
+        return [], [], [], [], [], []
+    order = sorted(range(len(pair.xs)), key=pair.xs.__getitem__)
+    values, errors, error = pair.auxiliary(which, order)
+    if error is not None:
+        raise error
     sign = bounds_mod.AUXILIARY[which].sign
-    fvs = [bounds_mod.auxiliary_log_ratio(which, a, c, x) for x in xs]
-    steps = list(zip(fvs, fvs[1:]))
-    margins = [sign * (hi.value - lo.value) for lo, hi in steps]
-    budgets = [lo.abs_error + hi.abs_error for lo, hi in steps]
-    return (xs[1:], [lo.value for lo, _ in steps], [hi.value for _, hi in steps],
-            margins, budgets, bounds_mod._status_codes(margins, budgets))
+    margins = [sign * (hi - lo) for lo, hi in zip(values, values[1:])]
+    budgets = [lo + hi for lo, hi in zip(errors, errors[1:])]
+    return ([pair.xs[i] for i in order[1:]], values[:-1], values[1:], margins, budgets,
+            bounds_mod._status_codes(margins, budgets))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +295,6 @@ def _monotonicity_columns(claim, arg, a, c, xs):
 
 def _pair_grid(cfg, a, c):
     return bounds_mod.PairGrid(a, c, cfg.grid_x)
-
-
-def _grid_points(cfg, a, c):
-    return [ParameterPoint(a, c, x) for x in cfg.grid_x]
 
 
 def _grid_xs(cfg, a, c):
@@ -289,11 +307,6 @@ def _ode_xs(cfg, a, c):
 
 def _crosscheck_points(cfg, a, c):
     return [ParameterPoint(a, c, x) for x in CROSSCHECK_X]
-
-
-def _sorted_xs(cfg, a, c):
-    # a monotonicity row is a step between two x, so one x makes none
-    return sorted(cfg.grid_x) if len(cfg.grid_x) > 1 else []
 
 
 def _no_x(cfg, a, c):
@@ -318,7 +331,8 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
           lambda _, a, c: a > 0.0 and _off_integer(c), _crosscheck_points,
           _per_point(_row_crosscheck), _OWN),
     Suite("ode_residual", {"kummer-ode": "Kummer ODE residual under central differences"},
-          lambda _, a, c: a > 0.0, _ode_xs, _per_point(_row_ode), _OWN),
+          lambda _, a, c: a > 0.0, _ode_xs, _per_point(_row_ode), _OWN,
+          no_rows=f"no grid x is at least {ODE_MIN_X}"),
     Suite("derivative", {"dpsi-dx": "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)"},
           lambda _, a, c: a > 0.0, _grid_xs, _per_point(_row_derivative), _OWN),
     Suite("moments", {f"moment[{power}]": (ident, f"moment power {power} equals its "
@@ -331,11 +345,12 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
         "first-shift": (_FIRST, "first-shift ratio equals "
                                 "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
           lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
-          _grid_points, _per_point(_row_stieltjes), _SECOND),
+          _pair_grid, _stieltjes_columns, _SECOND),
     Suite("bounds", bounds_mod.CATALOG,
           lambda spec, a, c: spec.region(a, c), _pair_grid, _bound_columns, _SPEC),
     Suite("dominance", bounds_mod.DOMINANCE, lambda spec, a, c: spec.region(a, c),
-          _pair_grid, _dominance_columns, _SPEC),
+          _pair_grid, _dominance_columns, _SPEC,
+          no_rows="no grid x in its region meets its threshold"),
     # each limit is scanned at its curated pairs, not at the grid's
     Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
           _per_point(_row_sharpness), _SPEC, pairs=lambda lim: lim.pairs),
@@ -344,7 +359,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
                              f"{'increasing' if aux.sign > 0 else 'decreasing'}")
         for w, aux in bounds_mod.AUXILIARY.items()},
           lambda arg, a, c: bounds_mod.AUXILIARY[arg[0]].region(a, c),
-          _sorted_xs, _monotonicity_columns, _SECOND),
+          _pair_grid, _monotonicity_columns, _SECOND, no_rows="a single grid x makes no step"),
 )}
 
 SUITES = tuple(REGISTRY)
@@ -475,14 +490,17 @@ def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
             units.setdefault(pair, set()).add(s.name)
 
     held = {(s.name, claim): _empty_columns() for s in selected for claim in s.claims}
+    holds = set()    # the claims that hold at some pair
     for (a, c), names in units.items():
         block = _pair_block(cfg, a, c, sorted(names, key=_SUITE_RANK.__getitem__))
+        holds.update(block)
         for key, (xs, *cols) in block.items():
             n = len(xs)
             for col, more in zip(held[key], ([a] * n, [c] * n, xs, *cols)):
                 col.fromlist(more)
 
-    empty = [f"{name}/{claim}: no grid point lies in its region"
+    empty = [f"{name}/{claim}: " + (REGISTRY[name].no_rows if (name, claim) in holds
+                                    else "no grid point lies in its region")
              for (name, claim), cols in held.items() if not cols[0]]
     claims: list = []
     counts: dict = {}

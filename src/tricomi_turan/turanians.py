@@ -21,11 +21,17 @@ solution of the recurrence (Gil, Segura & Temme, *Numerical Methods for
 Special Functions*, SIAM 2007, ch. 4); and no psi is evaluated below the
 point, so a-1 <= 0 and its integer-c hole never enter.
 
-psi, r and s come from one cached record per (a, c, x),
-``kernel.psi_quotients``, from which ``shift_quotient`` serves the six
-shifts to the ratios and the bounds' S- and I-family: one trapezoid
-pass for a > 0, and psi at (a,c), (a+1,c) and (a+1,c+1) for a <= 0, so
-psi(a,c+1) is never read.  The derived values are never psi results and
+psi, r and s come from one record per (a, c, x), ``kernel.psi_quotients``:
+one trapezoid pass for a > 0, and psi at (a,c), (a+1,c) and (a+1,c+1) for
+a <= 0, so psi(a,c+1) is never read.  A :class:`PairRecords` reads the
+records of one (a, c) pair once per x into numpy arrays and forms from
+them, as columns over the pair's x, the six shifted quotients and each
+kind's ratio, once per kind: the shifted values of the ratios and of the
+bounds' S- and I-family.  A column applies the per-point arithmetic to
+whole arrays, the same operations in the same order, so each element is
+bit for bit the value at its x; ``shift_quotient`` and ``turanian_ratio``
+are the one-x case, and ``sharpness_scan`` reads the ratios of a context
+over its own sequence.  The derived values are never psi results and
 never enter psi's cache.
 
 The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
@@ -43,8 +49,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
                      ParameterPoint, RegionError, psi, psi_quotients)
@@ -68,7 +76,8 @@ _SHIFTS = {BOTH: (1, 1), FIRST: (1, 0), SECOND: (0, 1)}
 
 
 def _one_plus_a_s(a: float, c: float, x: float, r, s) -> tuple[float, float]:
-    """psi(a,c+1,x)/psi = 1 + a s (DLMF 13.3.9) and its error."""
+    """psi(a,c+1,x)/psi = 1 + a s (DLMF 13.3.9) and its error, at one x or,
+    on arrays, at each."""
     s, err_s = s
     t = 1.0 + a * s
     return t, abs(a) * err_s + EPS * (abs(a * s) + abs(t))
@@ -85,17 +94,146 @@ _QUOTIENTS = {
 }
 
 
+class Column(NamedTuple):
+    """One quantity at the x of a pair, in order: its values and errors up
+    to the first x where it raises, and that error (None if none)."""
+
+    values: list
+    errors: list
+    error: Exception | None
+
+
+class _Records(NamedTuple):
+    """The records of a pair's x: psi (as its FunctionValue, and its value
+    and error), r and s with their errors, nan where the record raises, and
+    that error at each x (else None), also as a mask."""
+
+    f0: list
+    psi: np.ndarray
+    psi_err: np.ndarray
+    r: np.ndarray
+    r_err: np.ndarray
+    s: np.ndarray
+    s_err: np.ndarray
+    failures: list
+    failed: np.ndarray
+
+
+_NO_RECORD = (math.nan,) * 6
+
+
+class PairRecords:
+    """The x of one (a, c) pair, in order, with the record of psi and its
+    quotients at each, read once per x when first needed (at every x, so
+    that a column taken in another order meets its first error there too),
+    and the quotients and each kind's ratios as columns, each formed once
+    per pair.  Column arithmetic runs under ``np.errstate``: like Python
+    floats it turns to inf or nan beyond the double range, without a
+    warning; the checks that follow it raise."""
+
+    def __init__(self, a: float, c: float, xs):
+        self.a, self.c, self.xs = a, c, list(xs)
+        self._quotients: dict = {}
+        self._ratios: dict = {}
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return np.array(self.xs, dtype=float)
+
+    @cached_property
+    def records(self) -> _Records:
+        f0s, rows, failures = [], [], []
+        for x in self.xs:
+            try:
+                f0, r, s = psi_quotients(ParameterPoint(self.a, self.c, x))
+            except Exception as exc:
+                # kept for a column to raise at its x, after the errors of
+                # earlier x: a pair raises its first failing task
+                f0, row, failure = None, _NO_RECORD, exc
+            else:
+                row, failure = (f0.value, f0.abs_error, *r, *s), None
+            f0s.append(f0)
+            rows.append(row)
+            failures.append(failure)
+        arrays = np.array(rows, dtype=float).reshape(-1, 6).T
+        return _Records(f0s, *arrays, failures,
+                        np.array([e is not None for e in failures], dtype=bool))
+
+    def column(self, values, errors, bad=None, fail=None, order=None) -> Column:
+        """The arrays values and errors at the pair's x, taken at the x of
+        ``order`` (indices; all, in order, if None) up to the first whose
+        record raised or where the mask ``bad`` holds, with the record's
+        error there, else ``fail(x)``."""
+        rec = self.records
+        failed = rec.failed if bad is None else rec.failed | bad
+        if order is not None:
+            values, errors, failed = values[order], errors[order], failed[order]
+        stops = failed.nonzero()[0]
+        if not stops.size:
+            return Column(values.tolist(), errors.tolist(), None)
+        k = int(stops[0])
+        i = k if order is None else order[k]
+        return Column(values[:k].tolist(), errors[:k].tolist(),
+                      rec.failures[i] or fail(self.xs[i]))
+
+    def one(self, column: Column, method: str | None = None) -> FunctionValue:
+        """A column of the pair's one x as a FunctionValue, of ``method``
+        or else psi's there; raises the column's error."""
+        if column.error is not None:
+            raise column.error
+        (value,), (err,) = column.values, column.errors
+        return FunctionValue(value, err, method or self.records.f0[0].method)
+
+    def quotient(self, da: int, dc: int) -> tuple[np.ndarray, np.ndarray]:
+        """psi(a+da, c+dc, x)/psi(a,c,x) and its error at each x, from r
+        and s at the six shifts of ``_QUOTIENTS``, nan where the record
+        raises, formed once per shift.  Raises ValueError at any other
+        shift."""
+        form = _QUOTIENTS.get((da, dc))
+        if form is None:
+            raise ValueError(f"no quotient at the shift (da={da}, dc={dc})")
+        if (da, dc) not in self._quotients:
+            rec = self.records
+            with np.errstate(all="ignore"):
+                self._quotients[da, dc] = form(self.a, self.c, self.x, (rec.r, rec.r_err),
+                                               (rec.s, rec.s_err))
+        return self._quotients[da, dc]
+
+    def ratios(self, kind: TuranianKind) -> Column:
+        """The ratio of ``kind`` at the pair's x, formed once per kind."""
+        if kind not in self._ratios:
+            self._ratios[kind] = self._ratio_column(kind)
+        return self._ratios[kind]
+
+    def _ratio_column(self, kind: TuranianKind) -> Column:
+        """R = 1 - q_- q_+, q_+- = psi(a+-da, c+-dc, x)/psi(a,c,x), with q_-
+        from DLMF 13.3.7 and 13.3.9 (see the module docstring).  The budget
+        is first order in the quotients' errors, |q_+| err(q_-) + |q_-|
+        err(q_+), plus 3 EPS |q_- q_+| of rounding on the product and EPS |R|
+        on the difference: psi is never squared.  Where the budget is not
+        finite, the ratio raises."""
+        da, dc = kind.shifts
+        qm, err_m = self.quotient(-da, -dc)
+        qp, err_p = self.quotient(da, dc)
+        with np.errstate(all="ignore"):
+            product = qm * qp
+            value = 1.0 - product
+            err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(product)
+                   + EPS * abs(value))
+        return self.column(value, err, ~np.isfinite(err), lambda x: EvaluationError(
+            f"Turanian ratio beyond the double range at (a={self.a}, c={self.c}, x={x})"))
+
+
 def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
     """(psi(a,c,x), q, err(q)), q = psi(a+da, c+dc, x)/psi(a,c,x), from the
     record ``kernel.psi_quotients(p)`` alone at the six shifts: r at (1, 0),
     s at (1, 1), 1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and
-    (0, -1), as the module docstring lists them.  Raises ValueError at any
-    other shift, and where the record raises."""
-    quotient = _QUOTIENTS.get((da, dc))
-    if quotient is None:
-        raise ValueError(f"no quotient at the shift (da={da}, dc={dc})")
-    f0, r, s = psi_quotients(p)
-    return (f0, *quotient(p.a, p.c, p.x, r, s))
+    (0, -1), as the module docstring lists them; the one-x case of
+    ``PairRecords.quotient``.  Raises ValueError at any other shift, and
+    where the record raises."""
+    pair = PairRecords(p.a, p.c, (p.x,))
+    q = pair.one(pair.column(*pair.quotient(da, dc)))
+    return pair.records.f0[0], q.value, q.abs_error
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
@@ -127,7 +265,7 @@ def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
     """A u - B v, with A and B of psi(a-da, c-dc, x) = A psi(a,c,x) - B
     psi(a+1,c,x), and its error: |A| err(u) + |B| err(v) plus EPS per
     rounding of A, B, the products and the difference, each taken at the
-    magnitudes of its terms."""
+    magnitudes of its terms; on arrays of x, u and v, at each."""
     if kind is TuranianKind.SECOND_SHIFT:       # DLMF 13.3.9
         lead, coef, lead_size, coef_size = 1.0, a, 0.0, abs(a)
     else:
@@ -143,31 +281,13 @@ def _lower(kind: TuranianKind, a: float, c: float, x: float, u: float,
                             + abs(value)))
 
 
-@lru_cache(maxsize=4096)
 def turanian_ratio(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:
-    """Turanian normalized by psi^2 as R = 1 - q_- q_+, q_+- = psi(a+-da,
-    c+-dc, x)/psi(a,c,x), with q_- from DLMF 13.3.7 and 13.3.9 (see the
-    module docstring).  The budget is first order in the quotients' errors,
-    |q_+| err(q_-) + |q_-| err(q_+), plus 3 EPS |q_- q_+| of rounding on
-    the product and EPS |R| on the difference: psi is never squared.
-
-    Cached per (kind, a, c, x), on top of the record per (a, c, x), since
-    one ratio is checked by up to seven catalog bounds at a point (T1L,
-    T1U, T2L, P1L, P1U and P4U or P4U_probe the both-shift ratio; T6L,
-    T6U, P3L, P3U, S1, S2 and S2H the second-shift one), and the stieltjes
-    suite and the sharpness scans read it too: the last 4,096, where a
-    ratio is read again at most 35 ratios later.  A point that raises
-    raises again on the next call."""
-    da, dc = kind.shifts
-    f0, qm, err_m = shift_quotient(p, -da, -dc)
-    _, qp, err_p = shift_quotient(p, da, dc)
-    value = 1.0 - qm * qp
-    err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(qm * qp)
-           + EPS * abs(value))
-    if not math.isfinite(err):
-        raise EvaluationError(f"Turanian ratio beyond the double range at "
-                              f"(a={p.a}, c={p.c}, x={p.x})")
-    return FunctionValue(value, err, f0.method)
+    """Turanian normalized by psi^2 as R = 1 - q_- q_+ at p, with the method
+    of psi there: the one-x case of ``PairRecords.ratios``, whose docstring
+    states the budget.  Where the record or the budget leaves the double
+    range, this raises, on every call."""
+    pair = PairRecords(p.a, p.c, (p.x,))
+    return pair.one(pair.ratios(kind))
 
 
 # scan sequences: toward 0 and toward infinity
@@ -223,14 +343,17 @@ def sharpness_scan(limit: SharpnessLimit, a: float, c: float) -> tuple[ScanPoint
     if not limit.region(a, c):
         raise RegionError(f"{limit.name} is not stated at (a={a}, c={c})")
     value = limit.value(a, c)
+    ratios = PairRecords(a, c, limit.xs).ratios(limit.kind)
     points = []
-    for x in limit.xs:
-        r = turanian_ratio(limit.kind, ParameterPoint(a, c, x))
+    for i, x in enumerate(limit.xs):
+        if i == len(ratios.values):
+            raise ratios.error
+        r, r_err = ratios.values[i], ratios.errors[i]
         scale = x * x if limit.x2_scaled else 1.0
-        rate, dev = limit.rate(a, c, x), abs(scale * r.value - value)
-        budget = scale * r.abs_error + EPS * (14.0 * abs(value) + 5.0 * rate + 3.0 * dev)
+        rate, dev = limit.rate(a, c, x), abs(scale * r - value)
+        budget = scale * r_err + EPS * (14.0 * abs(value) + 5.0 * rate + 3.0 * dev)
         if not math.isfinite(dev + rate + budget):
             raise EvaluationError(f"{limit.name} has no finite deviation, rate and "
                                   f"budget at (a={a}, c={c}, x={x})")
-        points.append(ScanPoint(x, scale * r.value, dev, rate, budget))
+        points.append(ScanPoint(x, scale * r, dev, rate, budget))
     return tuple(points)

@@ -3,17 +3,18 @@
 import math
 import pickle
 import random
+from collections import Counter
 
 import mpmath
 import pytest
 
-from tricomi_turan import bounds, kernel, turanians
+from tricomi_turan import bounds, kernel, suites, turanians
 from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
                                   VerificationRecord, auxiliary_log_ratio,
                                   catalog_document,
                                   check_bound, check_dominance,
                                   dominance_applicable)
-from tricomi_turan.kernel import (EvaluationError, FunctionValue,
+from tricomi_turan.kernel import (EPS, EvaluationError, FunctionValue,
                                   ParameterPoint, RegionError, psi)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
 
@@ -148,8 +149,7 @@ class TestCheckBound:
         seen = []
         for module in (kernel, turanians):
             monkeypatch.setattr(module, "psi", lambda q: seen.append(q) or psi(q))
-        for cached in (kernel.psi_quotients, turanian_ratio, auxiliary_log_ratio):
-            cached.cache_clear()
+        kernel.psi_quotients.cache_clear()
         p = ParameterPoint(a, c, x)
         checked = [bid for bid, spec in CATALOG.items() if spec.region(a, c)]
         for bid in checked:
@@ -382,11 +382,10 @@ class TestAuxiliaryLogRatios:
         assert abs(fv.value) < 5e-3
 
     def test_cached_value_equals_a_fresh_computation(self):
-        auxiliary_log_ratio.cache_clear()
+        # from a fresh record, then from the record psi_quotients keeps
+        kernel.psi_quotients.cache_clear()
         first = auxiliary_log_ratio("g", 2.0, -2.5, 1.5)
-        assert auxiliary_log_ratio("g", 2.0, -2.5, 1.5) is first
-        assert auxiliary_log_ratio.cache_info().hits == 1
-        assert auxiliary_log_ratio.__wrapped__("g", 2.0, -2.5, 1.5) == first
+        assert auxiliary_log_ratio("g", 2.0, -2.5, 1.5) == first
 
     def test_regions(self):
         with pytest.raises(RegionError):
@@ -499,3 +498,144 @@ class TestTotality:
                     bad.append((name, a, c, x, repr(exc)))
         assert checked > 20000
         assert bad == []
+
+
+def _stratified(rng, lo, hi, n, accept=None):
+    """n values uniform in [lo, hi], one in each of n equal strata (as the
+    dense-bounds benchmark draws its grid)."""
+    width, out = (hi - lo) / n, []
+    for i in range(n):
+        while True:
+            v = lo + (i + rng.random()) * width
+            if accept is None or accept(v):
+                break
+        out.append(v)
+    return tuple(out)
+
+
+def _dense_grid(seed):
+    """The dense-bounds benchmark's grid at ``seed``: 10 a in [0.1, 6], 10 c
+    in [-5, 0.95] at least 1e-3 off the integers, 12 x log-uniform in
+    [0.01, 200]."""
+    rng = random.Random(f"dense-bounds:{seed}")
+    grid_a = _stratified(rng, 0.1, 6.0, 10)
+    grid_c = _stratified(rng, -5.0, 0.95, 10, lambda v: abs(v - round(v)) >= 1e-3)
+    grid_x = tuple(math.exp(w) for w in _stratified(rng, math.log(0.01), math.log(200.0), 12))
+    return grid_a, grid_c, grid_x
+
+
+_KINDS = {kind.name: kind for kind in TuranianKind}
+
+
+def _columns(pair):
+    """Each quantity of the pair context whose region holds at the pair:
+    name -> its column."""
+    a, c = pair.a, pair.c
+    out = {name: pair.ratios(kind) for name, kind in _KINDS.items()}
+    out.update((bid, CATALOG[bid].lhs.column(pair)) for bid in ("S1", "S2", "S2H")
+               if CATALOG[bid].region(a, c))
+    if CATALOG["I2"].region(a, c):
+        out["I2"] = CATALOG["I2"].rhs.column(pair)
+    out.update((w, pair.auxiliary(w)) for w, aux in AUXILIARY.items() if aux.region(a, c))
+    return out
+
+
+def _reference(name, p):
+    """The quantity ``name`` at p by the per-point arithmetic on Python
+    floats, from the record psi_quotients(p): (value, error)."""
+    a, c, x = p
+    f0, (r, er), (s, es) = kernel.psi_quotients(p)
+    if name in _KINDS:
+        kind = _KINDS[name]
+        da, dc = kind.shifts
+        qm, em = turanians._lower(kind, a, c, x, 1.0, 0.0, r, er)
+        qp, ep = {(1, 0): (r, er), (1, 1): (s, es)}.get(
+            (da, dc)) or turanians._one_plus_a_s(a, c, x, (r, er), (s, es))
+        value = 1.0 - qm * qp
+        return value, (abs(qp) * em + abs(qm) * ep + 3.0 * EPS * abs(qm * qp)
+                       + EPS * abs(value))
+    if name in ("S1", "S2", "S2H"):
+        q, eq = turanians._lower(turanians.SECOND, a, c, x, 1.0, 0.0, r, er) \
+            if name == "S1" else (s, es)
+        f, ef = (f0.value, f0.abs_error) if name == "S2" else (1.0, 0.0)
+        value = -f * q / x
+        return value, ((abs(f) * eq + abs(q) * ef) / x + 2.0 * EPS * abs(value)
+                       + (bounds._TINY if abs(value) < bounds._TINY else 0.0))
+    if name == "I2":
+        q = 1.0 / s
+        eq = q * (es / s + EPS)
+        lg, lg_err = bounds._lg_ratio(a - c + 1.0, 1.0 - c)
+        expo = 1.0 / a
+        try:
+            pw = math.exp(expo * (lg + math.log(f0.value)))
+        except OverflowError:
+            pw = math.inf
+        pw_err = (abs(pw * expo) * (f0.abs_error / abs(f0.value) + lg_err)
+                  + 4.0 * EPS * abs(pw) + (bounds._TINY if pw < bounds._TINY else 0.0))
+        value = q - pw / c
+        return value, eq + pw_err / abs(c) + 4.0 * EPS * abs(value)
+    l0, ls = math.log(f0.value), math.log(s)
+    w0, wp = AUXILIARY[name].weights(a, c)
+    value = (w0 - wp) * l0 - wp * ls
+    return value, (abs(w0 - wp) * f0.abs_error / f0.value + abs(wp) * es / s
+                   + 2.0 * EPS * (abs(w0 * l0) + abs(wp * l0) + abs(wp * ls) + abs(value)))
+
+
+class TestPairGrid:
+    @pytest.mark.parametrize("grid", ["default"] + [f"dense-{seed}" for seed in range(1, 5)])
+    def test_columns_equal_the_one_x_case_bit_for_bit(self, grid):
+        # the three ratio kinds, S1, S2, S2H, I2's rhs and f, g and h at
+        # every x of every pair of the grid: each element of a pair's
+        # column has the value, error and method of the one-x case, which
+        # has those of the per-point arithmetic on Python floats
+        if grid == "default":
+            grid_a, grid_c, grid_x = (suites.DEFAULT_GRID_A, suites.DEFAULT_GRID_C,
+                                      suites.DEFAULT_GRID_X)
+        else:
+            grid_a, grid_c, grid_x = _dense_grid(int(grid.split("-")[1]))
+        checked = Counter()
+        for a in grid_a:
+            for c in grid_c:
+                pair = bounds.PairGrid(a, c, grid_x)
+                columns = _columns(pair)
+                for i, x in enumerate(grid_x):
+                    one = bounds.PairGrid(a, c, (x,))
+                    method = pair.records.f0[i].method
+                    for name, got in _columns(one).items():
+                        column = columns[name]
+                        assert column.error is None and got.error is None, (name, a, c, x)
+                        fv = one.one(got)
+                        assert (column.values[i].hex(), column.errors[i].hex(), method) == (
+                            fv.value.hex(), fv.abs_error.hex(), fv.method), (name, a, c, x)
+                        assert (fv.value.hex(), fv.abs_error.hex()) == tuple(
+                            v.hex() for v in _reference(name, ParameterPoint(a, c, x))), (
+                            name, a, c, x)
+                        checked[name] += 1
+        points = len(grid_a) * len(grid_c) * len(grid_x)
+        assert set(checked) == {*_KINDS, "S1", "S2", "S2H", "I2", *AUXILIARY}
+        assert checked["S1"] == checked["h"] == points
+
+    def test_a_record_raising_at_an_interior_x_stops_each_column_there(self):
+        # psi(100, -0.5, 1e4) underflows, psi(100, -0.5, x) at x = 1 and 10
+        # does not: every column holds the value at x = 1 and then raises
+        # the record's error, and taken in increasing x an auxiliary holds
+        # the values at x = 1 and 10
+        xs = (1.0, 1e4, 10.0)
+        pair = bounds.PairGrid(100.0, -0.5, xs)
+        with pytest.raises(EvaluationError, match="underflows") as raised:
+            kernel.psi_quotients(ParameterPoint(100.0, -0.5, 1e4))
+        columns = _columns(pair)
+        assert set(columns) == {*_KINDS, "S1", "S2", "S2H", "I2", "f", "h"}
+        for name, column in columns.items():
+            assert type(column.error) is EvaluationError, name
+            assert str(column.error) == str(raised.value), name
+            first = _reference(name, ParameterPoint(100.0, -0.5, 1.0))
+            assert (column.values, column.errors) == ([first[0]], [first[1]]), name
+        for which in ("f", "h"):
+            by_x = pair.auxiliary(which, [0, 2, 1])
+            assert str(by_x.error) == str(raised.value)
+            refs = [_reference(which, ParameterPoint(100.0, -0.5, x)) for x in (1.0, 10.0)]
+            assert (by_x.values, by_x.errors) == ([v for v, _ in refs], [e for _, e in refs])
+        for name, kind in _KINDS.items():
+            with pytest.raises(EvaluationError, match="underflows"):
+                turanian_ratio(kind, ParameterPoint(100.0, -0.5, 1e4))

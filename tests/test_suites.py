@@ -313,21 +313,21 @@ def test_dense_suites_rows_off_the_default_grid_are_pinned():
 
 
 @pytest.mark.parametrize("grid_x,message", [
-    # T1L's rhs (the ratio) fails at its first x
-    ((1.0, 1e-200), "ratio at x=1.0"),
+    # T1L's rhs (the ratio) fails at its first x, where its record raises
+    ((1.0, 1e-200), "record at x=1.0"),
     # T1L's lhs (x^2 underflows in its closed form) fails at its first x,
     # before the ratio fails at the second
     ((1e-200, 1.0), "closed form of T1L is not a finite double "
                     "at (a=0.5, c=0.5, x=1e-200)")], ids=["rhs-first", "lhs-first"])
 def test_a_pair_raises_its_first_failing_task_in_x_order(monkeypatch, grid_x, message):
-    ratio = turanians.turanian_ratio
+    records = kernel.psi_quotients
 
-    def failing(kind, p):
+    def failing(p):
         if p.x == 1.0:
-            raise EvaluationError("ratio at x=1.0")
-        return ratio(kind, p)
+            raise EvaluationError("record at x=1.0")
+        return records(p)
 
-    monkeypatch.setattr(bounds, "turanian_ratio", failing)
+    monkeypatch.setattr(turanians, "psi_quotients", failing)
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
         suites.run(RunConfig(suites=("bounds",), grid_a=(0.5,), grid_c=(0.5,),
                              grid_x=grid_x))
@@ -395,32 +395,45 @@ def test_default_run_verdicts_are_the_recorded_ones(default_run):
     assert summary.empty_regions == []
 
 
-def test_bounds_suite_computes_each_ratio_once():
+def test_bounds_suite_computes_each_ratio_once(monkeypatch):
     # up to seven catalog bounds read one Turanian ratio at a point (the
-    # S-family the second-shift one); from cold caches each (kind, point)
-    # the catalog needs is computed once, and read once: every check of
-    # that kind at the pair takes it from the pair's column
-    turanians.turanian_ratio.cache_clear()
-    kernel._psi_cached.cache_clear()
-    _, rows = suites.run(RunConfig(suites=("bounds",), **SMALL_GRID))
+    # S-family the second-shift one), and the stieltjes suite reads two
+    # kinds again: the suites that share a pair's context read each record
+    # once per (pair, x), and form each kind's ratio column once per pair
+    reads, formed = Counter(), Counter()
+    records, form = turanians.psi_quotients, turanians.PairRecords._ratio_column
+
+    def read(p):
+        reads[p] += 1
+        return records(p)
+
+    def counted(pair, kind):
+        formed[kind, pair.a, pair.c] += 1
+        return form(pair, kind)
+
+    monkeypatch.setattr(turanians, "psi_quotients", read)
+    monkeypatch.setattr(turanians.PairRecords, "_ratio_column", counted)
+    shared = ("stieltjes", "bounds", "dominance", "monotonicity")
+    _, rows = suites.run(RunConfig(suites=shared, **SMALL_GRID))
     kinds = {f"ratio_{kind.value}": kind for kind in turanians.TuranianKind}
-    reads = {spec.id: kinds[spec.target] for spec in bounds.CATALOG.values()
+    needs = {spec.id: kinds[spec.target] for spec in bounds.CATALOG.values()
              if spec.target in kinds}
-    reads.update(dict.fromkeys(("S1", "S2", "S2H"), turanians.TuranianKind.SECOND_SHIFT))
-    needed = {(kind, a, c, x) for bid, kind in reads.items()
-              for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
-              if bounds.CATALOG[bid].region(a, c) for x in SMALL_GRID["grid_x"]}
-    checks = sum(r.claim in reads for r in rows)
-    info = turanians.turanian_ratio.cache_info()
-    assert info.misses == len(needed)
-    assert info.hits == 0 and checks > len(needed)
+    needs.update(dict.fromkeys(("S1", "S2", "S2H"), turanians.TuranianKind.SECOND_SHIFT))
+    needs.update((claim, kind) for claim, (kind, _) in suites.REGISTRY["stieltjes"].claims.items())
+    needed = {(needs[r.claim], r.a, r.c) for r in rows if r.claim in needs}
+    grid = [ParameterPoint(a, c, x) for a in SMALL_GRID["grid_a"]
+            for c in SMALL_GRID["grid_c"] for x in SMALL_GRID["grid_x"]]
+    assert formed == Counter(needed) and set(formed.values()) == {1}
+    assert reads == Counter(grid) and set(reads.values()) == {1}
+    assert {r.suite for r in rows} == set(shared)
+    assert sum(r.claim in needs for r in rows) > len(needed) * len(SMALL_GRID["grid_x"])
 
 
 def _cold_default_run():
     """Run the default grid from cold caches; return the misses of the psi
     cache and of the phi-table cache."""
-    for cached in (kernel._psi_cached, kernel.psi_quotients, turanians.turanian_ratio,
-                   bounds._lg_ratio, bounds.auxiliary_log_ratio, measure._phi_table):
+    for cached in (kernel._psi_cached, kernel.psi_quotients, bounds._lg_ratio,
+                   measure._phi_table):
         cached.cache_clear()
     suites.run(RunConfig())
     return kernel._psi_cached.cache_info().misses, measure._phi_table.cache_info().misses
@@ -453,8 +466,7 @@ def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
         return quadrature(a, c, x, *shifted)
 
     monkeypatch.setattr(kernel, "_quadrature", counted)
-    for cached in (kernel._psi_cached, kernel.psi_quotients, turanians.turanian_ratio,
-                   bounds.auxiliary_log_ratio):
+    for cached in (kernel._psi_cached, kernel.psi_quotients):
         cached.cache_clear()
     suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
     grid = [(a, c, x) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
@@ -470,6 +482,23 @@ def test_a_repeated_suite_name_lists_each_empty_region_once():
     assert len(once.empty_regions) == 14
     assert twice.empty_regions == once.empty_regions
     assert rows_twice == rows
+
+
+@pytest.mark.parametrize("suite,grid_x,notes", [
+    # (2, -2.5) lies in every auxiliary's region, but one x makes no step
+    ("monotonicity", (1e300,), {f"monotonicity/{w}-monotone: a single grid x makes no step"
+                                for w in "fgh"}),
+    # in the regions of D1, D3, D5 and D7, whose thresholds x^2 > c(c-a-1),
+    # x > -c/2 and x > 2(1+a-c) no x meets (x^2 underflows to 0)
+    ("dominance", (1e-170,), {f"dominance/{d}: no grid x in its region meets its threshold"
+                              for d in ("D1", "D3", "D5", "D7")}),
+    ("ode_residual", (0.01,), {"ode_residual/kummer-ode: no grid x is at least 0.1"})],
+    ids=["monotonicity", "dominance", "ode_residual"])
+def test_a_claim_without_rows_in_its_region_notes_why(suite, grid_x, notes):
+    summary, _ = suites.run(RunConfig(suites=(suite,), grid_a=(2.0,), grid_c=(-2.5,),
+                                      grid_x=grid_x))
+    assert set(summary.empty_regions) == notes
+    assert len(summary.empty_regions) == len(notes)
 
 
 def csv_text(rows, summary, timestamp=False):

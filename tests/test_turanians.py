@@ -107,28 +107,22 @@ def _bits(fv):
 
 
 class TestCache:
-    """turanian_ratio is cached per (kind, a, c, x)."""
+    """A ratio read from the record psi_quotients keeps equals the ratio
+    from a fresh record, and a point that raises raises on every call."""
 
     @pytest.mark.parametrize("kind", list(TuranianKind))
     def test_cached_value_equals_a_fresh_computation(self, kind):
         p = ParameterPoint(2.0, -2.5, 1.5)
-        turanian_ratio.cache_clear()
+        kernel.psi_quotients.cache_clear()
         first = turanian_ratio(kind, p)
-        assert turanian_ratio(kind, p) is first
-        assert turanian_ratio.cache_info().hits == 1
-        fresh = turanian_ratio.__wrapped__(kind, p)
-        assert _bits(fresh) == _bits(first)
+        assert _bits(turanian_ratio(kind, p)) == _bits(first)
 
     def test_a_raising_point_raises_on_every_call(self):
-        # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the ratio, and the
-        # cache keeps no entry for it
-        turanian_ratio.cache_clear()
+        # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the ratio
         p = ParameterPoint(200.0, 0.5, 1.0)
         for _ in range(2):
             with pytest.raises(EvaluationError, match="underflows"):
                 turanian_ratio(SECOND, p)
-        info = turanian_ratio.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
 
 
 def _oracle_points():
@@ -200,7 +194,6 @@ class TestShiftPoints:
         monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
         monkeypatch.setattr(kernel, "_quadrature", counted)
         kernel.psi_quotients.cache_clear()
-        turanian_ratio.cache_clear()
         public(kind, p)
         return seen, passes
 
