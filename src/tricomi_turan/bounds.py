@@ -103,11 +103,13 @@ at the pair's x in order through its :class:`_Side`, from the pair's
 context, a :class:`PairGrid`, and raise the error of the first x where a
 side fails, the lhs's before the rhs's.
 
-The context reads the record of psi, r and s (``kernel.psi_quotients``)
-once per x of the pair, into arrays, and forms from them as numpy
-columns each Turanian kind's ratio and each auxiliary log-ratio, once
-per pair and shared by every claim and suite that reads it, and the
-S-family lhs and I2's rhs; an I-family limit is formed once per pair.
+The context reads the records of psi, r and s at all the x of the pair
+in one call of ``kernel.pair_quotients``, which runs their trapezoid
+passes together, into arrays, and forms from them as numpy columns each
+Turanian kind's ratio and each auxiliary log-ratio, once per pair and
+shared by every claim and suite that reads it, and the S-family lhs and
+I2's rhs; ln G0 and ln G1, which I2 and the I-family limits read, are
+formed once per pair, and so is an I-family limit.
 Each column does the per-point arithmetic on whole arrays, the same
 operations in the same order, with every log and exp a ``math.log`` or
 ``math.exp`` per element (numpy's can differ in the last bit), so each
@@ -125,7 +127,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,11 +146,24 @@ class PairGrid(PairRecords):
     claims are evaluated, in order, with the records, quotients and
     Turanian ratios of ``turanians.PairRecords`` and, formed from the same
     records as columns, the S-family lhs (``_s_lhs``), I2's rhs
-    (``_i2_rhs``) and the auxiliary log-ratios, each once per pair."""
+    (``_i2_rhs``) and the auxiliary log-ratios, and ln G0 and ln G1, each
+    once per pair."""
 
     def __init__(self, a: float, c: float, xs):
         super().__init__(a, c, xs)
         self._auxiliary: dict = {}
+
+    @cached_property
+    def ln_g0(self) -> tuple[float, float]:
+        """ln G0 = ln Gamma(a-c+1)/Gamma(1-c) and its error, which I2 and
+        the I-family limits read; where it raises, it is formed again on
+        the next read and raises again."""
+        return _lg_ratio(self.a - self.c + 1.0, 1.0 - self.c)
+
+    @cached_property
+    def ln_g1(self) -> tuple[float, float]:
+        """ln G1 = ln Gamma(a-c+1)/Gamma(-c) and its error, as ``ln_g0``."""
+        return _lg_ratio(self.a - self.c + 1.0, -self.c)
 
     @cached_property
     def logs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -287,11 +302,8 @@ def _exact(bound_id: str, fn) -> _Side:
                  "closed_form")
 
 
-@lru_cache(maxsize=4096)
 def _lg_ratio(u: float, v: float) -> tuple[float, float]:
-    # log of Gamma(u)/Gamma(v) and its error; I-family arguments are positive.
-    # u and v depend on (a, c) alone, so the cache computes each once per
-    # (a, c) for the I-family at every x
+    # log of Gamma(u)/Gamma(v) and its error; I-family arguments are positive
     (lu, _), (lv, _) = log_gamma(u), log_gamma(v)
     return lu - lv, log_gamma_error(u, lu) + log_gamma_error(v, lv) + EPS * abs(lu - lv)
 
@@ -333,7 +345,7 @@ def _i2_rhs(pair: PairGrid) -> Column:
     it does where ln(G0) leaves the double range."""
     a, c, rec = pair.a, pair.c, pair.records
     try:
-        lg, lg_err = _lg_ratio(a - c + 1.0, 1.0 - c)
+        lg, lg_err = pair.ln_g0
     except EvaluationError as exc:
         return pair.column(rec.psi, rec.psi_err, np.ones(len(pair.xs), bool), lambda x: exc)
     expo = 1.0 / a
@@ -530,8 +542,7 @@ def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
         a, c, n = pair.a, pair.c, len(pair.xs)
         w0, wp = aux.weights(a, c)
         try:
-            l0, e0 = _lg_ratio(a - c + 1.0, 1.0 - c)
-            l1, e1 = _lg_ratio(a - c + 1.0, -c)
+            (l0, e0), (l1, e1) = pair.ln_g0, pair.ln_g1
         except EvaluationError as exc:
             return Column([], [], exc)
         value = wp * l1 - w0 * l0

@@ -47,25 +47,26 @@ budget adds the rounding of the prefactor, which includes |lnGamma(a)|
 or until a halving no longer halves it; a budget that cannot meet it is
 returned as it is, flagged ``"tolerance_not_met"``.
 
-``psi_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
-psi(a+1,c+1,x)/psi at every point, cached per point; the Turanians and
-the bounds take every shifted value from it.  For a > 0 one trapezoid
-pass gives all three, psi bit for bit as ``psi`` gives it, and the
-shifted sums as two more rows.  A subnormal a, 0 < |a| < 2^-1022,
-raises :class:`EvaluationError` in psi and ``psi_quotients``.
+``pair_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
+psi(a+1,c+1,x)/psi at each x of one (a, c) pair, and ``psi_quotients``
+at one point; the Turanians and the bounds take every shifted value
+from them.  For a > 0 one trapezoid pass gives all three, psi bit for
+bit as ``psi`` gives it, and the shifted sums as two more rows.  The
+passes of a pair's x run together, one per h (``_trapezoid``): each x
+keeps its own nodes, h and checks, and only the elementwise work is
+shared, so each record has the bits of a pass at its x alone.  A
+subnormal a, 0 < |a| < 2^-1022, raises :class:`EvaluationError` in psi
+and in the records.
 
-Both memos are bounded by the reuse a run shows.  ``psi`` keeps the last
-2,048 points.  Within one grid pair a value is read again at most about
-5 distinct points per grid x later (127 at 27 x values), so 2,048 keeps
-every such hit for grids of up to about 400 x values.  Across pairs, the
-derivative suite's target psi(a+1, c+1, x) is read again as psi at the
-grid pair (a+1, c+1): on the default grid at most 1,428 distinct points
-later.  ``psi_quotients`` keeps the last 4,096 records.  The suites read
-each record of a grid pair once, through the pair's context
-(``bounds.PairGrid``); only a sharpness scan at the same pair reads one
-again, on the default run 83 of its 474 reads, at most 10 distinct
-records later.  A point read again past the bound is computed again, to
-the same bits.
+``psi`` keeps the last 2,048 points, the reuse a run shows.  Within one
+grid pair a value is read again at most about 5 distinct points per grid
+x later (127 at 27 x values), so 2,048 keeps every such hit for grids of
+up to about 400 x values.  Across pairs, the derivative suite's target
+psi(a+1, c+1, x) is read again as psi at the grid pair (a+1, c+1): on the
+default grid at most 1,428 distinct points later.  A point read again
+past the bound is computed again, to the same bits.  The records are not
+kept: the suites read each record of a pair once, through the pair's
+context (``bounds.PairGrid``).
 
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -306,20 +307,28 @@ def _left_sums(a: float, q: float, w1: float, h: float, m: float):
     return geo_h, geo_2h, rest
 
 
-def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tuple:
-    """The step-h trapezoid pass for ``rows`` on the nodes w0 + k h of
-    f(w) = exp(a w - e^w + pw log1p(e^w/x)), scaled by e^-m, m the largest
-    exponent on psi's nodes.  A row (k, j, S, q, log_tail) is the sum of
-    f e^(kw) / (1 + e^w/x)^j, the integrand of psi(a+k, c+k-j), formed as
-    x^j f e^(kw) / (x + e^w)^j; its nodes run past S and start where q e^w
-    bounds the log of its factor (1 + e^w/x)^(pw-j) (``_left_nodes``), and
-    2 e^log_tail bounds its sum past S.  psi's row, (0, 0), comes first and
-    is its own slice of the nodes; the other rows share one extent (k, S
-    and q) and take all of them.  Returns (m, psi's (T_h, error bound),
-    nodes), on which ``_more_rows`` sums the other rows.  Buffers are
-    worked in place, each element as with a fresh array: aw holds w, a w,
-    then the rounding weights |a w| + e^w + kappa L, L = log1p(e^w/x);
-    f holds a w + log G, then psi's summands.
+def _trapezoid(a: float, pw: float, h: float, points) -> tuple:
+    """The step-h trapezoid pass at each point (x, w0, rows) of one (a, c)
+    pair, on the nodes w0 + k h of f(w) = exp(a w - e^w + pw log1p(e^w/x)),
+    scaled by e^-m, m the largest exponent on psi's nodes at the point.  A
+    row (k, j, S, q, log_tail) is the sum of f e^(kw) / (1 + e^w/x)^j, the
+    integrand of psi(a+k, c+k-j), formed as x^j f e^(kw) / (x + e^w)^j;
+    its nodes run past S and start where q e^w bounds the log of its
+    factor (1 + e^w/x)^(pw-j) (``_left_nodes``), and 2 e^log_tail bounds
+    its sum past S.  psi's row, (0, 0), comes first and is its own slice
+    of the point's nodes; the other rows share one extent (k, S and q) and
+    take all of them.  Returns (each point's m, each point's psi (T_h,
+    error bound), nodes), on which ``_more_rows`` sums the other rows.
+
+    The points' nodes lie in one array, each point's in its span (lo, hi,
+    psi's lo and hi, first node, psi's first node).  The elementwise work
+    runs once over the array, each element as in a pass at its point
+    alone; each maximum and sum runs over one span, in the order of that
+    pass (``np.add.reduceat`` would sum in another).  One point takes no
+    numpy call that its pass alone would not.  Buffers are worked in
+    place, each element as with a fresh array: aw holds w, a w, then the
+    rounding weights |a w| + e^w + kappa L, L = log1p(e^w/x); f holds
+    a w + log G, then psi's summands.
 
     The weights bound the rounding of a node's exponent a w - e^w + pw L
     - m, in units of 4 EPS, with 2 EPS for each of exp and log1p.  e^w is
@@ -331,12 +340,26 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tupl
     most |a w| + e^w + |pw L| + |m|.  In all 1.5 EPS |a w| + 3.5 EPS e^w +
     (7.5 |pw| + 0.5) EPS L + EPS/2 |m|: kappa is (7.5 |pw| + 0.5) / 4, and
     ``_row_sum`` charges |m| flat."""
-    kl, end = _extent(a, rows[0], w0, h)
-    k1, last = kl, end
-    if len(rows) > 1:
-        k1, last = map(max, (kl, end), _extent(a, rows[-1], w0, h))
-    # w, exact: h is a power of 2 and w0 a multiple of 2^-20
-    aw = np.arange(w0 - k1 * h, w0 + (last + 1.5) * h, h)
+    spans, n = [], 0
+    for point in points:
+        w0, rows = point[1], point[2]
+        kl, end = _extent(a, rows[0], w0, h)
+        k1, last = kl, end
+        if len(rows) > 1:
+            k1, last = map(max, (kl, end), _extent(a, rows[-1], w0, h))
+        size = k1 + last + 2
+        spans.append((n, n + size, n + k1 - kl, n + k1 + end + 2, w0 - k1 * h, w0 - kl * h))
+        n += size
+    # w, exact: h is a power of 2 and each w0 a multiple of 2^-20; a
+    # point's nodes are the array's from its lo on, moved to its first node
+    first = spans[0][4]
+    aw = np.arange(first, first + (n - 0.5) * h, h)
+    if len(points) == 1:
+        spread, x = None, points[0][0]
+    else:
+        spread = partial(np.repeat, repeats=[hi - lo for lo, hi, *_ in spans])
+        aw += spread([w - first - lo * h for lo, _, _, _, w, _ in spans])
+        x = spread([p[0] for p in points])
     ew = np.exp(aw)
     pl = ew / x
     np.log1p(pl, out=pl)
@@ -344,30 +367,48 @@ def _trapezoid(a: float, pw: float, x: float, w0: float, h: float, rows) -> tupl
     f -= ew
     aw *= a
     f += aw
-    own = slice(k1 - kl, k1 + end + 2)
-    fo = f[own]
-    m = float(np.maximum.reduce(fo))
-    f -= m
+    # owns: psi's nodes of each point, views that follow f
+    if spread is None:
+        _, _, lo, hi, _, _ = spans[0]
+        owns = [f[lo:hi]]
+        ms = [float(np.maximum.reduce(owns[0]))]
+        f -= ms[0]
+    else:
+        owns = [f[lo:hi] for _, _, lo, hi, _, _ in spans]
+        cuts = [i for span in spans for i in span[2:4]]
+        ms = np.maximum.reduceat(f, cuts[:-1] if cuts[-1] == n else cuts)[::2].tolist()
+        f -= spread(ms)
     np.exp(f, out=f)
     np.abs(aw, out=aw)
     aw += ew
     pl *= 1.875 * abs(pw) + 0.125
     aw += pl
-    w1 = w0 - kl * h
-    psi_sum = _row_sum(rows[0], fo, aw[own], w1, _left_sums(a, rows[0][3], w1, h, m),
-                       a, x, h, m)
-    return m, psi_sum, (f, ew, aw, w0 - k1 * h)
+    psi_sums = []
+    for point, (_, _, lo, hi, _, w1), fo, m in zip(points, spans, owns, ms):
+        row = point[2][0]
+        psi_sums.append(_row_sum(row, fo, aw[lo:hi], w1, _left_sums(a, row[3], w1, h, m),
+                                 a, point[0], h, m))
+    return ms, psi_sums, (f, ew, aw, x, spans)
 
 
-def _more_rows(rows, nodes, a: float, x: float, h: float, m: float) -> list:
-    """``_row_sum`` of each of ``rows``, which share one extent, on all the
-    nodes of a pass; f e^(kw) and the left series are formed once."""
-    f, ew, aw, w1 = nodes
-    k, _, _, q, _ = rows[0]
-    fk = f * ew if k else f
-    left = _left_sums(a + k, q, w1, h, m)
-    return [_row_sum(row, fk / (ew + x) if row[1] else fk, aw, w1, left, a, x, h, m)
-            for row in rows]
+def _shifted_summands(nodes) -> tuple:
+    """f e^w and f e^w / (e^w + x) on all the nodes of a pass
+    (``_trapezoid``): the summands, scaled by x^-j, of the rows with k = 1."""
+    f, ew, _, x, _ = nodes
+    fk = f * ew
+    return fk, fk / (ew + x)
+
+
+def _more_rows(nodes, summands, i: int, point, m: float, a: float, h: float) -> list:
+    """``_row_sum`` of the other rows of the pass's point i, (x, w0, rows),
+    which share one extent with k = 1, on all its nodes of the pass, from
+    the pass's ``_shifted_summands``; the left series is formed once."""
+    aw, spans = nodes[2], nodes[4]
+    xp, rows = point[0], point[2]
+    lo, hi, _, _, w1, _ = spans[i]
+    left = _left_sums(a + 1.0, rows[1][3], w1, h, m)
+    return [_row_sum(row, summands[row[1]][lo:hi], aw[lo:hi], w1, left, a, xp, h, m)
+            for row in rows[1:]]
 
 
 def _extent(a: float, row, w0: float, h: float) -> tuple[int, int]:
@@ -453,15 +494,12 @@ def _cutoff(a: float, pw: float, x: float, log_b: float,
         S *= 1.5
 
 
-def _quadrature(a: float, c: float, x: float, shifted: bool = False):
-    """``psi_quadrature`` on float arguments, as the dispatcher calls it.
-    With ``shifted``, returns (psi, ((r, err_r), (s, err_s))) as
-    ``psi_quotients`` needs them."""
-    if a <= 0.0:
-        raise RegionError(f"integral representation requires a > 0, got a={a}")
+def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
+    """(x, w0, rows) of the passes at x (see ``_trapezoid``), the rows
+    psi's alone or, with ``shifted``, also the r and s rows.  Raises where a is
+    subnormal or the nodes leave the double range."""
     if a < _TINY:
         raise _subnormal(a, c, x)
-    pw = c - a - 1.0
     log_b = math.log(min(x, 1.0))
     w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
     S, log_f_cut = _cutoff(a, pw, x, log_b, pw)
@@ -479,26 +517,99 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     if not 2.0 * (S_ext + abs(pw) + 1.0) / x <= _FMAX:
         raise EvaluationError(f"the trapezoid nodes of psi(a={a}, c={c}, x={x}) "
                               f"reach beyond the double range")
+    return x, w0, rows
+
+
+def _quadrature(a: float, c: float, x: float) -> FunctionValue:
+    """``psi_quadrature`` on float arguments, as the dispatcher calls it:
+    psi's row alone, one pass (``_trapezoid``) per h at the one x.  The
+    records' passes (``_pair_quadrature``) halve h by the same rule, in a
+    loop over the x of a pair whose bookkeeping would cost a one-x call
+    about 2 us of its 20."""
+    if a <= 0.0:
+        raise RegionError(f"integral representation requires a > 0, got a={a}")
+    pw = c - a - 1.0
+    points = [_nodes(a, c, pw, x, False)]
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
-
     # halve h until the budget is met, down to _STEP_MIN, or until a halving
     # no longer halves the relative error (rounding, not the step, sets it)
-    h = _STEP
-    prev_rel = math.inf
+    h, prev_rel = _STEP, math.inf
     while True:
-        m, (total, err), nodes = _trapezoid(a, pw, x, w0, h, rows)
-        rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
-                     + lg_a_err)
-        met = err <= (PSI_TOL - rel_scale) * abs(total)
+        (m,), ((total, err),), _ = _trapezoid(a, pw, h, points)
+        rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
         rel = err / total
         if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
-            break
+            return _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
         prev_rel = rel
         h *= 0.5
+
+
+def _pair_quadrature(a: float, c: float, xs) -> list:
+    """psi and the quotients r and s at each x of ``xs`` at one pair,
+    a > 0, as ``pair_quotients`` needs them: a list of each x's (psi,
+    ((r, err_r), (s, err_s))), or of the exception the x raises.
+    Each x keeps its own nodes, h and checks, as in ``_quadrature``; as
+    every x starts at the same h, one pass per h (``_trapezoid``) serves
+    every x whose h is still being halved.  lnGamma(a) is taken once."""
+    pw = c - a - 1.0
+    # points: (x, w0, rows, index in xs, the last relative error) of each
+    # x whose h is still being halved
+    out, points = list(xs), []
+    for i, x in enumerate(out):
+        try:
+            points.append((*_nodes(a, c, pw, x, True), i, math.inf))
+        except Exception as exc:
+            out[i] = exc
     try:
-        scale = math.exp(m - a * log_x - lg_a)
+        lg_a, _ = log_gamma(a)
+    except EvaluationError as exc:
+        for point in points:
+            out[point[3]] = exc
+        return out
+    lg_a_err = log_gamma_error(a, lg_a)
+    h = _STEP
+    while points:
+        ms, sums, nodes = _trapezoid(a, pw, h, points)
+        summands, rest = None, []
+        for k, (point, m, (total, err)) in enumerate(zip(points, ms, sums)):
+            x, _, _, i, prev_rel = point
+            log_x = math.log(x)
+            rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
+            rel = err / total
+            if not (met or h <= _STEP_MIN or rel > 0.5 * prev_rel):
+                rest.append((*point[:4], rel))
+                continue
+            try:
+                fv = _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
+                summands = summands or _shifted_summands(nodes)
+                out[i] = fv, _shifted_quotients(a, c, x, total, err, _more_rows(
+                    nodes, summands, k, point, m, a, h))
+            except Exception as exc:
+                out[i] = exc
+        points = rest
+        h *= 0.5
+    return out
+
+
+def _prefactor_rounding(a: float, m: float, log_x: float, lg_a: float, lg_a_err: float,
+                        total: float, err: float) -> tuple[float, bool]:
+    """rel_scale, the relative rounding of psi's prefactor e^(m - a log x -
+    lnGamma(a)), and whether a pass's budget err on T_h = total meets
+    ``PSI_TOL`` with it."""
+    rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
+                 + lg_a_err)
+    return rel_scale, err <= (PSI_TOL - rel_scale) * abs(total)
+
+
+def _scaled(a: float, c: float, x: float, log_scale: float, total: float, err: float,
+            rel_scale: float, met: bool) -> FunctionValue:
+    """psi = e^log_scale T_h from psi's (T_h, error) of a pass at x, with
+    its budget, rel_scale |psi| of it for the scale's rounding; flagged
+    ``"tolerance_not_met"`` unless ``met``."""
+    try:
+        scale = math.exp(log_scale)
     except OverflowError:
         # psi = scale T_h with T_h of order h or more: beyond the double
         # range, or too near its top to hold
@@ -516,40 +627,79 @@ def _quadrature(a: float, c: float, x: float, shifted: bool = False):
     if not value + budget <= _FMAX:
         raise EvaluationError(f"psi(a={a}, c={c}, x={x}) has no finite value and "
                               f"budget on the trapezoid route")
-    fv = FunctionValue(value, budget, QUADRATURE, () if met else ("tolerance_not_met",))
-    if not shifted:
-        return fv
-    return fv, _shifted_quotients(
-        a, c, x, total, err, _more_rows(rows[1:], nodes, a, x, h, m))
+    return FunctionValue(value, budget, QUADRATURE, () if met else ("tolerance_not_met",))
 
 
-@lru_cache(maxsize=4096)
-def psi_quotients(p: ParameterPoint):
+def pair_quotients(a: float, c: float, xs) -> list:
     """psi(a,c,x) and the quotients r = psi(a+1,c,x)/psi(a,c,x) and
-    s = psi(a+1,c+1,x)/psi(a,c,x): returns (psi, (r, err_r), (s, err_s)),
-    the first item ``psi(p)`` bit for bit.  Cached per point, the last
-    4,096 (see the module docstring).
+    s = psi(a+1,c+1,x)/psi(a,c,x) at each x of ``xs``: a list of each x's
+    record (psi, (r, err_r), (s, err_s)), the first item ``psi`` bit for
+    bit there, or of the exception the x raises.  Nothing is kept, so an
+    x raises again on every call.
 
-    For a > 0 all three come from one pass of psi's trapezoid rule, at
-    every x: the r and s rows (see ``_trapezoid``) are summed at psi's last
-    h on its nodes, run on to cover them.  For a <= 0, r and s are psi at (a+1,c)
-    and (a+1,c+1) divided by psi, by ``_quotient``.
+    For a > 0 each record comes from one pass of psi's trapezoid rule, at
+    every x: the r and s rows (see ``_trapezoid``) are summed at psi's
+    last h on its nodes, run on to cover them, and the passes of all the
+    x run together (``_pair_quadrature``).  For a <= 0, r and s are psi at
+    (a+1,c) and (a+1,c+1) divided by psi, by ``_quotient``.
 
-    Raises, on every call, where psi raises at one of the points it reads,
-    where psi's error is half its magnitude or more (psi cannot be told
-    from 0) and, for a > 0, where r or s leaves the double range."""
-    a, c, x = p
+    An x raises where it is not a valid point, where psi raises at one of
+    the points it reads, where psi's error is half its magnitude or more
+    (psi cannot be told from 0) and, for a > 0, where r or s leaves the
+    double range."""
+    out = []
+    for x in xs:
+        try:
+            out.append(ParameterPoint(a, c, x))
+        except RegionError as exc:
+            out.append(exc)
+    valid = [i for i, p in enumerate(out) if type(p) is ParameterPoint]
+    passes = [None] * len(valid)
     if a > 0.0:
-        f0, (r, s) = _quadrature(a, c, x, True)
-    else:
+        try:
+            passes = _pair_quadrature(a, c, [out[i].x for i in valid])
+        except Exception:
+            # a pass that the x share raised, as a numpy warning made an
+            # error does: each x alone, so that only the x that raise fail
+            for k, i in enumerate(valid):
+                try:
+                    passes[k] = _pair_quadrature(a, c, (out[i].x,))[0]
+                except Exception as exc:
+                    passes[k] = exc
+    for i, got in zip(valid, passes):
+        try:
+            out[i] = _record(out[i], got)
+        except Exception as exc:
+            out[i] = exc
+    return out
+
+
+def _record(p: ParameterPoint, got):
+    """The record of ``pair_quotients`` at p, from its pass ``got`` (a > 0)
+    or, where ``got`` is None (a <= 0), from psi at three points."""
+    if isinstance(got, Exception):
+        raise got
+    a, c, x = p
+    if got is None:
         f0 = psi(p)
+    else:
+        f0, (r, s) = got
     if f0.abs_error >= abs(f0.value) / 2.0:
         raise EvaluationError(
             f"psi indistinguishable from 0 at (a={a}, c={c}, x={x})")
-    if a <= 0.0:
+    if got is None:
         r = _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0)
         s = _quotient(psi(ParameterPoint(a + 1.0, c + 1.0, x)), f0)
     return f0, r, s
+
+
+def psi_quotients(p: ParameterPoint):
+    """The record of ``pair_quotients`` at the one point p, (psi, (r,
+    err_r), (s, err_s)); raises where that point raises."""
+    (got,) = pair_quotients(p.a, p.c, (p.x,))
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:

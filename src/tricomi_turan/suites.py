@@ -9,24 +9,25 @@ columns.  Where the config names a report file, ``run`` writes the report
 
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim), every selected claim that holds there, at
-each of its suite's x values at once, so each psi value, each phi table
-and each record of psi and its quotients (``kernel.psi_quotients``) of
-that pair is computed once.  The blocks run in-process, one after
-another, in run order: the grid's pairs in (a, c) order, then the
-sharpness limits' curated pairs off the grid; grid values are distinct,
-so no pair repeats.  A block returns the rows of each (suite, claim) as
-columns, a list for each of x, lhs, rhs, margin, budget and the status
-code; ``run`` extends each claim's arrays, of doubles for a, c, x, lhs,
-rhs, margin and budget and of bytes for the status, by them and puts a
-sharpness limit's rows in the order of its pairs by one reorder.  The claims, by (suite, claim name), make the report; each
-holds its one anchor once, and each row is built as it is read.  A
-failing run raises the error of its first failing pair in run order,
-the first failing task there in task order, and evaluates no later
-pair; within a claim at a pair, the first failing x raises, and at one
-x its lhs fails before its rhs, but for a stieltjes row, whose phi side
-(its rhs) fails before the ratio.  Claims whose failures are advisory
-(the catalog's non-gating bounds) never gate a run; their failures are
-counted apart.
+each of its suite's x values at once, so each psi value and each phi
+table of that pair is computed once, and the records of psi and its
+quotients at all its x in one call (``kernel.pair_quotients``).  The
+blocks run in-process, one after another, in run order: the grid's pairs
+in (a, c) order, then the sharpness limits' curated pairs off the grid;
+grid values are distinct, so no pair repeats.  A block returns the rows
+of each (suite, claim) as columns, a list for each of x, lhs, rhs,
+margin, budget and the status code; ``run`` extends each claim's arrays,
+of doubles for a, c, x, lhs, rhs, margin and budget and of bytes for the
+status, by them and puts a sharpness limit's rows in the order of its
+pairs by one reorder.  The claims, by (suite, claim name), make the
+report; each holds its one anchor once, and each row is built as it is
+read.  A failing run raises the error of its first failing pair in run
+order, the first failing task there in task order, and evaluates no
+later pair; within a claim at a pair, the first failing x raises, and at
+one x its lhs fails before its rhs, but for a stieltjes row, whose phi
+side (its rhs) fails before the ratio.  Claims whose failures are
+advisory (the catalog's non-gating bounds) never gate a run; their
+failures are counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
@@ -43,8 +44,8 @@ bounds hold; its threshold in x is tested per row); the points of its
 rows at a pair; and the evaluator of a claim's rows at a pair, which
 returns them as columns.  The stieltjes, bounds, dominance and
 monotonicity suites share one pair context, a ``bounds.PairGrid`` over
-the grid's x, which a block builds once: it reads each record of the
-pair once per x and forms each Turanian kind's ratio column and each
+the grid's x, which a block builds once: it reads the records of the
+pair's x in one call and forms each Turanian kind's ratio column and each
 auxiliary log-ratio column once, for every claim of these suites that
 reads it.  The catalog and dominance claims take their rows from
 ``bounds.bound_columns`` and ``bounds.dominance_columns``, which apply
@@ -176,7 +177,7 @@ def _agreement(x, lhs, rhs, budget):
 
 def _row_crosscheck(claim, _, a, c, p):
     # the suite holds at a > 0 only, where psi takes the quadrature route;
-    # kernel.psi_quotients at this point holds the same value, from its
+    # kernel.pair_quotients holds the same value at this point, from its
     # own trapezoid pass
     q = psi(p)
     k = psi_connection(a, c, p.x)

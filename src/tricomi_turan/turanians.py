@@ -21,18 +21,19 @@ solution of the recurrence (Gil, Segura & Temme, *Numerical Methods for
 Special Functions*, SIAM 2007, ch. 4); and no psi is evaluated below the
 point, so a-1 <= 0 and its integer-c hole never enter.
 
-psi, r and s come from one record per (a, c, x), ``kernel.psi_quotients``:
+psi, r and s come from one record per (a, c, x), ``kernel.pair_quotients``:
 one trapezoid pass for a > 0, and psi at (a,c), (a+1,c) and (a+1,c+1) for
 a <= 0, so psi(a,c+1) is never read.  A :class:`PairRecords` reads the
-records of one (a, c) pair once per x into numpy arrays and forms from
-them, as columns over the pair's x, the six shifted quotients and each
-kind's ratio, once per kind: the shifted values of the ratios and of the
-bounds' S- and I-family.  A column applies the per-point arithmetic to
-whole arrays, the same operations in the same order, so each element is
-bit for bit the value at its x; ``shift_quotient`` and ``turanian_ratio``
-are the one-x case, and ``sharpness_scan`` reads the ratios of a context
-over its own sequence.  The derived values are never psi results and
-never enter psi's cache.
+records at all the x of one (a, c) pair in one call, whose passes run
+together, into numpy arrays and forms from them, as columns over the
+pair's x, the six shifted quotients and each kind's ratio, once per
+kind: the shifted values of the ratios and of the bounds' S- and
+I-family.  A column applies the per-point arithmetic to whole arrays,
+the same operations in the same order, so each element is bit for bit
+the value at its x; ``shift_quotient`` and ``turanian_ratio`` are the
+one-x case, and ``sharpness_scan`` reads the ratios of a context over
+its own sequence.  The derived values are never psi results and never
+enter psi's cache.
 
 The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
 takes the relations without the division, D = psi^2 - psi_+ psi_- with
@@ -55,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue,
-                     ParameterPoint, RegionError, psi, psi_quotients)
+                     ParameterPoint, RegionError, pair_quotients, psi)
 
 
 class TuranianKind(enum.Enum):
@@ -124,12 +125,12 @@ _NO_RECORD = (math.nan,) * 6
 
 class PairRecords:
     """The x of one (a, c) pair, in order, with the record of psi and its
-    quotients at each, read once per x when first needed (at every x, so
-    that a column taken in another order meets its first error there too),
-    and the quotients and each kind's ratios as columns, each formed once
-    per pair.  Column arithmetic runs under ``np.errstate``: like Python
-    floats it turns to inf or nan beyond the double range, without a
-    warning; the checks that follow it raise."""
+    quotients at each, read for all x in one ``pair_quotients`` call when
+    first needed (so that a column taken in another order meets its first
+    error there too), and the quotients and each kind's ratios as
+    columns, each formed once per pair.  Column arithmetic runs under
+    ``np.errstate``: like Python floats it turns to inf or nan beyond the
+    double range, without a warning; the checks that follow it raise."""
 
     def __init__(self, a: float, c: float, xs):
         self.a, self.c, self.xs = a, c, list(xs)
@@ -143,14 +144,13 @@ class PairRecords:
     @cached_property
     def records(self) -> _Records:
         f0s, rows, failures = [], [], []
-        for x in self.xs:
-            try:
-                f0, r, s = psi_quotients(ParameterPoint(self.a, self.c, x))
-            except Exception as exc:
+        for got in pair_quotients(self.a, self.c, self.xs):
+            if isinstance(got, Exception):
                 # kept for a column to raise at its x, after the errors of
                 # earlier x: a pair raises its first failing task
-                f0, row, failure = None, _NO_RECORD, exc
+                f0, row, failure = None, _NO_RECORD, got
             else:
+                f0, r, s = got
                 row, failure = (f0.value, f0.abs_error, *r, *s), None
             f0s.append(f0)
             rows.append(row)
@@ -226,7 +226,7 @@ class PairRecords:
 
 def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
     """(psi(a,c,x), q, err(q)), q = psi(a+da, c+dc, x)/psi(a,c,x), from the
-    record ``kernel.psi_quotients(p)`` alone at the six shifts: r at (1, 0),
+    record of ``kernel.pair_quotients`` at p alone at the six shifts: r at (1, 0),
     s at (1, 1), 1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and
     (0, -1), as the module docstring lists them; the one-x case of
     ``PairRecords.quotient``.  Raises ValueError at any other shift, and

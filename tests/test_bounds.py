@@ -149,7 +149,6 @@ class TestCheckBound:
         seen = []
         for module in (kernel, turanians):
             monkeypatch.setattr(module, "psi", lambda q: seen.append(q) or psi(q))
-        kernel.psi_quotients.cache_clear()
         p = ParameterPoint(a, c, x)
         checked = [bid for bid, spec in CATALOG.items() if spec.region(a, c)]
         for bid in checked:
@@ -382,8 +381,7 @@ class TestAuxiliaryLogRatios:
         assert abs(fv.value) < 5e-3
 
     def test_cached_value_equals_a_fresh_computation(self):
-        # from a fresh record, then from the record psi_quotients keeps
-        kernel.psi_quotients.cache_clear()
+        # no record is kept: each call forms its own, to the same bits
         first = auxiliary_log_ratio("g", 2.0, -2.5, 1.5)
         assert auxiliary_log_ratio("g", 2.0, -2.5, 1.5) == first
 

@@ -417,7 +417,8 @@ def trapezoid_cases(n=600, seed=31):
 def psi_row(a, pw, x, w0, S, h):
     """(T_h, its bound, m) of psi's row alone, with no tail bound past S,
     which the references leave out."""
-    m, (t_h, err), _ = _trapezoid(a, pw, x, w0, h, [(0, 0, S, 1.0 + abs(pw) / x, -math.inf)])
+    (m,), ((t_h, err),), _ = _trapezoid(
+        a, pw, h, [(x, w0, [(0, 0, S, 1.0 + abs(pw) / x, -math.inf)])])
     return t_h, err, m
 
 
@@ -553,14 +554,20 @@ class TestPsiQuotients:
         assert outside == []
 
     @pytest.mark.parametrize("x", [1e308, 1.7e308])
-    def test_quotients_below_the_double_range_raise_on_every_call(self, x):
+    def test_quotients_below_the_double_range_raise_on_every_call(self, monkeypatch, x):
         # psi(0.1, -4.5, x) is a normal double, but r and s, about 1/x, are
-        # not: they raise as psi does where it underflows
-        kernel.psi_quotients.cache_clear()
+        # not: they raise as psi does where it underflows.  No record is
+        # kept, so the second call makes the passes of the first again
+        runs = []
+        trapezoid = kernel._trapezoid
+        monkeypatch.setattr(kernel, "_trapezoid",
+                            lambda a, pw, h, points: runs[-1].append(h)
+                            or trapezoid(a, pw, h, points))
         for _ in range(2):
+            runs.append([])
             with pytest.raises(EvaluationError, match="underflow"):
                 kernel.psi_quotients(ParameterPoint(0.1, -4.5, x))
-        assert kernel.psi_quotients.cache_info().currsize == 0
+        assert runs[0] and runs[1] == runs[0]
 
     def test_quotients_near_the_bottom_of_the_double_range_deliver(self):
         a, c, x = 0.1, -4.5, 1e307
@@ -591,13 +598,15 @@ class TestPsiQuotients:
         with pytest.raises(EvaluationError, match="overflow"):
             kernel.psi_quotients(ParameterPoint(1e-200, 4.5, 1e-120))
 
-    def test_psi_indistinguishable_from_zero_raises_on_every_call(self):
-        # U(-3/2, 1/2, x^2) = H_3(x)/8 = x^3 - 3x/2 vanishes at x^2 = 3/2
-        kernel.psi_quotients.cache_clear()
+    def test_psi_indistinguishable_from_zero_raises_on_every_call(self, monkeypatch):
+        # U(-3/2, 1/2, x^2) = H_3(x)/8 = x^3 - 3x/2 vanishes at x^2 = 3/2.
+        # No record is kept, so each call reads psi at the point again
+        p, seen = ParameterPoint(-1.5, 0.5, 1.5), []
+        monkeypatch.setattr(kernel, "psi", lambda q: seen.append(q) or psi(q))
         for _ in range(2):
             with pytest.raises(EvaluationError, match="indistinguishable from 0"):
-                kernel.psi_quotients(ParameterPoint(-1.5, 0.5, 1.5))
-        assert kernel.psi_quotients.cache_info().currsize == 0
+                kernel.psi_quotients(p)
+        assert seen == [p, p]
 
     def test_psi_alone_runs_no_extension(self, monkeypatch):
         # each pass sums psi's row (0, 0) alone; the record's last pass then
@@ -613,7 +622,6 @@ class TestPsiQuotients:
 
         monkeypatch.setattr(kernel, "_row_sum", counted)
         for point, passes in (((2.0, -2.5, 3.0), 1), ((6.0, -4.5, 200.0), 2)):
-            kernel.psi_quotients.cache_clear()
             psi_quadrature(ParameterPoint(*point))
             psi_rows = summed[:]
             assert [row[:2] for row in psi_rows] == [(0, 0)] * passes
@@ -623,6 +631,71 @@ class TestPsiQuotients:
             r, s = summed[passes:]
             assert r[:2] == (1, 1) and s[:2] == (1, 0) and r[2] == s[2] > psi_rows[-1][2]
             summed.clear()
+
+
+def _pair_cases():
+    """(a, c, xs) for pair_quotients: nine pairs where an x takes psi's
+    route at a <= 0, has a subnormal a, leaves the double range with its
+    nodes, meets a numpy warning (an error under the test settings), halves
+    h while the pair's other x do not, is flagged tolerance_not_met, or
+    has shifted quotients beyond or below the double range; then 40 seeded
+    pairs, a log-uniform in [1e-8, 60], c uniform in [-300, 60] and 2 to 9
+    x log-uniform in [1e-6, 1e5]."""
+    cases = [(-0.5, 0.25, (0.5, 2.0, 40.0)), (-1.5, 0.5, (1.0, 1.5, 2.0)),
+             (1e-310, 0.5, (1.0, 2.0)), (0.5, -1e307, (1e-300, 1.0, 100.0)),
+             (0.5, 1e306, (1e-10, 1.0, 10.0)), (6.0, -4.5, (0.5, 200.0, 3.0)),
+             (35.15362223586434, -102.32554853370691, (7.3e-7, 1e-3, 1.0, 5.0)),
+             (1e-200, 4.5, (1e-120, 1.0)), (0.1, -4.5, (1.0, 1e308, 3.0))]
+    rng = np.random.default_rng(1409_42)
+    for _ in range(40):
+        a = float(math.exp(rng.uniform(math.log(1e-8), math.log(60.0))))
+        c = float(rng.uniform(-300.0, 60.0))
+        xs = tuple(float(10.0 ** rng.uniform(-6.0, 5.0)) for _ in range(rng.integers(2, 10)))
+        cases.append((a, c, xs))
+    return cases
+
+
+def _record_bits(got):
+    """A record as its bits, or an exception as its type and message."""
+    if isinstance(got, Exception):
+        return type(got), str(got)
+    f0, r, s = got
+    return (f0.value.hex(), f0.abs_error.hex(), f0.method, f0.flags,
+            *(v.hex() for v in (*r, *s)))
+
+
+class TestPairQuotients:
+    def test_each_record_has_the_bits_of_its_x_read_alone(self, monkeypatch):
+        # each x's record, or its exception's type and message, is the same
+        # read alone, with the pair's other x and with them in shuffled
+        # order, though the pair's passes share one array per h
+        rng = np.random.default_rng(1075_42)
+        steps = []
+        trapezoid = kernel._trapezoid
+        monkeypatch.setattr(kernel, "_trapezoid", lambda a, pw, h, points: steps.append(
+            (h, len(points))) or trapezoid(a, pw, h, points))
+        alone_bits, split = [], 0
+        for a, c, xs in _pair_cases():
+            alone = [_record_bits(kernel.pair_quotients(a, c, (x,))[0]) for x in xs]
+            order = rng.permutation(len(xs))
+            shuffled = kernel.pair_quotients(a, c, [xs[i] for i in order])
+            back = [None] * len(xs)
+            for i, got in zip(order, shuffled):
+                back[i] = _record_bits(got)
+            steps.clear()
+            assert [_record_bits(got) for got in kernel.pair_quotients(a, c, xs)] == alone, (
+                a, c, xs)
+            assert back == alone, (a, c, xs, order)
+            alone_bits += alone
+            # a pass at a halved h serves some of the pair's x, not all
+            split += len(steps) > 1 and steps[0][1] > steps[-1][1]
+        messages = " ".join(bits[1] for bits in alone_bits if len(bits) == 2)
+        for part in ("a is subnormal", "reach beyond the double range",
+                     "overflow encountered", "indistinguishable from 0",
+                     "shifted quotients underflow or overflow"):
+            assert part in messages, part
+        assert any(bits[3] == ("tolerance_not_met",) for bits in alone_bits if len(bits) > 2)
+        assert split
 
 
 class TestPsiConnection:

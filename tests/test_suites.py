@@ -320,14 +320,13 @@ def test_dense_suites_rows_off_the_default_grid_are_pinned():
     ((1e-200, 1.0), "closed form of T1L is not a finite double "
                     "at (a=0.5, c=0.5, x=1e-200)")], ids=["rhs-first", "lhs-first"])
 def test_a_pair_raises_its_first_failing_task_in_x_order(monkeypatch, grid_x, message):
-    records = kernel.psi_quotients
+    records = kernel.pair_quotients
 
-    def failing(p):
-        if p.x == 1.0:
-            raise EvaluationError("record at x=1.0")
-        return records(p)
+    def failing(a, c, xs):
+        return [EvaluationError("record at x=1.0") if x == 1.0 else got
+                for x, got in zip(xs, records(a, c, xs))]
 
-    monkeypatch.setattr(turanians, "psi_quotients", failing)
+    monkeypatch.setattr(turanians, "pair_quotients", failing)
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
         suites.run(RunConfig(suites=("bounds",), grid_a=(0.5,), grid_c=(0.5,),
                              grid_x=grid_x))
@@ -398,20 +397,22 @@ def test_default_run_verdicts_are_the_recorded_ones(default_run):
 def test_bounds_suite_computes_each_ratio_once(monkeypatch):
     # up to seven catalog bounds read one Turanian ratio at a point (the
     # S-family the second-shift one), and the stieltjes suite reads two
-    # kinds again: the suites that share a pair's context read each record
-    # once per (pair, x), and form each kind's ratio column once per pair
-    reads, formed = Counter(), Counter()
-    records, form = turanians.psi_quotients, turanians.PairRecords._ratio_column
+    # kinds again: the suites that share a pair's context read the records
+    # of a pair in one call, each (pair, x) once, and form each kind's
+    # ratio column once per pair
+    calls, reads, formed = Counter(), Counter(), Counter()
+    records, form = turanians.pair_quotients, turanians.PairRecords._ratio_column
 
-    def read(p):
-        reads[p] += 1
-        return records(p)
+    def read(a, c, xs):
+        calls[a, c] += 1
+        reads.update(ParameterPoint(a, c, x) for x in xs)
+        return records(a, c, xs)
 
     def counted(pair, kind):
         formed[kind, pair.a, pair.c] += 1
         return form(pair, kind)
 
-    monkeypatch.setattr(turanians, "psi_quotients", read)
+    monkeypatch.setattr(turanians, "pair_quotients", read)
     monkeypatch.setattr(turanians.PairRecords, "_ratio_column", counted)
     shared = ("stieltjes", "bounds", "dominance", "monotonicity")
     _, rows = suites.run(RunConfig(suites=shared, **SMALL_GRID))
@@ -425,6 +426,7 @@ def test_bounds_suite_computes_each_ratio_once(monkeypatch):
             for c in SMALL_GRID["grid_c"] for x in SMALL_GRID["grid_x"]]
     assert formed == Counter(needed) and set(formed.values()) == {1}
     assert reads == Counter(grid) and set(reads.values()) == {1}
+    assert calls == Counter({(p.a, p.c) for p in grid})
     assert {r.suite for r in rows} == set(shared)
     assert sum(r.claim in needs for r in rows) > len(needed) * len(SMALL_GRID["grid_x"])
 
@@ -432,8 +434,7 @@ def test_bounds_suite_computes_each_ratio_once(monkeypatch):
 def _cold_default_run():
     """Run the default grid from cold caches; return the misses of the psi
     cache and of the phi-table cache."""
-    for cached in (kernel._psi_cached, kernel.psi_quotients, bounds._lg_ratio,
-                   measure._phi_table):
+    for cached in (kernel._psi_cached, measure._phi_table):
         cached.cache_clear()
     suites.run(RunConfig())
     return kernel._psi_cached.cache_info().misses, measure._phi_table.cache_info().misses
@@ -456,23 +457,38 @@ def test_default_run_computes_no_psi_point_or_phi_table_twice(monkeypatch):
 
 
 def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
-    # from cold caches: one trapezoid pass per (a, c, x) of the grid, all
-    # at a > 0, and no quadrature at a shifted point
-    quadratures = []
-    quadrature = kernel._quadrature
+    # from a cold psi cache: one call of the records' quadrature per (a, c)
+    # pair of the grid, all at a > 0, for the records at all its x, and no
+    # quadrature of psi alone, so none at a shifted point; one trapezoid
+    # pass per (pair, h), h halved from the first step, each x in one pass
+    # per h, the first pass at every x
+    quadratures, passes, psi_alone = [], [], []
+    quadrature, trapezoid = kernel._pair_quadrature, kernel._trapezoid
 
-    def counted(a, c, x, *shifted):
-        quadratures.append(((a, c, x), bool(shifted and shifted[0])))
-        return quadrature(a, c, x, *shifted)
+    def counted(a, c, xs):
+        quadratures.append((a, c, tuple(xs)))
+        passes.append([])
+        return quadrature(a, c, xs)
 
-    monkeypatch.setattr(kernel, "_quadrature", counted)
-    for cached in (kernel._psi_cached, kernel.psi_quotients):
-        cached.cache_clear()
+    def stepped(a, pw, h, points):
+        passes[-1].append((h, [point[0] for point in points]))
+        return trapezoid(a, pw, h, points)
+
+    monkeypatch.setattr(kernel, "_pair_quadrature", counted)
+    monkeypatch.setattr(kernel, "_trapezoid", stepped)
+    monkeypatch.setattr(kernel, "_quadrature", lambda *args: psi_alone.append(args))
+    kernel._psi_cached.cache_clear()
     suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
-    grid = [(a, c, x) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]
-            for x in SMALL_GRID["grid_x"]]
-    assert all(a > 0.0 for a, c, x in grid)
-    assert sorted(quadratures) == sorted((point, True) for point in grid)
+    xs = SMALL_GRID["grid_x"]
+    pairs = [(a, c) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]]
+    assert all(a > 0.0 for a, c in pairs)
+    assert sorted(quadratures) == sorted((a, c, xs) for a, c in pairs)
+    assert psi_alone == []
+    for steps in passes:
+        assert [h for h, _ in steps] == [kernel._STEP / 2 ** k for k in range(len(steps))]
+        assert steps[0][1] == list(xs)
+        assert all(len(set(x)) == len(x) for _, x in steps)
+        assert all(set(later) <= set(x) for (_, x), (_, later) in zip(steps, steps[1:]))
 
 
 def test_a_repeated_suite_name_lists_each_empty_region_once():

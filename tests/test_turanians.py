@@ -107,13 +107,12 @@ def _bits(fv):
 
 
 class TestCache:
-    """A ratio read from the record psi_quotients keeps equals the ratio
-    from a fresh record, and a point that raises raises on every call."""
+    """No record is kept: a ratio read again is formed from a fresh record,
+    to the same bits, and a point that raises raises on every call."""
 
     @pytest.mark.parametrize("kind", list(TuranianKind))
     def test_cached_value_equals_a_fresh_computation(self, kind):
         p = ParameterPoint(2.0, -2.5, 1.5)
-        kernel.psi_quotients.cache_clear()
         first = turanian_ratio(kind, p)
         assert _bits(turanian_ratio(kind, p)) == _bits(first)
 
@@ -181,34 +180,40 @@ class TestShiftPoints:
     @staticmethod
     def _reads(monkeypatch, public, kind, p):
         # the record reads psi through kernel.psi, the raw Turanian through
-        # turanians.psi; a pass is a call of kernel._quadrature with shifted
-        seen, passes = [], []
-        quadrature = kernel._quadrature
+        # turanians.psi; records holds (a, c, the x) of each call of the
+        # records' quadrature, and steps (h, the x) of each trapezoid pass
+        seen, records, steps = [], [], []
+        quadrature, trapezoid = kernel._pair_quadrature, kernel._trapezoid
 
-        def counted(a, c, x, *shifted):
-            if shifted and shifted[0]:
-                passes.append((a, c, x))
-            return quadrature(a, c, x, *shifted)
+        def counted(a, c, xs):
+            records.append((a, c, tuple(xs)))
+            return quadrature(a, c, xs)
+
+        def stepped(a, pw, h, points):
+            steps.append((h, tuple(point[0] for point in points)))
+            return trapezoid(a, pw, h, points)
 
         monkeypatch.setattr(kernel, "psi", lambda q: seen.append(q) or psi(q))
         monkeypatch.setattr(turanians, "psi", lambda q: seen.append(q) or psi(q))
-        monkeypatch.setattr(kernel, "_quadrature", counted)
-        kernel.psi_quotients.cache_clear()
+        monkeypatch.setattr(kernel, "_pair_quadrature", counted)
+        monkeypatch.setattr(kernel, "_trapezoid", stepped)
         public(kind, p)
-        return seen, passes
+        return seen, records, steps
 
     @pytest.mark.parametrize("kind,shifts", _READS)
     def test_in_the_region_one_pass_and_no_shifted_psi(self, monkeypatch, kind, shifts):
-        # the ratio makes one pass; the raw Turanian reads psi at its
-        # points.  psi(-0.5, -2, 0.03) has no route, and 400 lies past
+        # the ratio reads one record, one pass per h, h halved from the
+        # first step; the raw Turanian reads psi at its points.
+        # psi(-0.5, -2, 0.03) has no route, and 400 lies past
         # large_x(0.5, -1) = 312.5
         for x in (0.03, 400.0):
             p = ParameterPoint(0.5, -1.0, x)
-            seen, passes = self._reads(monkeypatch, turanian_ratio, kind, p)
+            seen, records, steps = self._reads(monkeypatch, turanian_ratio, kind, p)
             assert set(seen) <= {p}
-            assert passes == [p]
-            seen, passes = self._reads(monkeypatch, turanian, kind, p)
-            assert passes == []
+            assert records == [(0.5, -1.0, (x,))]
+            assert steps and steps == [(kernel._STEP / 2 ** k, (x,)) for k in range(len(steps))]
+            seen, records, _ = self._reads(monkeypatch, turanian, kind, p)
+            assert records == []
             assert set(seen) == {ParameterPoint(0.5 + da, -1.0 + dc, x) for da, dc in shifts}
 
     @pytest.mark.parametrize("kind,shifts", _READS)
@@ -218,8 +223,8 @@ class TestShiftPoints:
         p = ParameterPoint(a, c, x)
         for public, reads in ((turanian_ratio, {(0, 0), (1, 0), (1, 1)}),
                               (turanian, shifts)):
-            seen, passes = self._reads(monkeypatch, public, kind, p)
-            assert passes == []
+            seen, records, _ = self._reads(monkeypatch, public, kind, p)
+            assert records == []
             assert set(seen) == {ParameterPoint(a + da, c + dc, x)
                                  for da, dc in reads}
 
@@ -336,13 +341,20 @@ class TestShiftQuotients:
         with pytest.raises(ValueError, match="no quotient"):
             turanians.shift_quotient(ParameterPoint(a, c, x), da, dc)
 
-    def test_a_raising_record_raises_on_every_call(self):
-        # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record
-        kernel.psi_quotients.cache_clear()
+    def test_a_raising_record_raises_on_every_call(self, monkeypatch):
+        # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record.  No
+        # record is kept, so the second call makes the passes of the first
+        # again
+        runs = []
+        trapezoid = kernel._trapezoid
+        monkeypatch.setattr(kernel, "_trapezoid",
+                            lambda a, pw, h, points: runs[-1].append(h)
+                            or trapezoid(a, pw, h, points))
         for _ in range(2):
+            runs.append([])
             with pytest.raises(EvaluationError, match="underflows"):
                 turanians.shift_quotient(ParameterPoint(200.0, 0.5, 1.0), 1, 1)
-        assert kernel.psi_quotients.cache_info().currsize == 0
+        assert runs[0] and runs[1] == runs[0]
 
 
 class TestRatioLimits:
