@@ -21,9 +21,12 @@ Oracles used here:
     agree with to within its budget.
 """
 
+import hashlib
 import math
 import pickle
+import random
 import signal
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -1015,6 +1018,95 @@ class TestExtremeParameters:
                 for x in (0.5, 3.0):
                     fv = psi(ParameterPoint(-float(m), c, x))
                     assert abs(fv.value - hyperu40(-float(m), c, x)) <= fv.abs_error
+
+
+def _psi_points_sample(n=3000, seed=1409):
+    """n seeded (a, c, x) drawn as the psi-points benchmark draws them: a
+    uniform in [-4, 6], 10% from the integers -3..0; c uniform in [-5, 2],
+    10% from the integers -5..2; x log-uniform in [1e-2, 1e3]."""
+    rng = random.Random(f"psi-bits:{seed}")
+    lo, hi = math.log(1e-2), math.log(1e3)
+    points = []
+    for _ in range(n):
+        a = float(rng.randint(-3, 0)) if rng.random() < 0.1 else rng.uniform(-4.0, 6.0)
+        c = float(rng.randint(-5, 2)) if rng.random() < 0.1 else rng.uniform(-5.0, 2.0)
+        points.append((a, c, math.exp(rng.uniform(lo, hi))))
+    return points
+
+
+def _record_pairs(n=200, seed=1409):
+    """n seeded (a, c, xs) with 1 to 6 x each: every other pair drawn as
+    ``_psi_points_sample`` draws its points, the rest as ``_pair_cases``
+    draws its seeded pairs, a log-uniform in [1e-8, 60], c uniform in
+    [-300, 60] and x log-uniform in [1e-6, 1e5]."""
+    rng = random.Random(f"record-bits:{seed}")
+    lo, hi = math.log(1e-2), math.log(1e3)
+    pairs = []
+    for i in range(n):
+        if i % 2:
+            a = float(rng.randint(-3, 0)) if rng.random() < 0.1 else rng.uniform(-4.0, 6.0)
+            c = float(rng.randint(-5, 2)) if rng.random() < 0.1 else rng.uniform(-5.0, 2.0)
+            xs = [math.exp(rng.uniform(lo, hi)) for _ in range(rng.randint(1, 6))]
+        else:
+            a = math.exp(rng.uniform(math.log(1e-8), math.log(60.0)))
+            c = rng.uniform(-300.0, 60.0)
+            xs = [10.0 ** rng.uniform(-6.0, 5.0) for _ in range(rng.randint(1, 6))]
+        pairs.append((a, c, xs))
+    return pairs
+
+
+def _digest(results):
+    """sha256 of each result as its bits: a FunctionValue's value and
+    budget in hex, method and flags, a record's quotients in hex too, an
+    exception's type name and message."""
+    digest = hashlib.sha256()
+    for got in results:
+        if isinstance(got, Exception):
+            bits = (type(got).__name__, str(got))
+        else:
+            f0, *quotients = got if type(got) is tuple else (got,)
+            bits = (f0.value.hex(), f0.abs_error.hex(), f0.method, f0.flags,
+                    *(v.hex() for q in quotients for v in q))
+        digest.update(repr(bits).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedBits:
+    """Every bit of psi and of the records, pinned: a change that makes
+    either cheaper must leave each value, budget, method, flag and error
+    message as it is."""
+
+    def test_psi_on_every_route(self):
+        points = _psi_points_sample() + EXTREME_POINTS
+        results, routes = [], Counter()
+        for a, c, x in points:
+            try:
+                fv = psi(ParameterPoint(a, c, x))
+            except Exception as exc:    # the type and message are pinned
+                results.append(exc)
+                routes[type(exc).__name__] += 1
+                continue
+            results.append(fv)
+            route = fv.method
+            if a < 0.0 and a == math.floor(a):
+                route = "terminating"
+            elif a < 0.0 and x > 1.0:
+                route += " at the a < 0 pick"
+            routes[route] += 1
+        assert {"quadrature", "connection_series", "terminating",
+                "asymptotic_large_x at the a < 0 pick", "connection_series at the a < 0 pick",
+                "EvaluationError", "DoubleRangeError"} <= set(routes), routes
+        assert _digest(results) == (
+            "5c2044ff9359152b5bfa2b254651db2278257c8acbca60f1a3d756c972c8316b")
+
+    def test_records_of_pairs(self):
+        results = [got for a, c, xs in _record_pairs() for got in kernel.pair_quotients(a, c, xs)]
+        kinds = {(got[0].method, got[0].flags) for got in results if type(got) is tuple}
+        assert {("quadrature", ()), ("quadrature", ("tolerance_not_met",)),
+                ("connection_series", ()), ("asymptotic_large_x", ())} <= kinds
+        assert any(isinstance(got, Exception) for got in results)
+        assert _digest(results) == (
+            "1be624182b29601ba86583c559ba794620cca782701dd0cc1c5bdbb9fcfbceb9")
 
 
 class TestKernelInvariants:
