@@ -97,9 +97,9 @@ INTEGER_C_GUARD = 1e-6
 
 # M(a, c, x) grows like e^x, and math.exp overflows near 709
 _CONNECTION_X_MAX = 600.0
-_M_MAX_TERMS = 10_000
+_M_MAX_TERMS = 10_000.0         # the series' terms at most, a double as its counter is
 _M_TOL = 1e-15                  # stop once two terms are below this share of the sum
-_ASYMPTOTIC_MAX_ORDER = 60      # the expansion's terms at most
+_ASYMPTOTIC_MAX_ORDER = 60.0    # the expansion's terms at most
 
 QUADRATURE = "quadrature"
 CONNECTION = "connection_series"
@@ -112,6 +112,7 @@ _STEP_MIN = 2.0 ** -7
 _LEFT_DEPTH = 40.0
 # the cutoff test of psi_quadrature: 20 f(S) against PSI_TOL, in logs
 _LOG_20 = math.log(20.0)
+_LOG_2 = math.log(2.0)
 _LOG_PSI_TOL = math.log(PSI_TOL)
 
 
@@ -215,15 +216,16 @@ def _connection_coefficients(a: float, c: float):
             continue
         lg_num, sg_num = log_gamma(num)
         lg_den, sg_den = log_gamma(den)
+        lg = lg_num - lg_den
         try:
-            value = sg_num * sg_den * math.exp(lg_num - lg_den)
+            value = sg_num * sg_den * math.exp(lg)
         except OverflowError:
             value = math.inf
         if not 0.0 < abs(value) <= _FMAX:
             raise EvaluationError(
                 f"Gamma({num})/Gamma({den}) is outside the double range")
         rel = (log_gamma_error(num, lg_num) + log_gamma_error(den, lg_den)
-               + EPS * (2.0 + abs(lg_num - lg_den)
+               + EPS * (2.0 + abs(lg)
                         + abs(num * _digamma(num)) + abs(den * _digamma(den))))
         out.append((value, rel))
     return out
@@ -232,9 +234,11 @@ def _connection_coefficients(a: float, c: float):
 def _digamma(z: float) -> float:
     """digamma(z) off the poles to about 1e-10, plenty for the budgets it
     scales: reflection psi(z) = psi(1-z) - pi cot(pi z) for z < 0, then
-    psi(z) = psi(z+1) - 1/z up to z >= 6, then the asymptotic series."""
+    psi(z) = psi(z+1) - 1/z up to z >= 6, then the asymptotic series.  The
+    reflection term comes off last, as in the recursion."""
+    reflected = 0.0
     if z < 0.0:
-        return _digamma(1.0 - z) - math.pi / math.tan(math.pi * z)
+        reflected, z = math.pi / math.tan(math.pi * z), 1.0 - z
     steps = []
     while z < 6.0:
         steps.append(z)
@@ -243,7 +247,7 @@ def _digamma(z: float) -> float:
     out = math.log(z) - 0.5 / z - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r / 240)))
     for zk in reversed(steps):      # the recursion's order: 1/z comes off last
         out -= 1.0 / zk
-    return out
+    return out - reflected
 
 
 def _pochhammer(c: float, m: int) -> float:
@@ -285,13 +289,46 @@ def _terminating(m: int, c: float, x: float) -> FunctionValue:
 # quadrature route
 # ---------------------------------------------------------------------------
 
-def _left_nodes(a: float, q: float, w0: float, h: float) -> int:
-    """kl, even: the nodes of exp(a w + log G), |log G| <= q e^w, start at
-    w0 - kl h.  Left of node k = -j, q e^w <= 1/2, so |log G| <= 1/2 there;
-    the nodes start depth e-folds of e^((a+1)w) further left."""
-    j = 2 * max(0, math.ceil(0.5 * (math.log(2.0 * q) + w0) / h))
-    depth = max(0.0, _LEFT_DEPTH - math.log1p(1.0 / a)) / (a + 1.0)
-    return j + 2 * math.ceil(0.5 * depth / h)
+def _point(a: float, x: float, w0: float, rows) -> tuple:
+    """A point of the passes (``_trapezoid``), (x, w0, rows, extents).  The
+    extents, of psi's row and, with more rows, of the extent they share
+    (the last row's), hold what the node counts of every pass take from x
+    alone, formed once per x (``_extent``)."""
+    if len(rows) == 1:
+        return x, w0, rows, (_extent(a, rows[0], w0),)
+    return x, w0, rows, (_extent(a, rows[0], w0), _extent(a, rows[-1], w0))
+
+
+def _extent(a: float, row, w0: float) -> tuple:
+    """A row's extent, (max(0, log 2q + w0) / 2, depth / 2, log S - w0):
+    at step h its nodes run from w0 - kl h, kl = 2 ceil(max(0, log 2q +
+    w0) / 2h) + 2 ceil(depth / 2h), to w0 + (end + 1) h, end = ceil((log
+    S - w0) / h), past S (``_span``).  The nodes of exp(a w + log G),
+    |log G| <= q e^w, start there: left of w = -log 2q, q e^w <= 1/2, so
+    |log G| <= 1/2, and the nodes start depth e-folds of e^((a+1)w)
+    further left."""
+    k, _, S, q, _ = row
+    ak = a + k
+    depth = _LEFT_DEPTH - math.log1p(1.0 / ak)
+    half_left = 0.5 * (math.log(2.0 * q) + w0)
+    return (half_left if half_left > 0.0 else 0.0,
+            0.5 * ((depth if depth > 0.0 else 0.0) / (ak + 1.0)), math.log(S) - w0)
+
+
+def _span(point, h: float) -> tuple:
+    """(size, psi's lo and hi, first node, psi's first node) of a point's
+    nodes at step h, lo and hi from its first node on: psi's extent, or
+    the larger of it and the shared one (``_extent``)."""
+    w0, extents = point[1], point[3]
+    half_left, half_depth, right = extents[0]
+    kl = 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h)
+    end = math.ceil(right / h)
+    if len(extents) == 1:
+        return kl + end + 2, 0, kl + end + 2, w0 - kl * h, w0 - kl * h
+    half_left, half_depth, right = extents[1]
+    k1 = max(kl, 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h))
+    last = max(end, math.ceil(right / h))
+    return k1 + last + 2, k1 - kl, k1 + end + 2, w0 - k1 * h, w0 - kl * h
 
 
 def _left_sums(a: float, q: float, w1: float, h: float, m: float):
@@ -308,27 +345,29 @@ def _left_sums(a: float, q: float, w1: float, h: float, m: float):
 
 
 def _trapezoid(a: float, pw: float, h: float, points) -> tuple:
-    """The step-h trapezoid pass at each point (x, w0, rows) of one (a, c)
-    pair, on the nodes w0 + k h of f(w) = exp(a w - e^w + pw log1p(e^w/x)),
-    scaled by e^-m, m the largest exponent on psi's nodes at the point.  A
-    row (k, j, S, q, log_tail) is the sum of f e^(kw) / (1 + e^w/x)^j, the
-    integrand of psi(a+k, c+k-j), formed as x^j f e^(kw) / (x + e^w)^j;
-    its nodes run past S and start where q e^w bounds the log of its
-    factor (1 + e^w/x)^(pw-j) (``_left_nodes``), and 2 e^log_tail bounds
-    its sum past S.  psi's row, (0, 0), comes first and is its own slice
-    of the point's nodes; the other rows share one extent (k, S and q) and
-    take all of them.  Returns (each point's m, each point's psi (T_h,
-    error bound), nodes), on which ``_more_rows`` sums the other rows.
+    """The step-h trapezoid pass at each point (x, w0, rows, extents) of
+    one (a, c) pair (``_point``), on the nodes w0 + k h of f(w) = exp(a w
+    - e^w + pw log1p(e^w/x)), scaled by e^-m, m the largest exponent on
+    psi's nodes at the point.  A row (k, j, S, q, log_tail) is the sum of
+    f e^(kw) / (1 + e^w/x)^j, the integrand of psi(a+k, c+k-j), formed as
+    x^j f e^(kw) / (x + e^w)^j; its nodes run past S and start where q e^w
+    bounds the log of its factor (1 + e^w/x)^(pw-j) (``_extent``), and 2
+    e^log_tail bounds its sum past S.  psi's row, (0, 0), comes first and
+    is its own slice of the point's nodes; the other rows share one extent
+    (k, S and q) and take all of them.  Returns (each point's m, each
+    point's psi (T_h, error bound), nodes), on which ``_more_rows`` sums
+    the other rows.
 
     The points' nodes lie in one array, each point's in its span (lo, hi,
     psi's lo and hi, first node, psi's first node).  The elementwise work
     runs once over the array, each element as in a pass at its point
     alone; each maximum and sum runs over one span, in the order of that
-    pass (``np.add.reduceat`` would sum in another).  One point takes no
-    numpy call that its pass alone would not.  Buffers are worked in
-    place, each element as with a fresh array: aw holds w, a w, then the
-    rounding weights |a w| + e^w + kappa L, L = log1p(e^w/x); f holds
-    a w + log G, then psi's summands.
+    pass (``np.add.reduceat`` would sum in another).  One point takes the
+    numpy calls of its pass alone and none of the spreading, cuts or
+    per-point lists of several.  Buffers are worked in place, each element
+    as with a fresh array: aw holds w, a w, then the rounding weights
+    |a w| + e^w + kappa L, L = log1p(e^w/x); f holds a w + log G, then
+    psi's summands.
 
     The weights bound the rounding of a node's exponent a w - e^w + pw L
     - m, in units of 4 EPS, with 2 EPS for each of exp and log1p.  e^w is
@@ -340,53 +379,56 @@ def _trapezoid(a: float, pw: float, h: float, points) -> tuple:
     most |a w| + e^w + |pw L| + |m|.  In all 1.5 EPS |a w| + 3.5 EPS e^w +
     (7.5 |pw| + 0.5) EPS L + EPS/2 |m|: kappa is (7.5 |pw| + 0.5) / 4, and
     ``_row_sum`` charges |m| flat."""
-    spans, n = [], 0
-    for point in points:
-        w0, rows = point[1], point[2]
-        kl, end = _extent(a, rows[0], w0, h)
-        k1, last = kl, end
-        if len(rows) > 1:
-            k1, last = map(max, (kl, end), _extent(a, rows[-1], w0, h))
-        size = k1 + last + 2
-        spans.append((n, n + size, n + k1 - kl, n + k1 + end + 2, w0 - k1 * h, w0 - kl * h))
-        n += size
-    # w, exact: h is a power of 2 and each w0 a multiple of 2^-20; a
-    # point's nodes are the array's from its lo on, moved to its first node
-    first = spans[0][4]
-    aw = np.arange(first, first + (n - 0.5) * h, h)
-    if len(points) == 1:
-        spread, x = None, points[0][0]
+    one = len(points) == 1
+    if one:
+        # w, exact: h is a power of 2 and w0 a multiple of 2^-20
+        x = points[0][0]
+        n, lo, hi, first, w1 = _span(points[0], h)
+        spans = ((0, n, lo, hi, first, w1),)
+        aw = np.arange(first, first + (n - 0.5) * h, h)
     else:
+        spans, n = [], 0
+        for point in points:
+            size, lo, hi, w, w1 = _span(point, h)
+            spans.append((n, n + size, n + lo, n + hi, w, w1))
+            n += size
+        # a point's nodes are the array's from its lo on, moved to its
+        # first node
+        first = spans[0][4]
+        aw = np.arange(first, first + (n - 0.5) * h, h)
         spread = partial(np.repeat, repeats=[hi - lo for lo, hi, *_ in spans])
         aw += spread([w - first - lo * h for lo, _, _, _, w, _ in spans])
         x = spread([p[0] for p in points])
     ew = np.exp(aw)
     pl = ew / x
-    np.log1p(pl, out=pl)
+    np.log1p(pl, pl)
     f = pl * pw
     f -= ew
     aw *= a
     f += aw
-    # owns: psi's nodes of each point, views that follow f
-    if spread is None:
-        _, _, lo, hi, _, _ = spans[0]
-        owns = [f[lo:hi]]
-        ms = [float(np.maximum.reduce(owns[0]))]
-        f -= ms[0]
+    if one:
+        # psi's nodes, views that follow f and aw: all of them for psi alone
+        own, weights = (f, aw) if hi - lo == n else (f[lo:hi], aw[lo:hi])
+        m = float(np.maximum.reduce(own))
+        f -= m
+        ms = (m,)
     else:
-        owns = [f[lo:hi] for _, _, lo, hi, _, _ in spans]
         cuts = [i for span in spans for i in span[2:4]]
         ms = np.maximum.reduceat(f, cuts[:-1] if cuts[-1] == n else cuts)[::2].tolist()
         f -= spread(ms)
-    np.exp(f, out=f)
-    np.abs(aw, out=aw)
+    np.exp(f, f)
+    np.abs(aw, aw)
     aw += ew
     pl *= 1.875 * abs(pw) + 0.125
     aw += pl
+    if one:
+        row = points[0][2][0]
+        return ms, (_row_sum(row, own, weights, w1, _left_sums(a, row[3], w1, h, m),
+                             a, x, h, m),), (f, ew, aw, x, spans)
     psi_sums = []
-    for point, (_, _, lo, hi, _, w1), fo, m in zip(points, spans, owns, ms):
+    for point, (_, _, lo, hi, _, w1), m in zip(points, spans, ms):
         row = point[2][0]
-        psi_sums.append(_row_sum(row, fo, aw[lo:hi], w1, _left_sums(a, row[3], w1, h, m),
+        psi_sums.append(_row_sum(row, f[lo:hi], aw[lo:hi], w1, _left_sums(a, row[3], w1, h, m),
                                  a, point[0], h, m))
     return ms, psi_sums, (f, ew, aw, x, spans)
 
@@ -400,21 +442,16 @@ def _shifted_summands(nodes) -> tuple:
 
 
 def _more_rows(nodes, summands, i: int, point, m: float, a: float, h: float) -> list:
-    """``_row_sum`` of the other rows of the pass's point i, (x, w0, rows),
-    which share one extent with k = 1, on all its nodes of the pass, from
-    the pass's ``_shifted_summands``; the left series is formed once."""
+    """``_row_sum`` of the other rows of the pass's point i, (x, w0, rows,
+    extents), which share one extent with k = 1, on all its nodes of the
+    pass, from the pass's ``_shifted_summands``; the left series is formed
+    once."""
     aw, spans = nodes[2], nodes[4]
     xp, rows = point[0], point[2]
     lo, hi, _, _, w1, _ = spans[i]
     left = _left_sums(a + 1.0, rows[1][3], w1, h, m)
     return [_row_sum(row, summands[row[1]][lo:hi], aw[lo:hi], w1, left, a, xp, h, m)
             for row in rows[1:]]
-
-
-def _extent(a: float, row, w0: float, h: float) -> tuple[int, int]:
-    """k of a row's first node w0 - k h and of its last node before S."""
-    k, _, S, q, _ = row
-    return _left_nodes(a + k, q, w0, h), math.ceil((math.log(S) - w0) / h)
 
 
 def _row_sum(row, y, weights, w1: float, left, a: float, x: float, h: float,
@@ -432,7 +469,7 @@ def _row_sum(row, y, weights, w1: float, left, a: float, x: float, h: float,
     total = float(np.add.reduce(y))
     t_h = hs * total + geo_h
     t_2h = 2.0 * hs * float(np.add.reduce(y[::2])) + geo_2h
-    rounding = (4.0 * EPS * hs * (float(y @ weights)
+    rounding = (4.0 * EPS * hs * (float(y.dot(weights))
                                   + (16.0 + 2.0 * (k + j) + abs(m)) * total)
                 + 4.0 * EPS * geo_h * (4.0 + abs(ak * (w1 - h) - m)))
     return t_h, (abs(t_h - t_2h) + 4.0 * rest + rounding + 2.0 * math.exp(log_tail - m)
@@ -486,18 +523,22 @@ def _cutoff(a: float, pw: float, x: float, log_b: float,
     pw_floor = pw, and of f / (1 + e^w/x) for pw_floor = pw - 1.  Beyond
     S the integrand decays at least like e^(-s/2)."""
     S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
-    log_floor = a * log_b - math.log(a) - 1.0 + min(pw_floor, 0.0) * math.log(2.0)
+    log_floor = a * log_b - math.log(a) - 1.0 + min(pw_floor, 0.0) * _LOG_2
+    cut = _LOG_PSI_TOL + log_floor
     while True:
         log_f_cut = -S + a * math.log(S) + pw * math.log1p(S / x)
-        if log_f_cut + _LOG_20 <= _LOG_PSI_TOL + log_floor or S >= 700.0:
+        if log_f_cut + _LOG_20 <= cut or S >= 700.0:
             return S, log_f_cut
         S *= 1.5
 
 
 def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
-    """(x, w0, rows) of the passes at x (see ``_trapezoid``), the rows
-    psi's alone or, with ``shifted``, also the r and s rows.  Raises where a is
-    subnormal or the nodes leave the double range."""
+    """The point (x, w0, rows, extents) of the passes at x (``_point``),
+    the rows psi's alone or, with ``shifted``, also the r and s rows.
+    Raises :class:`EvaluationError` where a is subnormal or the nodes leave
+    the double range, and where their exponents or rounding weights do:
+    there as :class:`DoubleRangeError` where psi is shown to lie beyond it
+    (``_beyond_gamma_floor``)."""
     if a < _TINY:
         raise _subnormal(a, c, x)
     log_b = math.log(min(x, 1.0))
@@ -513,23 +554,57 @@ def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
         log_s = -S_ext + (a + 1.0) * math.log(S_ext) + pw * math.log1p(S_ext / x)
         rows += [(1, 1, S_ext, q_ext, log_s - math.log1p(S_ext / x)), (1, 0, S_ext, q_ext, log_s)]
     # the nodes need e^w/x up to past S_ext and twice the largest q of
-    # _left_nodes as doubles
+    # _extent as doubles
     if not 2.0 * (S_ext + abs(pw) + 1.0) / x <= _FMAX:
         raise EvaluationError(f"the trapezoid nodes of psi(a={a}, c={c}, x={x}) "
                               f"reach beyond the double range")
-    return x, w0, rows
+    # the pass needs each node's exponent a w - e^w + pw L, which it
+    # lowers by m, the largest, and each rounding weight |a w| + e^w +
+    # kappa L (``_trapezoid``) as doubles: the exponents lie within E = a
+    # |w| + e^w + |pw| L of 0, and the weights below E + (kappa - |pw|) L.
+    # e^w and L are largest at the last node, w < log S_ext + 2 h, and |w|
+    # < 800, as w0 >= -745 and, with 2q and S doubles, the nodes run from
+    # less than 41 left of min(w0, -log 2q) to log S + 1/4 (``_extent``)
+    e_end = 1.3 * S_ext
+    log_end = math.log1p(e_end / x)
+    exponent = a * 800.0 + e_end + abs(pw) * log_end
+    if not (2.0 * exponent <= _FMAX
+            and exponent + (0.875 * abs(pw) + 0.125) * log_end <= _FMAX):
+        if _beyond_gamma_floor(a, c, pw, x):
+            raise _beyond_range(a, c, x)
+        raise EvaluationError(f"the trapezoid exponents of psi(a={a}, c={c}, x={x}) "
+                              f"leave the double range")
+    return _point(a, x, w0, rows)
+
+
+def _beyond_gamma_floor(a: float, c: float, pw: float, x: float) -> bool:
+    """Whether psi(a, c, x), a > 0, is shown to exceed twice the largest
+    double: for pw = c - a - 1 >= 0, (1+t)^pw >= t^pw gives psi >=
+    Gamma(z) x^-z / Gamma(a), z = c - 1, whose log exceeds z (log z - 1 -
+    log x) - log z / 2 - lnGamma(a) (Stirling).  The test leaves room for
+    the rounding of each term."""
+    if not pw >= 0.0:
+        return False
+    try:
+        lg_a = math.lgamma(a)
+    except OverflowError:
+        return False
+    z = c - 1.0
+    log_z, log_x = math.log(z), math.log(x)
+    d = log_z - 1.0 - log_x - 4.0 * EPS * (abs(log_z) + 1.0 + abs(log_x))
+    return d > 0.0 and z * d * (1.0 - 4.0 * EPS) > (
+        _LOG_2FMAX + 0.5 * log_z + lg_a + log_gamma_error(a, lg_a) + 1.0)
 
 
 def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     """``psi_quadrature`` on float arguments, as the dispatcher calls it:
     psi's row alone, one pass (``_trapezoid``) per h at the one x.  The
     records' passes (``_pair_quadrature``) halve h by the same rule, in a
-    loop over the x of a pair whose bookkeeping would cost a one-x call
-    about 2 us of its 20."""
+    loop over the x of a pair."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
-    points = [_nodes(a, c, pw, x, False)]
+    points = (_nodes(a, c, pw, x, False),)
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
@@ -554,8 +629,8 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
     every x starts at the same h, one pass per h (``_trapezoid``) serves
     every x whose h is still being halved.  lnGamma(a) is taken once."""
     pw = c - a - 1.0
-    # points: (x, w0, rows, index in xs, the last relative error) of each
-    # x whose h is still being halved
+    # points: (x, w0, rows, extents, index in xs, the last relative error)
+    # of each x whose h is still being halved
     out, points = list(xs), []
     for i, x in enumerate(out):
         try:
@@ -566,7 +641,7 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
         lg_a, _ = log_gamma(a)
     except EvaluationError as exc:
         for point in points:
-            out[point[3]] = exc
+            out[point[4]] = exc
         return out
     lg_a_err = log_gamma_error(a, lg_a)
     h = _STEP
@@ -574,12 +649,12 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
         ms, sums, nodes = _trapezoid(a, pw, h, points)
         summands, rest = None, []
         for k, (point, m, (total, err)) in enumerate(zip(points, ms, sums)):
-            x, _, _, i, prev_rel = point
+            x, i, prev_rel = point[0], point[4], point[5]
             log_x = math.log(x)
             rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
             rel = err / total
             if not (met or h <= _STEP_MIN or rel > 0.5 * prev_rel):
-                rest.append((*point[:4], rel))
+                rest.append((*point[:5], rel))
                 continue
             try:
                 fv = _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
@@ -718,26 +793,32 @@ def _m_series(a: float, c: float, x: float, tol: float) -> tuple[float, float]:
     Term n is a running product that carries about 4n roundings, so the
     error adds EPS sum_n (4n + 5) |term_n| to twice the last term; that
     sum is at least the largest partial sum |S|, the floor of the
-    stopping rule."""
+    stopping rule.
+
+    The counter n is a double: a + n, c + n, n + 1 and 4n + 9 are exact,
+    so each term has the bits that an integer count gives it, and a sign
+    test takes each magnitude."""
     term = s = peak = 1.0
     gross = 5.0
     prev_small = False
-    for n in range(_M_MAX_TERMS):
+    n = 0.0
+    while n < _M_MAX_TERMS:
         term = term * (a + n) * x / ((c + n) * (n + 1.0))
         s += term
-        mag = abs(s)
+        mag = s if s >= 0.0 else -s
         if not mag <= _FMAX:                    # inf or NaN
             raise EvaluationError(f"Kummer series overflow at a={a}, c={c}, x={x}")
         if mag > peak:
             peak = mag
-        at = abs(term)
-        gross += (4 * n + 9) * at               # this is term n + 1
+        at = term if term >= 0.0 else -term
+        gross += (4.0 * n + 9.0) * at           # this is term n + 1
         # floor by EPS*peak so a sum that cancels to ~0 can still terminate
         small = at <= tol * mag + EPS * peak
         if small and prev_small:
             return s, 2.0 * at + EPS * gross
         prev_small = small
-    raise EvaluationError(f"Kummer series did not converge within {_M_MAX_TERMS} terms "
+        n += 1.0
+    raise EvaluationError(f"Kummer series did not converge within {_M_MAX_TERMS:.0f} terms "
                           f"(a={a}, c={c}, x={x})")
 
 
@@ -801,19 +882,21 @@ def psi_connection(a: float, c: float, x: float) -> FunctionValue:
 # ---------------------------------------------------------------------------
 
 def _asymptotic_auto(a: float, c: float, x: float) -> FunctionValue:
-    """Sum the expansion to its smallest term (optimal truncation)."""
+    """Sum the expansion to its smallest term (optimal truncation).  The
+    counter n is a double: a + n, m + n and n + 1 are exact, so each term
+    has the bits that an integer count gives it."""
     m = a + 1.0 - c
     term = mag = 1.0
     s = 1.0
-    n = 0
+    n = 0.0
     while n < _ASYMPTOTIC_MAX_ORDER:
         nxt = term * (a + n) * (m + n) / (-(n + 1.0) * x)
-        mag_nxt = abs(nxt)
-        if mag_nxt >= mag and n > 0:
+        mag_nxt = nxt if nxt >= 0.0 else -nxt
+        if mag_nxt >= mag and n > 0.0:
             break
         term, mag = nxt, mag_nxt
         s += term
-        n += 1
+        n += 1.0
         if term == 0.0:  # terminating series (a or m a nonpositive integer)
             break
     omitted = abs(term * (a + n) * (m + n) / ((n + 1.0) * x))

@@ -421,7 +421,7 @@ def psi_row(a, pw, x, w0, S, h):
     """(T_h, its bound, m) of psi's row alone, with no tail bound past S,
     which the references leave out."""
     (m,), ((t_h, err),), _ = _trapezoid(
-        a, pw, h, [(x, w0, [(0, 0, S, 1.0 + abs(pw) / x, -math.inf)])])
+        a, pw, h, [kernel._point(a, x, w0, [(0, 0, S, 1.0 + abs(pw) / x, -math.inf)])])
     return t_h, err, m
 
 
@@ -637,16 +637,18 @@ class TestPsiQuotients:
 
 
 def _pair_cases():
-    """(a, c, xs) for pair_quotients: nine pairs where an x takes psi's
+    """(a, c, xs) for pair_quotients: ten pairs where an x takes psi's
     route at a <= 0, has a subnormal a, leaves the double range with its
-    nodes, meets a numpy warning (an error under the test settings), halves
-    h while the pair's other x do not, is flagged tolerance_not_met, or
-    has shifted quotients beyond or below the double range; then 40 seeded
+    nodes, has node exponents beyond the double range where psi is shown
+    to lie beyond it and where it is not, halves h while the pair's other
+    x do not, is flagged tolerance_not_met, or has shifted quotients
+    beyond or below the double range; then 40 seeded
     pairs, a log-uniform in [1e-8, 60], c uniform in [-300, 60] and 2 to 9
     x log-uniform in [1e-6, 1e5]."""
     cases = [(-0.5, 0.25, (0.5, 2.0, 40.0)), (-1.5, 0.5, (1.0, 1.5, 2.0)),
              (1e-310, 0.5, (1.0, 2.0)), (0.5, -1e307, (1e-300, 1.0, 100.0)),
-             (0.5, 1e306, (1e-10, 1.0, 10.0)), (6.0, -4.5, (0.5, 200.0, 3.0)),
+             (0.5, 1e306, (1e-10, 1.0, 10.0)), (0.5, -5e307, (1.0, 10.0)),
+             (6.0, -4.5, (0.5, 200.0, 3.0)),
              (35.15362223586434, -102.32554853370691, (7.3e-7, 1e-3, 1.0, 5.0)),
              (1e-200, 4.5, (1e-120, 1.0)), (0.1, -4.5, (1.0, 1e308, 3.0))]
     rng = np.random.default_rng(1409_42)
@@ -694,7 +696,9 @@ class TestPairQuotients:
             split += len(steps) > 1 and steps[0][1] > steps[-1][1]
         messages = " ".join(bits[1] for bits in alone_bits if len(bits) == 2)
         for part in ("a is subnormal", "reach beyond the double range",
-                     "overflow encountered", "indistinguishable from 0",
+                     "c=1e+306, x=1.0) exceeds the double range",
+                     "exponents of psi(a=0.5, c=-5e+307, x=1.0) leave the double range",
+                     "indistinguishable from 0",
                      "shifted quotients underflow or overflow"):
             assert part in messages, part
         assert any(bits[3] == ("tolerance_not_met",) for bits in alone_bits if len(bits) > 2)
@@ -1009,6 +1013,29 @@ class TestExtremeParameters:
             with pytest.raises(EvaluationError, match="a is subnormal") as exc:
                 fn(ParameterPoint(a, c, x))
             assert type(exc.value) is EvaluationError
+
+    @pytest.mark.parametrize("c", [1e305, 3e305, 1e306])
+    @pytest.mark.parametrize("a", [0.5, 5.0])
+    def test_huge_c_is_beyond_the_double_range(self, a, c):
+        # psi >= Gamma(c-1) / Gamma(a) at x = 1 lies beyond the double
+        # range.  At c = 3e305 and 1e306 the nodes' exponents pw
+        # log1p(e^w/x) overflowed in the pass: an untyped RuntimeWarning
+        # under the test settings, "has no finite value and budget" without
+        # them; they now raise before it
+        for fn in (psi, kernel.psi_quotients):
+            with pytest.raises(DoubleRangeError, match="exceeds the double range"):
+                fn(ParameterPoint(a, c, 1.0))
+
+    def test_node_exponents_beyond_the_double_range_raise(self):
+        # psi(0.5, -5e307, 1) is about |c|^-a, a double, but not the
+        # exponents pw log1p(e^w/x) of its nodes: an EvaluationError, not a
+        # DoubleRangeError.  At x = 10 they are doubles and psi delivers
+        for fn in (psi, kernel.psi_quotients):
+            with pytest.raises(EvaluationError, match="exponents of psi") as exc:
+                fn(ParameterPoint(0.5, -5e307, 1.0))
+            assert type(exc.value) is EvaluationError
+        fv = psi(ParameterPoint(0.5, -5e307, 10.0))
+        assert fv.value == pytest.approx(5e307 ** -0.5, rel=1e-12)
 
     def test_terminating_polynomial_keeps_its_values(self):
         # the running products stop at a zero factor (c a nonpositive
