@@ -196,7 +196,11 @@ def log_gamma_error(z: float, lg: float) -> float:
     reflection terms of size lnGamma(1-z): against 40-digit mpmath it is 27
     EPS off at z = -14 + 6e-12, where lg = 0.6, and at most 5.1 EPS max(1,
     |lg|, lnGamma(1-z)) on 18,000 seeded z in (-60, 2000), poles included."""
-    return 8.0 * EPS * max(1.0, abs(lg), math.lgamma(1.0 - z) if z < 0.0 else 0.0)
+    scale = abs(lg) if abs(lg) > 1.0 else 1.0
+    if z < 0.0:
+        reflected = math.lgamma(1.0 - z)
+        scale = reflected if reflected > scale else scale
+    return 8.0 * EPS * scale
 
 
 def _connection_coefficients(a: float, c: float):
@@ -326,8 +330,9 @@ def _span(point, h: float) -> tuple:
     if len(extents) == 1:
         return kl + end + 2, 0, kl + end + 2, w0 - kl * h, w0 - kl * h
     half_left, half_depth, right = extents[1]
-    k1 = max(kl, 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h))
-    last = max(end, math.ceil(right / h))
+    k1 = 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h)
+    last = math.ceil(right / h)
+    k1, last = (kl if kl > k1 else k1), (end if end > last else last)
     return k1 + last + 2, k1 - kl, k1 + end + 2, w0 - k1 * h, w0 - kl * h
 
 
@@ -473,7 +478,7 @@ def _row_sum(row, y, weights, w1: float, left, a: float, x: float, h: float,
                                   + (16.0 + 2.0 * (k + j) + abs(m)) * total)
                 + 4.0 * EPS * geo_h * (4.0 + abs(ak * (w1 - h) - m)))
     return t_h, (abs(t_h - t_2h) + 4.0 * rest + rounding + 2.0 * math.exp(log_tail - m)
-                 + len(y) * (2.0 * S + 1.0) * 2.0 ** -1072 * max(h, hs))
+                 + len(y) * (2.0 * S + 1.0) * 2.0 ** -1072 * (hs if hs > h else h))
 
 
 def _shifted_quotients(a: float, c: float, x: float, t0: float, e0: float, sums):
@@ -522,8 +527,10 @@ def _cutoff(a: float, pw: float, x: float, log_b: float,
     e^-1 min(1, 2^pw_floor) b^a / a, a floor of the integral of f for
     pw_floor = pw, and of f / (1 + e^w/x) for pw_floor = pw - 1.  Beyond
     S the integrand decays at least like e^(-s/2)."""
-    S = max(4.0 * (max(a - 1.0, 0.0) + max(pw, 0.0) + 2.0), 30.0)
-    log_floor = a * log_b - math.log(a) - 1.0 + min(pw_floor, 0.0) * _LOG_2
+    # max and min as comparisons, which cost a fraction of the builtins
+    S = 4.0 * ((0.0 if a - 1.0 < 0.0 else a - 1.0) + (0.0 if pw < 0.0 else pw) + 2.0)
+    S = 30.0 if S < 30.0 else S
+    log_floor = a * log_b - math.log(a) - 1.0 + (0.0 if pw_floor > 0.0 else pw_floor) * _LOG_2
     cut = _LOG_PSI_TOL + log_floor
     while True:
         log_f_cut = -S + a * math.log(S) + pw * math.log1p(S / x)
@@ -541,7 +548,7 @@ def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
     (``_beyond_gamma_floor``)."""
     if a < _TINY:
         raise _subnormal(a, c, x)
-    log_b = math.log(min(x, 1.0))
+    log_b = math.log(1.0 if x > 1.0 else x)
     w0 = round(log_b * 2.0 ** 20) * 2.0 ** -20
     S, log_f_cut = _cutoff(a, pw, x, log_b, pw)
     rows, S_ext = [(0, 0, S, 1.0 + abs(pw) / x, log_f_cut)], S
@@ -549,8 +556,9 @@ def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
         # the r row, psi's integrand at (a+1, pw-1), and the s row, at
         # (a+1, pw), share the s row's cutoff and the larger q; log_s is
         # the log of the s row's integrand there, as in _cutoff
-        S_ext = max(S, _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0])
-        q_ext = 1.0 + max(abs(pw), abs(pw - 1.0)) / x
+        S_s = _cutoff(a + 1.0, pw, x, log_b, pw - 1.0)[0]
+        S_ext = S_s if S_s > S else S
+        q_ext = 1.0 + (abs(pw) if abs(pw) >= abs(pw - 1.0) else abs(pw - 1.0)) / x
         log_s = -S_ext + (a + 1.0) * math.log(S_ext) + pw * math.log1p(S_ext / x)
         rows += [(1, 1, S_ext, q_ext, log_s - math.log1p(S_ext / x)), (1, 0, S_ext, q_ext, log_s)]
     # the nodes need e^w/x up to past S_ext and twice the largest q of
@@ -943,20 +951,22 @@ def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
     expansion = _asymptotic_auto(a, c, x) if x > 1.0 else None
     if expansion is not None and expansion.abs_error <= 2.0 * EPS * abs(expansion.value):
         return expansion
-    candidates = []
+    series = None
     if x <= _CONNECTION_X_MAX:
         try:
-            candidates.append(psi_connection(a, c, x))
+            series = psi_connection(a, c, x)
         except DoubleRangeError:
             raise
         except EvaluationError:
             pass
-    # an expansion whose budget overflows is no candidate
-    if expansion is not None and expansion.abs_error <= _FMAX:
-        candidates.append(expansion)
-    if not candidates:
+    # an expansion whose budget overflows is no candidate; on a tie the
+    # series is returned
+    if (expansion is not None and expansion.abs_error <= _FMAX
+            and (series is None or expansion.abs_error < series.abs_error)):
+        return expansion
+    if series is None:
         raise EvaluationError(f"no usable evaluation route for a={a}, c={c}, x={x}")
-    return min(candidates, key=lambda fv: fv.abs_error)
+    return series
 
 
 def psi(p: ParameterPoint) -> FunctionValue:
