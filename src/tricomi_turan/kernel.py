@@ -369,10 +369,12 @@ def _trapezoid(a: float, pw: float, h: float, points) -> tuple:
     alone; each maximum and sum runs over one span, in the order of that
     pass (``np.add.reduceat`` would sum in another).  One point takes the
     numpy calls of its pass alone and none of the spreading, cuts or
-    per-point lists of several.  Buffers are worked in place, each element
-    as with a fresh array: aw holds w, a w, then the rounding weights
-    |a w| + e^w + kappa L, L = log1p(e^w/x); f holds a w + log G, then
-    psi's summands.
+    per-point lists of several: at (2.3, -1.7, 3.1), 145 nodes, its pass
+    takes about 16 us, 13 of them in its 18 numpy calls, three of those
+    in ``_row_sum`` (timeit minimum, shared 2-core x86-64 VM, numpy 2.4).
+    Buffers are worked in place, each element as with a fresh array: aw
+    holds w, a w, then the rounding weights |a w| + e^w + kappa L, L =
+    log1p(e^w/x); f holds a w + log G, then psi's summands.
 
     The weights bound the rounding of a node's exponent a w - e^w + pw L
     - m, in units of 4 EPS, with 2 EPS for each of exp and log1p.  e^w is
@@ -608,7 +610,8 @@ def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     """``psi_quadrature`` on float arguments, as the dispatcher calls it:
     psi's row alone, one pass (``_trapezoid``) per h at the one x.  The
     records' passes (``_pair_quadrature``) halve h by the same rule, in a
-    loop over the x of a pair."""
+    loop over the x of a pair.  At (2.3, -1.7, 3.1), one pass, a call
+    takes about 20 us, 16 of them in the pass (see ``_trapezoid``)."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
