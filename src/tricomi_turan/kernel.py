@@ -307,7 +307,7 @@ def _extent(a: float, row, w0: float) -> tuple:
     """A row's extent, (max(0, log 2q + w0) / 2, depth / 2, log S - w0):
     at step h its nodes run from w0 - kl h, kl = 2 ceil(max(0, log 2q +
     w0) / 2h) + 2 ceil(depth / 2h), to w0 + (end + 1) h, end = ceil((log
-    S - w0) / h), past S (``_span``).  The nodes of exp(a w + log G),
+    S - w0) / h), past S (``_count``).  The nodes of exp(a w + log G),
     |log G| <= q e^w, start there: left of w = -log 2q, q e^w <= 1/2, so
     |log G| <= 1/2, and the nodes start depth e-folds of e^((a+1)w)
     further left."""
@@ -324,16 +324,18 @@ def _span(point, h: float) -> tuple:
     nodes at step h, lo and hi from its first node on: psi's extent, or
     the larger of it and the shared one (``_extent``)."""
     w0, extents = point[1], point[3]
-    half_left, half_depth, right = extents[0]
-    kl = 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h)
-    end = math.ceil(right / h)
+    kl, end = _count(extents[0], h)
     if len(extents) == 1:
         return kl + end + 2, 0, kl + end + 2, w0 - kl * h, w0 - kl * h
-    half_left, half_depth, right = extents[1]
-    k1 = 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h)
-    last = math.ceil(right / h)
+    k1, last = _count(extents[1], h)
     k1, last = (kl if kl > k1 else k1), (end if end > last else last)
     return k1 + last + 2, k1 - kl, k1 + end + 2, w0 - k1 * h, w0 - kl * h
+
+
+def _count(extent, h: float) -> tuple[int, int]:
+    """kl and end of an extent at step h (``_extent``)."""
+    half_left, half_depth, right = extent
+    return 2 * math.ceil(half_left / h) + 2 * math.ceil(half_depth / h), math.ceil(right / h)
 
 
 def _left_sums(a: float, q: float, w1: float, h: float, m: float):
