@@ -134,6 +134,7 @@ import numpy as np
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
                      RegionError, log_gamma, log_gamma_error)
+from .measure import WeightDensity
 from .turanians import (BOTH, FIRST, SCAN_TO_INFINITY, SCAN_TO_ZERO, SECOND, Column,
                         PairRecords, SharpnessLimit, TuranianKind)
 
@@ -146,8 +147,9 @@ class PairGrid(PairRecords):
     claims are evaluated, in order, with the records, quotients and
     Turanian ratios of ``turanians.PairRecords`` and, formed from the same
     records as columns, the S-family lhs (``_s_lhs``), I2's rhs
-    (``_i2_rhs``) and the auxiliary log-ratios, and ln G0 and ln G1, each
-    once per pair."""
+    (``_i2_rhs``) and the auxiliary log-ratios, ln G0 and ln G1, and the
+    pair's weight density with its phi table (``density``), each once per
+    pair."""
 
     def __init__(self, a: float, c: float, xs):
         super().__init__(a, c, xs)
@@ -164,6 +166,12 @@ class PairGrid(PairRecords):
     def ln_g1(self) -> tuple[float, float]:
         """ln G1 = ln Gamma(a-c+1)/Gamma(-c) and its error, as ``ln_g0``."""
         return _lg_ratio(self.a - self.c + 1.0, -self.c)
+
+    @cached_property
+    def density(self) -> WeightDensity:
+        """The pair's ``measure.WeightDensity``, which keeps its phi table;
+        where it raises, it is formed again on the next read, as ``ln_g0``."""
+        return WeightDensity(self.a, self.c)
 
     @cached_property
     def logs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -538,7 +546,8 @@ def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
     def limit(pair: PairGrid) -> Column:
         # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring; it
         # depends on (a, c) alone, so it is formed once per pair, and where
-        # it raises, it does so at the pair's first x
+        # it raises, or its value or budget is not a finite double, it does
+        # so at the pair's first x
         a, c, n = pair.a, pair.c, len(pair.xs)
         w0, wp = aux.weights(a, c)
         try:
@@ -547,6 +556,10 @@ def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
             return Column([], [], exc)
         value = wp * l1 - w0 * l0
         err = abs(wp) * e1 + abs(w0) * e0 + EPS * (abs(wp * l1) + abs(w0 * l0) + abs(value))
+        if not (math.isfinite(value) and math.isfinite(err)):
+            return Column([], [], EvaluationError(
+                f"x->0+ limit of {id_} is not a finite double with a finite budget "
+                f"at (a={a}, c={c}) (got {value} +- {err})"))
         return Column([value] * n, [err] * n, None)
     side = "lower" if aux.sign > 0 else "upper"
     closed, aux_side = _Side(limit, "closed_form"), _Side(lambda pair: pair.auxiliary(which))

@@ -46,11 +46,9 @@ Gamma(a-c+1)) at a single t uses the same routine.
 
 Every identity is an integral int_0^inf t^(beta-1) phi_0(t) extra(t) dt,
 phi_0 = t^c phi, with beta > 0 and extra one of 1, 1/(x+t)^2 and
-(x/(x+t))^2.  phi_0 depends on neither x nor beta, so each (a, c) gets
-one fixed rule, built on first use and cached (``_phi_table``).  The
-cache keeps the last two tables: a run reads a table only from the rows
-of its own (a, c) pair, which come one after another, so no table is
-built twice (the default run builds 42 and reads them 880 times).
+(x/(x+t))^2.  phi_0 depends on neither x nor beta, so each density gets
+one fixed rule, its own ``table``, built by ``_phi_table`` on first use
+and kept with it (the default run builds 42 and reads them 880 times).
 
 * head, t < t0: there core = (1 + O(t)) / |A + B e^(i pi (1-c)) s|^2,
   s = t^(1-c), whose expansion A^-2 sum_n (-r s)^n U_n(cos pi(1-c))
@@ -83,7 +81,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -123,8 +121,8 @@ _PANEL_WEIGHTS = np.concatenate([_G16_W[::-1], _G16_W, -_G8_W[::-1], -_G8_W])
 @dataclass(frozen=True)
 class WeightDensity:
     """Parameters (finite a > 0, c < 1), the log of 1/(Gamma(a+1)Gamma(a-c+1))
-    and its error; a log-Gamma beyond the double range raises
-    :class:`EvaluationError`."""
+    and its error, and the density's phi table, kept once built; a
+    log-Gamma beyond the double range raises :class:`EvaluationError`."""
 
     a: float
     c: float
@@ -143,6 +141,12 @@ class WeightDensity:
     @property
     def prefactor(self) -> float:
         return math.exp(self.log_prefactor)
+
+    @cached_property
+    def table(self) -> _PhiTable:
+        """The density's fixed rule, built on first use; where the build
+        raises, the next use builds it again."""
+        return _phi_table(self)
 
 
 @dataclass(frozen=True)
@@ -346,9 +350,8 @@ class _PhiTable:
         return value, err
 
 
-@lru_cache(maxsize=2)
 def _phi_table(d: WeightDensity) -> _PhiTable:
-    """The fixed rule of density d, built on first use per (a, c)."""
+    """The fixed rule of density d."""
     a, c = d.a, d.c
     (coef_a, _), (coef_b, _) = _connection_coefficients(a, c)
     pref = d.prefactor
@@ -437,7 +440,7 @@ def phi_moment(d: WeightDensity, power: int) -> FunctionValue:
     if power not in MOMENT_IDENTITIES:
         raise RegionError(f"unsupported moment power {power}")
     MOMENT_IDENTITIES[power].require(d.a, d.c)
-    value, err = _phi_table(d).integral(power + 1.0 - d.c)
+    value, err = d.table.integral(power + 1.0 - d.c)
     return FunctionValue(value, err, _INTEGRAL)
 
 
@@ -459,10 +462,10 @@ def stieltjes(kind: TuranianKind, d: WeightDensity, x: float) -> FunctionValue:
         if not _TINY <= x * x <= _FMAX:
             raise EvaluationError(
                 f"x^2 in 1/(x+t)^2 is outside the normal double range at x={x}")
-        value, err = _phi_table(d).integral(2.0 - d.c, lambda t: 1.0 / (x + t) ** 2)
+        value, err = d.table.integral(2.0 - d.c, lambda t: 1.0 / (x + t) ** 2)
         return FunctionValue(-value, err, _INTEGRAL)
     if kind is TuranianKind.FIRST_SHIFT:
-        value, err = _phi_table(d).integral(1.0 - d.c, lambda t: (x / (x + t)) ** 2)
+        value, err = d.table.integral(1.0 - d.c, lambda t: (x / (x + t)) ** 2)
         scale = 1.0 + d.a - d.c
         # 2 EPS covers the rounding of 1 - value and of the division
         return FunctionValue((1.0 - value) / scale, (err + 2.0 * EPS) / scale, _INTEGRAL)

@@ -40,22 +40,23 @@ order.  The sharpness suite's claims are the rows of
 deviation from the limit at the end of its scan against the limit's
 rate bound there, as an inequality row.  A record holds the test of
 whether a claim holds at a pair (a dominance claim where both of its
-bounds hold; its threshold in x is tested per row); the points of its
-rows at a pair; and the evaluator of a claim's rows at a pair, which
-returns them as columns.  The stieltjes, bounds, dominance and
-monotonicity suites share one pair context, a ``bounds.PairGrid`` over
-the grid's x, which a block builds once: it reads the records of the
-pair's x in one call and forms each Turanian kind's ratio column and each
-auxiliary log-ratio column once, for every claim of these suites that
-reads it.  The catalog and dominance claims take their rows from
-``bounds.bound_columns`` and ``bounds.dominance_columns``, which apply
-the verdict rules of ``check_bound`` and ``check_dominance`` to whole
-columns; a monotonicity claim takes its auxiliary's column in
-increasing x; a stieltjes row holds the phi side of its x, by
-``measure.stieltjes``, against the ratio column there.  The other suites
-state one row per point, by the per-point function of the claim (the
-other measure and Turanian functions), behind one adapter,
-``_per_point``.  No suite takes a tolerance.
+bounds hold; its threshold in x is tested per row) and the evaluator of
+a claim's rows at a pair, ``evaluate(argument, pair)``, which returns
+them as columns.  Every suite reads the pair through one context, a
+``bounds.PairGrid`` over the grid's x, which a block builds once: it
+reads the records of the pair's x in one call, forms each Turanian
+kind's ratio column and each auxiliary log-ratio column once, and holds
+the pair's weight density, whose phi table is built once, for every
+claim that reads them.  The catalog and dominance claims take their rows
+from ``bounds.bound_columns`` and ``bounds.dominance_columns``, which
+apply the verdict rules of ``check_bound`` and ``check_dominance`` to
+whole columns; a monotonicity claim takes its auxiliary's column in
+increasing x.  The other suites state one row per item they take from
+the pair (``CROSSCHECK_X``, the grid's x from ``ODE_MIN_X`` on, the
+grid's x, or one x = 0 for a moment or a sharpness scan), by the row
+function of the claim, behind one adapter, ``_per_point``; a stieltjes
+row holds the phi side of its x, by ``measure.stieltjes`` on the pair's
+density, against the ratio column there.  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -140,13 +141,15 @@ _STATUSES = bounds_mod._STATUSES    # a row holds its status as its index here
 
 @dataclass(frozen=True)
 class Suite:
-    """One verification suite; see the module docstring."""
+    """One verification suite; see the module docstring.  Every claim's
+    rows at an (a, c) pair come from one evaluator shape,
+    ``evaluate(argument, pair)``, the pair a ``bounds.PairGrid`` over the
+    grid's x that the pair's block shares with every suite."""
 
     name: str
     claims: dict                       # claim -> its argument, in task order
     applies: Callable[[object, float, float], bool]  # (argument, a, c)
-    points: Callable[[RunConfig, float, float], Sequence]  # (config, a, c)
-    evaluate: Callable[..., tuple]     # see the column evaluators below
+    evaluate: Callable[[object, bounds_mod.PairGrid], tuple]  # see the evaluators below
     anchor: Callable[[object], str]    # a claim's anchor text, from its argument
     pairs: Callable[[object], tuple] | None = None  # a claim's own; None: the grid's
     # why a claim that holds at some pair may still have no row there
@@ -154,17 +157,18 @@ class Suite:
 
 
 # ---------------------------------------------------------------------------
-# column evaluators: (claim, argument, a, c, items) -> the claim's rows at
-# the pair as the columns x, lhs, rhs, margin, budget and status code (an
-# index into _STATUSES); per-point suites state one row per item, which
-# ``_per_point`` turns into columns
+# column evaluators: (argument, pair) -> the claim's rows at the pair, a
+# bounds.PairGrid, as the columns x, lhs, rhs, margin, budget and status
+# code (an index into _STATUSES); per-point suites state one row per item
+# they take from the pair, which ``_per_point`` turns into columns
 # ---------------------------------------------------------------------------
 
-def _per_point(row):
-    """The column evaluator of ``row``, (claim, argument, a, c, item) -> the
-    fields of a row after (suite, claim, a, c) and before its anchor."""
-    def evaluate(claim, arg, a, c, items):
-        rows = [row(claim, arg, a, c, p) for p in items]
+def _per_point(row, items):
+    """The column evaluator of ``row``, (argument, pair, item) -> the
+    fields of a row after (suite, claim, a, c) and before its anchor, at
+    each item of ``items(pair)``."""
+    def evaluate(arg, pair):
+        rows = [row(arg, pair, item) for item in items(pair)]
         *values, status = zip(*rows) if rows else [()] * 6
         return (*map(list, values), list(map(_STATUSES.index, status)))
     return evaluate
@@ -175,13 +179,13 @@ def _agreement(x, lhs, rhs, budget):
     return x, lhs, rhs, margin, budget, PASS if margin >= 0.0 else FAIL
 
 
-def _row_crosscheck(claim, _, a, c, p):
+def _row_crosscheck(_, pair, x):
     # the suite holds at a > 0 only, where psi takes the quadrature route;
     # kernel.pair_quotients holds the same value at this point, from its
     # own trapezoid pass
-    q = psi(p)
-    k = psi_connection(a, c, p.x)
-    return _agreement(p.x, q.value, k.value, q.abs_error + k.abs_error)
+    q = psi(ParameterPoint(pair.a, pair.c, x))
+    k = psi_connection(pair.a, pair.c, x)
+    return _agreement(x, q.value, k.value, q.abs_error + k.abs_error)
 
 
 def _central_difference(a: float, c: float, x: float, k: int) -> FunctionValue:
@@ -214,7 +218,8 @@ def _central_difference(a: float, c: float, x: float, k: int) -> FunctionValue:
                          "central_difference")
 
 
-def _row_ode(claim, _, a, c, x):
+def _row_ode(_, pair, x):
+    a, c = pair.a, pair.c
     d1, d2 = (_central_difference(a, c, x, k) for k in (1, 2))
     f0 = psi(ParameterPoint(a, c, x))
     resid = x * d2.value + (c - x) * d1.value - a * f0.value
@@ -224,7 +229,8 @@ def _row_ode(claim, _, a, c, x):
     return _agreement(x, abs(resid), 0.0, budget)
 
 
-def _row_derivative(claim, _, a, c, x):
+def _row_derivative(_, pair, x):
+    a, c = pair.a, pair.c
     d1 = _central_difference(a, c, x, 1)
     shifted = psi(ParameterPoint(a + 1.0, c + 1.0, x))
     target = -a * shifted.value
@@ -232,47 +238,34 @@ def _row_derivative(claim, _, a, c, x):
                       d1.abs_error + a * shifted.abs_error + EPS * abs(target))
 
 
-def _row_moment(claim, arg, a, c, x):
+def _row_moment(arg, pair, x):
     ident, _ = arg
-    mv = measure_mod.phi_moment(measure_mod.WeightDensity(a, c), ident.power)
-    closed = ident.closed_form(a, c)
+    mv = measure_mod.phi_moment(pair.density, ident.power)
+    closed = ident.closed_form(pair.a, pair.c)
     # the closed forms are rational in a and c: five roundings at most
     return _agreement(x, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))
 
 
-def _stieltjes_columns(claim, arg, a, c, pair):
-    # the pair's ratios, held against the phi side at each x, which fails
-    # before the ratio there
+def _row_stieltjes(arg, pair, i):
+    # the pair's ratio at its i-th x, held against the phi side there,
+    # which fails before the ratio
     kind, _ = arg
-    d, ratios = measure_mod.WeightDensity(a, c), pair.ratios(kind)
-
-    def row(claim, arg, a, c, i):
-        x = pair.xs[i]
-        rep = measure_mod.stieltjes(kind, d, x)
-        if i == len(ratios.values):
-            raise ratios.error
-        return _agreement(x, ratios.values[i], rep.value, rep.abs_error + ratios.errors[i])
-    return _per_point(row)(claim, arg, a, c, range(len(pair.xs)))
+    d, ratios, x = pair.density, pair.ratios(kind), pair.xs[i]
+    rep = measure_mod.stieltjes(kind, d, x)
+    if i == len(ratios.values):
+        raise ratios.error
+    return _agreement(x, ratios.values[i], rep.value, rep.abs_error + ratios.errors[i])
 
 
-def _row_sharpness(claim, lim, a, c, _):
+def _row_sharpness(lim, pair, _):
     # the deviation at the end of the scan, held against the limit's rate
-    end = sharpness_scan(lim, a, c)[-1]
+    end = sharpness_scan(lim, pair.a, pair.c)[-1]
     margin = end.rate - end.deviation
     return (end.x, end.deviation, end.rate, margin, end.budget,
             bounds_mod._status(margin, end.budget))
 
 
-def _bound_columns(claim, spec, a, c, pair):
-    return bounds_mod.bound_columns(spec, pair)
-
-
-def _dominance_columns(claim, spec, a, c, pair):
-    # the suite holds where both bounds' regions do; the threshold is per x
-    return bounds_mod.dominance_columns(spec, pair)
-
-
-def _monotonicity_columns(claim, arg, a, c, pair):
+def _monotonicity_columns(arg, pair):
     # the pair's auxiliary column in increasing x; a row is the step from
     # one x to the next, so one x makes none
     which, _ = arg
@@ -289,32 +282,6 @@ def _monotonicity_columns(claim, arg, a, c, pair):
             bounds_mod._status_codes(margins, budgets))
 
 
-# ---------------------------------------------------------------------------
-# the points of a suite's rows at one (a, c) pair: (config, a, c) -> items,
-# given to the evaluator of every claim that holds at the pair
-# ---------------------------------------------------------------------------
-
-def _pair_grid(cfg, a, c):
-    return bounds_mod.PairGrid(a, c, cfg.grid_x)
-
-
-def _grid_xs(cfg, a, c):
-    return cfg.grid_x
-
-
-def _ode_xs(cfg, a, c):
-    return [x for x in cfg.grid_x if x >= ODE_MIN_X]
-
-
-def _crosscheck_points(cfg, a, c):
-    return [ParameterPoint(a, c, x) for x in CROSSCHECK_X]
-
-
-def _no_x(cfg, a, c):
-    # a moment and a sharpness scan take no grid x; a moment's row reports x = 0
-    return (0.0,)
-
-
 def _off_integer(c: float) -> bool:
     return abs(c - round(c)) >= INTEGER_C_GUARD
 
@@ -329,38 +296,42 @@ _OWN, _SECOND, _SPEC = str, itemgetter(1), attrgetter("anchor")
 REGISTRY: dict[str, Suite] = {s.name: s for s in (
     Suite("kernel_crosscheck", {"psi-two-methods": "quadrature and connection-series "
                                                    "values agree"},
-          lambda _, a, c: a > 0.0 and _off_integer(c), _crosscheck_points,
-          _per_point(_row_crosscheck), _OWN),
+          lambda _, a, c: a > 0.0 and _off_integer(c),
+          _per_point(_row_crosscheck, lambda pair: CROSSCHECK_X), _OWN),
     Suite("ode_residual", {"kummer-ode": "Kummer ODE residual under central differences"},
-          lambda _, a, c: a > 0.0, _ode_xs, _per_point(_row_ode), _OWN,
+          lambda _, a, c: a > 0.0,
+          _per_point(_row_ode, lambda pair: [x for x in pair.xs if x >= ODE_MIN_X]), _OWN,
           no_rows=f"no grid x is at least {ODE_MIN_X}"),
     Suite("derivative", {"dpsi-dx": "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)"},
-          lambda _, a, c: a > 0.0, _grid_xs, _per_point(_row_derivative), _OWN),
+          lambda _, a, c: a > 0.0, _per_point(_row_derivative, attrgetter("xs")), _OWN),
     Suite("moments", {f"moment[{power}]": (ident, f"moment power {power} equals its "
                                                   "closed form")
                       for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
           lambda arg, a, c: arg[0].region(a, c) and _off_integer(c),
-          _no_x, _per_point(_row_moment), _SECOND),
+          # a moment takes no grid x; its row reports x = 0
+          _per_point(_row_moment, lambda pair: (0.0,)), _SECOND),
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
                                 "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
           lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
-          _pair_grid, _stieltjes_columns, _SECOND),
+          _per_point(_row_stieltjes, lambda pair: range(len(pair.xs))), _SECOND),
     Suite("bounds", bounds_mod.CATALOG,
-          lambda spec, a, c: spec.region(a, c), _pair_grid, _bound_columns, _SPEC),
+          lambda spec, a, c: spec.region(a, c), bounds_mod.bound_columns, _SPEC),
+    # the suite holds where both bounds' regions do; the threshold is per x
     Suite("dominance", bounds_mod.DOMINANCE, lambda spec, a, c: spec.region(a, c),
-          _pair_grid, _dominance_columns, _SPEC,
+          bounds_mod.dominance_columns, _SPEC,
           no_rows="no grid x in its region meets its threshold"),
-    # each limit is scanned at its curated pairs, not at the grid's
-    Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs, _no_x,
-          _per_point(_row_sharpness), _SPEC, pairs=lambda lim: lim.pairs),
+    # each limit is scanned once at each of its curated pairs, not at the grid's
+    Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs,
+          _per_point(_row_sharpness, lambda pair: (0.0,)), _SPEC,
+          pairs=lambda lim: lim.pairs),
     Suite("monotonicity", {
         f"{w}-monotone": (w, f"auxiliary log-ratio {w} is "
                              f"{'increasing' if aux.sign > 0 else 'decreasing'}")
         for w, aux in bounds_mod.AUXILIARY.items()},
           lambda arg, a, c: bounds_mod.AUXILIARY[arg[0]].region(a, c),
-          _pair_grid, _monotonicity_columns, _SECOND, no_rows="a single grid x makes no step"),
+          _monotonicity_columns, _SECOND, no_rows="a single grid x makes no step"),
 )}
 
 SUITES = tuple(REGISTRY)
@@ -457,19 +428,18 @@ class ReportRows(Sequence):
 
 def _pair_block(cfg: RunConfig, a: float, c: float, names: list) -> dict:
     """Evaluate one (a, c) pair for ``names``, the selected suites with a
-    claim there, in report order.  Returns, keyed by (suite, claim), the
-    rows of each claim that holds at the pair, in task order, as the
-    columns of its evaluator; the first failing task raises its error."""
+    claim there, in report order, through one context, a
+    ``bounds.PairGrid`` over the grid's x.  Returns, keyed by (suite,
+    claim), the rows of each claim that holds at the pair, in task order,
+    as the columns of its evaluator; the first failing task raises its
+    error."""
     rows: dict = {}
-    points: dict = {}   # each suite's points function -> its items here
+    pair = bounds_mod.PairGrid(a, c, cfg.grid_x)
     for name in names:
         s = REGISTRY[name]
-        if s.points not in points:
-            points[s.points] = s.points(cfg, a, c)
-        items, evaluate = points[s.points], s.evaluate
         for claim, arg in s.claims.items():
             if s.applies(arg, a, c):
-                rows[name, claim] = evaluate(claim, arg, a, c, items)
+                rows[name, claim] = s.evaluate(arg, pair)
     return rows
 
 

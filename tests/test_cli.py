@@ -217,7 +217,9 @@ class TestEval:
 # fuzzed points where the CLI ended in a traceback (an OverflowError in I2's
 # power (G0 psi)^(1/a), a ZeroDivisionError at a subnormal a) or exited 0
 # having printed a NaN or an infinite value, budget or rate (the raw
-# Turanians, the zeta limit's scan, psi at a subnormal a)
+# Turanians, the zeta limit's scan, psi at a subnormal a, and the x->0+
+# limit of I1 and I3, where ln G0's error of 2.45e288 times 1/a = 1e300
+# passes the largest double)
 FUZZED = {
     "i2-power": ("eval", "bound:I2", "--", "4.574711093407372e-190",
                  "-56.064997628840494", "0.19819728788641733"),
@@ -232,6 +234,8 @@ FUZZED = {
     "psi-subnormal-a": ("eval", "psi", "--", "5e-324", "3.5", "1e-5"),
     "psi-subnormal-nan": ("eval", "psi", "--", "-4.9933301694917e-311",
                           "0.5261279034598146", "9.919739284624609e-89"),
+    "i1-limit-inf-budget": ("eval", "bound:I1", "--", "1e-300", "-1e300", "1"),
+    "i3-limit-inf-budget": ("eval", "bound:I3", "--", "1e-300", "-1e300", "1"),
 }
 
 

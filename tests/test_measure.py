@@ -259,14 +259,22 @@ class TestDefaultGrid:
         monkeypatch.setattr(measure, "_neg_axis_core", counted)
         densities = [WeightDensity(a, c) for a in suites.DEFAULT_GRID_A
                      for c in suites.DEFAULT_GRID_C]
-        measure._phi_table.cache_clear()
-        try:
-            for d in densities:
-                measure._phi_table(d)
-        finally:
-            measure._phi_table.cache_clear()
+        for d in densities:
+            measure._phi_table(d)
         assert len(densities) == 42
         assert len(calls) <= 2.5 * len(densities)
+
+    def test_one_table_serves_moments_and_stieltjes(self, monkeypatch):
+        # a density builds its table on first use and keeps it
+        built, build = [], measure._phi_table
+        monkeypatch.setattr(measure, "_phi_table", lambda d: built.append(d) or build(d))
+        d = WeightDensity(2.0, -2.5)
+        for power in MOMENT_IDENTITIES:
+            phi_moment(d, power)
+        for kind, x in ((TuranianKind.BOTH_SHIFT, 1.0), (TuranianKind.FIRST_SHIFT, 5.0)):
+            stieltjes(kind, d, x)
+        assert built == [d]
+        assert d.table is d.table
 
     def test_verdicts_as_recorded(self):
         recorded = json.loads(RECORDED.read_text())["default-run"]

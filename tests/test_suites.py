@@ -1,5 +1,6 @@
 """Suite records, run-configuration checks and the runner."""
 
+import ast
 import csv
 import dataclasses
 import functools
@@ -57,8 +58,8 @@ class TestRunConfig:
 def test_crosscheck_points_take_the_quadrature_route_of_psi():
     # every point of the default grid at which the suite holds
     cfg, crosscheck = RunConfig(), suites.REGISTRY["kernel_crosscheck"]
-    points = [p for a in cfg.grid_a for c in cfg.grid_c
-              if crosscheck.applies(None, a, c) for p in crosscheck.points(cfg, a, c)]
+    points = [ParameterPoint(a, c, x) for a in cfg.grid_a for c in cfg.grid_c
+              if crosscheck.applies(None, a, c) for x in suites.CROSSCHECK_X]
     assert len(points) > 100
     assert {psi(p).method for p in points} == {"quadrature"}
 
@@ -81,13 +82,14 @@ class TestRun:
         claim at a pair appends its (claim, a) to ``calls``, when given."""
         suite = suites.REGISTRY[name]
 
-        def evaluate(claim, arg, a, c, items):
+        def evaluate(arg, pair):
+            claim = next(k for k, v in suite.claims.items() if v is arg)
             if calls is not None:
-                calls.append((claim, a))
-            message = failing.get((claim, a), failing.get((None, a)))
+                calls.append((claim, pair.a))
+            message = failing.get((claim, pair.a), failing.get((None, pair.a)))
             if message:
                 raise EvaluationError(message)
-            return suite.evaluate(claim, arg, a, c, items)
+            return suite.evaluate(arg, pair)
 
         monkeypatch.setitem(suites.REGISTRY, name,
                             dataclasses.replace(suite, evaluate=evaluate))
@@ -431,29 +433,94 @@ def test_bounds_suite_computes_each_ratio_once(monkeypatch):
     assert sum(r.claim in needs for r in rows) > len(needed) * len(SMALL_GRID["grid_x"])
 
 
-def _cold_default_run():
-    """Run the default grid from cold caches; return the misses of the psi
-    cache and of the phi-table cache."""
-    for cached in (kernel._psi_cached, measure._phi_table):
-        cached.cache_clear()
+def _cold_default_run(monkeypatch):
+    """Run the default grid from a cold psi cache; return the misses of the
+    psi cache and the (a, c) of each phi table built."""
+    built, build = [], measure._phi_table
+    monkeypatch.setattr(measure, "_phi_table", lambda d: built.append((d.a, d.c)) or build(d))
+    kernel._psi_cached.cache_clear()
     suites.run(RunConfig())
-    return kernel._psi_cached.cache_info().misses, measure._phi_table.cache_info().misses
+    return kernel._psi_cached.cache_info().misses, tuple(built)
 
 
 def test_default_run_computes_no_psi_point_or_phi_table_twice(monkeypatch):
-    # psi's cache and the phi-table cache are bounded by the longest reuse
-    # a run shows: their misses equal those of unbounded caches in their
-    # place, so no point and no table is computed twice
-    bounded = _cold_default_run()
+    # psi's cache is bounded by the longest reuse a run shows: its misses
+    # equal those of an unbounded cache in its place, so no point is
+    # computed twice; a phi table is its pair's density's own, built once
+    bounded, built = _cold_default_run(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(kernel, "_psi_cached",
                   functools.lru_cache(maxsize=None)(kernel._psi_cached.__wrapped__))
-        m.setattr(measure, "_phi_table",
-                  functools.lru_cache(maxsize=None)(measure._phi_table.__wrapped__))
-        unbounded = _cold_default_run()
-    assert bounded == unbounded == (2191, 42)
+        unbounded, built_unbounded = _cold_default_run(m)
+    assert (bounded, len(built)) == (unbounded, len(built_unbounded)) == (2191, 42)
+    assert len(set(built)) == len(built)
     assert kernel._psi_cached.cache_info().maxsize == 2048
-    assert measure._phi_table.cache_info().maxsize == 2
+
+
+def test_each_pair_forms_one_density_and_builds_its_table_once(monkeypatch):
+    # the moments and the stieltjes suites read a pair's phi table through
+    # the pair's one density: one WeightDensity per pair, one table each
+    formed, built = Counter(), Counter()
+    post_init, build = measure.WeightDensity.__post_init__, measure._phi_table
+
+    def counted(d):
+        formed[d.a, d.c] += 1
+        post_init(d)
+
+    monkeypatch.setattr(measure.WeightDensity, "__post_init__", counted)
+    monkeypatch.setattr(measure, "_phi_table",
+                        lambda d: built.update([(d.a, d.c)]) or build(d))
+    _, rows = suites.run(RunConfig(suites=("moments", "stieltjes"), **SMALL_GRID))
+    pairs = [(a, c) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]]
+    assert {(r.suite, r.a, r.c) for r in rows} == {
+        (suite, a, c) for suite in ("moments", "stieltjes") for a, c in pairs}
+    assert formed == built == Counter(pairs)
+
+
+@pytest.mark.parametrize("a,c,error", [(2.0, 1.5, kernel.RegionError),
+                                       (1e308, 0.5, EvaluationError)])
+def test_a_density_that_raises_is_formed_again_on_the_next_read(monkeypatch, a, c, error):
+    formed, post_init = [], measure.WeightDensity.__post_init__
+    monkeypatch.setattr(measure.WeightDensity, "__post_init__",
+                        lambda d: formed.append(d) or post_init(d))
+    pair = bounds.PairGrid(a, c, (1.0,))
+    for n in (1, 2):
+        with pytest.raises(error):
+            pair.density
+        assert len(formed) == n
+
+
+def _memos(path: Path) -> list:
+    """The functions of the module at ``path`` that functools.lru_cache or
+    functools.cache wraps, by name (None where one is not a decorator)."""
+    tree = ast.parse(path.read_text())
+    modules, names = {"functools"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(al.asname or al.name for al in node.names if al.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(al.asname or al.name for al in node.names
+                         if al.name in ("lru_cache", "cache"))
+
+    def uses(node) -> int:
+        return sum(isinstance(n, ast.Name) and n.id in names
+                   or isinstance(n, ast.Attribute) and n.attr in ("lru_cache", "cache")
+                   and isinstance(n.value, ast.Name) and n.value.id in modules
+                   for n in ast.walk(node))
+
+    decorated = [fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in fn.decorator_list if uses(dec)]
+    return decorated + [None] * (uses(tree) - len(decorated))
+
+
+def test_the_only_memo_left_is_the_psi_memo():
+    # a pair's values live in its PairGrid and a phi table in its density;
+    # kernel._psi_cached stays while perfbench's tracer rebuilds it
+    src = Path(suites.__file__).resolve().parent
+    memos = {path.name: _memos(path) for path in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in memos.items() if found} == {
+        "kernel.py": ["_psi_cached"]}
 
 
 def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
