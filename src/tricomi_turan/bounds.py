@@ -80,14 +80,13 @@ built: a ``lower`` bound checks bound_fn < R of the target's kind, an
 ``LIMITS`` holds the seven limits that make ratio bounds sharp.  Six
 name the bound (T1U, T1L, T5L, T3U, T6U, T6L) and a scan toward 0 or
 infinity: the kind and region are the bound's, L is the bound at x = 0
-toward 0 and 0 toward infinity, and the rate is |bound - L| through
-``closed_form``, proven where the bound is.  The zeta limit, x^2 R_ac ->
-c-a-1 as x -> inf, takes its rate from the Stieltjes form q(x) =
-psi(a+1,c+1,x)/psi(a,c,x) = int_0^inf phi(t)/(x+t) dt, phi >= 0 (Ismail
-& Kelker, SIAM J. Math. Anal. 10, 1979; ``measure``): R_ac = -int t
-phi/(x+t)^2 dt, and 1 - 1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac -
-(c-a-1) by 2 m_2/x, m_2 = int t^2 phi dt = (1+a-c)(2+2a-c) from the
-large-x expansion of q.
+toward 0 and 0 toward infinity, and the rate is |bound_fn - L|, proven
+where the bound is.  The zeta limit, x^2 R_ac -> c-a-1 as x -> inf,
+takes its rate from the Stieltjes form q(x) = psi(a+1,c+1,x)/psi(a,c,x)
+= int_0^inf phi(t)/(x+t) dt, phi >= 0 (Ismail & Kelker, SIAM J. Math.
+Anal. 10, 1979; ``measure``): R_ac = -int t phi/(x+t)^2 dt, and 1 -
+1/(1+u)^2 <= 2u with u = t/x bounds x^2 R_ac - (c-a-1) by 2 m_2/x, m_2
+= int t^2 phi dt = (1+a-c)(2+2a-c) from the large-x expansion of q.
 
 The eight dominance claims D1..D8 state where one closed-form bound is
 tighter than its competitor, comparing the closed-form sides that the
@@ -98,10 +97,11 @@ against its budget; so is a closed form's value with its 4 EPS|v|
 budget and its error where it is not a finite double,
 ``_closed_values``.  The suites apply the rules to the rows of a claim
 at all x of an (a, c) pair they have placed in its region:
-``bound_columns`` and ``dominance_columns`` read each side of the claim
-at the pair's x in order through its :class:`_Side`, from the pair's
-context, a :class:`PairGrid`, and raise the error of the first x where a
-side fails, the lhs's before the rhs's.
+``bound_columns`` reads each side of the claim at the pair's x in order
+through its :class:`_Side`, from the pair's context, a :class:`PairGrid`,
+and ``dominance_columns`` reads its two closed forms by
+``_closed_values`` at the x that meet its threshold; each raises the
+error of the first x where a side fails, the lhs's before the rhs's.
 
 The context reads the records of psi, r and s at all the x of the pair
 in one call of ``kernel.pair_quotients``, which runs their trapezoid
@@ -113,10 +113,11 @@ formed once per pair, and so is an I-family limit.
 Each column does the per-point arithmetic on whole arrays, the same
 operations in the same order, with every log and exp a ``math.log`` or
 ``math.exp`` per element (numpy's can differ in the last bit), so each
-element is bit for bit the value at its x.  ``check_bound`` and
-``check_dominance`` validate one point, then read both sides from a
-context over its one x and apply the same rules to its one row; a side
-called at a point, and ``auxiliary_log_ratio``, are that one-x case.
+element is bit for bit the value at its x.  ``check_bound`` validates
+one point, then reads both sides from a context over its one x and
+applies the same rule to its one row; ``check_dominance`` reads its two
+closed forms there by ``_closed_values``.  ``BoundSpec.closed_form`` and
+``auxiliary_log_ratio`` are the one-x case of a column.
 The auxiliary log-ratios f, g and h behind the I-family are
 ``AUXILIARY`` records, each with its region, its two weights and the
 sign of its monotonicity; the monotonicity suite checks that sign on the
@@ -190,7 +191,7 @@ class PairGrid(PairRecords):
 class _Side(NamedTuple):
     """One side of a catalog claim: ``column``, its values at the x of a
     pair, with ``method`` for its value at a point (None: psi's method
-    there).  Called, its value at a point, the one-x case of its column."""
+    there)."""
 
     column: Callable[[PairGrid], Column]
     method: str | None = None
@@ -198,9 +199,6 @@ class _Side(NamedTuple):
     def at(self, pair: PairGrid) -> FunctionValue:
         """Its value at the one x of ``pair``."""
         return pair.one(self.column(pair), self.method)
-
-    def __call__(self, p: ParameterPoint) -> FunctionValue:
-        return self.at(PairGrid(p.a, p.c, (p.x,)))
 
 
 @dataclass(frozen=True)
@@ -216,15 +214,11 @@ class BoundSpec:
     gating: bool = True
     bound_fn: Callable[[float, float, float], float] | None = None
 
-    @property
-    def closed_side(self) -> _Side:
-        """A ratio bound's bound_fn, or the x->0+ limit of the auxiliary
-        behind I1, I3 or I4."""
-        return self.lhs if self.side == "lower" else self.rhs
-
     def closed_form(self, p: ParameterPoint) -> FunctionValue:
-        """The closed-form side at p."""
-        return self.closed_side(p)
+        """The closed-form side at p: a ratio bound's bound_fn, or the
+        x->0+ limit of the auxiliary behind I1, I3 or I4."""
+        side = self.lhs if self.side == "lower" else self.rhs
+        return side.at(PairGrid(p.a, p.c, (p.x,)))
 
 
 class VerificationRecord(NamedTuple):
@@ -594,7 +588,7 @@ def _sharpness_limit(bound_id: str, xs: tuple[float, ...]) -> SharpnessLimit:
     value = partial(spec.bound_fn, x=0.0) if xs is SCAN_TO_ZERO else lambda a, c: 0.0
 
     def rate(a: float, c: float, x: float) -> float:
-        return abs(spec.closed_form(ParameterPoint(a, c, x)).value - value(a, c))
+        return abs(spec.bound_fn(a, c, x) - value(a, c))
     return SharpnessLimit(f"{prefix}[{kind.value}]", kind, xs, False, spec.region,
                           value, rate, anchor, pairs)
 
@@ -695,10 +689,10 @@ def dominance_columns(spec: DominanceSpec, pair: PairGrid) -> tuple:
     (xs, claimed, other, margins, budgets, status codes) of
     ``_dominance_verdicts``."""
     a, c = pair.a, pair.c
-    met = PairGrid(a, c, [x for x in pair.xs if spec.threshold(a, c, x)])
-    claimed = CATALOG[spec.claimed]
-    return _verdict_columns(met.xs, claimed.closed_side.column(met),
-                            CATALOG[spec.other].closed_side.column(met),
+    xs = [x for x in pair.xs if spec.threshold(a, c, x)]
+    claimed, other = CATALOG[spec.claimed], CATALOG[spec.other]
+    return _verdict_columns(xs, _closed_values(claimed.id, claimed.bound_fn, a, c, xs),
+                            _closed_values(other.id, other.bound_fn, a, c, xs),
                             partial(_dominance_verdicts, claimed.side == "lower"))
 
 
@@ -718,11 +712,12 @@ def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
             f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
-    claimed, pair = CATALOG[spec.claimed], PairGrid(p.a, p.c, (p.x,))
-    fv_c, fv_o = claimed.closed_side.at(pair), CATALOG[spec.other].closed_side.at(pair)
-    (margin,), (budget,), (code,) = _dominance_verdicts(
-        claimed.side == "lower", (fv_c.value,), (fv_c.abs_error,),
-        (fv_o.value,), (fv_o.abs_error,))
+    claimed = CATALOG[spec.claimed]
+    sides = [_closed_values(s.id, s.bound_fn, p.a, p.c, (p.x,))
+             for s in (claimed, CATALOG[spec.other])]
+    *_, (margin,), (budget,), (code,) = _verdict_columns(
+        [p.x], *sides, partial(_dominance_verdicts, claimed.side == "lower"))
+    fv_c, fv_o = (FunctionValue(s.values[0], s.errors[0], "closed_form") for s in sides)
     return VerificationRecord(dom_id, p, fv_c, fv_o, margin, budget, _STATUSES[code],
                               spec.anchor)
 

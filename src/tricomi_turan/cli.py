@@ -18,9 +18,9 @@ wins, so ``run @FILE --suites sharpness`` overrides the file's
 ``--suites``.  Any argument that starts with ``@`` names such a file.
 Blank lines and lines whose first non-space character is ``#`` are
 skipped; any other line, stripped of its surrounding whitespace, is one
-whole argument, so ``--jobs 2`` on one line is rejected as an
-unrecognized argument.  ``--jobs`` must be at least 1 but has no effect:
-every run evaluates its (a, c) pairs in-process, one after another.
+whole argument, so ``--format csv`` on one line is rejected as an
+unrecognized argument.  Every run evaluates its (a, c) pairs
+in-process, one after another.
 
 Exit codes: every subcommand exits 2 when argparse rejects its arguments
 (an unknown flag, a bad number or list, a settings file that cannot be
@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="report file path")
     p_run.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="report format (default csv)")
-    p_run.add_argument("--jobs", type=int,
-                       help="accepted; has no effect: every run is in-process")
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity at one point")
     p_eval.add_argument("what", help="psi | turanian:KIND | ratio:KIND | phi | "

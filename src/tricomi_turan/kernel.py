@@ -56,7 +56,8 @@ passes of a pair's x run together, one per h (``_trapezoid``): each x
 keeps its own nodes, h and checks, and only the elementwise work is
 shared, so each record has the bits of a pass at its x alone.  A
 subnormal a, 0 < |a| < 2^-1022, raises :class:`EvaluationError` in psi
-and in the records.
+and in the records.  An x fails in one place, its nodes (``_nodes``) or
+its last pass, in psi and in the records alike: no pass raises for all.
 
 ``psi`` keeps the last 2,048 points, the reuse a run shows.  Within one
 grid pair a value is read again at most about 5 distinct points per grid
@@ -75,6 +76,7 @@ these budgets instead of trusting raw floating point.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from functools import lru_cache, partial
@@ -110,6 +112,11 @@ ASYMPTOTIC = "asymptotic_large_x"
 _STEP = 2.0 ** -3
 _STEP_MIN = 2.0 ** -7
 _LEFT_DEPTH = 40.0
+# more nodes than a pass has: they span less than max(log 2q, -w0) + depth
+# + log S + 7 h < 745 + 40 + 710 + 1 (``_extent``; 2q, S and x doubles)
+_NODES_MAX = 1.92e5
+# the context of passes whose sums are shown to stay doubles (``_nodes``)
+_BOUNDED = contextlib.nullcontext()
 # the cutoff test of psi_quadrature: 20 f(S) against PSI_TOL, in logs
 _LOG_20 = math.log(20.0)
 _LOG_2 = math.log(2.0)
@@ -546,11 +553,17 @@ def _cutoff(a: float, pw: float, x: float, log_b: float,
 
 
 def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
-    """The point (x, w0, rows, extents) of the passes at x (``_point``),
-    the rows psi's alone or, with ``shifted``, also the r and s rows.
-    Raises :class:`EvaluationError` where a is subnormal or the nodes leave
-    the double range, and where their exponents or rounding weights do:
-    there as :class:`DoubleRangeError` where psi is shown to lie beyond it
+    """(point, bounded): the point (x, w0, rows, extents) of the passes at
+    x (``_point``), the rows psi's alone or, with ``shifted``, also the r
+    and s rows, and whether psi's sums are shown to stay doubles: its
+    summands are at most 1, so they do where ``_NODES_MAX`` times its
+    largest weight does.  Elsewhere, and in the r and s rows, whose
+    summands reach e^w, a sum may overflow to inf, and its x alone raises
+    in ``_scaled`` or ``_shifted_quotients``; refusing such points would
+    refuse psi(0.5, -5e307, 10), whose weights reach 1.49e308.  Raises
+    :class:`EvaluationError` where a is subnormal or the nodes leave the
+    double range, and where their exponents or rounding weights do: there
+    as :class:`DoubleRangeError` where psi is shown to lie beyond it
     (``_beyond_gamma_floor``)."""
     if a < _TINY:
         raise _subnormal(a, c, x)
@@ -582,13 +595,13 @@ def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
     e_end = 1.3 * S_ext
     log_end = math.log1p(e_end / x)
     exponent = a * 800.0 + e_end + abs(pw) * log_end
-    if not (2.0 * exponent <= _FMAX
-            and exponent + (0.875 * abs(pw) + 0.125) * log_end <= _FMAX):
+    weight = exponent + (0.875 * abs(pw) + 0.125) * log_end
+    if not (2.0 * exponent <= _FMAX and weight <= _FMAX):
         if _beyond_gamma_floor(a, c, pw, x):
             raise _beyond_range(a, c, x)
         raise EvaluationError(f"the trapezoid exponents of psi(a={a}, c={c}, x={x}) "
                               f"leave the double range")
-    return _point(a, x, w0, rows)
+    return _point(a, x, w0, rows), _NODES_MAX * weight <= _FMAX
 
 
 def _beyond_gamma_floor(a: float, c: float, pw: float, x: float) -> bool:
@@ -619,21 +632,22 @@ def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
-    points = (_nodes(a, c, pw, x, False),)
+    point, bounded = _nodes(a, c, pw, x, False)
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
     # halve h until the budget is met, down to _STEP_MIN, or until a halving
     # no longer halves the relative error (rounding, not the step, sets it)
     h, prev_rel = _STEP, math.inf
-    while True:
-        (m,), ((total, err),), _ = _trapezoid(a, pw, h, points)
-        rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
-        rel = err / total
-        if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
-            return _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
-        prev_rel = rel
-        h *= 0.5
+    with _BOUNDED if bounded else np.errstate(over="ignore"):
+        while True:
+            (m,), ((total, err),), _ = _trapezoid(a, pw, h, (point,))
+            rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
+            rel = err / total
+            if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
+                return _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
+            prev_rel = rel
+            h *= 0.5
 
 
 def _pair_quadrature(a: float, c: float, xs) -> list:
@@ -642,44 +656,44 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
     ((r, err_r), (s, err_s))), or of the exception the x raises.
     Each x keeps its own nodes, h and checks, as in ``_quadrature``; as
     every x starts at the same h, one pass per h (``_trapezoid``) serves
-    every x whose h is still being halved.  lnGamma(a) is taken once."""
+    every x whose h is still being halved.  lnGamma(a) is taken once if
+    some x has nodes; none has where it overflows, a > 2.5e305."""
     pw = c - a - 1.0
     # points: (x, w0, rows, extents, index in xs, the last relative error)
     # of each x whose h is still being halved
     out, points = list(xs), []
     for i, x in enumerate(out):
         try:
-            points.append((*_nodes(a, c, pw, x, True), i, math.inf))
-        except Exception as exc:
+            points.append((*_nodes(a, c, pw, x, True)[0], i, math.inf))
+        except EvaluationError as exc:
             out[i] = exc
-    try:
-        lg_a, _ = log_gamma(a)
-    except EvaluationError as exc:
-        for point in points:
-            out[point[4]] = exc
+    if not points:
         return out
+    lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
     h = _STEP
-    while points:
-        ms, sums, nodes = _trapezoid(a, pw, h, points)
-        summands, rest = None, []
-        for k, (point, m, (total, err)) in enumerate(zip(points, ms, sums)):
-            x, i, prev_rel = point[0], point[4], point[5]
-            log_x = math.log(x)
-            rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
-            rel = err / total
-            if not (met or h <= _STEP_MIN or rel > 0.5 * prev_rel):
-                rest.append((*point[:5], rel))
-                continue
-            try:
-                fv = _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
-                summands = summands or _shifted_summands(nodes)
-                out[i] = fv, _shifted_quotients(a, c, x, total, err, _more_rows(
-                    nodes, summands, k, point, m, a, h))
-            except Exception as exc:
-                out[i] = exc
-        points = rest
-        h *= 0.5
+    # a sum of the r and s rows may overflow to inf (``_nodes``)
+    with np.errstate(over="ignore"):
+        while points:
+            ms, sums, nodes = _trapezoid(a, pw, h, points)
+            summands, rest = None, []
+            for k, (point, m, (total, err)) in enumerate(zip(points, ms, sums)):
+                x, i, prev_rel = point[0], point[4], point[5]
+                log_x = math.log(x)
+                rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
+                rel = err / total
+                if not (met or h <= _STEP_MIN or rel > 0.5 * prev_rel):
+                    rest.append((*point[:5], rel))
+                    continue
+                try:
+                    fv = _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
+                    summands = summands or _shifted_summands(nodes)
+                    out[i] = fv, _shifted_quotients(a, c, x, total, err, _more_rows(
+                        nodes, summands, k, point, m, a, h))
+                except EvaluationError as exc:
+                    out[i] = exc
+            points = rest
+            h *= 0.5
     return out
 
 
@@ -736,7 +750,7 @@ def pair_quotients(a: float, c: float, xs) -> list:
     An x raises where it is not a valid point, where psi raises at one of
     the points it reads, where psi's error is half its magnitude or more
     (psi cannot be told from 0) and, for a > 0, where r or s leaves the
-    double range."""
+    double range, each with the error it raises read alone."""
     out = []
     for x in xs:
         try:
@@ -744,18 +758,8 @@ def pair_quotients(a: float, c: float, xs) -> list:
         except RegionError as exc:
             out.append(exc)
     valid = [i for i, p in enumerate(out) if type(p) is ParameterPoint]
-    passes = [None] * len(valid)
-    if a > 0.0:
-        try:
-            passes = _pair_quadrature(a, c, [out[i].x for i in valid])
-        except Exception:
-            # a pass that the x share raised, as a numpy warning made an
-            # error does: each x alone, so that only the x that raise fail
-            for k, i in enumerate(valid):
-                try:
-                    passes[k] = _pair_quadrature(a, c, (out[i].x,))[0]
-                except Exception as exc:
-                    passes[k] = exc
+    passes = (_pair_quadrature(a, c, [out[i].x for i in valid]) if a > 0.0
+              else [None] * len(valid))
     for i, got in zip(valid, passes):
         try:
             out[i] = _record(out[i], got)

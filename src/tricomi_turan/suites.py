@@ -359,8 +359,8 @@ class RunConfig:
     ``SUITES`` order), the a, c and x grids, each of distinct values, the
     report file (None: no report; the report is written into it as it is
     formatted) and its format.  ``jobs`` is checked (at least 1) but has
-    no effect: every run is in-process.  The defaults are a run of every
-    suite over the default grids."""
+    no effect, and no command-line flag: the benchmark still passes it.
+    The defaults are a run of every suite over the default grids."""
 
     suites: tuple[str, ...] = SUITES
     grid_a: tuple[float, ...] = DEFAULT_GRID_A

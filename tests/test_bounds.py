@@ -110,6 +110,16 @@ class TestCheckBound:
         with pytest.raises(KeyError):
             check_bound("nope", ParameterPoint(1.0, 0.0, 1.0))
 
+    def test_i_family_raises_where_ln_g0_leaves_the_double_range(self):
+        # lnGamma(a - c + 1) overflows at a - c + 1 = 3e305, while the record
+        # at (1, -3e305, 1e8) delivers: I2's rhs and the x->0+ limits of I1,
+        # I3 and I4 raise ln G0's error
+        p = ParameterPoint(1.0, -3e305, 1e8)
+        kernel.psi_quotients(p)
+        for bid in ("I1", "I2", "I3", "I4"):
+            with pytest.raises(EvaluationError, match=r"^log Gamma\(3e\+305\) is beyond"):
+                check_bound(bid, p)
+
     @pytest.mark.parametrize("a,c,x", [
         pytest.param(10.0, -1.0004, 34.0, id="exponent-250"),
         pytest.param(0.6660894000856069, -1.004609858712429, 76.10205991538348,
@@ -180,7 +190,7 @@ class TestCheckBound:
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
                 u0 = mpmath.hyperu(A, C, X)
                 ref = float(-u0 ** power * mpmath.hyperu(A + da, C + dc, X) / u0 / X)
-                lhs = spec.lhs(ParameterPoint(a, c, x))
+                lhs = spec.lhs.at(bounds.PairGrid(a, c, (x,)))
                 if not abs(lhs.value - ref) <= lhs.abs_error:
                     outside.append((a, c, x, lhs, ref))
         assert outside == []
@@ -340,6 +350,10 @@ class TestDominance:
         assert rec.status == "pass"
         assert rec.lhs.value == pytest.approx(0.2)
         assert rec.rhs.value == pytest.approx(0.4)
+
+    def test_unknown_id(self):
+        with pytest.raises(KeyError, match="D9"):
+            check_dominance("D9", ParameterPoint(1.0, -1.0, 2.0))
 
     def test_threshold_not_met_raises(self):
         # D3 needs x > -c/2 = 0.5

@@ -670,6 +670,18 @@ def _record_bits(got):
 
 
 class TestPairQuotients:
+    @pytest.mark.parametrize("a,c", [(1.5, -0.5), (-0.5, 0.25)])
+    def test_an_invalid_x_raises_alone(self, a, c):
+        # each x that is not a valid point takes its own RegionError, and
+        # the other x their records, as read alone
+        xs = (0.5, -1.0, 2.0, math.inf, 0.0)
+        for x, got in zip(xs, kernel.pair_quotients(a, c, xs)):
+            if 0.0 < x < math.inf:
+                assert not isinstance(got, Exception)
+                assert _record_bits(got) == _record_bits(kernel.pair_quotients(a, c, (x,))[0])
+            else:
+                assert type(got) is RegionError and "x > 0" in str(got)
+
     def test_each_record_has_the_bits_of_its_x_read_alone(self, monkeypatch):
         # each x's record, or its exception's type and message, is the same
         # read alone, with the pair's other x and with them in shuffled
@@ -951,6 +963,38 @@ def _fuzz_points(n=1000, seed=1075_33):
     return points
 
 
+def _sweep_pair(rng, lo, hi, most):
+    """A pair of the extreme sweep: a = 10^U(lo, hi), c = +-10^U(-3, 308)
+    and 2 to ``most`` distinct x = 10^U(-300, 300)."""
+    a = 10 ** rng.uniform(lo, hi)
+    c = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-3, 308)
+    n, xs = rng.randint(2, most), []
+    while len(xs) < n:
+        x = 10 ** rng.uniform(-300, 300)
+        if x not in xs:
+            xs.append(x)
+    return a, c, xs
+
+
+def _overflow_pairs():
+    """The ten pairs, a from 1.7e302 to 5.5e304, of the sweep's 3,000 from
+    random.Random(45) with a = 10^U(-300, 308) where the rounding sum of a
+    pass overflowed, and 200 seeded pairs with a = 10^U(296, 306) and 2 to
+    6 x, 25 of them with such a pass."""
+    rng = random.Random(45)
+    pairs = [_sweep_pair(rng, -300, 308, 14) for _ in range(3000)]
+    cases = [pairs[i] for i in (455, 522, 893, 1019, 1422, 1443, 2201, 2264, 2422, 2787)]
+    rng = random.Random(1409_45)
+    return cases + [_sweep_pair(rng, 296, 306, 6) for _ in range(200)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EvaluationError, RegionError) as exc:
+        return exc
+
+
 class _Timeout(Exception):
     pass
 
@@ -1036,6 +1080,30 @@ class TestExtremeParameters:
             assert type(exc.value) is EvaluationError
         fv = psi(ParameterPoint(0.5, -5e307, 10.0))
         assert fv.value == pytest.approx(5e307 ** -0.5, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_x_fails_alone_where_a_pass_sum_overflows(self):
+        # in 35 of these pairs the rounding sum of a pass at some x
+        # overflows; as a numpy RuntimeWarning made an error, it stopped
+        # the pass of every x of the pair, and psi at that x.  Each x raises
+        # its own typed error, as it does read alone, and psi fails there
+        # as its record does
+        failed = 0
+        for a, c, xs in _overflow_pairs():
+            for x, got in zip(xs, kernel.pair_quotients(a, c, xs)):
+                alone = kernel.pair_quotients(a, c, (x,))[0]
+                value = _outcome(psi, ParameterPoint(a, c, x))
+                if isinstance(got, Exception):
+                    assert isinstance(got, (EvaluationError, RegionError)), (a, c, x, got)
+                    assert (type(alone), str(alone)) == (type(got), str(got)), (a, c, x)
+                    assert type(value) is type(got), (a, c, x)
+                    failed += 1
+                else:
+                    assert alone == got and value == got[0], (a, c, x)
+        assert failed > 800
+        with pytest.raises(EvaluationError, match="underflows"):
+            psi(ParameterPoint(1.7133185347424188e+302, -1.2360138296703366e+75,
+                               4.189046206866047e+113))
 
     def test_terminating_polynomial_keeps_its_values(self):
         # the running products stop at a zero factor (c a nonpositive

@@ -48,6 +48,15 @@ class TestRunConfig:
         with pytest.raises(TypeError, match="tolerances"):
             RunConfig(tolerances={"stieltjes": tol})
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"suites": ("bounds", "nope")}, "unknown suite names: ['nope']"),
+        ({"grid_x": (1.0, 0.0)}, "grid x values must be positive"),
+        ({"grid_x": (-0.5,)}, "grid x values must be positive"),
+        ({"fmt": "xml"}, "unknown report format 'xml'")])
+    def test_rejects_an_unknown_name_or_a_non_positive_x(self, setting, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**setting)
+
     def test_dominance_takes_no_tolerance(self):
         # nor does any other suite: each row allows its own budget only
         assert not hasattr(RunConfig(), "tol")
@@ -334,6 +343,22 @@ def test_a_pair_raises_its_first_failing_task_in_x_order(monkeypatch, grid_x, me
                              grid_x=grid_x))
 
 
+@pytest.mark.parametrize("suite", ["stieltjes", "monotonicity"])
+def test_a_row_raises_its_failing_record_s_error(monkeypatch, suite):
+    # the record at x = 2 raises: the stieltjes row there, whose phi side
+    # delivers, and the monotonicity step to it raise the record's error
+    records = kernel.pair_quotients
+
+    def failing(a, c, xs):
+        return [EvaluationError("record at x=2.0") if x == 2.0 else got
+                for x, got in zip(xs, records(a, c, xs))]
+
+    monkeypatch.setattr(turanians, "pair_quotients", failing)
+    with pytest.raises(EvaluationError, match=r"^record at x=2\.0$"):
+        suites.run(RunConfig(suites=(suite,), grid_a=(1.5,), grid_c=(-0.5,),
+                             grid_x=(0.5, 2.0)))
+
+
 AGREEMENT_SUITES = ("kernel_crosscheck", "ode_residual", "derivative",
                     "moments", "stieltjes")
 
@@ -350,6 +375,16 @@ def test_agreement_rows_allow_their_budget_only():
 
 
 class TestCentralDifference:
+    def test_step_is_half_of_an_x_below_it(self, monkeypatch):
+        # at x <= 1e-5, x - 1e-4 max(x, 0.1) is not positive: the step
+        # becomes x/2, and the derivative rows still pass
+        seen = []
+        monkeypatch.setattr(suites, "psi", lambda p: seen.append(p.x) or psi(p))
+        _, rows = suites.run(RunConfig(suites=("derivative",), grid_a=(1.5,),
+                                       grid_c=(0.25,), grid_x=(1e-6, 1e-5)))
+        assert [r.status for r in rows] == ["pass", "pass"]
+        assert min(seen) == pytest.approx(5e-7, rel=1e-9)
+
     def test_within_its_budget_against_mpmath(self):
         # psi' = -a U(a+1, c+1, x) and psi'' = a(a+1) U(a+2, c+2, x) by
         # mpmath.hyperu at 40 digits, on 120 seeded points: a in (0, 6], c in
