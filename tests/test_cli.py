@@ -401,11 +401,14 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("config error: grid a repeats a value")
 
-    def test_evaluation_failure_is_exit_4(self, capsys):
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_evaluation_failure_is_exit_4(self, capsys, failing):
         # psi(200, -1, 0.03) underflows; the pair (0.5, -1) evaluates, so
-        # the error comes from the block of the second pair
+        # the error comes from the block of the failing pair, whether it is
+        # the first or the second pair of the grid
+        grid_a = "200,0.5" if failing == 1 else "0.5,200"
         code, out, err = run_cli(capsys, "run", "--suites", "bounds",
-                                 "--grid-a", "0.5,200", "--grid-c", "-1",
+                                 "--grid-a", grid_a, "--grid-c", "-1",
                                  "--grid-x", "0.03,1")
         assert code == 4 and out == ""
         assert err.startswith("evaluation error: psi(a=200.0, c=-1.0, x=0.03) "
