@@ -98,10 +98,10 @@ budget and its error where it is not a finite double,
 ``_closed_values``.  The suites apply the rules to the rows of a claim
 at all x of an (a, c) pair they have placed in its region:
 ``bound_columns`` reads each side of the claim at the pair's x in order
-through its :class:`_Side`, from the pair's context, a :class:`PairGrid`,
-and ``dominance_columns`` reads its two closed forms by
-``_closed_values`` at the x that meet its threshold; each raises the
-error of the first x where a side fails, the lhs's before the rhs's.
+through its :class:`_Side` from the pair's context, a :class:`PairGrid`,
+and ``dominance_columns`` its two closed forms by ``_closed_values`` at
+the x that meet its threshold; each raises the first failing x's error,
+the lhs's first.
 
 The context reads the records of psi, r and s at all the x of the pair
 in one call of ``kernel.pair_quotients``, which runs their trapezoid
@@ -113,11 +113,10 @@ formed once per pair, and so is an I-family limit.
 Each column does the per-point arithmetic on whole arrays, the same
 operations in the same order, with every log and exp a ``math.log`` or
 ``math.exp`` per element (numpy's can differ in the last bit), so each
-element is bit for bit the value at its x.  ``check_bound`` validates
-one point, then reads both sides from a context over its one x and
-applies the same rule to its one row; ``check_dominance`` reads its two
-closed forms there by ``_closed_values``.  ``BoundSpec.closed_form`` and
-``auxiliary_log_ratio`` are the one-x case of a column.
+element is bit for bit the value at its x.  ``check_bound`` and
+``check_dominance`` validate one point and apply the same rules to its
+one row; ``BoundSpec.closed_form`` and ``auxiliary_log_ratio`` are the
+one-x case of a column.
 The auxiliary log-ratios f, g and h behind the I-family are
 ``AUXILIARY`` records, each with its region, its two weights and the
 sign of its monotonicity; the monotonicity suite checks that sign on the

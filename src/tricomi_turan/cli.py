@@ -19,8 +19,7 @@ wins, so ``run @FILE --suites sharpness`` overrides the file's
 Blank lines and lines whose first non-space character is ``#`` are
 skipped; any other line, stripped of its surrounding whitespace, is one
 whole argument, so ``--format csv`` on one line is rejected as an
-unrecognized argument.  Every run evaluates its (a, c) pairs
-in-process, one after another.
+unrecognized argument.  A run evaluates its (a, c) pairs in turn.
 
 Exit codes: every subcommand exits 2 when argparse rejects its arguments
 (an unknown flag, a bad number or list, a settings file that cannot be

@@ -76,7 +76,6 @@ these budgets instead of trusting raw floating point.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from functools import lru_cache, partial
@@ -115,8 +114,6 @@ _LEFT_DEPTH = 40.0
 # more nodes than a pass has: they span less than max(log 2q, -w0) + depth
 # + log S + 7 h < 745 + 40 + 710 + 1 (``_extent``; 2q, S and x doubles)
 _NODES_MAX = 1.92e5
-# the context of passes whose sums are shown to stay doubles (``_nodes``)
-_BOUNDED = contextlib.nullcontext()
 # the cutoff test of psi_quadrature: 20 f(S) against PSI_TOL, in logs
 _LOG_20 = math.log(20.0)
 _LOG_2 = math.log(2.0)
@@ -555,12 +552,11 @@ def _cutoff(a: float, pw: float, x: float, log_b: float,
 def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
     """(point, bounded): the point (x, w0, rows, extents) of the passes at
     x (``_point``), the rows psi's alone or, with ``shifted``, also the r
-    and s rows, and whether psi's sums are shown to stay doubles: its
-    summands are at most 1, so they do where ``_NODES_MAX`` times its
-    largest weight does.  Elsewhere, and in the r and s rows, whose
-    summands reach e^w, a sum may overflow to inf, and its x alone raises
-    in ``_scaled`` or ``_shifted_quotients``; refusing such points would
-    refuse psi(0.5, -5e307, 10), whose weights reach 1.49e308.  Raises
+    and s rows, and whether psi's sums stay doubles: its summands are at
+    most 1, and ``_NODES_MAX`` times its largest weight is one.  Elsewhere
+    a sum, as the r and s rows' (summands up to e^w), may overflow to inf
+    and fail its x alone, in ``_scaled`` or ``_shifted_quotients``;
+    refusing such x would refuse psi(0.5, -5e307, 10) = 1.41e-154.  Raises
     :class:`EvaluationError` where a is subnormal or the nodes leave the
     double range, and where their exponents or rounding weights do: there
     as :class:`DoubleRangeError` where psi is shown to lie beyond it
@@ -625,39 +621,47 @@ def _beyond_gamma_floor(a: float, c: float, pw: float, x: float) -> bool:
 
 def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     """``psi_quadrature`` on float arguments, as the dispatcher calls it:
-    psi's row alone, one pass (``_trapezoid``) per h at the one x.  The
-    records' passes (``_pair_quadrature``) halve h by the same rule, in a
-    loop over the x of a pair.  At (2.3, -1.7, 3.1), one pass, a call
-    takes about 17 us, 13 of them in the pass (see ``_trapezoid``)."""
+    psi's row alone, one pass (``_trapezoid``) per h at the one x
+    (``_halving``).  The records' passes (``_pair_quadrature``) halve h by
+    the same rule, in a loop over the x of a pair.  At (2.3, -1.7, 3.1),
+    one pass, a call takes about 17 us, 13 of them in the pass."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
     pw = c - a - 1.0
     point, bounded = _nodes(a, c, pw, x, False)
+    if bounded:
+        return _halving(a, c, pw, point)
+    with np.errstate(over="ignore"):  # about 1 us a call: only where needed
+        return _halving(a, c, pw, point)
+
+
+def _halving(a: float, c: float, pw: float, point: tuple) -> FunctionValue:
+    """psi at the x of ``point`` (``_nodes``), as ``_quadrature``."""
+    x, points = point[0], (point,)
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
     # halve h until the budget is met, down to _STEP_MIN, or until a halving
     # no longer halves the relative error (rounding, not the step, sets it)
     h, prev_rel = _STEP, math.inf
-    with _BOUNDED if bounded else np.errstate(over="ignore"):
-        while True:
-            (m,), ((total, err),), _ = _trapezoid(a, pw, h, (point,))
-            rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
-            rel = err / total
-            if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
-                return _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
-            prev_rel = rel
-            h *= 0.5
+    while True:
+        (m,), ((total, err),), _ = _trapezoid(a, pw, h, points)
+        rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
+        rel = err / total
+        if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
+            return _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
+        prev_rel = rel
+        h *= 0.5
 
 
 def _pair_quadrature(a: float, c: float, xs) -> list:
     """psi and the quotients r and s at each x of ``xs`` at one pair,
     a > 0, as ``pair_quotients`` needs them: a list of each x's (psi,
     ((r, err_r), (s, err_s))), or of the exception the x raises.
-    Each x keeps its own nodes, h and checks, as in ``_quadrature``; as
+    Each x keeps its own nodes, h and checks, as in ``_halving``; as
     every x starts at the same h, one pass per h (``_trapezoid``) serves
-    every x whose h is still being halved.  lnGamma(a) is taken once if
-    some x has nodes; none has where it overflows, a > 2.5e305."""
+    every x whose h is still being halved.  lnGamma(a) is taken once, if
+    some x has nodes: none has where it overflows, a > 2.5e305."""
     pw = c - a - 1.0
     # points: (x, w0, rows, extents, index in xs, the last relative error)
     # of each x whose h is still being halved

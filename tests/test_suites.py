@@ -52,8 +52,9 @@ class TestRunConfig:
         ({"suites": ("bounds", "nope")}, "unknown suite names: ['nope']"),
         ({"grid_x": (1.0, 0.0)}, "grid x values must be positive"),
         ({"grid_x": (-0.5,)}, "grid x values must be positive"),
-        ({"fmt": "xml"}, "unknown report format 'xml'")])
-    def test_rejects_an_unknown_name_or_a_non_positive_x(self, setting, message):
+        ({"fmt": "xml"}, "unknown report format 'xml'"),
+        ({"jobs": 0}, "jobs must be >= 1")])
+    def test_rejects_an_unknown_name_or_a_non_positive_value(self, setting, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             RunConfig(**setting)
 
