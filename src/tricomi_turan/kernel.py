@@ -43,9 +43,8 @@ Each sum on the nodes is a row with one error rule (``_row_sum``):
 |T_h - T_2h| (T_2h from the even nodes), the left truncation, the
 rounding of every node's exponent, the tail past S and underflow.  psi's
 budget adds the rounding of the prefactor, which includes |lnGamma(a)|
-(about 18 at a = 1e-8).  h is halved until the budget meets ``PSI_TOL``,
-or until a halving no longer halves it; a budget that cannot meet it is
-returned as it is, flagged ``"tolerance_not_met"``.
+(about 18 at a = 1e-8).  One rule, ``_settled``, ends the halving of h
+at each x, for psi and the records alike.
 
 ``pair_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
 psi(a+1,c+1,x)/psi at each x of one (a, c) pair, and ``psi_quotients``
@@ -517,15 +516,14 @@ def _shifted_quotients(a: float, c: float, x: float, t0: float, e0: float, sums)
 def psi_quadrature(p: ParameterPoint) -> FunctionValue:
     """Evaluate psi(a,c,x), a > 0, by the trapezoid rule in w = log s
     (see the module docstring), on nodes anchored at w0 = log min(x, 1)
-    rounded to a multiple of 2^-20, so that every node is exact.  h starts
-    at 1/8 and is halved until abs_error <= PSI_TOL |value|; if that fails
-    at h = 1/128, or once a halving leaves the relative budget above half
-    the previous one (rounding then sets it), the honest budget is
-    returned, flagged ``"tolerance_not_met"``.  A value below the normal
-    double range raises :class:`EvaluationError`, one beyond it
-    :class:`DoubleRangeError`; so do, as :class:`EvaluationError`, a
-    subnormal a, nodes that leave the double range (|c - a - 1|/x or the
-    cutoff near the largest double) and a NaN or infinite value or budget.
+    rounded to a multiple of 2^-20, so that every node is exact; h is
+    halved by the rule of ``_settled``.  a <= 0 raises
+    :class:`RegionError`.  A value below the normal double range raises
+    :class:`EvaluationError`, one beyond it :class:`DoubleRangeError`; so
+    do, as :class:`EvaluationError`, a subnormal a, nodes, node exponents
+    or rounding weights beyond the double range (|c - a - 1|/x or the
+    cutoff near the largest double; :class:`DoubleRangeError` where psi is
+    shown to lie beyond it) and a NaN or infinite value or budget.
     """
     return _quadrature(p.a, p.c, p.x)
 
@@ -555,7 +553,7 @@ def _nodes(a: float, c: float, pw: float, x: float, shifted: bool) -> tuple:
     and s rows, and whether psi's sums stay doubles: its summands are at
     most 1, and ``_NODES_MAX`` times its largest weight is one.  Elsewhere
     a sum, as the r and s rows' (summands up to e^w), may overflow to inf
-    and fail its x alone, in ``_scaled`` or ``_shifted_quotients``;
+    and fail its x alone, in ``_settled`` or ``_shifted_quotients``;
     refusing such x would refuse psi(0.5, -5e307, 10) = 1.41e-154.  Raises
     :class:`EvaluationError` where a is subnormal or the nodes leave the
     double range, and where their exponents or rounding weights do: there
@@ -622,8 +620,8 @@ def _beyond_gamma_floor(a: float, c: float, pw: float, x: float) -> bool:
 def _quadrature(a: float, c: float, x: float) -> FunctionValue:
     """``psi_quadrature`` on float arguments, as the dispatcher calls it:
     psi's row alone, one pass (``_trapezoid``) per h at the one x
-    (``_halving``).  The records' passes (``_pair_quadrature``) halve h by
-    the same rule, in a loop over the x of a pair.  At (2.3, -1.7, 3.1),
+    (``_halving``).  The records' passes (``_pair_quadrature``) end by the
+    same ``_settled``, in a loop over the x of a pair.  At (2.3, -1.7, 3.1),
     one pass, a call takes about 17 us, 13 of them in the pass."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
@@ -636,21 +634,19 @@ def _quadrature(a: float, c: float, x: float) -> FunctionValue:
 
 
 def _halving(a: float, c: float, pw: float, point: tuple) -> FunctionValue:
-    """psi at the x of ``point`` (``_nodes``), as ``_quadrature``."""
+    """psi at the x of ``point`` (``_nodes``), as ``_quadrature``: one pass
+    per h until ``_settled`` ends them."""
     x, points = point[0], (point,)
     log_x = math.log(x)
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
-    # halve h until the budget is met, down to _STEP_MIN, or until a halving
-    # no longer halves the relative error (rounding, not the step, sets it)
-    h, prev_rel = _STEP, math.inf
+    # end: the last pass's relative budget, until it is psi
+    h, end = _STEP, math.inf
     while True:
         (m,), ((total, err),), _ = _trapezoid(a, pw, h, points)
-        rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
-        rel = err / total
-        if met or h <= _STEP_MIN or rel > 0.5 * prev_rel:
-            return _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
-        prev_rel = rel
+        end = _settled(a, c, x, log_x, lg_a, lg_a_err, h, end, m, total, err)
+        if type(end) is FunctionValue:
+            return end
         h *= 0.5
 
 
@@ -660,8 +656,8 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
     ((r, err_r), (s, err_s))), or of the exception the x raises.
     Each x keeps its own nodes, h and checks, as in ``_halving``; as
     every x starts at the same h, one pass per h (``_trapezoid``) serves
-    every x whose h is still being halved.  lnGamma(a) is taken once, if
-    some x has nodes: none has where it overflows, a > 2.5e305."""
+    every x whose passes ``_settled`` has not ended.  lnGamma(a) is taken
+    once, if some x has nodes: none has where it overflows, a > 2.5e305."""
     pw = c - a - 1.0
     # points: (x, w0, rows, extents, index in xs, the last relative error)
     # of each x whose h is still being halved
@@ -682,17 +678,15 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
             ms, sums, nodes = _trapezoid(a, pw, h, points)
             summands, rest = None, []
             for k, (point, m, (total, err)) in enumerate(zip(points, ms, sums)):
-                x, i, prev_rel = point[0], point[4], point[5]
-                log_x = math.log(x)
-                rel_scale, met = _prefactor_rounding(a, m, log_x, lg_a, lg_a_err, total, err)
-                rel = err / total
-                if not (met or h <= _STEP_MIN or rel > 0.5 * prev_rel):
-                    rest.append((*point[:5], rel))
-                    continue
+                x, i = point[0], point[4]
                 try:
-                    fv = _scaled(a, c, x, m - a * log_x - lg_a, total, err, rel_scale, met)
+                    end = _settled(a, c, x, math.log(x), lg_a, lg_a_err, h, point[5],
+                                   m, total, err)
+                    if type(end) is not FunctionValue:
+                        rest.append((*point[:5], end))
+                        continue
                     summands = summands or _shifted_summands(nodes)
-                    out[i] = fv, _shifted_quotients(a, c, x, total, err, _more_rows(
+                    out[i] = end, _shifted_quotients(a, c, x, total, err, _more_rows(
                         nodes, summands, k, point, m, a, h))
                 except EvaluationError as exc:
                     out[i] = exc
@@ -701,30 +695,33 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
     return out
 
 
-def _prefactor_rounding(a: float, m: float, log_x: float, lg_a: float, lg_a_err: float,
-                        total: float, err: float) -> tuple[float, bool]:
-    """rel_scale, the relative rounding of psi's prefactor e^(m - a log x -
-    lnGamma(a)), and whether a pass's budget err on T_h = total meets
-    ``PSI_TOL`` with it."""
+def _settled(a: float, c: float, x: float, log_x: float, lg_a: float, lg_a_err: float,
+             h: float, prev_rel: float, m: float, total: float, err: float):
+    """The end of the step-h pass at x, for psi (``_halving``) and the
+    records (``_pair_quadrature``) alike, from psi's (T_h, error) = (total,
+    err) scaled by e^-m (``_trapezoid``): the relative budget, where h is
+    halved again, or psi.  The halving rule: h starts at 1/8 and is halved
+    until the budget, the rounding of the prefactor e^(m - a log x -
+    lnGamma(a)) included, meets ``PSI_TOL``, h is 1/128, a halving leaves
+    the relative budget above half the last, ``prev_rel`` (rounding then
+    sets it), or the relative budget is not finite, which no halving mends.
+    An unmet budget is returned as it is, flagged ``"tolerance_not_met"``.
+    psi > 0, so a value below the normal range raises
+    :class:`EvaluationError`, one beyond it :class:`DoubleRangeError`, and
+    a NaN or infinite value or budget :class:`EvaluationError`."""
     rel_scale = (EPS * (3.0 + 2.0 * (abs(m) + abs(a * log_x)) + abs(lg_a))
                  + lg_a_err)
-    return rel_scale, err <= (PSI_TOL - rel_scale) * abs(total)
-
-
-def _scaled(a: float, c: float, x: float, log_scale: float, total: float, err: float,
-            rel_scale: float, met: bool) -> FunctionValue:
-    """psi = e^log_scale T_h from psi's (T_h, error) of a pass at x, with
-    its budget, rel_scale |psi| of it for the scale's rounding; flagged
-    ``"tolerance_not_met"`` unless ``met``."""
+    met = err <= (PSI_TOL - rel_scale) * abs(total)
+    rel = err / total
+    if not (met or h <= _STEP_MIN or rel > 0.5 * prev_rel or not rel < math.inf):
+        return rel
     try:
-        scale = math.exp(log_scale)
+        scale = math.exp(m - a * log_x - lg_a)
     except OverflowError:
         # psi = scale T_h with T_h of order h or more: beyond the double
         # range, or too near its top to hold
         raise _beyond_range(a, c, x) from None
     value = scale * total
-    # psi > 0 for a > 0, so a value of 0 or a subnormal one has underflowed,
-    # and an infinite one has overflowed
     if value < _TINY:
         raise EvaluationError(
             f"psi(a={a}, c={c}, x={x}) underflows the double range (got {value})")

@@ -121,8 +121,8 @@ _PANEL_WEIGHTS = np.concatenate([_G16_W[::-1], _G16_W, -_G8_W[::-1], -_G8_W])
 @dataclass(frozen=True)
 class WeightDensity:
     """Parameters (finite a > 0, c < 1), the log of 1/(Gamma(a+1)Gamma(a-c+1))
-    and its error, and the density's phi table, kept once built; a
-    log-Gamma beyond the double range raises :class:`EvaluationError`."""
+    and its error, and the density's phi table, kept once built; a subnormal
+    a or a log-Gamma beyond the double range raises :class:`EvaluationError`."""
 
     a: float
     c: float
@@ -133,6 +133,8 @@ class WeightDensity:
         if not (0.0 < self.a < math.inf and -math.inf < self.c < 1.0):
             raise RegionError(f"weight density requires finite a > 0 and c < 1, "
                               f"got a={self.a}, c={self.c}")
+        if self.a < _TINY:    # 1/Gamma(a) ~ a scales psi on the negative axis
+            raise EvaluationError(f"weight density at a={self.a}, c={self.c}: a is subnormal")
         zs = (self.a + 1.0, self.a - self.c + 1.0)
         lgs = [log_gamma(z)[0] for z in zs]
         object.__setattr__(self, "log_prefactor", -sum(lgs))

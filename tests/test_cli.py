@@ -414,6 +414,13 @@ class TestRun:
         assert err.startswith("evaluation error: psi(a=200.0, c=-1.0, x=0.03) "
                               "underflows the double range")
 
+    def test_a_subnormal_density_is_exit_4(self, capsys):
+        # it used to end in a numpy RuntimeWarning, an error here
+        code, out, err = run_cli(capsys, "run", "--suites", "moments", "--grid-a", "1e-310",
+                                 "--grid-c=-0.5", "--grid-x", "1")
+        assert code == 4 and out == ""
+        assert err == "evaluation error: weight density at a=1e-310, c=-0.5: a is subnormal\n"
+
     def test_integer_c_at_a_below_one_is_evaluated(self, capsys):
         # the Turanians and S1 read psi at a and a + 1 only, so no row meets
         # the integer-c hole of psi at a - 1 = -0.5

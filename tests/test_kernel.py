@@ -1105,6 +1105,24 @@ class TestExtremeParameters:
             psi(ParameterPoint(1.7133185347424188e+302, -1.2360138296703366e+75,
                                4.189046206866047e+113))
 
+    def test_a_budget_that_is_not_finite_ends_the_passes(self, monkeypatch):
+        # the first pass's relative budget here is not finite, and no
+        # halving mends it: psi and its record end after that pass, where
+        # they ran all five, and raise as they did
+        passes = []
+        trapezoid = kernel._trapezoid
+        monkeypatch.setattr(kernel, "_trapezoid", lambda a, pw, h, points: passes.append(h)
+                            or trapezoid(a, pw, h, points))
+        p = ParameterPoint(1.7133185347424188e+302, -1.2360138296703366e+75,
+                           4.189046206866047e+113)
+        for fn in (psi, kernel.psi_quotients):
+            passes.clear()
+            with pytest.raises(EvaluationError, match=r"underflows the double range "
+                                                      r"\(got 0\.0\)$") as exc:
+                fn(p)
+            assert type(exc.value) is EvaluationError
+            assert passes == [2.0 ** -3]
+
     def test_terminating_polynomial_keeps_its_values(self):
         # the running products stop at a zero factor (c a nonpositive
         # integer) or at the end of the double range; the values stand

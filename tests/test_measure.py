@@ -237,6 +237,17 @@ class TestEdgeCases:
         with pytest.raises(EvaluationError):
             fn(WeightDensity(a, c), arg)
 
+    # these used to end in a numpy RuntimeWarning, invalid values in the
+    # budget of psi on the negative axis, where 1/Gamma(a) is subnormal
+    @pytest.mark.parametrize("c", [-0.5, 0.5])
+    @pytest.mark.parametrize("a", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("fn,arg", [(phi, 1.0), (phi_moment, 0), (stieltjes_both, 1.0)],
+                             ids=["phi", "phi_moment", "stieltjes"])
+    def test_subnormal_a_raises(self, fn, arg, a, c):
+        with pytest.raises(EvaluationError, match="a is subnormal") as exc:
+            fn(WeightDensity(a, c), arg)
+        assert type(exc.value) is EvaluationError
+
 
 def test_panel_rule_constants_are_leggauss_bit_for_bit():
     from numpy.polynomial.legendre import leggauss
