@@ -133,7 +133,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernel import (_TINY, EPS, EvaluationError, FunctionValue, ParameterPoint,
-                     RegionError, log_gamma, log_gamma_error)
+                     RegionError, log_gamma, log_gamma_error, pair_psi)
 from .measure import WeightDensity
 from .turanians import (BOTH, FIRST, SCAN_TO_INFINITY, SCAN_TO_ZERO, SECOND, Column,
                         PairRecords, SharpnessLimit, TuranianKind)
@@ -147,13 +147,35 @@ class PairGrid(PairRecords):
     claims are evaluated, in order, with the records, quotients and
     Turanian ratios of ``turanians.PairRecords`` and, formed from the same
     records as columns, the S-family lhs (``_s_lhs``), I2's rhs
-    (``_i2_rhs``) and the auxiliary log-ratios, ln G0 and ln G1, and the
-    pair's weight density with its phi table (``density``), each once per
-    pair."""
+    (``_i2_rhs``) and the auxiliary log-ratios, ln G0 and ln G1, the
+    pair's weight density with its phi table (``density``), and psi at
+    the points its suites read (``read_psi``), each once per pair."""
 
     def __init__(self, a: float, c: float, xs):
         super().__init__(a, c, xs)
         self._auxiliary: dict = {}
+        self._psi: dict = {}
+
+    def read_psi(self, points) -> None:
+        """Compute psi at the points (a', c', x) of ``points`` that the
+        pair does not yet hold, (a', c') its own or a shift of it with
+        a' > 0, in one ``kernel.pair_psi`` call per (a', c'), and hold each
+        point's value or exception for the pair's block: none is computed
+        twice in it."""
+        held, new = self._psi, {}
+        for p in points:
+            if p not in held:
+                new.setdefault(p[:2], {})[p[2]] = None
+        for (a, c), xs in new.items():
+            held.update(zip([(a, c, x) for x in xs], pair_psi(a, c, list(xs))))
+
+    def psi(self, point) -> FunctionValue:
+        """psi at ``point``, (a', c', x), as ``read_psi`` holds it; raises
+        that point's exception."""
+        got = self._psi[point]
+        if isinstance(got, Exception):
+            raise got
+        return got
 
     @cached_property
     def ln_g0(self) -> tuple[float, float]:

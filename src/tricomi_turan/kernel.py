@@ -58,15 +58,11 @@ subnormal a, 0 < |a| < 2^-1022, raises :class:`EvaluationError` in psi
 and in the records.  An x fails in one place, its nodes (``_nodes``) or
 its last pass, in psi and in the records alike: no pass raises for all.
 
-``psi`` keeps the last 2,048 points, the reuse a run shows.  Within one
-grid pair a value is read again at most about 5 distinct points per grid
-x later (127 at 27 x values), so 2,048 keeps every such hit for grids of
-up to about 400 x values.  Across pairs, the derivative suite's target
-psi(a+1, c+1, x) is read again as psi at the grid pair (a+1, c+1): on the
-default grid at most 1,428 distinct points later.  A point read again
-past the bound is computed again, to the same bits.  The records are not
-kept: the suites read each record of a pair once, through the pair's
-context (``bounds.PairGrid``).
+``pair_psi`` is psi at every x of one pair, a > 0, each x bit for bit
+as ``psi`` gives it: the passes of its x run together with psi's row
+alone.  Nothing is kept: ``psi`` computes every call afresh, and the
+suites read a pair's values through its context (``bounds.PairGrid``),
+which holds them for the pair's block.
 
 Every result is a :class:`FunctionValue` carrying an absolute error
 estimate; downstream strict-inequality checks compare margins against
@@ -77,7 +73,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -650,10 +646,12 @@ def _halving(a: float, c: float, pw: float, point: tuple) -> FunctionValue:
         h *= 0.5
 
 
-def _pair_quadrature(a: float, c: float, xs) -> list:
+def _pair_quadrature(a: float, c: float, xs, shifted: bool = True) -> list:
     """psi and the quotients r and s at each x of ``xs`` at one pair,
     a > 0, as ``pair_quotients`` needs them: a list of each x's (psi,
-    ((r, err_r), (s, err_s))), or of the exception the x raises.
+    ((r, err_r), (s, err_s))), or of the exception the x raises; without
+    ``shifted``, psi's row alone, as ``pair_psi`` needs it: a list of
+    each x's psi, bit for bit as ``_halving`` gives it, or its exception.
     Each x keeps its own nodes, h and checks, as in ``_halving``; as
     every x starts at the same h, one pass per h (``_trapezoid``) serves
     every x whose passes ``_settled`` has not ended.  lnGamma(a) is taken
@@ -664,7 +662,7 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
     out, points = list(xs), []
     for i, x in enumerate(out):
         try:
-            points.append((*_nodes(a, c, pw, x, True)[0], i, math.inf))
+            points.append((*_nodes(a, c, pw, x, shifted)[0], i, math.inf))
         except EvaluationError as exc:
             out[i] = exc
     if not points:
@@ -672,7 +670,8 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
     lg_a, _ = log_gamma(a)
     lg_a_err = log_gamma_error(a, lg_a)
     h = _STEP
-    # a sum of the r and s rows may overflow to inf (``_nodes``)
+    # a sum of the r and s rows, or of psi's row where ``_nodes`` finds it
+    # unbounded, may overflow to inf
     with np.errstate(over="ignore"):
         while points:
             ms, sums, nodes = _trapezoid(a, pw, h, points)
@@ -684,6 +683,9 @@ def _pair_quadrature(a: float, c: float, xs) -> list:
                                    m, total, err)
                     if type(end) is not FunctionValue:
                         rest.append((*point[:5], end))
+                        continue
+                    if not shifted:
+                        out[i] = end
                         continue
                     summands = summands or _shifted_summands(nodes)
                     out[i] = end, _shifted_quotients(a, c, x, total, err, _more_rows(
@@ -945,8 +947,24 @@ def _subnormal(a: float, c: float, x: float) -> EvaluationError:
                            f"normal double range that the routes need")
 
 
-@lru_cache(maxsize=2048)
-def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
+def psi(p: ParameterPoint) -> FunctionValue:
+    """Evaluate psi(a,c,x) for x > 0, selecting a method by parameter region.
+
+    a > 0 uses the quadrature route at every x, a value to ``PSI_TOL`` as
+    ``psi_quadrature(p)`` gives it; a = 0 and negative-integer a use their
+    exact closed forms.  Other a < 0 try the optimally truncated expansion
+    first (for x > 1): when its budget is at the rounding floor,
+    2 EPS |value|, it is returned, because the connection series, whose
+    budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
+    connection series is summed too (for x <= 600) and the route with the
+    smaller budget is returned.  Nothing is kept: every call computes its
+    value afresh.
+    For a > 0, where psi is positive, a value that underflows to 0 or to a
+    subnormal raises :class:`EvaluationError`.  A value beyond the largest
+    double raises :class:`DoubleRangeError`, and a terminating polynomial
+    whose terms overflow raises :class:`EvaluationError`.
+    """
+    a, c, x = p
     if a > 0.0:
         return _quadrature(a, c, x)
     if a == 0.0 or a == math.floor(a):
@@ -981,21 +999,20 @@ def _psi_cached(a: float, c: float, x: float) -> FunctionValue:
     return series
 
 
-def psi(p: ParameterPoint) -> FunctionValue:
-    """Evaluate psi(a,c,x) for x > 0, selecting a method by parameter region.
-
-    a > 0 uses the quadrature route at every x, a value to ``PSI_TOL`` as
-    ``psi_quadrature(p)`` gives it; a = 0 and negative-integer a use their
-    exact closed forms.  Other a < 0 try the optimally truncated expansion
-    first (for x > 1): when its budget is at the rounding floor,
-    2 EPS |value|, it is returned, because the connection series, whose
-    budget never falls below 4 EPS |value|, cannot beat it.  Otherwise the
-    connection series is summed too (for x <= 600) and the route with the
-    smaller budget is returned.  Results are cached per (a, c, x), the
-    last 2,048 points (see the module docstring).
-    For a > 0, where psi is positive, a value that underflows to 0 or to a
-    subnormal raises :class:`EvaluationError`.  A value beyond the largest
-    double raises :class:`DoubleRangeError`, and a terminating polynomial
-    whose terms overflow raises :class:`EvaluationError`.
-    """
-    return _psi_cached(p.a, p.c, p.x)
+def pair_psi(a: float, c: float, xs) -> list:
+    """psi(a,c,x), a > 0, at each x of ``xs``: a list of each x's value,
+    bit for bit as ``psi`` gives it, or of the exception the x raises,
+    read alone.  The passes of all the x run together, psi's row alone
+    (``_pair_quadrature``).  a <= 0 raises :class:`RegionError`."""
+    if a <= 0.0:
+        raise RegionError(f"integral representation requires a > 0, got a={a}")
+    out = []
+    for x in xs:
+        try:
+            out.append(ParameterPoint(a, c, x))
+        except RegionError as exc:
+            out.append(exc)
+    valid = [i for i, p in enumerate(out) if type(p) is ParameterPoint]
+    for i, got in zip(valid, _pair_quadrature(a, c, [out[i].x for i in valid], False)):
+        out[i] = got
+    return out

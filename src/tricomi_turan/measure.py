@@ -87,7 +87,7 @@ import numpy as np
 
 from .kernel import (_FMAX, _TINY, EPS, EvaluationError, FunctionValue, RegionError,
                      _connection_coefficients, log_gamma, log_gamma_error)
-from .turanians import TuranianKind
+from .turanians import Column, TuranianKind
 
 _INTEGRAL = "quadrature"
 
@@ -328,28 +328,39 @@ class _PhiTable:
     tail_t: float          # T
     tail_phi0: float       # phi_0(T)
 
-    def integral(self, beta: float, extra=None) -> tuple[float, float]:
-        """Value and absolute error; ``extra`` maps t (an array or a float)
-        to the factor beside t^(beta-1) phi_0(t), None meaning 1."""
+    def integral(self, beta: float, extra=None, xs=()) -> list:
+        """Value and absolute error at each x of ``xs``, or the
+        :class:`EvaluationError` of an x where either is not a finite
+        double; ``extra(x, t)`` is the factor beside t^(beta-1) phi_0(t) at
+        x, over a column of x and the nodes at once or at one float t, and
+        None means 1, with one value and no x.  Each x's sums are those of
+        a call at it alone, each over the same elements in the same
+        order."""
         g = self.t ** (beta - 1.0)
-        if extra is None:
-            e0 = e_t0 = e_tail = 1.0
-        else:
-            g *= extra(self.t)
-            e0, e_t0, e_tail = extra(0.0), extra(self.head.t0), extra(self.tail_t)
-        vg = self.v * g
-        body = vg[:, :_GAUSS]
         head, head_err = self.head.integral(beta)
-        value = float(body.sum()) + e0 * head
-        err = (float(np.abs(vg.sum(axis=1)).sum())
-               + float((self.e * g[:, :_GAUSS]).sum())
-               + 32.0 * EPS * float(np.abs(body).sum())
-               + abs(e0) * head_err + abs(head) * abs(e_t0 - e0)
-               + 2.0 * self.tail_t ** beta * self.tail_phi0 * abs(e_tail))
-        if not (math.isfinite(value) and math.isfinite(err)):
-            raise EvaluationError(f"phi integral at beta={beta} is not a finite double "
-                                  f"(got {value} +- {err})")
-        return value, err
+        tail = 2.0 * self.tail_t ** beta * self.tail_phi0
+        if extra is None:
+            gs, ends = g[None], [(1.0, 1.0, 1.0)]
+        else:
+            gs = g * extra(np.array(xs)[:, None, None], self.t)
+            ends = [(extra(x, 0.0), extra(x, self.head.t0), extra(x, self.tail_t)) for x in xs]
+        vgs = self.v * gs
+        # the contiguous sums of each x as rows of one array, each row
+        # summed on its own as that x's array alone would be
+        n = len(gs)
+        companions = np.abs(vgs.sum(axis=2)).sum(axis=1).tolist()
+        noises = (self.e * gs[:, :, :_GAUSS]).reshape(n, -1).sum(axis=1).tolist()
+        sizes = np.abs(vgs[:, :, :_GAUSS]).reshape(n, -1).sum(axis=1).tolist()
+        out = []
+        for vg, companion, noise, size, (e0, e_t0, e_tail) in zip(
+                vgs, companions, noises, sizes, ends):
+            value = float(vg[:, :_GAUSS].sum()) + e0 * head
+            err = (companion + noise + 32.0 * EPS * size
+                   + abs(e0) * head_err + abs(head) * abs(e_t0 - e0) + tail * abs(e_tail))
+            out.append((value, err) if math.isfinite(value) and math.isfinite(err) else
+                       EvaluationError(f"phi integral at beta={beta} is not a finite double "
+                                       f"(got {value} +- {err})"))
+        return out
 
 
 def _phi_table(d: WeightDensity) -> _PhiTable:
@@ -442,8 +453,54 @@ def phi_moment(d: WeightDensity, power: int) -> FunctionValue:
     if power not in MOMENT_IDENTITIES:
         raise RegionError(f"unsupported moment power {power}")
     MOMENT_IDENTITIES[power].require(d.a, d.c)
-    value, err = d.table.integral(power + 1.0 - d.c)
-    return FunctionValue(value, err, _INTEGRAL)
+    (got,) = d.table.integral(power + 1.0 - d.c)
+    if isinstance(got, Exception):
+        raise got
+    return FunctionValue(*got, _INTEGRAL)
+
+
+# the extra factor of each kind's transform, at x over t
+_EXTRAS = {TuranianKind.BOTH_SHIFT: lambda x, t: 1.0 / (x + t) ** 2,
+           TuranianKind.FIRST_SHIFT: lambda x, t: (x / (x + t)) ** 2}
+
+
+def _x_error(kind: TuranianKind, x: float) -> Exception | None:
+    """The error ``stieltjes`` raises at x before it reads the table."""
+    if x <= 0.0:
+        return RegionError(f"x > 0 required, got x={x}")
+    if kind not in _EXTRAS:
+        return ValueError(f"no Stieltjes form of the {kind.value}-shift ratio")
+    if kind is TuranianKind.BOTH_SHIFT and not _TINY <= x * x <= _FMAX:
+        return EvaluationError(f"x^2 in 1/(x+t)^2 is outside the normal double range at x={x}")
+    return None
+
+
+def stieltjes_column(kind: TuranianKind, d: WeightDensity, xs) -> Column:
+    """``stieltjes`` at each x of ``xs``, as a ``turanians.Column`` up to
+    the first x where it raises, with that error: each x's value and
+    error are those of ``stieltjes`` at it alone, the integrals one array
+    expression over the x before it (``_PhiTable.integral``).  Where the
+    table cannot be built, its error is raised at once, as at the first
+    x."""
+    n, error = len(xs), None
+    for i, x in enumerate(xs):
+        error = _x_error(kind, x)
+        if error is not None:
+            n = i
+            break
+    if not n:
+        return Column([], [], error)
+    values, errors = [], []
+    scale = 1.0 + d.a - d.c
+    first = kind is TuranianKind.FIRST_SHIFT
+    for got in d.table.integral((1.0 if first else 2.0) - d.c, _EXTRAS[kind], xs[:n]):
+        if isinstance(got, Exception):
+            return Column(values, errors, got)
+        value, err = got
+        # 2 EPS covers the rounding of 1 - value and of the division
+        values.append((1.0 - value) / scale if first else -value)
+        errors.append((err + 2.0 * EPS) / scale if first else err)
+    return Column(values, errors, error)
 
 
 def stieltjes(kind: TuranianKind, d: WeightDensity, x: float) -> FunctionValue:
@@ -456,19 +513,10 @@ def stieltjes(kind: TuranianKind, d: WeightDensity, x: float) -> FunctionValue:
     paths share nothing past the Gamma function, so their agreement
     cross-validates the negative-axis evaluation, the quadrature rule and
     the Turanian arithmetic at once.  The second shift has no such form
-    here and raises ValueError; x <= 0 raises :class:`RegionError`.
+    here and raises ValueError; x <= 0 raises :class:`RegionError`.  The
+    one-x case of ``stieltjes_column``.
     """
-    if x <= 0.0:
-        raise RegionError(f"x > 0 required, got x={x}")
-    if kind is TuranianKind.BOTH_SHIFT:
-        if not _TINY <= x * x <= _FMAX:
-            raise EvaluationError(
-                f"x^2 in 1/(x+t)^2 is outside the normal double range at x={x}")
-        value, err = d.table.integral(2.0 - d.c, lambda t: 1.0 / (x + t) ** 2)
-        return FunctionValue(-value, err, _INTEGRAL)
-    if kind is TuranianKind.FIRST_SHIFT:
-        value, err = d.table.integral(1.0 - d.c, lambda t: (x / (x + t)) ** 2)
-        scale = 1.0 + d.a - d.c
-        # 2 EPS covers the rounding of 1 - value and of the division
-        return FunctionValue((1.0 - value) / scale, (err + 2.0 * EPS) / scale, _INTEGRAL)
-    raise ValueError(f"no Stieltjes form of the {kind.value}-shift ratio")
+    column = stieltjes_column(kind, d, (x,))
+    if column.error is not None:
+        raise column.error
+    return FunctionValue(column.values[0], column.errors[0], _INTEGRAL)

@@ -10,12 +10,13 @@ columns.  Where the config names a report file, ``run`` writes the report
 The unit of work is the (a, c) pair.  The block of a pair evaluates, in
 task order (suite, claim), every selected claim that holds there, at
 each of its suite's x values at once, so each psi value and each phi
-table of that pair is computed once, and the records of psi and its
-quotients at all its x in one call (``kernel.pair_quotients``).  The
-blocks run in-process, one after another, in run order: the grid's pairs
-in (a, c) order, then the sharpness limits' curated pairs off the grid;
-grid values are distinct, so no pair repeats.  A block returns the rows
-of each (suite, claim) as columns, a list for each of x, lhs, rhs,
+table of that pair is computed once, the records of psi and its
+quotients at all its x in one call (``kernel.pair_quotients``) and psi
+at the points a suite reads in one call per shift (``kernel.pair_psi``).
+The blocks run in-process, one after another, in run order: the grid's
+pairs in (a, c) order, then the sharpness limits' curated pairs off the
+grid; grid values are distinct, so no pair repeats.  A block returns the
+rows of each (suite, claim) as columns, a list for each of x, lhs, rhs,
 margin, budget and the status code; ``run`` extends each claim's arrays,
 of doubles for a, c, x, lhs, rhs, margin and budget and of bytes for the
 status, by them and puts a sharpness limit's rows in the order of its
@@ -51,12 +52,18 @@ claim that reads them.  The catalog and dominance claims take their rows
 from ``bounds.bound_columns`` and ``bounds.dominance_columns``, which
 apply the verdict rules of ``check_bound`` and ``check_dominance`` to
 whole columns; a monotonicity claim takes its auxiliary's column in
-increasing x.  The other suites state one row per item they take from
-the pair (``CROSSCHECK_X``, the grid's x from ``ODE_MIN_X`` on, the
-grid's x, or one x = 0 for a moment or a sharpness scan), by the row
-function of the claim, behind one adapter, ``_per_point``; a stieltjes
-row holds the phi side of its x, by ``measure.stieltjes`` on the pair's
-density, against the ratio column there.  No suite takes a tolerance.
+increasing x.  The crosscheck, ODE and derivative suites take pair
+columns of psi (``_psi_columns``): each states the points at which its
+row at x reads psi, at x of ``CROSSCHECK_X``, of the grid from
+``ODE_MIN_X`` on and of the grid, with the nodes and tails of their
+central differences; the pair computes the points of all its rows
+first, one batched call per shift, and holds them for its block
+(``PairGrid.read_psi``), and each row takes its values from the pair.
+A stieltjes claim holds the pair's phi-side column
+(``measure.stieltjes_column`` on the pair's density) against its ratio
+column.  The moments and sharpness suites state one row per item they
+take from the pair, one x = 0 for a moment or a sharpness scan, behind
+one adapter, ``_per_point``.  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -86,8 +93,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from . import measure as measure_mod
-from .kernel import (EPS, INTEGER_C_GUARD, FunctionValue, ParameterPoint, psi,
-                     psi_connection)
+from .kernel import EPS, INTEGER_C_GUARD, FunctionValue, psi_connection
 from .turanians import TuranianKind, sharpness_scan
 
 DEFAULT_GRID_A = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
@@ -159,18 +165,39 @@ class Suite:
 # ---------------------------------------------------------------------------
 # column evaluators: (argument, pair) -> the claim's rows at the pair, a
 # bounds.PairGrid, as the columns x, lhs, rhs, margin, budget and status
-# code (an index into _STATUSES); per-point suites state one row per item
-# they take from the pair, which ``_per_point`` turns into columns
+# code (an index into _STATUSES); a row function of psi columns or of one
+# item the pair gives states one row, which ``_columns`` turns into columns
 # ---------------------------------------------------------------------------
+
+def _columns(rows) -> tuple:
+    """Rows (x, lhs, rhs, margin, budget, status) as the columns of an
+    evaluator."""
+    *values, status = zip(*rows) if rows else [()] * 6
+    return (*map(list, values), list(map(_STATUSES.index, status)))
+
 
 def _per_point(row, items):
     """The column evaluator of ``row``, (argument, pair, item) -> the
     fields of a row after (suite, claim, a, c) and before its anchor, at
     each item of ``items(pair)``."""
-    def evaluate(arg, pair):
-        rows = [row(arg, pair, item) for item in items(pair)]
-        *values, status = zip(*rows) if rows else [()] * 6
-        return (*map(list, values), list(map(_STATUSES.index, status)))
+    return lambda arg, pair: _columns([row(arg, pair, item) for item in items(pair)])
+
+
+def _psi_columns(row, items, reads):
+    """The column evaluator of ``row``, (a, c, x, h, *values) -> the
+    fields of the row at x, h its central-difference step (``_step``), at
+    each x of ``items(pair)``, from the values of psi at the points (a',
+    c', y) of ``reads(a, c, x, h)``, in their order.  The pair computes
+    the points of all the rows first, one batched call per (a', c')
+    (``PairGrid.read_psi``); a row raises the error of its first point
+    that raised."""
+    def evaluate(_, pair):
+        a, c, xs = pair.a, pair.c, items(pair)
+        steps = list(map(_step, xs))
+        points = [reads(a, c, x, h) for x, h in zip(xs, steps)]
+        pair.read_psi(p for row_points in points for p in row_points)
+        return _columns([row(a, c, x, h, *map(pair.psi, row_points))
+                         for x, h, row_points in zip(xs, steps, points)])
     return evaluate
 
 
@@ -179,49 +206,59 @@ def _agreement(x, lhs, rhs, budget):
     return x, lhs, rhs, margin, budget, PASS if margin >= 0.0 else FAIL
 
 
-def _row_crosscheck(_, pair, x):
+def _row_crosscheck(a, c, x, _, q):
     # the suite holds at a > 0 only, where psi takes the quadrature route;
     # kernel.pair_quotients holds the same value at this point, from its
     # own trapezoid pass
-    q = psi(ParameterPoint(pair.a, pair.c, x))
-    k = psi_connection(pair.a, pair.c, x)
+    k = psi_connection(a, c, x)
     return _agreement(x, q.value, k.value, q.abs_error + k.abs_error)
 
 
-def _central_difference(a: float, c: float, x: float, k: int) -> FunctionValue:
-    """psi^(k)(a,c,x), k = 1 or 2 and a > 0, by the central difference of
-    psi at x - h, x + h (and x for k = 2), h about 1e-4 max(x, 0.1) and
-    rounded so that the nodes are exact; they are read through psi, so
-    they share its cache.  psi^(j) = (-1)^j (a)_j psi(a+j, c+j, x), whose
-    magnitude decreases as x grows, so the Taylor remainder is at most
-    h^2/(6k) (a)_(k+2) psi(a+k+2, c+k+2, x-h).  The budget adds the nodes'
-    errors, (e+ + e-)/(2h) for k = 1 and (e+ + 2 e0 + e-)/h^2 for k = 2,
-    and EPS-level rounding of the difference."""
+def _step(x: float) -> float:
+    """The step h of the central differences at x: about 1e-4 max(x, 0.1),
+    x/2 where x - h would not be positive, rounded so that the nodes x - h
+    and x + h are exact."""
     h = 1e-4 * max(x, 0.1)
     if x - h <= 0.0:
         h = 0.5 * x
-    h = (x + h) - x
-    fm, fp = psi(ParameterPoint(a, c, x - h)), psi(ParameterPoint(a, c, x + h))
+    return (x + h) - x
+
+
+def _tail(a: float, c: float, x: float, h: float, k: int) -> tuple:
+    """The point of the remainder of the central difference of order k at
+    x, (a+k+2, c+k+2, x-h), each shift summed in that order: a + 3 can
+    differ from (a + 1) + 2 in the last bit."""
+    return a + k + 2.0, c + k + 2.0, x - h
+
+
+def _central_difference(a: float, h: float, nodes, tail: FunctionValue) -> FunctionValue:
+    """psi^(k)(a,c,x), k = 1 or 2 and a > 0, by the central difference of
+    its ``nodes``, psi at x - h and x + h for k = 1, at x - h, x and x + h
+    for k = 2, h from ``_step``.  psi^(j) = (-1)^j (a)_j psi(a+j, c+j, x),
+    whose magnitude decreases as x grows, so the Taylor remainder is at
+    most h^2/(6k) (a)_(k+2) ``tail``, psi at ``_tail``.  The budget adds
+    the nodes' errors, (e+ + e-)/(2h) for k = 1 and (e+ + 2 e0 + e-)/h^2
+    for k = 2, and EPS-level rounding of the difference."""
+    k = len(nodes) - 1
     if k == 1:
+        fm, fp = nodes
         value = (fp.value - fm.value) / (2.0 * h)
         noise = (fp.abs_error + fm.abs_error
                  + EPS * (abs(fp.value) + abs(fm.value))) / (2.0 * h)
     else:
-        f0 = psi(ParameterPoint(a, c, x))
+        fm, f0, fp = nodes
         value = (fp.value - 2.0 * f0.value + fm.value) / (h * h)
         noise = (fp.abs_error + 2.0 * f0.abs_error + fm.abs_error + 2.0 * EPS
                  * (abs(fp.value) + 2.0 * abs(f0.value) + abs(fm.value))) / (h * h)
-    tail = psi(ParameterPoint(a + k + 2.0, c + k + 2.0, x - h))
     remainder = (h * h / (6.0 * k) * math.prod(a + j for j in range(k + 2))
                  * (tail.value + tail.abs_error))
     return FunctionValue(value, noise + 2.0 * EPS * abs(value) + remainder,
                          "central_difference")
 
 
-def _row_ode(_, pair, x):
-    a, c = pair.a, pair.c
-    d1, d2 = (_central_difference(a, c, x, k) for k in (1, 2))
-    f0 = psi(ParameterPoint(a, c, x))
+def _row_ode(a, c, x, h, fm, fp, tail1, f0, tail2):
+    d1 = _central_difference(a, h, (fm, fp), tail1)
+    d2 = _central_difference(a, h, (fm, f0, fp), tail2)
     resid = x * d2.value + (c - x) * d1.value - a * f0.value
     scale = abs(x * d2.value) + abs((c - x) * d1.value) + abs(a * f0.value)
     budget = (x * d2.abs_error + abs(c - x) * d1.abs_error + a * f0.abs_error
@@ -229,10 +266,8 @@ def _row_ode(_, pair, x):
     return _agreement(x, abs(resid), 0.0, budget)
 
 
-def _row_derivative(_, pair, x):
-    a, c = pair.a, pair.c
-    d1 = _central_difference(a, c, x, 1)
-    shifted = psi(ParameterPoint(a + 1.0, c + 1.0, x))
+def _row_derivative(a, c, x, h, fm, fp, tail, shifted):
+    d1 = _central_difference(a, h, (fm, fp), tail)
     target = -a * shifted.value
     return _agreement(x, d1.value, target,
                       d1.abs_error + a * shifted.abs_error + EPS * abs(target))
@@ -246,15 +281,21 @@ def _row_moment(arg, pair, x):
     return _agreement(x, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))
 
 
-def _row_stieltjes(arg, pair, i):
-    # the pair's ratio at its i-th x, held against the phi side there,
-    # which fails before the ratio
+def _stieltjes_columns(arg, pair):
+    # the pair's ratio column held against the phi side, a column of the
+    # pair's density; at an x the phi side fails before the ratio
     kind, _ = arg
-    d, ratios, x = pair.density, pair.ratios(kind), pair.xs[i]
-    rep = measure_mod.stieltjes(kind, d, x)
-    if i == len(ratios.values):
-        raise ratios.error
-    return _agreement(x, ratios.values[i], rep.value, rep.abs_error + ratios.errors[i])
+    d, ratios = pair.density, pair.ratios(kind)
+    side = measure_mod.stieltjes_column(kind, d, pair.xs)
+    rows = []
+    for i, x in enumerate(pair.xs):
+        if i == len(side.values):
+            raise side.error
+        if i == len(ratios.values):
+            raise ratios.error
+        rows.append(_agreement(x, ratios.values[i], side.values[i],
+                               side.errors[i] + ratios.errors[i]))
+    return _columns(rows)
 
 
 def _row_sharpness(lim, pair, _):
@@ -297,13 +338,19 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
     Suite("kernel_crosscheck", {"psi-two-methods": "quadrature and connection-series "
                                                    "values agree"},
           lambda _, a, c: a > 0.0 and _off_integer(c),
-          _per_point(_row_crosscheck, lambda pair: CROSSCHECK_X), _OWN),
+          _psi_columns(_row_crosscheck, lambda pair: CROSSCHECK_X,
+                       lambda a, c, x, h: ((a, c, x),)), _OWN),
     Suite("ode_residual", {"kummer-ode": "Kummer ODE residual under central differences"},
           lambda _, a, c: a > 0.0,
-          _per_point(_row_ode, lambda pair: [x for x in pair.xs if x >= ODE_MIN_X]), _OWN,
-          no_rows=f"no grid x is at least {ODE_MIN_X}"),
+          _psi_columns(_row_ode, lambda pair: [x for x in pair.xs if x >= ODE_MIN_X],
+                       lambda a, c, x, h: ((a, c, x - h), (a, c, x + h), _tail(a, c, x, h, 1),
+                                           (a, c, x), _tail(a, c, x, h, 2))),
+          _OWN, no_rows=f"no grid x is at least {ODE_MIN_X}"),
     Suite("derivative", {"dpsi-dx": "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)"},
-          lambda _, a, c: a > 0.0, _per_point(_row_derivative, attrgetter("xs")), _OWN),
+          lambda _, a, c: a > 0.0,
+          _psi_columns(_row_derivative, attrgetter("xs"),
+                       lambda a, c, x, h: ((a, c, x - h), (a, c, x + h), _tail(a, c, x, h, 1),
+                                           (a + 1.0, c + 1.0, x))), _OWN),
     Suite("moments", {f"moment[{power}]": (ident, f"moment power {power} equals its "
                                                   "closed form")
                       for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
@@ -314,8 +361,8 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
                                 "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
-          lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c),
-          _per_point(_row_stieltjes, lambda pair: range(len(pair.xs))), _SECOND),
+          lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c), _stieltjes_columns,
+          _SECOND),
     Suite("bounds", bounds_mod.CATALOG,
           lambda spec, a, c: spec.region(a, c), bounds_mod.bound_columns, _SPEC),
     # the suite holds where both bounds' regions do; the threshold is per x

@@ -32,8 +32,7 @@ I-family.  A column applies the per-point arithmetic to whole arrays,
 the same operations in the same order, so each element is bit for bit
 the value at its x; ``shift_quotient`` and ``turanian_ratio`` are the
 one-x case, and ``sharpness_scan`` reads the ratios of a context over
-its own sequence.  The derived values are never psi results and never
-enter psi's cache.
+its own sequence.  Nothing is kept past the context that formed it.
 
 The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
 takes the relations without the division, D = psi^2 - psi_+ psi_- with

@@ -414,6 +414,29 @@ class TestRun:
         assert err.startswith("evaluation error: psi(a=200.0, c=-1.0, x=0.03) "
                               "underflows the double range")
 
+    @pytest.mark.parametrize("suite,grid,message", [
+        # psi(200, -1.5, x) underflows at every node: the first x's first
+        # read raises, x itself in the crosscheck, x - h at the ODE's first
+        # x from 0.1 on and at the derivative's first x; the stieltjes rows
+        # fail on their phi side, the density, before any ratio
+        ("kernel_crosscheck", ("200", "-1.5", "0.03,1"), "psi(a=200.0, c=-1.5, x=0.01)"),
+        ("ode_residual", ("200", "-1.5", "0.03,1"), "psi(a=200.0, c=-1.5, x=0.9999)"),
+        ("derivative", ("200", "-1.5", "0.03,1"), "psi(a=200.0, c=-1.5, x=0.02999)"),
+        ("stieltjes", ("200", "-1.5", "0.03,1"), "Gamma(2.5)/Gamma(202.5)"),
+        # at x = 1 every read delivers; at x = 300 the node x - h fails first
+        ("ode_residual", ("140", "-0.5", "1,300"), "psi(a=140.0, c=-0.5, x=299.97)"),
+        ("derivative", ("140", "-0.5", "1,300"), "psi(a=140.0, c=-0.5, x=299.97)")])
+    def test_a_suite_raises_the_error_of_its_first_failing_read(self, capsys, tmp_path,
+                                                                 suite, grid, message):
+        grid_a, grid_c, grid_x = grid
+        code, out, err = run_cli(capsys, "run", "--suites", suite, "--out",
+                                 str(tmp_path / "report.csv"), "--grid-a", grid_a,
+                                 f"--grid-c={grid_c}", "--grid-x", grid_x)
+        assert code == 4 and out == ""
+        reason = ("is outside the double range" if suite == "stieltjes"
+                  else "underflows the double range (got 0.0)")
+        assert err.splitlines()[0] == f"evaluation error: {message} {reason}"
+
     def test_a_subnormal_density_is_exit_4(self, capsys):
         # it used to end in a numpy RuntimeWarning, an error here
         code, out, err = run_cli(capsys, "run", "--suites", "moments", "--grid-a", "1e-310",

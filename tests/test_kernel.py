@@ -717,6 +717,67 @@ class TestPairQuotients:
         assert split
 
 
+def _psi_bits(got):
+    """psi's value as its bits, or an exception as its type and message."""
+    if isinstance(got, Exception):
+        return type(got), str(got)
+    return got.value.hex(), got.abs_error.hex(), got.method, got.flags
+
+
+def _psi_alone(a, c, x):
+    try:
+        return psi(ParameterPoint(a, c, x))
+    except Exception as exc:
+        return exc
+
+
+class TestPairPsi:
+    def test_an_invalid_x_raises_alone(self):
+        xs = (0.5, -1.0, 2.0, math.inf, 0.0)
+        for x, got in zip(xs, kernel.pair_psi(1.5, -0.5, xs)):
+            if 0.0 < x < math.inf:
+                assert _psi_bits(got) == _psi_bits(psi(ParameterPoint(1.5, -0.5, x)))
+            else:
+                assert type(got) is RegionError and "x > 0" in str(got)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5])
+    def test_needs_a_above_zero(self, a):
+        with pytest.raises(RegionError, match="requires a > 0"):
+            kernel.pair_psi(a, 0.25, (1.0,))
+
+    def test_each_value_has_the_bits_of_psi_read_alone(self, monkeypatch):
+        # each x's psi, or its exception's type and message, is psi's at
+        # that point alone, with the pair's other x in their order and in
+        # shuffled order; one trapezoid pass per h serves every x
+        rng = np.random.default_rng(1075_47)
+        steps = []
+        trapezoid = kernel._trapezoid
+        monkeypatch.setattr(kernel, "_trapezoid", lambda a, pw, h, points: steps.append(
+            (h, len(points))) or trapezoid(a, pw, h, points))
+        alone_bits = []
+        for a, c, xs in _pair_cases():
+            if a <= 0.0:
+                continue
+            alone = [_psi_bits(_psi_alone(a, c, x)) for x in xs]
+            order = rng.permutation(len(xs))
+            back = [None] * len(xs)
+            for i, got in zip(order, kernel.pair_psi(a, c, [xs[i] for i in order])):
+                back[i] = _psi_bits(got)
+            steps.clear()
+            assert [_psi_bits(got) for got in kernel.pair_psi(a, c, xs)] == alone, (a, c, xs)
+            assert back == alone, (a, c, xs, order)
+            if any(len(bits) > 2 for bits in alone):
+                assert [h for h, _ in steps] == [
+                    kernel._STEP / 2 ** k for k in range(len(steps))], (a, c, xs)
+            alone_bits += alone
+        messages = " ".join(bits[1] for bits in alone_bits if len(bits) == 2)
+        for part in ("a is subnormal", "reach beyond the double range",
+                     "c=1e+306, x=1.0) exceeds the double range",
+                     "exponents of psi(a=0.5, c=-5e+307, x=1.0) leave the double range"):
+            assert part in messages, part
+        assert any(bits[3] == ("tolerance_not_met",) for bits in alone_bits if len(bits) > 2)
+
+
 class TestPsiConnection:
     def test_a_zero_exact(self):
         fv = psi_connection(0.0, -0.5, 3.0)
@@ -834,17 +895,6 @@ class TestPsiDispatcher:
         with pytest.raises(EvaluationError, match="underflows"):
             psi(ParameterPoint(200.0, 0.5, 1e7))
 
-    def test_cache_holds_at_most_2048_points(self):
-        # 5,000 distinct points, each exact and cheap at a = 0
-        kernel._psi_cached.cache_clear()
-        try:
-            for k in range(5000):
-                psi(ParameterPoint(0.0, -1.0, 1.0 + k))
-            info = kernel._psi_cached.cache_info()
-        finally:
-            kernel._psi_cached.cache_clear()
-        assert (info.misses, info.maxsize, info.currsize) == (5000, 2048, 2048)
-
     def test_negative_a_matches_eager_pick(self):
         # psi tries the expansion first and sums the connection series only
         # when it can win; the result must equal summing both and taking
@@ -874,7 +924,6 @@ class TestPsiDispatcher:
         def summed(*args, **kwargs):
             raise AssertionError("connection series summed")
 
-        kernel._psi_cached.cache_clear()
         monkeypatch.setattr(kernel, "psi_connection", summed)
         fv = psi(ParameterPoint(-1.3, -2.7, 300.0))
         assert fv.method == "asymptotic_large_x"

@@ -320,6 +320,28 @@ class TestStieltjesRepresentations:
         direct = turanian_ratio(TuranianKind.FIRST_SHIFT, ParameterPoint(a, c, x))
         assert abs(rep.value - direct.value) <= rep.abs_error + direct.abs_error
 
+    @pytest.mark.parametrize("kind", [BOTH, FIRST])
+    @pytest.mark.parametrize("a,c", [(2.0, -2.5), (0.25, 0.75), (5.0, -4.5)])
+    def test_a_column_has_the_bits_of_each_x_read_alone(self, a, c, kind):
+        # the phi side at a pair's x is one array expression over them: each
+        # x's value and error are those of its x alone, up to the first x
+        # that raises (x^2 leaves the normal range at 1e-160 for both
+        # shifts), whose error is that x's
+        xs = (200.0, 0.01, 3.7, 1e-160, 1.0)
+        d = WeightDensity(a, c)
+        column = measure.stieltjes_column(kind, d, xs)
+        for x, value, err in zip(xs, column.values, column.errors):
+            alone = stieltjes(kind, d, x)
+            assert (value.hex(), err.hex()) == (alone.value.hex(), alone.abs_error.hex())
+        if kind is BOTH:
+            assert len(column.values) == 3
+            with pytest.raises(EvaluationError) as exc:
+                stieltjes(kind, d, xs[3])
+            assert type(column.error) is EvaluationError
+            assert str(column.error) == str(exc.value)
+        else:
+            assert len(column.values) == len(xs) and column.error is None
+
     def test_bracket(self):
         # -1/(2x) < value < 0 for a > 0, c < 1
         d = WeightDensity(2.0, -2.5)

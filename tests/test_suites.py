@@ -3,7 +3,6 @@
 import ast
 import csv
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -20,7 +19,7 @@ import mpmath
 import pytest
 
 from tricomi_turan import bounds, kernel, measure, suites, turanians
-from tricomi_turan.kernel import EvaluationError, ParameterPoint, psi, psi_connection
+from tricomi_turan.kernel import EPS, EvaluationError, ParameterPoint, psi, psi_connection
 from tricomi_turan.suites import ConfigError, ReportRow, RunConfig
 
 SMALL_GRID = {"grid_a": (0.5, 2.0), "grid_c": (-2.5, 0.25),
@@ -167,7 +166,7 @@ class TestRun:
         # doubles and the status as a byte, about 60 B a row; held as
         # named tuples of floats they took 214 B
         cfg = RunConfig(suites=("bounds", "dominance", "monotonicity"), jobs=jobs)
-        suites.run(cfg)         # the caches fill here, not in the run traced
+        suites.run(cfg)         # what loads on first use loads here, not in the run traced
         tracemalloc.start()
         try:
             _, rows = suites.run(cfg)
@@ -190,9 +189,10 @@ OPEN_UNIT_GRID = {"grid_a": (0.5, 3.0), "grid_c": (-4.5, 0.25),
                   "grid_x": (0.01, 2.0, 150.0)}
 
 
-def node(a, c, x):
-    """psi at a node of the finite-difference suites."""
-    return psi(ParameterPoint(a, c, x)).value
+def agreement(lhs, rhs, budget) -> tuple:
+    """lhs, rhs, margin, budget and status of an agreement row."""
+    margin = budget - abs(lhs - rhs)
+    return lhs, rhs, margin, budget, "pass" if margin >= 0.0 else "fail"
 
 
 def reference_fields(r: ReportRow, grid_x) -> tuple:
@@ -216,27 +216,36 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
         return mv.value, ident.closed_form(r.a, r.c)
     if r.suite == "stieltjes":
         kind, _ = suites.REGISTRY["stieltjes"].claims[r.claim]
-        d = measure.WeightDensity(r.a, r.c)
-        rep = measure.stieltjes(kind, d, r.x)
-        return turanians.turanian_ratio(kind, p).value, rep.value
+        rep = measure.stieltjes(kind, measure.WeightDensity(r.a, r.c), r.x)
+        ratio = turanians.turanian_ratio(kind, p)
+        return agreement(ratio.value, rep.value, rep.abs_error + ratio.abs_error)
     if r.suite == "sharpness":
         end = turanians.sharpness_scan(bounds.LIMITS[r.claim], r.a, r.c)[-1]
         margin = end.rate - end.deviation
         return (end.x, end.deviation, end.rate, margin, end.budget,
                 bounds._status(margin, end.budget))
     if r.suite == "kernel_crosscheck":
-        return psi(p).value, psi_connection(r.a, r.c, r.x).value
+        q, k = psi(p), psi_connection(r.a, r.c, r.x)
+        return agreement(q.value, k.value, q.abs_error + k.abs_error)
     assert r.suite in ("derivative", "ode_residual")
-    h = 1e-4 * max(r.x, 0.1)
-    if r.x - h <= 0.0:
-        h = 0.5 * r.x
-    h = (r.x + h) - r.x           # the nodes x - h and x + h are exact
-    fm, f0, fp = (node(r.a, r.c, x) for x in (r.x - h, r.x, r.x + h))
-    d1 = (fp - fm) / (2.0 * h)
+    a, c, x = p
+    h = 1e-4 * max(x, 0.1)
+    if x - h <= 0.0:
+        h = 0.5 * x
+    h = (x + h) - x               # the nodes x - h and x + h are exact
+    fm, f0, fp = (psi(ParameterPoint(a, c, y)) for y in (x - h, x, x + h))
+    tail1, tail2 = (psi(ParameterPoint(a + k + 2.0, c + k + 2.0, x - h)) for k in (1, 2))
+    d1 = suites._central_difference(a, h, (fm, fp), tail1)
     if r.suite == "derivative":
-        return d1, -r.a * node(r.a + 1.0, r.c + 1.0, r.x)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    return abs(r.x * d2 + (r.c - r.x) * d1 - r.a * f0),
+        shifted = psi(ParameterPoint(a + 1.0, c + 1.0, x))
+        target = -a * shifted.value
+        return agreement(d1.value, target,
+                         d1.abs_error + a * shifted.abs_error + EPS * abs(target))
+    d2 = suites._central_difference(a, h, (fm, f0, fp), tail2)
+    terms = (x * d2.value, (c - x) * d1.value, a * f0.value)
+    budget = (x * d2.abs_error + abs(c - x) * d1.abs_error + a * f0.abs_error
+              + 4.0 * EPS * (abs(terms[0]) + abs(terms[1]) + abs(terms[2])))
+    return agreement(abs(terms[0] + terms[1] - terms[2]), 0.0, budget)
 
 
 def row_fields(r: ReportRow) -> tuple:
@@ -247,9 +256,9 @@ def row_fields(r: ReportRow) -> tuple:
         # every limit reports the deviation at the end of its scan, held
         # against its rate there
         return r.x, r.lhs, r.rhs, r.margin, r.budget, r.status
-    if r.suite == "ode_residual":
-        return r.lhs,
-    return r.lhs, r.rhs
+    if r.suite in ("monotonicity", "moments"):
+        return r.lhs, r.rhs
+    return r.lhs, r.rhs, r.margin, r.budget, r.status
 
 
 class TestPairBlocks:
@@ -324,6 +333,20 @@ def test_dense_suites_rows_off_the_default_grid_are_pinned():
         assert ("dominance", did) in claims
 
 
+def test_psi_column_suites_rows_are_pinned():
+    # sha256 of the repr of every row, taken while the four suites still
+    # read psi and phi one x at a time; at a = 0.07, (a + 1) + 2 is not
+    # a + 3, so the tails of the central differences are pinned too
+    grid = {"grid_a": (0.07, 1.7), "grid_c": (-2.3, 0.6), "grid_x": (0.0725, 3.8, 200.0)}
+    _, rows = suites.run(RunConfig(suites=("kernel_crosscheck", "ode_residual",
+                                           "derivative", "stieltjes"), **grid))
+    digest = hashlib.sha256()
+    for r in rows:
+        digest.update(repr(r).encode())
+    assert (len(rows), digest.hexdigest()) == (
+        72, "662c934142d252d9c61e08e5b9e8159362d569d906faba7d8d9cdb6ba7e45c09")
+
+
 @pytest.mark.parametrize("grid_x,message", [
     # T1L's rhs (the ratio) fails at its first x, where its record raises
     ((1.0, 1e-200), "record at x=1.0"),
@@ -379,8 +402,9 @@ class TestCentralDifference:
     def test_step_is_half_of_an_x_below_it(self, monkeypatch):
         # at x <= 1e-5, x - 1e-4 max(x, 0.1) is not positive: the step
         # becomes x/2, and the derivative rows still pass
-        seen = []
-        monkeypatch.setattr(suites, "psi", lambda p: seen.append(p.x) or psi(p))
+        seen, pair_psi = [], kernel.pair_psi
+        monkeypatch.setattr(bounds, "pair_psi",
+                            lambda a, c, xs: seen.extend(xs) or pair_psi(a, c, xs))
         _, rows = suites.run(RunConfig(suites=("derivative",), grid_a=(1.5,),
                                        grid_c=(0.25,), grid_x=(1e-6, 1e-5)))
         assert [r.status for r in rows] == ["pass", "pass"]
@@ -402,8 +426,11 @@ class TestCentralDifference:
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
                 refs = (-A * mpmath.hyperu(A + 1, C + 1, X),
                         A * (A + 1) * mpmath.hyperu(A + 2, C + 2, X))
-                for k, ref in enumerate(refs, 1):
-                    d = suites._central_difference(a, c, x, k)
+                h = suites._step(x)
+                fm, f0, fp = (psi(ParameterPoint(a, c, y)) for y in (x - h, x, x + h))
+                tails = (psi(ParameterPoint(a + k + 2.0, c + k + 2.0, x - h)) for k in (1, 2))
+                for k, nodes, tail, ref in zip((1, 2), ((fm, fp), (fm, f0, fp)), tails, refs):
+                    d = suites._central_difference(a, h, nodes, tail)
                     if not abs(d.value - float(ref)) <= d.abs_error:
                         outside.append((k, a, c, x, d, float(ref)))
         assert outside == []
@@ -469,28 +496,35 @@ def test_bounds_suite_computes_each_ratio_once(monkeypatch):
     assert sum(r.claim in needs for r in rows) > len(needed) * len(SMALL_GRID["grid_x"])
 
 
-def _cold_default_run(monkeypatch):
-    """Run the default grid from a cold psi cache; return the misses of the
-    psi cache and the (a, c) of each phi table built."""
-    built, build = [], measure._phi_table
-    monkeypatch.setattr(measure, "_phi_table", lambda d: built.append((d.a, d.c)) or build(d))
-    kernel._psi_cached.cache_clear()
-    suites.run(RunConfig())
-    return kernel._psi_cached.cache_info().misses, tuple(built)
-
-
 def test_default_run_computes_no_psi_point_or_phi_table_twice(monkeypatch):
-    # psi's cache is bounded by the longest reuse a run shows: its misses
-    # equal those of an unbounded cache in its place, so no point is
-    # computed twice; a phi table is its pair's density's own, built once
-    bounded, built = _cold_default_run(monkeypatch)
-    with monkeypatch.context() as m:
-        m.setattr(kernel, "_psi_cached",
-                  functools.lru_cache(maxsize=None)(kernel._psi_cached.__wrapped__))
-        unbounded, built_unbounded = _cold_default_run(m)
-    assert (bounded, len(built)) == (unbounded, len(built_unbounded)) == (2191, 42)
+    # a pair's psi values live in its PairGrid for its block: each point
+    # the crosscheck, ODE and derivative suites read is computed once in a
+    # block, by the pair's batched passes, and none by psi alone.  119 of
+    # them are read again in a later block and computed again there (the
+    # derivative suite's psi(a+1, c+1, x) is psi at the grid pair (a+1,
+    # c+1)).  A phi table is its pair's density's own, built once
+    blocks, built, alone = [], [], []
+    block, quadrature, build = suites._pair_block, kernel._pair_quadrature, measure._phi_table
+
+    def tracked(*args):
+        blocks.append(Counter())
+        return block(*args)
+
+    def counted(a, c, xs, shifted=True):
+        if not shifted:
+            blocks[-1].update((a, c, x) for x in xs)
+        return quadrature(a, c, xs, shifted)
+
+    monkeypatch.setattr(suites, "_pair_block", tracked)
+    monkeypatch.setattr(kernel, "_pair_quadrature", counted)
+    monkeypatch.setattr(kernel, "_quadrature", lambda *args: alone.append(args))
+    monkeypatch.setattr(measure, "_phi_table", lambda d: built.append((d.a, d.c)) or build(d))
+    suites.run(RunConfig())
+    points = sum(blocks, Counter())
+    assert (sum(points.values()), len(points), len(built)) == (2310, 2191, 42)
+    assert all(set(b.values()) <= {1} for b in blocks)
+    assert alone == []
     assert len(set(built)) == len(built)
-    assert kernel._psi_cached.cache_info().maxsize == 2048
 
 
 def test_each_pair_forms_one_density_and_builds_its_table_once(monkeypatch):
@@ -550,17 +584,15 @@ def _memos(path: Path) -> list:
     return decorated + [None] * (uses(tree) - len(decorated))
 
 
-def test_the_only_memo_left_is_the_psi_memo():
-    # a pair's values live in its PairGrid and a phi table in its density;
-    # kernel._psi_cached stays while perfbench's tracer rebuilds it
+def test_no_memo_is_left():
+    # a pair's values live in its PairGrid and a phi table in its density
     src = Path(suites.__file__).resolve().parent
     memos = {path.name: _memos(path) for path in sorted(src.glob("*.py"))}
-    assert {name: found for name, found in memos.items() if found} == {
-        "kernel.py": ["_psi_cached"]}
+    assert {name: found for name, found in memos.items() if found} == {}
 
 
 def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
-    # from a cold psi cache: one call of the records' quadrature per (a, c)
+    # one call of the records' quadrature per (a, c)
     # pair of the grid, all at a > 0, for the records at all its x, and no
     # quadrature of psi alone, so none at a shifted point; one trapezoid
     # pass per (pair, h), h halved from the first step, each x in one pass
@@ -580,7 +612,6 @@ def test_bounds_and_monotonicity_make_one_pass_per_point(monkeypatch):
     monkeypatch.setattr(kernel, "_pair_quadrature", counted)
     monkeypatch.setattr(kernel, "_trapezoid", stepped)
     monkeypatch.setattr(kernel, "_quadrature", lambda *args: psi_alone.append(args))
-    kernel._psi_cached.cache_clear()
     suites.run(RunConfig(suites=("bounds", "monotonicity"), **SMALL_GRID))
     xs = SMALL_GRID["grid_x"]
     pairs = [(a, c) for a in SMALL_GRID["grid_a"] for c in SMALL_GRID["grid_c"]]
