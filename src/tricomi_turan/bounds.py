@@ -93,15 +93,17 @@ tighter than its competitor, comparing the closed-form sides that the
 catalog checks.  Each verdict rule is written once, on columns of
 values: ``_verdicts`` for a catalog bound, ``_dominance_verdicts`` for a
 dominance claim and ``_status_codes`` for the status of a margin
-against its budget; so is a closed form's value with its 4 EPS|v|
-budget and its error where it is not a finite double,
-``_closed_values``.  The suites apply the rules to the rows of a claim
-at all x of an (a, c) pair they have placed in its region:
-``bound_columns`` reads each side of the claim at the pair's x in order
-through its :class:`_Side` from the pair's context, a :class:`PairGrid`,
-and ``dominance_columns`` its two closed forms by ``_closed_values`` at
-the x that meet its threshold; each raises the first failing x's error,
-the lhs's first.
+against its budget.  So is each side's failure rule: a side read from
+the pair's records fails at an x whose record raised or whose value or
+error is not a finite double (``PairRecords.column``), a closed form
+where its value is not (``_closed_values``, which gives it the budget 4
+EPS|v|).  The rules apply to the rows of a claim at all x of an (a, c)
+pair placed in its region: ``bound_columns`` reads each side of the
+claim at the pair's x in order through its :class:`_Side` from the
+pair's context, a :class:`PairGrid`, and ``dominance_columns`` its two
+closed forms at the x that meet its threshold; each raises the first
+failing x's error, the lhs's first.  ``check_bound`` and
+``check_dominance`` take the one row of a one-x pair from them.
 
 The context reads the records of psi, r and s at all the x of the pair
 in one call of ``kernel.pair_quotients``, which runs their trapezoid
@@ -113,10 +115,8 @@ formed once per pair, and so is an I-family limit.
 Each column does the per-point arithmetic on whole arrays, the same
 operations in the same order, with every log and exp a ``math.log`` or
 ``math.exp`` per element (numpy's can differ in the last bit), so each
-element is bit for bit the value at its x.  ``check_bound`` and
-``check_dominance`` validate one point and apply the same rules to its
-one row; ``BoundSpec.closed_form`` and ``auxiliary_log_ratio`` are the
-one-x case of a column.
+element is bit for bit the value at its x.  ``BoundSpec.closed_form``
+and ``auxiliary_log_ratio`` are the one-x case of a column.
 The auxiliary log-ratios f, g and h behind the I-family are
 ``AUXILIARY`` records, each with its region, its two weights and the
 sign of its monotonicity; the monotonicity suite checks that sign on the
@@ -205,8 +205,7 @@ class PairGrid(PairRecords):
         ``column`` takes it."""
         if which not in self._auxiliary:
             self._auxiliary[which] = _auxiliary_arrays(self, which)
-        return self.column(*self._auxiliary[which], lambda x: RegionError(
-            "psi must be positive for the log-ratios (a > 0)"), order)
+        return self.column(*self._auxiliary[which], f"auxiliary {which}", order)
 
 
 class _Side(NamedTuple):
@@ -344,10 +343,11 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def _s_lhs(da: int, dc: int, power: int) -> Callable[[PairGrid], Column]:
+def _s_lhs(bound_id: str, da: int, dc: int, power: int) -> Callable[[PairGrid], Column]:
     """The column of -(1/x) psi^power q with q = psi(a+da, c+dc, x)/psi from
-    ``PairRecords.quotient``: an S-family lhs divided by psi^2 > 0.  One
-    that underflows costs at most _TINY, which its budget carries."""
+    ``PairRecords.quotient``: the lhs of the S-family claim bound_id
+    divided by psi^2 > 0.  One that underflows costs at most _TINY, which
+    its budget carries."""
     def column(pair: PairGrid) -> Column:
         q, err_q = pair.quotient(da, dc)
         rec = pair.records
@@ -356,21 +356,21 @@ def _s_lhs(da: int, dc: int, power: int) -> Callable[[PairGrid], Column]:
             value = -f * q / pair.x
             err = ((abs(f) * err_q + abs(q) * err_f) / pair.x + 2.0 * EPS * abs(value)
                    + (abs(value) < _TINY) * _TINY)
-        return pair.column(value, err)
+        return pair.column(value, err, f"lhs of {bound_id}")
     return column
 
 
 def _i2_rhs(pair: PairGrid) -> Column:
     """The column of psi/psi(a+1,c+1) - (1/c)(G0 psi)^(1/a), the quotient as
     1/s, s = psi(a+1,c+1)/psi.  The power enters as a positive addend, so
-    one that underflows costs at most _TINY/|c|, which its budget carries;
-    where the power, the value or its budget overflows this raises, as
-    it does where ln(G0) leaves the double range."""
+    one that underflows costs at most _TINY/|c|, which its budget carries.
+    Where ln(G0) leaves the double range this raises at the first x,
+    after that x's record error."""
     a, c, rec = pair.a, pair.c, pair.records
     try:
         lg, lg_err = pair.ln_g0
     except EvaluationError as exc:
-        return pair.column(rec.psi, rec.psi_err, np.ones(len(pair.xs), bool), lambda x: exc)
+        return Column([], [], rec.failures[0] or exc)
     expo = 1.0 / a
     pw = np.array([_exp(expo * (lg + l0)) for l0 in pair.logs[0].tolist()])
     with np.errstate(all="ignore"):
@@ -380,8 +380,7 @@ def _i2_rhs(pair: PairGrid) -> Column:
                   + (pw < _TINY) * _TINY)
         val = q - pw / c
         err = eq + pw_err / abs(c) + 4.0 * EPS * abs(val)
-    return pair.column(val, err, ~np.isfinite(abs(val) + err), lambda x: EvaluationError(
-        f"rhs of I2 beyond the double range at (a={a}, c={c}, x={x})"))
+    return pair.column(val, err, "rhs of I2")
 
 
 # --- auxiliary monotone log-ratios -----------------------------------------
@@ -409,20 +408,30 @@ AUXILIARY = {
 }
 
 
+def _weights(which: str, a: float, c: float) -> tuple[float, float]:
+    """The weights (w0, wp) of the auxiliary ``which`` at (a, c), both nan
+    where one divides by a product that underflows to 0 (g's a(c+1) at a
+    subnormal a), so that a column formed from them fails there."""
+    try:
+        return AUXILIARY[which].weights(a, c)
+    except ZeroDivisionError:
+        return math.nan, math.nan
+
+
 def _auxiliary_arrays(pair: PairGrid, which: str) -> tuple:
-    """The values and errors of the auxiliary ``which`` at the pair's x,
-    and the mask of the x where psi or s is not positive (see
-    ``auxiliary_log_ratio``)."""
+    """The values and errors of the auxiliary ``which`` at the pair's x, not
+    finite where ``_logs`` or ``_weights`` gives nan or a weight overflows,
+    x that ``PairRecords.column`` fails."""
     rec = pair.records
     s, err_s = rec.s, rec.s_err
     # log psi(a+1,c+1) = l0 + ls, so psi's own error enters with w0 - wp
     l0, ls = pair.logs
-    w0, wp = AUXILIARY[which].weights(pair.a, pair.c)
+    w0, wp = _weights(which, pair.a, pair.c)
     with np.errstate(all="ignore"):
         value = (w0 - wp) * l0 - wp * ls
         err = (abs(w0 - wp) * rec.psi_err / rec.psi + abs(wp) * err_s / s
                + 2.0 * EPS * (abs(w0 * l0) + abs(wp * l0) + abs(wp * ls) + abs(value)))
-    return value, err, (rec.psi <= 0.0) | (s <= 0.0)
+    return value, err
 
 
 def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
@@ -434,9 +443,11 @@ def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionVal
 
     The value is a log, as are the lhs and rhs of I1, I3 and I4, which
     check f, g and h against their x->0+ limits.  Outside the auxiliary's
-    region this raises :class:`RegionError`, as it does where psi or s is
-    not positive; it is the one-x case of ``PairGrid.auxiliary``, the
-    column that I1, I3 and I4 and the monotonicity suite read at a pair.
+    region this raises :class:`RegionError`; where psi's record raises,
+    that error, and where the value or its error is not a finite double,
+    :class:`EvaluationError`.  It is the one-x case of
+    ``PairGrid.auxiliary``, the column that I1, I3 and I4 and the
+    monotonicity suite read at a pair.
     """
     if which not in AUXILIARY:
         raise KeyError(f"unknown auxiliary function {which!r}")
@@ -538,7 +549,7 @@ _S_BOUNDS = (
      "checked as -(1/x) psi(a+1,c+1)/psi <= R_c", False),
 )
 CATALOG.update((id_, BoundSpec(id_, "raw_psi_relation", "lower", region, region_text,
-                               _Side(_s_lhs(*shift, power)), _ratio(SECOND), anchor,
+                               _Side(_s_lhs(id_, *shift, power)), _ratio(SECOND), anchor,
                                gating))
                for id_, region, region_text, shift, power, anchor, gating in _S_BOUNDS)
 
@@ -560,22 +571,18 @@ def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
 
     def limit(pair: PairGrid) -> Column:
         # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring; it
-        # depends on (a, c) alone, so it is formed once per pair, and where
-        # it raises, or its value or budget is not a finite double, it does
+        # depends on (a, c) alone, so it is formed once per pair and taken at
+        # every x by ``column``'s rule; where ln G0 or ln G1 raises, it does
         # so at the pair's first x
-        a, c, n = pair.a, pair.c, len(pair.xs)
-        w0, wp = aux.weights(a, c)
+        w0, wp = _weights(which, pair.a, pair.c)
         try:
             (l0, e0), (l1, e1) = pair.ln_g0, pair.ln_g1
         except EvaluationError as exc:
             return Column([], [], exc)
         value = wp * l1 - w0 * l0
         err = abs(wp) * e1 + abs(w0) * e0 + EPS * (abs(wp * l1) + abs(w0 * l0) + abs(value))
-        if not (math.isfinite(value) and math.isfinite(err)):
-            return Column([], [], EvaluationError(
-                f"x->0+ limit of {id_} is not a finite double with a finite budget "
-                f"at (a={a}, c={c}) (got {value} +- {err})"))
-        return Column([value] * n, [err] * n, None)
+        n = len(pair.xs)
+        return pair.column(np.full(n, value), np.full(n, err), f"x->0+ limit of {id_}")
     side = "lower" if aux.sign > 0 else "upper"
     closed, aux_side = _Side(limit, "closed_form"), _Side(lambda pair: pair.auxiliary(which))
     lhs, rhs = (closed, aux_side) if side == "lower" else (aux_side, closed)
@@ -637,9 +644,8 @@ def bound_columns(spec: BoundSpec, pair: PairGrid) -> tuple:
 
 def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
     """Verify one catalogued inequality at one point: validate the id and
-    the point, then read both sides there and apply the catalog's verdict
-    rule ``_verdicts`` to that one row, as ``bound_columns`` applies it to
-    the rows of a pair.
+    the point, then take its one row from ``bound_columns`` on a pair of
+    that one x, with both sides as records.
 
     Raises :class:`RegionError` outside the bound's region (distinct from
     a ``fail`` status).
@@ -652,11 +658,9 @@ def check_bound(bound_id: str, p: ParameterPoint) -> VerificationRecord:
             f"point (a={p.a}, c={p.c}) outside region of {bound_id} "
             f"({spec.region_text})")
     pair = PairGrid(p.a, p.c, (p.x,))
-    lhs, rhs = spec.lhs.at(pair), spec.rhs.at(pair)
-    (margin,), (budget,), (code,) = _verdicts((lhs.value,), (lhs.abs_error,),
-                                              (rhs.value,), (rhs.abs_error,))
-    return VerificationRecord(bound_id, p, lhs, rhs, margin, budget, _STATUSES[code],
-                              spec.anchor)
+    *_, (margin,), (budget,), (code,) = bound_columns(spec, pair)
+    return VerificationRecord(bound_id, p, spec.lhs.at(pair), spec.rhs.at(pair), margin,
+                              budget, _STATUSES[code], spec.anchor)
 
 
 # --- dominance claims ------------------------------------------------------
@@ -719,9 +723,9 @@ def dominance_columns(spec: DominanceSpec, pair: PairGrid) -> tuple:
 
 def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
     """Compare the two closed-form bound values where the claim applies:
-    validate the id and the point, then apply ``_dominance_verdicts`` to
-    that one row, as ``dominance_columns`` applies it to the rows of a
-    pair.
+    validate the id and the point, then take its one row from
+    ``dominance_columns`` on a pair of that one x, with the two bounds'
+    closed forms as records.
 
     Points outside either region or failing the threshold raise
     :class:`RegionError`.
@@ -733,13 +737,9 @@ def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
         raise RegionError(
             f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
             f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
-    claimed = CATALOG[spec.claimed]
-    sides = [_closed_values(s.id, s.bound_fn, p.a, p.c, (p.x,))
-             for s in (claimed, CATALOG[spec.other])]
-    *_, (margin,), (budget,), (code,) = _verdict_columns(
-        [p.x], *sides, partial(_dominance_verdicts, claimed.side == "lower"))
-    fv_c, fv_o = (FunctionValue(s.values[0], s.errors[0], "closed_form") for s in sides)
-    return VerificationRecord(dom_id, p, fv_c, fv_o, margin, budget, _STATUSES[code],
+    *_, (margin,), (budget,), (code,) = dominance_columns(spec, PairGrid(p.a, p.c, (p.x,)))
+    claimed, other = (CATALOG[bid].closed_form(p) for bid in (spec.claimed, spec.other))
+    return VerificationRecord(dom_id, p, claimed, other, margin, budget, _STATUSES[code],
                               spec.anchor)
 
 

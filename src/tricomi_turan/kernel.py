@@ -737,6 +737,18 @@ def _settled(a: float, c: float, x: float, log_x: float, lg_a: float, lg_a_err: 
     return FunctionValue(value, budget, QUADRATURE, () if met else ("tolerance_not_met",))
 
 
+def _points(a: float, c: float, xs) -> tuple[list, list]:
+    """ParameterPoint(a, c, x) at each x of ``xs``, or the RegionError that
+    x raises, and the indices of the valid points."""
+    out = []
+    for x in xs:
+        try:
+            out.append(ParameterPoint(a, c, x))
+        except RegionError as exc:
+            out.append(exc)
+    return out, [i for i, p in enumerate(out) if type(p) is ParameterPoint]
+
+
 def pair_quotients(a: float, c: float, xs) -> list:
     """psi(a,c,x) and the quotients r = psi(a+1,c,x)/psi(a,c,x) and
     s = psi(a+1,c+1,x)/psi(a,c,x) at each x of ``xs``: a list of each x's
@@ -754,13 +766,7 @@ def pair_quotients(a: float, c: float, xs) -> list:
     the points it reads, where psi's error is half its magnitude or more
     (psi cannot be told from 0) and, for a > 0, where r or s leaves the
     double range, each with the error it raises read alone."""
-    out = []
-    for x in xs:
-        try:
-            out.append(ParameterPoint(a, c, x))
-        except RegionError as exc:
-            out.append(exc)
-    valid = [i for i, p in enumerate(out) if type(p) is ParameterPoint]
+    out, valid = _points(a, c, xs)
     passes = (_pair_quadrature(a, c, [out[i].x for i in valid]) if a > 0.0
               else [None] * len(valid))
     for i, got in zip(valid, passes):
@@ -1006,13 +1012,7 @@ def pair_psi(a: float, c: float, xs) -> list:
     (``_pair_quadrature``).  a <= 0 raises :class:`RegionError`."""
     if a <= 0.0:
         raise RegionError(f"integral representation requires a > 0, got a={a}")
-    out = []
-    for x in xs:
-        try:
-            out.append(ParameterPoint(a, c, x))
-        except RegionError as exc:
-            out.append(exc)
-    valid = [i for i, p in enumerate(out) if type(p) is ParameterPoint]
+    out, valid = _points(a, c, xs)
     for i, got in zip(valid, _pair_quadrature(a, c, [out[i].x for i in valid], False)):
         out[i] = got
     return out

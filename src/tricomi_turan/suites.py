@@ -49,21 +49,21 @@ reads the records of the pair's x in one call, forms each Turanian
 kind's ratio column and each auxiliary log-ratio column once, and holds
 the pair's weight density, whose phi table is built once, for every
 claim that reads them.  The catalog and dominance claims take their rows
-from ``bounds.bound_columns`` and ``bounds.dominance_columns``, which
-apply the verdict rules of ``check_bound`` and ``check_dominance`` to
-whole columns; a monotonicity claim takes its auxiliary's column in
-increasing x.  The crosscheck, ODE and derivative suites take pair
-columns of psi (``_psi_columns``): each states the points at which its
-row at x reads psi, at x of ``CROSSCHECK_X``, of the grid from
-``ODE_MIN_X`` on and of the grid, with the nodes and tails of their
-central differences; the pair computes the points of all its rows
-first, one batched call per shift, and holds them for its block
-(``PairGrid.read_psi``), and each row takes its values from the pair.
+from ``bounds.bound_columns`` and ``bounds.dominance_columns``, whose
+one-x case ``check_bound`` and ``check_dominance`` are; a monotonicity
+claim takes its auxiliary's column in increasing x.  The crosscheck, ODE
+and derivative suites take pair columns of psi (``_psi_columns``): each
+states the points at which its row at x reads psi, at x of
+``CROSSCHECK_X``, of the grid from ``ODE_MIN_X`` on and of the grid,
+with the nodes and tails of their central differences; the pair
+computes the points of all its rows first, one batched call per shift,
+and holds them for its block (``PairGrid.read_psi``), and each row takes
+its values from the pair.
 A stieltjes claim holds the pair's phi-side column
 (``measure.stieltjes_column`` on the pair's density) against its ratio
-column.  The moments and sharpness suites state one row per item they
-take from the pair, one x = 0 for a moment or a sharpness scan, behind
-one adapter, ``_per_point``.  No suite takes a tolerance.
+column.  The moments and sharpness suites state the one row of a claim
+at a pair, a moment at x = 0 or the end of a sharpness scan, behind one
+adapter, ``_per_point``.  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -176,11 +176,11 @@ def _columns(rows) -> tuple:
     return (*map(list, values), list(map(_STATUSES.index, status)))
 
 
-def _per_point(row, items):
-    """The column evaluator of ``row``, (argument, pair, item) -> the
-    fields of a row after (suite, claim, a, c) and before its anchor, at
-    each item of ``items(pair)``."""
-    return lambda arg, pair: _columns([row(arg, pair, item) for item in items(pair)])
+def _per_point(row):
+    """The column evaluator of ``row``, (argument, pair) -> the fields of
+    the claim's one row at the pair after (suite, claim, a, c) and before
+    its anchor."""
+    return lambda arg, pair: _columns([row(arg, pair)])
 
 
 def _psi_columns(row, items, reads):
@@ -273,12 +273,13 @@ def _row_derivative(a, c, x, h, fm, fp, tail, shifted):
                       d1.abs_error + a * shifted.abs_error + EPS * abs(target))
 
 
-def _row_moment(arg, pair, x):
+def _row_moment(arg, pair):
+    # a moment takes no grid x; its row reports x = 0
     ident, _ = arg
     mv = measure_mod.phi_moment(pair.density, ident.power)
     closed = ident.closed_form(pair.a, pair.c)
     # the closed forms are rational in a and c: five roundings at most
-    return _agreement(x, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))
+    return _agreement(0.0, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))
 
 
 def _stieltjes_columns(arg, pair):
@@ -298,7 +299,7 @@ def _stieltjes_columns(arg, pair):
     return _columns(rows)
 
 
-def _row_sharpness(lim, pair, _):
+def _row_sharpness(lim, pair):
     # the deviation at the end of the scan, held against the limit's rate
     end = sharpness_scan(lim, pair.a, pair.c)[-1]
     margin = end.rate - end.deviation
@@ -355,8 +356,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
                                                   "closed form")
                       for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
           lambda arg, a, c: arg[0].region(a, c) and _off_integer(c),
-          # a moment takes no grid x; its row reports x = 0
-          _per_point(_row_moment, lambda pair: (0.0,)), _SECOND),
+          _per_point(_row_moment), _SECOND),
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
@@ -371,7 +371,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
           no_rows="no grid x in its region meets its threshold"),
     # each limit is scanned once at each of its curated pairs, not at the grid's
     Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs,
-          _per_point(_row_sharpness, lambda pair: (0.0,)), _SPEC,
+          _per_point(_row_sharpness), _SPEC,
           pairs=lambda lim: lim.pairs),
     Suite("monotonicity", {
         f"{w}-monotone": (w, f"auxiliary log-ratio {w} is "

@@ -129,7 +129,7 @@ class PairRecords:
     error there too), and the quotients and each kind's ratios as
     columns, each formed once per pair.  Column arithmetic runs under
     ``np.errstate``: like Python floats it turns to inf or nan beyond the
-    double range, without a warning; the checks that follow it raise."""
+    double range, without a warning, and ``column`` fails the x there."""
 
     def __init__(self, a: float, c: float, xs):
         self.a, self.c, self.xs = a, c, list(xs)
@@ -158,13 +158,13 @@ class PairRecords:
         return _Records(f0s, *arrays, failures,
                         np.array([e is not None for e in failures], dtype=bool))
 
-    def column(self, values, errors, bad=None, fail=None, order=None) -> Column:
-        """The arrays values and errors at the pair's x, taken at the x of
-        ``order`` (indices; all, in order, if None) up to the first whose
-        record raised or where the mask ``bad`` holds, with the record's
-        error there, else ``fail(x)``."""
+    def column(self, values, errors, name: str, order=None) -> Column:
+        """The arrays values and errors of ``name`` at the pair's x, taken
+        at the x of ``order`` (indices; all, in order, if None) up to the
+        first whose record raised or whose value or error is not a finite
+        double, with the record's error there, else EvaluationError."""
         rec = self.records
-        failed = rec.failed if bad is None else rec.failed | bad
+        failed = rec.failed | ~(np.isfinite(values) & np.isfinite(errors))
         if order is not None:
             values, errors, failed = values[order], errors[order], failed[order]
         stops = failed.nonzero()[0]
@@ -172,8 +172,9 @@ class PairRecords:
             return Column(values.tolist(), errors.tolist(), None)
         k = int(stops[0])
         i = k if order is None else order[k]
-        return Column(values[:k].tolist(), errors[:k].tolist(),
-                      rec.failures[i] or fail(self.xs[i]))
+        error = rec.failures[i] or EvaluationError(
+            f"{name} beyond the double range at (a={self.a}, c={self.c}, x={self.xs[i]})")
+        return Column(values[:k].tolist(), errors[:k].tolist(), error)
 
     def one(self, column: Column, method: str | None = None) -> FunctionValue:
         """A column of the pair's one x as a FunctionValue, of ``method``
@@ -209,8 +210,8 @@ class PairRecords:
         from DLMF 13.3.7 and 13.3.9 (see the module docstring).  The budget
         is first order in the quotients' errors, |q_+| err(q_-) + |q_-|
         err(q_+), plus 3 EPS |q_- q_+| of rounding on the product and EPS |R|
-        on the difference: psi is never squared.  Where the budget is not
-        finite, the ratio raises."""
+        on the difference: psi is never squared.  Where the value or the
+        budget is not finite, the ratio raises, by ``column``'s rule."""
         da, dc = kind.shifts
         qm, err_m = self.quotient(-da, -dc)
         qp, err_p = self.quotient(da, dc)
@@ -219,8 +220,7 @@ class PairRecords:
             value = 1.0 - product
             err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(product)
                    + EPS * abs(value))
-        return self.column(value, err, ~np.isfinite(err), lambda x: EvaluationError(
-            f"Turanian ratio beyond the double range at (a={self.a}, c={self.c}, x={x})"))
+        return self.column(value, err, "Turanian ratio")
 
 
 def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
@@ -229,9 +229,9 @@ def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, 
     s at (1, 1), 1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and
     (0, -1), as the module docstring lists them; the one-x case of
     ``PairRecords.quotient``.  Raises ValueError at any other shift, and
-    where the record raises."""
+    where the record raises or q or its error leaves the double range."""
     pair = PairRecords(p.a, p.c, (p.x,))
-    q = pair.one(pair.column(*pair.quotient(da, dc)))
+    q = pair.one(pair.column(*pair.quotient(da, dc), f"quotient at (da={da}, dc={dc})"))
     return pair.records.f0[0], q.value, q.abs_error
 
 

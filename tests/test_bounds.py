@@ -511,6 +511,55 @@ class TestTotality:
         assert checked > 20000
         assert bad == []
 
+    def test_every_s_and_auxiliary_side_is_finite_or_raises_a_typed_error(self):
+        # 400 seeded points, a log-uniform in [1e-8, 200], c in [-50, 4]
+        # and x log-uniform in [1e-300, 1e3]: at each point in its region,
+        # S1, S2, S2H and f, g and h return finite values and errors (and a
+        # finite margin and budget) or raise EvaluationError; the S2 and
+        # S2H lhs used to read -inf as x -> 0, a verdict of margin inf
+        rng = random.Random("finite-sides")
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        bad, checked = [], 0
+        for _ in range(400):
+            a, c, x = log_uniform(1e-8, 200.0), rng.uniform(-50.0, 4.0), log_uniform(1e-300, 1e3)
+            checks = [(bid, lambda bid=bid: check_bound(bid, ParameterPoint(a, c, x)))
+                      for bid in ("S1", "S2", "S2H") if CATALOG[bid].region(a, c)]
+            checks += [(w, lambda w=w: auxiliary_log_ratio(w, a, c, x))
+                       for w, aux in AUXILIARY.items() if aux.region(a, c)]
+            for name, check in checks:
+                checked += 1
+                try:
+                    got = check()
+                except EvaluationError:
+                    continue
+                except Exception as exc:     # any other type is a defect
+                    bad.append((name, a, c, x, repr(exc)))
+                    continue
+                if name in CATALOG:
+                    numbers = (got.lhs.value, got.lhs.abs_error, got.rhs.value,
+                               got.rhs.abs_error, got.margin, got.budget)
+                else:
+                    numbers = (got.value, got.abs_error)
+                if not all(map(math.isfinite, numbers)):
+                    bad.append((name, a, c, x, numbers))
+        assert checked > 1500
+        assert bad == []
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("c", [-1.5, -2.5])
+    def test_the_i_family_at_a_subnormal_a_raises_psis_error(self, a, c):
+        # g's weight c/(a(c+1)) used to divide by an a(c+1) that underflows
+        # to 0 (a ZeroDivisionError), and I1's x->0+ limit to read nan
+        p = ParameterPoint(a, c, 1.0)
+        checks = [lambda bid=bid: check_bound(bid, p) for bid in ("I1", "I2", "I3", "I4")]
+        checks += [lambda w=w: auxiliary_log_ratio(w, a, c, 1.0) for w in AUXILIARY]
+        for check in checks:
+            with pytest.raises(EvaluationError, match="a is subnormal"):
+                check()
+
 
 def _stratified(rng, lo, hi, n, accept=None):
     """n values uniform in [lo, hi], one in each of n equal strata (as the

@@ -250,6 +250,8 @@ FUZZED = {
                           "0.5261279034598146", "9.919739284624609e-89"),
     "i1-limit-inf-budget": ("eval", "bound:I1", "--", "1e-300", "-1e300", "1"),
     "i3-limit-inf-budget": ("eval", "bound:I3", "--", "1e-300", "-1e300", "1"),
+    # g's weight c/(a(c+1)) divided by an a(c+1) that underflowed to 0
+    "i3-subnormal-a": ("eval", "bound:I3", "--", "5e-324", "-1.5", "1"),
 }
 
 
@@ -257,6 +259,34 @@ FUZZED = {
 def test_fuzzed_extremes_are_exit_4(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == "" and err.startswith("evaluation error: ")
+
+
+# rows whose side is not a finite double: each used to print a verdict of
+# margin inf (the S2 and S2H lhs -(1/x) psi^k s overflows as x -> 0) or
+# nan (g's weight overflows at a c just below -1 and a tiny a)
+NON_FINITE_SIDES = {
+    "s2": (("eval", "bound:S2", "--", "3", "2", "1e-300"),
+           "lhs of S2 beyond the double range at (a=3.0, c=2.0, x=1e-300)"),
+    "s2h": (("eval", "bound:S2H", "--", "3", "2", "1e-300"),
+            "lhs of S2H beyond the double range at (a=3.0, c=2.0, x=1e-300)"),
+    "s2-large-a": (("eval", "bound:S2", "--", "40", "0.75", "1e-300"),
+                   "lhs of S2 beyond the double range at (a=40.0, c=0.75, x=1e-300)"),
+    "s2h-c-below-1": (("eval", "bound:S2H", "--", "3", "0.75", "1e-200"),
+                      "lhs of S2H beyond the double range at (a=3.0, c=0.75, x=1e-200)"),
+    "run-s2": (("run", "--suites", "bounds", "--grid-a", "3", "--grid-c", "2",
+                "--grid-x", "1,1e-200"),
+               "lhs of S2 beyond the double range at (a=3.0, c=2.0, x=1e-200)"),
+    "run-g-monotone": (("run", "--suites", "monotonicity", "--grid-a", "1e-300",
+                        "--grid-c=-1.000000000000001", "--grid-x", "1,2"),
+                       "auxiliary g beyond the double range "
+                       "at (a=1e-300, c=-1.000000000000001, x=1.0)"),
+}
+
+
+@pytest.mark.parametrize("argv,message", NON_FINITE_SIDES.values(), ids=NON_FINITE_SIDES)
+def test_a_side_beyond_the_double_range_is_exit_4(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (4, "", f"evaluation error: {message}\n")
 
 
 def quotients_within_budget(a, c, x) -> bool:
@@ -422,10 +452,15 @@ class TestRun:
         ("kernel_crosscheck", ("200", "-1.5", "0.03,1"), "psi(a=200.0, c=-1.5, x=0.01)"),
         ("ode_residual", ("200", "-1.5", "0.03,1"), "psi(a=200.0, c=-1.5, x=0.9999)"),
         ("derivative", ("200", "-1.5", "0.03,1"), "psi(a=200.0, c=-1.5, x=0.02999)"),
-        ("stieltjes", ("200", "-1.5", "0.03,1"), "Gamma(2.5)/Gamma(202.5)"),
+        ("stieltjes", ("200", "-1.5", "0.03,1"),
+         "Gamma(2.5)/Gamma(202.5) is outside the double range"),
         # at x = 1 every read delivers; at x = 300 the node x - h fails first
         ("ode_residual", ("140", "-0.5", "1,300"), "psi(a=140.0, c=-0.5, x=299.97)"),
-        ("derivative", ("140", "-0.5", "1,300"), "psi(a=140.0, c=-0.5, x=299.97)")])
+        ("derivative", ("140", "-0.5", "1,300"), "psi(a=140.0, c=-0.5, x=299.97)"),
+        # the density delivers and the phi side holds its row at x = 1; at
+        # x = 1e-200 the phi side fails, before the ratio there
+        ("stieltjes", ("1", "-0.5", "1,1e-200"),
+         "x^2 in 1/(x+t)^2 is outside the normal double range at x=1e-200")])
     def test_a_suite_raises_the_error_of_its_first_failing_read(self, capsys, tmp_path,
                                                                  suite, grid, message):
         grid_a, grid_c, grid_x = grid
@@ -433,9 +468,9 @@ class TestRun:
                                  str(tmp_path / "report.csv"), "--grid-a", grid_a,
                                  f"--grid-c={grid_c}", "--grid-x", grid_x)
         assert code == 4 and out == ""
-        reason = ("is outside the double range" if suite == "stieltjes"
-                  else "underflows the double range (got 0.0)")
-        assert err.splitlines()[0] == f"evaluation error: {message} {reason}"
+        if suite != "stieltjes":
+            message += " underflows the double range (got 0.0)"
+        assert err.splitlines()[0] == f"evaluation error: {message}"
 
     def test_a_subnormal_density_is_exit_4(self, capsys):
         # it used to end in a numpy RuntimeWarning, an error here
