@@ -92,8 +92,10 @@ The eight dominance claims D1..D8 state where one closed-form bound is
 tighter than its competitor, comparing the closed-form sides that the
 catalog checks.  Each verdict rule is written once, on columns of
 values: ``_verdicts`` for a catalog bound, ``_dominance_verdicts`` for a
-dominance claim and ``_status_codes`` for the status of a margin
-against its budget.  So is each side's failure rule: a side read from
+dominance claim, ``_status_codes`` for the status of a margin against
+its budget and ``_first_error`` for the error of a claim's first failing
+x, of its first failing side there (the stieltjes and monotonicity
+suites use it too).  So is each side's failure rule: a side read from
 the pair's records fails at an x whose record raised or whose value or
 error is not a finite double (``PairRecords.column``), a closed form
 where its value is not (``_closed_values``, which gives it the budget 4
@@ -262,10 +264,6 @@ def _status_codes(margins, budgets) -> list[int]:
     return [0 if m > b else 1 if m < -b else 2 for m, b in zip(margins, budgets)]
 
 
-def _status(margin: float, budget: float) -> str:
-    return _STATUSES[_status_codes((margin,), (budget,))[0]]
-
-
 def _verdicts(lhs, lhs_errors, rhs, rhs_errors) -> tuple:
     """(margins, budgets, status codes) of a catalog bound lhs < rhs at
     each point of its columns: margin = rhs - lhs, held against the
@@ -287,13 +285,19 @@ def _dominance_verdicts(lower: bool, claimed, claimed_errors, other, other_error
     return margins, budgets, _status_codes(margins, budgets)
 
 
+def _first_error(xs, *columns: Column) -> None:
+    """Raise the error of the first x of ``xs`` at which one of
+    ``columns`` stopped, that of the first such column in argument order."""
+    n = min(len(column.values) for column in columns)
+    if n < len(xs):
+        raise next(column.error for column in columns if len(column.values) == n)
+
+
 def _verdict_columns(xs: list, lhs: Column, rhs: Column, rule) -> tuple:
     """(xs, lhs, rhs, margins, budgets, status codes) of a claim whose sides
     at xs are lhs and rhs, by ``rule``; where a side raised, raises the
     error of the first x where one did, the lhs's before the rhs's."""
-    n = min(len(lhs.values), len(rhs.values))
-    if n < len(xs):
-        raise lhs.error if len(lhs.values) == n else rhs.error
+    _first_error(xs, lhs, rhs)
     return (xs, lhs.values, rhs.values, *rule(*lhs[:2], *rhs[:2]))
 
 

@@ -23,18 +23,23 @@ unrecognized argument.  A run evaluates its (a, c) pairs in turn.
 
 Exit codes: every subcommand exits 2 when argparse rejects its arguments
 (an unknown flag, a bad number or list, a settings file that cannot be
-read).  ``run`` returns 0 (no gating fails), 1 (at least one fail),
-2 (configuration or output error, a grid that repeats a value among
-them) or 4 (a point that psi cannot evaluate, which aborts the run; the
-error is that of the first failing (a, c) pair, the grid's pairs in
-order before the sharpness limits' own).  ``eval`` returns 0 on
-success, 2 for parse or configuration problems, 3 for region violations
-and 4 for evaluation failures.  ``catalog`` returns 0, or 2 when
-``--out`` cannot be written; ``sharpness`` returns 0, 2 when ``--out``
-cannot be written, only one of ``--grid-a`` and ``--grid-c`` is given,
-or a grid is empty, not finite or repeats a value, or 4 when a scan
-meets a point that psi cannot evaluate, which aborts it with nothing
-written (pairs outside a limit's region are skipped).
+read).  Otherwise ``run`` returns 0 (no gating fails) or 1 (at least one
+fail), and the other subcommands 0, unless a typed error ends the
+subcommand; ``main`` then prints "<label>: <message>" to stderr and
+exits by one table, ``_EXITS``, the same for every subcommand:
+
+* ``ConfigError`` -- "config error", 2 (a bad setting, eval target or
+  grid, such as a grid that repeats a value, or ``sharpness`` given only
+  one of ``--grid-a`` and ``--grid-c``);
+* ``OSError`` -- "output error", 2 (``--out`` cannot be written);
+* ``RegionError`` -- "region error", 3 (a point outside its region);
+* ``EvaluationError`` -- "evaluation error", 4 (a point that psi cannot
+  evaluate).
+
+A run stops at the error of its first failing (a, c) pair, the grid's
+pairs in order before the sharpness limits' own, and a ``sharpness`` scan
+at its first failing point, with nothing written; ``sharpness`` skips the
+pairs outside a limit's region.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ from .measure import WeightDensity, phi
 from .turanians import TuranianKind, sharpness_scan, turanian, turanian_ratio
 
 EXIT_OK, EXIT_CONFIG, EXIT_REGION, EXIT_EVAL = 0, 2, 3, 4
+
+# typed error -> its stderr label and exit code (module docstring)
+_EXITS = {
+    suites_mod.ConfigError: ("config error", EXIT_CONFIG),
+    OSError: ("output error", EXIT_CONFIG),
+    RegionError: ("region error", EXIT_REGION),
+    EvaluationError: ("evaluation error", EXIT_EVAL),
+}
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -115,18 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        given = {k: v for k, v in vars(args).items() if k != "command"}
-        summary, _rows = suites_mod.run(suites_mod.RunConfig(**given))
-    except suites_mod.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EvaluationError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    summary, _rows = suites_mod.run(suites_mod.RunConfig(**given))
     for line in suites_mod.summary_lines(summary):
         print(line)
     return summary.exit_code
@@ -173,17 +176,7 @@ def eval_point(what: str, a: float, c: float, x: float) -> tuple[str, dict]:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        human, machine = eval_point(args.what, args.a, args.c, args.x)
-    except suites_mod.ConfigError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RegionError as exc:
-        print(f"region error: {exc}", file=sys.stderr)
-        return EXIT_REGION
-    except EvaluationError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+    human, machine = eval_point(args.what, args.a, args.c, args.x)
     print(human)
     print(json.dumps(machine, sort_keys=True))
     return EXIT_OK
@@ -205,20 +198,14 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    try:
-        if (args.grid_a is None) != (args.grid_c is None):
-            raise suites_mod.ConfigError(
-                "--grid-a and --grid-c must be given together")
-        if args.grid_a is not None:
-            suites_mod.check_grid(args.grid_a, "a")
-            suites_mod.check_grid(args.grid_c, "c")
-            pairs = [(a, c) for a in args.grid_a for c in args.grid_c]
-        else:
-            pairs = list(dict.fromkeys(pair for lim in LIMITS.values()
-                                       for pair in lim.pairs))
-    except suites_mod.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if (args.grid_a is None) != (args.grid_c is None):
+        raise suites_mod.ConfigError("--grid-a and --grid-c must be given together")
+    if args.grid_a is not None:
+        suites_mod.check_grid(args.grid_a, "a")
+        suites_mod.check_grid(args.grid_c, "c")
+        pairs = [(a, c) for a in args.grid_a for c in args.grid_c]
+    else:
+        pairs = list(dict.fromkeys(pair for lim in LIMITS.values() for pair in lim.pairs))
     lines = []
     for (a, c) in pairs:
         for lim in LIMITS.values():
@@ -226,9 +213,6 @@ def _cmd_sharpness(args) -> int:
                 scan = sharpness_scan(lim, a, c)
             except RegionError:
                 continue
-            except EvaluationError as exc:
-                print(f"evaluation error: {exc}", file=sys.stderr)
-                return EXIT_EVAL
             direction = "x_to_zero" if lim.toward_zero else "x_to_infinity"
             norm = "ratio_times_x2" if lim.x2_scaled else "ratio"
             seq = " ".join(f"x={q.x:g}:dev={q.deviation:.6g}:rate={q.rate:.6g}"
@@ -242,26 +226,22 @@ def _emit(text: str, out: str | None) -> int:
     """Write text to the file out, or to stdout when out is None."""
     if out is None:
         print(text, end="")
-        return EXIT_OK
-    try:
+    else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "catalog":
-        return _cmd_catalog(args)
-    return _cmd_sharpness(args)
+    args = build_parser().parse_args(argv)
+    command = {"run": _cmd_run, "eval": _cmd_eval, "catalog": _cmd_catalog,
+               "sharpness": _cmd_sharpness}[args.command]
+    try:
+        return command(args)
+    except tuple(_EXITS) as exc:
+        label, code = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

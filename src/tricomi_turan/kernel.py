@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -406,9 +405,9 @@ def _trapezoid(a: float, pw: float, h: float, points) -> tuple:
         # first node
         first = spans[0][4]
         aw = np.arange(first, first + (n - 0.5) * h, h)
-        spread = partial(np.repeat, repeats=[hi - lo for lo, hi, *_ in spans])
-        aw += spread([w - first - lo * h for lo, _, _, _, w, _ in spans])
-        x = spread([p[0] for p in points])
+        sizes = np.array([hi - lo for lo, hi, *_ in spans])
+        aw += np.array([w - first - lo * h for lo, _, _, _, w, _ in spans]).repeat(sizes)
+        x = np.array([p[0] for p in points]).repeat(sizes)
     ew = np.exp(aw)
     pl = ew / x
     np.log1p(pl, pl)
@@ -424,8 +423,9 @@ def _trapezoid(a: float, pw: float, h: float, points) -> tuple:
         ms = (m,)
     else:
         cuts = [i for span in spans for i in span[2:4]]
-        ms = np.maximum.reduceat(f, cuts[:-1] if cuts[-1] == n else cuts)[::2].tolist()
-        f -= spread(ms)
+        ms = np.maximum.reduceat(f, cuts[:-1] if cuts[-1] == n else cuts)[::2]
+        f -= ms.repeat(sizes)
+        ms = ms.tolist()
     np.exp(f, f)
     np.abs(aw, aw)
     aw += ew
@@ -657,12 +657,12 @@ def _pair_quadrature(a: float, c: float, xs, shifted: bool = True) -> list:
     every x whose passes ``_settled`` has not ended.  lnGamma(a) is taken
     once, if some x has nodes: none has where it overflows, a > 2.5e305."""
     pw = c - a - 1.0
-    # points: (x, w0, rows, extents, index in xs, the last relative error)
-    # of each x whose h is still being halved
+    # points: (x, w0, rows, extents, index in xs, log x, the last relative
+    # error) of each x whose h is still being halved
     out, points = list(xs), []
     for i, x in enumerate(out):
         try:
-            points.append((*_nodes(a, c, pw, x, shifted)[0], i, math.inf))
+            points.append((*_nodes(a, c, pw, x, shifted)[0], i, math.log(x), math.inf))
         except EvaluationError as exc:
             out[i] = exc
     if not points:
@@ -679,10 +679,10 @@ def _pair_quadrature(a: float, c: float, xs, shifted: bool = True) -> list:
             for k, (point, m, (total, err)) in enumerate(zip(points, ms, sums)):
                 x, i = point[0], point[4]
                 try:
-                    end = _settled(a, c, x, math.log(x), lg_a, lg_a_err, h, point[5],
+                    end = _settled(a, c, x, point[5], lg_a, lg_a_err, h, point[6],
                                    m, total, err)
                     if type(end) is not FunctionValue:
-                        rest.append((*point[:5], end))
+                        rest.append((*point[:6], end))
                         continue
                     if not shifted:
                         out[i] = end

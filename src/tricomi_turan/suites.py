@@ -26,9 +26,9 @@ read.  A failing run raises the error of its first failing pair in run
 order, the first failing task there in task order, and evaluates no
 later pair; within a claim at a pair, the first failing x raises, and at
 one x its lhs fails before its rhs, but for a stieltjes row, whose phi
-side (its rhs) fails before the ratio.  Claims whose failures are
-advisory (the catalog's non-gating bounds) never gate a run; their
-failures are counted apart.
+side (its rhs) fails before the ratio (``bounds._first_error``).  Claims
+whose failures are advisory (the catalog's non-gating bounds) never gate
+a run; their failures are counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
@@ -61,9 +61,12 @@ and holds them for its block (``PairGrid.read_psi``), and each row takes
 its values from the pair.
 A stieltjes claim holds the pair's phi-side column
 (``measure.stieltjes_column`` on the pair's density) against its ratio
-column.  The moments and sharpness suites state the one row of a claim
-at a pair, a moment at x = 0 or the end of a sharpness scan, behind one
-adapter, ``_per_point``.  No suite takes a tolerance.
+column.  The moments and sharpness evaluators state the one row of a
+claim at a pair, a moment at x = 0 or the end of a sharpness scan.  The
+agreement rule is stated once, in ``_agreements``: the crosscheck, ODE,
+derivative, moments and stieltjes claims give it their rows as (x, lhs,
+rhs, budget), and it forms the margin and the status code.  Every
+evaluator returns status codes.  No suite takes a tolerance.
 
 Row conventions: every row is oriented so that ``margin >= 0`` (beyond
 ``budget``) means the check holds; for inequality rows lhs/rhs are the
@@ -88,7 +91,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, eq, itemgetter
+from operator import add, attrgetter, eq, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -165,45 +168,37 @@ class Suite:
 # ---------------------------------------------------------------------------
 # column evaluators: (argument, pair) -> the claim's rows at the pair, a
 # bounds.PairGrid, as the columns x, lhs, rhs, margin, budget and status
-# code (an index into _STATUSES); a row function of psi columns or of one
-# item the pair gives states one row, which ``_columns`` turns into columns
+# code (an index into _STATUSES); an agreement claim states its rows as
+# (x, lhs, rhs, budget), which ``_agreements`` turns into columns
 # ---------------------------------------------------------------------------
 
-def _columns(rows) -> tuple:
-    """Rows (x, lhs, rhs, margin, budget, status) as the columns of an
-    evaluator."""
-    *values, status = zip(*rows) if rows else [()] * 6
-    return (*map(list, values), list(map(_STATUSES.index, status)))
+_PASS, _FAIL = map(_STATUSES.index, (PASS, FAIL))
 
 
-def _per_point(row):
-    """The column evaluator of ``row``, (argument, pair) -> the fields of
-    the claim's one row at the pair after (suite, claim, a, c) and before
-    its anchor."""
-    return lambda arg, pair: _columns([row(arg, pair)])
+def _agreements(rows) -> tuple:
+    """The columns of the agreement rows (x, lhs, rhs, budget): margin =
+    budget - |lhs - rhs|, pass where it is not negative, else fail."""
+    xs, lhs, rhs, budgets = tuple(map(list, zip(*rows))) or ([], [], [], [])
+    margins = [b - abs(l - r) for l, r, b in zip(lhs, rhs, budgets)]
+    return xs, lhs, rhs, margins, budgets, [_PASS if m >= 0.0 else _FAIL for m in margins]
 
 
 def _psi_columns(row, items, reads):
     """The column evaluator of ``row``, (a, c, x, h, *values) -> the
-    fields of the row at x, h its central-difference step (``_step``), at
-    each x of ``items(pair)``, from the values of psi at the points (a',
-    c', y) of ``reads(a, c, x, h)``, in their order.  The pair computes
-    the points of all the rows first, one batched call per (a', c')
-    (``PairGrid.read_psi``); a row raises the error of its first point
-    that raised."""
+    agreement row (x, lhs, rhs, budget) at x, h its central-difference
+    step (``_step``), at each x of ``items(pair)``, from the values of psi
+    at the points (a', c', y) of ``reads(a, c, x, h)``, in their order.
+    The pair computes the points of all the rows first, one batched call
+    per (a', c') (``PairGrid.read_psi``); a row raises the error of its
+    first point that raised."""
     def evaluate(_, pair):
         a, c, xs = pair.a, pair.c, items(pair)
         steps = list(map(_step, xs))
         points = [reads(a, c, x, h) for x, h in zip(xs, steps)]
         pair.read_psi(p for row_points in points for p in row_points)
-        return _columns([row(a, c, x, h, *map(pair.psi, row_points))
-                         for x, h, row_points in zip(xs, steps, points)])
+        return _agreements(row(a, c, x, h, *map(pair.psi, row_points))
+                           for x, h, row_points in zip(xs, steps, points))
     return evaluate
-
-
-def _agreement(x, lhs, rhs, budget):
-    margin = budget - abs(lhs - rhs)
-    return x, lhs, rhs, margin, budget, PASS if margin >= 0.0 else FAIL
 
 
 def _row_crosscheck(a, c, x, _, q):
@@ -211,7 +206,7 @@ def _row_crosscheck(a, c, x, _, q):
     # kernel.pair_quotients holds the same value at this point, from its
     # own trapezoid pass
     k = psi_connection(a, c, x)
-    return _agreement(x, q.value, k.value, q.abs_error + k.abs_error)
+    return x, q.value, k.value, q.abs_error + k.abs_error
 
 
 def _step(x: float) -> float:
@@ -263,23 +258,22 @@ def _row_ode(a, c, x, h, fm, fp, tail1, f0, tail2):
     scale = abs(x * d2.value) + abs((c - x) * d1.value) + abs(a * f0.value)
     budget = (x * d2.abs_error + abs(c - x) * d1.abs_error + a * f0.abs_error
               + 4.0 * EPS * scale)
-    return _agreement(x, abs(resid), 0.0, budget)
+    return x, abs(resid), 0.0, budget
 
 
 def _row_derivative(a, c, x, h, fm, fp, tail, shifted):
     d1 = _central_difference(a, h, (fm, fp), tail)
     target = -a * shifted.value
-    return _agreement(x, d1.value, target,
-                      d1.abs_error + a * shifted.abs_error + EPS * abs(target))
+    return x, d1.value, target, d1.abs_error + a * shifted.abs_error + EPS * abs(target)
 
 
-def _row_moment(arg, pair):
-    # a moment takes no grid x; its row reports x = 0
+def _moment_columns(arg, pair):
+    # a moment takes no grid x; its one row reports x = 0
     ident, _ = arg
     mv = measure_mod.phi_moment(pair.density, ident.power)
     closed = ident.closed_form(pair.a, pair.c)
     # the closed forms are rational in a and c: five roundings at most
-    return _agreement(0.0, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))
+    return _agreements([(0.0, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))])
 
 
 def _stieltjes_columns(arg, pair):
@@ -288,23 +282,17 @@ def _stieltjes_columns(arg, pair):
     kind, _ = arg
     d, ratios = pair.density, pair.ratios(kind)
     side = measure_mod.stieltjes_column(kind, d, pair.xs)
-    rows = []
-    for i, x in enumerate(pair.xs):
-        if i == len(side.values):
-            raise side.error
-        if i == len(ratios.values):
-            raise ratios.error
-        rows.append(_agreement(x, ratios.values[i], side.values[i],
-                               side.errors[i] + ratios.errors[i]))
-    return _columns(rows)
+    bounds_mod._first_error(pair.xs, side, ratios)
+    return _agreements(zip(pair.xs, ratios.values, side.values,
+                           map(add, side.errors, ratios.errors)))
 
 
-def _row_sharpness(lim, pair):
+def _sharpness_columns(lim, pair):
     # the deviation at the end of the scan, held against the limit's rate
     end = sharpness_scan(lim, pair.a, pair.c)[-1]
     margin = end.rate - end.deviation
-    return (end.x, end.deviation, end.rate, margin, end.budget,
-            bounds_mod._status(margin, end.budget))
+    return ([end.x], [end.deviation], [end.rate], [margin], [end.budget],
+            bounds_mod._status_codes((margin,), (end.budget,)))
 
 
 def _monotonicity_columns(arg, pair):
@@ -314,9 +302,8 @@ def _monotonicity_columns(arg, pair):
     if len(pair.xs) < 2:
         return [], [], [], [], [], []
     order = sorted(range(len(pair.xs)), key=pair.xs.__getitem__)
-    values, errors, error = pair.auxiliary(which, order)
-    if error is not None:
-        raise error
+    values, errors, _ = column = pair.auxiliary(which, order)
+    bounds_mod._first_error(order, column)
     sign = bounds_mod.AUXILIARY[which].sign
     margins = [sign * (hi - lo) for lo, hi in zip(values, values[1:])]
     budgets = [lo + hi for lo, hi in zip(errors, errors[1:])]
@@ -356,7 +343,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
                                                   "closed form")
                       for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
           lambda arg, a, c: arg[0].region(a, c) and _off_integer(c),
-          _per_point(_row_moment), _SECOND),
+          _moment_columns, _SECOND),
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
@@ -371,8 +358,7 @@ REGISTRY: dict[str, Suite] = {s.name: s for s in (
           no_rows="no grid x in its region meets its threshold"),
     # each limit is scanned once at each of its curated pairs, not at the grid's
     Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs,
-          _per_point(_row_sharpness), _SPEC,
-          pairs=lambda lim: lim.pairs),
+          _sharpness_columns, _SPEC, pairs=lambda lim: lim.pairs),
     Suite("monotonicity", {
         f"{w}-monotone": (w, f"auxiliary log-ratio {w} is "
                              f"{'increasing' if aux.sign > 0 else 'decreasing'}")

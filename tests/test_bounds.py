@@ -295,7 +295,7 @@ class TestCheckBound:
     (2.0, 1.0, "pass"), (1.0, 1.0, "inconclusive"), (0.5, 1.0, "inconclusive"),
     (0.0, 0.0, "inconclusive"), (-1.0, 1.0, "inconclusive"), (-2.0, 1.0, "fail")])
 def test_status_is_inconclusive_where_the_margin_is_within_its_budget(margin, budget, status):
-    assert bounds._status(margin, budget) == status
+    assert bounds._STATUSES[bounds._status_codes((margin,), (budget,))[0]] == status
 
 
 class TestVerificationRecord:

@@ -12,7 +12,8 @@ import pytest
 import tricomi_turan
 from tricomi_turan import cli, suites
 from tricomi_turan.bounds import CATALOG
-from tricomi_turan.kernel import ParameterPoint, psi_quotients
+from tricomi_turan.kernel import (EvaluationError, ParameterPoint, RegionError,
+                                  psi_quotients)
 
 # a tol-* key per suite, the flag being "--" + key: no suite takes a
 # tolerance, so the CLI knows none of them
@@ -527,6 +528,32 @@ class TestRun:
                 cli.main(["run", flag, "0.01"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# each subcommand's arguments and the inner call that a test makes raise
+SUBCOMMANDS = {"run": (("run",), suites, "run"),
+               "eval": (("eval", "psi", "1", "0.5", "1"), cli, "eval_point"),
+               "catalog": (("catalog",), cli, "catalog_document"),
+               "sharpness": (("sharpness",), cli, "sharpness_scan")}
+# the exit table: a typed error, its stderr label and its exit code
+EXITS = {"ConfigError": (suites.ConfigError, "config error", 2),
+         "OSError": (OSError, "output error", 2),
+         "RegionError": (RegionError, "region error", 3),
+         "EvaluationError": (EvaluationError, "evaluation error", 4)}
+
+
+# sharpness skips a limit whose scan raises RegionError, a pair outside its region
+@pytest.mark.parametrize("command,error", [
+    (command, error) for command in SUBCOMMANDS for error in EXITS
+    if (command, error) != ("sharpness", "RegionError")])
+def test_every_subcommand_exits_by_the_one_table(capsys, monkeypatch, command, error):
+    argv, module, name = SUBCOMMANDS[command]
+    kind, label, exit_code = EXITS[error]
+
+    def raising(*args, **kwargs):
+        raise kind(f"{name} failed")
+    monkeypatch.setattr(module, name, raising)
+    assert run_cli(capsys, *argv) == (exit_code, "", f"{label}: {name} failed\n")
 
 
 def run_python(code: str) -> str:

@@ -983,6 +983,37 @@ class TestDoubleRange:
         assert "terminating series overflows the double range" in str(exc.value)
 
 
+class TestErrorBranches:
+    """Typed errors of branches that no other test reaches, each with its
+    message."""
+
+    @pytest.mark.parametrize("call,message", [
+        # lnGamma(a) overflows in _beyond_gamma_floor, so the nodes' exponents
+        # are refused as leaving the double range, not shown beyond it
+        (lambda: psi(ParameterPoint(1e306, 2e306, 1.0)),
+         "the trapezoid exponents of psi(a=1e+306, c=2e+306, x=1.0) leave the double range"),
+        (lambda: psi(ParameterPoint(2.0, 3.0, 7.458340731200295e-155)),
+         "psi(a=2.0, c=3.0, x=7.458340731200295e-155) has no finite value and budget "
+         "on the trapezoid route"),
+        # each term of M(1, c, x) at x just below c is the last times about
+        # 1 - (n + 100)/1e9: 10,000 terms leave the sum far from settled
+        (lambda: _m_series(1.0, 1e9 + 0.5, 999999900.0, 1e-15),
+         "Kummer series did not converge within 10000 terms "
+         "(a=1.0, c=1000000000.5, x=999999900.0)"),
+        # through the connection formula a Gamma quotient leaves the range first
+        (lambda: psi_connection(1.0, 1e9 + 0.5, 999999900.0),
+         "Gamma(999999999.5)/Gamma(1.0) is outside the double range"),
+        (lambda: psi_connection(-0.5, -150.5, 200.0),
+         "connection formula overflow at a=-0.5, c=-150.5, x=200.0")],
+        ids=["exponents", "settled", "m_series_terms", "connection_gamma",
+             "connection_overflow"])
+    def test_raises_its_typed_error(self, call, message):
+        with pytest.raises(EvaluationError) as exc:
+            call()
+        assert type(exc.value) is EvaluationError
+        assert str(exc.value) == message
+
+
 # each finite extreme: a from +1e308 to -1e308 (-1e20 and -1e308 are
 # integers, so psi takes the terminating polynomial there) and a = 1e-300
 # and 1e-190, where a x underflows, c = +-1e308, +-1e20 and +-0.5, x from

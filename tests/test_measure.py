@@ -249,6 +249,26 @@ class TestEdgeCases:
         assert type(exc.value) is EvaluationError
 
 
+# typed errors of branches that no other test reaches, each with its message
+@pytest.mark.parametrize("call,message", [
+    (lambda: phi_moment(WeightDensity(1.0, 0.9999), 0),
+     r"endpoint expansion of phi does not converge for c=0\.9999$"),
+    (lambda: phi_moment(WeightDensity(30.0, 0.999), 0),
+     r"\|psi\| indistinguishable from 0 on the negative axis at t=15\.955"),
+    # M(1 - a, 2 - c, t) = M(0.5, 1.5, 800) overflows
+    (lambda: phi(WeightDensity(1.0, 0.5), 800.0),
+     r"Kummer series overflow on the negative axis up to t=800\.0$"),
+    # the terms of M(1, 1e9 + 0.5, t) at t near 1e9 stay near 1 past the
+    # term limit; a density at such parameters overflows its other sum first
+    (lambda: _kummer_sums(np.array([1.0]), np.array([1e9 + 0.5]), np.array([999999900.0])),
+     r"Kummer series did not converge within 10000 terms up to t=999999900\.0$")],
+    ids=["head_diverges", "psi_zero", "kummer_overflow", "kummer_terms"])
+def test_error_branch_raises_its_typed_error(call, message):
+    with pytest.raises(EvaluationError, match=message) as exc:
+        call()
+    assert type(exc.value) is EvaluationError
+
+
 def test_panel_rule_constants_are_leggauss_bit_for_bit():
     from numpy.polynomial.legendre import leggauss
     (x, w), (xc, wc) = leggauss(16), leggauss(8)

@@ -223,7 +223,7 @@ def reference_fields(r: ReportRow, grid_x) -> tuple:
         end = turanians.sharpness_scan(bounds.LIMITS[r.claim], r.a, r.c)[-1]
         margin = end.rate - end.deviation
         return (end.x, end.deviation, end.rate, margin, end.budget,
-                bounds._status(margin, end.budget))
+                bounds._STATUSES[bounds._status_codes((margin,), (end.budget,))[0]])
     if r.suite == "kernel_crosscheck":
         q, k = psi(p), psi_connection(r.a, r.c, r.x)
         return agreement(q.value, k.value, q.abs_error + k.abs_error)
