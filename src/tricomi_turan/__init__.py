@@ -26,8 +26,8 @@ _EXPORTS = {
     "measure": ("MOMENT_IDENTITIES", "MomentIdentity", "WeightDensity", "phi",
                 "phi_moment", "stieltjes"),
     "bounds": ("CATALOG", "DOMINANCE", "LIMITS", "BoundSpec", "DominanceSpec",
-               "VerificationRecord", "auxiliary_log_ratio", "catalog_document",
-               "check_bound", "check_dominance", "dominance_applicable"),
+               "VerificationRecord", "catalog_document", "check_bound",
+               "dominance_applicable"),
     "suites": ("DEFAULT_GRID_A", "DEFAULT_GRID_C", "DEFAULT_GRID_X",
                "ReportRow", "ReportRows", "RunConfig", "RunSummary", "run"),
 }

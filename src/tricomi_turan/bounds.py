@@ -104,8 +104,8 @@ pair placed in its region: ``bound_columns`` reads each side of the
 claim at the pair's x in order through its :class:`_Side` from the
 pair's context, a :class:`PairGrid`, and ``dominance_columns`` its two
 closed forms at the x that meet its threshold; each raises the first
-failing x's error, the lhs's first.  ``check_bound`` and
-``check_dominance`` take the one row of a one-x pair from them.
+failing x's error, the lhs's first.  ``check_bound`` takes the one row
+of a one-x pair from ``bound_columns``.
 
 The context reads the records of psi, r and s at all the x of the pair
 in one call of ``kernel.pair_quotients``, which runs their trapezoid
@@ -117,8 +117,8 @@ formed once per pair, and so is an I-family limit.
 Each column does the per-point arithmetic on whole arrays, the same
 operations in the same order, with every log and exp a ``math.log`` or
 ``math.exp`` per element (numpy's can differ in the last bit), so each
-element is bit for bit the value at its x.  ``BoundSpec.closed_form``
-and ``auxiliary_log_ratio`` are the one-x case of a column.
+element is bit for bit the value at its x.  ``_Side.at`` reads a side
+at a pair of one x, as ``check_bound`` does.
 The auxiliary log-ratios f, g and h behind the I-family are
 ``AUXILIARY`` records, each with its region, its two weights and the
 sign of its monotonicity; the monotonicity suite checks that sign on the
@@ -235,12 +235,6 @@ class BoundSpec:
     anchor: str
     gating: bool = True
     bound_fn: Callable[[float, float, float], float] | None = None
-
-    def closed_form(self, p: ParameterPoint) -> FunctionValue:
-        """The closed-form side at p: a ratio bound's bound_fn, or the
-        x->0+ limit of the auxiliary behind I1, I3 or I4."""
-        side = self.lhs if self.side == "lower" else self.rhs
-        return side.at(PairGrid(p.a, p.c, (p.x,)))
 
 
 class VerificationRecord(NamedTuple):
@@ -394,20 +388,25 @@ class AuxiliaryRatio:
     """w0 log psi(a,c,x) - wp log psi(a+1,c+1,x) on its region, with the
     sign of its monotonicity in x (+1 increasing, -1 decreasing).  A log
     value: I1, I3 and I4 are checked as this log-ratio against its x->0+
-    limit wp ln G1 - w0 ln G0."""
+    limit wp ln G1 - w0 ln G0.  ``PairGrid.auxiliary`` forms it at the x
+    of a pair, for those claims and the monotonicity suite:
+
+        f = (1/a) log psi - (1/(a+1)) log psi(a+1,c+1,.)        increasing
+        g = (c/(a(c+1))) log psi - (1/(a+1)) log psi(a+1,c+1,.) decreasing
+        h = log psi - log psi(a+1,c+1,.)                        increasing
+    """
 
     region: Callable[[float, float], bool]
-    region_text: str
     weights: Callable[[float, float], tuple[float, float]]
     sign: float
 
 
 AUXILIARY = {
-    "f": AuxiliaryRatio(lambda a, c: a > 0.0 > c, "a>0>c",
+    "f": AuxiliaryRatio(lambda a, c: a > 0.0 > c,
                         lambda a, c: (1.0 / a, 1.0 / (a + 1.0)), +1.0),
-    "g": AuxiliaryRatio(lambda a, c: a > 0.0 and c < -1.0, "a>0, c<-1",
+    "g": AuxiliaryRatio(lambda a, c: a > 0.0 and c < -1.0,
                         lambda a, c: (c / (a * (c + 1.0)), 1.0 / (a + 1.0)), -1.0),
-    "h": AuxiliaryRatio(lambda a, c: a > 0.0, "a>0",
+    "h": AuxiliaryRatio(lambda a, c: a > 0.0,
                         lambda a, c: (1.0, 1.0), +1.0),
 }
 
@@ -436,31 +435,6 @@ def _auxiliary_arrays(pair: PairGrid, which: str) -> tuple:
         err = (abs(w0 - wp) * rec.psi_err / rec.psi + abs(wp) * err_s / s
                + 2.0 * EPS * (abs(w0 * l0) + abs(wp * l0) + abs(wp * ls) + abs(value)))
     return value, err
-
-
-def auxiliary_log_ratio(which: str, a: float, c: float, x: float) -> FunctionValue:
-    """The log-ratio combinations whose monotonicity drives the I-family:
-
-        f = (1/a) log psi - (1/(a+1)) log psi(a+1,c+1,.)        increasing
-        g = (c/(a(c+1))) log psi - (1/(a+1)) log psi(a+1,c+1,.) decreasing
-        h = log psi - log psi(a+1,c+1,.)                        increasing
-
-    The value is a log, as are the lhs and rhs of I1, I3 and I4, which
-    check f, g and h against their x->0+ limits.  Outside the auxiliary's
-    region this raises :class:`RegionError`; where psi's record raises,
-    that error, and where the value or its error is not a finite double,
-    :class:`EvaluationError`.  It is the one-x case of
-    ``PairGrid.auxiliary``, the column that I1, I3 and I4 and the
-    monotonicity suite read at a pair.
-    """
-    if which not in AUXILIARY:
-        raise KeyError(f"unknown auxiliary function {which!r}")
-    aux = AUXILIARY[which]
-    if not aux.region(a, c):
-        raise RegionError(
-            f"auxiliary {which} requires {aux.region_text}, got a={a}, c={c}")
-    pair = PairGrid(a, c, (x,))
-    return pair.one(pair.auxiliary(which))
 
 
 # --- the catalog -----------------------------------------------------------
@@ -723,28 +697,6 @@ def dominance_columns(spec: DominanceSpec, pair: PairGrid) -> tuple:
     return _verdict_columns(xs, _closed_values(claimed.id, claimed.bound_fn, a, c, xs),
                             _closed_values(other.id, other.bound_fn, a, c, xs),
                             partial(_dominance_verdicts, claimed.side == "lower"))
-
-
-def check_dominance(dom_id: str, p: ParameterPoint) -> VerificationRecord:
-    """Compare the two closed-form bound values where the claim applies:
-    validate the id and the point, then take its one row from
-    ``dominance_columns`` on a pair of that one x, with the two bounds'
-    closed forms as records.
-
-    Points outside either region or failing the threshold raise
-    :class:`RegionError`.
-    """
-    if dom_id not in DOMINANCE:
-        raise KeyError(f"unknown dominance id {dom_id!r}")
-    spec = DOMINANCE[dom_id]
-    if not dominance_applicable(dom_id, p):
-        raise RegionError(
-            f"{dom_id} needs the regions of {spec.claimed} and {spec.other} and "
-            f"{spec.threshold_text}, not met at (a={p.a}, c={p.c}, x={p.x})")
-    *_, (margin,), (budget,), (code,) = dominance_columns(spec, PairGrid(p.a, p.c, (p.x,)))
-    claimed, other = (CATALOG[bid].closed_form(p) for bid in (spec.claimed, spec.other))
-    return VerificationRecord(dom_id, p, claimed, other, margin, budget, _STATUSES[code],
-                              spec.anchor)
 
 
 def catalog_document() -> list[dict]:

@@ -47,8 +47,8 @@ budget adds the rounding of the prefactor, which includes |lnGamma(a)|
 at each x, for psi and the records alike.
 
 ``pair_quotients`` returns psi with the quotients psi(a+1,c,x)/psi and
-psi(a+1,c+1,x)/psi at each x of one (a, c) pair, and ``psi_quotients``
-at one point; the Turanians and the bounds take every shifted value
+psi(a+1,c+1,x)/psi at each x of one (a, c) pair, and one point is a
+pair of one x; the Turanians and the bounds take every shifted value
 from them.  For a > 0 one trapezoid pass gives all three, psi bit for
 bit as ``psi`` gives it, and the shifted sums as two more rows.  The
 passes of a pair's x run together, one per h (``_trapezoid``): each x
@@ -143,7 +143,7 @@ class ParameterPoint(_PointFields):
         if not (math.isfinite(a) and math.isfinite(c)):
             raise RegionError(f"parameters must be finite, got a={a}, c={c}")
         if not (math.isfinite(x) and x > 0.0):
-            raise RegionError(f"argument must satisfy x > 0, got x={x}")
+            raise RegionError(f"argument must be finite and > 0, got x={x}")
         return tuple.__new__(cls, (a, c, x))
 
 
@@ -165,11 +165,6 @@ class FunctionValue(_ValueFields):
         if abs_error < 0.0:
             raise ValueError("abs_error must be nonnegative")
         return tuple.__new__(cls, (value, abs_error, method, flags))
-
-    @property
-    def rel_error(self) -> float:
-        v = abs(self.value)
-        return self.abs_error / v if v else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -794,15 +789,6 @@ def _record(p: ParameterPoint, got):
         r = _quotient(psi(ParameterPoint(a + 1.0, c, x)), f0)
         s = _quotient(psi(ParameterPoint(a + 1.0, c + 1.0, x)), f0)
     return f0, r, s
-
-
-def psi_quotients(p: ParameterPoint):
-    """The record of ``pair_quotients`` at the one point p, (psi, (r,
-    err_r), (s, err_s)); raises where that point raises."""
-    (got,) = pair_quotients(p.a, p.c, (p.x,))
-    if isinstance(got, Exception):
-        raise got
-    return got
 
 
 def _quotient(f: FunctionValue, f0: FunctionValue) -> tuple[float, float]:

@@ -49,8 +49,8 @@ reads the records of the pair's x in one call, forms each Turanian
 kind's ratio column and each auxiliary log-ratio column once, and holds
 the pair's weight density, whose phi table is built once, for every
 claim that reads them.  The catalog and dominance claims take their rows
-from ``bounds.bound_columns`` and ``bounds.dominance_columns``, whose
-one-x case ``check_bound`` and ``check_dominance`` are; a monotonicity
+from ``bounds.bound_columns`` and ``bounds.dominance_columns``, the
+first of which ``check_bound`` reads at a pair of one x; a monotonicity
 claim takes its auxiliary's column in increasing x.  The crosscheck, ODE
 and derivative suites take pair columns of psi (``_psi_columns``): each
 states the points at which its row at x reads psi, at x of

@@ -30,9 +30,9 @@ pair's x, the six shifted quotients and each kind's ratio, once per
 kind: the shifted values of the ratios and of the bounds' S- and
 I-family.  A column applies the per-point arithmetic to whole arrays,
 the same operations in the same order, so each element is bit for bit
-the value at its x; ``shift_quotient`` and ``turanian_ratio`` are the
-one-x case, and ``sharpness_scan`` reads the ratios of a context over
-its own sequence.  Nothing is kept past the context that formed it.
+the value at its x; ``turanian_ratio`` reads the ratio of a context of
+one x, and ``sharpness_scan`` the ratios of a context over its own
+sequence.  Nothing is kept past the context that formed it.
 
 The raw Turanian, which only ``tricomi-turan eval turanian:KIND`` reads,
 takes the relations without the division, D = psi^2 - psi_+ psi_- with
@@ -221,18 +221,6 @@ class PairRecords:
             err = (abs(qp) * err_m + abs(qm) * err_p + 3.0 * EPS * abs(product)
                    + EPS * abs(value))
         return self.column(value, err, "Turanian ratio")
-
-
-def shift_quotient(p: ParameterPoint, da: int, dc: int) -> tuple[FunctionValue, float, float]:
-    """(psi(a,c,x), q, err(q)), q = psi(a+da, c+dc, x)/psi(a,c,x), from the
-    record of ``kernel.pair_quotients`` at p alone at the six shifts: r at (1, 0),
-    s at (1, 1), 1 + a s at (0, 1), and A - B r at (-1, 0), (-1, -1) and
-    (0, -1), as the module docstring lists them; the one-x case of
-    ``PairRecords.quotient``.  Raises ValueError at any other shift, and
-    where the record raises or q or its error leaves the double range."""
-    pair = PairRecords(p.a, p.c, (p.x,))
-    q = pair.one(pair.column(*pair.quotient(da, dc), f"quotient at (da={da}, dc={dc})"))
-    return pair.records.f0[0], q.value, q.abs_error
 
 
 def turanian(kind: TuranianKind, p: ParameterPoint) -> FunctionValue:

@@ -9,11 +9,10 @@ import mpmath
 import pytest
 
 from tricomi_turan import bounds, kernel, suites, turanians
-from tricomi_turan.bounds import (AUXILIARY, CATALOG, DOMINANCE,
-                                  VerificationRecord, auxiliary_log_ratio,
-                                  catalog_document,
-                                  check_bound, check_dominance,
-                                  dominance_applicable)
+from tricomi_turan.bounds import (_STATUSES, AUXILIARY, CATALOG, DOMINANCE,
+                                  PairGrid, VerificationRecord,
+                                  catalog_document, check_bound,
+                                  dominance_applicable, dominance_columns)
 from tricomi_turan.kernel import (EPS, EvaluationError, FunctionValue,
                                   ParameterPoint, RegionError, psi)
 from tricomi_turan.turanians import TuranianKind, turanian_ratio
@@ -59,16 +58,18 @@ class TestCatalogIntegrity:
             assert closed.method == "closed_form"
             assert ratio.value == turanian_ratio(TuranianKind(kinds[spec.target]),
                                                  p).value
-            assert spec.closed_form(p) == closed
+            side = spec.lhs if spec.side == "lower" else spec.rhs
+            assert side.at(PairGrid(a, c, (0.7,))) == closed
 
     def test_dominance_compares_the_checked_closed_forms(self):
         for did, dom in DOMINANCE.items():
             p = next(ParameterPoint(a, c, x) for a, c in ((1.5, -2.5), (3.0, -1.5))
                      for x in (0.05, 0.5, 2.0, 20.0)
                      if dominance_applicable(did, ParameterPoint(a, c, x)))
-            rec = check_dominance(did, p)
-            assert rec.lhs == CATALOG[dom.claimed].closed_form(p)
-            assert rec.rhs == CATALOG[dom.other].closed_form(p)
+            _, claimed, other, *_ = dominance_columns(dom, PairGrid(p.a, p.c, (p.x,)))
+            for bid, values in ((dom.claimed, claimed), (dom.other, other)):
+                rec = check_bound(bid, p)
+                assert values == [(rec.lhs if CATALOG[bid].side == "lower" else rec.rhs).value]
 
 
 # the ratio bounds, each checked against its closed form bound_fn
@@ -115,7 +116,7 @@ class TestCheckBound:
         # at (1, -3e305, 1e8) delivers: I2's rhs and the x->0+ limits of I1,
         # I3 and I4 raise ln G0's error
         p = ParameterPoint(1.0, -3e305, 1e8)
-        kernel.psi_quotients(p)
+        assert not isinstance(kernel.pair_quotients(p.a, p.c, (p.x,))[0], Exception)
         for bid in ("I1", "I2", "I3", "I4"):
             with pytest.raises(EvaluationError, match=r"^log Gamma\(3e\+305\) is beyond"):
                 check_bound(bid, p)
@@ -215,10 +216,10 @@ class TestCheckBound:
                 rng.uniform(-10.0, 10.0)
             if spec.region(a, c):
                 points.append((a, c, x))
-        outside = []
+        side, outside = spec.lhs if spec.side == "lower" else spec.rhs, []
         with mpmath.workdps(40):
             for a, c, x in points:
-                fv = spec.closed_form(ParameterPoint(a, c, x))
+                fv = side.at(PairGrid(a, c, (x,)))
                 ref = spec.bound_fn(mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x))
                 if not abs(fv.value - ref) <= fv.abs_error:
                     outside.append((a, c, x, fv, ref))
@@ -335,31 +336,29 @@ class TestVerificationRecord:
 
 class TestDominance:
     def test_d1_spec_point(self):
-        rec = check_dominance("D1", ParameterPoint(1.0, -1.0, 2.0))
-        assert rec.status == "pass"
-        assert rec.lhs.value == pytest.approx(-0.75)   # T1L value
-        assert rec.rhs.value == pytest.approx(-1.0)    # P1L value
+        _, (claimed,), (other,), _, _, (code,) = dominance_columns(
+            DOMINANCE["D1"], PairGrid(1.0, -1.0, (2.0,)))
+        assert _STATUSES[code] == "pass"
+        assert claimed == pytest.approx(-0.75)   # T1L value
+        assert other == pytest.approx(-1.0)      # P1L value
 
     def test_d3_spec_point(self):
-        rec = check_dominance("D3", ParameterPoint(1.0, -1.0, 1.0))
-        assert rec.status == "pass"
-        assert rec.lhs.value == pytest.approx(-0.5)
+        _, (claimed,), _, _, _, (code,) = dominance_columns(
+            DOMINANCE["D3"], PairGrid(1.0, -1.0, (1.0,)))
+        assert _STATUSES[code] == "pass"
+        assert claimed == pytest.approx(-0.5)
 
     def test_d5_spec_point(self):
-        rec = check_dominance("D5", ParameterPoint(2.0, 0.5, 10.0))
-        assert rec.status == "pass"
-        assert rec.lhs.value == pytest.approx(0.2)
-        assert rec.rhs.value == pytest.approx(0.4)
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError, match="D9"):
-            check_dominance("D9", ParameterPoint(1.0, -1.0, 2.0))
+        _, (claimed,), (other,), _, _, (code,) = dominance_columns(
+            DOMINANCE["D5"], PairGrid(2.0, 0.5, (10.0,)))
+        assert _STATUSES[code] == "pass"
+        assert claimed == pytest.approx(0.2)
+        assert other == pytest.approx(0.4)
 
     def test_threshold_not_met_raises(self):
-        # D3 needs x > -c/2 = 0.5
+        # D3 needs x > -c/2 = 0.5: an x below it has no row
         assert not dominance_applicable("D3", ParameterPoint(1.0, -1.0, 0.25))
-        with pytest.raises(RegionError):
-            check_dominance("D3", ParameterPoint(1.0, -1.0, 0.25))
+        assert dominance_columns(DOMINANCE["D3"], PairGrid(1.0, -1.0, (0.25,)))[0] == []
 
     def test_all_claims_pass_where_applicable(self):
         for did in DOMINANCE:
@@ -368,46 +367,39 @@ class TestDominance:
                     p = ParameterPoint(a, c, x)
                     if not dominance_applicable(did, p):
                         continue
-                    rec = check_dominance(did, p)
-                    assert rec.status == "pass", (did, a, c, x)
+                    *_, (code,) = dominance_columns(DOMINANCE[did], PairGrid(a, c, (x,)))
+                    assert _STATUSES[code] == "pass", (did, a, c, x)
 
 
 class TestAuxiliaryLogRatios:
     def test_f_increasing(self):
-        lo = auxiliary_log_ratio("f", 1.0, -1.0, 1.0)
-        hi = auxiliary_log_ratio("f", 1.0, -1.0, 2.0)
-        assert hi.value > lo.value
+        (lo,), (hi,) = (PairGrid(1.0, -1.0, (x,)).auxiliary("f").values for x in (1.0, 2.0))
+        assert hi > lo
 
     def test_g_decreasing(self):
-        lo = auxiliary_log_ratio("g", 1.0, -2.0, 1.0)
-        hi = auxiliary_log_ratio("g", 1.0, -2.0, 2.0)
-        assert hi.value < lo.value
+        (lo,), (hi,) = (PairGrid(1.0, -2.0, (x,)).auxiliary("g").values for x in (1.0, 2.0))
+        assert hi < lo
 
     def test_h_increasing(self):
-        lo = auxiliary_log_ratio("h", 1.0, -1.0, 1.0)
-        hi = auxiliary_log_ratio("h", 1.0, -1.0, 2.0)
-        assert hi.value > lo.value
+        (lo,), (hi,) = (PairGrid(1.0, -1.0, (x,)).auxiliary("h").values for x in (1.0, 2.0))
+        assert hi > lo
 
     def test_h_small_x_value(self):
         # h(0+) = log(Gamma(1-c)/Gamma(-c)) = log(-c) = 0 at c = -1; the
         # approach is O(x log x) here, so only ask for the right ballpark
-        fv = auxiliary_log_ratio("h", 1.0, -1.0, 1e-4)
-        assert abs(fv.value) < 5e-3
+        (value,) = PairGrid(1.0, -1.0, (1e-4,)).auxiliary("h").values
+        assert abs(value) < 5e-3
 
     def test_cached_value_equals_a_fresh_computation(self):
-        # no record is kept: each call forms its own, to the same bits
-        first = auxiliary_log_ratio("g", 2.0, -2.5, 1.5)
-        assert auxiliary_log_ratio("g", 2.0, -2.5, 1.5) == first
+        # no record is kept: each pair forms its own, to the same bits
+        first = PairGrid(2.0, -2.5, (1.5,)).auxiliary("g")
+        assert PairGrid(2.0, -2.5, (1.5,)).auxiliary("g") == first
 
     def test_regions(self):
-        with pytest.raises(RegionError):
-            auxiliary_log_ratio("f", 1.0, 0.5, 1.0)   # needs c < 0
-        with pytest.raises(RegionError):
-            auxiliary_log_ratio("g", 1.0, -0.5, 1.0)  # needs c < -1
-        with pytest.raises(RegionError):
-            auxiliary_log_ratio("h", -1.0, -0.5, 1.0)  # needs a > 0
-        with pytest.raises(KeyError):
-            auxiliary_log_ratio("q", 1.0, -1.0, 1.0)
+        # the regions in which the suites read each auxiliary
+        assert not AUXILIARY["f"].region(1.0, 0.5)    # needs c < 0
+        assert not AUXILIARY["g"].region(1.0, -0.5)   # needs c < -1
+        assert not AUXILIARY["h"].region(-1.0, -0.5)  # needs a > 0
 
     def test_monotone_signs_table(self):
         assert {k: aux.sign for k, aux in AUXILIARY.items()} == \
@@ -424,16 +416,16 @@ class TestAuxiliaryLogRatios:
         assert devs[0] > devs[1] > devs[2]
 
     def test_log_bounds_read_their_auxiliary_against_its_limit(self):
-        p = ParameterPoint(1.5, -2.5, 0.7)
+        p, pair = ParameterPoint(1.5, -2.5, 0.7), PairGrid(1.5, -2.5, (0.7,))
         for bid, which in (("I1", "f"), ("I3", "g"), ("I4", "h")):
             spec, rec = CATALOG[bid], check_bound(bid, p)
             aux, limit = ((rec.rhs, rec.lhs) if AUXILIARY[which].sign > 0
                           else (rec.lhs, rec.rhs))
             assert spec.side == ("lower" if AUXILIARY[which].sign > 0 else "upper")
-            assert aux == auxiliary_log_ratio(which, 1.5, -2.5, 0.7)
-            assert limit == spec.closed_form(p) and limit.method == "closed_form"
-        assert CATALOG["I4"].closed_form(p).value == pytest.approx(math.log(2.5),
-                                                                   rel=1e-14)
+            closed = spec.lhs if spec.side == "lower" else spec.rhs
+            assert aux == pair.one(pair.auxiliary(which))
+            assert limit == closed.at(pair) and limit.method == "closed_form"
+        assert CATALOG["I4"].lhs.at(pair).value == pytest.approx(math.log(2.5), rel=1e-14)
 
     def test_log_ratios_and_limits_within_their_budgets_against_mpmath(self):
         # f, g, h and their x -> 0+ limits by mpmath.hyperu and
@@ -453,13 +445,15 @@ class TestAuxiliaryLogRatios:
                 lg1 = mpmath.loggamma(A - C + 1) - mpmath.loggamma(-C)
                 weights = {"f": (1 / A, 1 / (A + 1)),
                            "g": (C / (A * (C + 1)), 1 / (A + 1)), "h": (1, 1)}
+                pair = PairGrid(a, c, (x,))
                 for which, bid in (("f", "I1"), ("g", "I3"), ("h", "I4")):
-                    if not CATALOG[bid].region(a, c):
+                    spec = CATALOG[bid]
+                    if not spec.region(a, c):
                         continue
                     w0, wp = weights[which]
                     for got, ref in (
-                            (auxiliary_log_ratio(which, a, c, x), w0 * lu0 - wp * lup),
-                            (CATALOG[bid].closed_form(ParameterPoint(a, c, x)),
+                            (pair.one(pair.auxiliary(which)), w0 * lu0 - wp * lup),
+                            ((spec.lhs if spec.side == "lower" else spec.rhs).at(pair),
                              wp * lg1 - w0 * lg0)):
                         checked += 1
                         if not abs(got.value - float(ref)) <= got.abs_error:
@@ -497,7 +491,8 @@ class TestTotality:
             p = ParameterPoint(a, c, x)
             checks = [(bid, lambda bid=bid: check_bound(bid, p))
                       for bid, spec in CATALOG.items() if spec.region(a, c)]
-            checks += [(w, lambda w=w: auxiliary_log_ratio(w, a, c, x))
+            pair = PairGrid(a, c, (x,))
+            checks += [(w, lambda w=w: pair.one(pair.auxiliary(w)))
                        for w, aux in AUXILIARY.items() if aux.region(a, c)]
             for name, check in checks:
                 checked += 1
@@ -527,7 +522,8 @@ class TestTotality:
             a, c, x = log_uniform(1e-8, 200.0), rng.uniform(-50.0, 4.0), log_uniform(1e-300, 1e3)
             checks = [(bid, lambda bid=bid: check_bound(bid, ParameterPoint(a, c, x)))
                       for bid in ("S1", "S2", "S2H") if CATALOG[bid].region(a, c)]
-            checks += [(w, lambda w=w: auxiliary_log_ratio(w, a, c, x))
+            pair = PairGrid(a, c, (x,))
+            checks += [(w, lambda w=w: pair.one(pair.auxiliary(w)))
                        for w, aux in AUXILIARY.items() if aux.region(a, c)]
             for name, check in checks:
                 checked += 1
@@ -555,7 +551,8 @@ class TestTotality:
         # to 0 (a ZeroDivisionError), and I1's x->0+ limit to read nan
         p = ParameterPoint(a, c, 1.0)
         checks = [lambda bid=bid: check_bound(bid, p) for bid in ("I1", "I2", "I3", "I4")]
-        checks += [lambda w=w: auxiliary_log_ratio(w, a, c, 1.0) for w in AUXILIARY]
+        pair = PairGrid(a, c, (1.0,))
+        checks += [lambda w=w: pair.one(pair.auxiliary(w)) for w in AUXILIARY]
         for check in checks:
             with pytest.raises(EvaluationError, match="a is subnormal"):
                 check()
@@ -603,9 +600,9 @@ def _columns(pair):
 
 def _reference(name, p):
     """The quantity ``name`` at p by the per-point arithmetic on Python
-    floats, from the record psi_quotients(p): (value, error)."""
+    floats, from the record pair_quotients(a, c, (x,)): (value, error)."""
     a, c, x = p
-    f0, (r, er), (s, es) = kernel.psi_quotients(p)
+    ((f0, (r, er), (s, es)),) = kernel.pair_quotients(a, c, (x,))
     if name in _KINDS:
         kind = _KINDS[name]
         da, dc = kind.shifts
@@ -683,18 +680,18 @@ class TestPairGrid:
         # the values at x = 1 and 10
         xs = (1.0, 1e4, 10.0)
         pair = bounds.PairGrid(100.0, -0.5, xs)
-        with pytest.raises(EvaluationError, match="underflows") as raised:
-            kernel.psi_quotients(ParameterPoint(100.0, -0.5, 1e4))
+        (raised,) = kernel.pair_quotients(100.0, -0.5, (1e4,))
+        assert isinstance(raised, EvaluationError) and "underflows" in str(raised)
         columns = _columns(pair)
         assert set(columns) == {*_KINDS, "S1", "S2", "S2H", "I2", "f", "h"}
         for name, column in columns.items():
             assert type(column.error) is EvaluationError, name
-            assert str(column.error) == str(raised.value), name
+            assert str(column.error) == str(raised), name
             first = _reference(name, ParameterPoint(100.0, -0.5, 1.0))
             assert (column.values, column.errors) == ([first[0]], [first[1]]), name
         for which in ("f", "h"):
             by_x = pair.auxiliary(which, [0, 2, 1])
-            assert str(by_x.error) == str(raised.value)
+            assert str(by_x.error) == str(raised)
             refs = [_reference(which, ParameterPoint(100.0, -0.5, x)) for x in (1.0, 10.0)]
             assert (by_x.values, by_x.errors) == ([v for v, _ in refs], [e for _, e in refs])
         for name, kind in _KINDS.items():

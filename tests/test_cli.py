@@ -12,8 +12,7 @@ import pytest
 import tricomi_turan
 from tricomi_turan import cli, suites
 from tricomi_turan.bounds import CATALOG
-from tricomi_turan.kernel import (EvaluationError, ParameterPoint, RegionError,
-                                  psi_quotients)
+from tricomi_turan.kernel import EvaluationError, RegionError, pair_quotients
 
 # a tol-* key per suite, the flag being "--" + key: no suite takes a
 # tolerance, so the CLI knows none of them
@@ -291,9 +290,9 @@ def test_a_side_beyond_the_double_range_is_exit_4(capsys, argv, message):
 
 
 def quotients_within_budget(a, c, x) -> bool:
-    """r and s of psi_quotients(a, c, x) within their budgets of 40-digit
+    """r and s of pair_quotients(a, c, (x,)) within their budgets of 40-digit
     mpmath.hyperu quotients."""
-    _, r, s = psi_quotients(ParameterPoint(a, c, x))
+    ((_, r, s),) = pair_quotients(a, c, (x,))
     with mpmath.workdps(40):
         A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
         u0 = mpmath.hyperu(A, C, X)
@@ -569,6 +568,17 @@ def run_python(code: str) -> str:
 
 class TestDependencies:
     def test_every_exported_name_resolves(self):
+        # the public API, pinned: a name added or removed is a deliberate change
+        assert set(tricomi_turan.__all__) == {
+            "BoundSpec", "CATALOG", "DEFAULT_GRID_A", "DEFAULT_GRID_C", "DEFAULT_GRID_X",
+            "DOMINANCE", "DominanceSpec", "DoubleRangeError", "EvaluationError",
+            "FunctionValue", "LIMITS", "MOMENT_IDENTITIES", "MomentIdentity",
+            "ParameterPoint", "RegionError", "ReportRow", "ReportRows", "RunConfig",
+            "RunSummary", "ScanPoint", "SharpnessLimit", "TuranianKind",
+            "VerificationRecord", "WeightDensity", "catalog_document", "check_bound",
+            "dominance_applicable", "log_gamma", "phi", "phi_moment", "psi",
+            "psi_connection", "psi_quadrature", "run", "sharpness_scan", "stieltjes",
+            "turanian", "turanian_ratio"}
         missing = [n for n in tricomi_turan.__all__ if not hasattr(tricomi_turan, n)]
         assert missing == []
         namespace: dict = {}

@@ -1,5 +1,6 @@
 """Weight density, moment identities, and Stieltjes-type representations."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -267,6 +268,23 @@ def test_error_branch_raises_its_typed_error(call, message):
     with pytest.raises(EvaluationError, match=message) as exc:
         call()
     assert type(exc.value) is EvaluationError
+
+
+def test_an_integral_that_is_not_a_finite_double_raises_and_ends_the_column():
+    # no density met in a fuzz of 56,788 gives a table whose integral is not
+    # a finite double; a table with an infinite tail bound phi_0(T) does, so
+    # that phi_moment raises the error and stieltjes_column ends at it
+    d = WeightDensity(2.0, -2.5)
+    d.__dict__["table"] = dataclasses.replace(d.table, tail_phi0=math.inf)
+    with pytest.raises(EvaluationError) as exc:
+        phi_moment(d, 0)
+    assert type(exc.value) is EvaluationError
+    assert str(exc.value) == ("phi integral at beta=3.5 is not a finite double "
+                              "(got 1.0000000000000004 +- inf)")
+    column = measure.stieltjes_column(BOTH, d, (0.5, 1.0))
+    assert (column.values, column.errors) == ([], [])
+    assert type(column.error) is EvaluationError
+    assert str(column.error).startswith("phi integral at beta=4.5 is not a finite double ")
 
 
 def test_panel_rule_constants_are_leggauss_bit_for_bit():

@@ -196,20 +196,25 @@ def agreement(lhs, rhs, budget) -> tuple:
 
 
 def reference_fields(r: ReportRow, grid_x) -> tuple:
-    """The fields of row r that the public per-point function of its claim
-    gives at the row's point."""
+    """The fields of row r that its claim gives at the row's point alone:
+    by the public per-point function of the claim, or by its column
+    function on a pair of that one x."""
     p = ParameterPoint(r.a, r.c, r.x) if r.x > 0.0 else None
-    if r.suite in ("bounds", "dominance"):
-        check = bounds.check_bound if r.suite == "bounds" else bounds.check_dominance
-        rec = check(r.claim, p)
+    if r.suite == "bounds":
+        rec = bounds.check_bound(r.claim, p)
         return (rec.lhs.value, rec.rhs.value, rec.margin, rec.budget,
                 rec.status, rec.anchor)
+    if r.suite == "dominance":
+        spec = bounds.DOMINANCE[r.claim]
+        _, (lhs,), (rhs,), (margin,), (budget,), (code,) = bounds.dominance_columns(
+            spec, bounds.PairGrid(r.a, r.c, (r.x,)))
+        return lhs, rhs, margin, budget, bounds._STATUSES[code], spec.anchor
     if r.suite == "monotonicity":
         xs = sorted(grid_x)
         which = r.claim.split("-")[0]
-        lo, hi = (bounds.auxiliary_log_ratio(which, r.a, r.c, x)
-                  for x in (xs[xs.index(r.x) - 1], r.x))
-        return lo.value, hi.value
+        (lo,), (hi,) = (bounds.PairGrid(r.a, r.c, (x,)).auxiliary(which).values
+                        for x in (xs[xs.index(r.x) - 1], r.x))
+        return lo, hi
     if r.suite == "moments":
         ident, _ = suites.REGISTRY["moments"].claims[r.claim]
         mv = measure.phi_moment(measure.WeightDensity(r.a, r.c), ident.power)

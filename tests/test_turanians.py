@@ -138,9 +138,9 @@ def _oracle_points():
 
 
 class TestOracle:
-    """Each ratio kind and its lower quotient, ``shift_quotient(p, -da,
-    -dc)``, against mpmath.hyperu at 40 digits, from U at all seven
-    shifts: |value - ref| <= abs_error."""
+    """Each ratio kind and its lower quotient, ``PairRecords.quotient(-da,
+    -dc)`` at one x, against mpmath.hyperu at 40 digits, from U at all
+    seven shifts: |value - ref| <= abs_error."""
 
     def test_ratios_and_lower_quotients_within_their_budgets(self):
         outside = []
@@ -149,15 +149,15 @@ class TestOracle:
                 u = functools.lru_cache(maxsize=None)(
                     lambda da, dc: mpmath.hyperu(mpmath.mpf(a) + da, mpmath.mpf(c) + dc,
                                                  mpmath.mpf(x)))
-                p = ParameterPoint(a, c, x)
+                p, pair = ParameterPoint(a, c, x), turanians.PairRecords(a, c, (x,))
                 for kind in TuranianKind:
                     da, dc = kind.shifts
                     q_ref = u(-da, -dc) / u(0, 0)
                     r = turanian_ratio(kind, p)
-                    q = turanians.shift_quotient(p, -da, -dc)[1:]
+                    (q,), (q_err,) = pair.quotient(-da, -dc)
                     for value, err, ref in ((r.value, r.abs_error,
                                              1 - q_ref * u(da, dc) / u(0, 0)),
-                                            (*q, q_ref)):
+                                            (q, q_err, q_ref)):
                         if not abs(value - float(ref)) <= err:
                             outside.append((kind, p, value, err, float(ref)))
         assert outside == []
@@ -276,10 +276,10 @@ class TestShiftQuotients:
             for a, c, x in _pass_oracle_points():
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
                 u0 = mpmath.hyperu(A, C, X)
-                p = ParameterPoint(a, c, x)
-                assert kernel.psi_quotients(p) is not None
+                pair = turanians.PairRecords(a, c, (x,))
+                assert pair.records.failures == [None]
                 for da, dc in ((1, 0), (1, 1), (0, 1)):
-                    _, q, err = turanians.shift_quotient(p, da, dc)
+                    (q,), (err,) = pair.quotient(da, dc)
                     ref = float(mpmath.hyperu(A + da, C + dc, X) / u0)
                     if not abs(q - ref) <= err:
                         outside.append((a, c, x, da, dc, q, err, ref))
@@ -308,8 +308,9 @@ class TestShiftQuotients:
             for a, c, x in _large_x_and_nonpositive_a_points():
                 A, C, X = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(x)
                 u0 = mpmath.hyperu(A, C, X)
+                pair = turanians.PairRecords(a, c, (x,))
                 for da, dc in _SIX_SHIFTS:
-                    _, q, err = turanians.shift_quotient(ParameterPoint(a, c, x), da, dc)
+                    (q,), (err,) = pair.quotient(da, dc)
                     ref = float(mpmath.hyperu(A + da, C + dc, X) / u0)
                     checked += 1
                     if not abs(q - ref) <= err:
@@ -323,13 +324,13 @@ class TestShiftQuotients:
         # quotient of R_c = 1 - q(0, -1) q(0, 1), below and past
         # large_x(0.5, -1) = 312.5
         for a, c, x in ((2.0, -2.5, 1.5), (0.5, -1.0, 400.0)):
-            p = ParameterPoint(a, c, x)
-            f0, qm, _ = turanians.shift_quotient(p, 0, -1)
-            _, r, _ = turanians.shift_quotient(p, 1, 0)
-            _, qp, _ = turanians.shift_quotient(p, 0, 1)
+            p, pair = ParameterPoint(a, c, x), turanians.PairRecords(a, c, (x,))
+            (qm,), _ = pair.quotient(0, -1)
+            (r,), _ = pair.quotient(1, 0)
+            (qp,), _ = pair.quotient(0, 1)
             assert qm == 1.0 - a * r
             assert turanian_ratio(SECOND, p).value == 1.0 - qm * qp
-            assert f0 == psi(p)
+            assert pair.records.f0 == [psi(p)]
 
     @pytest.mark.parametrize("da,dc", [(2, 0), (0, 2), (1, -1), (0, 0), (-2, 0)])
     # "outside": past large_x(0.5, -1) = 312.5
@@ -339,7 +340,7 @@ class TestShiftQuotients:
         # only the six shifts of the Turanians are served: (2, 0) used to
         # return r
         with pytest.raises(ValueError, match="no quotient"):
-            turanians.shift_quotient(ParameterPoint(a, c, x), da, dc)
+            turanians.PairRecords(a, c, (x,)).quotient(da, dc)
 
     def test_a_raising_record_raises_on_every_call(self, monkeypatch):
         # psi(200, 0.5, 1) = 2.8e-386 underflows: so does the record.  No
@@ -352,8 +353,8 @@ class TestShiftQuotients:
                             or trapezoid(a, pw, h, points))
         for _ in range(2):
             runs.append([])
-            with pytest.raises(EvaluationError, match="underflows"):
-                turanians.shift_quotient(ParameterPoint(200.0, 0.5, 1.0), 1, 1)
+            (error,) = turanians.PairRecords(200.0, 0.5, (1.0,)).records.failures
+            assert isinstance(error, EvaluationError) and "underflows" in str(error)
         assert runs[0] and runs[1] == runs[0]
 
 
