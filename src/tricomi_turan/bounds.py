@@ -179,6 +179,11 @@ class PairGrid(PairRecords):
             raise got
         return got
 
+    def fails_at_first_x(self, exc: Exception) -> Column:
+        """A column that stops at the first x, with its record's error, else
+        ``exc``, that of a value formed once per pair (ln G0, ln G1)."""
+        return Column([], [], self.records.failures[0] or exc)
+
     @cached_property
     def ln_g0(self) -> tuple[float, float]:
         """ln G0 = ln Gamma(a-c+1)/Gamma(1-c) and its error, which I2 and
@@ -368,7 +373,7 @@ def _i2_rhs(pair: PairGrid) -> Column:
     try:
         lg, lg_err = pair.ln_g0
     except EvaluationError as exc:
-        return Column([], [], rec.failures[0] or exc)
+        return pair.fails_at_first_x(exc)
     expo = 1.0 / a
     pw = np.array([_exp(expo * (lg + l0)) for l0 in pair.logs[0].tolist()])
     with np.errstate(all="ignore"):
@@ -551,12 +556,12 @@ def _log_bound(id_, which, region, region_text, anchor) -> BoundSpec:
         # aux(0+) = wp ln G1 - w0 ln G0, derived in the module docstring; it
         # depends on (a, c) alone, so it is formed once per pair and taken at
         # every x by ``column``'s rule; where ln G0 or ln G1 raises, it does
-        # so at the pair's first x
+        # so at the pair's first x, after that x's record error
         w0, wp = _weights(which, pair.a, pair.c)
         try:
             (l0, e0), (l1, e1) = pair.ln_g0, pair.ln_g1
         except EvaluationError as exc:
-            return Column([], [], exc)
+            return pair.fails_at_first_x(exc)
         value = wp * l1 - w0 * l0
         err = abs(wp) * e1 + abs(w0) * e0 + EPS * (abs(wp * l1) + abs(w0 * l0) + abs(value))
         n = len(pair.xs)

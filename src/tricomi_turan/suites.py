@@ -7,51 +7,54 @@ of one :class:`ReportRow` per (claim, point), a named tuple of the report
 columns.  Where the config names a report file, ``run`` writes the report
 (CSV or JSON) into it as it is formatted, so the whole text is never held.
 
-The unit of work is the (a, c) pair.  The block of a pair evaluates, in
-task order (suite, claim), every selected claim that holds there, at
+The unit of work is an (a, c) pair with its tasks, each a (suite,
+claim).  The block of a grid pair evaluates, in task order, every claim
+that holds there of the selected suites without pairs of their own, at
 each of its suite's x values at once, so each psi value and each phi
 table of that pair is computed once, the records of psi and its
 quotients at all its x in one call (``kernel.pair_quotients``) and psi
 at the points a suite reads in one call per shift (``kernel.pair_psi``).
 The blocks run in-process, one after another, in run order: the grid's
-pairs in (a, c) order, then the sharpness limits' curated pairs off the
-grid; grid values are distinct, so no pair repeats.  A block returns the
-rows of each (suite, claim) as columns, a list for each of x, lhs, rhs,
-margin, budget and the status code; ``run`` extends each claim's arrays,
-of doubles for a, c, x, lhs, rhs, margin and budget and of bytes for the
-status, by them and puts a sharpness limit's rows in the order of its
-pairs by one reorder.  The claims, by (suite, claim name), make the
-report; each holds its one anchor once, and each row is built as it is
-read.  A failing run raises the error of its first failing pair in run
-order, the first failing task there in task order, and evaluates no
-later pair; within a claim at a pair, the first failing x raises, and at
-one x its lhs fails before its rhs, but for a stieltjes row, whose phi
-side (its rhs) fails before the ratio (``bounds._first_error``).  Claims
-whose failures are advisory (the catalog's non-gating bounds) never gate
-a run; their failures are counted apart.
+pairs in (a, c) order (grid values are distinct, so no pair repeats),
+then each claim of a suite with pairs of its own (a sharpness limit),
+alone, at each of its pairs in their order.  A block returns the rows of
+each task as columns, a list for each of x, lhs, rhs, margin, budget and
+the status code; ``run`` extends each claim's arrays, of doubles for a,
+c, x, lhs, rhs, margin and budget and of bytes for the status, by them,
+so a claim's rows come in run order.  The claims, by (suite, claim
+name), make the report; each holds its one anchor once, and each row is
+built as it is read.  A failing run raises the error of its first
+failing unit in run order, the first failing task there in task order,
+and evaluates no later unit; within a claim at a pair, the first failing
+x raises, and at one x its lhs fails before its rhs, but for a stieltjes
+row, whose phi side (its rhs) fails before the ratio
+(``bounds._first_error``).  Claims whose failures are advisory (the
+catalog's non-gating bounds) never gate a run; their failures are
+counted apart.
 
 Each suite is one :class:`Suite` record in ``REGISTRY``, in report order
 (``SUITES`` is the tuple of their names).  The record lists the suite's
-claims once, in task order, each with the argument its rows need (a
-catalog entry, a dominance claim, a moment identity or Turanian kind or
-auxiliary with its anchor text, formed once, or that text alone) and
-how the claim's anchor is read from it; the report puts them in name
-order.  The sharpness suite's claims are the rows of
-``bounds.LIMITS``, each with its own (a, c) pairs; a row holds the
-deviation from the limit at the end of its scan against the limit's
+claims once, in task order, each as (argument, anchor): the argument its
+rows need (a catalog entry, a dominance claim or a sharpness limit, each
+with its own anchor; a moment identity, Turanian kind or auxiliary; None
+for the crosscheck, ODE and derivative claims) and its anchor text; the
+report puts them in name order.  The sharpness suite's claims are the
+rows of ``bounds.LIMITS``, each with its own (a, c) pairs; a row holds
+the deviation from the limit at the end of its scan against the limit's
 rate bound there, as an inequality row.  A record holds the test of
-whether a claim holds at a pair (a dominance claim where both of its
-bounds hold; its threshold in x is tested per row) and the evaluator of
-a claim's rows at a pair, ``evaluate(argument, pair)``, which returns
-them as columns.  Every suite reads the pair through one context, a
-``bounds.PairGrid`` over the grid's x, which a block builds once: it
-reads the records of the pair's x in one call, forms each Turanian
-kind's ratio column and each auxiliary log-ratio column once, and holds
-the pair's weight density, whose phi table is built once, for every
-claim that reads them.  The catalog and dominance claims take their rows
-from ``bounds.bound_columns`` and ``bounds.dominance_columns``, the
-first of which ``check_bound`` reads at a pair of one x; a monotonicity
-claim takes its auxiliary's column in increasing x.  The crosscheck, ODE
+whether a claim holds at a grid pair, ``applies(argument, a, c)`` (a
+dominance claim where both of its bounds hold; its threshold in x is
+tested per row), and the evaluator of a claim's rows at a pair,
+``evaluate(argument, pair)``, which returns them as columns.  Every
+suite reads the pair through one context, a ``bounds.PairGrid`` over the
+grid's x, which a block builds once: it reads the records of the pair's
+x in one call, forms each Turanian kind's ratio column and each
+auxiliary log-ratio column once, and holds the pair's weight density,
+whose phi table is built once, for every claim that reads them.  The
+catalog and dominance claims take their rows from
+``bounds.bound_columns`` and ``bounds.dominance_columns``, the first of
+which ``check_bound`` reads at a pair of one x; a monotonicity claim
+takes its auxiliary's column in increasing x.  The crosscheck, ODE
 and derivative suites take pair columns of psi (``_psi_columns``): each
 states the points at which its row at x reads psi, at x of
 ``CROSSCHECK_X``, of the grid from ``ODE_MIN_X`` on and of the grid,
@@ -91,7 +94,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, eq, itemgetter
+from operator import add, attrgetter, eq
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -153,14 +156,16 @@ class Suite:
     """One verification suite; see the module docstring.  Every claim's
     rows at an (a, c) pair come from one evaluator shape,
     ``evaluate(argument, pair)``, the pair a ``bounds.PairGrid`` over the
-    grid's x that the pair's block shares with every suite."""
+    grid's x that the pair's block shares with each of its tasks."""
 
     name: str
-    claims: dict                       # claim -> its argument, in task order
-    applies: Callable[[object, float, float], bool]  # (argument, a, c)
+    claims: dict                       # claim -> (argument, anchor), in task order
+    # (argument, a, c): whether a claim holds at a grid pair; None where
+    # the claims hold at pairs of their own
+    applies: Callable[[object, float, float], bool] | None
     evaluate: Callable[[object, bounds_mod.PairGrid], tuple]  # see the evaluators below
-    anchor: Callable[[object], str]    # a claim's anchor text, from its argument
-    pairs: Callable[[object], tuple] | None = None  # a claim's own; None: the grid's
+    # argument -> a claim's own pairs, run after the grid's; None: the grid's
+    pairs: Callable[[object], tuple] | None = None
     # why a claim that holds at some pair may still have no row there
     no_rows: str = "no grid x gives it a row"
 
@@ -267,19 +272,17 @@ def _row_derivative(a, c, x, h, fm, fp, tail, shifted):
     return x, d1.value, target, d1.abs_error + a * shifted.abs_error + EPS * abs(target)
 
 
-def _moment_columns(arg, pair):
+def _moment_columns(ident, pair):
     # a moment takes no grid x; its one row reports x = 0
-    ident, _ = arg
     mv = measure_mod.phi_moment(pair.density, ident.power)
     closed = ident.closed_form(pair.a, pair.c)
     # the closed forms are rational in a and c: five roundings at most
     return _agreements([(0.0, mv.value, closed, mv.abs_error + 5.0 * EPS * abs(closed))])
 
 
-def _stieltjes_columns(arg, pair):
+def _stieltjes_columns(kind, pair):
     # the pair's ratio column held against the phi side, a column of the
     # pair's density; at an x the phi side fails before the ratio
-    kind, _ = arg
     d, ratios = pair.density, pair.ratios(kind)
     side = measure_mod.stieltjes_column(kind, d, pair.xs)
     bounds_mod._first_error(pair.xs, side, ratios)
@@ -295,10 +298,9 @@ def _sharpness_columns(lim, pair):
             bounds_mod._status_codes((margin,), (end.budget,)))
 
 
-def _monotonicity_columns(arg, pair):
+def _monotonicity_columns(which, pair):
     # the pair's auxiliary column in increasing x; a row is the step from
     # one x to the next, so one x makes none
-    which, _ = arg
     if len(pair.xs) < 2:
         return [], [], [], [], [], []
     order = sorted(range(len(pair.xs)), key=pair.xs.__getitem__)
@@ -320,55 +322,57 @@ def _off_integer(c: float) -> bool:
 # ---------------------------------------------------------------------------
 
 _BOTH, _FIRST = TuranianKind.BOTH_SHIFT, TuranianKind.FIRST_SHIFT
-_OWN, _SECOND, _SPEC = str, itemgetter(1), attrgetter("anchor")
+
+
+def _anchored(table: dict) -> dict:
+    """The claims of a bounds table: id -> (spec, its anchor)."""
+    return {key: (spec, spec.anchor) for key, spec in table.items()}
+
 
 REGISTRY: dict[str, Suite] = {s.name: s for s in (
-    Suite("kernel_crosscheck", {"psi-two-methods": "quadrature and connection-series "
-                                                   "values agree"},
+    Suite("kernel_crosscheck", {"psi-two-methods": (None, "quadrature and connection-series "
+                                                          "values agree")},
           lambda _, a, c: a > 0.0 and _off_integer(c),
           _psi_columns(_row_crosscheck, lambda pair: CROSSCHECK_X,
-                       lambda a, c, x, h: ((a, c, x),)), _OWN),
-    Suite("ode_residual", {"kummer-ode": "Kummer ODE residual under central differences"},
+                       lambda a, c, x, h: ((a, c, x),))),
+    Suite("ode_residual", {"kummer-ode": (None, "Kummer ODE residual under central "
+                                                "differences")},
           lambda _, a, c: a > 0.0,
           _psi_columns(_row_ode, lambda pair: [x for x in pair.xs if x >= ODE_MIN_X],
                        lambda a, c, x, h: ((a, c, x - h), (a, c, x + h), _tail(a, c, x, h, 1),
                                            (a, c, x), _tail(a, c, x, h, 2))),
-          _OWN, no_rows=f"no grid x is at least {ODE_MIN_X}"),
-    Suite("derivative", {"dpsi-dx": "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)"},
+          no_rows=f"no grid x is at least {ODE_MIN_X}"),
+    Suite("derivative", {"dpsi-dx": (None, "d/dx psi(a,c,x) = -a psi(a+1,c+1,x)")},
           lambda _, a, c: a > 0.0,
           _psi_columns(_row_derivative, attrgetter("xs"),
                        lambda a, c, x, h: ((a, c, x - h), (a, c, x + h), _tail(a, c, x, h, 1),
-                                           (a + 1.0, c + 1.0, x))), _OWN),
+                                           (a + 1.0, c + 1.0, x)))),
     Suite("moments", {f"moment[{power}]": (ident, f"moment power {power} equals its "
                                                   "closed form")
                       for power, ident in measure_mod.MOMENT_IDENTITIES.items()},
-          lambda arg, a, c: arg[0].region(a, c) and _off_integer(c),
-          _moment_columns, _SECOND),
+          lambda ident, a, c: ident.region(a, c) and _off_integer(c), _moment_columns),
     Suite("stieltjes", {
         "both-shift": (_BOTH, "both-shift ratio equals -int t phi/(x+t)^2 dt"),
         "first-shift": (_FIRST, "first-shift ratio equals "
                                 "(1 - int x^2 phi/(x+t)^2 dt)/(1+a-c)")},
-          lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c), _stieltjes_columns,
-          _SECOND),
-    Suite("bounds", bounds_mod.CATALOG,
-          lambda spec, a, c: spec.region(a, c), bounds_mod.bound_columns, _SPEC),
+          lambda _, a, c: a > 0.0 and c < 1.0 and _off_integer(c), _stieltjes_columns),
+    Suite("bounds", _anchored(bounds_mod.CATALOG), lambda spec, a, c: spec.region(a, c),
+          bounds_mod.bound_columns),
     # the suite holds where both bounds' regions do; the threshold is per x
-    Suite("dominance", bounds_mod.DOMINANCE, lambda spec, a, c: spec.region(a, c),
-          bounds_mod.dominance_columns, _SPEC,
-          no_rows="no grid x in its region meets its threshold"),
+    Suite("dominance", _anchored(bounds_mod.DOMINANCE), lambda spec, a, c: spec.region(a, c),
+          bounds_mod.dominance_columns, no_rows="no grid x in its region meets its threshold"),
     # each limit is scanned once at each of its curated pairs, not at the grid's
-    Suite("sharpness", bounds_mod.LIMITS, lambda lim, a, c: (a, c) in lim.pairs,
-          _sharpness_columns, _SPEC, pairs=lambda lim: lim.pairs),
+    Suite("sharpness", _anchored(bounds_mod.LIMITS), None, _sharpness_columns,
+          pairs=attrgetter("pairs")),
     Suite("monotonicity", {
         f"{w}-monotone": (w, f"auxiliary log-ratio {w} is "
                              f"{'increasing' if aux.sign > 0 else 'decreasing'}")
         for w, aux in bounds_mod.AUXILIARY.items()},
-          lambda arg, a, c: bounds_mod.AUXILIARY[arg[0]].region(a, c),
-          _monotonicity_columns, _SECOND, no_rows="a single grid x makes no step"),
+          lambda w, a, c: bounds_mod.AUXILIARY[w].region(a, c),
+          _monotonicity_columns, no_rows="a single grid x makes no step"),
 )}
 
 SUITES = tuple(REGISTRY)
-_SUITE_RANK = {name: i for i, name in enumerate(SUITES)}
 
 # claims whose failures are reported but never gate a run
 ADVISORY_CLAIMS = frozenset(
@@ -459,44 +463,35 @@ class ReportRows(Sequence):
             map(eq, self, other))
 
 
-def _pair_block(cfg: RunConfig, a: float, c: float, names: list) -> dict:
-    """Evaluate one (a, c) pair for ``names``, the selected suites with a
-    claim there, in report order, through one context, a
-    ``bounds.PairGrid`` over the grid's x.  Returns, keyed by (suite,
-    claim), the rows of each claim that holds at the pair, in task order,
-    as the columns of its evaluator; the first failing task raises its
-    error."""
-    rows: dict = {}
+def _pair_block(cfg: RunConfig, a: float, c: float, tasks: list) -> dict:
+    """Evaluate ``tasks``, each (suite, claim, argument), in order at one
+    (a, c) pair through one context, a ``bounds.PairGrid`` over the grid's
+    x.  Returns, keyed by (suite, claim), the rows of each task as the
+    columns of its evaluator; the first failing task raises its error."""
     pair = bounds_mod.PairGrid(a, c, cfg.grid_x)
-    for name in names:
-        s = REGISTRY[name]
-        for claim, arg in s.claims.items():
-            if s.applies(arg, a, c):
-                rows[name, claim] = s.evaluate(arg, pair)
-    return rows
+    return {(s.name, claim): s.evaluate(arg, pair) for s, claim, arg in tasks}
 
 
 def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
     """Execute the configured suites; deterministic for a fixed config.
-    The (a, c) pairs run in-process in run order; each block's columns
-    extend those of its claims, and the rows return as their
-    :class:`ReportRows`.  Raises the first failing task's error in run order."""
+    The units of work run in-process in run order: each grid pair in
+    (a, c) order, with the claims that hold there of the selected suites
+    without pairs of their own, in task order; then each claim of a suite
+    with pairs of its own, alone, at those pairs in order.  A failing run
+    raises the error of its first failing task and evaluates no later
+    unit; each block's columns extend those of its claims, and the rows
+    return as their :class:`ReportRows`."""
     selected = [s for s in REGISTRY.values() if s.name in cfg.suites]
-    # the units of work in run order, the grid's (a, c) pairs and then the
-    # claims' own pairs off the grid, each with the suites that have a
-    # claim there, in report order, since a block evaluates them in task order
-    grid = [(a, c) for a in cfg.grid_a for c in cfg.grid_c]
-    units: dict = {}
-    for s in sorted(selected, key=lambda s: s.pairs is not None):
-        pairs = grid if s.pairs is None else [
-            pair for arg in s.claims.values() for pair in s.pairs(arg)]
-        for pair in pairs:
-            units.setdefault(pair, set()).add(s.name)
-
+    on_grid = [(s, claim, arg) for s in selected if s.pairs is None
+               for claim, (arg, _) in s.claims.items()]
+    units = [(a, c, [(s, claim, arg) for s, claim, arg in on_grid if s.applies(arg, a, c)])
+             for a in cfg.grid_a for c in cfg.grid_c]
+    units += [(a, c, [(s, claim, arg)]) for s in selected if s.pairs is not None
+              for claim, (arg, _) in s.claims.items() for a, c in s.pairs(arg)]
     held = {(s.name, claim): _empty_columns() for s in selected for claim in s.claims}
     holds = set()    # the claims that hold at some pair
-    for (a, c), names in units.items():
-        block = _pair_block(cfg, a, c, sorted(names, key=_SUITE_RANK.__getitem__))
+    for a, c, tasks in units:
+        block = _pair_block(cfg, a, c, tasks)
         holds.update(block)
         for key, (xs, *cols) in block.items():
             n = len(xs)
@@ -514,12 +509,6 @@ def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
             cols = held[s.name, claim]
             if not cols[0]:
                 continue
-            if s.pairs is not None:
-                # run order puts a claim's own pairs on the grid first;
-                # its rows follow the order of its pairs, one reorder
-                pairs, (a, c) = s.pairs(s.claims[claim]), cols[:2]
-                order = sorted(range(len(a)), key=lambda i: pairs.index((a[i], c[i])))
-                cols = tuple(array(v.typecode, map(v.__getitem__, order)) for v in cols)
             tally = Counter(map(_STATUSES.__getitem__, cols[-1]))
             suite_counts = counts.setdefault(s.name, {PASS: 0, FAIL: 0, INCONCLUSIVE: 0})
             for status, n in tally.items():
@@ -528,7 +517,7 @@ def run(cfg: RunConfig) -> tuple[RunSummary, ReportRows]:
                 advisory_fails += tally[FAIL]
             else:
                 gating_fails += tally[FAIL]
-            claims.append((s.name, claim, s.anchor(s.claims[claim]), cols))
+            claims.append((s.name, claim, s.claims[claim][1], cols))
 
     rows = ReportRows(claims)
     summary = RunSummary(counts, gating_fails, advisory_fails, empty, len(rows))
@@ -559,10 +548,9 @@ def _csv_field(s: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_csv(fh, rows, summary: RunSummary, timestamp: bool = True) -> None:
+def _write_csv(fh, rows, summary: RunSummary) -> None:
     """Write the CSV report to the text file ``fh`` a line at a time."""
-    if timestamp:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
     fh.write(",".join(_CSV_COLUMNS) + "\n")
     q = _Texts(_csv_field)
     # one line per row by a %-template, about 10% faster than by an f-string

@@ -112,14 +112,21 @@ class TestCheckBound:
             check_bound("nope", ParameterPoint(1.0, 0.0, 1.0))
 
     def test_i_family_raises_where_ln_g0_leaves_the_double_range(self):
-        # lnGamma(a - c + 1) overflows at a - c + 1 = 3e305, while the record
-        # at (1, -3e305, 1e8) delivers: I2's rhs and the x->0+ limits of I1,
-        # I3 and I4 raise ln G0's error
-        p = ParameterPoint(1.0, -3e305, 1e8)
-        assert not isinstance(kernel.pair_quotients(p.a, p.c, (p.x,))[0], Exception)
-        for bid in ("I1", "I2", "I3", "I4"):
-            with pytest.raises(EvaluationError, match=r"^log Gamma\(3e\+305\) is beyond"):
-                check_bound(bid, p)
+        # lnGamma(a - c + 1) overflows at a - c + 1 = 3e305.  Where the record
+        # at (1, -3e305, x) delivers (x = 1e8), I2's rhs and the x->0+ limits
+        # of I1, I3 and I4 raise ln G0's error; where it fails too (x =
+        # 0.001), all four raise the record's error, as at any x whose
+        # record fails
+        for x, record_fails, message in (
+                (1e8, False, r"^log Gamma\(3e\+305\) is beyond"),
+                (0.001, True, r"^the trapezoid nodes of psi\(a=1\.0, c=-3e\+305, "
+                              r"x=0\.001\) reach beyond the double range$")):
+            p = ParameterPoint(1.0, -3e305, x)
+            record = kernel.pair_quotients(p.a, p.c, (p.x,))[0]
+            assert isinstance(record, Exception) is record_fails
+            for bid in ("I1", "I2", "I3", "I4"):
+                with pytest.raises(EvaluationError, match=message):
+                    check_bound(bid, p)
 
     @pytest.mark.parametrize("a,c,x", [
         pytest.param(10.0, -1.0004, 34.0, id="exponent-250"),

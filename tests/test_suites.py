@@ -92,7 +92,7 @@ class TestRun:
         suite = suites.REGISTRY[name]
 
         def evaluate(arg, pair):
-            claim = next(k for k, v in suite.claims.items() if v is arg)
+            claim = next(k for k, (v, _) in suite.claims.items() if v is arg)
             if calls is not None:
                 calls.append((claim, pair.a))
             message = failing.get((claim, pair.a), failing.get((None, pair.a)))
@@ -113,6 +113,19 @@ class TestRun:
         cfg = {"suites": ("bounds", "dominance"), **self.FAILING_GRID}
         for jobs in (1, 2):
             with pytest.raises(EvaluationError, match=r"^dominance at a=2\.0$"):
+                suites.run(RunConfig(jobs=jobs, **cfg))
+
+    def test_the_grid_runs_before_the_sharpness_limits_own_pairs(self, monkeypatch):
+        # sharpness fails at a = 2.0, and (2.0, -2.5) is on the grid and in
+        # both curated pair lists; bounds fails at the later grid pair
+        # (3.0, -2.5), which runs before any sharpness limit does
+        self.raise_at(monkeypatch, "bounds", {(None, 3.0): "bounds at a=3.0"})
+        self.raise_at(monkeypatch, "sharpness", {(None, 2.0): "sharpness at a=2.0"})
+        assert all((2.0, -2.5) in pairs for pairs in (bounds.PAIRS_TO_ZERO,
+                                                     bounds.PAIRS_TO_INFINITY))
+        cfg = {"suites": ("bounds", "sharpness"), **self.FAILING_GRID}
+        for jobs in (1, 2):
+            with pytest.raises(EvaluationError, match=r"^bounds at a=3\.0$"):
                 suites.run(RunConfig(jobs=jobs, **cfg))
 
     @pytest.mark.parametrize("failing,message", [
@@ -285,8 +298,8 @@ class TestPairBlocks:
         for (suite, claim), claim_rows in by_claim.items():
             pairs = [(r.a, r.c) for r in claim_rows]
             if suite == "sharpness":
-                # the limit's curated pairs, in their list order, though
-                # the blocks of those on the grid run first
+                # the limit's curated pairs, in their list order, each
+                # evaluated after every grid pair
                 assert pairs == list(bounds.LIMITS[claim].pairs)
             else:
                 # grid pairs, in grid order
@@ -656,11 +669,12 @@ def test_a_claim_without_rows_in_its_region_notes_why(suite, grid_x, notes):
     assert len(summary.empty_regions) == len(notes)
 
 
-def csv_text(rows, summary, timestamp=False):
-    """The CSV report of ``rows``, written by ``_write_csv`` into a string."""
+def csv_text(rows, summary):
+    """The CSV report of ``rows``, written by ``_write_csv`` into a string,
+    past its first line, the ``# generated`` timestamp."""
     buf = io.StringIO()
-    suites._write_csv(buf, rows, summary, timestamp=timestamp)
-    return buf.getvalue()
+    suites._write_csv(buf, rows, summary)
+    return buf.getvalue().split("\n", 1)[1]
 
 
 def json_text(rows, summary):
@@ -671,7 +685,7 @@ def json_text(rows, summary):
 
 
 def rows_to_csv_reference(rows, summary):
-    """The csv.writer form of the CSV report (timestamp off)."""
+    """The csv.writer form of the CSV report past its timestamp line."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(suites._CSV_COLUMNS)
@@ -700,8 +714,9 @@ class TestRowsToCsv:
 
     def test_timestamp_line_comes_first(self):
         summary = suites.RunSummary({}, 0, 0, [], 0)
-        text = csv_text([], summary, timestamp=True)
-        first, rest = text.split("\n", 1)
+        buf = io.StringIO()
+        suites._write_csv(buf, [], summary)
+        first, rest = buf.getvalue().split("\n", 1)
         assert first.startswith("# generated ")
         assert rest == rows_to_csv_reference([], summary)
 
